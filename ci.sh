@@ -17,7 +17,13 @@ cargo bench -q -p dualminer-bench --no-run
 cargo bench -q -p dualminer-bench --bench bitset_kernels -- "is_disjoint/100" >/dev/null
 cargo bench -q -p dualminer-bench --bench settrie -- "minimize_family/trie/250" >/dev/null
 cargo bench -q -p dualminer-bench --bench vstore -- "support_sparse" >/dev/null
-cargo bench -q -p dualminer-bench --bench dualize_matrix -- "cosparse40/mmcs" >/dev/null
+cargo bench -q -p dualminer-bench --bench dualize_matrix -- "cosparse40/mu-mmcs" >/dev/null
+
+# The benchmark harness (perfbench/, its own cargo workspace) calls the
+# public planner API: build and test it here, so removing a function it
+# uses fails this gate rather than the benchmark run.
+cargo build --release --manifest-path perfbench/Cargo.toml
+cargo test -q --manifest-path perfbench/Cargo.toml
 
 # Fault-tolerance smoke (DESIGN.md §11): a seeded transient schedule
 # absorbed by retries must not change the mined output, and a run killed

@@ -11,12 +11,14 @@
 //! lines show which engine actually ran.
 //!
 //! Expected winners per class, from the recorded medians (BENCH_pr8.json):
-//! matching → berge, cosparse40 → mmcs, cosparse96 → levelwise,
-//! dense28/hub28 → mu-mmcs (≥ 1.5× over mmcs on both), threshold14 → egm.
+//! matching → berge, cosparse40 → mu-mmcs (45.7 µs, ahead of levelwise
+//! at 50.6 µs), cosparse96 → levelwise, dense28/hub28 → mu-mmcs,
+//! threshold14 → egm. BENCH_pr8.json also keeps the cells of the
+//! list-based MMCS engine that MU-MMCS replaced.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dualminer_hypergraph::{
-    berge, egm, generators, joint_gen, levelwise_tr, mmcs, mu_mmcs, plan, Hypergraph,
+    berge, egm, generators, joint_gen, levelwise_tr, mu_mmcs, plan, Hypergraph,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,9 +93,6 @@ fn bench_dualize_matrix(c: &mut Criterion) {
                 b.iter(|| levelwise_tr::transversals_large_edges(h))
             });
         }
-        group.bench_with_input(BenchmarkId::new(cell.class, "mmcs"), h, |b, h| {
-            b.iter(|| mmcs::transversals(h))
-        });
         group.bench_with_input(BenchmarkId::new(cell.class, "mu-mmcs"), h, |b, h| {
             b.iter(|| mu_mmcs::transversals(h))
         });

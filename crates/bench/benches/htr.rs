@@ -5,7 +5,7 @@
 //! instances.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dualminer_hypergraph::{berge, generators, joint_gen, levelwise_tr, mmcs, Hypergraph};
+use dualminer_hypergraph::{berge, generators, joint_gen, levelwise_tr, Hypergraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,9 +23,6 @@ fn bench_instance(c: &mut Criterion, group_name: &str, instances: Vec<(String, H
         });
         group.bench_with_input(BenchmarkId::new("levelwise", &label), &h, |b, h| {
             b.iter(|| levelwise_tr::transversals_large_edges(h))
-        });
-        group.bench_with_input(BenchmarkId::new("mmcs", &label), &h, |b, h| {
-            b.iter(|| mmcs::transversals(h))
         });
     }
     group.finish();

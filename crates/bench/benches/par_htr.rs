@@ -1,13 +1,12 @@
 //! Thread-scaling benchmarks for the parallel transversal hot paths:
-//! MMCS frontier search, Berge per-edge multiplication, and the FK duality
-//! check's fork-join recursion, each swept over worker-thread counts.
+//! Berge per-edge multiplication and the FK duality check's fork-join
+//! recursion, each swept over worker-thread counts.
 //! Results are bit-identical across the sweep; only wall-clock changes.
 //! `BENCH_baseline.json` records a reference run of this file.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dualminer_hypergraph::{berge, fk, generators, mmcs, Hypergraph};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use dualminer_bench::dualize_with;
+use dualminer_hypergraph::{berge, fk, generators, TrAlgorithm};
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
@@ -17,29 +16,8 @@ fn scheduler_steals() -> u64 {
     dualminer_parallel::scheduler_stats().steals
 }
 
-fn random_instance(n: usize, k: usize, m: usize, seed: u64) -> Hypergraph {
-    let mut rng = StdRng::seed_from_u64(seed);
-    generators::random_uniform(n, m, k..=k, &mut rng)
-}
-
-fn bench_mmcs_threads(c: &mut Criterion) {
-    criterion::steal_track::set_steal_counter(scheduler_steals);
-    let mut group = c.benchmark_group("par_mmcs");
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.sample_size(10);
-    let h = random_instance(24, 3, 40, 13);
-    for threads in THREAD_SWEEP {
-        group.bench_with_input(
-            BenchmarkId::new("n24_k3_m40", threads),
-            &threads,
-            |b, &t| b.iter(|| mmcs::transversals_par(&h, t)),
-        );
-    }
-    group.finish();
-}
-
 fn bench_berge_threads(c: &mut Criterion) {
+    criterion::steal_track::set_steal_counter(scheduler_steals);
     let mut group = c.benchmark_group("par_berge");
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
@@ -51,7 +29,7 @@ fn bench_berge_threads(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("matching_n20", threads),
             &threads,
-            |b, &t| b.iter(|| berge::transversals_par(&h, t)),
+            |b, &t| b.iter(|| dualize_with(&h, TrAlgorithm::Berge, t)),
         );
     }
     group.finish();
@@ -82,10 +60,5 @@ fn bench_fk_threads(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_mmcs_threads,
-    bench_berge_threads,
-    bench_fk_threads
-);
+criterion_group!(benches, bench_berge_threads, bench_fk_threads);
 criterion_main!(benches);

@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use dualminer_core::bounds::binomial_sum;
-use dualminer_hypergraph::{berge, generators, joint_gen, levelwise_tr};
+use dualminer_hypergraph::{generators, levelwise_tr, TrAlgorithm};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,11 +38,11 @@ pub fn run() {
         let t_level = t0.elapsed();
 
         let t0 = Instant::now();
-        let tr_b = berge::transversals_par(&h, crate::threads());
+        let tr_b = crate::dualize_with(&h, TrAlgorithm::Berge, crate::threads());
         let t_berge = t0.elapsed();
 
         let t0 = Instant::now();
-        let tr_j = joint_gen::transversals_par(&h, crate::threads());
+        let tr_j = crate::dualize_with(&h, TrAlgorithm::FkJointGeneration, crate::threads());
         let t_joint = t0.elapsed();
 
         assert_eq!(tr_l, tr_b);

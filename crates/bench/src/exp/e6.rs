@@ -9,7 +9,7 @@
 
 use dualminer_core::dualize_advance::dualize_advance;
 use dualminer_core::oracle::{CountingOracle, FnOracle};
-use dualminer_hypergraph::{berge, generators, TrAlgorithm};
+use dualminer_hypergraph::{generators, TrAlgorithm};
 
 use crate::table::Table;
 
@@ -21,7 +21,7 @@ pub fn run() {
     let mut table = Table::new(["n", "|E| = n/2", "|Tr(E)| measured", "2^(n/2)"]);
     for n in [8usize, 12, 16, 20] {
         let h = generators::matching(n);
-        let tr = berge::transversals_par(&h, crate::threads());
+        let tr = crate::dualize_with(&h, TrAlgorithm::Berge, crate::threads());
         assert_eq!(tr.len(), 1 << (n / 2));
         table.row([
             n.to_string(),

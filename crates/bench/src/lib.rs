@@ -25,7 +25,8 @@ pub mod table;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use dualminer_obs::{Budget, Meter};
+use dualminer_hypergraph::{plan, Hypergraph, TrAlgorithm};
+use dualminer_obs::{Budget, Meter, NoopObserver, RunCtl};
 
 /// Worker-thread budget the experiments pass to the parallel hot paths
 /// (`0` = available parallelism, `1` = sequential). Results are identical
@@ -40,6 +41,16 @@ pub fn set_threads(threads: usize) {
 /// The thread budget experiments should pass to parallel entry points.
 pub fn threads() -> usize {
     THREADS.load(Ordering::Relaxed)
+}
+
+/// `Tr(H)` with `algo` on `threads` workers, unbudgeted: the dispatcher
+/// call the experiments and thread-sweep benches share.
+pub fn dualize_with(h: &Hypergraph, algo: TrAlgorithm, threads: usize) -> Hypergraph {
+    let meter = Meter::unlimited();
+    let ctl = RunCtl::new(&meter, &NoopObserver);
+    plan::dualize_ctl_report(h, algo, threads, &ctl)
+        .0
+        .expect_complete()
 }
 
 /// The harness-wide resource budget (`--timeout` / `--max-queries` /

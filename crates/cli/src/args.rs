@@ -21,7 +21,7 @@ USAGE:
                    [--threads <T>] [--segment-rows <N>] [RUN OPTIONS]
     dualminer keys <relation.csv> [--fds] [RUN OPTIONS]
     dualminer transversals <hypergraph.txt>
-                   [--algo auto|berge|fk|levelwise|mmcs|mu-mmcs|egm]
+                   [--algo auto|berge|fk|levelwise|mu-mmcs|egm]
                    [--threads <T>] [RUN OPTIONS]
     dualminer verify-dual <f.txt> <g.txt>
     dualminer episodes <events.txt> --window <W> --min-freq <0.x> [--serial|--parallel]
@@ -59,8 +59,10 @@ OPTIONS:
                    inspects the instance shape (edge count, rank, degrees)
                    and picks the expected winner: berge (few edges /
                    matchings), levelwise (co-sparse, Corollary 15),
-                   mu-mmcs (dense default), egm (massive skewed families).
-                   Every engine prints the identical canonical output.
+                   mu-mmcs (dense default), egm (massive skewed families);
+                   fk (Fredman–Khachiyan joint generation) runs only when
+                   named. Every engine prints the identical canonical
+                   output.
     --threads <T>  worker threads for the parallel hot paths (support
                    counting / transversal search); 0 = all available cores;
                    default 1 (sequential). Output is identical for every T.
@@ -954,10 +956,10 @@ mod tests {
             }
         );
         assert_eq!(
-            parse(&v(&["transversals", "h.txt", "--algo", "mmcs"])).unwrap(),
+            parse(&v(&["transversals", "h.txt", "--algo", "mu-mmcs"])).unwrap(),
             Command::Transversals {
                 path: "h.txt".into(),
-                algo: TrAlgorithm::Mmcs,
+                algo: TrAlgorithm::MuMmcs,
                 threads: 1,
                 run: RunOpts::default(),
             }
@@ -981,7 +983,6 @@ mod tests {
             ("berge", TrAlgorithm::Berge),
             ("fk", TrAlgorithm::FkJointGeneration),
             ("levelwise", TrAlgorithm::LevelwiseLargeEdges),
-            ("mmcs", TrAlgorithm::Mmcs),
             ("mu-mmcs", TrAlgorithm::MuMmcs),
             ("egm", TrAlgorithm::Egm),
         ] {
@@ -991,9 +992,12 @@ mod tests {
                 "{name}"
             );
         }
-        let err = parse(&v(&["transversals", "h.txt", "--algo", "bogus"])).unwrap_err();
-        assert!(err.contains("unknown --algo"), "unhelpful: {err}");
-        assert!(err.contains("mu-mmcs"), "should list spellings: {err}");
+        // "mmcs" named the list-based engine MU-MMCS replaced; no alias.
+        for bogus in ["bogus", "mmcs"] {
+            let err = parse(&v(&["transversals", "h.txt", "--algo", bogus])).unwrap_err();
+            assert!(err.contains("unknown --algo"), "unhelpful: {err}");
+            assert!(err.contains("mu-mmcs"), "should list spellings: {err}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! ```text
 //! dualminer mine <baskets.txt> --min-support <N|0.x> [--rules <conf>] [--maximal]
 //! dualminer keys <relation.csv> [--fds]
-//! dualminer transversals <hypergraph.txt> [--algo auto|berge|fk|levelwise|mmcs|mu-mmcs|egm]
+//! dualminer transversals <hypergraph.txt> [--algo auto|berge|fk|levelwise|mu-mmcs|egm]
 //! dualminer verify-dual <f.txt> <g.txt>
 //! dualminer serve [--listen <host:port>] [--unix <path>]
 //! dualminer request <addr> --json <line>

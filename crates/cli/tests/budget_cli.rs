@@ -170,7 +170,7 @@ fn transversals_max_transversals_trips_with_partial_prefix() {
         "transversals",
         &graph.display().to_string(),
         "--algo",
-        "mmcs",
+        "mu-mmcs",
         "--max-transversals",
         "7",
         "--stats",

@@ -31,7 +31,7 @@
 //! interesting) come out right.
 
 use dualminer_bitset::AttrSet;
-use dualminer_hypergraph::{transversals_with_ctl, Hypergraph, TrAlgorithm};
+use dualminer_hypergraph::{plan, Hypergraph, TrAlgorithm};
 use dualminer_obs::{BudgetReason, Meter, NoopObserver, OracleError, Outcome, RunCtl, RunError};
 
 use crate::checkpoint::{Aborted, DaState, FaultCtl, ResumeState, DUALIZE_ADVANCE_KIND};
@@ -494,10 +494,9 @@ pub fn dualize_advance_try_ctl<O: TryInterestOracle>(
             TrAlgorithm::Auto
             | TrAlgorithm::Berge
             | TrAlgorithm::LevelwiseLargeEdges
-            | TrAlgorithm::Mmcs
             | TrAlgorithm::MuMmcs
             | TrAlgorithm::Egm => {
-                let tr = match transversals_with_ctl(&complements, algo, threads, ctl) {
+                let tr = match plan::dualize_ctl_report(&complements, algo, threads, ctl).0 {
                     Outcome::Complete(tr) => tr,
                     Outcome::BudgetExceeded { reason, .. } => {
                         // The materialized border is incomplete (and for
@@ -744,7 +743,6 @@ mod tests {
             TrAlgorithm::Berge,
             TrAlgorithm::FkJointGeneration,
             TrAlgorithm::LevelwiseLargeEdges,
-            TrAlgorithm::Mmcs,
             TrAlgorithm::MuMmcs,
             TrAlgorithm::Egm,
         ] {
@@ -968,7 +966,7 @@ pub fn dualize_advance_batch_ctl<O: InterestOracle>(
         let complements =
             Hypergraph::from_edges(n, maximal.iter().map(AttrSet::complement).collect())
                 .expect("complements stay in universe");
-        let tr = match transversals_with_ctl(&complements, algo, threads, ctl) {
+        let tr = match plan::dualize_ctl_report(&complements, algo, threads, ctl).0 {
             Outcome::Complete(tr) => tr,
             Outcome::BudgetExceeded { reason, .. } => {
                 iterations.push(DualizeAdvanceIteration {

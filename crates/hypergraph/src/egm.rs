@@ -25,9 +25,9 @@
 //! final result bit-identical to every other backend.
 
 use dualminer_bitset::AttrSet;
-use dualminer_obs::{Meter, NoopObserver, Outcome, RunCtl};
+use dualminer_obs::{Outcome, RunCtl};
 
-use crate::{minimize_family, mu_mmcs, Hypergraph};
+use crate::{minimize_family, mu_mmcs, Hypergraph, TrAlgorithm};
 
 /// Only split instances with at least this many edges; below it the
 /// decomposition overhead (two sub-runs plus a re-minimization) outweighs
@@ -55,42 +55,28 @@ pub struct EgmStats {
 
 /// Computes `Tr(H)` by EGM decomposition.
 pub fn transversals(h: &Hypergraph) -> Hypergraph {
-    transversals_par(h, 1)
+    crate::transversals_with(h, TrAlgorithm::Egm)
 }
 
-/// [`transversals`] with leaf sub-searches run on up to `threads` scoped
-/// worker threads (`0` = available parallelism). The decomposition tree
+/// The EGM engine over a minimized hypergraph `hm`, reporting the run's
+/// [`EgmStats`]. Leaf sub-searches run MU-MMCS on up to `threads` scoped
+/// worker threads (`0` = available parallelism); the decomposition tree
 /// itself is walked sequentially — determinism comes for free and the
 /// leaves carry virtually all the work.
-pub fn transversals_par(h: &Hypergraph, threads: usize) -> Hypergraph {
-    let meter = Meter::unlimited();
-    transversals_par_ctl(h, threads, &RunCtl::new(&meter, &NoopObserver)).expect_complete()
-}
-
-/// [`transversals_par`] under a budget and an observer.
 ///
 /// Each split records one oracle query on `ctl.meter`; leaves account like
-/// [`mu_mmcs::transversals_par_ctl`]. **Partial-result caveat** (same class
-/// as Berge): when the budget trips mid-decomposition the returned family
-/// is the minimized union of whatever sub-results completed — its members
-/// need not be transversals of `H`, so treat it as a diagnostic, not a
-/// prefix of `Tr(H)`.
-pub fn transversals_par_ctl(
-    h: &Hypergraph,
-    threads: usize,
-    ctl: &RunCtl<'_>,
-) -> Outcome<Hypergraph> {
-    transversals_par_ctl_stats(h, threads, ctl).0
-}
-
-/// [`transversals_par_ctl`] that also reports the run's [`EgmStats`].
-pub fn transversals_par_ctl_stats(
-    h: &Hypergraph,
+/// [`mu_mmcs::run`]. **Partial-result caveat** (same class as Berge): when
+/// the budget trips mid-decomposition the returned family is the minimized
+/// union of whatever sub-results completed — its members need not be
+/// transversals of `H`, so treat it as a diagnostic, not a prefix of
+/// `Tr(H)`.
+pub(crate) fn run(
+    hm: &Hypergraph,
     threads: usize,
     ctl: &RunCtl<'_>,
 ) -> (Outcome<Hypergraph>, EgmStats) {
-    let n = h.universe_size();
-    let hm = h.minimized();
+    debug_assert!(hm.is_minimized());
+    let n = hm.universe_size();
     let mut stats = EgmStats::default();
     let mut tripped = false;
     let edges = recurse(
@@ -161,8 +147,11 @@ fn recurse(
     }
     let Some(v) = should_split(n, &edges, depth) else {
         stats.leaves += 1;
+        // Every sub-family is an antichain already: the root is min(H),
+        // the v̄-branch is re-minimized below, and the v-branch keeps a
+        // subset of an antichain.
         let leaf = Hypergraph::from_edges(n, edges).expect("in universe");
-        let (out, leaf_stats) = mu_mmcs::transversals_par_ctl_stats(&leaf, threads, ctl);
+        let (out, leaf_stats) = mu_mmcs::run(&leaf, threads, ctl);
         stats.leaf.nodes += leaf_stats.nodes;
         stats.leaf.emitted += leaf_stats.emitted;
         stats.leaf.minimality_prunes += leaf_stats.minimality_prunes;
@@ -223,7 +212,9 @@ fn recurse(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::dualize_ctl_report;
     use crate::{berge, generators, naive};
+    use dualminer_obs::{Meter, NoopObserver};
 
     #[test]
     fn constants() {
@@ -259,7 +250,8 @@ mod tests {
         let h = generators::hub(20, 2, 24, 3, &mut rng);
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        let (out, stats) = transversals_par_ctl_stats(&h, 1, &ctl);
+        let (out, report) = dualize_ctl_report(&h, TrAlgorithm::Egm, 1, &ctl);
+        let stats = report.egm.expect("EGM reports its counters");
         assert_eq!(out.expect_complete(), berge::transversals(&h));
         assert!(stats.splits > 0, "hub instance must trigger a split");
         assert!(stats.leaves > stats.splits);
@@ -272,7 +264,10 @@ mod tests {
         let h = generators::hub(18, 3, 20, 3, &mut rng);
         let seq = transversals(&h);
         for threads in [0, 2, 8] {
-            assert_eq!(transversals_par(&h, threads), seq, "threads={threads}");
+            let meter = Meter::unlimited();
+            let ctl = RunCtl::new(&meter, &NoopObserver);
+            let par = dualize_ctl_report(&h, TrAlgorithm::Egm, threads, &ctl).0;
+            assert_eq!(par.expect_complete(), seq, "threads={threads}");
         }
     }
 

@@ -163,17 +163,18 @@ impl Hypergraph {
     /// Whether the hypergraph is *simple*: no empty edge and no edge
     /// contains another (paper, Section 3).
     pub fn is_simple(&self) -> bool {
-        if self.edges.iter().any(|e| e.is_empty()) {
-            return false;
-        }
-        for (i, a) in self.edges.iter().enumerate() {
-            for b in &self.edges[i + 1..] {
-                if a.is_subset(b) || b.is_subset(a) {
-                    return false;
-                }
-            }
-        }
-        true
+        self.edges.iter().all(|e| !e.is_empty()) && self.is_minimized()
+    }
+
+    /// Whether the edges already form the ⊆-antichain `min(H)` (the empty
+    /// edge is allowed, but only alone). Edges are card-lex sorted and
+    /// distinct, so a later edge can never be a subset of an earlier one
+    /// and one direction of the pairwise test suffices.
+    pub(crate) fn is_minimized(&self) -> bool {
+        self.edges
+            .iter()
+            .enumerate()
+            .all(|(i, a)| self.edges[i + 1..].iter().all(|b| !a.is_subset(b)))
     }
 
     /// The ⊆-minimal antichain `min(H)`: drops every edge that contains
@@ -292,6 +293,9 @@ mod tests {
         let with_empty = Hypergraph::from_index_edges(4, [Vec::<usize>::new()]);
         assert!(!with_empty.is_simple());
         assert!(Hypergraph::empty(4).is_simple());
+        assert!(with_empty.is_minimized());
+        assert!(!nested.is_minimized());
+        assert!(nested.minimized().is_minimized());
     }
 
     #[test]

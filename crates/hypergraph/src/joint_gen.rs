@@ -10,46 +10,21 @@
 //! a pair of size `(|F|, i)` — quasi-polynomial incremental time.
 
 use dualminer_bitset::AttrSet;
-use dualminer_obs::{Meter, NoopObserver, Outcome, RunCtl};
+use dualminer_obs::{Outcome, RunCtl};
 
 use crate::oracle::{is_transversal, minimize_transversal};
-use crate::{fk, Hypergraph};
-
-/// Observable progress of one enumeration run, for the experiments.
-#[derive(Clone, Debug, Default)]
-pub struct JointGenTrace {
-    /// FK recursive-call count per emitted transversal (last entry is the
-    /// final, successful duality check).
-    pub fk_calls_per_step: Vec<u64>,
-}
+use crate::{fk, Hypergraph, TrAlgorithm};
 
 /// Computes `Tr(H)` by joint generation.
 pub fn transversals(h: &Hypergraph) -> Hypergraph {
-    transversals_traced(h).0
+    crate::transversals_with(h, TrAlgorithm::FkJointGeneration)
 }
 
-/// [`transversals`] with each duality check's recursion forked across up
-/// to `threads` scoped worker threads (`0` = available parallelism); see
-/// [`fk::duality_witness_counted_par`]. Both the emitted transversals and
-/// the per-step FK call counts are bit-identical to the sequential
-/// enumeration (the parallel FK recursion reports sequential-equivalent
-/// counters, DESIGN §6).
-pub fn transversals_par(h: &Hypergraph, threads: usize) -> Hypergraph {
-    transversals_traced_par(h, threads).0
-}
-
-/// [`transversals`] plus the per-step FK effort trace.
-pub fn transversals_traced(h: &Hypergraph) -> (Hypergraph, JointGenTrace) {
-    transversals_traced_par(h, 1)
-}
-
-/// [`transversals_traced`] with a thread budget per duality check.
-pub fn transversals_traced_par(h: &Hypergraph, threads: usize) -> (Hypergraph, JointGenTrace) {
-    let meter = Meter::unlimited();
-    transversals_traced_par_ctl(h, threads, &RunCtl::new(&meter, &NoopObserver)).expect_complete()
-}
-
-/// [`transversals_traced_par`] under a budget and an observer.
+/// The joint-generation engine over a minimized hypergraph `hm`, with
+/// each duality check's recursion forked across up to `threads` scoped
+/// worker threads (`0` = available parallelism); see
+/// [`fk::duality_witness_counted_par`]. The emitted transversals are
+/// bit-identical to the sequential enumeration.
 ///
 /// The budget is shared with the inner Fredman–Khachiyan checks (each FK
 /// recursive call is one metered query), and each emitted minimal
@@ -58,58 +33,41 @@ pub fn transversals_traced_par(h: &Hypergraph, threads: usize) -> (Hypergraph, J
 /// incremental, so the partial result on a trip is a *genuine prefix of
 /// the `Tr(H)` enumeration* — every member is a true minimal transversal
 /// of `H`.
-pub fn transversals_traced_par_ctl(
-    h: &Hypergraph,
-    threads: usize,
-    ctl: &RunCtl<'_>,
-) -> Outcome<(Hypergraph, JointGenTrace)> {
-    let n = h.universe_size();
-    let hm = h.minimized();
-    let mut trace = JointGenTrace::default();
+pub(crate) fn run(hm: &Hypergraph, threads: usize, ctl: &RunCtl<'_>) -> Outcome<Hypergraph> {
+    debug_assert!(hm.is_minimized());
+    let n = hm.universe_size();
 
     // Constant corner cases mirror `berge::transversals`.
     if hm.is_empty() {
-        return Outcome::Complete((
+        return Outcome::Complete(
             Hypergraph::from_edges(n, vec![AttrSet::empty(n)]).expect("in universe"),
-            trace,
-        ));
+        );
     }
     if hm.edges().iter().any(|e| e.is_empty()) {
-        return Outcome::Complete((Hypergraph::empty(n), trace));
+        return Outcome::Complete(Hypergraph::empty(n));
     }
 
     let mut g = Hypergraph::empty(n);
     loop {
         if let Some(reason) = ctl.meter.exceeded() {
-            return Outcome::BudgetExceeded {
-                partial: (g, trace),
-                reason,
-            };
+            return Outcome::BudgetExceeded { partial: g, reason };
         }
-        let (witness, stats) = match fk::duality_witness_counted_par_ctl(&hm, &g, threads, ctl) {
-            Outcome::Complete(out) => out,
-            Outcome::BudgetExceeded {
-                partial: (_, stats),
-                reason,
-            } => {
-                trace.fk_calls_per_step.push(stats.calls);
-                return Outcome::BudgetExceeded {
-                    partial: (g, trace),
-                    reason,
-                };
+        let witness = match fk::duality_witness_counted_par_ctl(hm, &g, threads, ctl) {
+            Outcome::Complete((witness, _)) => witness,
+            Outcome::BudgetExceeded { reason, .. } => {
+                return Outcome::BudgetExceeded { partial: g, reason };
             }
         };
-        trace.fk_calls_per_step.push(stats.calls);
         let Some(w) = witness else {
-            return Outcome::Complete((g, trace));
+            return Outcome::Complete(g);
         };
         // Invariant: G ⊆ Tr(F) and pairwise intersecting, so the witness
         // always has f(w) = 0 = g(w̄): w̄ is a transversal not containing
         // any already-found minimal transversal.
         let t = w.complement();
-        debug_assert!(is_transversal(&hm, &t));
+        debug_assert!(is_transversal(hm, &t));
         let t_min =
-            minimize_transversal(&hm, &t).expect("FK witness complement must be a transversal");
+            minimize_transversal(hm, &t).expect("FK witness complement must be a transversal");
         ctl.meter.record_transversal();
         ctl.observer.on_transversals(1);
         let added = g.add_edge(t_min);
@@ -160,6 +118,7 @@ mod tests {
 
     #[test]
     fn parallel_matches_sequential() {
+        use dualminer_obs::{Meter, NoopObserver};
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(91);
         for _ in 0..20 {
@@ -174,20 +133,29 @@ mod tests {
             let hg = Hypergraph::from_index_edges(n, edges);
             let seq = transversals(&hg);
             for threads in [0, 2, 3, 8] {
-                assert_eq!(
-                    transversals_par(&hg, threads),
-                    seq,
-                    "{hg:?} threads={threads}"
+                let meter = Meter::unlimited();
+                let ctl = RunCtl::new(&meter, &NoopObserver);
+                let par = crate::plan::dualize_ctl_report(
+                    &hg,
+                    TrAlgorithm::FkJointGeneration,
+                    threads,
+                    &ctl,
                 );
+                assert_eq!(par.0.expect_complete(), seq, "{hg:?} threads={threads}");
             }
         }
     }
 
     #[test]
-    fn trace_has_one_entry_per_transversal_plus_final() {
+    fn matching_records_one_event_per_transversal() {
+        // Incremental enumeration: each emitted member of Tr is recorded
+        // exactly once, whatever the FK checks cost in queries.
+        use dualminer_obs::{Meter, NoopObserver};
         let f = h(6, &[&[0, 1], &[2, 3], &[4, 5]]);
-        let (tr, trace) = transversals_traced(&f);
+        let meter = Meter::unlimited();
+        let ctl = RunCtl::new(&meter, &NoopObserver);
+        let tr = run(&f, 1, &ctl).expect_complete();
         assert_eq!(tr.len(), 8);
-        assert_eq!(trace.fk_calls_per_step.len(), 9);
+        assert_eq!(meter.transversals(), 8);
     }
 }

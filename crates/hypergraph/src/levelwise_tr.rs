@@ -43,13 +43,15 @@ pub fn transversals_large_edges(h: &Hypergraph) -> Hypergraph {
     transversals_large_edges_traced(h).0
 }
 
-/// [`transversals_large_edges`] plus per-level statistics.
+/// [`transversals_large_edges`] plus per-level statistics. Unlike
+/// `TrAlgorithm::LevelwiseLargeEdges` through the planner, this runs the
+/// levelwise walk whatever the edge sizes.
 pub fn transversals_large_edges_traced(h: &Hypergraph) -> (Hypergraph, LevelwiseTrStats) {
     let meter = Meter::unlimited();
-    transversals_large_edges_traced_ctl(h, &RunCtl::new(&meter, &NoopObserver)).expect_complete()
+    run(&h.minimized(), &RunCtl::new(&meter, &NoopObserver)).expect_complete()
 }
 
-/// [`transversals_large_edges_traced`] under a budget and an observer.
+/// The levelwise engine over a minimized hypergraph `hm`.
 ///
 /// Each candidate "is transversal?" test records one oracle query; each
 /// discovered minimal transversal records one transversal event; each
@@ -58,12 +60,9 @@ pub fn transversals_large_edges_traced(h: &Hypergraph) -> (Hypergraph, Levelwise
 /// so runaway instances (small edges force deep levels) stop promptly.
 /// The partial result is a genuine subset of `Tr(H)`: the minimal
 /// transversals found on fully or partially explored levels.
-pub fn transversals_large_edges_traced_ctl(
-    h: &Hypergraph,
-    ctl: &RunCtl<'_>,
-) -> Outcome<(Hypergraph, LevelwiseTrStats)> {
-    let n = h.universe_size();
-    let hm = h.minimized();
+pub(crate) fn run(hm: &Hypergraph, ctl: &RunCtl<'_>) -> Outcome<(Hypergraph, LevelwiseTrStats)> {
+    debug_assert!(hm.is_minimized());
+    let n = hm.universe_size();
     let mut stats = LevelwiseTrStats::default();
 
     if hm.edges().iter().any(|e| e.is_empty()) {
@@ -78,7 +77,7 @@ pub fn transversals_large_edges_traced_ctl(
     stats.evaluations += 1;
     ctl.meter.record_query();
     ctl.observer.on_nodes(1);
-    if is_transversal(&hm, &AttrSet::empty(n)) {
+    if is_transversal(hm, &AttrSet::empty(n)) {
         ctl.meter.record_transversal();
         ctl.observer.on_transversals(1);
         return Outcome::Complete((
@@ -138,7 +137,7 @@ pub fn transversals_large_edges_traced_ctl(
                 ctl.meter.record_query();
                 ctl.observer.on_nodes(1);
                 let cand_set = AttrSet::from_indices(n, cand.iter().copied());
-                if is_transversal(&hm, &cand_set) {
+                if is_transversal(hm, &cand_set) {
                     // All proper subsets are non-transversals ⇒ minimal.
                     minimal_transversals.push(cand_set);
                     found_this_level += 1;

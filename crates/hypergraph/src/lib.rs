@@ -27,16 +27,18 @@
 //!   polynomial special case (Corollary 15): when every edge has size at
 //!   least `n − k` with `k = O(log n)`, the levelwise algorithm computes
 //!   `Tr(H)` in input-polynomial time.
-//! * [`mmcs::transversals`] — MMCS depth-first enumeration (Murakami–Uno
-//!   2014), the modern baseline the benches compare the 1997-era
-//!   machinery against.
-//! * [`mu_mmcs::transversals`] — MMCS with the full Murakami–Uno
-//!   refinements: incremental critical-vertex bitsets, degree ordering,
-//!   and edge pruning (the dense-instance workhorse).
+//! * [`mu_mmcs::transversals`] — MMCS depth-first enumeration with the
+//!   Murakami–Uno refinements: incremental critical-vertex bitsets, degree
+//!   ordering, and edge pruning (the dense-instance workhorse, and the
+//!   modern baseline the 1997-era machinery is measured against).
 //! * [`egm::transversals`] — Eiter–Gottlob–Makino-style decomposition:
 //!   split on a high-degree vertex, recombine via [`minimize_family`].
 //! * [`dualize`] — the planner entry point ([`plan`]): picks a backend
-//!   from the instance's shape; `--algo auto` on the CLI.
+//!   from the instance's shape; `--algo auto` on the CLI. It, together
+//!   with [`transversals_with`] and each backend's `transversals`, is a
+//!   thin call into one dispatcher, [`plan::dualize_ctl_report`] (threads,
+//!   budget, observer), which minimizes the input once and hands `min(H)`
+//!   to the engine.
 //! * [`verify_dual`] — independent duality verification (Gottlob's
 //!   quadratic-logspace self-reduction), the cross-check oracle for all
 //!   of the above.
@@ -71,7 +73,6 @@ pub mod generators;
 mod graph;
 pub mod joint_gen;
 pub mod levelwise_tr;
-pub mod mmcs;
 pub mod mu_mmcs;
 pub mod naive;
 pub mod oracle;
@@ -79,7 +80,7 @@ pub mod plan;
 pub mod verify;
 
 pub use graph::{EdgeError, Hypergraph};
-pub use plan::{dualize, dualize_ctl, dualize_threads};
+pub use plan::dualize;
 pub use verify::verify_dual;
 
 use dualminer_bitset::{AttrSet, SetTrie};
@@ -104,61 +105,27 @@ pub enum TrAlgorithm {
     /// when all edges have size ≥ n − O(log n); falls back to the planner
     /// choice when the precondition does not hold.
     LevelwiseLargeEdges,
-    /// MMCS depth-first branch-and-bound (Murakami–Uno 2014) — the
-    /// list-based baseline the MU refinements are measured against.
-    Mmcs,
-    /// MU-MMCS: MMCS with the Murakami–Uno critical-vertex bookkeeping on
-    /// edge-index bitsets, degree vertex ordering, and edge pruning.
+    /// MU-MMCS: MMCS depth-first branch-and-bound (Murakami–Uno) with
+    /// critical-vertex bookkeeping on edge-index bitsets, degree vertex
+    /// ordering, and edge pruning.
     MuMmcs,
     /// EGM-style decomposition: split on a high-degree vertex, solve the
     /// two sub-instances, recombine via [`minimize_family`].
     Egm,
 }
 
-/// Computes `Tr(H)` with the chosen strategy.
+/// Computes `Tr(H)` with the chosen strategy, sequentially and without a
+/// budget; [`plan::dualize_ctl_report`] is the same dispatcher with a
+/// thread count, a budget, and an observer.
 ///
 /// All strategies return the same minimal-transversal hypergraph; they
 /// differ only in running time.
 pub fn transversals_with(h: &Hypergraph, algo: TrAlgorithm) -> Hypergraph {
-    transversals_with_threads(h, algo, 1)
-}
-
-/// [`transversals_with`] with a thread budget (`0` = available
-/// parallelism): the per-edge multiplication step (Berge), the search-tree
-/// frontier (MMCS), and the FK recursion (joint generation) are spread over
-/// scoped worker threads. Every strategy stays bit-identical to its
-/// sequential counterpart for every thread count.
-pub fn transversals_with_threads(h: &Hypergraph, algo: TrAlgorithm, threads: usize) -> Hypergraph {
     let meter = dualminer_obs::Meter::unlimited();
-    transversals_with_ctl(
-        h,
-        algo,
-        threads,
-        &dualminer_obs::RunCtl::new(&meter, &dualminer_obs::NoopObserver),
-    )
-    .expect_complete()
-}
-
-/// [`transversals_with_threads`] under a budget and an observer: the
-/// strategy-generic budgeted entry point.
-///
-/// Every engine records candidate/node evaluations as oracle queries and
-/// emitted minimal transversals as transversal events on `ctl.meter`, so
-/// `max_queries`, `max_transversals`, and the deadline all bound the run
-/// regardless of the chosen strategy. What the partial result means on a
-/// trip differs per engine (see each engine's `_ctl` documentation):
-/// a genuine subset of `Tr(H)` for MMCS / joint generation / levelwise,
-/// or `Tr` of the processed edge prefix for Berge.
-pub fn transversals_with_ctl(
-    h: &Hypergraph,
-    algo: TrAlgorithm,
-    threads: usize,
-    ctl: &dualminer_obs::RunCtl<'_>,
-) -> dualminer_obs::Outcome<Hypergraph> {
-    // One dispatcher for every strategy, shared with the planner entry
-    // points: `Auto` resolves through the instance-shape planner, and the
-    // levelwise precondition fallback also routes through it (plan.rs).
-    plan::dualize_ctl_report(h, algo, threads, ctl).0
+    let ctl = dualminer_obs::RunCtl::new(&meter, &dualminer_obs::NoopObserver);
+    plan::dualize_ctl_report(h, algo, 1, &ctl)
+        .0
+        .expect_complete()
 }
 
 /// Removes non-minimal sets from a family: returns the ⊆-minimal antichain.

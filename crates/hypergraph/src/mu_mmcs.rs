@@ -1,8 +1,12 @@
-//! MU-MMCS: the Murakami–Uno refinements of MMCS (arXiv 1102.3813,
-//! *Efficient algorithms for dualizing large-scale hypergraphs*).
+//! MU-MMCS: MMCS depth-first minimal-hitting-set enumeration with the
+//! Murakami–Uno refinements (arXiv 1102.3813, *Efficient algorithms for
+//! dualizing large-scale hypergraphs*).
 //!
-//! Same search tree shape as [`crate::mmcs`], but the per-node bookkeeping
-//! is reorganized the way Murakami & Uno describe so the minimality check
+//! MMCS grows a partial hitting set `S` one vertex at a time: branch on
+//! the vertices of one uncovered edge, keep a branch only while every
+//! `w ∈ S` still has a *critical* edge (one hit by `w` alone), and emit
+//! `S` when nothing is uncovered. The per-node bookkeeping is organized
+//! the way Murakami & Uno describe so the minimality check
 //! costs `O(‖F‖)` *amortized* — proportional to the edges whose critical
 //! status actually changes, not to `|S|` times anything:
 //!
@@ -28,8 +32,8 @@
 //!   ≤ 1 — nothing can beat a forced or dead edge), and a branch whose
 //!   candidate intersection is empty is cut immediately; both counters are
 //!   reported in [`MuStats`].
-//! * **Allocation-free hot loop.** The depth-indexed [`Scratch`] pool (the
-//!   PR 3 design, DESIGN.md §9) holds one frame of buffers per DFS depth
+//! * **Allocation-free hot loop.** A depth-indexed pool of `Frame`s
+//!   (DESIGN.md §9), sized up front, holds one set of buffers per DFS depth
 //!   (uncovered split, hit set, new critical set, undo pairs), and search
 //!   counters accumulate in plain locals flushed to the shared cells once
 //!   per task — the recursion itself performs no heap allocation and no
@@ -43,9 +47,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use dualminer_bitset::AttrSet;
-use dualminer_obs::{BudgetReason, Meter, NoopObserver, Outcome, RunCtl};
+use dualminer_obs::{BudgetReason, Outcome, RunCtl};
 
-use crate::Hypergraph;
+use crate::{Hypergraph, TrAlgorithm};
 
 /// Search counters for one MU-MMCS run, for stats surfaces and planner
 /// diagnostics. All counters are schedule-invariant on complete runs: the
@@ -71,39 +75,26 @@ pub struct MuStats {
 
 /// Computes `Tr(H)` with MU-MMCS.
 pub fn transversals(h: &Hypergraph) -> Hypergraph {
-    transversals_par(h, 1)
+    crate::transversals_with(h, TrAlgorithm::MuMmcs)
 }
 
-/// [`transversals`] with the top of the branch tree explored on up to
-/// `threads` scoped worker threads (`0` = available parallelism); the
-/// frontier scheme and bit-identical guarantee are the same as
-/// [`crate::mmcs::transversals_par`].
-pub fn transversals_par(h: &Hypergraph, threads: usize) -> Hypergraph {
-    let meter = Meter::unlimited();
-    transversals_par_ctl(h, threads, &RunCtl::new(&meter, &NoopObserver)).expect_complete()
-}
-
-/// [`transversals_par`] under a budget and an observer.
+/// The MU-MMCS engine over a minimized hypergraph `hm`, reporting the
+/// run's [`MuStats`].
 ///
-/// Accounting mirrors [`crate::mmcs::transversals_par_ctl`]: one query per
-/// DFS node, one transversal per emission, budget polled at every node.
-/// A tripped run's partial result is a genuine subset of `Tr(H)`.
-pub fn transversals_par_ctl(
-    h: &Hypergraph,
-    threads: usize,
-    ctl: &RunCtl<'_>,
-) -> Outcome<Hypergraph> {
-    transversals_par_ctl_stats(h, threads, ctl).0
-}
-
-/// [`transversals_par_ctl`] that also reports the run's [`MuStats`].
-pub fn transversals_par_ctl_stats(
-    h: &Hypergraph,
+/// With `threads > 1` (`0` = available parallelism) the top of the branch
+/// tree is expanded into a frontier of owned subtrees explored on scoped
+/// worker threads; outputs concatenate in frontier (= DFS) order, so the
+/// result is bit-identical for every thread count. One query is recorded
+/// per DFS node and one transversal per emission, with the budget polled
+/// at every node; a tripped run's partial result is a genuine subset of
+/// `Tr(H)`.
+pub(crate) fn run(
+    hm: &Hypergraph,
     threads: usize,
     ctl: &RunCtl<'_>,
 ) -> (Outcome<Hypergraph>, MuStats) {
-    let n = h.universe_size();
-    let hm = h.minimized();
+    debug_assert!(hm.is_minimized());
+    let n = hm.universe_size();
     if hm.is_empty() {
         return (
             Outcome::Complete(
@@ -163,9 +154,9 @@ pub fn transversals_par_ctl_stats(
         state.run_from(root, &mut out);
         out
     } else {
-        // Same frontier-expansion scheme as mmcs.rs: expand leftmost until
-        // every worker can be fed, workers run the sequential recursion on
-        // owned subtrees, outputs concatenate in frontier (= DFS) order.
+        // Frontier expansion: expand leftmost until every worker can be
+        // fed, workers run the sequential recursion on owned subtrees,
+        // outputs concatenate in frontier (= DFS) order.
         let target = threads * 4;
         let mut budget = target * 8;
         let mut frontier: Vec<Task> = vec![Task::Explore(root)];
@@ -588,7 +579,8 @@ impl Search<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{berge, generators, mmcs, naive};
+    use crate::{berge, generators, naive};
+    use dualminer_obs::{Meter, NoopObserver};
 
     #[test]
     fn constants() {
@@ -634,12 +626,12 @@ mod tests {
     }
 
     #[test]
-    fn matches_mmcs_past_inline_edge_universe() {
+    fn matches_berge_past_inline_edge_universe() {
         // m > 128 forces spilled edge bitsets: exercise the pooled path.
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
         let h = generators::random_uniform(24, 150, 3..=5, &mut rng);
-        assert_eq!(transversals(&h), mmcs::transversals(&h));
+        assert_eq!(transversals(&h), berge::transversals(&h));
     }
 
     #[test]
@@ -656,10 +648,13 @@ mod tests {
                 })
                 .collect();
             let h = Hypergraph::from_index_edges(n, edges);
+            let hm = h.minimized();
             let seq = transversals(&h);
             for threads in [0, 2, 3, 8] {
+                let meter = Meter::unlimited();
+                let ctl = RunCtl::new(&meter, &NoopObserver);
                 assert_eq!(
-                    transversals_par(&h, threads),
+                    run(&hm, threads, &ctl).0.expect_complete(),
                     seq,
                     "{h:?} threads={threads}"
                 );
@@ -672,7 +667,7 @@ mod tests {
         let h = generators::threshold(8, 4);
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        let (out, stats) = transversals_par_ctl_stats(&h, 1, &ctl);
+        let (out, stats) = run(&h, 1, &ctl);
         assert_eq!(out.expect_complete(), berge::transversals(&h));
         assert!(stats.nodes > 0);
         assert_eq!(stats.emitted as usize, berge::transversals(&h).len());
@@ -688,9 +683,9 @@ mod tests {
         }
         .start();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        match transversals_par_ctl(&h, 1, &ctl) {
+        match run(&h, 1, &ctl).0 {
             Outcome::BudgetExceeded { partial, .. } => {
-                let full = mmcs::transversals(&h);
+                let full = berge::transversals(&h);
                 for t in partial.edges() {
                     assert!(full.contains_edge(t));
                 }

@@ -1,7 +1,7 @@
 //! Instance-shape planner: one `dualize()` entry point that inspects the
 //! input and picks the transversal backend expected to win.
 //!
-//! The repo now carries five interchangeable engines, each with a regime
+//! The repo carries five interchangeable engines, each with a regime
 //! where it dominates (DESIGN.md §14):
 //!
 //! * **Berge** — tiny edge counts and matching-like inputs, where the
@@ -22,10 +22,16 @@
 //! min/max degree, degree skew — so planning is effectively free next to
 //! any dualization. Every backend returns the identical canonical
 //! hypergraph, so the choice never changes results, only running time.
+//!
+//! [`dualize_ctl_report`] is the one dispatcher behind [`dualize`],
+//! `transversals_with`, and each backend's `transversals`, and the only
+//! place on those routes that minimizes: planning, the levelwise
+//! precondition and its fallback, and the engine all see the same
+//! `min(H)`, and no engine minimizes again.
 
-use dualminer_obs::{Meter, NoopObserver, Outcome, RunCtl};
+use dualminer_obs::{Outcome, RunCtl};
 
-use crate::{berge, egm, joint_gen, levelwise_tr, mmcs, mu_mmcs, Hypergraph, TrAlgorithm};
+use crate::{berge, egm, joint_gen, levelwise_tr, mu_mmcs, Hypergraph, TrAlgorithm};
 
 /// Shape features the planner extracts from an instance (all O(‖H‖)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -58,8 +64,8 @@ pub struct PlanDecision {
     pub shape: Shape,
 }
 
-/// Extracts the planner's shape features from a (minimized) edge family.
-pub fn shape_of(h: &Hypergraph) -> Shape {
+/// Extracts the planner's shape features from a minimized edge family.
+fn shape_of(h: &Hypergraph) -> Shape {
     let n = h.universe_size();
     let m = h.len();
     let rank = h.max_edge_size().unwrap_or(0);
@@ -96,11 +102,22 @@ const EGM_MIN_EDGES: usize = 2048;
 /// fraction of the edges for the `H_v̄` branch to shrink meaningfully.
 const EGM_DEGREE_FRACTION: f64 = 0.4;
 
+/// Whether every edge has size ≥ n − O(log n) (Corollary 15's regime), so
+/// the levelwise special case is input-polynomial. Vacuous when edgeless.
+fn co_sparse(shape: &Shape) -> bool {
+    let log2n = usize::BITS as usize - shape.n.max(1).leading_zeros() as usize;
+    shape.m == 0 || shape.n - shape.min_edge <= log2n + 2
+}
+
 /// Picks a backend for the instance. The input should already be
-/// minimized (the `dualize` wrappers minimize first); the decision is
+/// minimized ([`dualize_ctl_report`] minimizes first); the decision is
 /// deterministic in the instance alone.
 pub fn plan(h: &Hypergraph) -> PlanDecision {
-    let shape = shape_of(h);
+    decide(shape_of(h))
+}
+
+/// The planner's ordered rules over an instance's shape features.
+fn decide(shape: Shape) -> PlanDecision {
     let decide = |backend, rule| PlanDecision {
         backend,
         rule,
@@ -111,11 +128,10 @@ pub fn plan(h: &Hypergraph) -> PlanDecision {
     if shape.m == 0 || shape.min_edge == 0 {
         return decide(TrAlgorithm::Berge, "trivial");
     }
-    // Corollary 15 regime: all complements of size O(log n). Matches the
-    // precondition test the Levelwise arm itself applies, so the special
-    // case genuinely runs (no silent Berge fallback).
-    let log2n = usize::BITS as usize - shape.n.max(1).leading_zeros() as usize;
-    if shape.n - shape.min_edge <= log2n + 2 {
+    // Corollary 15 regime: all complements of size O(log n). The same
+    // test gates a forced levelwise run, so the special case genuinely
+    // runs (no silent fallback).
+    if co_sparse(&shape) {
         return decide(TrAlgorithm::LevelwiseLargeEdges, "co-sparse");
     }
     // Few edges: the product of a dozen small families stays tiny and
@@ -160,17 +176,21 @@ impl PlanDecision {
     }
 }
 
+/// Every strategy with its CLI `--algo` / protocol `"algo"` spelling, in
+/// declaration order: the one table behind [`algo_name`], `--algo`
+/// parsing, and the accepted-names list in its error message.
+pub const ALGO_NAMES: [(TrAlgorithm, &str); 6] = [
+    (TrAlgorithm::Auto, "auto"),
+    (TrAlgorithm::Berge, "berge"),
+    (TrAlgorithm::FkJointGeneration, "fk"),
+    (TrAlgorithm::LevelwiseLargeEdges, "levelwise"),
+    (TrAlgorithm::MuMmcs, "mu-mmcs"),
+    (TrAlgorithm::Egm, "egm"),
+];
+
 /// The CLI `--algo` spelling of each strategy.
 pub fn algo_name(algo: TrAlgorithm) -> &'static str {
-    match algo {
-        TrAlgorithm::Auto => "auto",
-        TrAlgorithm::Berge => "berge",
-        TrAlgorithm::FkJointGeneration => "fk",
-        TrAlgorithm::LevelwiseLargeEdges => "levelwise",
-        TrAlgorithm::Mmcs => "mmcs",
-        TrAlgorithm::MuMmcs => "mu-mmcs",
-        TrAlgorithm::Egm => "egm",
-    }
+    ALGO_NAMES[algo as usize].1
 }
 
 /// Computes `Tr(H)` with the planner-selected backend.
@@ -179,38 +199,43 @@ pub fn algo_name(algo: TrAlgorithm) -> &'static str {
 /// explicit backend (canonical edge order, same minimal-transversal set),
 /// with the engine chosen from the instance's shape.
 pub fn dualize(h: &Hypergraph) -> Hypergraph {
-    dualize_threads(h, 1)
+    crate::transversals_with(h, TrAlgorithm::Auto)
 }
 
-/// [`dualize`] with a thread budget (`0` = available parallelism).
-pub fn dualize_threads(h: &Hypergraph, threads: usize) -> Hypergraph {
-    let meter = Meter::unlimited();
-    dualize_ctl(h, threads, &RunCtl::new(&meter, &NoopObserver)).expect_complete()
-}
-
-/// [`dualize_threads`] under a budget and an observer. Accounting follows
-/// the chosen backend's `_ctl` contract; the choice is deterministic in
-/// the instance, so metered counts stay schedule-invariant.
-pub fn dualize_ctl(h: &Hypergraph, threads: usize, ctl: &RunCtl<'_>) -> Outcome<Hypergraph> {
-    dualize_ctl_report(h, TrAlgorithm::Auto, threads, ctl).0
-}
-
-/// Runs `algo` (resolving [`TrAlgorithm::Auto`] through [`plan`]) and
-/// reports what ran: the planner decision (for a forced backend, the rule
-/// is `"forced"`) plus engine counters where the backend collects them.
+/// Runs `algo` on `min(H)` with `threads` workers (`0` = available
+/// parallelism) under `ctl`'s budget and observer, and reports what ran:
+/// the planner decision (for a forced backend, the rule is `"forced"`)
+/// plus engine counters where the backend collects them.
+///
+/// [`TrAlgorithm::Auto`] resolves through [`plan`]. A forced levelwise run
+/// whose Corollary 15 precondition fails falls back to the planner's
+/// choice. Every engine records its node/candidate evaluations as oracle
+/// queries and each emitted minimal transversal as a transversal event,
+/// so `max_queries`, `max_transversals`, and the deadline bound any
+/// strategy. On a trip the
+/// partial result is a genuine subset of `Tr(H)` for MU-MMCS, joint
+/// generation, and levelwise; for Berge it is `Tr` of the processed edge
+/// prefix, and for EGM the minimized union of the completed sub-results.
+/// Outputs are bit-identical across backends and thread counts.
 pub fn dualize_ctl_report(
     h: &Hypergraph,
     algo: TrAlgorithm,
     threads: usize,
     ctl: &RunCtl<'_>,
 ) -> (Outcome<Hypergraph>, PlanReport) {
+    let hm = h.minimized();
+    let shape = shape_of(&hm);
+    let forced = |backend| PlanDecision {
+        backend,
+        rule: "forced",
+        shape,
+    };
     let decision = match algo {
-        TrAlgorithm::Auto => plan(&h.minimized()),
-        forced => PlanDecision {
-            backend: forced,
-            rule: "forced",
-            shape: shape_of(h),
-        },
+        TrAlgorithm::Auto => decide(shape),
+        // Outside its regime the planner never picks levelwise, so the
+        // fallback is always another backend.
+        TrAlgorithm::LevelwiseLargeEdges if !co_sparse(&shape) => forced(decide(shape).backend),
+        algo => forced(algo),
     };
     let mut report = PlanReport {
         decision,
@@ -218,43 +243,20 @@ pub fn dualize_ctl_report(
         egm: None,
     };
     let out = match decision.backend {
-        TrAlgorithm::Auto => unreachable!("plan() returns a concrete backend"),
-        TrAlgorithm::Berge => {
-            berge::transversals_with_order_par_ctl(h, berge::EdgeOrder::LargestFirst, threads, ctl)
-        }
-        TrAlgorithm::FkJointGeneration => {
-            joint_gen::transversals_traced_par_ctl(h, threads, ctl).map(|(tr, _)| tr)
-        }
-        TrAlgorithm::Mmcs => mmcs::transversals_par_ctl(h, threads, ctl),
+        TrAlgorithm::Auto => unreachable!("decide() returns a concrete backend"),
+        TrAlgorithm::Berge => berge::run(&hm, berge::EdgeOrder::LargestFirst, threads, ctl),
+        TrAlgorithm::FkJointGeneration => joint_gen::run(&hm, threads, ctl),
+        TrAlgorithm::LevelwiseLargeEdges => levelwise_tr::run(&hm, ctl).map(|(tr, _)| tr),
         TrAlgorithm::MuMmcs => {
-            let (out, mu) = mu_mmcs::transversals_par_ctl_stats(h, threads, ctl);
+            let (out, mu) = mu_mmcs::run(&hm, threads, ctl);
             report.mu = Some(mu);
             out
         }
         TrAlgorithm::Egm => {
-            let (out, eg) = egm::transversals_par_ctl_stats(h, threads, ctl);
+            let (out, eg) = egm::run(&hm, threads, ctl);
             report.mu = Some(eg.leaf);
             report.egm = Some(eg);
             out
-        }
-        TrAlgorithm::LevelwiseLargeEdges => {
-            let n = h.universe_size();
-            let max_complement = h.edges().iter().map(|e| n - e.len()).max().unwrap_or(0);
-            let log2n = usize::BITS as usize - n.max(1).leading_zeros() as usize;
-            if max_complement <= log2n + 2 {
-                levelwise_tr::transversals_large_edges_traced_ctl(h, ctl).map(|(tr, _)| tr)
-            } else {
-                // Precondition violated on an explicit `--algo levelwise`:
-                // fall back through the planner rather than pay Berge
-                // unconditionally (the historical fallback).
-                let fb = plan(&h.minimized());
-                let fb = if fb.backend == TrAlgorithm::LevelwiseLargeEdges {
-                    TrAlgorithm::Berge
-                } else {
-                    fb.backend
-                };
-                return dualize_ctl_report(h, fb, threads, ctl);
-            }
         }
     };
     (out, report)
@@ -264,7 +266,16 @@ pub fn dualize_ctl_report(
 mod tests {
     use super::*;
     use crate::generators;
+    use dualminer_obs::{Meter, NoopObserver};
     use rand::{rngs::StdRng, SeedableRng};
+
+    fn tr_threads(h: &Hypergraph, algo: TrAlgorithm, threads: usize) -> Hypergraph {
+        let meter = Meter::unlimited();
+        let ctl = RunCtl::new(&meter, &NoopObserver);
+        dualize_ctl_report(h, algo, threads, &ctl)
+            .0
+            .expect_complete()
+    }
 
     #[test]
     fn trivial_and_constants() {
@@ -311,7 +322,10 @@ mod tests {
         for h in instances {
             assert_eq!(dualize(&h), berge::transversals(&h), "{h:?}");
             for threads in [2, 8] {
-                assert_eq!(dualize_threads(&h, threads), berge::transversals(&h));
+                assert_eq!(
+                    tr_threads(&h, TrAlgorithm::Auto, threads),
+                    berge::transversals(&h)
+                );
             }
         }
     }
@@ -327,6 +341,30 @@ mod tests {
         let (out, report) = dualize_ctl_report(&h, TrAlgorithm::LevelwiseLargeEdges, 1, &ctl);
         assert_eq!(out.expect_complete(), berge::transversals(&h));
         assert_ne!(report.decision.backend, TrAlgorithm::LevelwiseLargeEdges);
+    }
+
+    #[test]
+    fn forced_and_auto_report_the_minimized_shape() {
+        // {A, AB, C}: AB contains A, so min(H) = {A, C} has two edges.
+        let h = Hypergraph::from_index_edges(3, [vec![0], vec![0, 1], vec![2]]);
+        let meter = Meter::unlimited();
+        let ctl = RunCtl::new(&meter, &NoopObserver);
+        let (_, auto) = dualize_ctl_report(&h, TrAlgorithm::Auto, 1, &ctl);
+        for (algo, _) in ALGO_NAMES {
+            let (out, forced) = dualize_ctl_report(&h, algo, 1, &ctl);
+            assert_eq!(out.expect_complete(), berge::transversals(&h), "{algo:?}");
+            assert_eq!(forced.decision.shape, auto.decision.shape, "{algo:?}");
+        }
+        assert_eq!(auto.decision.shape.m, 2);
+    }
+
+    #[test]
+    fn algo_names_follow_declaration_order() {
+        // `algo_name` indexes the table by discriminant.
+        for (i, &(algo, name)) in ALGO_NAMES.iter().enumerate() {
+            assert_eq!(algo as usize, i, "{name}");
+            assert_eq!(algo_name(algo), name);
+        }
     }
 
     #[test]

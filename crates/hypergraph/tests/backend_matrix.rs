@@ -9,13 +9,23 @@
 
 use dualminer_bitset::AttrSet;
 use dualminer_hypergraph::{
-    berge, dualize, dualize_threads, egm, generators, minimize_family, mu_mmcs, naive,
-    transversals_with, verify_dual, Hypergraph, TrAlgorithm,
+    berge, dualize, egm, generators, minimize_family, mu_mmcs, naive, plan, transversals_with,
+    verify_dual, Hypergraph, TrAlgorithm,
 };
+use dualminer_obs::{Meter, NoopObserver, RunCtl};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const N: usize = 8;
+
+/// `Tr(H)` through the dispatcher with `algo` on `threads` workers.
+fn tr_threads(h: &Hypergraph, algo: TrAlgorithm, threads: usize) -> Hypergraph {
+    let meter = Meter::unlimited();
+    let ctl = RunCtl::new(&meter, &NoopObserver);
+    plan::dualize_ctl_report(h, algo, threads, &ctl)
+        .0
+        .expect_complete()
+}
 
 fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     proptest::collection::vec(proptest::collection::vec(0..N, 1..5), 0..7)
@@ -42,7 +52,6 @@ proptest! {
             TrAlgorithm::Berge,
             TrAlgorithm::FkJointGeneration,
             TrAlgorithm::LevelwiseLargeEdges,
-            TrAlgorithm::Mmcs,
             TrAlgorithm::MuMmcs,
             TrAlgorithm::Egm,
         ] {
@@ -59,15 +68,15 @@ proptest! {
         let seq_auto = dualize(&h);
         for threads in [2usize, 4, 8] {
             prop_assert_eq!(
-                mu_mmcs::transversals_par(&h, threads), seq_mu.clone(),
+                tr_threads(&h, TrAlgorithm::MuMmcs, threads), seq_mu.clone(),
                 "mu-mmcs, threads={}", threads
             );
             prop_assert_eq!(
-                egm::transversals_par(&h, threads), seq_egm.clone(),
+                tr_threads(&h, TrAlgorithm::Egm, threads), seq_egm.clone(),
                 "egm, threads={}", threads
             );
             prop_assert_eq!(
-                dualize_threads(&h, threads), seq_auto.clone(),
+                tr_threads(&h, TrAlgorithm::Auto, threads), seq_auto.clone(),
                 "auto, threads={}", threads
             );
         }
@@ -108,7 +117,7 @@ fn random_antichain(n: usize, m: usize, rng: &mut StdRng) -> Hypergraph {
 /// The full deterministic matrix: 4 generator classes × 5 universes ×
 /// {MU-MMCS, EGM, auto} × 4 thread counts, Berge as the referee (brute
 /// force is exponential in `n`, infeasible at these universe sizes), with
-/// MMCS/levelwise/FK forced through the dispatcher where cheap enough.
+/// levelwise/FK forced through the dispatcher where cheap enough.
 #[test]
 fn backend_matrix_across_universes_and_threads() {
     let mut rng = StdRng::seed_from_u64(4242);
@@ -139,27 +148,14 @@ fn backend_matrix_across_universes_and_threads() {
                 "verify_dual referee: {name} n={n}"
             );
             for threads in [1usize, 2, 4, 8] {
-                assert_eq!(
-                    mu_mmcs::transversals_par(&h, threads),
-                    reference,
-                    "mu-mmcs: {name} n={n} threads={threads}"
-                );
-                assert_eq!(
-                    egm::transversals_par(&h, threads),
-                    reference,
-                    "egm: {name} n={n} threads={threads}"
-                );
-                assert_eq!(
-                    dualize_threads(&h, threads),
-                    reference,
-                    "auto: {name} n={n} threads={threads}"
-                );
+                for algo in [TrAlgorithm::MuMmcs, TrAlgorithm::Egm, TrAlgorithm::Auto] {
+                    assert_eq!(
+                        tr_threads(&h, algo, threads),
+                        reference,
+                        "{algo:?}: {name} n={n} threads={threads}"
+                    );
+                }
             }
-            assert_eq!(
-                transversals_with(&h, TrAlgorithm::Mmcs),
-                reference,
-                "mmcs: {name} n={n}"
-            );
             assert_eq!(
                 transversals_with(&h, TrAlgorithm::LevelwiseLargeEdges),
                 reference,

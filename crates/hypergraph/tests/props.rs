@@ -1,12 +1,24 @@
-//! Property tests: the four transversal algorithms agree with brute force,
+//! Property tests: the transversal algorithms agree with brute force,
 //! and the classical dualization identities hold.
 
 use dualminer_bitset::AttrSet;
 use dualminer_hypergraph::oracle::{is_minimal_transversal, is_transversal};
-use dualminer_hypergraph::{berge, fk, joint_gen, levelwise_tr, mmcs, naive, Hypergraph};
+use dualminer_hypergraph::{
+    berge, fk, joint_gen, levelwise_tr, mu_mmcs, naive, plan, Hypergraph, TrAlgorithm,
+};
+use dualminer_obs::{Meter, NoopObserver, RunCtl};
 use proptest::prelude::*;
 
 const N: usize = 8;
+
+/// `Tr(H)` through the dispatcher with `algo` on `threads` workers.
+fn tr_threads(h: &Hypergraph, algo: TrAlgorithm, threads: usize) -> Hypergraph {
+    let meter = Meter::unlimited();
+    let ctl = RunCtl::new(&meter, &NoopObserver);
+    plan::dualize_ctl_report(h, algo, threads, &ctl)
+        .0
+        .expect_complete()
+}
 
 fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     proptest::collection::vec(proptest::collection::vec(0..N, 1..5), 0..7)
@@ -22,27 +34,27 @@ proptest! {
         prop_assert_eq!(berge::transversals(&h), reference.clone());
         prop_assert_eq!(joint_gen::transversals(&h), reference.clone());
         prop_assert_eq!(levelwise_tr::transversals_large_edges(&h), reference.clone());
-        prop_assert_eq!(mmcs::transversals(&h), reference);
+        prop_assert_eq!(mu_mmcs::transversals(&h), reference);
     }
 
     #[test]
     fn parallel_algorithms_are_bit_identical(h in arb_hypergraph()) {
         // The work-stealing scheduler's determinism contract: output is
         // bit-identical to sequential at every thread count.
-        let seq_mmcs = mmcs::transversals(&h);
+        let seq_mu = mu_mmcs::transversals(&h);
         let seq_berge = berge::transversals(&h);
         let seq_joint = joint_gen::transversals(&h);
         for threads in [1usize, 2, 4, 8] {
             prop_assert_eq!(
-                mmcs::transversals_par(&h, threads), seq_mmcs.clone(),
-                "mmcs, threads={}", threads
+                tr_threads(&h, TrAlgorithm::MuMmcs, threads), seq_mu.clone(),
+                "mu-mmcs, threads={}", threads
             );
             prop_assert_eq!(
-                berge::transversals_par(&h, threads), seq_berge.clone(),
+                tr_threads(&h, TrAlgorithm::Berge, threads), seq_berge.clone(),
                 "berge, threads={}", threads
             );
             prop_assert_eq!(
-                joint_gen::transversals_par(&h, threads), seq_joint.clone(),
+                tr_threads(&h, TrAlgorithm::FkJointGeneration, threads), seq_joint.clone(),
                 "joint_gen, threads={}", threads
             );
         }

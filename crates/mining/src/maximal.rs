@@ -161,7 +161,7 @@ mod tests {
             TrAlgorithm::Berge,
             TrAlgorithm::FkJointGeneration,
             TrAlgorithm::LevelwiseLargeEdges,
-            TrAlgorithm::Mmcs,
+            TrAlgorithm::MuMmcs,
         ] {
             for strat in [
                 MaximalStrategy::DualizeAdvance(algo),

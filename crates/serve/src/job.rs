@@ -9,7 +9,7 @@
 
 use std::time::Duration;
 
-use dualminer_hypergraph::TrAlgorithm;
+use dualminer_hypergraph::{plan, TrAlgorithm};
 
 /// Budget and observability options shared by every subcommand and every
 /// daemon job.
@@ -90,21 +90,18 @@ impl Support {
     }
 }
 
-/// Parses a `--algo` / `"algo"` value. Unknown names get an error
-/// listing every accepted spelling.
+/// Parses a `--algo` / `"algo"` value against [`plan::ALGO_NAMES`].
+/// Unknown names get an error listing every accepted spelling.
 pub fn parse_algo(s: &str) -> Result<TrAlgorithm, String> {
-    match s {
-        "auto" => Ok(TrAlgorithm::Auto),
-        "berge" => Ok(TrAlgorithm::Berge),
-        "fk" => Ok(TrAlgorithm::FkJointGeneration),
-        "levelwise" => Ok(TrAlgorithm::LevelwiseLargeEdges),
-        "mmcs" => Ok(TrAlgorithm::Mmcs),
-        "mu-mmcs" => Ok(TrAlgorithm::MuMmcs),
-        "egm" => Ok(TrAlgorithm::Egm),
-        other => Err(format!(
-            "unknown --algo value {other:?} (want auto, berge, fk, levelwise, mmcs, mu-mmcs, or egm)"
-        )),
+    if let Some(&(algo, _)) = plan::ALGO_NAMES.iter().find(|&&(_, name)| name == s) {
+        return Ok(algo);
     }
+    let names: Vec<&str> = plan::ALGO_NAMES.iter().map(|&(_, name)| name).collect();
+    let (last, rest) = names.split_last().expect("ALGO_NAMES is non-empty");
+    Err(format!(
+        "unknown --algo value {s:?} (want {}, or {last})",
+        rest.join(", ")
+    ))
 }
 
 /// Parses a duration: a number with an optional unit suffix (`ns`, `us`,
@@ -194,6 +191,10 @@ mod tests {
         assert!(parse_support("1.5").is_err());
         assert_eq!(parse_algo("mu-mmcs").unwrap(), TrAlgorithm::MuMmcs);
         assert!(parse_algo("bogus").is_err());
+        assert_eq!(
+            parse_algo("mmcs").unwrap_err(),
+            "unknown --algo value \"mmcs\" (want auto, berge, fk, levelwise, mu-mmcs, or egm)"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! `StatsCollector` — is embedded as an escaped JSON string field, not as
 //! a nested object.
 
-use dualminer_hypergraph::TrAlgorithm;
+use dualminer_hypergraph::{plan, TrAlgorithm};
 use dualminer_obs::{BudgetReason, FaultSpec, Json};
 
 use crate::job::{self, RunOpts, Support};
@@ -376,7 +376,7 @@ impl JobRequest {
                 h.update(&[u8::from(*maximal)]);
                 h.update_u64(*segment_rows as u64);
             }
-            OpKind::Transversals { algo } => tag(&mut h, plan_algo_tag(*algo)),
+            OpKind::Transversals { algo } => tag(&mut h, plan::algo_name(*algo)),
             OpKind::Keys { fds } => h.update(&[u8::from(*fds)]),
             OpKind::VerifyDual => {}
         }
@@ -398,18 +398,6 @@ impl JobRequest {
         h.update(&[u8::from(run.resume)]);
         h.update_u64(run.grain.map_or(u64::MAX, |g| g as u64));
         h.digest()
-    }
-}
-
-fn plan_algo_tag(algo: TrAlgorithm) -> &'static str {
-    match algo {
-        TrAlgorithm::Auto => "auto",
-        TrAlgorithm::Berge => "berge",
-        TrAlgorithm::FkJointGeneration => "fk",
-        TrAlgorithm::LevelwiseLargeEdges => "levelwise",
-        TrAlgorithm::Mmcs => "mmcs",
-        TrAlgorithm::MuMmcs => "mu-mmcs",
-        TrAlgorithm::Egm => "egm",
     }
 }
 
@@ -678,7 +666,7 @@ mod tests {
     #[test]
     fn parses_run_options_and_control_ops() {
         let req = parse_request(
-            r#"{"op":"transversals","id":9,"input":{"path":"h.txt"},"algo":"mmcs",
+            r#"{"op":"transversals","id":9,"input":{"path":"h.txt"},"algo":"mu-mmcs",
                 "threads":2,"progress":true,"cache":"bypass",
                 "run":{"timeout":"250ms","max_transversals":10}}"#,
         )
@@ -694,7 +682,7 @@ mod tests {
         assert_eq!(
             job.op,
             OpKind::Transversals {
-                algo: TrAlgorithm::Mmcs
+                algo: TrAlgorithm::MuMmcs
             }
         );
 
@@ -747,6 +735,10 @@ mod tests {
                 r#"{"op":"mine","id":1,"input":"x","min_support":"2"}"#,
                 "\"path\"",
             ),
+            (
+                r#"{"op":"transversals","id":1,"input":{"path":"h"},"algo":"mmcs"}"#,
+                "unknown --algo value \"mmcs\"",
+            ),
         ] {
             let err = parse_request(line).unwrap_err();
             assert!(err.message.contains(want), "{line} → {err}");
@@ -791,6 +783,29 @@ mod tests {
             fp(r#"{"op":"mine","id":1,"input":{"inline":"a\n"},"min_support":"1"}"#),
             fp(r#"{"op":"mine","id":1,"input":{"inline":"a\n"},"min_support":"1.0"}"#)
         );
+    }
+
+    #[test]
+    fn transversals_params_fingerprints_are_pinned() {
+        // Persisted cache snapshots key entries by this digest: a change
+        // here turns every restored `transversals` entry into a cold miss.
+        for (algo, want) in [
+            (None, 0xbaef_6459_76f1_7cd8_u64),
+            (Some("auto"), 0xbaef_6459_76f1_7cd8),
+            (Some("berge"), 0xa597_b645_e480_7aa3),
+            (Some("fk"), 0xa2d0_66a5_0c4a_2192),
+            (Some("levelwise"), 0x0b11_dd9b_a75e_c144),
+            (Some("mu-mmcs"), 0xbd2e_f2b3_ac4e_eec9),
+            (Some("egm"), 0x615f_5b74_0e56_358f),
+        ] {
+            let field = algo.map_or(String::new(), |a| format!(r#","algo":"{a}""#));
+            let line =
+                format!(r#"{{"op":"transversals","id":1,"input":{{"inline":"a b\n"}}{field}}}"#);
+            let Request::Job(job) = parse_request(&line).unwrap() else {
+                panic!("expected job")
+            };
+            assert_eq!(job.params_fingerprint(), want, "{line}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::time::Instant;
 
 use dualminer::bitset::Universe;
-use dualminer::hypergraph::{berge, fk, generators, joint_gen, levelwise_tr, mmcs, Hypergraph};
+use dualminer::hypergraph::{berge, fk, generators, joint_gen, levelwise_tr, mu_mmcs, Hypergraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,18 +23,18 @@ fn race(name: &str, h: &Hypergraph) {
     let l = levelwise_tr::transversals_large_edges(h);
     let t_level = t.elapsed();
     let t = Instant::now();
-    let m = mmcs::transversals(h);
-    let t_mmcs = t.elapsed();
+    let m = mu_mmcs::transversals(h);
+    let t_mu = t.elapsed();
     assert_eq!(b, j);
     assert_eq!(b, l);
     assert_eq!(b, m);
     println!(
-        "  |Tr(H)| = {:<6} berge {:>10.1?}  fk-joint {:>10.1?}  levelwise {:>10.1?}  mmcs {:>10.1?}",
+        "  |Tr(H)| = {:<6} berge {:>10.1?}  fk-joint {:>10.1?}  levelwise {:>10.1?}  mu-mmcs {:>10.1?}",
         b.len(),
         t_berge,
         t_joint,
         t_level,
-        t_mmcs
+        t_mu
     );
 }
 

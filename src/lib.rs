@@ -11,9 +11,10 @@
 //!
 //! * [`bitset`] — fixed-universe attribute bitsets ([`bitset::AttrSet`],
 //!   [`bitset::Universe`]).
-//! * [`hypergraph`] — simple hypergraphs and four minimal-transversal
-//!   algorithms (Berge, Fredman–Khachiyan duality + joint generation, the
-//!   paper's Corollary 15 levelwise special case, brute force).
+//! * [`hypergraph`] — simple hypergraphs and minimal-transversal engines
+//!   (Berge, Fredman–Khachiyan duality + joint generation, the paper's
+//!   Corollary 15 levelwise special case, MU-MMCS, EGM decomposition)
+//!   behind one planner-fronted dispatcher, plus brute force.
 //! * [`core`] — the paper's framework: `Is-interesting` oracles, borders
 //!   `Bd⁺`/`Bd⁻` with the Theorem 7 transversal identity, the levelwise
 //!   algorithm (Algorithm 9), Dualize & Advance (Algorithm 16), the

@@ -7,7 +7,7 @@
 use dualminer::bitset::AttrSet;
 use dualminer::core::dualize_advance::dualize_advance_ctl;
 use dualminer::core::oracle::FnOracle;
-use dualminer::hypergraph::{generators, transversals_with_ctl, TrAlgorithm};
+use dualminer::hypergraph::{generators, plan, TrAlgorithm};
 use dualminer::obs::{Budget, BudgetReason, MiningObserver, NoopObserver, Outcome, RunCtl};
 
 const PAIRS: usize = 12;
@@ -51,14 +51,14 @@ fn example19_dualize_advance_max_transversals_partial_mth() {
 #[test]
 fn example19_transversal_enumeration_max_transversals_partial_prefix() {
     let h = generators::matching(N);
-    for algo in [TrAlgorithm::Berge, TrAlgorithm::Mmcs] {
+    for algo in [TrAlgorithm::Berge, TrAlgorithm::MuMmcs] {
         let budget = Budget {
             max_transversals: Some(10),
             ..Budget::UNLIMITED
         };
         let meter = budget.start();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        match transversals_with_ctl(&h, algo, 1, &ctl) {
+        match plan::dualize_ctl_report(&h, algo, 1, &ctl).0 {
             Outcome::Complete(tr) => {
                 panic!("{algo:?}: must trip, got all {} transversals", tr.len())
             }
@@ -66,11 +66,12 @@ fn example19_transversal_enumeration_max_transversals_partial_prefix() {
                 assert_eq!(reason, BudgetReason::MaxTransversals, "{algo:?}");
                 assert!(!partial.edges().is_empty(), "{algo:?}: empty prefix");
                 assert!(partial.len() < 1 << PAIRS, "{algo:?}");
-                // MMCS emits final minimal transversals as it goes, so its
-                // prefix members are genuine; Berge's partial is its current
-                // intermediate product and is checked only for minimality
-                // within itself (it already guarantees that invariant).
-                if algo == TrAlgorithm::Mmcs {
+                // MU-MMCS emits final minimal transversals as it goes, so
+                // its prefix members are genuine; Berge's partial is its
+                // current intermediate product and is checked only for
+                // minimality within itself (it already guarantees that
+                // invariant).
+                if algo == TrAlgorithm::MuMmcs {
                     for t in partial.edges() {
                         assert!(is_mth_member(t), "{algo:?}: {t:?} not a transversal");
                     }
@@ -89,7 +90,7 @@ fn example19_timeout_zero_trips_before_any_work() {
     };
     let meter = budget.start();
     let ctl = RunCtl::new(&meter, &NoopObserver);
-    match transversals_with_ctl(&h, TrAlgorithm::Berge, 1, &ctl) {
+    match plan::dualize_ctl_report(&h, TrAlgorithm::Berge, 1, &ctl).0 {
         Outcome::Complete(_) => panic!("zero deadline cannot complete"),
         Outcome::BudgetExceeded { reason, .. } => {
             assert_eq!(reason, BudgetReason::Deadline);
@@ -119,7 +120,7 @@ fn observer_sees_transversal_events_on_budgeted_run() {
     let meter = budget.start();
     let observer = CountingObserver::default();
     let ctl = RunCtl::new(&meter, &observer);
-    let outcome = transversals_with_ctl(&h, TrAlgorithm::Mmcs, 1, &ctl);
+    let (outcome, _) = plan::dualize_ctl_report(&h, TrAlgorithm::MuMmcs, 1, &ctl);
     assert!(!outcome.is_complete());
     let seen = observer.transversals.load(Ordering::Relaxed);
     assert_eq!(seen, meter.transversals(), "observer and meter disagree");
