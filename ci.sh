@@ -9,6 +9,9 @@ cargo test -q
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
+# Rustdoc gate: broken or private intra-doc links fail the build. The
+# vendored proptest is excluded; its own docs carry links we do not own.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest
 
 # Bench smoke: all bench targets compile, and two microbench groups run
 # end-to-end (single fast ids, so the gate stays quick). The settrie id

@@ -60,8 +60,8 @@ fn bench_apriori(c: &mut Criterion) {
             &db,
             |b, db| {
                 b.iter(|| {
-                    let mut oracle = FrequencyOracle::new(db, sigma);
-                    levelwise(&mut oracle)
+                    let oracle = FrequencyOracle::new(db, sigma);
+                    levelwise(&oracle)
                 })
             },
         );

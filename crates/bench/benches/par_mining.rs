@@ -1,14 +1,16 @@
 //! Thread-scaling benchmarks for the parallel mining hot paths: Apriori
 //! support counting (`apriori_par`) and the generic levelwise driver
-//! (`levelwise_par`) on Quest workloads, sweeping the worker-thread count.
+//! (`levelwise_ctl`) on Quest workloads, sweeping the worker-thread count.
 //! Results are bit-identical across the sweep; only wall-clock changes.
 //! `BENCH_baseline.json` records a reference run of this file.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dualminer_core::levelwise::levelwise_par;
+use dualminer_core::checkpoint::FaultCtl;
+use dualminer_core::levelwise::levelwise_ctl;
 use dualminer_mining::apriori::apriori_par;
 use dualminer_mining::gen::{quest, QuestParams};
 use dualminer_mining::{FrequencyOracle, TransactionDb};
+use dualminer_obs::{Meter, NoopObserver, RunCtl};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -67,7 +69,11 @@ fn bench_levelwise_threads(c: &mut Criterion) {
             |b, &threads| {
                 b.iter(|| {
                     let oracle = FrequencyOracle::new(&db, sigma);
-                    levelwise_par(&oracle, threads)
+                    let meter = Meter::unlimited();
+                    let ctl = RunCtl::new(&meter, &NoopObserver);
+                    levelwise_ctl(&&oracle, threads, &ctl, &FaultCtl::none(), None)
+                        .expect("infallible oracle")
+                        .expect_complete()
                 })
             },
         );

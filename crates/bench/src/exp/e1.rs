@@ -44,8 +44,8 @@ pub fn run() {
     println!("            Theorem 7 identity Bd⁻(S) = f⁻¹(Tr(H(S))) verified ✓\n");
 
     // --- Example 11: the levelwise trace ------------------------------
-    let mut oracle = CountingOracle::new(FrequencyOracle::new(&db, 2));
-    let run = levelwise(&mut oracle);
+    let oracle = CountingOracle::new(FrequencyOracle::new(&db, 2));
+    let run = levelwise(&oracle);
     println!("Example 11 (levelwise):");
     println!(
         "            candidates per level: {:?} (∅; A,B,C,D; all 6 pairs; ABC)",
@@ -69,8 +69,8 @@ pub fn run() {
     assert_eq!(run.queries, run.theorem10_count());
 
     // --- Example 17: the Dualize & Advance trace -----------------------
-    let mut oracle = CountingOracle::new(FrequencyOracle::new(&db, 2));
-    let da = dualize_advance(&mut oracle, TrAlgorithm::Berge);
+    let oracle = CountingOracle::new(FrequencyOracle::new(&db, 2));
+    let da = dualize_advance(&oracle, TrAlgorithm::Berge);
     println!("\nExample 17 (dualize & advance):");
     for (i, it) in da.iterations.iter().enumerate() {
         match (&it.counterexample, &it.maximal_found) {

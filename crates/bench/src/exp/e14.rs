@@ -9,8 +9,9 @@
 //!     distinct/raw distinction the theorems rely on costs nothing.
 
 use dualminer_bitset::AttrSet;
+use dualminer_core::checkpoint::FaultCtl;
 use dualminer_core::dualize_advance::{
-    dualize_advance, dualize_advance_batch, dualize_advance_with_config, DualizeAdvanceConfig,
+    dualize_advance, dualize_advance_batch, dualize_advance_ctl, DualizeAdvanceConfig,
     ExtensionOrder,
 };
 use dualminer_core::levelwise::levelwise;
@@ -18,6 +19,7 @@ use dualminer_core::oracle::{CountingOracle, FamilyOracle};
 use dualminer_hypergraph::berge::{transversals_with_order, EdgeOrder};
 use dualminer_hypergraph::{generators, TrAlgorithm};
 use dualminer_mining::gen::random_antichain;
+use dualminer_obs::{Meter, NoopObserver, RunCtl};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -83,14 +85,23 @@ pub fn run() {
             ),
         ),
     ] {
-        let mut oracle = CountingOracle::new(FamilyOracle::new(n, plants.clone()));
-        let run = dualize_advance_with_config(
-            &mut oracle,
+        let oracle = CountingOracle::new(FamilyOracle::new(n, plants.clone()));
+        let meter = Meter::unlimited();
+        let ctl = RunCtl::new(&meter, &NoopObserver);
+        let config = DualizeAdvanceConfig {
+            extension_order: order,
+        };
+        let run = dualize_advance_ctl(
+            &&oracle,
             TrAlgorithm::Berge,
-            &DualizeAdvanceConfig {
-                extension_order: order,
-            },
-        );
+            &config,
+            1,
+            &ctl,
+            &FaultCtl::none(),
+            None,
+        )
+        .expect("infallible oracle")
+        .expect_complete();
         let equal = match &reference {
             None => {
                 reference = Some((run.maximal.clone(), run.negative_border.clone()));
@@ -115,10 +126,10 @@ pub fn run() {
     let mut table = Table::new(["variant", "|MTh|", "rounds", "queries"]);
     for (mth, k) in [(6usize, 5usize), (12, 7)] {
         let plants = random_antichain(16, mth, k, &mut rng);
-        let mut o1 = CountingOracle::new(FamilyOracle::new(16, plants.clone()));
-        let inc = dualize_advance(&mut o1, TrAlgorithm::Berge);
-        let mut o2 = CountingOracle::new(FamilyOracle::new(16, plants.clone()));
-        let bat = dualize_advance_batch(&mut o2, TrAlgorithm::Berge);
+        let o1 = CountingOracle::new(FamilyOracle::new(16, plants.clone()));
+        let inc = dualize_advance(&o1, TrAlgorithm::Berge);
+        let o2 = CountingOracle::new(FamilyOracle::new(16, plants.clone()));
+        let bat = dualize_advance_batch(&o2, TrAlgorithm::Berge);
         assert_eq!(inc.maximal, bat.maximal);
         table.row([
             format!("incremental k={k}"),
@@ -138,8 +149,8 @@ pub fn run() {
     println!("\n(d) memoization is free for the paper's algorithms (raw = distinct):");
     let mut table = Table::new(["algorithm", "distinct queries", "raw calls", "repeats"]);
     let plants = random_antichain(14, 8, 5, &mut rng);
-    let mut o = CountingOracle::new(FamilyOracle::new(14, plants.clone()));
-    levelwise(&mut o);
+    let o = CountingOracle::new(FamilyOracle::new(14, plants.clone()));
+    levelwise(&o);
     table.row([
         "levelwise".to_string(),
         o.distinct_queries().to_string(),
@@ -147,8 +158,8 @@ pub fn run() {
         (o.raw_queries() - o.distinct_queries()).to_string(),
     ]);
     assert_eq!(o.raw_queries(), o.distinct_queries());
-    let mut o = CountingOracle::new(FamilyOracle::new(14, plants));
-    dualize_advance(&mut o, TrAlgorithm::Berge);
+    let o = CountingOracle::new(FamilyOracle::new(14, plants));
+    dualize_advance(&o, TrAlgorithm::Berge);
     let repeats = o.raw_queries() - o.distinct_queries();
     table.row([
         "dualize&advance".to_string(),

@@ -31,8 +31,8 @@ pub fn run() {
         for k in [2usize, 4, 6] {
             for mth in [2usize, 8, 16] {
                 let plants = random_antichain(n, mth, k, &mut rng);
-                let mut oracle = CountingOracle::new(FamilyOracle::new(n, plants));
-                let run = levelwise(&mut oracle);
+                let oracle = CountingOracle::new(FamilyOracle::new(n, plants));
+                let run = levelwise(&oracle);
                 let identity = run.theory.len() + run.negative_border.len();
                 let equal = run.queries == identity as u64;
                 let no_repeats = oracle.raw_queries() == oracle.distinct_queries();

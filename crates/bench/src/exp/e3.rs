@@ -32,8 +32,8 @@ pub fn run() {
         for k in [3usize, 5, 7] {
             for mth in [4usize, 12] {
                 let plants = random_antichain(n, mth, k, &mut rng);
-                let mut oracle = CountingOracle::new(FamilyOracle::new(n, plants.clone()));
-                let run = levelwise(&mut oracle);
+                let oracle = CountingOracle::new(FamilyOracle::new(n, plants.clone()));
+                let run = levelwise(&oracle);
                 let kk = rank_of_family(&run.theory);
                 let bound = corollary13_bound(kk, n, run.positive_border.len());
                 let ratio = run.queries as f64 / bound as f64;
@@ -64,8 +64,8 @@ pub fn run() {
             },
             &mut qrng,
         );
-        let mut oracle = CountingOracle::new(FrequencyOracle::new(&db, sigma));
-        let run = levelwise(&mut oracle);
+        let oracle = CountingOracle::new(FrequencyOracle::new(&db, sigma));
+        let run = levelwise(&oracle);
         let kk = rank_of_family(&run.theory);
         let bound = corollary13_bound(kk, 18, run.positive_border.len().max(1));
         let ratio = run.queries as f64 / bound as f64;

@@ -29,8 +29,8 @@ pub fn run() {
     let mut measured: Vec<(usize, usize)> = Vec::new();
     for n in [10usize, 15, 20, 25, 30, 40] {
         let plants = random_antichain(n, 8, 3, &mut rng);
-        let mut oracle = CountingOracle::new(FamilyOracle::new(n, plants));
-        let run = levelwise(&mut oracle);
+        let oracle = CountingOracle::new(FamilyOracle::new(n, plants));
+        let run = levelwise(&oracle);
         let bound = corollary14_bound(3, n);
         let max_rank = run
             .negative_border
@@ -70,8 +70,8 @@ pub fn run() {
     for n in [8usize, 12, 16, 24] {
         let k = (n as f64).log2().ceil() as usize;
         let plants = random_antichain(n, 6, k, &mut rng);
-        let mut oracle = CountingOracle::new(FamilyOracle::new(n, plants));
-        let run = levelwise(&mut oracle);
+        let oracle = CountingOracle::new(FamilyOracle::new(n, plants));
+        let run = levelwise(&oracle);
         let bound = corollary14_bound(k, n);
         let ok = (run.negative_border.len() as u128) <= bound;
         assert!(ok);

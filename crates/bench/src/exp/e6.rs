@@ -45,11 +45,10 @@ pub fn run() {
         "total queries",
     ]);
     for n in [8usize, 10, 12] {
-        let mut oracle =
-            CountingOracle::new(FnOracle::new(n, move |x: &dualminer_bitset::AttrSet| {
-                x.len() <= n - 2
-            }));
-        let run = dualize_advance(&mut oracle, TrAlgorithm::FkJointGeneration);
+        let oracle = CountingOracle::new(FnOracle::new(n, move |x: &dualminer_bitset::AttrSet| {
+            x.len() <= n - 2
+        }));
+        let run = dualize_advance(&oracle, TrAlgorithm::FkJointGeneration);
         assert_eq!(run.maximal.len(), n * (n - 1) / 2);
         assert_eq!(run.negative_border.len(), n);
         let max_tested = run.max_transversals_tested();

@@ -61,8 +61,8 @@ pub fn run() {
     for n in [12usize, 18, 24] {
         for (mth, k) in [(4usize, 6usize), (10, 8), (16, 5)] {
             let plants = random_antichain(n, mth, k, &mut rng);
-            let mut oracle = CountingOracle::new(FamilyOracle::new(n, plants));
-            let run = dualize_advance(&mut oracle, TrAlgorithm::FkJointGeneration);
+            let oracle = CountingOracle::new(FamilyOracle::new(n, plants));
+            let run = dualize_advance(&oracle, TrAlgorithm::FkJointGeneration);
             let r = record(
                 format!("planted k={k}"),
                 n,
@@ -87,8 +87,8 @@ pub fn run() {
             },
             &mut qrng,
         );
-        let mut oracle = CountingOracle::new(FrequencyOracle::new(&db, sigma));
-        let run = dualize_advance(&mut oracle, TrAlgorithm::FkJointGeneration);
+        let oracle = CountingOracle::new(FrequencyOracle::new(&db, sigma));
+        let run = dualize_advance(&oracle, TrAlgorithm::FkJointGeneration);
         let r = record(
             format!("quest σ={sigma}"),
             16,

@@ -37,14 +37,14 @@ pub fn run() {
             AttrSet::from_indices(n, 8..8 + k),
         ];
 
-        let mut o1 = CountingOracle::new(FamilyOracle::new(n, plants.clone()));
+        let o1 = CountingOracle::new(FamilyOracle::new(n, plants.clone()));
         let t0 = Instant::now();
-        let lw = levelwise(&mut o1);
+        let lw = levelwise(&o1);
         let t_lw = t0.elapsed();
 
-        let mut o2 = CountingOracle::new(FamilyOracle::new(n, plants));
+        let o2 = CountingOracle::new(FamilyOracle::new(n, plants));
         let t0 = Instant::now();
-        let da = dualize_advance(&mut o2, TrAlgorithm::Berge);
+        let da = dualize_advance(&o2, TrAlgorithm::Berge);
         let t_da = t0.elapsed();
 
         assert_eq!(lw.positive_border, da.maximal);

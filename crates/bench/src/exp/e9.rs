@@ -28,10 +28,10 @@ pub fn run() {
     for n in [10usize, 16, 22] {
         for (mth, k) in [(4usize, 4usize), (10, 6)] {
             let plants = random_antichain(n, mth, k, &mut rng);
-            let mut oracle = CountingOracle::new(FamilyOracle::new(n, plants.clone()));
+            let oracle = CountingOracle::new(FamilyOracle::new(n, plants.clone()));
             // The planted family of equal-size sets is an antichain = MTh.
-            let lw = levelwise(&mut FamilyOracle::new(n, plants.clone()));
-            let out = verify_maxth(&mut oracle, &lw.positive_border, TrAlgorithm::Berge);
+            let lw = levelwise(&FamilyOracle::new(n, plants.clone()));
+            let out = verify_maxth(&oracle, &lw.positive_border, TrAlgorithm::Berge);
             assert!(out.is_maxth);
             let expected = (lw.positive_border.len() + lw.negative_border.len()) as u64;
             assert_eq!(out.queries, expected);
@@ -56,8 +56,8 @@ pub fn run() {
     ]);
     for n in [12usize, 18] {
         let plants = random_antichain(n, 8, 5, &mut rng);
-        let mut o1 = CountingOracle::new(FamilyOracle::new(n, plants.clone()));
-        let lw = levelwise(&mut o1);
+        let o1 = CountingOracle::new(FamilyOracle::new(n, plants.clone()));
+        let lw = levelwise(&o1);
         let floor = (lw.positive_border.len() + lw.negative_border.len()) as u64;
         assert!(o1.distinct_queries() >= floor);
         table.row([
@@ -67,8 +67,8 @@ pub fn run() {
             o1.distinct_queries().to_string(),
             format!("{:.2}", o1.distinct_queries() as f64 / floor as f64),
         ]);
-        let mut o2 = CountingOracle::new(FamilyOracle::new(n, plants));
-        dualize_advance(&mut o2, TrAlgorithm::FkJointGeneration);
+        let o2 = CountingOracle::new(FamilyOracle::new(n, plants));
+        dualize_advance(&o2, TrAlgorithm::FkJointGeneration);
         assert!(o2.distinct_queries() >= floor);
         table.row([
             "dualize&advance".to_string(),

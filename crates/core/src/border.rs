@@ -151,7 +151,7 @@ pub struct VerifyOutcome {
 /// would make "S = MTh" trivially false, so they are rejected by assertion
 /// rather than silently maximized away.
 pub fn verify_maxth<O: InterestOracle>(
-    oracle: &mut O,
+    oracle: &O,
     s: &[AttrSet],
     algo: TrAlgorithm,
 ) -> VerifyOutcome {
@@ -258,8 +258,8 @@ mod tests {
     #[test]
     fn verify_accepts_true_maxth_with_exact_queries() {
         let (_, maxth) = fig1();
-        let mut oracle = CountingOracle::new(FamilyOracle::new(4, maxth.clone()));
-        let out = verify_maxth(&mut oracle, &maxth, TrAlgorithm::Berge);
+        let oracle = CountingOracle::new(FamilyOracle::new(4, maxth.clone()));
+        let out = verify_maxth(&oracle, &maxth, TrAlgorithm::Berge);
         assert!(out.is_maxth);
         // |Bd⁺| + |Bd⁻| = 2 + 2 (Corollary 4's exact count).
         assert_eq!(out.queries, 4);
@@ -269,16 +269,16 @@ mod tests {
     #[test]
     fn verify_rejects_wrong_candidates() {
         let (u, maxth) = fig1();
-        let mut oracle = CountingOracle::new(FamilyOracle::new(4, maxth.clone()));
+        let oracle = CountingOracle::new(FamilyOracle::new(4, maxth.clone()));
 
         // Too small: claims only ABC — then BD ⊆ ... negative border of
         // {ABC} is {D}, and D *is* interesting (D ⊆ BD).
-        let out = verify_maxth(&mut oracle, &[u.parse("ABC").unwrap()], TrAlgorithm::Berge);
+        let out = verify_maxth(&oracle, &[u.parse("ABC").unwrap()], TrAlgorithm::Berge);
         assert!(!out.is_maxth);
         assert_eq!(out.counterexample, Some(u.parse("D").unwrap()));
 
         // Too big: claims ABCD maximal — not interesting.
-        let out = verify_maxth(&mut oracle, &[u.parse("ABCD").unwrap()], TrAlgorithm::Berge);
+        let out = verify_maxth(&oracle, &[u.parse("ABCD").unwrap()], TrAlgorithm::Berge);
         assert!(!out.is_maxth);
         assert_eq!(out.counterexample, Some(u.parse("ABCD").unwrap()));
     }
@@ -287,10 +287,10 @@ mod tests {
     #[should_panic(expected = "antichain")]
     fn verify_rejects_non_antichain() {
         let (u, maxth) = fig1();
-        let mut oracle = FamilyOracle::new(4, maxth.clone());
+        let oracle = FamilyOracle::new(4, maxth.clone());
         let mut s = maxth;
         s.push(u.parse("AB").unwrap());
-        verify_maxth(&mut oracle, &s, TrAlgorithm::Berge);
+        verify_maxth(&oracle, &s, TrAlgorithm::Berge);
     }
 
     #[test]

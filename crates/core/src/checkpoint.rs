@@ -3,7 +3,9 @@
 //!
 //! The envelope (versioning, checksums, atomic file replacement) lives in
 //! `dualminer-obs::checkpoint`; this module defines the two payloads and
-//! the [`FaultCtl`] bundle the `*_try_ctl` drivers take.
+//! the [`FaultCtl`] bundle the full drivers
+//! ([`crate::levelwise::levelwise_ctl`],
+//! [`crate::dualize_advance::dualize_advance_ctl`]) take.
 //!
 //! **Safe points.** State is only ever captured where the driver's
 //! in-memory invariants close:

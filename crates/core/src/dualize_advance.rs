@@ -129,29 +129,14 @@ pub struct DualizeAdvanceConfig {
 /// assumes. The other strategies materialize the full transversal
 /// hypergraph per iteration first (cheaper on small borders, exponentially
 /// worse on instances like Example 19).
-pub fn dualize_advance<O: InterestOracle>(oracle: &mut O, algo: TrAlgorithm) -> DualizeAdvanceRun {
-    dualize_advance_with_config(oracle, algo, &DualizeAdvanceConfig::default())
-}
-
-/// [`dualize_advance`] with explicit tunables.
-pub fn dualize_advance_with_config<O: InterestOracle>(
-    oracle: &mut O,
-    algo: TrAlgorithm,
-    config: &DualizeAdvanceConfig,
-) -> DualizeAdvanceRun {
+pub fn dualize_advance<O: InterestOracle>(oracle: &O, algo: TrAlgorithm) -> DualizeAdvanceRun {
     let meter = Meter::unlimited();
-    dualize_advance_with_config_ctl(oracle, algo, config, 1, &RunCtl::new(&meter, &NoopObserver))
-        .expect_complete()
-}
-
-/// [`dualize_advance`] under a budget and an observer (default tunables,
-/// sequential transversal subroutine).
-pub fn dualize_advance_ctl<O: InterestOracle>(
-    oracle: &mut O,
-    algo: TrAlgorithm,
-    ctl: &RunCtl<'_>,
-) -> Outcome<DualizeAdvanceRun> {
-    dualize_advance_with_config_ctl(oracle, algo, &DualizeAdvanceConfig::default(), 1, ctl)
+    let ctl = RunCtl::new(&meter, &NoopObserver);
+    let config = DualizeAdvanceConfig::default();
+    match dualize_advance_ctl(&oracle, algo, &config, 1, &ctl, &FaultCtl::none(), None) {
+        Ok(outcome) => outcome.expect_complete(),
+        Err(aborted) => unreachable!("infallible oracle cannot abort: {aborted}"),
+    }
 }
 
 /// Sorts the partial collections so budget-exceeded results are as
@@ -169,41 +154,6 @@ fn partial_run(
         negative_border: certificate,
         iterations,
         queries,
-    }
-}
-
-/// [`dualize_advance_with_config`] under a budget and an observer, with a
-/// thread budget for the transversal subroutine (`0` = available
-/// parallelism).
-///
-/// Every `Is-interesting` query records one metered query (so does each
-/// inner FK recursive call when `algo` is
-/// [`TrAlgorithm::FkJointGeneration`]), each enumerated transversal
-/// records one transversal event, and each outer round fires
-/// `on_iteration`. On a budget trip the partial result holds a *genuine
-/// subset of `MTh`* — only verified-maximal sets are ever added — and
-/// `negative_border` holds the transversals verified uninteresting in the
-/// interrupted round (members of `Bd⁻(Cᵢ)`, not necessarily of the final
-/// `Bd⁻(MTh)`).
-pub fn dualize_advance_with_config_ctl<O: InterestOracle>(
-    oracle: &mut O,
-    algo: TrAlgorithm,
-    config: &DualizeAdvanceConfig,
-    threads: usize,
-    ctl: &RunCtl<'_>,
-) -> Outcome<DualizeAdvanceRun> {
-    let mut infallible: &mut O = oracle;
-    match dualize_advance_try_ctl(
-        &mut infallible,
-        algo,
-        config,
-        threads,
-        ctl,
-        &FaultCtl::none(),
-        None,
-    ) {
-        Ok(outcome) => outcome,
-        Err(aborted) => unreachable!("infallible oracle cannot abort: {aborted}"),
     }
 }
 
@@ -287,17 +237,32 @@ impl DaCkpt {
     }
 }
 
-/// The fault-tolerant Dualize-and-Advance driver:
-/// [`dualize_advance_with_config_ctl`] over a *fallible* oracle, with
-/// deterministic retry, optional crash-safe checkpointing, and resume.
+/// [`dualize_advance`] with every knob: tunables, a thread budget for
+/// the transversal subroutine (`0` = available parallelism), a budget and
+/// an observer, fault tolerance, and resume.
 ///
-/// Safe points are (a) after each enumerated transversal is verified
-/// uninteresting — the `round_certificate` cursor the checkpoint
-/// serializes — and (b) each iteration boundary, after a counterexample's
-/// greedy extension installs a new verified-maximal set. A fault inside
-/// an extension rolls back to the last safe point; the resumed run
-/// re-issues the counterexample query and the extension from scratch, so
-/// its query total matches an uninterrupted run exactly.
+/// **Budget and observer.** Every `Is-interesting` query records one
+/// metered query (so does each inner FK recursive call when `algo` is
+/// [`TrAlgorithm::FkJointGeneration`]), each enumerated transversal
+/// records one transversal event, and each outer round fires
+/// `on_iteration`. On a budget trip the partial result holds a *genuine
+/// subset of `MTh`* — only verified-maximal sets are ever added — and
+/// `negative_border` holds the transversals verified uninteresting in the
+/// interrupted round (members of `Bd⁻(Cᵢ)`, not necessarily of the final
+/// `Bd⁻(MTh)`).
+///
+/// **Faults.** Transient oracle errors are retried per `fault.retry`
+/// (infallible oracles enter through the blanket [`TryInterestOracle`]
+/// impl on `&O` and never fail); an error that survives aborts the run
+/// with the state of the last safe point.
+///
+/// **Checkpoints and resume.** Safe points are (a) after each enumerated
+/// transversal is verified uninteresting — the `round_certificate` cursor
+/// the checkpoint serializes — and (b) each iteration boundary, after a
+/// counterexample's greedy extension installs a new verified-maximal set.
+/// A fault inside an extension rolls back to the last safe point; the
+/// resumed run re-issues the counterexample query and the extension from
+/// scratch, so its query total matches an uninterrupted run exactly.
 ///
 /// On resume, the complement hypergraph is rebuilt from `maximal` in
 /// discovery order and the round's transversal enumeration replays
@@ -310,8 +275,8 @@ impl DaCkpt {
 /// `iterations.len() == maximal.len() + 1` invariant holds for
 /// un-resumed runs only).
 #[allow(clippy::too_many_arguments)]
-pub fn dualize_advance_try_ctl<O: TryInterestOracle>(
-    oracle: &mut O,
+pub fn dualize_advance_ctl<O: TryInterestOracle>(
+    oracle: &O,
     algo: TrAlgorithm,
     config: &DualizeAdvanceConfig,
     threads: usize,
@@ -380,7 +345,7 @@ pub fn dualize_advance_try_ctl<O: TryInterestOracle>(
             }));
         }
         let (first, ext_q, tripped) =
-            match greedy_extend_try_ctl(oracle, AttrSet::empty(n), &ext_order, ctl, fault) {
+            match greedy_extend(oracle, AttrSet::empty(n), &ext_order, ctl, fault) {
                 Ok(v) => v,
                 Err(e) => {
                     return Err(Aborted {
@@ -585,7 +550,7 @@ pub fn dualize_advance_try_ctl<O: TryInterestOracle>(
             }
             Some(x) => {
                 let (y, ext_q, tripped) =
-                    match greedy_extend_try_ctl(oracle, x.clone(), &ext_order, ctl, fault) {
+                    match greedy_extend(oracle, x.clone(), &ext_order, ctl, fault) {
                         Ok(v) => v,
                         Err(e) => {
                             // Roll back to the last safe point: the
@@ -624,60 +589,37 @@ pub fn dualize_advance_try_ctl<O: TryInterestOracle>(
     }
 }
 
-/// The trivial fallback used by joint-generation early exit above is not
-/// needed for Berge; kept private.
-///
 /// Step 9: grow an interesting set to a maximal interesting set, one
-/// attribute at a time in ascending order. A single pass suffices: a
-/// rejected extension stays rejected as the set grows (monotonicity), so
-/// the result is maximal. Uses at most `width = n − |x|` queries —
-/// within the paper's `rank(MTh) · width` allowance.
-pub fn greedy_maximize<O: InterestOracle>(oracle: &mut O, x: AttrSet) -> (AttrSet, u64) {
-    greedy_maximize_with_order(oracle, x, None)
-}
-
-/// [`greedy_maximize`] trying attributes in the given order (ascending by
-/// default); the order changes which maximal set is reached, never
-/// maximality — the DESIGN.md §5 ablation knob.
-pub fn greedy_maximize_with_order<O: InterestOracle>(
-    oracle: &mut O,
+/// attribute at a time, trying attributes in `order` (ascending indices
+/// when `None`). A single pass suffices: a rejected extension stays
+/// rejected as the set grows (monotonicity), so the result is maximal.
+/// Uses at most `width = n − |x|` queries — within the paper's
+/// `rank(MTh) · width` allowance. The order changes which maximal set is
+/// reached, never maximality — the DESIGN.md §5 ablation knob.
+pub fn greedy_maximize<O: InterestOracle>(
+    oracle: &O,
     x: AttrSet,
     order: Option<&[usize]>,
 ) -> (AttrSet, u64) {
-    let n = InterestOracle::universe_size(oracle);
-    let default: Vec<usize> = (0..n).collect();
+    let ascending: Vec<usize> = (0..oracle.universe_size()).collect();
     let meter = Meter::unlimited();
-    let (y, queries, _) = greedy_extend_ctl(
-        oracle,
-        x,
-        order.unwrap_or(&default),
-        &RunCtl::new(&meter, &NoopObserver),
-    );
-    (y, queries)
-}
-
-/// Budget-aware greedy extension: polls the meter before every query and
-/// bails with the trip reason; the returned set is then interesting but
-/// not verified maximal, so callers must not add it to the MTh prefix.
-fn greedy_extend_ctl<O: InterestOracle>(
-    oracle: &mut O,
-    x: AttrSet,
-    order: &[usize],
-    ctl: &RunCtl<'_>,
-) -> (AttrSet, u64, Option<BudgetReason>) {
-    let mut infallible: &mut O = oracle;
-    match greedy_extend_try_ctl(&mut infallible, x, order, ctl, &FaultCtl::none()) {
-        Ok(v) => v,
+    let ctl = RunCtl::new(&meter, &NoopObserver);
+    let order = order.unwrap_or(&ascending);
+    match greedy_extend(&oracle, x, order, &ctl, &FaultCtl::none()) {
+        Ok((y, queries, _)) => (y, queries),
         Err(e) => unreachable!("infallible oracle cannot fail: {e}"),
     }
 }
 
-/// [`greedy_extend_ctl`] over a fallible oracle. The extension is
-/// *atomic* with respect to checkpointing: an oracle error (after
-/// retries) discards the whole extension and the caller rolls back to
-/// its last safe point — partial extensions are never persisted.
-fn greedy_extend_try_ctl<O: TryInterestOracle>(
-    oracle: &mut O,
+/// Budget-aware greedy extension over a fallible oracle: polls the meter
+/// before every query and bails with the trip reason; the returned set is
+/// then interesting but not verified maximal, so callers must not add it
+/// to the MTh prefix. The extension is *atomic* with respect to
+/// checkpointing: an oracle error (after retries) discards the whole
+/// extension and the caller rolls back to its last safe point — partial
+/// extensions are never persisted.
+fn greedy_extend<O: TryInterestOracle>(
+    oracle: &O,
     mut x: AttrSet,
     order: &[usize],
     ctl: &RunCtl<'_>,
@@ -718,8 +660,8 @@ mod tests {
     #[test]
     fn example_17_trace() {
         let u = Universe::letters(4);
-        let mut oracle = fig1_oracle();
-        let run = dualize_advance(&mut oracle, TrAlgorithm::Berge);
+        let oracle = fig1_oracle();
+        let run = dualize_advance(&oracle, TrAlgorithm::Berge);
         assert_eq!(u.display_family(run.maximal.iter()), "{BD, ABC}");
         assert_eq!(u.display_family(run.negative_border.iter()), "{AD, CD}");
         // Iterations: seed-extend to ABC, advance to BD, certify.
@@ -746,8 +688,8 @@ mod tests {
             TrAlgorithm::MuMmcs,
             TrAlgorithm::Egm,
         ] {
-            let mut oracle = fig1_oracle();
-            let run = dualize_advance(&mut oracle, algo);
+            let oracle = fig1_oracle();
+            let run = dualize_advance(&oracle, algo);
             let u = Universe::letters(4);
             assert_eq!(
                 u.display_family(run.maximal.iter()),
@@ -764,8 +706,8 @@ mod tests {
 
     #[test]
     fn empty_theory() {
-        let mut oracle = FnOracle::new(4, |_: &AttrSet| false);
-        let run = dualize_advance(&mut oracle, TrAlgorithm::Berge);
+        let oracle = FnOracle::new(4, |_: &AttrSet| false);
+        let run = dualize_advance(&oracle, TrAlgorithm::Berge);
         assert!(run.maximal.is_empty());
         assert_eq!(run.negative_border, vec![AttrSet::empty(4)]);
         assert_eq!(run.queries, 1);
@@ -773,16 +715,16 @@ mod tests {
 
     #[test]
     fn only_empty_interesting() {
-        let mut oracle = FnOracle::new(3, |x: &AttrSet| x.is_empty());
-        let run = dualize_advance(&mut oracle, TrAlgorithm::Berge);
+        let oracle = FnOracle::new(3, |x: &AttrSet| x.is_empty());
+        let run = dualize_advance(&oracle, TrAlgorithm::Berge);
         assert_eq!(run.maximal, vec![AttrSet::empty(3)]);
         assert_eq!(run.negative_border.len(), 3); // the singletons
     }
 
     #[test]
     fn full_theory() {
-        let mut oracle = FnOracle::new(5, |_: &AttrSet| true);
-        let run = dualize_advance(&mut oracle, TrAlgorithm::Berge);
+        let oracle = FnOracle::new(5, |_: &AttrSet| true);
+        let run = dualize_advance(&oracle, TrAlgorithm::Berge);
         assert_eq!(run.maximal, vec![AttrSet::full(5)]);
         assert!(run.negative_border.is_empty());
         // 1 (seed) + 5 (extension) + 0 (no transversals of empty
@@ -803,11 +745,11 @@ mod tests {
                     AttrSet::from_indices(n, (0..k).map(|_| rng.gen_range(0..n)))
                 })
                 .collect();
-            let mut o1 = FamilyOracle::new(n, family.clone());
-            let lw = crate::levelwise::levelwise(&mut o1);
+            let o1 = FamilyOracle::new(n, family.clone());
+            let lw = crate::levelwise::levelwise(&o1);
             for algo in [TrAlgorithm::Berge, TrAlgorithm::FkJointGeneration] {
-                let mut o2 = FamilyOracle::new(n, family.clone());
-                let da = dualize_advance(&mut o2, algo);
+                let o2 = FamilyOracle::new(n, family.clone());
+                let da = dualize_advance(&o2, algo);
                 assert_eq!(da.maximal, lw.positive_border, "family={family:?}");
                 assert_eq!(da.negative_border, lw.negative_border, "family={family:?}");
             }
@@ -816,21 +758,20 @@ mod tests {
 
     #[test]
     fn greedy_maximize_is_maximal() {
-        let mut oracle = fig1_oracle();
-        let (y, q) = greedy_maximize(&mut oracle, AttrSet::empty(4));
+        let oracle = fig1_oracle();
+        let (y, q) = greedy_maximize(&oracle, AttrSet::empty(4), None);
         let u = Universe::letters(4);
         assert_eq!(y, u.parse("ABC").unwrap());
         assert_eq!(q, 4); // one query per attribute
                           // Reverse order reaches the other maximal set.
-        let (y2, _) =
-            greedy_maximize_with_order(&mut oracle, AttrSet::empty(4), Some(&[3, 2, 1, 0]));
+        let (y2, _) = greedy_maximize(&oracle, AttrSet::empty(4), Some(&[3, 2, 1, 0]));
         assert_eq!(y2, u.parse("BD").unwrap());
     }
 
     #[test]
     fn lemma20_on_example() {
-        let mut oracle = fig1_oracle();
-        let run = dualize_advance(&mut oracle, TrAlgorithm::Berge);
+        let oracle = fig1_oracle();
+        let run = dualize_advance(&oracle, TrAlgorithm::Berge);
         let bd_minus = run.negative_border.len();
         for it in &run.iterations {
             assert!(it.transversals_tested <= bd_minus);
@@ -844,21 +785,32 @@ mod config_tests {
     use crate::oracle::FamilyOracle;
     use dualminer_bitset::Universe;
 
+    fn run_with_order(oracle: &FamilyOracle, order: ExtensionOrder) -> DualizeAdvanceRun {
+        let meter = Meter::unlimited();
+        let ctl = RunCtl::new(&meter, &NoopObserver);
+        let config = DualizeAdvanceConfig {
+            extension_order: order,
+        };
+        dualize_advance_ctl(
+            &oracle,
+            TrAlgorithm::Berge,
+            &config,
+            1,
+            &ctl,
+            &FaultCtl::none(),
+            None,
+        )
+        .expect("infallible oracle")
+        .expect_complete()
+    }
+
     #[test]
     fn extension_order_changes_trajectory_not_answer() {
         let u = Universe::letters(4);
         let maxth = vec![u.parse("ABC").unwrap(), u.parse("BD").unwrap()];
         let mut runs = Vec::new();
         for order in [ExtensionOrder::Ascending, ExtensionOrder::Descending] {
-            let mut oracle = FamilyOracle::new(4, maxth.clone());
-            let run = dualize_advance_with_config(
-                &mut oracle,
-                TrAlgorithm::Berge,
-                &DualizeAdvanceConfig {
-                    extension_order: order,
-                },
-            );
-            runs.push(run);
+            runs.push(run_with_order(&FamilyOracle::new(4, maxth.clone()), order));
         }
         // Same MTh and Bd⁻…
         assert_eq!(runs[0].maximal, runs[1].maximal);
@@ -874,13 +826,9 @@ mod config_tests {
     fn custom_order_is_respected() {
         let u = Universe::letters(4);
         let maxth = vec![u.parse("ABC").unwrap(), u.parse("BD").unwrap()];
-        let mut oracle = FamilyOracle::new(4, maxth);
-        let run = dualize_advance_with_config(
-            &mut oracle,
-            TrAlgorithm::Berge,
-            &DualizeAdvanceConfig {
-                extension_order: ExtensionOrder::Custom(vec![3, 1, 2, 0]),
-            },
+        let run = run_with_order(
+            &FamilyOracle::new(4, maxth),
+            ExtensionOrder::Custom(vec![3, 1, 2, 0]),
         );
         // Trying D first reaches BD before ABC.
         assert_eq!(
@@ -902,111 +850,47 @@ mod config_tests {
 /// randomized study of reference \[11\] batched its certificates; the
 /// `dna_batch_vs_incremental` comparison lives in the E7 bench family.
 pub fn dualize_advance_batch<O: InterestOracle>(
-    oracle: &mut O,
+    oracle: &O,
     algo: TrAlgorithm,
 ) -> DualizeAdvanceRun {
-    let meter = Meter::unlimited();
-    dualize_advance_batch_ctl(oracle, algo, 1, &RunCtl::new(&meter, &NoopObserver))
-        .expect_complete()
-}
-
-/// [`dualize_advance_batch`] under a budget and an observer, with a thread
-/// budget for the transversal subroutine (`0` = available parallelism).
-///
-/// Metering follows [`dualize_advance_with_config_ctl`]; the partial
-/// result on a trip is again a genuine subset of `MTh` (sets are added
-/// only after their greedy extension completes un-interrupted).
-pub fn dualize_advance_batch_ctl<O: InterestOracle>(
-    oracle: &mut O,
-    algo: TrAlgorithm,
-    threads: usize,
-    ctl: &RunCtl<'_>,
-) -> Outcome<DualizeAdvanceRun> {
-    let n = InterestOracle::universe_size(oracle);
-    let mut maximal: Vec<AttrSet> = Vec::new();
-    let mut iterations: Vec<DualizeAdvanceIteration> = Vec::new();
-    let mut queries = 0u64;
-
-    if let Some(reason) = ctl.meter.exceeded() {
-        return Outcome::BudgetExceeded {
-            partial: partial_run(maximal, Vec::new(), iterations, queries),
-            reason,
-        };
-    }
-
-    queries += 1;
-    ctl.meter.record_query();
+    let n = oracle.universe_size();
+    let mut queries = 1u64;
     if !oracle.is_interesting(&AttrSet::empty(n)) {
-        return Outcome::Complete(DualizeAdvanceRun {
-            maximal,
+        return DualizeAdvanceRun {
+            maximal: Vec::new(),
             negative_border: vec![AttrSet::empty(n)],
-            iterations,
+            iterations: Vec::new(),
             queries,
-        });
-    }
-    let order: Vec<usize> = (0..n).collect();
-    let (first, ext_q, tripped) = greedy_extend_ctl(oracle, AttrSet::empty(n), &order, ctl);
-    queries += ext_q;
-    if let Some(reason) = tripped {
-        return Outcome::BudgetExceeded {
-            partial: partial_run(maximal, Vec::new(), iterations, queries),
-            reason,
         };
     }
-    iterations.push(DualizeAdvanceIteration {
+    let (first, ext_q) = greedy_maximize(oracle, AttrSet::empty(n), None);
+    queries += ext_q;
+    let mut iterations = vec![DualizeAdvanceIteration {
         transversals_tested: 0,
         counterexample: Some(AttrSet::empty(n)),
         maximal_found: Some(first.clone()),
         extension_queries: ext_q,
-    });
-    ctl.observer.on_iteration(iterations.len(), 0, true);
-    maximal.push(first);
+    }];
+    let mut maximal = vec![first];
 
     loop {
         let complements =
             Hypergraph::from_edges(n, maximal.iter().map(AttrSet::complement).collect())
                 .expect("complements stay in universe");
-        let tr = match plan::dualize_ctl_report(&complements, algo, threads, ctl).0 {
-            Outcome::Complete(tr) => tr,
-            Outcome::BudgetExceeded { reason, .. } => {
-                iterations.push(DualizeAdvanceIteration {
-                    transversals_tested: 0,
-                    counterexample: None,
-                    maximal_found: None,
-                    extension_queries: 0,
-                });
-                ctl.observer.on_iteration(iterations.len(), 0, false);
-                return Outcome::BudgetExceeded {
-                    partial: partial_run(maximal, Vec::new(), iterations, queries),
-                    reason,
-                };
-            }
-        };
+        let tr = dualminer_hypergraph::transversals_with(&complements, algo);
         let mut tested = 0usize;
         let mut ext_queries = 0u64;
-        let mut found_any = false;
         let mut certificate: Vec<AttrSet> = Vec::new();
         let mut last_counterexample = None;
         let mut last_maximal = None;
-        let mut trip: Option<BudgetReason> = None;
         for t in tr.edges() {
-            if let Some(reason) = ctl.meter.exceeded() {
-                trip = Some(reason);
-                break;
-            }
             tested += 1;
             queries += 1;
-            ctl.meter.record_query();
             if oracle.is_interesting(t) {
-                found_any = true;
-                let (y, q, tripped) = greedy_extend_ctl(oracle, t.clone(), &order, ctl);
+                let (y, q) = greedy_maximize(oracle, t.clone(), None);
                 queries += q;
                 ext_queries += q;
                 last_counterexample = Some(t.clone());
-                if let Some(reason) = tripped {
-                    trip = Some(reason);
-                    break;
-                }
                 if !maximal.contains(&y) {
                     last_maximal = Some(y.clone());
                     maximal.push(y);
@@ -1015,29 +899,22 @@ pub fn dualize_advance_batch_ctl<O: InterestOracle>(
                 certificate.push(t.clone());
             }
         }
+        let found_any = last_counterexample.is_some();
         iterations.push(DualizeAdvanceIteration {
             transversals_tested: tested,
             counterexample: last_counterexample,
             maximal_found: last_maximal,
             extension_queries: ext_queries,
         });
-        ctl.observer
-            .on_iteration(iterations.len(), tested, found_any);
-        if let Some(reason) = trip {
-            return Outcome::BudgetExceeded {
-                partial: partial_run(maximal, certificate, iterations, queries),
-                reason,
-            };
-        }
         if !found_any {
             maximal.sort_by(|a, b| a.cmp_card_lex(b));
             certificate.sort_by(|a, b| a.cmp_card_lex(b));
-            return Outcome::Complete(DualizeAdvanceRun {
+            return DualizeAdvanceRun {
                 maximal,
                 negative_border: certificate,
                 iterations,
                 queries,
-            });
+            };
         }
     }
 }
@@ -1052,10 +929,10 @@ mod batch_tests {
     fn batch_matches_incremental_on_figure1() {
         let u = Universe::letters(4);
         let maxth = vec![u.parse("ABC").unwrap(), u.parse("BD").unwrap()];
-        let mut o1 = FamilyOracle::new(4, maxth.clone());
-        let inc = dualize_advance(&mut o1, TrAlgorithm::Berge);
-        let mut o2 = FamilyOracle::new(4, maxth);
-        let bat = dualize_advance_batch(&mut o2, TrAlgorithm::Berge);
+        let o1 = FamilyOracle::new(4, maxth.clone());
+        let inc = dualize_advance(&o1, TrAlgorithm::Berge);
+        let o2 = FamilyOracle::new(4, maxth);
+        let bat = dualize_advance_batch(&o2, TrAlgorithm::Berge);
         assert_eq!(inc.maximal, bat.maximal);
         assert_eq!(inc.negative_border, bat.negative_border);
         // The batch variant uses no more rounds.
@@ -1070,8 +947,8 @@ mod batch_tests {
         let family: Vec<AttrSet> = (0..5)
             .map(|i| AttrSet::from_indices(n, [i, i + 1, i + 2, i + 3]))
             .collect();
-        let mut oracle = CountingOracle::new(FamilyOracle::new(n, family.clone()));
-        let run = dualize_advance_batch(&mut oracle, TrAlgorithm::Berge);
+        let oracle = CountingOracle::new(FamilyOracle::new(n, family.clone()));
+        let run = dualize_advance_batch(&oracle, TrAlgorithm::Berge);
         assert_eq!(run.maximal.len(), 5);
         let rank = family.iter().map(AttrSet::len).max().unwrap();
         assert!(
@@ -1095,10 +972,10 @@ mod batch_tests {
                     AttrSet::from_indices(n, (0..k).map(|_| rng.gen_range(0..n)))
                 })
                 .collect();
-            let mut o1 = FamilyOracle::new(n, family.clone());
-            let inc = dualize_advance(&mut o1, TrAlgorithm::Berge);
-            let mut o2 = FamilyOracle::new(n, family.clone());
-            let bat = dualize_advance_batch(&mut o2, TrAlgorithm::Berge);
+            let o1 = FamilyOracle::new(n, family.clone());
+            let inc = dualize_advance(&o1, TrAlgorithm::Berge);
+            let o2 = FamilyOracle::new(n, family.clone());
+            let bat = dualize_advance_batch(&o2, TrAlgorithm::Berge);
             assert_eq!(inc.maximal, bat.maximal, "{family:?}");
             assert_eq!(inc.negative_border, bat.negative_border, "{family:?}");
         }
@@ -1106,8 +983,8 @@ mod batch_tests {
 
     #[test]
     fn batch_empty_theory() {
-        let mut oracle = FnOracle::new(4, |_: &AttrSet| false);
-        let run = dualize_advance_batch(&mut oracle, TrAlgorithm::Berge);
+        let oracle = FnOracle::new(4, |_: &AttrSet| false);
+        let run = dualize_advance_batch(&oracle, TrAlgorithm::Berge);
         assert!(run.maximal.is_empty());
         assert_eq!(run.negative_border, vec![AttrSet::empty(4)]);
     }

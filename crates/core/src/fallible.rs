@@ -2,98 +2,46 @@
 //!
 //! The paper's model of computation assumes the oracle always answers; a
 //! production deployment reaches the database over I/O that can time out
-//! or break mid-run. [`TryInterestOracle`] / [`TrySyncInterestOracle`]
-//! are the fallible mirrors of the infallible traits — same
-//! `universe_size`, but the query returns `Result<bool, OracleError>`
-//! with a transient/permanent classification.
+//! or break mid-run. [`TryInterestOracle`] is the fallible mirror of
+//! [`InterestOracle`] — same `universe_size`, but the query returns
+//! `Result<bool, OracleError>` with a transient/permanent classification.
 //!
 //! **Every infallible oracle is automatically a fallible one** through
-//! the blanket impls on `&mut O` / `&O`: a driver generic over
-//! `TryInterestOracle` accepts `&mut my_oracle` and never sees an error.
-//! The blankets live on the *reference* types rather than on `O` itself
-//! so they can never overlap with the [`FaultyOracle`] impls below (a
-//! downstream crate is allowed to implement `InterestOracle` for
-//! `FaultyOracle<TheirType>`, which a direct `impl<O: InterestOracle>
-//! TryInterestOracle for O` would then collide with).
+//! the blanket impl on `&O`: a driver generic over `TryInterestOracle`
+//! accepts `&my_oracle` and never sees an error. The blanket lives on the
+//! *reference* type rather than on `O` itself so it can never overlap
+//! with the [`FaultyOracle`] impl below (a downstream crate is allowed to
+//! implement `InterestOracle` for `FaultyOracle<TheirType>`, which a
+//! direct `impl<O: InterestOracle> TryInterestOracle for O` would then
+//! collide with).
 //!
-//! Recovery is centralized in [`query_with_retry`] /
-//! [`sync_query_with_retry`]: bounded, deterministic (jitter-free)
-//! retries for transient errors per [`RetryPolicy`]. One **logical**
-//! query is still one [`Meter::record_query`] no matter how many
-//! attempts it takes — the Theorem-10/21 accounting never sees faults;
-//! retries and faults are metered on their own counters.
+//! Recovery is centralized in [`query_with_retry`]: bounded,
+//! deterministic (jitter-free) retries for transient errors per
+//! [`RetryPolicy`]. One **logical** query is still one
+//! [`Meter::record_query`](dualminer_obs::Meter::record_query) no matter
+//! how many attempts it takes — the Theorem-10/21 accounting never sees
+//! faults; retries and faults are metered on their own counters.
 
 use dualminer_bitset::AttrSet;
-use dualminer_obs::{fnv1a64, FaultPlan, FaultSpec, Meter, OracleError, RetryPolicy, RunCtl};
+use dualminer_obs::{fnv1a64, FaultPlan, FaultSpec, OracleError, RetryPolicy, RunCtl};
 
-use crate::oracle::{InterestOracle, SyncInterestOracle};
+use crate::oracle::InterestOracle;
 
-/// A fallible `Is-interesting` oracle (`&mut self` queries).
-pub trait TryInterestOracle {
+/// A fallible `Is-interesting` oracle, shareable across worker threads.
+pub trait TryInterestOracle: Sync {
     /// Number of attributes in the universe `R`.
     fn universe_size(&self) -> usize;
 
     /// The `Is-interesting` query; `Err` carries the failure class.
-    fn try_is_interesting(&mut self, x: &AttrSet) -> Result<bool, OracleError>;
-
-    /// Batched fallible query: one verdict per sentence, **in input
-    /// order**, each element failing independently. The default loops
-    /// the scalar query — each element gets exactly one attempt, so the
-    /// fault schedule sees the same per-query arrival sequence as N
-    /// scalar calls (fault-invariance). Overrides must preserve both the
-    /// order and the one-attempt-per-element accounting.
-    fn try_is_interesting_batch(&mut self, xs: &[AttrSet]) -> Vec<Result<bool, OracleError>> {
-        xs.iter().map(|x| self.try_is_interesting(x)).collect()
-    }
-}
-
-/// A fallible shared-state `Is-interesting` oracle (`&self` queries,
-/// shareable across worker threads).
-pub trait TrySyncInterestOracle: Sync {
-    /// Number of attributes in the universe `R`.
-    fn universe_size(&self) -> usize;
-
-    /// The `Is-interesting` query through a shared reference.
     fn try_is_interesting(&self, x: &AttrSet) -> Result<bool, OracleError>;
-
-    /// Batched fallible query through a shared reference; same contract
-    /// as [`TryInterestOracle::try_is_interesting_batch`].
-    fn try_is_interesting_batch(&self, xs: &[AttrSet]) -> Vec<Result<bool, OracleError>> {
-        xs.iter().map(|x| self.try_is_interesting(x)).collect()
-    }
 }
 
-impl<O: InterestOracle + ?Sized> TryInterestOracle for &mut O {
+impl<O: InterestOracle + ?Sized> TryInterestOracle for &O {
     fn universe_size(&self) -> usize {
         InterestOracle::universe_size(*self)
     }
-    fn try_is_interesting(&mut self, x: &AttrSet) -> Result<bool, OracleError> {
-        Ok((**self).is_interesting(x))
-    }
-    fn try_is_interesting_batch(&mut self, xs: &[AttrSet]) -> Vec<Result<bool, OracleError>> {
-        // Route through the infallible batch so a vectorized
-        // `is_interesting_batch` override carries into the fallible tier.
-        (**self)
-            .is_interesting_batch(xs)
-            .into_iter()
-            .map(Ok)
-            .collect()
-    }
-}
-
-impl<O: SyncInterestOracle + ?Sized> TrySyncInterestOracle for &O {
-    fn universe_size(&self) -> usize {
-        SyncInterestOracle::universe_size(*self)
-    }
     fn try_is_interesting(&self, x: &AttrSet) -> Result<bool, OracleError> {
         Ok((**self).is_interesting(x))
-    }
-    fn try_is_interesting_batch(&self, xs: &[AttrSet]) -> Vec<Result<bool, OracleError>> {
-        (**self)
-            .is_interesting_batch(xs)
-            .into_iter()
-            .map(Ok)
-            .collect()
     }
 }
 
@@ -152,17 +100,6 @@ impl<O: InterestOracle> TryInterestOracle for FaultyOracle<O> {
     fn universe_size(&self) -> usize {
         self.inner.universe_size()
     }
-    fn try_is_interesting(&mut self, x: &AttrSet) -> Result<bool, OracleError> {
-        self.plan.inject_latency();
-        self.plan.check(query_key(x))?;
-        Ok(self.inner.is_interesting(x))
-    }
-}
-
-impl<O: SyncInterestOracle> TrySyncInterestOracle for FaultyOracle<O> {
-    fn universe_size(&self) -> usize {
-        self.inner.universe_size()
-    }
     fn try_is_interesting(&self, x: &AttrSet) -> Result<bool, OracleError> {
         self.plan.inject_latency();
         self.plan.check(query_key(x))?;
@@ -176,26 +113,6 @@ impl<O: SyncInterestOracle> TrySyncInterestOracle for FaultyOracle<O> {
 /// `Err`. The caller records the single logical query on the meter;
 /// this helper records only the fault/retry side-channel counters.
 pub fn query_with_retry<O: TryInterestOracle + ?Sized>(
-    oracle: &mut O,
-    x: &AttrSet,
-    retry: &RetryPolicy,
-    ctl: &RunCtl<'_>,
-) -> Result<bool, OracleError> {
-    let mut attempt = 0u32;
-    loop {
-        match oracle.try_is_interesting(x) {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                if let Some(e) = note_fault(e, &mut attempt, retry, ctl) {
-                    return Err(e);
-                }
-            }
-        }
-    }
-}
-
-/// [`query_with_retry`] for shared-state oracles (parallel workers).
-pub fn sync_query_with_retry<O: TrySyncInterestOracle + ?Sized>(
     oracle: &O,
     x: &AttrSet,
     retry: &RetryPolicy,
@@ -214,68 +131,7 @@ pub fn sync_query_with_retry<O: TrySyncInterestOracle + ?Sized>(
     }
 }
 
-/// Drives one logical **batch** to completion under `retry`: the batch
-/// is issued once via [`TrySyncInterestOracle::try_is_interesting_batch`]
-/// (one attempt per element), then each failed element is re-driven
-/// through the same per-item fault bookkeeping as
-/// [`sync_query_with_retry`] — so the meter's fault/retry counters and
-/// the observer callbacks are exactly what N scalar retried queries
-/// would produce. The caller records the N logical queries; verdict
-/// order matches input order.
-pub fn sync_query_batch_with_retry<O: TrySyncInterestOracle + ?Sized>(
-    oracle: &O,
-    xs: &[AttrSet],
-    retry: &RetryPolicy,
-    ctl: &RunCtl<'_>,
-) -> Vec<Result<bool, OracleError>> {
-    let mut out = oracle.try_is_interesting_batch(xs);
-    debug_assert_eq!(out.len(), xs.len());
-    for (x, slot) in xs.iter().zip(out.iter_mut()) {
-        retry_failed_slot(slot, retry, ctl, || oracle.try_is_interesting(x));
-    }
-    out
-}
-
-/// [`sync_query_batch_with_retry`] for exclusive (`&mut self`) oracles.
-pub fn query_batch_with_retry<O: TryInterestOracle + ?Sized>(
-    oracle: &mut O,
-    xs: &[AttrSet],
-    retry: &RetryPolicy,
-    ctl: &RunCtl<'_>,
-) -> Vec<Result<bool, OracleError>> {
-    let mut out = oracle.try_is_interesting_batch(xs);
-    debug_assert_eq!(out.len(), xs.len());
-    for (x, slot) in xs.iter().zip(out.iter_mut()) {
-        retry_failed_slot(slot, retry, ctl, || oracle.try_is_interesting(x));
-    }
-    out
-}
-
-/// Re-drives one already-attempted verdict through the retry loop: the
-/// batch call counts as the initial attempt, `reattempt` issues each
-/// subsequent scalar attempt. Shared by the two batch helpers, which
-/// differ only in oracle mutability (captured by the closure).
-fn retry_failed_slot(
-    slot: &mut Result<bool, OracleError>,
-    retry: &RetryPolicy,
-    ctl: &RunCtl<'_>,
-    mut reattempt: impl FnMut() -> Result<bool, OracleError>,
-) {
-    let mut attempt = 0u32;
-    loop {
-        let e = match slot {
-            Ok(_) => return,
-            Err(e) => e.clone(),
-        };
-        if let Some(e) = note_fault(e, &mut attempt, retry, ctl) {
-            *slot = Err(e);
-            return;
-        }
-        *slot = reattempt();
-    }
-}
-
-/// Shared fault bookkeeping: meters the fault, decides retry vs. give-up,
+/// Fault bookkeeping: meters the fault, decides retry vs. give-up,
 /// sleeps the deterministic backoff. Returns `Some(e)` when the query
 /// must fail, `None` when the caller should attempt again.
 fn note_fault(
@@ -302,30 +158,19 @@ fn note_fault(
     None
 }
 
-/// Convenience: an unlimited meter for free-standing retry calls in
-/// tests and docs (mirrors [`Meter::unlimited`]).
-pub fn unlimited_meter() -> Meter {
-    Meter::unlimited()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::oracle::{FamilyOracle, FnOracle};
-    use dualminer_obs::{ErrorClass, NoopObserver};
+    use dualminer_obs::{ErrorClass, Meter, NoopObserver};
 
     #[test]
-    fn blanket_impls_make_infallible_oracles_fallible() {
-        let mut oracle = FnOracle::new(3, |x: &AttrSet| x.len() <= 1);
-        let mut fallible = &mut oracle;
+    fn blanket_impl_makes_infallible_oracles_fallible() {
+        let oracle = FnOracle::new(3, |x: &AttrSet| x.len() <= 1);
+        let fallible = &oracle;
         assert_eq!(TryInterestOracle::universe_size(&fallible), 3);
         assert_eq!(fallible.try_is_interesting(&AttrSet::empty(3)), Ok(true));
         assert_eq!(fallible.try_is_interesting(&AttrSet::full(3)), Ok(false));
-
-        let family = FamilyOracle::new(3, vec![AttrSet::full(3)]);
-        let shared = &family;
-        assert_eq!(TrySyncInterestOracle::universe_size(&shared), 3);
-        assert_eq!(shared.try_is_interesting(&AttrSet::full(3)), Ok(true));
     }
 
     #[test]
@@ -356,15 +201,10 @@ mod tests {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         let spec = FaultSpec::parse("burst=2@0").unwrap();
-        let mut oracle = FaultyOracle::new(FnOracle::new(3, |_: &AttrSet| true), &spec);
+        let oracle = FaultyOracle::new(FamilyOracle::new(3, vec![AttrSet::full(3)]), &spec);
 
         // Two transient failures, then success: needs 2 retries.
-        let got = query_with_retry(
-            &mut oracle,
-            &AttrSet::empty(3),
-            &RetryPolicy::retries(3),
-            &ctl,
-        );
+        let got = query_with_retry(&oracle, &AttrSet::empty(3), &RetryPolicy::retries(3), &ctl);
         assert_eq!(got, Ok(true));
         assert_eq!(meter.retries(), 2);
         assert_eq!(meter.faults(), 2);
@@ -377,13 +217,8 @@ mod tests {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         let spec = FaultSpec::parse("burst=5@0").unwrap();
-        let mut oracle = FaultyOracle::new(FnOracle::new(3, |_: &AttrSet| true), &spec);
-        let got = query_with_retry(
-            &mut oracle,
-            &AttrSet::empty(3),
-            &RetryPolicy::retries(2),
-            &ctl,
-        );
+        let oracle = FaultyOracle::new(FnOracle::new(3, |_: &AttrSet| true), &spec);
+        let got = query_with_retry(&oracle, &AttrSet::empty(3), &RetryPolicy::retries(2), &ctl);
         let err = got.unwrap_err();
         assert!(err.is_transient());
         assert_eq!(meter.retries(), 2);
@@ -395,97 +230,10 @@ mod tests {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         let spec = FaultSpec::parse("permanent=0").unwrap();
-        let mut oracle = FaultyOracle::new(FnOracle::new(3, |_: &AttrSet| true), &spec);
-        let got = query_with_retry(
-            &mut oracle,
-            &AttrSet::empty(3),
-            &RetryPolicy::retries(10),
-            &ctl,
-        );
+        let oracle = FaultyOracle::new(FnOracle::new(3, |_: &AttrSet| true), &spec);
+        let got = query_with_retry(&oracle, &AttrSet::empty(3), &RetryPolicy::retries(10), &ctl);
         assert!(!got.unwrap_err().is_transient());
         assert_eq!(meter.retries(), 0);
         assert_eq!(meter.faults(), 1);
-    }
-
-    #[test]
-    fn batch_default_loops_scalar_in_order() {
-        let spec = FaultSpec::parse("permanent=1").unwrap();
-        let oracle = FaultyOracle::new(FnOracle::new(3, |x: &AttrSet| x.len() <= 1), &spec);
-        let xs = vec![
-            AttrSet::empty(3),
-            AttrSet::from_indices(3, [0]),
-            AttrSet::full(3),
-        ];
-        let got = oracle.try_is_interesting_batch(&xs);
-        // Arrival order within the batch is input order: the fault at
-        // call #1 lands on xs[1], not anywhere else.
-        assert_eq!(got[0], Ok(true));
-        assert!(got[1].is_err());
-        assert_eq!(got[2], Ok(false));
-        assert_eq!(oracle.plan().calls(), 3);
-    }
-
-    #[test]
-    fn blanket_batch_routes_through_infallible_batch() {
-        let family = FamilyOracle::new(3, vec![AttrSet::full(3)]);
-        let shared = &family;
-        let xs = vec![AttrSet::empty(3), AttrSet::full(3)];
-        assert_eq!(
-            shared.try_is_interesting_batch(&xs),
-            vec![Ok(true), Ok(true)]
-        );
-    }
-
-    #[test]
-    fn batch_retry_matches_per_item_retry_accounting() {
-        let xs: Vec<AttrSet> = (0..4).map(|i| AttrSet::from_indices(8, [i])).collect();
-        let spec = FaultSpec::parse("burst=2@1").unwrap();
-        let retry = RetryPolicy::retries(3);
-
-        // Per-item reference run.
-        let seq_meter = Meter::unlimited();
-        let seq_ctl = RunCtl::new(&seq_meter, &NoopObserver);
-        let oracle = FaultyOracle::new(FnOracle::new(8, |_: &AttrSet| true), &spec);
-        let seq: Vec<_> = xs
-            .iter()
-            .map(|x| sync_query_with_retry(&oracle, x, &retry, &seq_ctl))
-            .collect();
-
-        // Batched run over a fresh schedule of the same spec.
-        let batch_meter = Meter::unlimited();
-        let batch_ctl = RunCtl::new(&batch_meter, &NoopObserver);
-        let oracle = FaultyOracle::new(FnOracle::new(8, |_: &AttrSet| true), &spec);
-        let got = sync_query_batch_with_retry(&oracle, &xs, &retry, &batch_ctl);
-
-        assert_eq!(got, seq);
-        assert_eq!(batch_meter.faults(), seq_meter.faults());
-        assert_eq!(batch_meter.retries(), seq_meter.retries());
-        assert!(batch_meter.faults() > 0, "fault schedule must have fired");
-    }
-
-    #[test]
-    fn batch_retry_gives_up_on_permanent_errors() {
-        let meter = Meter::unlimited();
-        let ctl = RunCtl::new(&meter, &NoopObserver);
-        let spec = FaultSpec::parse("permanent=0").unwrap();
-        let mut oracle = FaultyOracle::new(FnOracle::new(3, |_: &AttrSet| true), &spec);
-        let xs = vec![AttrSet::empty(3), AttrSet::full(3)];
-        let got = query_batch_with_retry(&mut oracle, &xs, &RetryPolicy::retries(5), &ctl);
-        assert!(!got[0].clone().unwrap_err().is_transient());
-        assert_eq!(got[1], Ok(true));
-        assert_eq!(meter.retries(), 0);
-        assert_eq!(meter.faults(), 1);
-    }
-
-    #[test]
-    fn sync_retry_matches_sequential_retry() {
-        let meter = Meter::unlimited();
-        let ctl = RunCtl::new(&meter, &NoopObserver);
-        let spec = FaultSpec::parse("burst=1@0").unwrap();
-        let oracle = FaultyOracle::new(FamilyOracle::new(3, vec![AttrSet::full(3)]), &spec);
-        let got =
-            sync_query_with_retry(&oracle, &AttrSet::empty(3), &RetryPolicy::retries(1), &ctl);
-        assert_eq!(got, Ok(true));
-        assert_eq!(meter.retries(), 1);
     }
 }

@@ -24,11 +24,8 @@ use dualminer_obs::{Meter, NoopObserver, OracleError, Outcome, RunCtl, RunError}
 
 use crate::candidates::prefix_join_units;
 use crate::checkpoint::{Aborted, FaultCtl, LevelwiseState, ResumeState, LEVELWISE_KIND};
-use crate::fallible::{
-    query_with_retry, sync_query_batch_with_retry, sync_query_with_retry, TryInterestOracle,
-    TrySyncInterestOracle,
-};
-use crate::oracle::{InterestOracle, SyncInterestOracle};
+use crate::fallible::{query_with_retry, TryInterestOracle};
+use crate::oracle::InterestOracle;
 
 /// Complete output of one levelwise run.
 #[derive(Clone, Debug)]
@@ -64,9 +61,13 @@ impl LevelwiseRun {
 /// `C_{i+1} := Bd⁻(∪_{j≤i} L_j) \ ∪_{j≤i} C_j`, restricted to the next
 /// level (lower-level members of the border were already candidates at
 /// their own level).
-pub fn levelwise<O: InterestOracle>(oracle: &mut O) -> LevelwiseRun {
+pub fn levelwise<O: InterestOracle>(oracle: &O) -> LevelwiseRun {
     let meter = Meter::unlimited();
-    levelwise_ctl(oracle, &RunCtl::new(&meter, &NoopObserver)).expect_complete()
+    let ctl = RunCtl::new(&meter, &NoopObserver);
+    match levelwise_ctl(&oracle, 1, &ctl, &FaultCtl::none(), None) {
+        Ok(outcome) => outcome.expect_complete(),
+        Err(aborted) => unreachable!("infallible oracle cannot abort: {aborted}"),
+    }
 }
 
 /// Assembles a [`LevelwiseRun`] from the accumulated theory and negative
@@ -103,25 +104,8 @@ fn finish_run(
     }
 }
 
-/// [`levelwise`] under a budget and an observer.
-///
-/// Each candidate evaluation records one oracle query; each completed
-/// level fires `on_level` with its candidate and interesting counts. The
-/// budget is polled before every evaluation, so a tripped limit stops
-/// the walk mid-level. The partial result is a *genuine prefix* of the
-/// levelwise enumeration: the theory and negative border restricted to
-/// the sentences evaluated so far, with `positive_border` derived from
-/// that prefix (a valid `Bd⁺` of the truncated theory, not of `Th`).
-pub fn levelwise_ctl<O: InterestOracle>(oracle: &mut O, ctl: &RunCtl<'_>) -> Outcome<LevelwiseRun> {
-    let mut infallible: &mut O = oracle;
-    match levelwise_try_ctl(&mut infallible, ctl, &FaultCtl::none(), None) {
-        Ok(outcome) => outcome,
-        Err(aborted) => unreachable!("infallible oracle cannot abort: {aborted}"),
-    }
-}
-
-/// Bookkeeping shared by the two fault-tolerant levelwise drivers: the
-/// state at the last level boundary (the trim point for abort-time
+/// Checkpoint bookkeeping of the levelwise driver: the state at the last
+/// level boundary (the trim point for abort-time
 /// checkpoints) plus the save cadence.
 struct LevelwiseCkpt {
     boundary_theory: usize,
@@ -266,27 +250,51 @@ fn unpack_resume(state: LevelwiseState, n: usize) -> Result<LevelwiseVars, Abort
     ))
 }
 
-/// The fault-tolerant levelwise driver: [`levelwise_ctl`] over a
-/// *fallible* oracle, with deterministic retry, optional crash-safe
-/// checkpointing, and resume.
+/// [`levelwise`] with every knob: a thread count, a budget and an
+/// observer, fault tolerance, and resume.
 ///
-/// * Transient oracle errors are retried per `fault.retry`; a permanent
-///   error (or an exhausted retry budget) aborts with the state trimmed
-///   to the last completed level, persisted through the checkpoint sink
-///   when one is configured and returned in [`Aborted::resume`].
-/// * With checkpointing on, state is saved at level boundaries whenever
-///   at least `every` logical queries accumulated since the last save.
-/// * Passing `resume` continues a prior run: the walk restarts at the
-///   first unfinished level and replays exactly the suffix a
-///   from-scratch run would execute, so `Th`/`Bd⁺`/`Bd⁻`,
-///   `candidates_per_level` and `queries` are bit-identical to an
-///   uninterrupted run.
+/// **Threads.** Each level's candidates are evaluated on up to `threads`
+/// scoped workers (`0` = available parallelism). Candidate *generation*
+/// stays sequential (pure lattice bookkeeping, no database access); only
+/// the `Is-interesting` evaluations — the paper's unit of cost — fan out.
+/// Candidates are generated in sequential order, split into contiguous
+/// chunks, and the per-chunk verdicts are concatenated in chunk order, so
+/// the result — theory, borders, per-level candidate counts, `queries` —
+/// is bit-identical for every thread count. At `threads = 1` the whole
+/// level is one chunk and the walk issues its queries strictly in
+/// sequential order, fault arrivals included.
 ///
-/// Retries and faults are metered on [`Meter::retries`] /
-/// [`Meter::faults`]; `record_query` still fires exactly once per
-/// logical query, keeping the Theorem 10 identity intact.
-pub fn levelwise_try_ctl<O: TryInterestOracle>(
-    oracle: &mut O,
+/// **Budget and observer.** Each candidate evaluation records one oracle
+/// query; each completed level fires `on_level` with its candidate and
+/// interesting counts. The budget is polled before every evaluation, so a
+/// tripped limit stops the walk mid-level: a worker that sees the trip
+/// skips its remaining candidates, and the merged verdicts are truncated
+/// at the first skipped candidate in sequential order. The partial result
+/// is a *genuine prefix* of the levelwise enumeration: the theory and
+/// negative border restricted to the sentences evaluated so far, with
+/// `positive_border` derived from that prefix (a valid `Bd⁺` of the
+/// truncated theory, not of `Th`).
+///
+/// **Faults.** Transient oracle errors are retried per `fault.retry`
+/// (infallible oracles enter through the blanket [`TryInterestOracle`]
+/// impl on `&O` and never fail). A query that still fails raises a shared
+/// [`dualminer_parallel::AbortFlag`] so sibling chunks stop early; the
+/// merge then picks the **first error in sequential candidate order**,
+/// and the run aborts with the state trimmed to the last completed level,
+/// persisted through the checkpoint sink when one is configured and
+/// returned in [`Aborted::resume`]. Retries and faults are metered on
+/// [`Meter::retries`] / [`Meter::faults`]; `record_query` still fires
+/// exactly once per logical query, keeping the Theorem 10 identity intact.
+///
+/// **Checkpoints and resume.** With checkpointing on, state is saved at
+/// level boundaries whenever at least `every` logical queries accumulated
+/// since the last save. Passing `resume` continues a prior run (saved at
+/// any thread count): the walk restarts at the first unfinished level and
+/// replays exactly the suffix a from-scratch run would execute, so the
+/// result is bit-identical to an uninterrupted run.
+pub fn levelwise_ctl<O: TryInterestOracle>(
+    oracle: &O,
+    threads: usize,
     ctl: &RunCtl<'_>,
     fault: &FaultCtl<'_>,
     resume: Option<LevelwiseState>,
@@ -298,7 +306,7 @@ pub fn levelwise_try_ctl<O: TryInterestOracle>(
     let mut queries: u64;
     let mut level: Vec<Vec<usize>>;
     let mut card: usize;
-    let mut ckpt = LevelwiseCkpt::fresh(1);
+    let mut ckpt = LevelwiseCkpt::fresh(dualminer_parallel::effective_threads(threads) as u64);
 
     if let Some(reason) = ctl.meter.exceeded() {
         return Ok(Outcome::BudgetExceeded {
@@ -360,210 +368,31 @@ pub fn levelwise_try_ctl<O: TryInterestOracle>(
     while !level.is_empty() && card < n {
         card += 1;
         let units = prefix_join_units(n, card, &level, Vec::as_slice);
-        let mut next: Vec<Vec<usize>> = Vec::new();
-        let mut tested = 0usize;
-        let mut interesting_count = 0usize;
-        for (_, _, cand) in units {
-            if let Some(reason) = ctl.meter.exceeded() {
-                if tested > 0 {
-                    candidates_per_level.push(tested);
-                }
-                return Ok(Outcome::BudgetExceeded {
-                    partial: finish_run(theory, negative, candidates_per_level, queries),
-                    reason,
-                });
-            }
-            tested += 1;
-            queries += 1;
-            ctl.meter.record_query();
-            let cand_set = AttrSet::from_indices(n, cand.iter().copied());
-            match query_with_retry(oracle, &cand_set, &fault.retry, ctl) {
-                Ok(true) => {
-                    interesting_count += 1;
-                    theory.push(cand_set);
-                    next.push(cand);
-                }
-                Ok(false) => negative.push(cand_set),
-                Err(e) => {
-                    return Err(ckpt.abort(e, n, &theory, &negative, &candidates_per_level, fault))
-                }
-            }
-        }
-        if tested > 0 {
-            candidates_per_level.push(tested);
-        }
-        ctl.observer.on_level(card, tested, interesting_count);
-        level = next;
-        ckpt.at_boundary(
-            n,
-            &theory,
-            &negative,
-            &candidates_per_level,
-            queries,
-            ctl,
-            fault,
-        )?;
-    }
-
-    Ok(Outcome::Complete(finish_run(
-        theory,
-        negative,
-        candidates_per_level,
-        queries,
-    )))
-}
-
-/// [`levelwise`] with each level's candidate batch evaluated on up to
-/// `threads` scoped worker threads (`0` = available parallelism).
-///
-/// Requires a [`SyncInterestOracle`]: one oracle value is shared by all
-/// workers, so the oracle must answer through `&self`. Candidate
-/// *generation* stays sequential (it is pure lattice bookkeeping, no
-/// database access); only the `Is-interesting` evaluations — the paper's
-/// unit of cost — fan out.
-///
-/// Determinism: candidates are generated in the sequential order, split
-/// into contiguous chunks, and the per-chunk verdicts are concatenated in
-/// chunk order, so the returned [`LevelwiseRun`] — theory, borders,
-/// per-level candidate counts, and the `queries` total — is bit-identical
-/// to [`levelwise`] on the same (pure) oracle for every thread count.
-pub fn levelwise_par<O: SyncInterestOracle>(oracle: &O, threads: usize) -> LevelwiseRun {
-    let meter = Meter::unlimited();
-    levelwise_par_ctl(oracle, threads, &RunCtl::new(&meter, &NoopObserver)).expect_complete()
-}
-
-/// [`levelwise_par`] under a budget and an observer.
-///
-/// Like [`levelwise_ctl`], but the per-candidate budget poll happens on
-/// the worker threads: a worker that observes the tripped budget skips
-/// its remaining candidates, and the merged verdict list is truncated at
-/// the first skipped candidate (in sequential order) so the partial
-/// theory is still a genuine prefix of the levelwise enumeration.
-pub fn levelwise_par_ctl<O: SyncInterestOracle>(
-    oracle: &O,
-    threads: usize,
-    ctl: &RunCtl<'_>,
-) -> Outcome<LevelwiseRun> {
-    let infallible: &O = oracle;
-    match levelwise_par_try_ctl(&infallible, threads, ctl, &FaultCtl::none(), None) {
-        Ok(outcome) => outcome,
-        Err(aborted) => unreachable!("infallible oracle cannot abort: {aborted}"),
-    }
-}
-
-/// The fault-tolerant parallel levelwise driver: [`levelwise_par_ctl`]
-/// over a fallible shared-state oracle, with deterministic retry,
-/// optional crash-safe checkpointing, and resume — the parallel mirror
-/// of [`levelwise_try_ctl`].
-///
-/// Workers retry transient errors independently (the retry counters are
-/// shared atomics, so totals match the sequential driver when the fault
-/// schedule is content-keyed). A query that still fails raises a shared
-/// [`dualminer_parallel::AbortFlag`] so sibling chunks stop early; the
-/// merge then picks the **first error in sequential candidate order**,
-/// making the abort — and the trimmed, level-boundary checkpoint it
-/// produces — deterministic for every thread count.
-pub fn levelwise_par_try_ctl<O: TrySyncInterestOracle>(
-    oracle: &O,
-    threads: usize,
-    ctl: &RunCtl<'_>,
-    fault: &FaultCtl<'_>,
-    resume: Option<LevelwiseState>,
-) -> Result<Outcome<LevelwiseRun>, Aborted> {
-    let n = oracle.universe_size();
-    let mut theory: Vec<AttrSet>;
-    let mut negative: Vec<AttrSet>;
-    let mut candidates_per_level: Vec<usize>;
-    let mut queries: u64;
-    let mut level: Vec<Vec<usize>>;
-    let mut card: usize;
-    let mut ckpt = LevelwiseCkpt::fresh(dualminer_parallel::effective_threads(threads) as u64);
-
-    if let Some(reason) = ctl.meter.exceeded() {
-        return Ok(Outcome::BudgetExceeded {
-            partial: finish_run(Vec::new(), Vec::new(), Vec::new(), 0),
-            reason,
-        });
-    }
-
-    if let Some(state) = resume {
-        (theory, negative, candidates_per_level, queries, level, card) = unpack_resume(state, n)?;
-        ckpt.boundary_theory = theory.len();
-        ckpt.boundary_negative = negative.len();
-        ckpt.boundary_levels = candidates_per_level.len();
-        ckpt.boundary_queries = queries;
-        ckpt.last_saved = queries;
-    } else {
-        theory = Vec::new();
-        negative = Vec::new();
-        candidates_per_level = Vec::new();
-
-        // Level 0: the single most general sentence, ∅.
-        let empty = AttrSet::empty(n);
-        candidates_per_level.push(1);
-        queries = 1;
-        ctl.meter.record_query();
-        let empty_interesting = match sync_query_with_retry(oracle, &empty, &fault.retry, ctl) {
-            Ok(v) => v,
-            Err(e) => {
-                return Err(Aborted {
-                    error: RunError::Oracle(e),
-                    resume: None,
-                })
-            }
-        };
-        ctl.observer.on_level(0, 1, usize::from(empty_interesting));
-        if !empty_interesting {
-            return Ok(Outcome::Complete(LevelwiseRun {
-                theory,
-                positive_border: vec![],
-                negative_border: vec![empty],
-                candidates_per_level,
-                queries,
-            }));
-        }
-        theory.push(empty);
-        level = vec![vec![]];
-        card = 0;
-        ckpt.at_boundary(
-            n,
-            &theory,
-            &negative,
-            &candidates_per_level,
-            queries,
-            ctl,
-            fault,
-        )?;
-    }
-
-    while !level.is_empty() && card < n {
-        card += 1;
-        let units = prefix_join_units(n, card, &level, Vec::as_slice);
 
         // Evaluate the whole level in parallel; chunk-order concatenation
-        // reproduces the sequential evaluation order exactly. Each chunk
-        // is one batched oracle dispatch ([`sync_query_batch_with_retry`]),
-        // metered as one logical query per element, so the Theorem-21
-        // accounting is batch-invariant. The budget/abort poll sits at
-        // the batch boundary: a worker skips a whole chunk (`None` per
-        // candidate), never part of one, so the merged verdicts still
-        // truncate at a prefix of the sequential enumeration.
+        // reproduces the sequential evaluation order exactly. The budget
+        // and abort polls sit before every candidate: once either fires, a
+        // chunk answers `None` for the rest of its candidates, so the
+        // merged verdicts truncate at a prefix of the sequential
+        // enumeration.
         let abort = dualminer_parallel::AbortFlag::new();
         type Verdict = Option<(AttrSet, Result<bool, OracleError>)>;
         let verdicts: Vec<Verdict> = dualminer_parallel::par_chunks(threads, 4, &units, |chunk| {
-            if abort.is_set() || ctl.meter.exceeded().is_some() {
-                return vec![None; chunk.len()];
-            }
-            let sets: Vec<AttrSet> = chunk
+            chunk
                 .iter()
-                .map(|(_, _, cand)| AttrSet::from_indices(n, cand.iter().copied()))
-                .collect();
-            ctl.meter.record_queries(sets.len() as u64);
-            let got = sync_query_batch_with_retry(oracle, &sets, &fault.retry, ctl);
-            if got.iter().any(Result::is_err) {
-                abort.raise();
-            }
-            sets.into_iter().zip(got).map(Some).collect()
+                .map(|(_, _, cand)| {
+                    if abort.is_set() || ctl.meter.exceeded().is_some() {
+                        return None;
+                    }
+                    ctl.meter.record_query();
+                    let set = AttrSet::from_indices(n, cand.iter().copied());
+                    let got = query_with_retry(oracle, &set, &fault.retry, ctl);
+                    if got.is_err() {
+                        abort.raise();
+                    }
+                    Some((set, got))
+                })
+                .collect::<Vec<_>>()
         })
         .concat();
 
@@ -644,6 +473,7 @@ mod tests {
     use super::*;
     use crate::oracle::{CountingOracle, FamilyOracle, FnOracle};
     use dualminer_bitset::Universe;
+    use dualminer_obs::Budget;
 
     fn fig1_oracle() -> CountingOracle<FamilyOracle> {
         let u = Universe::letters(4);
@@ -653,11 +483,19 @@ mod tests {
         ))
     }
 
+    /// Complete levelwise run on `threads` workers.
+    fn levelwise_threads<O: InterestOracle>(oracle: &O, threads: usize) -> LevelwiseRun {
+        let meter = Meter::unlimited();
+        let ctl = RunCtl::new(&meter, &NoopObserver);
+        levelwise_ctl(&oracle, threads, &ctl, &FaultCtl::none(), None)
+            .expect("infallible oracle")
+            .expect_complete()
+    }
+
     #[test]
     fn example_11_trace() {
         let u = Universe::letters(4);
-        let mut oracle = fig1_oracle();
-        let run = levelwise(&mut oracle);
+        let run = levelwise(&fig1_oracle());
 
         // Theory: ∅ + {A,B,C,D} + {AB,AC,BC,BD} + {ABC} = 10 sentences.
         assert_eq!(run.theory.len(), 10);
@@ -673,8 +511,8 @@ mod tests {
 
     #[test]
     fn theorem10_exact_count() {
-        let mut oracle = fig1_oracle();
-        let run = levelwise(&mut oracle);
+        let oracle = fig1_oracle();
+        let run = levelwise(&oracle);
         assert_eq!(run.queries, run.theorem10_count());
         assert_eq!(oracle.distinct_queries(), run.queries);
         // Levelwise never repeats a query even without memoization.
@@ -683,8 +521,7 @@ mod tests {
 
     #[test]
     fn empty_theory() {
-        let mut oracle = FnOracle::new(4, |_: &AttrSet| false);
-        let run = levelwise(&mut oracle);
+        let run = levelwise(&FnOracle::new(4, |_: &AttrSet| false));
         assert!(run.theory.is_empty());
         assert!(run.positive_border.is_empty());
         assert_eq!(run.negative_border, vec![AttrSet::empty(4)]);
@@ -693,8 +530,7 @@ mod tests {
 
     #[test]
     fn full_theory() {
-        let mut oracle = FnOracle::new(3, |_: &AttrSet| true);
-        let run = levelwise(&mut oracle);
+        let run = levelwise(&FnOracle::new(3, |_: &AttrSet| true));
         assert_eq!(run.theory.len(), 8);
         assert_eq!(run.positive_border, vec![AttrSet::full(3)]);
         assert!(run.negative_border.is_empty());
@@ -703,8 +539,7 @@ mod tests {
 
     #[test]
     fn only_empty_set_interesting() {
-        let mut oracle = FnOracle::new(3, |x: &AttrSet| x.is_empty());
-        let run = levelwise(&mut oracle);
+        let run = levelwise(&FnOracle::new(3, |x: &AttrSet| x.is_empty()));
         assert_eq!(run.theory, vec![AttrSet::empty(3)]);
         assert_eq!(run.positive_border, vec![AttrSet::empty(3)]);
         assert_eq!(run.negative_border.len(), 3); // all singletons
@@ -713,8 +548,7 @@ mod tests {
 
     #[test]
     fn negative_border_matches_theorem7() {
-        let mut oracle = fig1_oracle();
-        let run = levelwise(&mut oracle);
+        let run = levelwise(&fig1_oracle());
         let via_tr = crate::border::negative_border_via_transversals(
             4,
             &run.positive_border,
@@ -727,25 +561,37 @@ mod tests {
     fn parallel_is_bit_identical_to_sequential() {
         let u = Universe::letters(4);
         let family = FamilyOracle::new(4, vec![u.parse("ABC").unwrap(), u.parse("BD").unwrap()]);
-        let seq = levelwise(&mut family.clone());
-        for threads in [0, 1, 2, 3, 8] {
-            let par = levelwise_par(&family, threads);
-            assert_eq!(par.theory, seq.theory, "threads={threads}");
-            assert_eq!(par.positive_border, seq.positive_border);
-            assert_eq!(par.negative_border, seq.negative_border);
+        let seq = levelwise(&family);
+        let check = |par: &LevelwiseRun, context: &str| {
+            assert_eq!(par.theory, seq.theory, "{context}");
+            assert_eq!(par.positive_border, seq.positive_border, "{context}");
+            assert_eq!(par.negative_border, seq.negative_border, "{context}");
             assert_eq!(par.candidates_per_level, seq.candidates_per_level);
-            assert_eq!(par.queries, seq.queries);
+            assert_eq!(par.queries, seq.queries, "{context}");
+        };
+        for threads in [0, 1, 2, 3, 8] {
+            check(
+                &levelwise_threads(&family, threads),
+                &format!("threads={threads}"),
+            );
         }
+        // A counting oracle shared by four workers still sees every
+        // candidate exactly once.
+        let counting = fig1_oracle();
+        let par = levelwise_threads(&counting, 4);
+        check(&par, "counting oracle, threads=4");
+        assert_eq!(counting.distinct_queries(), par.theorem10_count());
+        assert_eq!(counting.raw_queries(), par.theorem10_count());
     }
 
     #[test]
     fn parallel_empty_and_full_theories() {
-        let empty = levelwise_par(&FnOracle::new(4, |_: &AttrSet| false), 3);
+        let empty = levelwise_threads(&FnOracle::new(4, |_: &AttrSet| false), 3);
         assert!(empty.theory.is_empty());
         assert_eq!(empty.negative_border, vec![AttrSet::empty(4)]);
         assert_eq!(empty.queries, 1);
 
-        let full = levelwise_par(&FnOracle::new(3, |_: &AttrSet| true), 3);
+        let full = levelwise_threads(&FnOracle::new(3, |_: &AttrSet| true), 3);
         assert_eq!(full.theory.len(), 8);
         assert_eq!(full.positive_border, vec![AttrSet::full(3)]);
         assert_eq!(full.queries, 8);
@@ -755,12 +601,56 @@ mod tests {
     fn size_threshold_oracle() {
         // Interesting = |x| ≤ 2 over n = 5: MTh = all 10 pairs,
         // Bd⁻ = all 10 triples.
-        let mut oracle = CountingOracle::new(FnOracle::new(5, |x: &AttrSet| x.len() <= 2));
-        let run = levelwise(&mut oracle);
+        let oracle = CountingOracle::new(FnOracle::new(5, |x: &AttrSet| x.len() <= 2));
+        let run = levelwise(&oracle);
         assert_eq!(run.theory.len(), 1 + 5 + 10);
         assert_eq!(run.positive_border.len(), 10);
         assert_eq!(run.negative_border.len(), 10);
         assert_eq!(run.queries, 26);
         assert!(run.negative_border.iter().all(|s| s.len() == 3));
+    }
+
+    /// Every `max_queries = k` short of the Theorem 10 count stops the
+    /// walk with a genuine prefix of the complete run; at one thread the
+    /// meter records exactly `k` queries.
+    fn check_budget_prefixes<O: InterestOracle>(oracle: &O) {
+        let full = levelwise(oracle);
+        let count = full.theorem10_count();
+        for threads in [1usize, 2, 4] {
+            for k in 1..=count {
+                let meter = Budget {
+                    max_queries: Some(k),
+                    ..Budget::UNLIMITED
+                }
+                .start();
+                let ctl = RunCtl::new(&meter, &NoopObserver);
+                let outcome = levelwise_ctl(&oracle, threads, &ctl, &FaultCtl::none(), None)
+                    .expect("infallible oracle");
+                let context = format!("threads={threads}, k={k}");
+                assert_eq!(outcome.is_complete(), k == count, "{context}");
+                let run = outcome.into_value();
+                assert!(
+                    run.theory.iter().all(|t| full.theory.contains(t)),
+                    "{context}: theory"
+                );
+                assert!(
+                    run.negative_border
+                        .iter()
+                        .all(|t| full.negative_border.contains(t)),
+                    "{context}: negative border"
+                );
+                assert_eq!(run.queries, run.theorem10_count(), "{context}");
+                if threads == 1 {
+                    assert_eq!(meter.queries(), k, "{context}: metered queries");
+                    assert_eq!(run.queries, k, "{context}: run queries");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn budgeted_levelwise_stops_at_a_genuine_prefix() {
+        check_budget_prefixes(&fig1_oracle());
+        check_budget_prefixes(&FnOracle::new(5, |x: &AttrSet| x.len() <= 2));
     }
 }

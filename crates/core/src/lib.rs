@@ -20,6 +20,10 @@
 //! ## What lives here
 //!
 //! * [`oracle`] — the oracle trait, query counting and memoization.
+//! * [`fallible`] — the fallible oracle trait the full drivers take,
+//!   seeded fault injection, and the one retry helper.
+//! * [`checkpoint`] — what the full drivers persist at safe points and
+//!   how a resumed run picks it back up.
 //! * [`border`] — positive/negative borders `Bd⁺`/`Bd⁻`, the Theorem 7
 //!   identity `Bd⁻(S) = f⁻¹(Tr(H(S)))`, and the Corollary 4 verifier that
 //!   decides `S = MTh` with exactly `|Bd(S)|` queries.
@@ -49,8 +53,8 @@
 //! // Interesting = subset of ABC or of BD (Figure 1 / Example 8).
 //! let u = Universe::letters(4);
 //! let maxth = vec![u.parse("ABC").unwrap(), u.parse("BD").unwrap()];
-//! let mut oracle = CountingOracle::new(FamilyOracle::new(4, maxth.clone()));
-//! let run = levelwise(&mut oracle);
+//! let oracle = CountingOracle::new(FamilyOracle::new(4, maxth.clone()));
+//! let run = levelwise(&oracle);
 //!
 //! assert_eq!(u.display_family(run.positive_border.iter()), "{BD, ABC}");
 //! assert_eq!(u.display_family(run.negative_border.iter()), "{AD, CD}");

@@ -9,9 +9,10 @@
 //! learning.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use dualminer_bitset::AttrSet;
-use dualminer_obs::Meter;
 
 /// An interestingness predicate `q(r, ·)` over a fixed attribute universe.
 ///
@@ -21,79 +22,16 @@ use dualminer_obs::Meter;
 /// [`check_monotone`] spot-checks the property; the concrete oracles in the
 /// `mining`, `fdep` and `learning` crates are monotone by construction.
 ///
-/// Methods take `&mut self` so implementations can count, memoize, or
-/// stream from a database cursor.
-pub trait InterestOracle {
+/// Queries go through `&self` and the trait requires `Sync`, so one
+/// oracle value serves the sequential drivers and every worker of the
+/// parallel ones alike. Oracles that count or memoize keep that state
+/// behind a lock or atomics, as [`CountingOracle`] does.
+pub trait InterestOracle: Sync {
     /// Number of attributes in the universe `R`.
     fn universe_size(&self) -> usize;
 
     /// The `Is-interesting` query: does `q(r, x)` hold?
-    fn is_interesting(&mut self, x: &AttrSet) -> bool;
-
-    /// Batched `Is-interesting`: one verdict per sentence, **in input
-    /// order**. The default loops the scalar query; oracles backed by a
-    /// remote or vectorized evaluator override it to amortize per-call
-    /// overhead. Overrides must be pointwise equal to the scalar loop —
-    /// callers account one logical query per element either way, so the
-    /// Theorem 10/21 query totals are batch-invariant.
-    fn is_interesting_batch(&mut self, xs: &[AttrSet]) -> Vec<bool> {
-        xs.iter().map(|x| self.is_interesting(x)).collect()
-    }
-}
-
-impl<T: InterestOracle + ?Sized> InterestOracle for &mut T {
-    fn universe_size(&self) -> usize {
-        (**self).universe_size()
-    }
-    fn is_interesting(&mut self, x: &AttrSet) -> bool {
-        (**self).is_interesting(x)
-    }
-    fn is_interesting_batch(&mut self, xs: &[AttrSet]) -> Vec<bool> {
-        (**self).is_interesting_batch(xs)
-    }
-}
-
-/// A *shared-state* `Is-interesting` oracle: the same predicate as
-/// [`InterestOracle`], but answerable through `&self` and safe to query from
-/// several threads at once.
-///
-/// The parallel levelwise evaluator
-/// ([`crate::levelwise::levelwise_par`]) requires this trait: one oracle
-/// value is shared by every scoped worker, so queries cannot take `&mut
-/// self`. Stateless oracles (a planted family, a support threshold over an
-/// immutable database) implement it directly; oracles that must count or
-/// memoize stay on the `&mut self` trait and the sequential driver.
-///
-/// The query *semantics* must match the sequential trait: for any oracle
-/// implementing both, `is_interesting` must agree regardless of which trait
-/// is used — the parallel/sequential equivalence properties rely on it.
-pub trait SyncInterestOracle: Sync {
-    /// Number of attributes in the universe `R`.
-    fn universe_size(&self) -> usize;
-
-    /// The `Is-interesting` query through a shared reference.
     fn is_interesting(&self, x: &AttrSet) -> bool;
-
-    /// Batched `Is-interesting` through a shared reference: one verdict
-    /// per sentence, **in input order**. Same contract as
-    /// [`InterestOracle::is_interesting_batch`]: overrides must be
-    /// pointwise equal to the scalar loop, and callers account one
-    /// logical query per element.
-    fn is_interesting_batch(&self, xs: &[AttrSet]) -> Vec<bool> {
-        xs.iter().map(|x| self.is_interesting(x)).collect()
-    }
-}
-
-impl<T: SyncInterestOracle + ?Sized> SyncInterestOracle for &T {
-    fn universe_size(&self) -> usize {
-        (**self).universe_size()
-    }
-    fn is_interesting(&self, x: &AttrSet) -> bool {
-        (**self).is_interesting(x)
-    }
-    fn is_interesting_batch(&self, xs: &[AttrSet]) -> Vec<bool> {
-        (**self).is_interesting_batch(xs)
-    }
 }
 
 /// Wraps an oracle with query counting and memoization.
@@ -103,11 +41,17 @@ impl<T: SyncInterestOracle + ?Sized> SyncInterestOracle for &T {
 /// exactly that (cache misses), while [`CountingOracle::raw_queries`]
 /// counts every call. A well-behaved algorithm never repeats a query, so
 /// the two coincide — the E2 ablation asserts this for levelwise.
+///
+/// The memo sits behind a mutex and the raw count is an atomic, so one
+/// wrapper can be shared by parallel workers. The lock is released while
+/// the wrapped oracle evaluates: two workers racing on the same sentence
+/// may both evaluate it, but the memo stores it once, so
+/// `distinct_queries` stays exact.
 #[derive(Debug)]
 pub struct CountingOracle<O> {
     inner: O,
-    cache: HashMap<AttrSet, bool>,
-    raw: u64,
+    cache: Mutex<HashMap<AttrSet, bool>>,
+    raw: AtomicU64,
 }
 
 impl<O: InterestOracle> CountingOracle<O> {
@@ -115,26 +59,26 @@ impl<O: InterestOracle> CountingOracle<O> {
     pub fn new(inner: O) -> Self {
         CountingOracle {
             inner,
-            cache: HashMap::new(),
-            raw: 0,
+            cache: Mutex::new(HashMap::new()),
+            raw: AtomicU64::new(0),
         }
     }
 
     /// Number of distinct sentences evaluated against the database.
     pub fn distinct_queries(&self) -> u64 {
-        self.cache.len() as u64
+        self.memo().len() as u64
     }
 
     /// Total calls, including cache hits.
     pub fn raw_queries(&self) -> u64 {
-        self.raw
+        self.raw.load(Ordering::Relaxed)
     }
 
     /// Resets both counters and the cache (e.g. between experiments on the
     /// same database).
     pub fn reset(&mut self) {
-        self.cache.clear();
-        self.raw = 0;
+        self.memo().clear();
+        self.raw.store(0, Ordering::Relaxed);
     }
 
     /// The wrapped oracle.
@@ -145,6 +89,10 @@ impl<O: InterestOracle> CountingOracle<O> {
     /// Consumes the wrapper, returning the wrapped oracle.
     pub fn into_inner(self) -> O {
         self.inner
+    }
+
+    fn memo(&self) -> MutexGuard<'_, HashMap<AttrSet, bool>> {
+        self.cache.lock().expect("oracle memo mutex poisoned")
     }
 }
 
@@ -153,80 +101,14 @@ impl<O: InterestOracle> InterestOracle for CountingOracle<O> {
         self.inner.universe_size()
     }
 
-    fn is_interesting(&mut self, x: &AttrSet) -> bool {
-        self.raw += 1;
-        if let Some(&v) = self.cache.get(x) {
+    fn is_interesting(&self, x: &AttrSet) -> bool {
+        self.raw.fetch_add(1, Ordering::Relaxed);
+        if let Some(&v) = self.memo().get(x) {
             return v;
         }
         let v = self.inner.is_interesting(x);
-        self.cache.insert(x.clone(), v);
+        self.memo().insert(x.clone(), v);
         v
-    }
-}
-
-/// Wraps an oracle so every `Is-interesting` call records one query on a
-/// shared [`Meter`].
-///
-/// This is the glue between oracle-level accounting and the budget layer
-/// for algorithms driven through the plain (non-`_ctl`) entry points, and
-/// for callers who want `max_queries` to bound *database evaluations*
-/// rather than algorithm-level events. The wrapper only records; the
-/// algorithm must still poll [`Meter::exceeded`] (the `_ctl` entry points
-/// do) for the budget to actually stop the run.
-#[derive(Debug)]
-pub struct MeteredOracle<'a, O> {
-    inner: O,
-    meter: &'a Meter,
-}
-
-impl<'a, O> MeteredOracle<'a, O> {
-    /// Wraps `inner`, recording each query on `meter`.
-    pub fn new(inner: O, meter: &'a Meter) -> Self {
-        MeteredOracle { inner, meter }
-    }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Consumes the wrapper, returning the wrapped oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: InterestOracle> InterestOracle for MeteredOracle<'_, O> {
-    fn universe_size(&self) -> usize {
-        self.inner.universe_size()
-    }
-
-    fn is_interesting(&mut self, x: &AttrSet) -> bool {
-        self.meter.record_query();
-        self.inner.is_interesting(x)
-    }
-
-    fn is_interesting_batch(&mut self, xs: &[AttrSet]) -> Vec<bool> {
-        // One logical query per element, metered up front so a batched
-        // inner oracle still bills exactly N queries.
-        self.meter.record_queries(xs.len() as u64);
-        self.inner.is_interesting_batch(xs)
-    }
-}
-
-impl<O: SyncInterestOracle> SyncInterestOracle for MeteredOracle<'_, O> {
-    fn universe_size(&self) -> usize {
-        self.inner.universe_size()
-    }
-
-    fn is_interesting(&self, x: &AttrSet) -> bool {
-        self.meter.record_query();
-        self.inner.is_interesting(x)
-    }
-
-    fn is_interesting_batch(&self, xs: &[AttrSet]) -> Vec<bool> {
-        self.meter.record_queries(xs.len() as u64);
-        self.inner.is_interesting_batch(xs)
     }
 }
 
@@ -266,16 +148,6 @@ impl InterestOracle for FamilyOracle {
         self.n
     }
 
-    fn is_interesting(&mut self, x: &AttrSet) -> bool {
-        self.maximal.iter().any(|m| x.is_subset(m))
-    }
-}
-
-impl SyncInterestOracle for FamilyOracle {
-    fn universe_size(&self) -> usize {
-        self.n
-    }
-
     fn is_interesting(&self, x: &AttrSet) -> bool {
         self.maximal.iter().any(|m| x.is_subset(m))
     }
@@ -287,30 +159,17 @@ pub struct FnOracle<F> {
     f: F,
 }
 
-impl<F> FnOracle<F> {
+impl<F: Fn(&AttrSet) -> bool + Sync> FnOracle<F> {
     /// Builds an oracle over `n` attributes from the closure `f`.
     ///
     /// The closure must implement a monotone predicate; this is not
-    /// checked (use [`check_monotone`] in tests). No bound here: an
-    /// `FnMut` closure yields an [`InterestOracle`], an `Fn + Sync` one
-    /// additionally a [`SyncInterestOracle`] — a bound on the constructor
-    /// would pin closure-kind inference to `FnMut` and lose the latter.
+    /// checked (use [`check_monotone`] in tests).
     pub fn new(n: usize, f: F) -> Self {
         FnOracle { n, f }
     }
 }
 
-impl<F: FnMut(&AttrSet) -> bool> InterestOracle for FnOracle<F> {
-    fn universe_size(&self) -> usize {
-        self.n
-    }
-
-    fn is_interesting(&mut self, x: &AttrSet) -> bool {
-        (self.f)(x)
-    }
-}
-
-impl<F: Fn(&AttrSet) -> bool + Sync> SyncInterestOracle for FnOracle<F> {
+impl<F: Fn(&AttrSet) -> bool + Sync> InterestOracle for FnOracle<F> {
     fn universe_size(&self) -> usize {
         self.n
     }
@@ -323,7 +182,7 @@ impl<F: Fn(&AttrSet) -> bool + Sync> SyncInterestOracle for FnOracle<F> {
 /// Spot-checks monotonicity: for every given set, every immediate subset of
 /// an interesting set must be interesting. Returns the first violation.
 pub fn check_monotone<O: InterestOracle>(
-    oracle: &mut O,
+    oracle: &O,
     samples: &[AttrSet],
 ) -> Option<(AttrSet, AttrSet)> {
     for x in samples {
@@ -372,91 +231,19 @@ mod tests {
     #[test]
     fn fn_oracle_and_monotone_check() {
         // Monotone: |x| ≤ 2.
-        let mut good = FnOracle::new(4, |x: &AttrSet| x.len() <= 2);
+        let good = FnOracle::new(4, |x: &AttrSet| x.len() <= 2);
         let samples: Vec<AttrSet> = vec![s(&[0, 1]), s(&[1, 2, 3]), s(&[])];
-        assert_eq!(check_monotone(&mut good, &samples), None);
+        assert_eq!(check_monotone(&good, &samples), None);
 
         // Non-monotone: exactly size 2.
-        let mut bad = FnOracle::new(4, |x: &AttrSet| x.len() == 2);
-        let violation = check_monotone(&mut bad, &samples);
+        let bad = FnOracle::new(4, |x: &AttrSet| x.len() == 2);
+        let violation = check_monotone(&bad, &samples);
         assert!(violation.is_some());
-    }
-
-    #[test]
-    fn mut_ref_forwards() {
-        let mut o = FamilyOracle::new(4, vec![s(&[0])]);
-        let r: &mut dyn InterestOracle = &mut o;
-        assert_eq!(r.universe_size(), 4);
-        assert!(r.is_interesting(&s(&[0])));
     }
 
     #[test]
     #[should_panic(expected = "member outside universe")]
     fn family_oracle_universe_checked() {
         FamilyOracle::new(4, vec![AttrSet::empty(5)]);
-    }
-
-    #[test]
-    fn metered_oracle_records_on_both_traits() {
-        let meter = Meter::unlimited();
-        let mut o = MeteredOracle::new(FamilyOracle::new(4, vec![s(&[0, 1])]), &meter);
-        assert!(InterestOracle::is_interesting(&mut o, &s(&[0])));
-        assert!(!SyncInterestOracle::is_interesting(&o, &s(&[2])));
-        assert_eq!(meter.queries(), 2);
-        assert_eq!(o.inner().maximal().len(), 1);
-        assert_eq!(o.into_inner().maximal().len(), 1);
-    }
-
-    #[test]
-    fn batch_default_equals_scalar_loop() {
-        let mut o = FamilyOracle::new(4, vec![s(&[0, 1, 2]), s(&[1, 3])]);
-        let xs: Vec<AttrSet> = (0..16usize)
-            .map(|bits| AttrSet::from_indices(4, (0..4).filter(|i| bits >> i & 1 == 1)))
-            .collect();
-        let scalar: Vec<bool> = xs
-            .iter()
-            .map(|x| SyncInterestOracle::is_interesting(&o, x))
-            .collect();
-        assert_eq!(SyncInterestOracle::is_interesting_batch(&o, &xs), scalar);
-        assert_eq!(InterestOracle::is_interesting_batch(&mut o, &xs), scalar);
-        // Forwarding impls carry the batch method too.
-        assert_eq!(
-            SyncInterestOracle::is_interesting_batch(&&o, &xs),
-            scalar,
-            "&T forwarding"
-        );
-    }
-
-    #[test]
-    fn metered_batch_bills_one_query_per_element() {
-        let meter = Meter::unlimited();
-        let mut o = MeteredOracle::new(FamilyOracle::new(4, vec![s(&[0, 1])]), &meter);
-        let xs = vec![s(&[0]), s(&[0, 1]), s(&[2])];
-        assert_eq!(
-            InterestOracle::is_interesting_batch(&mut o, &xs),
-            vec![true, true, false]
-        );
-        assert_eq!(meter.queries(), 3);
-        assert_eq!(
-            SyncInterestOracle::is_interesting_batch(&o, &xs),
-            vec![true, true, false]
-        );
-        assert_eq!(meter.queries(), 6);
-    }
-
-    #[test]
-    fn sync_oracle_agrees_with_mut_trait() {
-        let mut o = FamilyOracle::new(4, vec![s(&[0, 1, 2]), s(&[1, 3])]);
-        for bits in 0..16usize {
-            let x = AttrSet::from_indices(4, (0..4).filter(|i| bits >> i & 1 == 1));
-            let shared = SyncInterestOracle::is_interesting(&o, &x);
-            assert_eq!(shared, InterestOracle::is_interesting(&mut o, &x), "{x:?}");
-        }
-        // Shared closures qualify too (and through &O).
-        let f = FnOracle::new(4, |x: &AttrSet| x.len() <= 1);
-        let by_ref: &dyn SyncInterestOracle = &f;
-        assert!(by_ref.is_interesting(&s(&[2])));
-        assert!(!by_ref.is_interesting(&s(&[1, 2])));
-        assert_eq!(by_ref.universe_size(), 4);
     }
 }

@@ -17,7 +17,7 @@ use dualminer_bitset::AttrSet;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::dualize_advance::greedy_maximize_with_order;
+use crate::dualize_advance::greedy_maximize;
 use crate::oracle::InterestOracle;
 
 /// Result of a random-restart sampling run.
@@ -36,7 +36,7 @@ pub struct RandomWalkRun {
 /// attribute order. Returns `None` (after one query) if `∅` itself is
 /// uninteresting, i.e. the theory is empty.
 pub fn random_maximal<O: InterestOracle, R: Rng + ?Sized>(
-    oracle: &mut O,
+    oracle: &O,
     rng: &mut R,
 ) -> (Option<AttrSet>, u64) {
     let n = oracle.universe_size();
@@ -46,14 +46,14 @@ pub fn random_maximal<O: InterestOracle, R: Rng + ?Sized>(
     }
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(rng);
-    let (y, q) = greedy_maximize_with_order(oracle, AttrSet::empty(n), Some(&order));
+    let (y, q) = greedy_maximize(oracle, AttrSet::empty(n), Some(&order));
     queries += q;
     (Some(y), queries)
 }
 
 /// Samples maximal sets with `restarts` random restarts.
 pub fn random_walk_maxth<O: InterestOracle, R: Rng + ?Sized>(
-    oracle: &mut O,
+    oracle: &O,
     restarts: usize,
     rng: &mut R,
 ) -> RandomWalkRun {
@@ -90,9 +90,9 @@ mod tests {
     fn finds_both_maximal_sets_of_figure1() {
         let u = Universe::letters(4);
         let maxth = vec![u.parse("ABC").unwrap(), u.parse("BD").unwrap()];
-        let mut oracle = FamilyOracle::new(4, maxth.clone());
+        let oracle = FamilyOracle::new(4, maxth.clone());
         let mut rng = StdRng::seed_from_u64(1);
-        let run = random_walk_maxth(&mut oracle, 50, &mut rng);
+        let run = random_walk_maxth(&oracle, 50, &mut rng);
         assert_eq!(u.display_family(run.found.iter()), "{BD, ABC}");
         assert_eq!(run.restarts, 50);
     }
@@ -105,9 +105,9 @@ mod tests {
             u.parse("CDE").unwrap(),
             u.parse("AF").unwrap(),
         ];
-        let mut oracle = FamilyOracle::new(6, maxth.clone());
+        let oracle = FamilyOracle::new(6, maxth.clone());
         let mut rng = StdRng::seed_from_u64(2);
-        let run = random_walk_maxth(&mut oracle, 30, &mut rng);
+        let run = random_walk_maxth(&oracle, 30, &mut rng);
         for y in &run.found {
             assert!(maxth.contains(y), "found a non-maximal or alien set {y:?}");
         }
@@ -116,9 +116,9 @@ mod tests {
 
     #[test]
     fn empty_theory_stops_immediately() {
-        let mut oracle = FnOracle::new(4, |_: &AttrSet| false);
+        let oracle = FnOracle::new(4, |_: &AttrSet| false);
         let mut rng = StdRng::seed_from_u64(3);
-        let run = random_walk_maxth(&mut oracle, 10, &mut rng);
+        let run = random_walk_maxth(&oracle, 10, &mut rng);
         assert!(run.found.is_empty());
         assert_eq!(run.queries, 1);
     }

@@ -11,10 +11,10 @@
 use dualminer_bitset::AttrSet;
 use dualminer_core::checkpoint::{FaultCtl, ResumeState};
 use dualminer_core::dualize_advance::{
-    dualize_advance_try_ctl, DualizeAdvanceConfig, DualizeAdvanceRun,
+    dualize_advance_ctl, DualizeAdvanceConfig, DualizeAdvanceRun,
 };
 use dualminer_core::fallible::FaultyOracle;
-use dualminer_core::levelwise::{levelwise_par_try_ctl, levelwise_try_ctl, LevelwiseRun};
+use dualminer_core::levelwise::{levelwise_ctl, LevelwiseRun};
 use dualminer_core::oracle::FamilyOracle;
 use dualminer_hypergraph::TrAlgorithm;
 use dualminer_obs::{
@@ -54,9 +54,7 @@ fn matching(pairs: usize) -> FamilyOracle {
 fn lw_scratch(oracle: &FamilyOracle) -> LevelwiseRun {
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
-    let mut inner = oracle.clone();
-    let mut fallible = &mut inner;
-    levelwise_try_ctl(&mut fallible, &ctl, &FaultCtl::none(), None)
+    levelwise_ctl(&oracle, 1, &ctl, &FaultCtl::none(), None)
         .expect("infallible")
         .expect_complete()
 }
@@ -64,10 +62,8 @@ fn lw_scratch(oracle: &FamilyOracle) -> LevelwiseRun {
 fn da_scratch(oracle: &FamilyOracle, algo: TrAlgorithm) -> DualizeAdvanceRun {
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
-    let mut inner = oracle.clone();
-    let mut fallible = &mut inner;
-    dualize_advance_try_ctl(
-        &mut fallible,
+    dualize_advance_ctl(
+        &oracle,
         algo,
         &DualizeAdvanceConfig::default(),
         1,
@@ -115,9 +111,9 @@ fn levelwise_resume_matches_scratch_from_every_checkpoint() {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
-        let mut inner = planted();
-        let mut fallible = &mut inner;
-        let run = levelwise_try_ctl(&mut fallible, &ctl, &fault, None)
+        let inner = planted();
+        let fallible = &inner;
+        let run = levelwise_ctl(&fallible, 1, &ctl, &fault, None)
             .expect("no faults injected")
             .expect_complete();
         assert_lw_eq(&run, &scratch, "checkpointing run");
@@ -134,21 +130,15 @@ fn levelwise_resume_matches_scratch_from_every_checkpoint() {
         for threads in [1usize, 4] {
             let meter = Meter::unlimited();
             let ctl = RunCtl::new(&meter, &NoopObserver);
-            let resumed = if threads == 1 {
-                let mut inner = planted();
-                let mut fallible = &mut inner;
-                levelwise_try_ctl(&mut fallible, &ctl, &FaultCtl::none(), Some(state.clone()))
-            } else {
-                let inner = planted();
-                let fallible = &inner;
-                levelwise_par_try_ctl(
-                    &fallible,
-                    threads,
-                    &ctl,
-                    &FaultCtl::none(),
-                    Some(state.clone()),
-                )
-            }
+            let inner = planted();
+            let fallible = &inner;
+            let resumed = levelwise_ctl(
+                &fallible,
+                threads,
+                &ctl,
+                &FaultCtl::none(),
+                Some(state.clone()),
+            )
             .expect("no faults injected")
             .expect_complete();
             assert_lw_eq(
@@ -172,7 +162,7 @@ fn checkpoint_records_thread_count_and_resume_crosses_thread_counts() {
         let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
         let inner = planted();
         let fallible = &inner;
-        let run = levelwise_par_try_ctl(&fallible, 2, &ctl, &fault, None)
+        let run = levelwise_ctl(&fallible, 2, &ctl, &fault, None)
             .expect("no faults injected")
             .expect_complete();
         assert_lw_eq(&run, &scratch, "saving run");
@@ -195,7 +185,7 @@ fn checkpoint_records_thread_count_and_resume_crosses_thread_counts() {
             let ctl = RunCtl::new(&meter, &NoopObserver);
             let inner = planted();
             let fallible = &inner;
-            let resumed = levelwise_par_try_ctl(
+            let resumed = levelwise_ctl(
                 &fallible,
                 threads,
                 &ctl,
@@ -223,10 +213,10 @@ fn dualize_advance_resume_matches_scratch_from_every_checkpoint() {
             let meter = Meter::unlimited();
             let ctl = RunCtl::new(&meter, &NoopObserver);
             let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
-            let mut inner = matching(3);
-            let mut fallible = &mut inner;
-            let run = dualize_advance_try_ctl(
-                &mut fallible,
+            let inner = matching(3);
+            let fallible = &inner;
+            let run = dualize_advance_ctl(
+                &fallible,
                 algo,
                 &DualizeAdvanceConfig::default(),
                 1,
@@ -249,10 +239,10 @@ fn dualize_advance_resume_matches_scratch_from_every_checkpoint() {
             };
             let meter = Meter::unlimited();
             let ctl = RunCtl::new(&meter, &NoopObserver);
-            let mut inner = matching(3);
-            let mut fallible = &mut inner;
-            let resumed = dualize_advance_try_ctl(
-                &mut fallible,
+            let inner = matching(3);
+            let fallible = &inner;
+            let resumed = dualize_advance_ctl(
+                &fallible,
                 algo,
                 &DualizeAdvanceConfig::default(),
                 1,
@@ -280,9 +270,9 @@ fn levelwise_killed_at_every_query_resumes_identically() {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
-        let mut faulty = FaultyOracle::new(planted(), &spec);
-        let aborted = levelwise_try_ctl(&mut faulty, &ctl, &fault, None)
-            .expect_err("permanent fault must abort");
+        let faulty = FaultyOracle::new(planted(), &spec);
+        let aborted =
+            levelwise_ctl(&faulty, 1, &ctl, &fault, None).expect_err("permanent fault must abort");
         assert!(matches!(aborted.error, RunError::Oracle(ref e) if !e.is_transient()));
         aborts += 1;
 
@@ -294,9 +284,9 @@ fn levelwise_killed_at_every_query_resumes_identically() {
         });
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        let mut inner = planted();
-        let mut fallible = &mut inner;
-        let resumed = levelwise_try_ctl(&mut fallible, &ctl, &FaultCtl::none(), resume)
+        let inner = planted();
+        let fallible = &inner;
+        let resumed = levelwise_ctl(&fallible, 1, &ctl, &FaultCtl::none(), resume)
             .expect("healthy oracle")
             .expect_complete();
         assert_lw_eq(&resumed, &scratch, &format!("killed at query {k}"));
@@ -317,9 +307,9 @@ fn dualize_advance_killed_at_every_query_resumes_identically() {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
-        let mut faulty = FaultyOracle::new(matching(3), &spec);
-        let aborted = dualize_advance_try_ctl(
-            &mut faulty,
+        let faulty = FaultyOracle::new(matching(3), &spec);
+        let aborted = dualize_advance_ctl(
+            &faulty,
             algo,
             &DualizeAdvanceConfig::default(),
             1,
@@ -334,10 +324,10 @@ fn dualize_advance_killed_at_every_query_resumes_identically() {
         });
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        let mut inner = matching(3);
-        let mut fallible = &mut inner;
-        let resumed = dualize_advance_try_ctl(
-            &mut fallible,
+        let inner = matching(3);
+        let fallible = &inner;
+        let resumed = dualize_advance_ctl(
+            &fallible,
             algo,
             &DualizeAdvanceConfig::default(),
             1,
@@ -361,7 +351,7 @@ fn transient_schedule_completes_identically_across_thread_counts() {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         let fault = FaultCtl::with_retry(RetryPolicy::retries(3));
-        let run = levelwise_par_try_ctl(&faulty, threads, &ctl, &fault, None)
+        let run = levelwise_ctl(&faulty, threads, &ctl, &fault, None)
             .expect("transients absorbed by retries")
             .expect_complete();
         assert_lw_eq(&run, &scratch, &format!("threads {threads}"));
@@ -392,10 +382,10 @@ fn transient_schedule_on_dualize_advance_completes_identically() {
         let scratch_meter = {
             let meter = Meter::unlimited();
             let ctl = RunCtl::new(&meter, &NoopObserver);
-            let mut inner = matching(3);
-            let mut fallible = &mut inner;
-            dualize_advance_try_ctl(
-                &mut fallible,
+            let inner = matching(3);
+            let fallible = &inner;
+            dualize_advance_ctl(
+                &fallible,
                 algo,
                 &DualizeAdvanceConfig::default(),
                 1,
@@ -410,9 +400,9 @@ fn transient_schedule_on_dualize_advance_completes_identically() {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         let fault = FaultCtl::with_retry(RetryPolicy::retries(3));
-        let mut faulty = FaultyOracle::new(matching(3), &spec);
-        let run = dualize_advance_try_ctl(
-            &mut faulty,
+        let faulty = FaultyOracle::new(matching(3), &spec);
+        let run = dualize_advance_ctl(
+            &faulty,
             algo,
             &DualizeAdvanceConfig::default(),
             1,
@@ -449,8 +439,8 @@ fn steal_heavy_skew_with_seeded_faults_matches_sequential() {
 
     let seq_meter = Meter::unlimited();
     let ctl = RunCtl::new(&seq_meter, &NoopObserver);
-    let mut faulty = FaultyOracle::new(FamilyOracle::new(n, family.clone()), &spec);
-    let scratch = levelwise_try_ctl(&mut faulty, &ctl, &FaultCtl::with_retry(retry), None)
+    let faulty = FaultyOracle::new(FamilyOracle::new(n, family.clone()), &spec);
+    let scratch = levelwise_ctl(&faulty, 1, &ctl, &FaultCtl::with_retry(retry), None)
         .expect("transients absorbed by retries")
         .expect_complete();
     assert!(seq_meter.faults() > 0, "fault schedule must fire");
@@ -461,7 +451,7 @@ fn steal_heavy_skew_with_seeded_faults_matches_sequential() {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         let faulty = FaultyOracle::new(FamilyOracle::new(n, family.clone()), &spec);
-        let run = levelwise_par_try_ctl(&faulty, threads, &ctl, &FaultCtl::with_retry(retry), None)
+        let run = levelwise_ctl(&faulty, threads, &ctl, &FaultCtl::with_retry(retry), None)
             .expect("transients absorbed by retries")
             .expect_complete();
         assert_lw_eq(
@@ -487,9 +477,9 @@ fn retry_exhaustion_aborts_with_resumable_state() {
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
     let fault = FaultCtl::checkpointed(RetryPolicy::retries(2), &sink, 1);
-    let mut faulty = FaultyOracle::new(planted(), &spec);
+    let faulty = FaultyOracle::new(planted(), &spec);
     let aborted =
-        levelwise_try_ctl(&mut faulty, &ctl, &fault, None).expect_err("burst outlives retries");
+        levelwise_ctl(&faulty, 1, &ctl, &fault, None).expect_err("burst outlives retries");
     assert!(matches!(aborted.error, RunError::Oracle(ref e) if e.is_transient()));
     assert!(aborted.resume.is_some(), "past the first boundary");
     assert_eq!(meter.retries(), 2, "retry budget fully spent");
@@ -500,9 +490,9 @@ fn retry_exhaustion_aborts_with_resumable_state() {
     });
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
-    let mut inner = planted();
-    let mut fallible = &mut inner;
-    let resumed = levelwise_try_ctl(&mut fallible, &ctl, &FaultCtl::none(), resume)
+    let inner = planted();
+    let fallible = &inner;
+    let resumed = levelwise_ctl(&fallible, 1, &ctl, &FaultCtl::none(), resume)
         .expect("healthy oracle")
         .expect_complete();
     assert_lw_eq(&resumed, &lw_scratch(&planted()), "after burst abort");
@@ -524,10 +514,10 @@ fn failed_checkpoint_save_aborts_the_run() {
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
     let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
-    let mut inner = planted();
-    let mut fallible = &mut inner;
+    let inner = planted();
+    let fallible = &inner;
     let aborted =
-        levelwise_try_ctl(&mut fallible, &ctl, &fault, None).expect_err("failed save must abort");
+        levelwise_ctl(&fallible, 1, &ctl, &fault, None).expect_err("failed save must abort");
     assert!(matches!(aborted.error, RunError::Checkpoint(_)));
 }
 
@@ -540,9 +530,9 @@ fn checkpoint_cadence_batches_saves() {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, every);
-        let mut inner = planted();
-        let mut fallible = &mut inner;
-        levelwise_try_ctl(&mut fallible, &ctl, &fault, None)
+        let inner = planted();
+        let fallible = &inner;
+        levelwise_ctl(&fallible, 1, &ctl, &fault, None)
             .expect("no faults")
             .expect_complete();
         sink.len()

@@ -8,11 +8,13 @@ use dualminer_core::border::{
     positive_border, verify_maxth,
 };
 use dualminer_core::bounds;
+use dualminer_core::checkpoint::FaultCtl;
 use dualminer_core::dualize_advance::dualize_advance;
 use dualminer_core::lang::{rank_of_family, subset_lattice_width};
-use dualminer_core::levelwise::levelwise;
+use dualminer_core::levelwise::{levelwise, levelwise_ctl};
 use dualminer_core::oracle::{CountingOracle, FamilyOracle, InterestOracle};
 use dualminer_hypergraph::TrAlgorithm;
+use dualminer_obs::{Meter, NoopObserver, RunCtl};
 use proptest::prelude::*;
 
 const N: usize = 7;
@@ -27,7 +29,7 @@ fn arb_family() -> impl Strategy<Value = Vec<AttrSet>> {
 
 /// Brute-force theory: every subset tested directly.
 fn brute_theory(family: &[AttrSet]) -> Vec<AttrSet> {
-    let mut oracle = FamilyOracle::new(N, family.to_vec());
+    let oracle = FamilyOracle::new(N, family.to_vec());
     let mut th = Vec::new();
     for k in 0..=N {
         for s in SubsetsOfSize::new(N, k) {
@@ -44,8 +46,8 @@ proptest! {
 
     #[test]
     fn levelwise_computes_the_theory(family in arb_family()) {
-        let mut oracle = FamilyOracle::new(N, family.clone());
-        let run = levelwise(&mut oracle);
+        let oracle = FamilyOracle::new(N, family.clone());
+        let run = levelwise(&oracle);
         prop_assert_eq!(run.theory, brute_theory(&family));
     }
 
@@ -54,11 +56,14 @@ proptest! {
         // Work-stealing determinism contract: Th, both borders,
         // candidates_per_level and the query total are bit-identical to
         // sequential at every thread count.
-        let mut oracle = FamilyOracle::new(N, family.clone());
-        let seq = levelwise(&mut oracle);
-        let shared = FamilyOracle::new(N, family);
+        let oracle = FamilyOracle::new(N, family);
+        let seq = levelwise(&oracle);
         for threads in [1usize, 2, 4, 8] {
-            let par = dualminer_core::levelwise::levelwise_par(&shared, threads);
+            let meter = Meter::unlimited();
+            let ctl = RunCtl::new(&meter, &NoopObserver);
+            let par = levelwise_ctl(&&oracle, threads, &ctl, &FaultCtl::none(), None)
+                .expect("infallible oracle")
+                .expect_complete();
             prop_assert_eq!(par.theory, seq.theory.clone(), "threads={}", threads);
             prop_assert_eq!(par.positive_border, seq.positive_border.clone(), "threads={}", threads);
             prop_assert_eq!(par.negative_border, seq.negative_border.clone(), "threads={}", threads);
@@ -69,8 +74,8 @@ proptest! {
 
     #[test]
     fn levelwise_borders_are_correct(family in arb_family()) {
-        let mut oracle = FamilyOracle::new(N, family.clone());
-        let run = levelwise(&mut oracle);
+        let oracle = FamilyOracle::new(N, family.clone());
+        let run = levelwise(&oracle);
         prop_assert_eq!(run.positive_border.clone(), positive_border(&family));
         let closure = downward_closure(N, &run.positive_border);
         prop_assert_eq!(
@@ -81,8 +86,8 @@ proptest! {
 
     #[test]
     fn theorem10_query_identity(family in arb_family()) {
-        let mut oracle = CountingOracle::new(FamilyOracle::new(N, family));
-        let run = levelwise(&mut oracle);
+        let oracle = CountingOracle::new(FamilyOracle::new(N, family));
+        let run = levelwise(&oracle);
         prop_assert_eq!(run.queries, run.theorem10_count());
         prop_assert_eq!(oracle.distinct_queries(), run.queries);
         prop_assert_eq!(oracle.raw_queries(), run.queries);
@@ -90,8 +95,8 @@ proptest! {
 
     #[test]
     fn theorem12_bound_holds(family in arb_family()) {
-        let mut oracle = CountingOracle::new(FamilyOracle::new(N, family));
-        let run = levelwise(&mut oracle);
+        let oracle = CountingOracle::new(FamilyOracle::new(N, family));
+        let run = levelwise(&oracle);
         if !run.positive_border.is_empty() {
             let k = rank_of_family(&run.theory);
             let bound = bounds::theorem12_bound(
@@ -107,29 +112,29 @@ proptest! {
     #[test]
     fn theorem2_lower_bound_holds_for_both_algorithms(family in arb_family()) {
         let lower = {
-            let mut oracle = FamilyOracle::new(N, family.clone());
-            let run = levelwise(&mut oracle);
+            let oracle = FamilyOracle::new(N, family.clone());
+            let run = levelwise(&oracle);
             bounds::theorem2_lower_bound(
                 run.positive_border.len(),
                 run.negative_border.len(),
             )
         };
-        let mut o1 = CountingOracle::new(FamilyOracle::new(N, family.clone()));
-        levelwise(&mut o1);
+        let o1 = CountingOracle::new(FamilyOracle::new(N, family.clone()));
+        levelwise(&o1);
         prop_assert!(o1.distinct_queries() as u128 >= lower);
 
-        let mut o2 = CountingOracle::new(FamilyOracle::new(N, family));
-        dualize_advance(&mut o2, TrAlgorithm::Berge);
+        let o2 = CountingOracle::new(FamilyOracle::new(N, family));
+        dualize_advance(&o2, TrAlgorithm::Berge);
         prop_assert!(o2.distinct_queries() as u128 >= lower);
     }
 
     #[test]
     fn dualize_advance_matches_levelwise(family in arb_family()) {
-        let mut o1 = FamilyOracle::new(N, family.clone());
-        let lw = levelwise(&mut o1);
+        let o1 = FamilyOracle::new(N, family.clone());
+        let lw = levelwise(&o1);
         for algo in [TrAlgorithm::Berge, TrAlgorithm::FkJointGeneration] {
-            let mut o2 = FamilyOracle::new(N, family.clone());
-            let da = dualize_advance(&mut o2, algo);
+            let o2 = FamilyOracle::new(N, family.clone());
+            let da = dualize_advance(&o2, algo);
             prop_assert_eq!(da.maximal, lw.positive_border.clone());
             prop_assert_eq!(da.negative_border, lw.negative_border.clone());
         }
@@ -137,8 +142,8 @@ proptest! {
 
     #[test]
     fn lemma20_per_iteration_bound(family in arb_family()) {
-        let mut oracle = FamilyOracle::new(N, family);
-        let run = dualize_advance(&mut oracle, TrAlgorithm::FkJointGeneration);
+        let oracle = FamilyOracle::new(N, family);
+        let run = dualize_advance(&oracle, TrAlgorithm::FkJointGeneration);
         let bd = run.negative_border.len();
         for (i, it) in run.iterations.iter().enumerate() {
             // Lemma 20: each non-final iteration enumerates at most
@@ -156,8 +161,8 @@ proptest! {
 
     #[test]
     fn theorem21_query_bound(family in arb_family()) {
-        let mut oracle = CountingOracle::new(FamilyOracle::new(N, family));
-        let run = dualize_advance(&mut oracle, TrAlgorithm::FkJointGeneration);
+        let oracle = CountingOracle::new(FamilyOracle::new(N, family));
+        let run = dualize_advance(&oracle, TrAlgorithm::FkJointGeneration);
         if !run.maximal.is_empty() {
             let bound = bounds::theorem21_bound(
                 run.maximal.len(),
@@ -193,8 +198,8 @@ proptest! {
     #[test]
     fn verification_corollary4(family in arb_family()) {
         let maxth = positive_border(&family);
-        let mut oracle = CountingOracle::new(FamilyOracle::new(N, family.clone()));
-        let out = verify_maxth(&mut oracle, &maxth, TrAlgorithm::Berge);
+        let oracle = CountingOracle::new(FamilyOracle::new(N, family.clone()));
+        let out = verify_maxth(&oracle, &maxth, TrAlgorithm::Berge);
         prop_assert!(out.is_maxth);
         let bd_minus = negative_border_via_transversals(N, &maxth, TrAlgorithm::Berge);
         prop_assert_eq!(out.queries, (maxth.len() + bd_minus.len()) as u64);
@@ -203,8 +208,8 @@ proptest! {
         let mut wrong = maxth.clone();
         if wrong.len() > 1 {
             wrong.pop();
-            let mut oracle = FamilyOracle::new(N, family);
-            let out = verify_maxth(&mut oracle, &wrong, TrAlgorithm::Berge);
+            let oracle = FamilyOracle::new(N, family);
+            let out = verify_maxth(&oracle, &wrong, TrAlgorithm::Berge);
             prop_assert!(!out.is_maxth);
         }
     }

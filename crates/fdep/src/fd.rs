@@ -112,7 +112,7 @@ impl InterestOracle for NonDeterminingOracle<'_> {
         self.repr.universe_size()
     }
 
-    fn is_interesting(&mut self, x: &AttrSet) -> bool {
+    fn is_interesting(&self, x: &AttrSet) -> bool {
         !self.rel.fd_holds(&self.repr.decode(x), self.repr.target)
     }
 }
@@ -183,8 +183,8 @@ pub fn minimal_fd_lhs_dualize_advance(
     algo: TrAlgorithm,
 ) -> FdDiscovery {
     let repr = FdLhsRepresentation::new(rel.n_attrs(), target);
-    let mut oracle = CountingOracle::new(NonDeterminingOracle::new(rel, target));
-    let run = dualize_advance(&mut oracle, algo);
+    let oracle = CountingOracle::new(NonDeterminingOracle::new(rel, target));
+    let run = dualize_advance(&oracle, algo);
     FdDiscovery {
         target,
         minimal_lhs: run.negative_border.iter().map(|s| repr.decode(s)).collect(),

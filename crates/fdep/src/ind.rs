@@ -60,7 +60,7 @@ impl InterestOracle for InclusionOracle<'_> {
         self.r.n_attrs()
     }
 
-    fn is_interesting(&mut self, x: &AttrSet) -> bool {
+    fn is_interesting(&self, x: &AttrSet) -> bool {
         self.ind_holds(x)
     }
 }
@@ -78,8 +78,8 @@ pub struct IndDiscovery {
 
 /// Discovers the maximal satisfied INDs with Dualize & Advance.
 pub fn maximal_inds_dualize_advance(r: &Relation, s: &Relation, algo: TrAlgorithm) -> IndDiscovery {
-    let mut oracle = CountingOracle::new(InclusionOracle::new(r, s));
-    let run = dualize_advance(&mut oracle, algo);
+    let oracle = CountingOracle::new(InclusionOracle::new(r, s));
+    let run = dualize_advance(&oracle, algo);
     IndDiscovery {
         maximal_inds: run.maximal,
         minimal_violations: run.negative_border,
@@ -89,8 +89,8 @@ pub fn maximal_inds_dualize_advance(r: &Relation, s: &Relation, algo: TrAlgorith
 
 /// Discovers the maximal satisfied INDs with the levelwise algorithm.
 pub fn maximal_inds_levelwise(r: &Relation, s: &Relation) -> IndDiscovery {
-    let mut oracle = CountingOracle::new(InclusionOracle::new(r, s));
-    let run = levelwise(&mut oracle);
+    let oracle = CountingOracle::new(InclusionOracle::new(r, s));
+    let run = levelwise(&oracle);
     IndDiscovery {
         maximal_inds: run.positive_border,
         minimal_violations: run.negative_border,
@@ -166,14 +166,11 @@ mod tests {
     #[test]
     fn monotonicity_spot_check() {
         let (r, s) = pair();
-        let mut o = InclusionOracle::new(&r, &s);
+        let o = InclusionOracle::new(&r, &s);
         let samples: Vec<AttrSet> = (0..8usize)
             .map(|b| AttrSet::from_indices(3, (0..3).filter(|i| b >> i & 1 == 1)))
             .collect();
-        assert_eq!(
-            dualminer_core::oracle::check_monotone(&mut o, &samples),
-            None
-        );
+        assert_eq!(dualminer_core::oracle::check_monotone(&o, &samples), None);
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl InterestOracle for NonSuperkeyOracle<'_> {
         self.rel.n_attrs()
     }
 
-    fn is_interesting(&mut self, x: &AttrSet) -> bool {
+    fn is_interesting(&self, x: &AttrSet) -> bool {
         !self.rel.is_superkey(x)
     }
 }
@@ -77,8 +77,8 @@ pub fn minimal_keys_via_agree_sets(rel: &Relation, algo: TrAlgorithm) -> KeyDisc
 /// Dualize & Advance on the non-superkey oracle: `MTh` = maximal agree
 /// sets, `Bd⁻` = minimal keys.
 pub fn minimal_keys_dualize_advance(rel: &Relation, algo: TrAlgorithm) -> KeyDiscovery {
-    let mut oracle = CountingOracle::new(NonSuperkeyOracle::new(rel));
-    let run = dualize_advance(&mut oracle, algo);
+    let oracle = CountingOracle::new(NonSuperkeyOracle::new(rel));
+    let run = dualize_advance(&oracle, algo);
     KeyDiscovery {
         minimal_keys: run.negative_border,
         maximal_non_superkeys: run.maximal,
@@ -89,8 +89,8 @@ pub fn minimal_keys_dualize_advance(rel: &Relation, algo: TrAlgorithm) -> KeyDis
 /// Levelwise on the non-superkey oracle. Pays for the whole theory (all
 /// non-superkeys), so it is only competitive when agree sets are small.
 pub fn minimal_keys_levelwise(rel: &Relation) -> KeyDiscovery {
-    let mut oracle = CountingOracle::new(NonSuperkeyOracle::new(rel));
-    let run = levelwise(&mut oracle);
+    let oracle = CountingOracle::new(NonSuperkeyOracle::new(rel));
+    let run = levelwise(&oracle);
     KeyDiscovery {
         minimal_keys: run.negative_border,
         maximal_non_superkeys: run.positive_border,

@@ -19,7 +19,7 @@
 //! `H`, which is exactly the class where the depth-first engines churn.
 //!
 //! The recursion splits while the instance is both large and skewed
-//! (see [`SPLIT_MIN_EDGES`]/[`SPLIT_MIN_DEGREE_FRACTION`]), bottoming out
+//! (see `SPLIT_MIN_EDGES`/`SPLIT_MIN_DEGREE_FRACTION`), bottoming out
 //! in the MU-MMCS engine; sub-results are recombined with
 //! [`crate::minimize_family`], whose card-lex canonical order makes the
 //! final result bit-identical to every other backend.

@@ -38,10 +38,13 @@ impl LearnedFunction {
 /// with [`TrAlgorithm::FkJointGeneration`] the running time is
 /// sub-exponential in `|DNF| + |CNF|` (the paper's `t(m) = m^{o(log m)}`
 /// class).
-pub fn learn_monotone_dualize<M: MembershipOracle>(mq: M, algo: TrAlgorithm) -> LearnedFunction {
+pub fn learn_monotone_dualize<M: MembershipOracle + Send>(
+    mq: M,
+    algo: TrAlgorithm,
+) -> LearnedFunction {
     let n = mq.n_vars();
-    let mut oracle = CountingOracle::new(MqAsInterest(CountingMq::new(mq)));
-    let run = dualize_advance(&mut oracle, algo);
+    let oracle = CountingOracle::new(MqAsInterest::new(CountingMq::new(mq)));
+    let run = dualize_advance(&oracle, algo);
     let cnf = MonotoneCnf::new(n, run.maximal.iter().map(AttrSet::complement).collect());
     let dnf = MonotoneDnf::new(n, run.negative_border);
     LearnedFunction {
@@ -59,10 +62,10 @@ pub fn learn_monotone_dualize<M: MembershipOracle>(mq: M, algo: TrAlgorithm) -> 
 ///
 /// Correct for *every* monotone target; only the running time needs the
 /// clause-size promise.
-pub fn learn_monotone_levelwise<M: MembershipOracle>(mq: M) -> LearnedFunction {
+pub fn learn_monotone_levelwise<M: MembershipOracle + Send>(mq: M) -> LearnedFunction {
     let n = mq.n_vars();
-    let mut oracle = CountingOracle::new(MqAsInterest(CountingMq::new(mq)));
-    let run = levelwise(&mut oracle);
+    let oracle = CountingOracle::new(MqAsInterest::new(CountingMq::new(mq)));
+    let run = levelwise(&oracle);
     let cnf = MonotoneCnf::new(
         n,
         run.positive_border

@@ -8,6 +8,8 @@
 //! of that bridge, so the mining algorithms in `dualminer-core` learn
 //! monotone functions unchanged.
 
+use std::sync::Mutex;
+
 use dualminer_bitset::AttrSet;
 use dualminer_core::oracle::InterestOracle;
 
@@ -115,17 +117,32 @@ impl<M: MembershipOracle> MembershipOracle for CountingMq<M> {
 /// `Is-interesting` oracle via `q(x) = ¬f(x)`.
 ///
 /// `f` monotone (upward closed true set) makes `q` downward closed, as the
-/// framework requires.
+/// framework requires. Membership queries take `&mut self`, so the
+/// wrapped oracle sits behind a mutex to answer through `&self`.
 #[derive(Debug)]
-pub struct MqAsInterest<M>(pub M);
+pub struct MqAsInterest<M>(Mutex<M>);
 
-impl<M: MembershipOracle> InterestOracle for MqAsInterest<M> {
+impl<M: MembershipOracle> MqAsInterest<M> {
+    /// Views `mq` as an `Is-interesting` oracle.
+    pub fn new(mq: M) -> Self {
+        MqAsInterest(Mutex::new(mq))
+    }
+}
+
+impl<M: MembershipOracle + Send> InterestOracle for MqAsInterest<M> {
     fn universe_size(&self) -> usize {
-        self.0.n_vars()
+        self.0
+            .lock()
+            .expect("membership oracle mutex poisoned")
+            .n_vars()
     }
 
-    fn is_interesting(&mut self, x: &AttrSet) -> bool {
-        !self.0.query(x)
+    fn is_interesting(&self, x: &AttrSet) -> bool {
+        !self
+            .0
+            .lock()
+            .expect("membership oracle mutex poisoned")
+            .query(x)
     }
 }
 
@@ -182,7 +199,7 @@ mod tests {
         assert!(!f.query(&s(&[0, 1])));
         assert!(f.query(&s(&[0, 3]))); // AD is not under any maximal set
                                        // And back: MqAsInterest(InterestAsMq(q)) ≡ q.
-        let mut q2 = MqAsInterest(f);
+        let q2 = MqAsInterest::new(f);
         assert!(q2.is_interesting(&s(&[0, 1])));
         assert!(!q2.is_interesting(&s(&[0, 3])));
     }

@@ -533,8 +533,8 @@ mod tests {
         let db = fig1_db();
         for sigma in 1..=3usize {
             let fs = apriori(&db, sigma);
-            let mut oracle = FrequencyOracle::new(&db, sigma);
-            let run = levelwise(&mut oracle);
+            let oracle = FrequencyOracle::new(&db, sigma);
+            let run = levelwise(&oracle);
             let theory: Vec<AttrSet> = fs.itemsets.iter().map(|(s, _)| s.clone()).collect();
             assert_eq!(theory, run.theory, "σ={sigma}");
             assert_eq!(fs.maximal, run.positive_border, "σ={sigma}");
@@ -552,8 +552,8 @@ mod tests {
         let db = fig1_db();
         for sigma in 1..=4usize {
             let direct = apriori(&db, sigma);
-            let mut oracle = FrequencyOracle::new(&db, sigma);
-            let run = levelwise(&mut oracle);
+            let oracle = FrequencyOracle::new(&db, sigma);
+            let run = levelwise(&oracle);
             let converted = FrequentSets::from_levelwise(&db, sigma, &run);
             assert_eq!(converted.itemsets, direct.itemsets, "σ={sigma}");
             assert_eq!(converted.maximal, direct.maximal, "σ={sigma}");

@@ -1,8 +1,7 @@
 //! The frequency predicate as an `Is-interesting` oracle.
 
 use dualminer_bitset::AttrSet;
-use dualminer_core::oracle::{InterestOracle, MeteredOracle, SyncInterestOracle};
-use dualminer_obs::Meter;
+use dualminer_core::oracle::InterestOracle;
 
 use crate::TransactionDb;
 
@@ -44,30 +43,11 @@ impl<'a> FrequencyOracle<'a> {
     pub fn db(&self) -> &TransactionDb {
         self.db
     }
-
-    /// Wraps this oracle so every support evaluation records one query on
-    /// `meter` — the budget layer then sees *database evaluations*, which
-    /// is what the paper's theorems count. Works through both oracle
-    /// traits; see [`MeteredOracle`].
-    pub fn metered<'m>(self, meter: &'m Meter) -> MeteredOracle<'m, Self> {
-        MeteredOracle::new(self, meter)
-    }
 }
 
+/// Stateless over an immutable database, so one value can be shared by
+/// every worker of the parallel levelwise driver.
 impl InterestOracle for FrequencyOracle<'_> {
-    fn universe_size(&self) -> usize {
-        self.db.n_items()
-    }
-
-    fn is_interesting(&mut self, x: &AttrSet) -> bool {
-        self.db.support(x) >= self.min_support
-    }
-}
-
-/// The frequency predicate is stateless over an immutable database, so it
-/// also serves as the shared-state oracle the parallel levelwise driver
-/// ([`dualminer_core::levelwise::levelwise_par`]) requires.
-impl SyncInterestOracle for FrequencyOracle<'_> {
     fn universe_size(&self) -> usize {
         self.db.n_items()
     }
@@ -107,20 +87,11 @@ mod tests {
     #[test]
     fn monotone() {
         let db = fig1_db();
-        let mut o = FrequencyOracle::new(&db, 2);
+        let o = FrequencyOracle::new(&db, 2);
         let samples: Vec<AttrSet> = (0..16usize)
             .map(|b| AttrSet::from_indices(4, (0..4).filter(|i| b >> i & 1 == 1)))
             .collect();
-        assert_eq!(check_monotone(&mut o, &samples), None);
-    }
-
-    #[test]
-    fn metered_records_database_evaluations() {
-        let db = fig1_db();
-        let meter = Meter::unlimited();
-        let mut o = FrequencyOracle::new(&db, 2).metered(&meter);
-        let run = dualminer_core::levelwise::levelwise(&mut o);
-        assert_eq!(meter.queries(), run.queries);
+        assert_eq!(check_monotone(&o, &samples), None);
     }
 
     #[test]

@@ -52,10 +52,10 @@ pub fn maximal_frequent_sets(
     min_support: usize,
     strategy: MaximalStrategy,
 ) -> MaximalRun {
-    let mut oracle = CountingOracle::new(FrequencyOracle::new(db, min_support));
+    let oracle = CountingOracle::new(FrequencyOracle::new(db, min_support));
     match strategy {
         MaximalStrategy::Levelwise => {
-            let run = levelwise(&mut oracle);
+            let run = levelwise(&oracle);
             MaximalRun {
                 maximal: run.positive_border,
                 negative_border: run.negative_border,
@@ -63,7 +63,7 @@ pub fn maximal_frequent_sets(
             }
         }
         MaximalStrategy::DualizeAdvance(algo) => {
-            let run = dualize_advance(&mut oracle, algo);
+            let run = dualize_advance(&oracle, algo);
             MaximalRun {
                 maximal: run.maximal,
                 negative_border: run.negative_border,
@@ -71,7 +71,7 @@ pub fn maximal_frequent_sets(
             }
         }
         MaximalStrategy::DualizeAdvanceBatch(algo) => {
-            let run = dualize_advance_batch(&mut oracle, algo);
+            let run = dualize_advance_batch(&oracle, algo);
             MaximalRun {
                 maximal: run.maximal,
                 negative_border: run.negative_border,
@@ -91,15 +91,15 @@ pub fn sample_then_certify<R: Rng + ?Sized>(
     algo: TrAlgorithm,
     rng: &mut R,
 ) -> MaximalRun {
-    let mut oracle = CountingOracle::new(FrequencyOracle::new(db, min_support));
-    let sampled = random_walk_maxth(&mut oracle, restarts, rng);
+    let oracle = CountingOracle::new(FrequencyOracle::new(db, min_support));
+    let sampled = random_walk_maxth(&oracle, restarts, rng);
     let mut maximal: Vec<AttrSet> = sampled.found;
     let n = oracle.universe_size();
 
     if maximal.is_empty() {
         // Either the theory is empty or sampling was unlucky with 0
         // restarts; fall back to the plain algorithm.
-        let run = dualize_advance(&mut oracle, algo);
+        let run = dualize_advance(&oracle, algo);
         return MaximalRun {
             maximal: run.maximal,
             negative_border: run.negative_border,
@@ -134,7 +134,7 @@ pub fn sample_then_certify<R: Rng + ?Sized>(
                 };
             }
             Some(x) => {
-                let (y, _) = greedy_maximize(&mut oracle, x);
+                let (y, _) = greedy_maximize(&oracle, x, None);
                 maximal.push(y);
             }
         }

@@ -15,10 +15,12 @@
 //! per-level candidate counts, the query total, and (mid-level) the
 //! per-candidate partial counts with the segment cursor. Tidset/diffset
 //! choices are deliberately *not* recorded: per-segment counts are defined
-//! as `|t(c) ∩ segment|` (see [`VStore::count_pair_seg`]), which both
-//! representations compute exactly, so a resumed run may rebuild its
-//! frontier as plain tidsets ([`VStore::tidset_node`]) and continue the
-//! accumulation byte-for-byte.
+//! as `|t(c) ∩ segment|` (see
+//! [`VStore::count_pair_seg`](crate::vstore::VStore::count_pair_seg)),
+//! which both representations compute exactly, so a resumed run may
+//! rebuild its frontier as plain tidsets
+//! ([`VStore::tidset_node`](crate::vstore::VStore::tidset_node)) and
+//! continue the accumulation byte-for-byte.
 //!
 //! Because every safe point is a state the from-scratch run passes through
 //! with the same `(collections, partial counts, queries)`, a resumed run

@@ -12,8 +12,9 @@ use crate::vstore::{VStore, DEFAULT_SEGMENT_ROWS};
 /// tidsets as contiguous cache-blocked `u64` runs, and `support(X)` is a
 /// streaming `|X|`-way AND-popcount over one segment at a time — the fast
 /// path Apriori/Eclat use. The horizontal rows are *lazy*: the first
-/// row-scan caller ([`rows`](Self::rows), [`support_horizontal`]
-/// (Self::support_horizontal), [`display`](Self::display)) transposes the
+/// row-scan caller ([`rows`](Self::rows),
+/// [`support_horizontal`](Self::support_horizontal),
+/// [`display`](Self::display)) transposes the
 /// store once and caches the result, so mining paths that never row-scan
 /// hold a single copy of the data instead of two.
 #[derive(Debug)]

@@ -20,9 +20,9 @@ use dualminer_core::border::verify_maxth;
 use dualminer_core::checkpoint::{
     Aborted, CheckpointCfg, FaultCtl, ResumeState, DUALIZE_ADVANCE_KIND, LEVELWISE_KIND,
 };
-use dualminer_core::dualize_advance::{dualize_advance_try_ctl, DualizeAdvanceConfig};
+use dualminer_core::dualize_advance::{dualize_advance_ctl, DualizeAdvanceConfig};
 use dualminer_core::fallible::FaultyOracle;
-use dualminer_core::levelwise::levelwise_par_try_ctl;
+use dualminer_core::levelwise::levelwise_ctl;
 use dualminer_core::oracle::{CountingOracle, FamilyOracle};
 use dualminer_fdep::fd::minimal_fd_lhs_via_agree_sets;
 use dualminer_fdep::keys::{minimal_keys_via_agree_sets, KeyDiscovery, NonSuperkeyOracle};
@@ -292,8 +292,8 @@ fn render_mine(
         }
         if reason.is_none() {
             // Verify with Corollary 4 — belt and braces for the user.
-            let mut oracle = CountingOracle::new(FrequencyOracle::new(db, sigma));
-            let out = verify_maxth(&mut oracle, &fs.maximal, TrAlgorithm::Berge);
+            let oracle = CountingOracle::new(FrequencyOracle::new(db, sigma));
+            let out = verify_maxth(&oracle, &fs.maximal, TrAlgorithm::Berge);
             out!(
                 body,
                 "Verified: {} ({} oracle queries = |Bd⁺|+|Bd⁻|)",
@@ -363,7 +363,7 @@ pub fn mine(
         };
         let spec = run.fault_inject.clone().unwrap_or_default();
         let oracle = FaultyOracle::new(FrequencyOracle::new(db, sigma), &spec);
-        match levelwise_par_try_ctl(&oracle, cx.threads, &cx.ctl(), &fault, resume) {
+        match levelwise_ctl(&oracle, cx.threads, &cx.ctl(), &fault, resume) {
             Ok(outcome) => {
                 let (lw, reason) = outcome.into_parts();
                 (FrequentSets::from_levelwise(db, sigma, &lw), reason)
@@ -418,7 +418,7 @@ pub fn mine(
 
 /// Incremental re-mining: extends a cached mined collection by appended
 /// rows through the FUP-style border update instead of from-scratch
-/// work, then renders through the same [`render_mine`] as the cold path.
+/// work, then renders through the same `render_mine` as the cold path.
 ///
 /// On a complete run the update is proven bit-identical to mining the
 /// merged database from scratch (itemsets, maximal sets, negative
@@ -478,9 +478,9 @@ pub fn keys(
             None => FaultCtl::with_retry(run.retry_policy()),
         };
         let spec = run.fault_inject.clone().unwrap_or_default();
-        let mut oracle = FaultyOracle::new(NonSuperkeyOracle::new(rel), &spec);
-        match dualize_advance_try_ctl(
-            &mut oracle,
+        let oracle = FaultyOracle::new(NonSuperkeyOracle::new(rel), &spec);
+        match dualize_advance_ctl(
+            &oracle,
             TrAlgorithm::Berge,
             &DualizeAdvanceConfig::default(),
             1,
@@ -604,10 +604,9 @@ pub fn transversals(
         };
         let spec = run.fault_inject.clone().unwrap_or_default();
         let complements: Vec<_> = h.edges().iter().map(AttrSet::complement).collect();
-        let mut oracle =
-            FaultyOracle::new(FamilyOracle::new(h.universe_size(), complements), &spec);
-        match dualize_advance_try_ctl(
-            &mut oracle,
+        let oracle = FaultyOracle::new(FamilyOracle::new(h.universe_size(), complements), &spec);
+        match dualize_advance_ctl(
+            &oracle,
             algo,
             &DualizeAdvanceConfig::default(),
             cx.threads,

@@ -11,7 +11,8 @@
 //! What is persisted per entry: the cache key (`params`/`content`
 //! fingerprints as zero-padded hex — the integer-only JSON dialect cannot
 //! carry a full `u64`), the row count, exit code, rendered body, and
-//! stats artifact. The in-memory [`MineArtifacts`] (mined collection +
+//! stats artifact. The in-memory
+//! [`MineArtifacts`](crate::cache::MineArtifacts) (mined collection +
 //! database) are deliberately *not* serialized: restored entries answer
 //! exact-key warm hits byte-identically but sit out the incremental
 //! appended-rows probe until re-mined once. Snapshot size stays

@@ -7,7 +7,7 @@
 //! out further through the deterministic work-stealing scheduler, so the
 //! pool bounds *jobs*, not parallelism).
 //!
-//! The perf core is the flow in [`serve_job`]:
+//! The perf core is the flow in `serve_job`:
 //!
 //! 1. canonical content fingerprint (input equivalence, not bytes),
 //! 2. exact-key cache lookup — warm hits answer in O(1) with the stored

@@ -55,8 +55,8 @@ fn main() {
 
     // 4. Verify the result with exactly |Bd⁺| + |Bd⁻| queries
     //    (Corollary 4 of the paper).
-    let mut oracle = CountingOracle::new(FrequencyOracle::new(&db, 2));
-    let outcome = verify_maxth(&mut oracle, &frequent.maximal, TrAlgorithm::Berge);
+    let oracle = CountingOracle::new(FrequencyOracle::new(&db, 2));
+    let outcome = verify_maxth(&oracle, &frequent.maximal, TrAlgorithm::Berge);
     println!(
         "\nVerification: S = MTh? {} ({} oracle queries — exactly |Bd⁺|+|Bd⁻| = {})",
         outcome.is_maxth,

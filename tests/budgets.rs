@@ -5,7 +5,8 @@
 //! result has to be a genuine prefix of the answer.
 
 use dualminer::bitset::AttrSet;
-use dualminer::core::dualize_advance::dualize_advance_ctl;
+use dualminer::core::checkpoint::FaultCtl;
+use dualminer::core::dualize_advance::{dualize_advance_ctl, DualizeAdvanceConfig};
 use dualminer::core::oracle::FnOracle;
 use dualminer::hypergraph::{generators, plan, TrAlgorithm};
 use dualminer::obs::{Budget, BudgetReason, MiningObserver, NoopObserver, Outcome, RunCtl};
@@ -21,7 +22,7 @@ fn is_mth_member(set: &AttrSet) -> bool {
 #[test]
 fn example19_dualize_advance_max_transversals_partial_mth() {
     // Interesting ⇔ no pair fully contained; MTh = 2^12 = 4096 sets.
-    let mut oracle = FnOracle::new(N, |s: &AttrSet| {
+    let oracle = FnOracle::new(N, |s: &AttrSet| {
         (0..PAIRS).all(|i| !(s.contains(2 * i) && s.contains(2 * i + 1)))
     });
     let budget = Budget {
@@ -30,7 +31,18 @@ fn example19_dualize_advance_max_transversals_partial_mth() {
     };
     let meter = budget.start();
     let ctl = RunCtl::new(&meter, &NoopObserver);
-    match dualize_advance_ctl(&mut oracle, TrAlgorithm::Berge, &ctl) {
+    let config = DualizeAdvanceConfig::default();
+    match dualize_advance_ctl(
+        &&oracle,
+        TrAlgorithm::Berge,
+        &config,
+        1,
+        &ctl,
+        &FaultCtl::none(),
+        None,
+    )
+    .expect("infallible oracle")
+    {
         Outcome::Complete(run) => panic!(
             "must trip long before enumerating all 4096 maximal sets, got {}",
             run.maximal.len()

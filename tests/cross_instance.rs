@@ -81,13 +81,13 @@ fn query_counts_transfer_across_instances() {
         let plants = planted_antichain(seed);
 
         let db = planted(N, &plants, 2);
-        let mut mq = CountingOracle::new(FrequencyOracle::new(&db, 2));
-        let run_m = levelwise(&mut mq);
+        let mq = CountingOracle::new(FrequencyOracle::new(&db, 2));
+        let run_m = levelwise(&mq);
         assert_eq!(run_m.queries, run_m.theorem10_count());
 
         let rel = Relation::armstrong(N, &plants);
-        let mut kq = CountingOracle::new(NonSuperkeyOracle::new(&rel));
-        let run_k = levelwise(&mut kq);
+        let kq = CountingOracle::new(NonSuperkeyOracle::new(&rel));
+        let run_k = levelwise(&kq);
         assert_eq!(run_k.queries, run_k.theorem10_count());
 
         // Same planted MTh ⇒ identical theories ⇒ identical query bills.

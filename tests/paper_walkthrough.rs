@@ -37,8 +37,8 @@ fn example_8_transversal_identity() {
 fn example_11_levelwise_on_real_database() {
     let db = figure1_db();
     let u = Universe::letters(4);
-    let mut oracle = CountingOracle::new(FrequencyOracle::new(&db, 2));
-    let run = levelwise(&mut oracle);
+    let oracle = CountingOracle::new(FrequencyOracle::new(&db, 2));
+    let run = levelwise(&oracle);
     // "It starts by evaluating the singletons A, B, C, and D; all of these
     //  are frequent" — plus our explicit ∅ level.
     assert_eq!(run.candidates_per_level, vec![1, 4, 6, 1]);
@@ -53,8 +53,8 @@ fn example_11_levelwise_on_real_database() {
 fn example_17_dualize_and_advance_on_real_database() {
     let db = figure1_db();
     let u = Universe::letters(4);
-    let mut oracle = CountingOracle::new(FrequencyOracle::new(&db, 2));
-    let run = dualize_advance(&mut oracle, TrAlgorithm::Berge);
+    let oracle = CountingOracle::new(FrequencyOracle::new(&db, 2));
+    let run = dualize_advance(&oracle, TrAlgorithm::Berge);
     assert_eq!(u.display_family(run.maximal.iter()), "{BD, ABC}");
     // "C₃ is exactly MTh and Tr(D̄) is Bd⁻(MTh)."
     assert_eq!(u.display_family(run.negative_border.iter()), "{AD, CD}");
@@ -102,8 +102,8 @@ fn corollary_4_verification_on_real_database() {
     let db = figure1_db();
     let u = Universe::letters(4);
     let maxth = vec![u.parse("ABC").unwrap(), u.parse("BD").unwrap()];
-    let mut oracle = CountingOracle::new(FrequencyOracle::new(&db, 2));
-    let out = verify_maxth(&mut oracle, &maxth, TrAlgorithm::Berge);
+    let oracle = CountingOracle::new(FrequencyOracle::new(&db, 2));
+    let out = verify_maxth(&oracle, &maxth, TrAlgorithm::Berge);
     assert!(out.is_maxth);
     assert_eq!(out.queries, 4); // |Bd⁺| + |Bd⁻| = 2 + 2
 }
@@ -119,8 +119,8 @@ fn figure1_all_engines_one_database() {
         TrAlgorithm::FkJointGeneration,
         TrAlgorithm::LevelwiseLargeEdges,
     ] {
-        let mut oracle = FrequencyOracle::new(&db, 2);
-        let run = dualize_advance(&mut oracle, algo);
+        let oracle = FrequencyOracle::new(&db, 2);
+        let run = dualize_advance(&oracle, algo);
         assert_eq!(run.maximal, fs.maximal, "{algo:?}");
         assert_eq!(run.negative_border, fs.negative_border, "{algo:?}");
     }

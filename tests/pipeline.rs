@@ -46,8 +46,8 @@ fn quest_pipeline_mine_rules_verify() {
     }
 
     // Maximal collection verifies with exactly |Bd(S)| queries (Cor 4).
-    let mut oracle = CountingOracle::new(FrequencyOracle::new(&db, sigma));
-    let out = verify_maxth(&mut oracle, &fs.maximal, TrAlgorithm::Berge);
+    let oracle = CountingOracle::new(FrequencyOracle::new(&db, sigma));
+    let out = verify_maxth(&oracle, &fs.maximal, TrAlgorithm::Berge);
     assert!(out.is_maxth);
     assert_eq!(
         out.queries,
@@ -92,11 +92,9 @@ fn dense_noise_pipeline() {
 
     // Theorem 2 lower bound: any algorithm needs ≥ |Bd⁺|+|Bd⁻| queries;
     // D&A respects it and stays under Theorem 21's upper bound.
-    let mut oracle = CountingOracle::new(FrequencyOracle::new(&db, sigma));
-    let run = dualminer::core::dualize_advance::dualize_advance(
-        &mut oracle,
-        TrAlgorithm::FkJointGeneration,
-    );
+    let oracle = CountingOracle::new(FrequencyOracle::new(&db, sigma));
+    let run =
+        dualminer::core::dualize_advance::dualize_advance(&oracle, TrAlgorithm::FkJointGeneration);
     let lower = (run.maximal.len() + run.negative_border.len()) as u64;
     assert!(oracle.distinct_queries() >= lower);
     let rank = run
