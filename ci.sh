@@ -151,6 +151,16 @@ grep -qE 'note: cache (hit|coalesced)' "$TMP/c1.err" "$TMP/c2.err" \
 diff "$TMP/plain.out" "$TMP/warm.out"
 grep -q 'note: cache hit' "$TMP/warm.err"
 
+# Respelled repeat: CRLF line ends, tabs, a trailing comment and an extra
+# blank line are not content, so the same baskets hit the same entry.
+printf 'milk\tbread\r\nbread butter\r\n\r\nmilk butter\tbread\r\nmilk\r\nbread\teggs # respelled\r\n\r\n' \
+    > "$TMP/respelled.txt"
+RESPELLED_REQ='{"op":"mine","id":6,"input":{"path":"'"$TMP/respelled.txt"'"},"min_support":"2"}'
+"$DM" request "$ADDR" --json "$RESPELLED_REQ" > "$TMP/respelled.out" 2> "$TMP/respelled.err"
+diff "$TMP/plain.out" "$TMP/respelled.out"
+grep -q 'note: cache hit' "$TMP/respelled.err" \
+    || { echo "respelled baskets missed the cache"; exit 1; }
+
 # Incremental append: re-mines on top of the cached base, byte-identical
 # to the one-shot run over the full appended file.
 APPEND_REQ='{"op":"mine","id":3,"input":{"path":"'"$TMP/appended.txt"'"},"min_support":"2"}'

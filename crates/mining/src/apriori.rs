@@ -220,8 +220,8 @@ pub(crate) fn finish_sets(
 pub(crate) fn finish_sets_with_maximal(
     db: &TransactionDb,
     min_support: usize,
-    itemsets: Vec<(AttrSet, usize)>,
-    maximal: Vec<AttrSet>,
+    mut itemsets: Vec<(AttrSet, usize)>,
+    mut maximal: Vec<AttrSet>,
     mut negative: Vec<AttrSet>,
     candidates_per_level: Vec<usize>,
 ) -> FrequentSets {
@@ -231,6 +231,11 @@ pub(crate) fn finish_sets_with_maximal(
         "incremental maximal marking must agree with the trie scan"
     );
     negative.sort_by(|a, b| a.cmp_card_lex(b));
+    // The result may be retained (the daemon caches it): drop the growth
+    // slack of the level-by-level pushes.
+    itemsets.shrink_to_fit();
+    maximal.shrink_to_fit();
+    negative.shrink_to_fit();
 
     FrequentSets {
         n_items: db.n_items(),

@@ -73,7 +73,7 @@ fn assemble(
     let mut itemsets: Vec<(AttrSet, usize)> = supports.into_iter().collect();
     itemsets.sort_by(|(a, _), (b, _)| a.cmp_card_lex(b));
     let members: HashSet<&AttrSet> = itemsets.iter().map(|(s, _)| s).collect();
-    let maximal: Vec<AttrSet> = itemsets
+    let mut maximal: Vec<AttrSet> = itemsets
         .iter()
         .map(|(s, _)| s)
         .filter(|s| dualminer_bitset::ImmediateSupersets::new(s).all(|t| !members.contains(&t)))
@@ -100,6 +100,9 @@ fn assemble(
         candidates_per_level.push(count);
     }
 
+    itemsets.shrink_to_fit();
+    maximal.shrink_to_fit();
+    negative.shrink_to_fit();
     let frequent = FrequentSets {
         n_items: n,
         min_support: sigma,

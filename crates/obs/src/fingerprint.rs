@@ -29,6 +29,17 @@ use std::fmt;
 const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a-64 prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// `FNV_PRIME_POW[k]` is `FNV_PRIME^k`: an FNV-1a step on a zero byte is
+/// one multiply by the prime, so `k` zero bytes fold into one multiply.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
 
 /// Incremental FNV-1a-64: feed bytes in any number of chunks; the digest
 /// equals [`fault::fnv1a64`](crate::fault::fnv1a64) of their
@@ -54,9 +65,12 @@ impl FnvStream {
         self.state = h;
     }
 
-    /// Feeds one `u64` as its 8 little-endian bytes.
+    /// Feeds one `u64` as its 8 little-endian bytes. The high zero bytes
+    /// of a small value (every item index) cost one multiply in total.
     pub fn update_u64(&mut self, value: u64) {
-        self.update(&value.to_le_bytes());
+        let live = 8 - value.leading_zeros() as usize / 8;
+        self.update(&value.to_le_bytes()[..live]);
+        self.state = self.state.wrapping_mul(FNV_PRIME_POW[8 - live]);
     }
 
     /// The digest of everything fed so far. Non-consuming: the stream can
@@ -178,6 +192,41 @@ mod tests {
             parts.update(&bytes[..split]);
             parts.update(&bytes[split..]);
             assert_eq!(parts.digest(), whole.digest(), "split {split}");
+        }
+    }
+
+    fn bytewise_u64(value: u64) -> u64 {
+        let mut s = FnvStream::new();
+        s.update(b"prefix");
+        s.update(&value.to_le_bytes());
+        s.digest()
+    }
+
+    fn folded_u64(value: u64) -> u64 {
+        let mut s = FnvStream::new();
+        s.update(b"prefix");
+        s.update_u64(value);
+        s.digest()
+    }
+
+    #[test]
+    fn update_u64_edge_values_match_bytewise() {
+        for value in [0, 1, 255, 256, 65_535, 1 << 32, u64::MAX >> 8, u64::MAX] {
+            assert_eq!(folded_u64(value), bytewise_u64(value), "value {value:#x}");
+        }
+    }
+
+    proptest::proptest! {
+        /// Folding the high zero bytes into one multiply is exact: every
+        /// width of value (the shift spreads the live byte count over 0..=8)
+        /// hashes like its 8 little-endian bytes.
+        #[test]
+        fn update_u64_matches_bytewise(
+            value in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let value = value >> shift;
+            proptest::prop_assert_eq!(folded_u64(value), bytewise_u64(value));
         }
     }
 

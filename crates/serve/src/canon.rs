@@ -16,13 +16,11 @@
 //! appears verbatim in the new input's prefix ladder, which is what routes
 //! the job through incremental re-mining instead of a cold run.
 
-use std::collections::HashMap;
-
 use dualminer_bitset::{AttrSet, Universe};
 use dualminer_mining::{TransactionDb, VStoreBuilder};
 use dualminer_obs::RowFingerprint;
 
-use crate::formats::{self, FormatError};
+use crate::formats::{self, FormatError, Interner};
 
 /// One rung of the basket prefix ladder: the content digest after row
 /// `k`, plus how many item symbols had been interned by then.
@@ -39,6 +37,37 @@ pub struct RowMark {
     pub n_items: u32,
 }
 
+/// Item-index rows stored flat: one buffer of every row's items, plus
+/// the end offset of each row in it.
+#[derive(Clone, Debug, Default)]
+pub struct Rows {
+    items: Vec<usize>,
+    ends: Vec<usize>,
+}
+
+impl Rows {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Row `k`'s item indices.
+    fn row(&self, k: usize) -> &[usize] {
+        let start = k.checked_sub(1).map_or(0, |j| self.ends[j]);
+        &self.items[start..self.ends[k]]
+    }
+
+    /// Every row, in input order.
+    pub fn iter(&self) -> impl Iterator<Item = &[usize]> + '_ {
+        (0..self.len()).map(|k| self.row(k))
+    }
+}
+
 /// A basket file in canonical form: the first-appearance item dictionary,
 /// the index rows, and the prefix-digest ladder.
 #[derive(Clone, Debug)]
@@ -46,7 +75,7 @@ pub struct CanonBaskets {
     /// Item names in first-appearance order.
     pub names: Vec<String>,
     /// Transactions as item-index rows (empty rows already dropped).
-    pub rows: Vec<Vec<usize>>,
+    pub rows: Rows,
     /// Prefix digest after each row; `prefix[k-1]` covers rows `0..k`.
     pub prefix: Vec<RowMark>,
     /// The whole-input content digest (`prefix.last().digest`).
@@ -61,7 +90,7 @@ impl CanonBaskets {
     pub fn build(&self, segment_rows: usize) -> (Universe, TransactionDb) {
         let universe = Universe::new(self.names.clone());
         let mut builder = VStoreBuilder::new(segment_rows);
-        for row in &self.rows {
+        for row in self.rows.iter() {
             builder.push_row(row.iter().copied());
         }
         (universe, TransactionDb::from_vstore(builder.finish()))
@@ -72,9 +101,8 @@ impl CanonBaskets {
     /// [`append_rows_ctl`](dualminer_mining::incremental::append_rows_ctl).
     pub fn rows_from(&self, from: usize) -> Vec<AttrSet> {
         let n = self.names.len();
-        self.rows[from..]
-            .iter()
-            .map(|row| AttrSet::from_indices(n, row.iter().copied()))
+        (from..self.rows.len())
+            .map(|k| AttrSet::from_indices(n, self.rows.row(k).iter().copied()))
             .collect()
     }
 
@@ -96,40 +124,41 @@ impl CanonBaskets {
 /// semantics as [`formats::parse_baskets`]: whitespace-separated item
 /// names, `#` comments, blank/empty lines skipped, indices assigned in
 /// first-appearance order, empty input rejected.
+///
+/// Only an item's first appearance allocates: a repeated token is a
+/// borrowed dictionary lookup, and every row lands in one flat buffer.
 pub fn canon_baskets(text: &str) -> Result<CanonBaskets, FormatError> {
-    let mut names: Vec<String> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut rows: Vec<Vec<usize>> = Vec::new();
+    let mut items = Interner::new();
+    let mut rows = Rows::default();
     let mut prefix: Vec<RowMark> = Vec::new();
     let mut fp = RowFingerprint::new();
     for line in text.lines() {
-        let line = formats::strip_comment(line);
-        let mut row: Vec<usize> = Vec::new();
-        for item in line.split_whitespace() {
-            let id = *index.entry(item.to_string()).or_insert_with(|| {
-                names.push(item.to_string());
+        let start = rows.items.len();
+        for item in formats::strip_comment(line).split_whitespace() {
+            let fresh = items.len();
+            let id = items.intern(item);
+            if id == fresh {
                 fp.push_symbol(item);
-                names.len() - 1
-            });
+            }
             fp.push_item(id);
-            row.push(id);
+            rows.items.push(id);
         }
-        if row.is_empty() {
+        if rows.items.len() == start {
             continue;
         }
+        rows.ends.push(rows.items.len());
         fp.end_row();
         prefix.push(RowMark {
             digest: fp.digest(),
-            n_items: names.len() as u32,
+            n_items: items.len() as u32,
         });
-        rows.push(row);
     }
     if rows.is_empty() {
         return Err(FormatError::new("no transactions found"));
     }
     let fingerprint = fp.digest();
     Ok(CanonBaskets {
-        names,
+        names: items.into_names(),
         rows,
         prefix,
         fingerprint,
@@ -143,24 +172,19 @@ pub fn canon_baskets(text: &str) -> Result<CanonBaskets, FormatError> {
 /// invariant: within one dictionary, index `i` is first used on the edge
 /// where `i` equals the number of symbols seen so far. `seen` carries the
 /// intern count across calls so a merged-vocabulary pair replays exactly
-/// like its parse did. When `with_names` is false the symbol spellings
-/// are canonically irrelevant (nothing downstream prints them) and only
-/// the intern *events* are recorded.
+/// like its parse did. Without `names` the symbol spellings are
+/// canonically irrelevant (nothing downstream prints them) and only the
+/// intern *events* are recorded.
 fn replay_edges(
     fp: &mut RowFingerprint,
     edges: &[Vec<usize>],
-    names: &[String],
+    names: Option<&[String]>,
     seen: &mut usize,
-    with_names: bool,
 ) {
     for edge in edges {
         for &v in edge {
             while *seen <= v {
-                if with_names {
-                    fp.push_symbol(&names[*seen]);
-                } else {
-                    fp.push_symbol("");
-                }
+                fp.push_symbol(names.map_or("", |names| &names[*seen]));
                 *seen += 1;
             }
             fp.push_item(v);
@@ -173,12 +197,11 @@ fn replay_edges(
 /// hypergraph's dictionary and edge list. Vertex names are *included* —
 /// they appear in the rendered transversals.
 pub fn fingerprint_hypergraph(text: &str) -> Result<u64, FormatError> {
-    let mut names: Vec<String> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let raw = formats::parse_hypergraph_raw(text, &mut names, &mut index)?;
+    let mut vertices = Interner::new();
+    let raw = formats::parse_hypergraph_raw(text, &mut vertices)?;
     let mut fp = RowFingerprint::new();
     let mut seen = 0;
-    replay_edges(&mut fp, &raw, &names, &mut seen, true);
+    replay_edges(&mut fp, &raw, Some(&vertices.into_names()), &mut seen);
     Ok(fp.digest())
 }
 
@@ -189,16 +212,15 @@ pub fn fingerprint_hypergraph(text: &str) -> Result<u64, FormatError> {
 /// irrelevant here: the verdict depends only on the two index families,
 /// and no name is ever printed.
 pub fn fingerprint_dual_pair(f_text: &str, g_text: &str) -> Result<u64, FormatError> {
-    let mut names: Vec<String> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let f_raw = formats::parse_hypergraph_raw(f_text, &mut names, &mut index)?;
-    let g_raw = formats::parse_hypergraph_raw(g_text, &mut names, &mut index)?;
+    let mut vertices = Interner::new();
+    let f_raw = formats::parse_hypergraph_raw(f_text, &mut vertices)?;
+    let g_raw = formats::parse_hypergraph_raw(g_text, &mut vertices)?;
     let mut fp = RowFingerprint::new();
     let mut seen = 0;
-    replay_edges(&mut fp, &f_raw, &names, &mut seen, false);
+    replay_edges(&mut fp, &f_raw, None, &mut seen);
     fp.push_symbol("");
     fp.end_row();
-    replay_edges(&mut fp, &g_raw, &names, &mut seen, false);
+    replay_edges(&mut fp, &g_raw, None, &mut seen);
     Ok(fp.digest())
 }
 
@@ -227,22 +249,43 @@ pub fn fingerprint_relation(text: &str) -> Result<u64, FormatError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::formats::parse_baskets;
 
     const BASE: &str = "milk bread\nbread butter\nmilk\n";
 
+    /// Content digests are cache keys persisted in snapshots: these values
+    /// must never change.
     #[test]
-    fn canon_matches_parser() {
-        let canon = canon_baskets(BASE).unwrap();
-        let (u_ref, db_ref) = parse_baskets(BASE).unwrap();
-        let (u, db) = canon.build(dualminer_mining::DEFAULT_SEGMENT_ROWS);
-        assert_eq!(u.size(), u_ref.size());
-        for i in 0..u.size() {
-            assert_eq!(u.name(i), u_ref.name(i));
-        }
-        assert_eq!(db.rows(), db_ref.rows());
-        assert_eq!(canon.prefix.len(), 3);
-        assert_eq!(canon.fingerprint, canon.prefix[2].digest);
+    fn content_fingerprints_are_pinned() {
+        let canon = canon_baskets("milk bread\nbread butter # breakfast\n\nmilk\n").unwrap();
+        assert_eq!(canon.fingerprint, 0x7e35_e7e3_036b_0ba3);
+        let ladder: Vec<(u64, u32)> = canon.prefix.iter().map(|m| (m.digest, m.n_items)).collect();
+        assert_eq!(
+            ladder,
+            [
+                (0x5975_9e85_80ed_f482, 2),
+                (0x7450_7eb7_78b2_3e18, 3),
+                (0x7e35_e7e3_036b_0ba3, 3),
+            ]
+        );
+
+        let canon = canon_baskets("a\x0bb\u{a0}c\r\nc  d\u{2003}e # x\nπ σ\n").unwrap();
+        assert_eq!(canon.fingerprint, 0x1405_eb0d_9a98_8f8a);
+        assert_eq!(canon.names, ["a", "b", "c", "d", "e", "π", "σ"]);
+        let rows: Vec<&[usize]> = canon.rows.iter().collect();
+        assert_eq!(rows, [&[0, 1, 2][..], &[2, 3, 4], &[5, 6]]);
+
+        assert_eq!(
+            fingerprint_hypergraph("x y\ny z # e\n\nx z w\n").unwrap(),
+            0x6fdf_56ca_9993_ad7b
+        );
+        assert_eq!(
+            fingerprint_relation("dept,role\nsales,mgr\nsales,ic\neng,ic\n").unwrap(),
+            0xcc92_cf00_4d8a_5707
+        );
+        assert_eq!(
+            fingerprint_dual_pair("x y\ny z\n", "y\nx z\n").unwrap(),
+            0x2bfa_309c_b3ee_4fe1
+        );
     }
 
     #[test]
@@ -338,5 +381,97 @@ mod tests {
         // Different equality structure: different.
         let other = fingerprint_relation("dept,role\nsales,mgr\nsales,ic\nsales,ic\n").unwrap();
         assert_ne!(base, other);
+    }
+}
+
+#[cfg(test)]
+mod props {
+    use super::*;
+    use crate::formats::parse_baskets;
+    use proptest::prelude::*;
+
+    /// Basket texts built from names (ASCII and not), every separator the
+    /// grammar accepts (tab, VT, FF, a lone CR, U+00A0, U+2003), LF and
+    /// CRLF line ends, `#` comments, and blank lines.
+    fn arb_baskets() -> impl Strategy<Value = String> {
+        const PIECES: &[&str] = &[
+            "milk",
+            "bread",
+            "a",
+            "b",
+            "π",
+            "σ",
+            "Ünï",
+            "x1",
+            " ",
+            " ",
+            "\t",
+            "\x0b",
+            "\x0c",
+            "\r",
+            "\u{a0}",
+            "\u{2003}",
+            "\n",
+            "\n",
+            "\r\n",
+            "# note milk\n",
+            "#",
+            "\n\n",
+        ];
+        proptest::collection::vec(0..PIECES.len(), 0..60)
+            .prop_map(|picks| picks.into_iter().map(|i| PIECES[i]).collect())
+    }
+
+    /// The canonical event stream spelled out byte by byte, as the
+    /// fingerprint format defines it, and hashed in one shot.
+    fn spec_digest(names: &[String], rows: &Rows) -> u64 {
+        let mut bytes = Vec::new();
+        let mut seen = 0;
+        for row in rows.iter() {
+            for &id in row {
+                if id == seen {
+                    bytes.push(b'S');
+                    bytes.extend_from_slice(&(names[id].len() as u64).to_le_bytes());
+                    bytes.extend_from_slice(names[id].as_bytes());
+                    seen += 1;
+                }
+                bytes.push(b'I');
+                bytes.extend_from_slice(&(id as u64).to_le_bytes());
+            }
+            bytes.push(b'R');
+        }
+        dualminer_obs::fnv1a64(&bytes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Canonicalization parses exactly like `parse_baskets`, its digest
+        /// follows the event-stream spec, and every prefix digest equals
+        /// the digest of those rows canonicalized alone.
+        #[test]
+        fn canon_matches_parser(text in arb_baskets()) {
+            let Ok((u_ref, db_ref)) = parse_baskets(&text) else {
+                prop_assert!(canon_baskets(&text).is_err());
+                return Ok(());
+            };
+            let canon = canon_baskets(&text).unwrap();
+            let names: Vec<&str> = (0..u_ref.size()).map(|i| u_ref.name(i)).collect();
+            prop_assert_eq!(&canon.names, &names);
+            let (_, db) = canon.build(2);
+            prop_assert_eq!(db.rows(), db_ref.rows());
+            prop_assert_eq!(canon.prefix.len(), canon.rows.len());
+            prop_assert_eq!(canon.fingerprint, spec_digest(&canon.names, &canon.rows));
+
+            let mut lines = String::new();
+            for (k, row) in canon.rows.iter().enumerate() {
+                let row: Vec<&str> = row.iter().map(|&i| canon.names[i].as_str()).collect();
+                lines.push_str(&row.join(" "));
+                lines.push('\n');
+                let alone = canon_baskets(&lines).unwrap();
+                prop_assert_eq!(canon.prefix[k].digest, alone.fingerprint);
+                prop_assert_eq!(canon.prefix[k].n_items as usize, alone.names.len());
+            }
+        }
     }
 }

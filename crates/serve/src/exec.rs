@@ -682,11 +682,10 @@ pub fn verify_dual_pair(
     f_label: &str,
     g_label: &str,
 ) -> Result<JobOutput, JobError> {
-    let mut vocab: Vec<String> = Vec::new();
-    let mut index = std::collections::HashMap::new();
-    let f_raw = formats::parse_hypergraph_raw(f_text, &mut vocab, &mut index)
+    let mut vocab = formats::Interner::new();
+    let f_raw = formats::parse_hypergraph_raw(f_text, &mut vocab)
         .map_err(|e| JobError::Format(e.in_file(f_label)))?;
-    let g_raw = formats::parse_hypergraph_raw(g_text, &mut vocab, &mut index)
+    let g_raw = formats::parse_hypergraph_raw(g_text, &mut vocab)
         .map_err(|e| JobError::Format(e.in_file(g_label)))?;
     let n = vocab.len();
     let f =

@@ -90,6 +90,53 @@ impl fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
+/// A first-appearance dictionary: names in the order they were first
+/// seen, plus a name → index map. Every parser's dictionary (basket
+/// items, hypergraph vertices, CSV cell values, event types) is one.
+///
+/// A lookup borrows the token; only a name's first appearance allocates.
+/// The map keeps std's randomly keyed SipHash: names come from
+/// client-supplied files.
+#[derive(Clone, Debug, Default)]
+pub struct Interner {
+    names: Vec<String>,
+    index: HashMap<String, usize>,
+}
+
+impl Interner {
+    /// An empty dictionary.
+    pub fn new() -> Interner {
+        Interner::default()
+    }
+
+    /// The index of `name`. A name not seen before gets the next index,
+    /// [`len`](Self::len) before the call.
+    pub fn intern(&mut self, name: &str) -> usize {
+        if let Some(&id) = self.index.get(name) {
+            return id;
+        }
+        let id = self.names.len();
+        self.names.push(name.to_string());
+        self.index.insert(name.to_string(), id);
+        id
+    }
+
+    /// Names interned so far.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// True when nothing has been interned.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// The names, in first-appearance (index) order.
+    pub fn into_names(self) -> Vec<String> {
+        self.names
+    }
+}
+
 /// Parses a basket file: one transaction per line, whitespace-separated
 /// item names; `#` starts a comment; blank lines are empty transactions
 /// and are skipped. Item indices are assigned in order of first
@@ -115,22 +162,18 @@ pub fn parse_baskets_reader(
     reader: impl BufRead,
     segment_rows: usize,
 ) -> Result<(Universe, TransactionDb), FormatError> {
-    let mut names: Vec<String> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
+    let mut items = Interner::new();
     let mut builder = VStoreBuilder::new(segment_rows);
     let mut row: Vec<usize> = Vec::new();
     for (lineno, line) in reader.lines().enumerate() {
         let line =
             line.map_err(|e| FormatError::at_line(lineno + 1, format!("read error: {e}")))?;
-        let line = strip_comment(&line);
         row.clear();
-        for item in line.split_whitespace() {
-            let id = *index.entry(item.to_string()).or_insert_with(|| {
-                names.push(item.to_string());
-                names.len() - 1
-            });
-            row.push(id);
-        }
+        row.extend(
+            strip_comment(&line)
+                .split_whitespace()
+                .map(|item| items.intern(item)),
+        );
         if row.is_empty() {
             continue;
         }
@@ -139,7 +182,7 @@ pub fn parse_baskets_reader(
     if builder.n_rows() == 0 {
         return Err(FormatError::new("no transactions found"));
     }
-    let universe = Universe::new(names);
+    let universe = Universe::new(items.into_names());
     let db = TransactionDb::from_vstore(builder.finish());
     Ok((universe, db))
 }
@@ -161,7 +204,7 @@ pub fn parse_relation(text: &str) -> Result<(Universe, Relation), FormatError> {
 /// offending physical line.
 pub fn parse_relation_reader(reader: impl BufRead) -> Result<(Universe, Relation), FormatError> {
     let mut names: Vec<String> = Vec::new();
-    let mut dictionaries: Vec<HashMap<String, u32>> = Vec::new();
+    let mut dictionaries: Vec<Interner> = Vec::new();
     let mut rows: Vec<Vec<u32>> = Vec::new();
     for (lineno, line) in reader.lines().enumerate() {
         let lineno = lineno + 1;
@@ -176,7 +219,7 @@ pub fn parse_relation_reader(reader: impl BufRead) -> Result<(Universe, Relation
             if names.iter().any(String::is_empty) {
                 return Err(FormatError::at_line(lineno, "invalid header row"));
             }
-            dictionaries = vec![HashMap::new(); names.len()];
+            dictionaries = vec![Interner::new(); names.len()];
             continue;
         }
         let n = names.len();
@@ -190,11 +233,7 @@ pub fn parse_relation_reader(reader: impl BufRead) -> Result<(Universe, Relation
         let row = cells
             .iter()
             .enumerate()
-            .map(|(col, cell)| {
-                let dict = &mut dictionaries[col];
-                let next = dict.len() as u32;
-                *dict.entry(cell.to_string()).or_insert(next)
-            })
+            .map(|(col, cell)| dictionaries[col].intern(cell) as u32)
             .collect();
         rows.push(row);
     }
@@ -208,11 +247,10 @@ pub fn parse_relation_reader(reader: impl BufRead) -> Result<(Universe, Relation
 /// Parses a hypergraph file: one edge per line, whitespace-separated
 /// vertex names; vertex indices assigned in order of first appearance.
 pub fn parse_hypergraph(text: &str) -> Result<(Universe, Hypergraph), FormatError> {
-    let mut names: Vec<String> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let raw_edges = parse_hypergraph_raw(text, &mut names, &mut index)?;
-    let n = names.len();
-    let universe = Universe::new(names);
+    let mut vertices = Interner::new();
+    let raw_edges = parse_hypergraph_raw(text, &mut vertices)?;
+    let n = vertices.len();
+    let universe = Universe::new(vertices.into_names());
     let h = hypergraph_from_raw(n, raw_edges)?;
     Ok((universe, h))
 }
@@ -220,31 +258,23 @@ pub fn parse_hypergraph(text: &str) -> Result<(Universe, Hypergraph), FormatErro
 /// Streams one hypergraph file's edges into a *shared* vertex dictionary.
 ///
 /// Building block for `verify-dual`, which must compare two files over one
-/// merged universe: call this once per file with the same `names`/`index`
-/// pair, then materialize each edge list with [`hypergraph_from_raw`] at
-/// the final dictionary size. Indices are assigned in order of first
-/// appearance across all calls.
+/// merged universe: call this once per file with the same `vertices`
+/// dictionary, then materialize each edge list with
+/// [`hypergraph_from_raw`] at the final dictionary size. Indices are
+/// assigned in order of first appearance across all calls.
 pub fn parse_hypergraph_raw(
     text: &str,
-    names: &mut Vec<String>,
-    index: &mut HashMap<String, usize>,
+    vertices: &mut Interner,
 ) -> Result<Vec<Vec<usize>>, FormatError> {
     let mut raw_edges: Vec<Vec<usize>> = Vec::new();
     for line in text.lines() {
-        let line = strip_comment(line);
-        let verts: Vec<&str> = line.split_whitespace().collect();
-        if verts.is_empty() {
-            continue;
+        let edge: Vec<usize> = strip_comment(line)
+            .split_whitespace()
+            .map(|v| vertices.intern(v))
+            .collect();
+        if !edge.is_empty() {
+            raw_edges.push(edge);
         }
-        let mut edge = Vec::with_capacity(verts.len());
-        for v in verts {
-            let id = *index.entry(v.to_string()).or_insert_with(|| {
-                names.push(v.to_string());
-                names.len() - 1
-            });
-            edge.push(id);
-        }
-        raw_edges.push(edge);
     }
     if raw_edges.is_empty() {
         return Err(FormatError::new("no edges found"));
@@ -269,8 +299,7 @@ pub fn hypergraph_from_raw(
 /// comments/blank lines as elsewhere. Event-type indices are assigned in
 /// order of first appearance.
 pub fn parse_events(text: &str) -> Result<(Vec<String>, EventSequence), FormatError> {
-    let mut names: Vec<String> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
+    let mut kinds = Interner::new();
     let mut pairs: Vec<(u64, usize)> = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         let lineno = lineno + 1;
@@ -289,17 +318,16 @@ pub fn parse_events(text: &str) -> Result<(Vec<String>, EventSequence), FormatEr
         let time: u64 = time
             .parse()
             .map_err(|_| FormatError::at(lineno, column, format!("invalid time {time:?}")))?;
-        let id = *index.entry(kind.to_string()).or_insert_with(|| {
-            names.push(kind.to_string());
-            names.len() - 1
-        });
-        pairs.push((time, id));
+        pairs.push((time, kinds.intern(kind)));
     }
     if pairs.is_empty() {
         return Err(FormatError::new("no events found"));
     }
-    let alphabet = names.len();
-    Ok((names, EventSequence::from_pairs(alphabet, pairs)))
+    let alphabet = kinds.len();
+    Ok((
+        kinds.into_names(),
+        EventSequence::from_pairs(alphabet, pairs),
+    ))
 }
 
 pub(crate) fn strip_comment(line: &str) -> &str {
