@@ -21,6 +21,7 @@ cargo bench -q -p dualminer-bench --bench bitset_kernels -- "is_disjoint/100" >/
 cargo bench -q -p dualminer-bench --bench settrie -- "minimize_family/trie/250" >/dev/null
 cargo bench -q -p dualminer-bench --bench vstore -- "support_sparse" >/dev/null
 cargo bench -q -p dualminer-bench --bench dualize_matrix -- "cosparse40/mu-mmcs" >/dev/null
+cargo bench -q -p dualminer-bench --bench keys -- "agree_sets/400x13" >/dev/null
 
 # The benchmark harness (perfbench/, its own cargo workspace) calls the
 # public planner API: build and test it here, so removing a function it
@@ -160,6 +161,24 @@ RESPELLED_REQ='{"op":"mine","id":6,"input":{"path":"'"$TMP/respelled.txt"'"},"mi
 diff "$TMP/plain.out" "$TMP/respelled.out"
 grep -q 'note: cache hit' "$TMP/respelled.err" \
     || { echo "respelled baskets missed the cache"; exit 1; }
+
+# Keys with FDs and a maximal mine with its Corollary 4 check: the
+# daemon's bodies are byte-identical to the CLI's, with a pinned FD line
+# and a verified maximal block.
+printf 'name,dept,room,phone\nann,db,101,11\nbob,db,101,12\ncid,ml,202,13\ndan,ml,203,13\n' \
+    > "$TMP/staff.csv"
+"$DM" keys "$TMP/staff.csv" --fds > "$TMP/keys_cli.out"
+KEYS_REQ='{"op":"keys","id":7,"input":{"path":"'"$TMP/staff.csv"'"},"fds":true}'
+"$DM" request "$ADDR" --json "$KEYS_REQ" > "$TMP/keys_daemon.out" 2> /dev/null
+diff "$TMP/keys_cli.out" "$TMP/keys_daemon.out"
+grep -qx '  {room, phone} → name' "$TMP/keys_cli.out" \
+    || { echo "keys --fds lost the pinned FD {room, phone} → name"; exit 1; }
+"$DM" mine "$TMP/baskets.txt" --min-support 2 --maximal > "$TMP/maximal_cli.out"
+grep -q 'Verified: true' "$TMP/maximal_cli.out" \
+    || { echo "maximal mine did not verify"; exit 1; }
+MAXIMAL_REQ='{"op":"mine","id":8,"input":{"path":"'"$TMP/baskets.txt"'"},"min_support":"2","maximal":true}'
+"$DM" request "$ADDR" --json "$MAXIMAL_REQ" > "$TMP/maximal_daemon.out" 2> /dev/null
+diff "$TMP/maximal_cli.out" "$TMP/maximal_daemon.out"
 
 # Incremental append: re-mines on top of the cached base, byte-identical
 # to the one-shot run over the full appended file.

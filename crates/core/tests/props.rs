@@ -214,3 +214,35 @@ proptest! {
         }
     }
 }
+
+/// Random families over a 12-attribute universe, large enough that the
+/// planner leaves Berge for MU-MMCS or the co-sparse levelwise engine.
+fn arb_wide_family() -> impl Strategy<Value = Vec<AttrSet>> {
+    proptest::collection::vec(proptest::collection::vec(0..12usize, 2..9), 10..40).prop_map(
+        |sets| {
+            sets.into_iter()
+                .map(|s| AttrSet::from_indices(12, s))
+                .collect()
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn corollary4_verdict_is_engine_independent(family in arb_wide_family(), drop in 0usize..64) {
+        let maxth = positive_border(&family);
+        let oracle = FamilyOracle::new(12, family.clone());
+        let berge = verify_maxth(&oracle, &maxth, TrAlgorithm::Berge);
+        let auto = verify_maxth(&oracle, &maxth, TrAlgorithm::Auto);
+        prop_assert!(berge.is_maxth && auto.is_maxth);
+        prop_assert_eq!(berge.queries, auto.queries);
+
+        // Dropping a single set leaves it uncovered: both reject.
+        let mut wrong = maxth.clone();
+        wrong.remove(drop % wrong.len());
+        prop_assert!(!verify_maxth(&oracle, &wrong, TrAlgorithm::Berge).is_maxth);
+        prop_assert!(!verify_maxth(&oracle, &wrong, TrAlgorithm::Auto).is_maxth);
+    }
+}

@@ -7,6 +7,8 @@
 //! instance, which the paper's Section 5 remark says can be read off the
 //! database without `Is-interesting` queries.
 
+use std::collections::HashSet;
+
 use dualminer_bitset::AttrSet;
 use dualminer_hypergraph::maximize_family;
 
@@ -20,18 +22,57 @@ pub fn agree_set(rel: &Relation, t: usize, u: usize) -> AttrSet {
 }
 
 /// All distinct pairwise agree sets (`O(rows² · n)`), card-lex sorted.
+///
+/// One word-parallel pass. For each anchor row `t`, the agree masks of
+/// every later row `u` are built column by column: bit `a` of `u`'s mask
+/// is set iff `col[a][u] == col[a][t]`, so the inner loop is a branch-free
+/// compare over a contiguous column slice. A mask is `⌈n/64⌉` words,
+/// stored word-major (word `w` of every row, then word `w+1`), so the same
+/// loop serves every width. Masks are deduplicated on their words and an
+/// [`AttrSet`] is built only for a set's first appearance. The result
+/// equals deduplicating [`agree_set`] over all pairs.
 pub fn agree_sets(rel: &Relation) -> Vec<AttrSet> {
-    let mut seen = std::collections::HashSet::new();
+    let (n, rows) = (rel.n_attrs(), rel.n_rows());
+    let words = n.div_ceil(64);
+    let cols: Vec<Vec<u32>> = (0..n)
+        .map(|a| rel.rows().iter().map(|row| row[a]).collect())
+        .collect();
+    // masks[w * rows + u]: word `w` of row `u`'s mask against the anchor.
+    let mut masks = vec![0u64; words * rows];
+    let mut key = vec![0u64; words];
+    let mut seen: HashSet<Vec<u64>> = HashSet::new();
     let mut out = Vec::new();
-    for t in 0..rel.n_rows() {
-        for u in t + 1..rel.n_rows() {
-            let ag = agree_set(rel, t, u);
-            if seen.insert(ag.clone()) {
-                out.push(ag);
+    for t in 0..rows {
+        for word in masks.chunks_exact_mut(rows) {
+            word[t + 1..].fill(0);
+        }
+        for (a, col) in cols.iter().enumerate() {
+            let (anchor, shift) = (col[t], a % 64);
+            let word = &mut masks[(a / 64) * rows..][..rows];
+            for (m, &v) in word[t + 1..].iter_mut().zip(&col[t + 1..]) {
+                *m |= u64::from(v == anchor) << shift;
             }
         }
+        for u in t + 1..rows {
+            for (w, k) in key.iter_mut().enumerate() {
+                *k = masks[w * rows + u];
+            }
+            if seen.contains(key.as_slice()) {
+                continue;
+            }
+            let mut ag = AttrSet::empty(n);
+            for (w, &word) in key.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    ag.insert(w * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+            out.push(ag);
+            seen.insert(key.clone());
+        }
     }
-    out.sort_by(|a, b| a.cmp_card_lex(b));
+    out.sort_unstable_by(|a, b| a.cmp_card_lex(b));
     out
 }
 

@@ -20,7 +20,6 @@ use dualminer_core::lang::SetRepresentation;
 use dualminer_core::oracle::{CountingOracle, InterestOracle};
 use dualminer_hypergraph::{maximize_family, transversals_with, Hypergraph, TrAlgorithm};
 
-use crate::agree::agree_set;
 use crate::Relation;
 
 /// Definition 6 for fixed-RHS FDs: a bijection between `P(R \ {A})`
@@ -42,7 +41,7 @@ impl FdLhsRepresentation {
     }
 
     /// Reduced index of a real attribute (`None` for the target).
-    pub fn to_reduced(&self, attr: usize) -> Option<usize> {
+    fn to_reduced(self, attr: usize) -> Option<usize> {
         match attr.cmp(&self.target) {
             std::cmp::Ordering::Less => Some(attr),
             std::cmp::Ordering::Equal => None,
@@ -51,7 +50,7 @@ impl FdLhsRepresentation {
     }
 
     /// Real attribute of a reduced index.
-    pub fn to_full(&self, reduced: usize) -> usize {
+    fn to_full(self, reduced: usize) -> usize {
         if reduced < self.target {
             reduced
         } else {
@@ -133,32 +132,29 @@ pub struct FdDiscovery {
     pub queries: u64,
 }
 
-/// Direct path: agree sets of `A`-disagreeing pairs + one HTR run
-/// (the fixed-RHS analogue of the Section 5 key remark).
+/// Direct path: the agree sets without `A` + one HTR run (the fixed-RHS
+/// analogue of the Section 5 key remark).
+///
+/// `agree` is the family of *all* distinct agree sets of an `n`-attribute
+/// relation ([`agree_sets`](crate::agree::agree_sets)), not only the
+/// maximal ones. Two rows disagree on `A` exactly when `A ∉ ag(t, u)`, so
+/// the witnesses against `X → A` are the members without `A`, and one
+/// pairwise pass serves every target.
 pub fn minimal_fd_lhs_via_agree_sets(
-    rel: &Relation,
+    agree: &[AttrSet],
+    n: usize,
     target: usize,
     algo: TrAlgorithm,
 ) -> FdDiscovery {
-    let repr = FdLhsRepresentation::new(rel.n_attrs(), target);
-    // Maximal non-determining sets: maximal ag(t,u) \ {A} over pairs with
-    // t[A] ≠ u[A].
-    let mut witnesses = Vec::new();
-    for t in 0..rel.n_rows() {
-        for u in t + 1..rel.n_rows() {
-            if rel.rows()[t][target] != rel.rows()[u][target] {
-                let mut ag = agree_set(rel, t, u);
-                ag.remove(target);
-                witnesses.push(ag);
-            }
-        }
-    }
-    let mut maximal = maximize_family(witnesses);
+    let repr = FdLhsRepresentation::new(n, target);
+    // Maximal non-determining sets: the maximal agree sets without A.
+    let witnesses = agree.iter().filter(|ag| !ag.contains(target)).cloned();
+    let mut maximal = maximize_family(witnesses.collect());
     maximal.sort_by(|a, b| a.cmp_card_lex(b));
 
     // Transversals in the reduced universe, decoded back (Theorem 7's f⁻¹).
     let reduced_complements = Hypergraph::from_edges(
-        rel.n_attrs() - 1,
+        n - 1,
         maximal
             .iter()
             .map(|m| repr.encode(m).complement())
@@ -194,20 +190,27 @@ pub fn minimal_fd_lhs_dualize_advance(
 }
 
 /// Discovers minimal FDs for **every** right-hand side: the full
-/// dependency inference task of refs \[17, 18\].
-pub fn all_minimal_fds(rel: &Relation, algo: TrAlgorithm) -> Vec<FdDiscovery> {
-    (0..rel.n_attrs())
-        .map(|a| minimal_fd_lhs_via_agree_sets(rel, a, algo))
+/// dependency inference task of refs \[17, 18\]. `agree` is the family of
+/// all distinct agree sets, computed once for all `n` targets.
+pub fn all_minimal_fds(agree: &[AttrSet], n: usize, algo: TrAlgorithm) -> Vec<FdDiscovery> {
+    (0..n)
+        .map(|a| minimal_fd_lhs_via_agree_sets(agree, n, a, algo))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agree::agree_sets;
     use dualminer_bitset::Universe;
 
     fn toy() -> Relation {
         Relation::new(3, vec![vec![0, 0, 0], vec![0, 1, 1], vec![1, 1, 0]])
+    }
+
+    /// The direct path on `r`'s agree-set family, with Berge.
+    fn direct(r: &Relation, target: usize) -> FdDiscovery {
+        minimal_fd_lhs_via_agree_sets(&agree_sets(r), r.n_attrs(), target, TrAlgorithm::Berge)
     }
 
     #[test]
@@ -232,7 +235,7 @@ mod tests {
     fn both_paths_agree_on_toy() {
         let r = toy();
         for target in 0..3 {
-            let direct = minimal_fd_lhs_via_agree_sets(&r, target, TrAlgorithm::Berge);
+            let direct = direct(&r, target);
             let da = minimal_fd_lhs_dualize_advance(&r, target, TrAlgorithm::Berge);
             assert_eq!(direct.minimal_lhs, da.minimal_lhs, "target={target}");
             assert_eq!(
@@ -246,7 +249,7 @@ mod tests {
     fn discovered_fds_hold_and_are_minimal() {
         let r = toy();
         for target in 0..3 {
-            let d = minimal_fd_lhs_via_agree_sets(&r, target, TrAlgorithm::Berge);
+            let d = direct(&r, target);
             for lhs in &d.minimal_lhs {
                 assert!(r.fd_holds(lhs, target), "X={lhs:?} → {target}");
                 assert!(!lhs.contains(target));
@@ -265,14 +268,14 @@ mod tests {
         // target C: BC? — minimal LHS determining C: AB (key) and … A?
         // A→C: rows 0,1 agree on A, C differs → no. B→C: rows 1,2 agree on
         // B, C differs → no. AB→C holds (key).
-        let d = minimal_fd_lhs_via_agree_sets(&r, 2, TrAlgorithm::Berge);
+        let d = direct(&r, 2);
         assert_eq!(u.display_family(d.minimal_lhs.iter()), "{AB}");
     }
 
     #[test]
     fn constant_column_determined_by_empty_set() {
         let r = Relation::new(2, vec![vec![0, 7], vec![1, 7]]);
-        let d = minimal_fd_lhs_via_agree_sets(&r, 1, TrAlgorithm::Berge);
+        let d = direct(&r, 1);
         assert_eq!(d.minimal_lhs, vec![AttrSet::from_indices(2, [])]);
         let da = minimal_fd_lhs_dualize_advance(&r, 1, TrAlgorithm::Berge);
         assert_eq!(da.minimal_lhs, d.minimal_lhs);
@@ -282,7 +285,7 @@ mod tests {
     fn undeterminable_target_has_no_fds() {
         // Two rows equal except on B: nothing (without B) determines B.
         let r = Relation::new(2, vec![vec![0, 0], vec![0, 1]]);
-        let d = minimal_fd_lhs_via_agree_sets(&r, 1, TrAlgorithm::Berge);
+        let d = direct(&r, 1);
         assert!(d.minimal_lhs.is_empty());
         let da = minimal_fd_lhs_dualize_advance(&r, 1, TrAlgorithm::Berge);
         assert!(da.minimal_lhs.is_empty());
@@ -291,7 +294,7 @@ mod tests {
     #[test]
     fn all_fds_shape() {
         let r = toy();
-        let all = all_minimal_fds(&r, TrAlgorithm::Berge);
+        let all = all_minimal_fds(&agree_sets(&r), 3, TrAlgorithm::Berge);
         assert_eq!(all.len(), 3);
         assert!(all.iter().enumerate().all(|(i, d)| d.target == i));
     }

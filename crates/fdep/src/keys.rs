@@ -17,9 +17,9 @@ use dualminer_bitset::AttrSet;
 use dualminer_core::dualize_advance::dualize_advance;
 use dualminer_core::levelwise::levelwise;
 use dualminer_core::oracle::{CountingOracle, InterestOracle};
-use dualminer_hypergraph::{transversals_with, Hypergraph, TrAlgorithm};
+use dualminer_hypergraph::{maximize_family, transversals_with, Hypergraph, TrAlgorithm};
 
-use crate::agree::maximal_agree_sets;
+use crate::agree::agree_sets;
 use crate::Relation;
 
 /// The key-discovery `Is-interesting` oracle: interesting = **not** a
@@ -62,8 +62,19 @@ pub struct KeyDiscovery {
 
 /// Section 5 remark: agree sets + one HTR run. No oracle queries.
 pub fn minimal_keys_via_agree_sets(rel: &Relation, algo: TrAlgorithm) -> KeyDiscovery {
-    let n = rel.n_attrs();
-    let max_ag = maximal_agree_sets(rel);
+    minimal_keys_from_agree_sets(&agree_sets(rel), rel.n_attrs(), algo)
+}
+
+/// [`minimal_keys_via_agree_sets`] from an already computed agree-set
+/// family of an `n`-attribute relation, so one pairwise pass can also
+/// serve [`all_minimal_fds`](crate::fd::all_minimal_fds).
+pub fn minimal_keys_from_agree_sets(
+    agree: &[AttrSet],
+    n: usize,
+    algo: TrAlgorithm,
+) -> KeyDiscovery {
+    let mut max_ag = maximize_family(agree.to_vec());
+    max_ag.sort_by(|a, b| a.cmp_card_lex(b));
     let complements = Hypergraph::from_edges(n, max_ag.iter().map(AttrSet::complement).collect())
         .expect("complements stay in universe");
     let keys = transversals_with(&complements, algo);

@@ -42,7 +42,7 @@
 //!     vec![0, 1, 1],
 //!     vec![1, 1, 0],
 //! ]);
-//! let keys = minimal_keys_via_agree_sets(&rel, TrAlgorithm::Berge);
+//! let keys = minimal_keys_via_agree_sets(&rel, TrAlgorithm::Auto);
 //! // Agree sets are the singletons, so every pair is a minimal key.
 //! assert_eq!(keys.minimal_keys.len(), 3);
 //! assert_eq!(keys.queries, 0); // no Is-interesting queries needed

@@ -3,7 +3,10 @@
 //! construction realizes planted agree-set antichains.
 
 use dualminer_bitset::AttrSet;
-use dualminer_fdep::fd::{minimal_fd_lhs_dualize_advance, minimal_fd_lhs_via_agree_sets};
+use dualminer_fdep::agree::{agree_set, agree_sets};
+use dualminer_fdep::fd::{
+    all_minimal_fds, minimal_fd_lhs_dualize_advance, minimal_fd_lhs_via_agree_sets,
+};
 use dualminer_fdep::keys::{
     minimal_keys_dualize_advance, minimal_keys_levelwise, minimal_keys_via_agree_sets,
 };
@@ -53,7 +56,9 @@ proptest! {
 
     #[test]
     fn fd_paths_agree_and_are_sound(rel in arb_relation(), target in 0usize..N) {
-        let direct = minimal_fd_lhs_via_agree_sets(&rel, target, TrAlgorithm::Berge);
+        let direct = minimal_fd_lhs_via_agree_sets(
+            &agree_sets(&rel), N, target, TrAlgorithm::Berge,
+        );
         let da = minimal_fd_lhs_dualize_advance(&rel, target, TrAlgorithm::Berge);
         prop_assert_eq!(&direct.minimal_lhs, &da.minimal_lhs);
         for lhs in &direct.minimal_lhs {
@@ -95,5 +100,84 @@ proptest! {
             N, d.minimal_keys.clone(),
         ).unwrap();
         prop_assert!(dualminer_hypergraph::fk::are_dual(&complements, &keys));
+    }
+}
+
+/// Widths around the one-word and inline/spilled `AttrSet` boundaries.
+const WIDTHS: [usize; 7] = [0, 1, 13, 63, 64, 65, 130];
+
+/// A random relation of width `n` with duplicate rows and constant
+/// columns mixed in: cells from a small domain, a few columns pinned to
+/// one value, and some rows copied.
+fn planted_relation(n: usize, rows: usize, seed: u64) -> Relation {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let domain = rng.gen_range(1..4u32);
+    let constant: Vec<bool> = (0..n).map(|_| rng.gen_range(0..4) == 0).collect();
+    let mut data: Vec<Vec<u32>> = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        if !data.is_empty() && rng.gen_range(0..4) == 0 {
+            let copy = data[rng.gen_range(0..data.len())].clone();
+            data.push(copy);
+            continue;
+        }
+        let row = (0..n)
+            .map(|a| {
+                if constant[a] {
+                    7
+                } else {
+                    rng.gen_range(0..domain)
+                }
+            })
+            .collect();
+        data.push(row);
+    }
+    Relation::new(n, data)
+}
+
+/// The per-pair specification: every `agree_set`, deduplicated,
+/// card-lex sorted.
+fn pairwise_agree_sets(rel: &Relation) -> Vec<AttrSet> {
+    let mut all = Vec::new();
+    for t in 0..rel.n_rows() {
+        for u in t + 1..rel.n_rows() {
+            all.push(agree_set(rel, t, u));
+        }
+    }
+    all.sort_by(|a, b| a.cmp_card_lex(b));
+    all.dedup();
+    all
+}
+
+#[test]
+fn agree_sets_match_the_pairwise_spec_at_every_width() {
+    for n in WIDTHS {
+        for rows in [0, 1, 2, 3, 9, 24] {
+            for seed in 0..4 {
+                let rel = planted_relation(n, rows, seed);
+                assert_eq!(
+                    agree_sets(&rel),
+                    pairwise_agree_sets(&rel),
+                    "n={n} rows={rows} seed={seed}"
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn keys_and_fds_are_engine_independent(rows in 0usize..40, seed in any::<u64>()) {
+        let rel = planted_relation(13, rows, seed);
+        let berge = minimal_keys_via_agree_sets(&rel, TrAlgorithm::Berge);
+        let auto = minimal_keys_via_agree_sets(&rel, TrAlgorithm::Auto);
+        prop_assert_eq!(berge, auto);
+        let agree = agree_sets(&rel);
+        prop_assert_eq!(
+            all_minimal_fds(&agree, 13, TrAlgorithm::Berge),
+            all_minimal_fds(&agree, 13, TrAlgorithm::Auto)
+        );
     }
 }

@@ -24,8 +24,9 @@ use dualminer_core::dualize_advance::{dualize_advance_ctl, DualizeAdvanceConfig}
 use dualminer_core::fallible::FaultyOracle;
 use dualminer_core::levelwise::levelwise_ctl;
 use dualminer_core::oracle::{CountingOracle, FamilyOracle};
-use dualminer_fdep::fd::minimal_fd_lhs_via_agree_sets;
-use dualminer_fdep::keys::{minimal_keys_via_agree_sets, KeyDiscovery, NonSuperkeyOracle};
+use dualminer_fdep::agree::agree_sets;
+use dualminer_fdep::fd::all_minimal_fds;
+use dualminer_fdep::keys::{minimal_keys_from_agree_sets, KeyDiscovery, NonSuperkeyOracle};
 use dualminer_fdep::Relation;
 use dualminer_hypergraph::{plan, Hypergraph, TrAlgorithm};
 use dualminer_mining::apriori::{apriori_par_ctl, FrequentSets};
@@ -291,9 +292,11 @@ fn render_mine(
             out!(body, "  {}", universe.display(b));
         }
         if reason.is_none() {
-            // Verify with Corollary 4 — belt and braces for the user.
+            // Verify with Corollary 4 — belt and braces for the user. Tr
+            // is canonical, so the count |Bd⁺|+|Bd⁻| is the same whichever
+            // engine the planner picks.
             let oracle = CountingOracle::new(FrequencyOracle::new(db, sigma));
-            let out = verify_maxth(&oracle, &fs.maximal, TrAlgorithm::Berge);
+            let out = verify_maxth(&oracle, &fs.maximal, TrAlgorithm::Auto);
             out!(
                 body,
                 "Verified: {} ({} oracle queries = |Bd⁺|+|Bd⁻|)",
@@ -464,10 +467,20 @@ pub fn keys(
     let mut body = String::new();
     out!(body, "{} rows × {} attributes", rel.n_rows(), rel.n_attrs());
     cx.observer.on_phase_start("keys");
+    // One pairwise pass serves the keys and every FD target. The
+    // fault-tolerant route finds its keys by oracle queries, so it needs
+    // the pass only for FDs.
+    let agree = (fds || !run.fault_tolerant()).then(|| {
+        cx.observer.on_phase_start("agree-sets");
+        let agree = agree_sets(rel);
+        cx.observer.on_phase_end("agree-sets");
+        agree
+    });
     let (keys, reason) = if run.fault_tolerant() {
         // Fault-tolerant route: Dualize & Advance under the restricted
         // Is-interesting model (non-superkey oracle) — MTh = maximal
-        // agree sets, Bd⁻ = minimal keys.
+        // agree sets, Bd⁻ = minimal keys. It stays on Berge: its query
+        // counts and checkpoint files were recorded with that engine.
         let resume = match load_resume(run, DUALIZE_ADVANCE_KIND, cx)? {
             Some(ResumeState::DualizeAdvance(state)) => Some(state),
             _ => None,
@@ -505,7 +518,9 @@ pub fn keys(
             }
         }
     } else {
-        (minimal_keys_via_agree_sets(rel, TrAlgorithm::Berge), None)
+        let agree = agree.as_deref().expect("plain route computes agree sets");
+        let keys = minimal_keys_from_agree_sets(agree, rel.n_attrs(), TrAlgorithm::Auto);
+        (keys, None)
     };
     cx.observer.on_phase_end("keys");
     if let Some(r) = reason {
@@ -524,17 +539,17 @@ pub fn keys(
         out!(body, "  {{{}}}", names(universe, ag));
     }
     if fds {
+        let agree = agree.as_deref().expect("--fds computes agree sets");
         out!(body, "\nMinimal functional dependencies:");
         let mut any = false;
-        for target in 0..rel.n_attrs() {
-            let d = minimal_fd_lhs_via_agree_sets(rel, target, TrAlgorithm::Berge);
+        for d in all_minimal_fds(agree, rel.n_attrs(), TrAlgorithm::Auto) {
             for lhs in &d.minimal_lhs {
                 any = true;
                 out!(
                     body,
                     "  {{{}}} → {}",
                     names(universe, lhs),
-                    universe.name(target)
+                    universe.name(d.target)
                 );
             }
         }

@@ -10,8 +10,8 @@
 //! Run with: `cargo run --release --example key_discovery`
 
 use dualminer::bitset::Universe;
-use dualminer::fdep::agree::maximal_agree_sets;
-use dualminer::fdep::fd::minimal_fd_lhs_via_agree_sets;
+use dualminer::fdep::agree::{agree_sets, maximal_agree_sets};
+use dualminer::fdep::fd::all_minimal_fds;
 use dualminer::fdep::keys::{
     minimal_keys_dualize_advance, minimal_keys_levelwise, minimal_keys_via_agree_sets,
 };
@@ -71,15 +71,15 @@ fn main() {
         lw.queries
     );
 
-    // FDs with fixed right-hand sides.
+    // FDs with fixed right-hand sides, every target from one agree-set
+    // pass.
     println!("\nMinimal functional dependencies:");
-    for target in 0..rel.n_attrs() {
-        let d = minimal_fd_lhs_via_agree_sets(&rel, target, TrAlgorithm::Berge);
+    for d in all_minimal_fds(&agree_sets(&rel), rel.n_attrs(), TrAlgorithm::Auto) {
         for lhs in &d.minimal_lhs {
             println!(
                 "  {{{}}} → {}",
                 universe.display(lhs).replace(',', ", "),
-                universe.name(target)
+                universe.name(d.target)
             );
         }
     }
