@@ -1,5 +1,5 @@
 //! Thread-scaling benchmarks for the parallel mining hot paths: Apriori
-//! support counting (`apriori_par`) and the generic levelwise driver
+//! support counting (`apriori_par_ctl`) and the generic levelwise driver
 //! (`levelwise_ctl`) on Quest workloads, sweeping the worker-thread count.
 //! Results are bit-identical across the sweep; only wall-clock changes.
 //! `BENCH_baseline.json` records a reference run of this file.
@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dualminer_core::checkpoint::FaultCtl;
 use dualminer_core::levelwise::levelwise_ctl;
-use dualminer_mining::apriori::apriori_par;
+use dualminer_mining::apriori::apriori_par_ctl;
 use dualminer_mining::gen::{quest, QuestParams};
 use dualminer_mining::{FrequencyOracle, TransactionDb};
 use dualminer_obs::{Meter, NoopObserver, RunCtl};
@@ -49,7 +49,13 @@ fn bench_apriori_threads(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new(format!("i{items}_r{rows}"), threads),
             &threads,
-            |b, &threads| b.iter(|| apriori_par(&db, sigma, threads)),
+            |b, &threads| {
+                b.iter(|| {
+                    let meter = Meter::unlimited();
+                    apriori_par_ctl(&db, sigma, threads, &RunCtl::new(&meter, &NoopObserver))
+                        .expect_complete()
+                })
+            },
         );
     }
     group.finish();

@@ -1,8 +1,7 @@
 //! Vertical-store benchmarks: streaming support kernels on dense and
-//! sparse columns, the dEclat representation sweep (tidset-only vs
-//! diffset-always vs density-switched), and the segment-size sweep of the
-//! full miner. Output is bit-identical across every configuration; only
-//! wall-clock and memory change.
+//! sparse columns, and the segment-size sweep of the full miner. Output
+//! is bit-identical across every configuration; only wall-clock and
+//! memory change.
 //!
 //! This binary installs the byte-counting allocator, so its
 //! `CRITERION_JSON` lines carry real `alloc_bytes` per iteration (and the
@@ -10,9 +9,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dualminer_bitset::AttrSet;
-use dualminer_mining::apriori::apriori_par_ctl_cfg;
+use dualminer_mining::apriori::apriori_par_ctl;
 use dualminer_mining::gen::{quest, QuestParams};
-use dualminer_mining::{EclatCfg, TransactionDb};
+use dualminer_mining::TransactionDb;
 use dualminer_obs::{Meter, NoopObserver, RunCtl};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -56,35 +55,9 @@ fn bench_support_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// The full miner under each dEclat representation policy: the diffset
-/// crossover is visible as the gap between `tidset_only` and `diffset`
-/// on a dense workload.
-fn bench_representation_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("vstore");
-    group.warm_up_time(std::time::Duration::from_millis(300));
-    group.measurement_time(std::time::Duration::from_secs(1));
-    group.sample_size(10);
-    let db = quest_db(30, 5000, 8, 1024);
-    let sigma = 500usize;
-    for (label, cfg) in [
-        ("mine_tidset_only", EclatCfg::tidset_only()),
-        ("mine_diffset_always", EclatCfg::diffset_always()),
-        ("mine_density_switched", EclatCfg::default()),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let meter = Meter::unlimited();
-                apriori_par_ctl_cfg(&db, sigma, 1, &RunCtl::new(&meter, &NoopObserver), &cfg)
-                    .expect_complete()
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Segment-size sweep of the miner: small segments bound resident memory
-/// (out-of-core regime) at some streaming overhead; the default 1024 is
-/// the cache-blocked sweet spot.
+/// Segment-size sweep of the miner: how the row-segment cap of the
+/// vertical store changes the wall-clock of a full mine (the default
+/// 1024 is the cache-blocked choice).
 fn bench_segment_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("vstore");
     group.warm_up_time(std::time::Duration::from_millis(300));
@@ -99,14 +72,8 @@ fn bench_segment_sweep(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     let meter = Meter::unlimited();
-                    apriori_par_ctl_cfg(
-                        &db,
-                        sigma,
-                        1,
-                        &RunCtl::new(&meter, &NoopObserver),
-                        &EclatCfg::default(),
-                    )
-                    .expect_complete()
+                    apriori_par_ctl(&db, sigma, 1, &RunCtl::new(&meter, &NoopObserver))
+                        .expect_complete()
                 })
             },
         );
@@ -114,10 +81,5 @@ fn bench_segment_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_support_kernels,
-    bench_representation_sweep,
-    bench_segment_sweep
-);
+criterion_group!(benches, bench_support_kernels, bench_segment_sweep);
 criterion_main!(benches);

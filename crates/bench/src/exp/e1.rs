@@ -12,8 +12,9 @@ use dualminer_core::oracle::CountingOracle;
 use dualminer_hypergraph::{berge, Hypergraph, TrAlgorithm};
 use dualminer_learning::learn::learn_monotone_dualize;
 use dualminer_learning::{FuncMq, MonotoneDnf};
-use dualminer_mining::apriori::apriori_par;
+use dualminer_mining::apriori::apriori_par_ctl;
 use dualminer_mining::{FrequencyOracle, TransactionDb};
+use dualminer_obs::{Meter, NoopObserver, RunCtl};
 
 /// Runs E1 and prints the traces.
 pub fn run() {
@@ -109,7 +110,14 @@ pub fn run() {
     assert_eq!(learned.dnf, target);
 
     // Cross-check against mining output.
-    let fs = apriori_par(&db, 2, crate::threads());
+    let meter = Meter::unlimited();
+    let fs = apriori_par_ctl(
+        &db,
+        2,
+        crate::threads(),
+        &RunCtl::new(&meter, &NoopObserver),
+    )
+    .expect_complete();
     assert_eq!(learned.dnf.terms(), fs.negative_border.as_slice());
     println!("\nAll Figure 1 artifacts reproduced exactly. ✓\n");
 }

@@ -67,10 +67,9 @@ OPTIONS:
                    counting / transversal search); 0 = all available cores;
                    default 1 (sequential). Output is identical for every T.
     --segment-rows <N>  (mine) cap vertical-store row segments at N rows
-                   (default 1024). Small caps bound resident memory for
-                   out-of-core mining and tighten the checkpoint cadence
-                   (one safe point per segment); output is identical for
-                   every N.
+                   (default 1024). A cache-blocking knob: the whole store
+                   stays in memory and checkpoints still land at level
+                   boundaries; output is identical for every N.
     --grain <G>    smallest index range a work-stealing task is split down
                    to (default 0 = adaptive: len/(threads*8)). Smaller
                    grains improve load balance on skewed workloads at the

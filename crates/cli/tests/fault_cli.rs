@@ -6,10 +6,13 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use dualminer_obs::{CheckpointSink, FileCheckpoint, Json};
+
 const EXIT_USAGE: i32 = 2;
 const EXIT_PARSE: i32 = 3;
 const EXIT_IO: i32 = 4;
 const EXIT_FAULT: i32 = 5;
+const EXIT_BUDGET: i32 = 6;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dualminer"))
@@ -315,5 +318,60 @@ fn resume_without_checkpoint_file_starts_fresh() {
     ]);
     assert!(out.status.success(), "{out:?}");
     assert_eq!(normalize(&stdout(&out)), normalize(&stdout(&plain)));
+    let _ = fs::remove_file(&ckpt);
+}
+
+/// A checkpointed mine honours `--max-queries` exactly: it stops at the
+/// cap and prints the same partial prefix as the uncheckpointed run.
+/// Six items make level 1 wider than the cap, so the trip lands
+/// mid-level.
+#[test]
+fn checkpointed_mine_stops_at_the_query_cap() {
+    let baskets = temp_file(
+        "q-baskets.txt",
+        "a b c\nb c d\na c e\nd e f\na b f\nc d e f\n",
+    );
+    let input = baskets.display().to_string();
+    let ckpt = temp_path("cap.ckpt");
+    let ckpt_s = ckpt.display().to_string();
+    let base = ["mine", &input, "--min-support", "2", "--max-queries", "5"];
+    let stats = ["--stats", "json"];
+    let plain = run(&[&base[..], &stats[..]].concat());
+    let checkpointed = run(&[&base[..], &["--checkpoint", &ckpt_s], &stats[..]].concat());
+    for out in [&plain, &checkpointed] {
+        assert_eq!(out.status.code(), Some(EXIT_BUDGET), "{out:?}");
+    }
+    let (text, plain_text) = (stdout(&checkpointed), stdout(&plain));
+    let (body, json) = text.trim_end().rsplit_once('\n').expect("body + stats");
+    let (plain_body, _) = plain_text
+        .trim_end()
+        .rsplit_once('\n')
+        .expect("body + stats");
+    assert!(json.contains("\"queries\":5,"), "{json:?}");
+    assert_eq!(body, plain_body);
+    let _ = fs::remove_file(&ckpt);
+}
+
+/// An `apriori-seg` checkpoint (the kind earlier versions' segment-major
+/// Apriori engine wrote) is refused with a typed I/O error that names
+/// its kind — never resumed, never silently discarded.
+#[test]
+fn old_segment_engine_checkpoint_is_refused_by_kind() {
+    let baskets = temp_file("o-baskets.txt", BASKETS);
+    let ckpt = temp_path("seg.ckpt");
+    FileCheckpoint::new(&ckpt)
+        .save("apriori-seg", &Json::Obj(vec![]))
+        .expect("write checkpoint");
+    let out = run(&[
+        "mine",
+        &baskets.display().to_string(),
+        "--min-support",
+        "2",
+        "--checkpoint",
+        &ckpt.display().to_string(),
+        "--resume",
+    ]);
+    assert_eq!(out.status.code(), Some(EXIT_IO), "{out:?}");
+    assert!(stderr(&out).contains("apriori-seg"), "{out:?}");
     let _ = fs::remove_file(&ckpt);
 }

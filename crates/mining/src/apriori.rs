@@ -148,30 +148,8 @@ impl FrequentSets {
 /// # Panics
 /// Panics if `min_support` is 0 (see [`crate::FrequencyOracle::new`]).
 pub fn apriori(db: &TransactionDb, min_support: usize) -> FrequentSets {
-    apriori_par(db, min_support, 1)
-}
-
-/// [`apriori`] with each level's support counting spread over up to
-/// `threads` scoped worker threads (`0` = available parallelism).
-///
-/// Work splits by candidate: every candidate's support is still one
-/// streaming pass over its parent's and join partner's tid structures
-/// (the Eclat/dEclat reuse is intact — level nodes are shared read-only
-/// across workers). Chunks are contiguous
-/// runs of the sequential candidate order and per-chunk results merge in
-/// chunk order, so the returned [`FrequentSets`] — itemsets with supports,
-/// maximal family, negative border, per-level candidate counts, and
-/// therefore [`FrequentSets::queries`] — is bit-identical to the
-/// sequential miner for every thread count.
-pub fn apriori_par(db: &TransactionDb, min_support: usize, threads: usize) -> FrequentSets {
     let meter = Meter::unlimited();
-    apriori_par_ctl(
-        db,
-        min_support,
-        threads,
-        &RunCtl::new(&meter, &NoopObserver),
-    )
-    .expect_complete()
+    apriori_par_ctl(db, min_support, 1, &RunCtl::new(&meter, &NoopObserver)).expect_complete()
 }
 
 /// The maximal family of a mined (downward-closed) itemset collection, by
@@ -189,35 +167,12 @@ fn trie_maximal(itemsets: &[(AttrSet, usize)]) -> Vec<AttrSet> {
         .collect()
 }
 
-/// Derives the maximal family, sorts the negative border, and assembles the
-/// result — shared by complete and budget-exceeded exits so partial results
-/// carry the maximal sets *of the mined prefix*.
-pub(crate) fn finish_sets(
-    db: &TransactionDb,
-    min_support: usize,
-    itemsets: Vec<(AttrSet, usize)>,
-    negative: Vec<AttrSet>,
-    candidates_per_level: Vec<usize>,
-) -> FrequentSets {
-    // Maximal iff no proper frequent superset exists. The mined prefix is
-    // closed under immediate subsets (candidate pruning guarantees it), so
-    // the proper-superset trie query agrees with the immediate-superset
-    // scan — without cloning and hashing n supersets per itemset.
-    let maximal = trie_maximal(&itemsets);
-    finish_sets_with_maximal(
-        db,
-        min_support,
-        itemsets,
-        maximal,
-        negative,
-        candidates_per_level,
-    )
-}
-
-/// [`finish_sets`] for callers that already know the maximal family —
-/// the in-memory miner derives it incrementally from its per-level
-/// subset marks instead of paying for a trie over the whole collection.
-pub(crate) fn finish_sets_with_maximal(
+/// Sorts the negative border and assembles the result — shared by
+/// complete and budget-exceeded exits, so partial results carry the
+/// maximal sets *of the mined prefix*. The miner derives `maximal`
+/// incrementally from its per-level subset marks; debug builds check it
+/// against the trie scan.
+fn finish_sets(
     db: &TransactionDb,
     min_support: usize,
     mut itemsets: Vec<(AttrSet, usize)>,
@@ -249,7 +204,19 @@ pub(crate) fn finish_sets_with_maximal(
     }
 }
 
-/// [`apriori_par`] under a budget and an observer.
+/// [`apriori`] with each level's support counting spread over up to
+/// `threads` scoped worker threads (`0` = available parallelism), under a
+/// budget and an observer.
+///
+/// Work splits by candidate: every candidate's support is still one
+/// streaming pass over its parent's and join partner's tid structures
+/// (the Eclat/dEclat reuse is intact — level nodes are shared read-only
+/// across workers). Chunks are contiguous runs of the sequential
+/// candidate order and per-chunk results merge in chunk order, so a
+/// complete run's [`FrequentSets`] — itemsets with supports, maximal
+/// family, negative border, per-level candidate counts, and therefore
+/// [`FrequentSets::queries`] — is bit-identical to the sequential miner
+/// for every thread count.
 ///
 /// Each candidate support count records one metered query (matching
 /// [`FrequentSets::queries`] on a complete run), and each completed level
@@ -265,15 +232,15 @@ pub fn apriori_par_ctl(
     threads: usize,
     ctl: &RunCtl<'_>,
 ) -> Outcome<FrequentSets> {
-    apriori_par_ctl_cfg(db, min_support, threads, ctl, &EclatCfg::default())
+    apriori_with_cfg(db, min_support, threads, ctl, &EclatCfg::default())
 }
 
 /// [`apriori_par_ctl`] with an explicit tidset↔diffset switching
 /// configuration. The configuration affects only the shape of the
 /// intermediate tid structures — every support is exact either way, so
-/// output is bit-identical across settings (the equivalence tests run
-/// [`EclatCfg::tidset_only`] against [`EclatCfg::diffset_always`]).
-pub fn apriori_par_ctl_cfg(
+/// output is bit-identical across settings (the unit tests run
+/// `EclatCfg::tidset_only` against `EclatCfg::diffset_always`).
+fn apriori_with_cfg(
     db: &TransactionDb,
     min_support: usize,
     threads: usize,
@@ -288,7 +255,14 @@ pub fn apriori_par_ctl_cfg(
 
     if let Some(reason) = ctl.meter.exceeded() {
         return Outcome::BudgetExceeded {
-            partial: finish_sets(db, min_support, itemsets, negative, candidates_per_level),
+            partial: finish_sets(
+                db,
+                min_support,
+                itemsets,
+                vec![],
+                negative,
+                candidates_per_level,
+            ),
             reason,
         };
     }
@@ -424,7 +398,7 @@ pub fn apriori_par_ctl_cfg(
                 .exceeded()
                 .unwrap_or(dualminer_obs::BudgetReason::Cancelled);
             return Outcome::BudgetExceeded {
-                partial: finish_sets_with_maximal(
+                partial: finish_sets(
                     db,
                     min_support,
                     itemsets,
@@ -448,7 +422,7 @@ pub fn apriori_par_ctl_cfg(
 
     // Members of the final level were never extended: all maximal.
     maximal.extend(itemsets[level_start..].iter().map(|(s, _)| s.clone()));
-    Outcome::Complete(finish_sets_with_maximal(
+    Outcome::Complete(finish_sets(
         db,
         min_support,
         itemsets,
@@ -523,7 +497,9 @@ mod tests {
         for sigma in 1..=4usize {
             let seq = apriori(&db, sigma);
             for threads in [0, 2, 3, 8] {
-                let par = apriori_par(&db, sigma, threads);
+                let meter = Meter::unlimited();
+                let par = apriori_par_ctl(&db, sigma, threads, &RunCtl::new(&meter, &NoopObserver))
+                    .expect_complete();
                 assert_eq!(par.itemsets, seq.itemsets, "σ={sigma} threads={threads}");
                 assert_eq!(par.maximal, seq.maximal);
                 assert_eq!(par.negative_border, seq.negative_border);
@@ -601,5 +577,64 @@ mod tests {
         let fs = apriori(&db, 1);
         assert!(fs.itemsets.is_empty());
         assert_eq!(fs.negative_border, vec![AttrSet::empty(3)]);
+    }
+
+    /// Tidset-only, diffset-always, and the density-switched default mine
+    /// bit-identically on row universes straddling the u64 block
+    /// boundaries (64/127/128/129) and spanning multiple blocks (200) —
+    /// the support identity `support(c) = support(parent) − |diffset|`
+    /// must hold exactly at every tail-masking shape.
+    #[test]
+    fn diffset_equals_tidset_across_row_universes() {
+        let n_items = 12usize;
+        for n_rows in [64usize, 127, 128, 129, 200] {
+            // Deterministic quasi-random rows: dense enough that deep
+            // levels exist, varied enough that diffsets and tidsets both
+            // win nodes under the default density rule.
+            let rows: Vec<Vec<usize>> = (0..n_rows)
+                .map(|t| {
+                    (0..n_items)
+                        .filter(|i| (t * 7 + i * 13) % 5 != 0 && (t + i) % 3 != 2)
+                        .collect()
+                })
+                .collect();
+            for segment_rows in [64usize, 100, 1024] {
+                let db = TransactionDb::with_segment_rows(
+                    n_items,
+                    rows.iter()
+                        .map(|r| AttrSet::from_indices(n_items, r.iter().copied()))
+                        .collect(),
+                    segment_rows,
+                );
+                let sigma = n_rows / 3;
+                let reference = apriori(&db, sigma);
+                for cfg in [
+                    EclatCfg::default(),
+                    EclatCfg::tidset_only(),
+                    EclatCfg::diffset_always(),
+                ] {
+                    for threads in [1, 3] {
+                        let meter = Meter::unlimited();
+                        let fs = apriori_with_cfg(
+                            &db,
+                            sigma,
+                            threads,
+                            &RunCtl::new(&meter, &NoopObserver),
+                            &cfg,
+                        )
+                        .expect_complete();
+                        let ctx = format!("rows={n_rows} seg={segment_rows} threads={threads}");
+                        assert_eq!(fs.itemsets, reference.itemsets, "{ctx}");
+                        assert_eq!(fs.maximal, reference.maximal, "{ctx}");
+                        assert_eq!(fs.negative_border, reference.negative_border, "{ctx}");
+                        assert_eq!(
+                            fs.candidates_per_level, reference.candidates_per_level,
+                            "{ctx}"
+                        );
+                        assert_eq!(fs.queries(), reference.queries(), "{ctx}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -13,13 +13,18 @@
 //! (`f(X) = X`, Example 8).
 //!
 //! * [`TransactionDb`] — a segmented vertical store ([`vstore`]) of
-//!   per-item tidsets with lazily transposed horizontal rows; support
-//!   counting is a streaming AND + popcount over one row segment at a
-//!   time.
+//!   per-item tidsets with lazily transposed horizontal rows, held whole
+//!   in memory; support counting is a streaming AND + popcount over one
+//!   row segment at a time.
 //! * [`FrequencyOracle`] — the `Is-interesting` adapter: *frequent =
 //!   interesting*, monotone by construction.
 //! * [`apriori`] — the specialized levelwise miner that also records
-//!   supports (Eclat-style tidset intersection along the prefix tree).
+//!   supports (Eclat/dEclat tid structures along the prefix tree), with
+//!   two entry points: [`apriori::apriori`] and the parallel, budgeted
+//!   [`apriori::apriori_par_ctl`]. Checkpointed and fault-tolerant runs
+//!   drive the generic `dualminer_core::levelwise::levelwise_ctl` over a
+//!   [`FrequencyOracle`] instead, whose safe points are level
+//!   boundaries.
 //! * [`maximal`] — maximal-frequent-set mining by levelwise, by Dualize &
 //!   Advance, or by random restarts, all through the `dualminer-core`
 //!   machinery.
@@ -57,10 +62,9 @@ pub mod incremental;
 pub mod maximal;
 pub mod rules;
 pub mod sampling;
-pub mod seg;
 mod tdb;
 pub mod vstore;
 
 pub use freq::FrequencyOracle;
 pub use tdb::TransactionDb;
-pub use vstore::{EclatCfg, VStore, VStoreBuilder, DEFAULT_SEGMENT_ROWS};
+pub use vstore::{VStore, VStoreBuilder, DEFAULT_SEGMENT_ROWS};

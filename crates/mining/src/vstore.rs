@@ -11,18 +11,17 @@
 //! every segment size, which is what keeps the miner's output
 //! bit-identical across `--segment-rows` settings.
 //!
-//! On top of the store sit the [`EclatNode`] structures the Apriori/Eclat
+//! On top of the store sit the `EclatNode` structures the Apriori/Eclat
 //! miner threads through its prefix tree. A node stores either its
 //! **tidset** or its dEclat **diffset** `d(c) = t(parent) \ t(c)` (so
 //! `support(c) = support(parent) − |d(c)|`), chosen per node by a density
-//! heuristic ([`EclatCfg::diffset_density`]): dense children switch to
+//! heuristic (`EclatCfg::diffset_density`): dense children switch to
 //! diffsets, which empty out as the prefix tree deepens. Read-only
-//! counting ([`VStore::count_pair`]) runs as one contiguous pass over the
-//! whole node (the per-segment runs are packed back to back); the
-//! materializing pass ([`VStore::make_child`]) and the checkpointing
-//! per-segment counter ([`VStore::count_pair_seg`]) work segment by
-//! segment, skipping segments the cached per-segment popcounts prove
-//! empty without touching a single block.
+//! counting (`count_pair`) runs as one contiguous pass over the whole
+//! node (the per-segment runs are packed back to back); the materializing
+//! pass (`make_child`) works segment by segment, skipping segments the
+//! cached per-segment popcounts prove empty without touching a single
+//! block.
 //!
 //! **Representation uniformity.** A node's `diff_children` flag fixes the
 //! representation of *all* its children (forced to diffsets when the node
@@ -203,14 +202,14 @@ impl VStoreBuilder {
 
 /// Knobs for the dEclat representation switch.
 #[derive(Clone, Copy, Debug)]
-pub struct EclatCfg {
+pub(crate) struct EclatCfg {
     /// A node's children are materialized as diffsets when
     /// `support(child) ≥ diffset_density · support(node)` (dense children
     /// have small diffsets). `0.0` forces diffsets everywhere below the
     /// first level; an infinite threshold disables them. The setting
     /// never changes mined output, only the shape of the intermediate
     /// structures.
-    pub diffset_density: f64,
+    pub(crate) diffset_density: f64,
 }
 
 impl Default for EclatCfg {
@@ -221,16 +220,17 @@ impl Default for EclatCfg {
     }
 }
 
+#[cfg(test)]
 impl EclatCfg {
     /// Plain Eclat: tidsets at every level.
-    pub fn tidset_only() -> EclatCfg {
+    pub(crate) fn tidset_only() -> EclatCfg {
         EclatCfg {
             diffset_density: f64::INFINITY,
         }
     }
 
     /// dEclat everywhere below the first level.
-    pub fn diffset_always() -> EclatCfg {
+    pub(crate) fn diffset_always() -> EclatCfg {
         EclatCfg {
             diffset_density: 0.0,
         }
@@ -239,7 +239,7 @@ impl EclatCfg {
 
 /// Which tid structure an [`EclatNode`] stores.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TidRepr {
+pub(crate) enum TidRepr {
     /// The node's tidset.
     Tidset,
     /// The dEclat diffset `t(parent) \ t(node)`.
@@ -249,9 +249,9 @@ pub enum TidRepr {
 /// One prefix-tree node of the Eclat/dEclat miner: its support plus the
 /// stored tid structure, segmented like the store.
 #[derive(Clone, Debug)]
-pub struct EclatNode {
+pub(crate) struct EclatNode {
     /// Absolute support of the node's itemset.
-    pub support: usize,
+    pub(crate) support: usize,
     repr: TidRepr,
     /// Children of this node materialize as diffsets (forced when the
     /// node itself is one — see the module docs).
@@ -261,19 +261,6 @@ pub struct EclatNode {
     /// Popcount of `blocks` per segment; zero segments are skipped
     /// without reading a block.
     seg_counts: Vec<u32>,
-    /// `|t(node) ∩ segment|` per segment — equals `seg_counts` for tidset
-    /// nodes and is maintained through the diffset recurrence otherwise.
-    /// This is what makes per-segment partial counts representation-
-    /// independent, so mid-level checkpoints survive a resume that
-    /// rebuilds nodes in a different representation.
-    t_counts: Vec<u32>,
-}
-
-impl EclatNode {
-    /// The stored representation.
-    pub fn repr(&self) -> TidRepr {
-        self.repr
-    }
 }
 
 impl VStore {
@@ -304,21 +291,10 @@ impl VStore {
         self.segment_rows
     }
 
-    /// Number of segments.
-    #[inline]
-    pub fn n_segments(&self) -> usize {
-        self.segments.len()
-    }
-
     /// Total blocks of one node structure (sum of per-segment runs).
     #[inline]
-    pub fn node_blocks(&self) -> usize {
+    fn node_blocks(&self) -> usize {
         *self.block_starts.last().unwrap_or(&0)
-    }
-
-    #[inline]
-    fn node_seg<'a>(&self, blocks: &'a [u64], s: usize) -> &'a [u64] {
-        &blocks[self.block_starts[s]..self.block_starts[s + 1]]
     }
 
     /// Support of a single item: the popcount of its column.
@@ -525,7 +501,7 @@ impl VStore {
     /// A level-1 node: the tidset of one item, gathered segment by
     /// segment (an aligned copy — item runs and node runs share the
     /// segment block layout).
-    pub fn item_node(&self, item: usize, support: usize, cfg: &EclatCfg) -> EclatNode {
+    pub(crate) fn item_node(&self, item: usize, support: usize, cfg: &EclatCfg) -> EclatNode {
         let mut blocks = vec![0u64; self.node_blocks()];
         let mut seg_counts = vec![0u32; self.segments.len()];
         for (s, seg) in self.segments.iter().enumerate() {
@@ -540,76 +516,12 @@ impl VStore {
             seg_counts.iter().map(|&c| c as usize).sum::<usize>(),
             support
         );
-        let t_counts = seg_counts.clone();
         EclatNode {
             support,
             repr: TidRepr::Tidset,
             diff_children: self.heuristic_diff(support, self.n_rows, cfg),
             blocks,
             seg_counts,
-            t_counts,
-        }
-    }
-
-    /// A node rebuilt from scratch as a plain tidset (the resume path: the
-    /// original run's representation choices are not recorded in a
-    /// checkpoint, and do not need to be — they never affect counts).
-    pub fn tidset_node(&self, items: &[usize], support: usize, cfg: &EclatCfg) -> EclatNode {
-        let mut blocks = vec![0u64; self.node_blocks()];
-        let mut seg_counts = vec![0u32; self.segments.len()];
-        if let Some((&first, rest)) = items.split_first() {
-            'seg: for (s, seg) in self.segments.iter().enumerate() {
-                let run = seg.item_run(first);
-                if run.is_empty() {
-                    continue;
-                }
-                for &i in rest {
-                    if seg.item_run(i).is_empty() {
-                        continue 'seg;
-                    }
-                }
-                let out = &mut blocks[self.block_starts[s]..self.block_starts[s + 1]];
-                let mut count = 0u32;
-                for (b, o) in out.iter_mut().enumerate() {
-                    let mut w = run[b];
-                    for &i in rest {
-                        if w == 0 {
-                            break;
-                        }
-                        w &= seg.item_run(i)[b];
-                    }
-                    *o = w;
-                    count += w.count_ones();
-                }
-                seg_counts[s] = count;
-            }
-        } else {
-            // ∅: all rows, tail bits masked off per segment.
-            for (s, seg) in self.segments.iter().enumerate() {
-                let out = &mut blocks[self.block_starts[s]..self.block_starts[s + 1]];
-                for (b, o) in out.iter_mut().enumerate() {
-                    let rows_here = (seg.rows - b * 64).min(64);
-                    *o = if rows_here == 64 {
-                        u64::MAX
-                    } else {
-                        (1u64 << rows_here) - 1
-                    };
-                }
-                seg_counts[s] = seg.rows as u32;
-            }
-        }
-        debug_assert_eq!(
-            seg_counts.iter().map(|&c| c as usize).sum::<usize>(),
-            support
-        );
-        let t_counts = seg_counts.clone();
-        EclatNode {
-            support,
-            repr: TidRepr::Tidset,
-            diff_children: self.heuristic_diff(support, self.n_rows, cfg),
-            blocks,
-            seg_counts,
-            t_counts,
         }
     }
 
@@ -618,10 +530,9 @@ impl VStore {
     /// **one** contiguous AND/ANDNOT-popcount pass over the whole
     /// structure — no per-segment slicing on the reject path, which the
     /// miner takes for every candidate that misses the threshold. (The
-    /// per-segment zero-skips live in [`make_child`](Self::make_child)
-    /// and [`count_pair_seg`](Self::count_pair_seg), where segment
-    /// granularity is load-bearing.)
-    pub fn count_pair(&self, x: &EclatNode, y: &EclatNode) -> usize {
+    /// per-segment zero-skips live in [`make_child`](Self::make_child),
+    /// where segment granularity is load-bearing.)
+    pub(crate) fn count_pair(&self, x: &EclatNode, y: &EclatNode) -> usize {
         debug_assert_eq!(x.repr, y.repr, "prefix-join pairs share a representation");
         match x.repr {
             TidRepr::Tidset => kernels::and_len(&x.blocks, &y.blocks),
@@ -630,50 +541,12 @@ impl VStore {
         }
     }
 
-    /// `|d(y) \ d(x)|` within segment `s` (the per-segment subtraction of
-    /// the diffset recurrence), with both zero-skip shortcuts.
-    #[inline]
-    fn diff_removed_seg(&self, x: &EclatNode, y: &EclatNode, s: usize) -> usize {
-        if y.seg_counts[s] == 0 {
-            0
-        } else if x.seg_counts[s] == 0 {
-            y.seg_counts[s] as usize
-        } else {
-            kernels::andnot_len(self.node_seg(&y.blocks, s), self.node_seg(&x.blocks, s))
-        }
-    }
-
-    /// `|t(item) ∩ segment s|` — the cardinality-1 case of the
-    /// segment-major counter ([`count_pair_seg`](Self::count_pair_seg)
-    /// covers cardinality ≥ 2).
-    pub fn item_seg_count(&self, item: usize, s: usize) -> usize {
-        kernels::popcount(self.segments[s].item_run(item))
-    }
-
-    /// `|t(x ∪ y) ∩ segment s|` — the representation-independent
-    /// per-segment count the segment-major (checkpointing) counter
-    /// accumulates. Summed over all segments this equals
-    /// [`count_pair`](Self::count_pair) for either representation.
-    pub fn count_pair_seg(&self, x: &EclatNode, y: &EclatNode, s: usize) -> usize {
-        debug_assert_eq!(x.repr, y.repr);
-        match x.repr {
-            TidRepr::Tidset => {
-                if x.seg_counts[s] == 0 || y.seg_counts[s] == 0 {
-                    0
-                } else {
-                    kernels::and_len(self.node_seg(&x.blocks, s), self.node_seg(&y.blocks, s))
-                }
-            }
-            TidRepr::Diffset => x.t_counts[s] as usize - self.diff_removed_seg(x, y, s),
-        }
-    }
-
     /// Materializes the child of `x ∪ {last(y)}` (tidset or diffset, per
     /// `x.diff_children`) in one streaming write pass over the segments,
     /// skipping segments the cached counts prove empty — called only for
     /// candidates that passed the threshold, with the `support` that
     /// [`count_pair`](Self::count_pair) already established.
-    pub fn make_child(
+    pub(crate) fn make_child(
         &self,
         x: &EclatNode,
         y: &EclatNode,
@@ -730,23 +603,12 @@ impl VStore {
         } else {
             TidRepr::Tidset
         };
-        let t_counts = match repr {
-            TidRepr::Tidset => seg_counts.clone(),
-            // |t(c)|_s = |t(x)|_s − |d(c)|_s, whichever representation x has.
-            TidRepr::Diffset => x
-                .t_counts
-                .iter()
-                .zip(&seg_counts)
-                .map(|(&tx, &d)| tx - d)
-                .collect(),
-        };
         EclatNode {
             support,
             repr,
             diff_children: repr == TidRepr::Diffset || self.heuristic_diff(support, x.support, cfg),
             blocks,
             seg_counts,
-            t_counts,
         }
     }
 }
@@ -826,7 +688,7 @@ mod tests {
         let vs = b.finish();
         assert_eq!(vs.n_items(), 3);
         assert_eq!(vs.n_rows(), 5);
-        assert_eq!(vs.n_segments(), 3);
+        assert_eq!(vs.segments.len(), 3);
         assert_eq!(vs.item_support(0), 3);
         assert_eq!(vs.item_support(2), 3);
         assert_eq!(vs.support_items(&[0, 2]), 1);
@@ -837,14 +699,13 @@ mod tests {
     fn empty_store() {
         let vs = VStoreBuilder::new(8).finish();
         assert_eq!(vs.n_rows(), 0);
-        assert_eq!(vs.n_segments(), 0);
+        assert_eq!(vs.segments.len(), 0);
         assert_eq!(vs.support(&AttrSet::empty(0)), 0);
         assert!(vs.to_rows().is_empty());
     }
 
     /// Exhaustively mines pairs/triples through both representations and
-    /// checks every support against the horizontal count, including the
-    /// representation-independent per-segment sums.
+    /// checks every support against the horizontal count.
     #[test]
     #[allow(clippy::needless_range_loop)] // triple-nested index loops read clearer here
     fn declat_recurrences_are_exact() {
@@ -868,10 +729,6 @@ mod tests {
                         let y = &items[j];
                         let expect = naive_support(&rs, &AttrSet::from_indices(n, [i, j]));
                         assert_eq!(vs.count_pair(x, y), expect, "seg={seg} pair {i},{j}");
-                        let seg_sum: usize = (0..vs.n_segments())
-                            .map(|s| vs.count_pair_seg(x, y, s))
-                            .sum();
-                        assert_eq!(seg_sum, expect);
                         let c_ij = vs.make_child(x, y, expect, &cfg);
                         assert_eq!(c_ij.support, expect);
                         // Grandchildren: siblings c_ij, c_ik share parent i.
@@ -884,10 +741,6 @@ mod tests {
                                 expect3,
                                 "seg={seg} triple {i},{j},{k}"
                             );
-                            let s3: usize = (0..vs.n_segments())
-                                .map(|s| vs.count_pair_seg(&c_ij, &c_ik, s))
-                                .sum();
-                            assert_eq!(s3, expect3);
                             let made = vs.make_child(&c_ij, &c_ik, expect3, &cfg);
                             assert_eq!(made.support, expect3);
                         }
@@ -895,26 +748,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn tidset_node_matches_item_intersection() {
-        let n = 5;
-        let rs: Vec<AttrSet> = (0..80)
-            .map(|t| AttrSet::from_indices(n, (0..n).filter(|i| (t + i * 3) % (i + 2) == 0)))
-            .collect();
-        let vs = VStore::from_rows(n, &rs, 33);
-        let cfg = EclatCfg::default();
-        let node = vs.tidset_node(&[0, 2], vs.support_items(&[0, 2]), &cfg);
-        assert_eq!(
-            node.support,
-            naive_support(&rs, &AttrSet::from_indices(n, [0, 2]))
-        );
-        let empty = vs.tidset_node(&[], vs.n_rows(), &cfg);
-        assert_eq!(empty.support, 80);
-        assert_eq!(
-            empty.t_counts.iter().map(|&c| c as usize).sum::<usize>(),
-            80
-        );
     }
 }

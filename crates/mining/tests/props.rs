@@ -3,10 +3,11 @@
 
 use dualminer_bitset::{AttrSet, SubsetsOfSize};
 use dualminer_hypergraph::TrAlgorithm;
-use dualminer_mining::apriori::apriori;
+use dualminer_mining::apriori::{apriori, apriori_par_ctl};
 use dualminer_mining::maximal::{maximal_frequent_sets, MaximalStrategy};
 use dualminer_mining::rules::association_rules;
 use dualminer_mining::TransactionDb;
+use dualminer_obs::{Meter, NoopObserver, RunCtl};
 use proptest::prelude::*;
 
 const N: usize = 6;
@@ -39,7 +40,9 @@ proptest! {
         // Work-stealing determinism contract at every thread count.
         let seq = apriori(&db, sigma);
         for threads in [1usize, 2, 4, 8] {
-            let par = dualminer_mining::apriori::apriori_par(&db, sigma, threads);
+            let meter = Meter::unlimited();
+            let par = apriori_par_ctl(&db, sigma, threads, &RunCtl::new(&meter, &NoopObserver))
+                .expect_complete();
             prop_assert_eq!(par.itemsets(), seq.itemsets(), "threads={}", threads);
             prop_assert_eq!(par.maximal.clone(), seq.maximal.clone(), "threads={}", threads);
             prop_assert_eq!(par.negative_border.clone(), seq.negative_border.clone(), "threads={}", threads);
@@ -288,7 +291,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Segmentation and representation invariance (PR 6)
+// Segmentation invariance
 // ---------------------------------------------------------------------------
 
 /// Asserts two mines are bit-identical on every observable axis.
@@ -310,15 +313,9 @@ proptest! {
     /// Mining output is invariant under the vertical store's segment
     /// partition: caps of 1 (every row its own segment), a small
     /// non-dividing cap, n−1, n, and an over-large cap all produce the
-    /// same theory, borders, candidate counts, and query totals — with
-    /// both the candidate-major and the segment-major engines.
+    /// same theory, borders, candidate counts, and query totals.
     #[test]
     fn segmented_mining_equals_monolithic(db in arb_db(), sigma in 1usize..4) {
-        use dualminer_mining::apriori::apriori;
-        use dualminer_mining::seg::apriori_par_seg_ctl;
-        use dualminer_mining::EclatCfg;
-        use dualminer_obs::{Meter, NoopObserver, RunCtl};
-
         let reference = apriori(&db, sigma);
         let rows = db.rows().to_vec();
         let n_rows = db.n_rows();
@@ -333,78 +330,6 @@ proptest! {
             let seg_db = TransactionDb::with_segment_rows(N, rows.clone(), cap);
             let fs = apriori(&seg_db, sigma);
             assert_mines_equal(&fs, &reference, &format!("apriori cap={cap}"));
-            let meter = Meter::unlimited();
-            let seg = apriori_par_seg_ctl(
-                &seg_db,
-                sigma,
-                2,
-                &RunCtl::new(&meter, &NoopObserver),
-                None,
-                None,
-                &EclatCfg::default(),
-            )
-            .unwrap()
-            .expect_complete();
-            assert_mines_equal(&seg, &reference, &format!("seg engine cap={cap}"));
-        }
-    }
-}
-
-/// Tidset-only, diffset-always, and the density-switched default mine
-/// bit-identically on row universes straddling the u64 block boundaries
-/// (64/127/128/129) and spanning multiple blocks (200) — the support
-/// identity `support(c) = support(parent) − |diffset|` must hold exactly
-/// at every tail-masking shape.
-#[test]
-fn diffset_equals_tidset_across_row_universes() {
-    use dualminer_mining::apriori::{apriori, apriori_par_ctl_cfg};
-    use dualminer_mining::EclatCfg;
-    use dualminer_obs::{Meter, NoopObserver, RunCtl};
-
-    let n_items = 12usize;
-    for n_rows in [64usize, 127, 128, 129, 200] {
-        // Deterministic quasi-random rows: dense enough that deep levels
-        // exist, varied enough that diffsets and tidsets both win nodes
-        // under the default density rule.
-        let rows: Vec<Vec<usize>> = (0..n_rows)
-            .map(|t| {
-                (0..n_items)
-                    .filter(|i| (t * 7 + i * 13) % 5 != 0 && (t + i) % 3 != 2)
-                    .collect()
-            })
-            .collect();
-        for segment_rows in [64usize, 100, 1024] {
-            let db = TransactionDb::with_segment_rows(
-                n_items,
-                rows.iter()
-                    .map(|r| AttrSet::from_indices(n_items, r.iter().copied()))
-                    .collect(),
-                segment_rows,
-            );
-            let sigma = n_rows / 3;
-            let reference = apriori(&db, sigma);
-            for cfg in [
-                EclatCfg::default(),
-                EclatCfg::tidset_only(),
-                EclatCfg::diffset_always(),
-            ] {
-                for threads in [1, 3] {
-                    let meter = Meter::unlimited();
-                    let fs = apriori_par_ctl_cfg(
-                        &db,
-                        sigma,
-                        threads,
-                        &RunCtl::new(&meter, &NoopObserver),
-                        &cfg,
-                    )
-                    .expect_complete();
-                    assert_mines_equal(
-                        &fs,
-                        &reference,
-                        &format!("rows={n_rows} seg={segment_rows} threads={threads}"),
-                    );
-                }
-            }
         }
     }
 }

@@ -374,8 +374,7 @@ pub fn par_map<T: Sync, R: Send>(
     indexed.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Decides the chunk geometry shared by [`par_chunks`] and
-/// [`par_chunks_zip_mut`]: at most `threads * max(oversubscribe, 1)`
+/// Decides the chunk geometry of [`par_chunks`]: at most `threads * max(oversubscribe, 1)`
 /// contiguous chunks of equal ceiling length. Note the *actual* chunk
 /// count `ceil(len / chunk_len)` can undershoot the requested `n_chunks`
 /// (e.g. `len = 6`, `n_chunks = 4` → `chunk_len = 2` → 3 chunks); every
@@ -414,78 +413,6 @@ pub fn par_chunks<T: Sync, R: Send>(
         .chunks(chunk_len(threads, oversubscribe, items.len()))
         .collect();
     par_map(threads, &chunks, |_, chunk| f(chunk))
-}
-
-/// [`par_chunks`] over parallel slices: splits `items` and `outs` (which
-/// must have equal lengths) into the *same* contiguous chunk boundaries
-/// and calls `f(offset, item_chunk, out_chunk)` on worker threads —
-/// `offset` is the chunk's starting index in `items`, so `f` can recover
-/// each element's global position — and each worker writes its results
-/// straight into its exclusive slice of the output buffer: no per-chunk
-/// allocation, no merge step. The segment-major support counter uses this
-/// to accumulate per-candidate partial counts in place, one pass per row
-/// segment.
-///
-/// Chunks are *stolen*, not statically striped: each `(offset, items,
-/// outs)` triple sits in a take-once slot, and the work-stealing core
-/// hands slot indices to whichever worker is free. Each output element is
-/// written by exactly one worker, so the result is deterministic —
-/// identical to the sequential loop — for every thread count and
-/// schedule.
-///
-/// # Panics
-/// Panics if `items.len() != outs.len()`.
-pub fn par_chunks_zip_mut<T: Sync, U: Send>(
-    threads: usize,
-    oversubscribe: usize,
-    items: &[T],
-    outs: &mut [U],
-    f: impl Fn(usize, &[T], &mut [U]) + Sync,
-) {
-    assert_eq!(
-        items.len(),
-        outs.len(),
-        "par_chunks_zip_mut: items and outs must be parallel slices"
-    );
-    let threads = effective_threads(threads).min(items.len());
-    if threads <= 1 {
-        if !items.is_empty() {
-            TOTAL_TASKS.fetch_add(1, Ordering::Relaxed);
-            f(0, items, outs);
-        }
-        return;
-    }
-    let cl = chunk_len(threads, oversubscribe, items.len());
-    // Take-once slots transfer ownership of each `&mut` output chunk to
-    // exactly one worker — the safe-Rust route to stealable mutable work.
-    type Chunk<'a, T, U> = (usize, &'a [T], &'a mut [U]);
-    let slots: Vec<Mutex<Option<Chunk<'_, T, U>>>> = items
-        .chunks(cl)
-        .zip(outs.chunks_mut(cl))
-        .enumerate()
-        .map(|(c, (chunk, out))| Mutex::new(Some((c * cl, chunk, out))))
-        .collect();
-    if slots.len() < 2 {
-        // One chunk: the scheduler needs two tasks to matter.
-        for slot in slots {
-            if let Some((offset, chunk, out)) = slot.into_inner().expect("chunk slot poisoned") {
-                TOTAL_TASKS.fetch_add(1, Ordering::Relaxed);
-                f(offset, chunk, out);
-            }
-        }
-        return;
-    }
-    let threads = threads.min(slots.len());
-    ws_run(threads, slots.len(), 1, |_, start, stop| {
-        for slot in &slots[start..stop] {
-            let (offset, chunk, out) = slot
-                .lock()
-                .expect("chunk slot poisoned")
-                .take()
-                .expect("chunk slot processed twice");
-            f(offset, chunk, out);
-        }
-    });
 }
 
 /// Runs two closures, on two scoped threads when `parallel` is true, and
@@ -656,81 +583,10 @@ mod tests {
         assert!(sizes.iter().all(|&s| s >= 1));
 
         // len = 7, threads = 3, oversubscribe = 1 → chunk_len = 3 →
-        // chunks of 3, 3, 1 at offsets 0, 3, 6.
+        // chunks of 3, 3, 1.
         let items: Vec<u32> = (0..7).collect();
-        let offsets_seen = Mutex::new(Vec::new());
-        let mut outs = vec![0u8; items.len()];
-        par_chunks_zip_mut(3, 1, &items, &mut outs, |offset, chunk, out| {
-            offsets_seen.lock().unwrap().push((offset, chunk.len()));
-            for (k, o) in out.iter_mut().enumerate() {
-                *o = (offset + k) as u8;
-            }
-        });
-        let mut seen = offsets_seen.into_inner().unwrap();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(0, 3), (3, 3), (6, 1)]);
-        assert_eq!(outs, (0..7).map(|i| i as u8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_chunks_zip_mut_matches_sequential() {
-        let items: Vec<u32> = (0..997).collect();
-        let expected: Vec<u64> = items.iter().map(|&x| x as u64 * 3 + 1).collect();
-        for threads in [1, 2, 3, 8] {
-            for oversubscribe in [0, 1, 4] {
-                let mut outs = vec![0u64; items.len()];
-                par_chunks_zip_mut(
-                    threads,
-                    oversubscribe,
-                    &items,
-                    &mut outs,
-                    |offset, chunk, out| {
-                        for (k, (x, o)) in chunk.iter().zip(out.iter_mut()).enumerate() {
-                            // The offset recovers the global index.
-                            assert_eq!(offset + k, *x as usize);
-                            *o = *x as u64 * 3 + 1;
-                        }
-                    },
-                );
-                assert_eq!(outs, expected, "threads={threads} over={oversubscribe}");
-            }
-        }
-    }
-
-    #[test]
-    fn par_chunks_zip_mut_accumulates_in_place() {
-        // Two passes add into the same buffer — the segment-major pattern.
-        let items: Vec<u32> = (0..100).collect();
-        let mut outs = vec![0u64; items.len()];
-        for pass in 0..2 {
-            par_chunks_zip_mut(3, 4, &items, &mut outs, |_, chunk, out| {
-                for (x, o) in chunk.iter().zip(out.iter_mut()) {
-                    *o += (*x + pass) as u64;
-                }
-            });
-        }
-        let expected: Vec<u64> = items.iter().map(|&x| (2 * x + 1) as u64).collect();
-        assert_eq!(outs, expected);
-    }
-
-    #[test]
-    fn par_chunks_zip_mut_empty_and_singleton() {
-        let mut outs: Vec<u64> = vec![];
-        par_chunks_zip_mut(4, 4, &[] as &[u32], &mut outs, |_, _, _| {
-            panic!("no chunks")
-        });
-        let mut one = vec![0u64];
-        par_chunks_zip_mut(4, 4, &[7u32], &mut one, |off, c, o| {
-            o[0] = c[0] as u64 + off as u64 + 1
-        });
-        assert_eq!(one, vec![8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "parallel slices")]
-    fn par_chunks_zip_mut_length_mismatch_panics() {
-        let mut outs = vec![0u64; 2];
-        par_chunks_zip_mut(2, 1, &[1u32, 2, 3], &mut outs, |_, _, _| {});
+        let chunks = par_chunks(3, 1, &items, |c| c.to_vec());
+        assert_eq!(chunks, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]]);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use dualminer_bitset::{AttrSet, Universe};
 use dualminer_core::border::verify_maxth;
 use dualminer_core::checkpoint::{
-    Aborted, CheckpointCfg, FaultCtl, ResumeState, DUALIZE_ADVANCE_KIND, LEVELWISE_KIND,
+    Aborted, FaultCtl, ResumeState, DUALIZE_ADVANCE_KIND, LEVELWISE_KIND,
 };
 use dualminer_core::dualize_advance::{dualize_advance_ctl, DualizeAdvanceConfig};
 use dualminer_core::fallible::FaultyOracle;
@@ -32,8 +32,7 @@ use dualminer_hypergraph::{plan, Hypergraph, TrAlgorithm};
 use dualminer_mining::apriori::{apriori_par_ctl, FrequentSets};
 use dualminer_mining::incremental::{append_rows_ctl, IncrementalUpdate};
 use dualminer_mining::rules::association_rules;
-use dualminer_mining::seg::{apriori_par_seg_ctl, AprioriSegState, APRIORI_SEG_KIND};
-use dualminer_mining::{EclatCfg, FrequencyOracle, TransactionDb};
+use dualminer_mining::{FrequencyOracle, TransactionDb};
 use dualminer_obs::{
     BudgetReason, DualizeStats, FileCheckpoint, Meter, MiningObserver, RunCtl, RunError,
     StatsCollector,
@@ -180,52 +179,6 @@ fn load_resume(
     Ok(Some(state))
 }
 
-/// Peeks at the checkpoint file's envelope kind when `--resume` was
-/// given, without deserializing the state. `mine` routes by this: a
-/// checkpoint written by the fault-tolerant levelwise engine resumes on
-/// that engine even when the rerun passes no fault flags, and a
-/// segment-major checkpoint resumes on the segment engine.
-fn resume_kind(run: &RunOpts) -> Result<Option<String>, JobError> {
-    if !run.resume {
-        return Ok(None);
-    }
-    let Some(path) = run.checkpoint.as_deref() else {
-        return Ok(None);
-    };
-    let file = FileCheckpoint::new(path);
-    let envelope = file.load().map_err(|e| JobError::Io(e.to_string()))?;
-    Ok(envelope.map(|e| e.kind))
-}
-
-/// Loads the segment-engine resume state when `--resume` was given. Same
-/// contract as [`load_resume`]: a missing file starts from scratch, a
-/// corrupt or foreign-engine file is an error.
-fn load_seg_resume(run: &RunOpts, cx: &ExecCtx<'_>) -> Result<Option<AprioriSegState>, JobError> {
-    if !run.resume {
-        return Ok(None);
-    }
-    let Some(path) = run.checkpoint.as_deref() else {
-        return Err(JobError::Io("--resume requires --checkpoint".into()));
-    };
-    let file = FileCheckpoint::new(path);
-    let Some(envelope) = file.load().map_err(|e| JobError::Io(e.to_string()))? else {
-        (cx.note)(&format!(
-            "note: checkpoint {path:?} not found; starting from scratch"
-        ));
-        return Ok(None);
-    };
-    if envelope.kind != APRIORI_SEG_KIND {
-        return Err(JobError::Io(format!(
-            "checkpoint {path:?} holds a {} run, expected {APRIORI_SEG_KIND}",
-            envelope.kind
-        )));
-    }
-    let state =
-        AprioriSegState::from_json(&envelope.payload).map_err(|e| JobError::Io(e.to_string()))?;
-    (cx.note)(&format!("note: resuming from checkpoint {path:?}"));
-    Ok(Some(state))
-}
-
 /// Converts an aborted fallible run into the error for its cause,
 /// pointing the user at `--resume` when a safe point was persisted.
 fn abort_error(aborted: Aborted, checkpoint: Option<&str>, cx: &ExecCtx<'_>) -> JobError {
@@ -330,11 +283,10 @@ fn render_mine(
 
 /// Mines `db` at absolute threshold `sigma` and renders the `mine` body.
 ///
-/// Engine routing matches the historical CLI exactly: injected faults or
-/// retries (or resuming a levelwise checkpoint) take the fault-tolerant
-/// levelwise engine; a checkpointed but fault-free run takes the
-/// segment-major engine; plain runs keep the specialized apriori fast
-/// path. All three are bit-identical on complete runs.
+/// Two routes, bit-identical on complete runs: any fault-tolerance
+/// option (injected faults, retries, `--checkpoint` or `--resume`) takes
+/// the fault-tolerant levelwise engine, whose safe points are level
+/// boundaries; plain runs keep the specialized apriori fast path.
 ///
 /// Returns the rendered output plus the mined collection (which the
 /// daemon caches to power incremental re-mining; the CLI drops it).
@@ -347,10 +299,7 @@ pub fn mine(
     cx: &ExecCtx<'_>,
 ) -> Result<(JobOutput, FrequentSets), JobError> {
     cx.observer.on_phase_start("mine");
-    let fallible = run.fault_inject.is_some()
-        || run.retry > 0
-        || resume_kind(run)?.as_deref() == Some(LEVELWISE_KIND);
-    let (fs, reason) = if fallible {
+    let (fs, reason) = if run.fault_tolerant() {
         // Fault-tolerant route: the generic levelwise engine over a
         // (possibly fault-injected) frequency oracle — retries,
         // checkpoint/resume — then exact supports recomputed from the
@@ -374,34 +323,6 @@ pub fn mine(
             Err(aborted) => {
                 cx.observer.on_phase_end("mine");
                 return Err(abort_error(aborted, run.checkpoint.as_deref(), cx));
-            }
-        }
-    } else if run.fault_tolerant() {
-        // Checkpointed (or resumed) but fault-free: the segment-major
-        // engine, bit-identical to apriori with per-segment safe points.
-        let resume = load_seg_resume(run, cx)?;
-        let sink = run.checkpoint.as_deref().map(FileCheckpoint::new);
-        let ckpt = sink.as_ref().map(|s| CheckpointCfg {
-            sink: s,
-            every: run.checkpoint_cadence(),
-        });
-        match apriori_par_seg_ctl(
-            db,
-            sigma,
-            cx.threads,
-            &cx.ctl(),
-            ckpt.as_ref(),
-            resume,
-            &EclatCfg::default(),
-        ) {
-            Ok(outcome) => outcome.into_parts(),
-            Err(RunError::Checkpoint(msg)) => {
-                cx.observer.on_phase_end("mine");
-                return Err(JobError::Io(msg));
-            }
-            Err(RunError::Oracle(e)) => {
-                cx.observer.on_phase_end("mine");
-                return Err(JobError::Fault(e.to_string()));
             }
         }
     } else {

@@ -151,10 +151,10 @@ pub fn parse_baskets(text: &str) -> Result<(Universe, TransactionDb), FormatErro
 
 /// Streaming [`parse_baskets`]: reads transactions line by line from any
 /// [`BufRead`] source, pushing each row into a [`VStoreBuilder`] with row
-/// segments capped at `segment_rows`. Only the dictionary and the compact
-/// vertical segments are ever resident — neither the input text nor an
-/// index-row copy of the database is materialized, so this is the
-/// out-of-core ingestion path (`--segment-rows` on the CLI).
+/// segments capped at `segment_rows` (`--segment-rows` on the CLI). Only
+/// the dictionary and the compact vertical segments are ever resident —
+/// neither the input text nor an index-row copy of the database is
+/// materialized.
 ///
 /// I/O failures (including invalid UTF-8) surface as a [`FormatError`] at
 /// the offending physical line.
