@@ -13,7 +13,7 @@ cargo fmt --check
 # vendored proptest is excluded; its own docs carry links we do not own.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --exclude proptest
 
-# Bench smoke: all bench targets compile, and two microbench groups run
+# Bench smoke: all bench targets compile, and a few microbench groups run
 # end-to-end (single fast ids, so the gate stays quick). The settrie id
 # also cross-checks trie-vs-pairwise minimization agreement at startup.
 cargo bench -q -p dualminer-bench --no-run
@@ -22,6 +22,7 @@ cargo bench -q -p dualminer-bench --bench settrie -- "minimize_family/trie/250" 
 cargo bench -q -p dualminer-bench --bench vstore -- "support_sparse" >/dev/null
 cargo bench -q -p dualminer-bench --bench dualize_matrix -- "cosparse40/mu-mmcs" >/dev/null
 cargo bench -q -p dualminer-bench --bench keys -- "agree_sets/400x13" >/dev/null
+cargo bench -q -p dualminer-bench --bench serve -- "frame/decode" >/dev/null
 
 # The benchmark harness (perfbench/, its own cargo workspace) calls the
 # public planner API: build and test it here, so removing a function it

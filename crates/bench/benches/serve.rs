@@ -2,6 +2,9 @@
 //! a live in-process `dualminer serve` — cold compute vs warm cache hit
 //! on a deep-lattice mine, incremental re-mining over appended rows vs
 //! from-scratch, and batch completion time at 1/4/16 concurrent clients.
+//! The `frame` group times the result-frame codec alone on that mine's
+//! ~1 MB body: `encode` is the server's `proto::ev_result`, `decode` the
+//! client's `Json::parse`.
 //!
 //! Every measurement is a full protocol round trip (request line out,
 //! event stream back to the terminal `result`), so the numbers include
@@ -15,7 +18,9 @@ use std::path::PathBuf;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dualminer_mining::gen::{quest, QuestParams};
+use dualminer_obs::Json;
 use dualminer_serve::client::{Conn, Event};
+use dualminer_serve::proto::{ev_result, CacheTag};
 use dualminer_serve::server::{start, ServeConfig, ServerHandle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -162,6 +167,53 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
     drop(conn);
     handle.shutdown();
     handle.join();
+}
+
+/// The result-frame codec on a warm hit's body: the deep-lattice database
+/// of [`bench_cold_vs_warm`] mined at σ = 72 (a ~1.1 MB body, the size
+/// the daemon benchmark's warm hits serve), fetched once from a live
+/// daemon, then encoded with `proto::ev_result` as a hit frame and decoded
+/// with `Json::parse` — the two string passes every result frame pays.
+fn bench_frame_codec(c: &mut Criterion) {
+    let dir = bench_dir();
+    let path_buf = dir.join("deep_frame.txt");
+    fs::write(&path_buf, quest_text(26, 400, 13, 21)).expect("write deep baskets");
+    let path = path_buf.to_str().expect("utf-8 temp path");
+
+    let (handle, addr) = serve(1);
+    let mut conn = Conn::connect(&addr).expect("connect");
+    let events = conn
+        .roundtrip(&mine_line(1, path, 72, false, "bypass"), 1)
+        .expect("mine roundtrip");
+    expect_result(&events, "miss");
+    drop(conn);
+    handle.shutdown();
+    handle.join();
+
+    let result = events.last().expect("terminal event");
+    let field = |key: &str| result.str_field(key).expect("result field").to_string();
+    let (fingerprint, body, stats) = (field("fingerprint"), field("body"), field("stats"));
+    let frame = ev_result(3, CacheTag::Hit, None, 0, &fingerprint, &body, &stats);
+    assert_eq!(
+        Json::parse(&frame)
+            .expect("frame parses")
+            .get("body")
+            .and_then(Json::as_str),
+        Some(&*body),
+        "the frame round-trips its body"
+    );
+
+    let mut group = c.benchmark_group("frame");
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_secs(1));
+    group.sample_size(10);
+    group.bench_function("encode", |b| {
+        b.iter(|| ev_result(3, CacheTag::Hit, None, 0, &fingerprint, &body, &stats))
+    });
+    group.bench_function("decode", |b| {
+        b.iter(|| Json::parse(&frame).expect("frame parses"))
+    });
+    group.finish();
 }
 
 /// Appended-rows re-mining: both arms mine `base + one fresh row`, the
@@ -396,6 +448,7 @@ fn bench_overload(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cold_vs_warm,
+    bench_frame_codec,
     bench_incremental_append,
     bench_concurrent_clients,
     bench_overload

@@ -632,7 +632,9 @@ impl StatsCollector {
                 out.push(',');
             }
             let ms = elapsed.unwrap_or_else(|| started.elapsed()).as_secs_f64() * 1e3;
-            out.push_str(&format!("{{\"name\":\"{}\",\"ms\":{ms:.3}}}", escape(name)));
+            out.push_str("{\"name\":\"");
+            json::escape_into(&mut out, name);
+            out.push_str(&format!("\",\"ms\":{ms:.3}}}"));
         }
         out.push_str("],");
         if let Some(sched) = &inner.scheduler {
@@ -732,38 +734,15 @@ pub fn available_cpus() -> usize {
 }
 
 fn push_str_field(out: &mut String, key: &str, value: &str) {
-    out.push_str(&format!("\"{key}\":\"{}\",", escape(value)));
+    out.push('"');
+    out.push_str(key);
+    out.push_str("\":\"");
+    json::escape_into(out, value);
+    out.push_str("\",");
 }
 
 fn push_u64_field(out: &mut String, key: &str, value: u64) {
     out.push_str(&format!("\"{key}\":{value},"));
-}
-
-fn escape(s: &str) -> String {
-    // Copy maximal clean runs with one `push_str` each instead of
-    // re-encoding char by char: daemon result bodies travel as one
-    // multi-megabyte embedded string, and every escape-triggering byte
-    // is ASCII, so runs always end on a UTF-8 boundary.
-    let mut out = String::with_capacity(s.len() + 2);
-    let bytes = s.as_bytes();
-    let mut start = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b != b'"' && b != b'\\' && b >= 0x20 {
-            continue;
-        }
-        out.push_str(&s[start..i]);
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\t' => out.push_str("\\t"),
-            b'\r' => out.push_str("\\r"),
-            _ => out.push_str(&format!("\\u{:04x}", b)),
-        }
-        start = i + 1;
-    }
-    out.push_str(&s[start..]);
-    out
 }
 
 #[cfg(test)]
@@ -958,7 +937,9 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let mut out = String::new();
+        push_str_field(&mut out, "k", "a\"b\\c\nd");
+        assert_eq!(out, "\"k\":\"a\\\"b\\\\c\\nd\",");
     }
 
     #[test]

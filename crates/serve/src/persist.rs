@@ -9,9 +9,9 @@
 //! logs a warning and cold-starts, exactly as if no snapshot existed.
 //!
 //! What is persisted per entry: the cache key (`params`/`content`
-//! fingerprints as zero-padded hex — the integer-only JSON dialect cannot
-//! carry a full `u64`), the row count, exit code, rendered body, and
-//! stats artifact. The in-memory
+//! fingerprints as zero-padded hex, the form snapshots have always used,
+//! kept so existing snapshot files stay byte-identical), the row count,
+//! exit code, rendered body, and stats artifact. The in-memory
 //! [`MineArtifacts`](crate::cache::MineArtifacts) (mined collection +
 //! database) are deliberately *not* serialized: restored entries answer
 //! exact-key warm hits byte-identically but sit out the incremental

@@ -8,7 +8,8 @@
 //! connection can keep several jobs in flight.
 //!
 //! The JSON dialect is the integer-only [`Json`] the checkpoint format
-//! already uses — no floats on the wire. Quantities that are naturally
+//! also uses — no floats on the wire; ids and counters are exact `u64`.
+//! Quantities that are naturally
 //! fractional (support fractions, rule confidence, timeouts) travel as
 //! *strings* in the CLI's own flag syntax (`"0.5"`, `"250ms"`) and parse
 //! through the same [`crate::job`] parsers as the command line, so the

@@ -163,6 +163,27 @@ fn warm_hit_runs_no_engine_and_streams_no_progress() {
 }
 
 #[test]
+fn request_ids_above_i64_max_are_echoed_exactly() {
+    // Ids are u64 on the wire: 2^63 + 1 must not saturate or be rejected
+    // as invalid JSON, and every event of the job echoes it digit for digit.
+    let id = (1u64 << 63) + 1;
+    let (handle, addr) = serve(1);
+    let mut conn = Conn::connect(&addr).unwrap();
+    let events = conn.roundtrip(&mine_line(id, BASKETS, ""), id).unwrap();
+    let result = terminal(&events);
+    assert_eq!(result.kind, "result");
+    assert_eq!(result.int_field("exit"), Some(0));
+    assert!(events.iter().all(|e| e.id == id));
+    assert_eq!(result.fields.get("id").and_then(|v| v.as_uint()), Some(id));
+    assert!(result
+        .fields
+        .to_string()
+        .starts_with(r#"{"event":"result","id":9223372036854775809,"#));
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
 fn incremental_append_reuses_the_cached_base() {
     let (handle, addr) = serve(1);
     let mut conn = Conn::connect(&addr).unwrap();
