@@ -59,12 +59,10 @@ grep -q -- '--resume' "$TMP/kill.err"
     --checkpoint "$TMP/mine.ckpt" --resume > "$TMP/resumed.out" 2> /dev/null
 diff "$TMP/plain.out" "$TMP/resumed.out"
 
-# Segmented-store smoke (DESIGN.md §12): a ~100k-row basket file mined
-# with tiny row segments must print exactly what the default
-# segmentation prints, and a checkpointed run interrupted at its query
-# cap (--max-queries, exit 6, exactly 40 queries) must --resume on the
-# levelwise engine to the same output — with or without the tiny
-# segments, since level checkpoints do not depend on segmentation.
+# 100k-row smoke (DESIGN.md §11): a checkpointed run interrupted at its
+# query cap (--max-queries, exit 6, exactly 40 queries) must --resume on
+# the levelwise engine to the plain output, from the checkpoint itself
+# and from a copy of it resumed at two threads.
 awk 'BEGIN {
     srand(11);
     for (r = 0; r < 100000; r++) {
@@ -76,23 +74,21 @@ awk 'BEGIN {
     }
 }' > "$TMP/big.txt"
 "$DM" mine "$TMP/big.txt" --min-support 0.05 > "$TMP/big_plain.out"
-"$DM" mine "$TMP/big.txt" --min-support 0.05 --segment-rows 512 > "$TMP/big_seg.out"
-diff "$TMP/big_plain.out" "$TMP/big_seg.out"
 set +e
-"$DM" mine "$TMP/big.txt" --min-support 0.05 --segment-rows 512 \
-    --checkpoint "$TMP/seg.ckpt" --checkpoint-every 1 \
+"$DM" mine "$TMP/big.txt" --min-support 0.05 \
+    --checkpoint "$TMP/big.ckpt" --checkpoint-every 1 \
     --max-queries 40 --stats json > "$TMP/big_tripped.out" 2> /dev/null
 code=$?
 set -e
 [ "$code" -eq 6 ] || { echo "expected exit 6 from tripped budget, got $code"; exit 1; }
 tail -n 1 "$TMP/big_tripped.out" | grep -q '"queries":40,'
-grep -q '"kind":"levelwise"' "$TMP/seg.ckpt"
-cp "$TMP/seg.ckpt" "$TMP/seg2.ckpt"
-"$DM" mine "$TMP/big.txt" --min-support 0.05 --segment-rows 512 \
-    --checkpoint "$TMP/seg.ckpt" --resume > "$TMP/big_resumed.out" 2> /dev/null
-diff "$TMP/big_plain.out" "$TMP/big_resumed.out"
+grep -q '"kind":"levelwise"' "$TMP/big.ckpt"
+cp "$TMP/big.ckpt" "$TMP/big2.ckpt"
 "$DM" mine "$TMP/big.txt" --min-support 0.05 \
-    --checkpoint "$TMP/seg2.ckpt" --resume > "$TMP/big_resumed2.out" 2> /dev/null
+    --checkpoint "$TMP/big.ckpt" --resume > "$TMP/big_resumed.out" 2> /dev/null
+diff "$TMP/big_plain.out" "$TMP/big_resumed.out"
+"$DM" mine "$TMP/big.txt" --min-support 0.05 --threads 2 \
+    --checkpoint "$TMP/big2.ckpt" --resume > "$TMP/big_resumed2.out" 2> /dev/null
 diff "$TMP/big_plain.out" "$TMP/big_resumed2.out"
 
 # Scheduler stress (DESIGN.md §13): hammer the work-stealing scheduler

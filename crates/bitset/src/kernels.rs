@@ -1,11 +1,10 @@
-//! Public block-level streaming kernels for segmented vertical stores.
+//! Public block-level kernels for vertical stores.
 //!
-//! The segmented vertical store (`dualminer-mining`'s `vstore`) keeps
-//! per-item tidsets and per-node diffsets as bare `u64` runs, *outside*
-//! any [`crate::AttrSet`] — the runs of one row segment are packed
-//! contiguously so the miner can stream AND/ANDNOT + popcount over one
-//! cache-resident segment at a time. These kernels are the inner loops of
-//! that streaming pass: same-length slice in, count (and optionally the
+//! The vertical store (`dualminer-mining`'s `vstore`) keeps per-item
+//! tidsets and per-node diffsets as bare `u64` runs, *outside* any
+//! [`crate::AttrSet`] — the runs of all items are packed item-major into
+//! one arena. These kernels are the inner loops of its AND/ANDNOT +
+//! popcount passes: same-length slices in, count (and optionally the
 //! materialized result) out, no allocation, no branching beyond the block
 //! loop.
 //!
@@ -13,8 +12,8 @@
 //! this module is the deliberately small *public* slice-level surface the
 //! store builds on. All functions assume `a.len() == b.len()` (and
 //! `out.len() == a.len()` for the materializing variants) — the store
-//! guarantees this because every run of one segment has the same block
-//! count — and `debug_assert!` it.
+//! guarantees this because every run has the same block count — and
+//! `debug_assert!` it.
 
 /// Popcount of a block run.
 #[inline]
@@ -99,16 +98,6 @@ pub fn andnot_into(a: &[u64], b: &[u64], out: &mut [u64]) -> usize {
     count
 }
 
-/// Copies `a` into `out` and returns its popcount — the degenerate
-/// materializing pass when the other operand contributes nothing (e.g. a
-/// segment where the subtrahend diffset is empty).
-#[inline]
-pub fn copy_into(a: &[u64], out: &mut [u64]) -> usize {
-    debug_assert_eq!(a.len(), out.len());
-    out.copy_from_slice(a);
-    popcount(a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,8 +129,6 @@ mod tests {
         assert_eq!(popcount(&out), and_len(&a, &b));
         assert_eq!(andnot_into(&a, &b, &mut out), andnot_len(&a, &b));
         assert_eq!(popcount(&out), andnot_len(&a, &b));
-        assert_eq!(copy_into(&a, &mut out), popcount(&a));
-        assert_eq!(out, a);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::time::Duration;
 
 use dualminer_hypergraph::TrAlgorithm;
 use dualminer_serve::job::{parse_algo, parse_duration, parse_support, validate_run};
+use dualminer_serve::server::ServeConfig;
 
 pub use dualminer_serve::job::{RunOpts, Support};
 
@@ -18,7 +19,7 @@ dualminer — data mining, hypergraph transversals, and machine learning (PODS 1
 
 USAGE:
     dualminer mine <baskets.txt> --min-support <N|0.x> [--rules <conf>] [--maximal]
-                   [--threads <T>] [--segment-rows <N>] [RUN OPTIONS]
+                   [--threads <T>] [RUN OPTIONS]
     dualminer keys <relation.csv> [--fds] [RUN OPTIONS]
     dualminer transversals <hypergraph.txt>
                    [--algo auto|berge|fk|levelwise|mu-mmcs|egm]
@@ -66,10 +67,6 @@ OPTIONS:
     --threads <T>  worker threads for the parallel hot paths (support
                    counting / transversal search); 0 = all available cores;
                    default 1 (sequential). Output is identical for every T.
-    --segment-rows <N>  (mine) cap vertical-store row segments at N rows
-                   (default 1024). A cache-blocking knob: the whole store
-                   stays in memory and checkpoints still land at level
-                   boundaries; output is identical for every N.
     --grain <G>    smallest index range a work-stealing task is split down
                    to (default 0 = adaptive: len/(threads*8)). Smaller
                    grains improve load balance on skewed workloads at the
@@ -184,8 +181,6 @@ pub enum Command {
         maximal: bool,
         /// Worker threads for support counting (0 = auto, 1 = sequential).
         threads: usize,
-        /// Vertical-store segment row cap (`--segment-rows`, default 1024).
-        segment_rows: Option<usize>,
         /// Budget / observability options.
         run: RunOpts,
     },
@@ -230,39 +225,7 @@ pub enum Command {
         run: RunOpts,
     },
     /// `serve` subcommand: the mining daemon.
-    Serve {
-        /// TCP listen address (`--listen`; default 127.0.0.1:0 when no
-        /// unix socket is given).
-        listen: Option<String>,
-        /// Unix socket path (`--unix`).
-        unix: Option<String>,
-        /// Worker-pool size (`--workers`, 0 = available cores).
-        workers: usize,
-        /// Result-cache capacity (`--cache-entries`, 0 = default 256).
-        cache_entries: usize,
-        /// Queued-job bound (`--max-queue`, 0 = default 1024).
-        max_queue: usize,
-        /// Per-connection in-flight bound (`--max-inflight-per-conn`,
-        /// 0 = default 64).
-        max_inflight_per_conn: usize,
-        /// Timeout for jobs that request none (`--default-timeout`).
-        default_timeout: Option<Duration>,
-        /// Upper clamp on any job timeout (`--max-timeout`).
-        max_timeout: Option<Duration>,
-        /// Request-frame byte bound (`--max-frame-bytes`, 0 = 8 MiB).
-        max_frame_bytes: usize,
-        /// Input row bound (`--max-rows`, 0 = unlimited).
-        max_rows: u64,
-        /// Distinct-item bound (`--max-items`, 0 = unlimited).
-        max_items: u64,
-        /// Per-connection write deadline (`--write-timeout`).
-        write_timeout: Option<Duration>,
-        /// Cache snapshot path (`--cache-persist`).
-        cache_persist: Option<String>,
-        /// Periodic snapshot cadence (`--cache-snapshot-every`,
-        /// 0 = shutdown only).
-        cache_snapshot_every: u64,
-    },
+    Serve(ServeConfig),
     /// `request` subcommand: one protocol round trip against a daemon.
     Request {
         /// Server address: `host:port`, a socket path, or `unix:<path>`.
@@ -296,7 +259,7 @@ impl Command {
             | Command::Transversals { run, .. }
             | Command::Episodes { run, .. } => Some(run),
             Command::VerifyDual { .. }
-            | Command::Serve { .. }
+            | Command::Serve(_)
             | Command::Request { .. }
             | Command::Help => None,
         }
@@ -403,7 +366,6 @@ fn parse_inner(argv: &[String]) -> Result<Command, String> {
             let mut rules = None;
             let mut maximal = false;
             let mut threads = 1;
-            let mut segment_rows = None;
             let mut run = RunOpts::default();
             while let Some(flag) = it.next() {
                 if parse_run_flag(flag, &mut it, &mut run)? {
@@ -417,16 +379,6 @@ fn parse_inner(argv: &[String]) -> Result<Command, String> {
                     "--threads" => {
                         let v = it.next().ok_or("--threads needs a value")?;
                         threads = parse_threads(v)?;
-                    }
-                    "--segment-rows" => {
-                        let v = it.next().ok_or("--segment-rows needs a value")?;
-                        let rows = v.parse::<usize>().map_err(|_| {
-                            format!("invalid --segment-rows value {v:?} (want integer ≥ 1)")
-                        })?;
-                        if rows == 0 {
-                            return Err("--segment-rows must be ≥ 1".into());
-                        }
-                        segment_rows = Some(rows);
                     }
                     "--rules" => {
                         let v = it.next().ok_or("--rules needs a confidence value")?;
@@ -446,7 +398,6 @@ fn parse_inner(argv: &[String]) -> Result<Command, String> {
                 rules,
                 maximal,
                 threads,
-                segment_rows,
                 run,
             })
         }
@@ -542,20 +493,7 @@ fn parse_inner(argv: &[String]) -> Result<Command, String> {
             })
         }
         "serve" => {
-            let mut listen = None;
-            let mut unix = None;
-            let mut workers = 0;
-            let mut cache_entries = 0;
-            let mut max_queue = 0;
-            let mut max_inflight_per_conn = 0;
-            let mut default_timeout = None;
-            let mut max_timeout = None;
-            let mut max_frame_bytes = 0;
-            let mut max_rows = 0;
-            let mut max_items = 0;
-            let mut write_timeout = None;
-            let mut cache_persist = None;
-            let mut cache_snapshot_every = 0;
+            let mut config = ServeConfig::default();
             // Counted flags where 0 would disable the protection entirely
             // are rejected; "unlimited" is expressed by omitting the flag.
             let positive = |flag: &str, v: &str| -> Result<usize, String> {
@@ -577,60 +515,60 @@ fn parse_inner(argv: &[String]) -> Result<Command, String> {
             while let Some(flag) = it.next() {
                 match flag.as_str() {
                     "--listen" => {
-                        listen = Some(it.next().ok_or("--listen needs an address")?.clone());
+                        config.tcp = Some(it.next().ok_or("--listen needs an address")?.clone());
                     }
                     "--unix" => {
-                        unix = Some(it.next().ok_or("--unix needs a socket path")?.clone());
+                        config.unix = Some(it.next().ok_or("--unix needs a socket path")?.clone());
                     }
                     "--workers" => {
                         let v = it.next().ok_or("--workers needs a value")?;
-                        workers = v.parse::<usize>().map_err(|_| {
+                        config.workers = v.parse::<usize>().map_err(|_| {
                             format!("invalid --workers value {v:?} (want integer ≥ 0; 0 = auto)")
                         })?;
                     }
                     "--cache-entries" => {
                         let v = it.next().ok_or("--cache-entries needs a value")?;
-                        cache_entries = positive("--cache-entries", v)?;
+                        config.cache_entries = positive("--cache-entries", v)?;
                     }
                     "--max-queue" => {
                         let v = it.next().ok_or("--max-queue needs a value")?;
-                        max_queue = positive("--max-queue", v)?;
+                        config.max_queue = positive("--max-queue", v)?;
                     }
                     "--max-inflight-per-conn" => {
                         let v = it.next().ok_or("--max-inflight-per-conn needs a value")?;
-                        max_inflight_per_conn = positive("--max-inflight-per-conn", v)?;
+                        config.max_inflight_per_conn = positive("--max-inflight-per-conn", v)?;
                     }
                     "--default-timeout" => {
                         let v = it.next().ok_or("--default-timeout needs a duration")?;
-                        default_timeout = Some(duration("--default-timeout", v)?);
+                        config.default_timeout = Some(duration("--default-timeout", v)?);
                     }
                     "--max-timeout" => {
                         let v = it.next().ok_or("--max-timeout needs a duration")?;
-                        max_timeout = Some(duration("--max-timeout", v)?);
+                        config.max_timeout = Some(duration("--max-timeout", v)?);
                     }
                     "--max-frame-bytes" => {
                         let v = it.next().ok_or("--max-frame-bytes needs a value")?;
-                        max_frame_bytes = positive("--max-frame-bytes", v)?;
+                        config.max_frame_bytes = positive("--max-frame-bytes", v)?;
                     }
                     "--max-rows" => {
                         let v = it.next().ok_or("--max-rows needs a value")?;
-                        max_rows = positive("--max-rows", v)? as u64;
+                        config.max_rows = positive("--max-rows", v)? as u64;
                     }
                     "--max-items" => {
                         let v = it.next().ok_or("--max-items needs a value")?;
-                        max_items = positive("--max-items", v)? as u64;
+                        config.max_items = positive("--max-items", v)? as u64;
                     }
                     "--write-timeout" => {
                         let v = it.next().ok_or("--write-timeout needs a duration")?;
-                        write_timeout = Some(duration("--write-timeout", v)?);
+                        config.write_timeout = Some(duration("--write-timeout", v)?);
                     }
                     "--cache-persist" => {
-                        cache_persist =
+                        config.cache_persist =
                             Some(it.next().ok_or("--cache-persist needs a path")?.clone());
                     }
                     "--cache-snapshot-every" => {
                         let v = it.next().ok_or("--cache-snapshot-every needs a value")?;
-                        cache_snapshot_every = v.parse::<u64>().map_err(|_| {
+                        config.cache_snapshot_every = v.parse::<u64>().map_err(|_| {
                             format!(
                                 "invalid --cache-snapshot-every value {v:?} \
                                  (want integer ≥ 0; 0 = shutdown only)"
@@ -640,25 +578,10 @@ fn parse_inner(argv: &[String]) -> Result<Command, String> {
                     other => return Err(format!("serve: unknown flag {other:?}")),
                 }
             }
-            if cache_snapshot_every > 0 && cache_persist.is_none() {
+            if config.cache_snapshot_every > 0 && config.cache_persist.is_none() {
                 return Err("--cache-snapshot-every requires --cache-persist".into());
             }
-            Ok(Command::Serve {
-                listen,
-                unix,
-                workers,
-                cache_entries,
-                max_queue,
-                max_inflight_per_conn,
-                default_timeout,
-                max_timeout,
-                max_frame_bytes,
-                max_rows,
-                max_items,
-                write_timeout,
-                cache_persist,
-                cache_snapshot_every,
-            })
+            Ok(Command::Serve(config))
         }
         "request" => {
             let addr = it.next().ok_or("request: missing server address")?.clone();
@@ -749,7 +672,6 @@ mod tests {
                 rules: Some(0.8),
                 maximal: true,
                 threads: 1,
-                segment_rows: None,
                 run: RunOpts::default(),
             }
         );
@@ -840,58 +762,8 @@ mod tests {
         assert!(matches!(cmd, Command::Mine { threads: 4, .. }));
         let cmd = parse(&v(&["transversals", "h.txt", "--threads", "0"])).unwrap();
         assert!(matches!(cmd, Command::Transversals { threads: 0, .. }));
-        let cmd = parse(&v(&[
-            "mine",
-            "b.txt",
-            "--min-support",
-            "2",
-            "--segment-rows",
-            "128",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Mine {
-                segment_rows: Some(128),
-                ..
-            }
-        ));
-        assert!(parse(&v(&[
-            "mine",
-            "b.txt",
-            "--min-support",
-            "2",
-            "--segment-rows",
-            "0"
-        ]))
-        .is_err());
-        assert!(parse(&v(&[
-            "mine",
-            "b.txt",
-            "--min-support",
-            "2",
-            "--segment-rows",
-            "x"
-        ]))
-        .is_err());
         assert!(parse(&v(&["mine", "b.txt", "--min-support", "2", "--threads"])).is_err());
         assert!(parse(&v(&["transversals", "h.txt", "--threads", "x"])).is_err());
-    }
-
-    #[test]
-    fn segment_rows_zero_is_a_usage_error() {
-        // Degenerate segmentation must die at the flag parser (exit 2 in
-        // main), never deep inside the vertical store.
-        let err = parse(&v(&[
-            "mine",
-            "b.txt",
-            "--min-support",
-            "2",
-            "--segment-rows",
-            "0",
-        ]))
-        .unwrap_err();
-        assert!(err.contains("--segment-rows"), "unhelpful error: {err}");
     }
 
     #[test]
@@ -1059,22 +931,7 @@ mod tests {
     fn parse_serve() {
         assert_eq!(
             parse(&v(&["serve"])).unwrap(),
-            Command::Serve {
-                listen: None,
-                unix: None,
-                workers: 0,
-                cache_entries: 0,
-                max_queue: 0,
-                max_inflight_per_conn: 0,
-                default_timeout: None,
-                max_timeout: None,
-                max_frame_bytes: 0,
-                max_rows: 0,
-                max_items: 0,
-                write_timeout: None,
-                cache_persist: None,
-                cache_snapshot_every: 0,
-            }
+            Command::Serve(ServeConfig::default())
         );
         assert_eq!(
             parse(&v(&[
@@ -1109,8 +966,8 @@ mod tests {
                 "16",
             ]))
             .unwrap(),
-            Command::Serve {
-                listen: Some("127.0.0.1:7878".into()),
+            Command::Serve(ServeConfig {
+                tcp: Some("127.0.0.1:7878".into()),
                 unix: Some("/tmp/dm.sock".into()),
                 workers: 4,
                 cache_entries: 128,
@@ -1124,7 +981,7 @@ mod tests {
                 write_timeout: Some(Duration::from_millis(250)),
                 cache_persist: Some("/tmp/dm.cache".into()),
                 cache_snapshot_every: 16,
-            }
+            })
         );
         assert!(parse(&v(&["serve", "--listen"])).is_err());
         assert!(parse(&v(&["serve", "--workers", "x"])).is_err());

@@ -12,7 +12,7 @@ use std::fmt;
 use dualminer_obs::{
     available_cpus, BudgetReason, Meter, MiningObserver, RetryPolicy, StatsCollector,
 };
-use dualminer_serve::exec::{self, ExecCtx, JobError, MineOpts};
+use dualminer_serve::exec::{self, ExecCtx, JobError, JobObserver, MineOpts};
 use dualminer_serve::formats::{self, FormatError};
 use dualminer_serve::job::RunOpts;
 use dualminer_serve::{client, proto, server};
@@ -105,89 +105,12 @@ impl From<JobError> for CliError {
     }
 }
 
-/// The CLI's standard observer: always feeds the [`StatsCollector`] (so
-/// `--stats json` has data even when progress is off) and, with
-/// `--progress`, narrates per-level / per-iteration events on stderr so
-/// stdout stays machine-parsable.
-struct CliObserver {
-    stats: StatsCollector,
-    progress: bool,
-}
-
-impl CliObserver {
-    fn new(progress: bool) -> Self {
-        CliObserver {
-            stats: StatsCollector::new(),
-            progress,
-        }
-    }
-}
-
-impl MiningObserver for CliObserver {
-    fn on_phase_start(&self, name: &str) {
-        self.stats.on_phase_start(name);
-        if self.progress {
-            eprintln!("[progress] phase {name} started");
-        }
-    }
-
-    fn on_phase_end(&self, name: &str) {
-        self.stats.on_phase_end(name);
-        if self.progress {
-            eprintln!("[progress] phase {name} finished");
-        }
-    }
-
-    fn on_level(&self, level: usize, candidates: usize, interesting: usize) {
-        self.stats.on_level(level, candidates, interesting);
-        if self.progress {
-            eprintln!(
-                "[progress] level {level}: {candidates} candidates, {interesting} interesting"
-            );
-        }
-    }
-
-    fn on_iteration(&self, iteration: usize, transversals_tested: usize, counterexample: bool) {
-        self.stats
-            .on_iteration(iteration, transversals_tested, counterexample);
-        if self.progress {
-            eprintln!(
-                "[progress] iteration {iteration}: {transversals_tested} transversals tested, \
-                 counterexample: {counterexample}"
-            );
-        }
-    }
-
-    fn on_fk_calls(&self, count: u64) {
-        self.stats.on_fk_calls(count);
-    }
-
-    fn on_transversals(&self, count: u64) {
-        self.stats.on_transversals(count);
-    }
-
-    fn on_nodes(&self, count: u64) {
-        self.stats.on_nodes(count);
-    }
-
-    fn on_retry(&self, attempt: u32, will_retry: bool) {
-        if self.progress {
-            eprintln!("[progress] oracle fault, attempt {attempt} (retrying: {will_retry})");
-        }
-    }
-
-    fn on_checkpoint(&self, queries_so_far: u64) {
-        self.stats.on_checkpoint(queries_so_far);
-        if self.progress {
-            eprintln!("[progress] checkpoint saved at {queries_so_far} queries");
-        }
-    }
-}
-
 /// One budgeted run: the started meter plus the collecting observer.
 struct Session {
     meter: Meter,
-    observer: CliObserver,
+    /// Feeds the stats artifact; with `--progress`, narrates on stderr
+    /// so stdout stays machine-parsable.
+    observer: JobObserver<'static>,
     stats_json: bool,
     /// Resolved thread count; scheduler counters are only stamped into
     /// the stats artifact when the run was actually parallel, so
@@ -198,7 +121,10 @@ struct Session {
 impl Session {
     fn new(run: &RunOpts, threads: usize) -> Session {
         let meter = run.budget().start();
-        let observer = CliObserver::new(run.progress);
+        let observer = JobObserver {
+            stats: StatsCollector::new(),
+            progress: run.progress.then_some(&note_stderr),
+        };
         let threads = if threads == 0 {
             available_cpus()
         } else {
@@ -290,17 +216,13 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             rules,
             maximal,
             threads,
-            segment_rows,
             run,
         } => {
             let session = Session::new(&run, threads);
             session.preflight()?;
             let file = open(&path)?;
-            let (universe, db) = formats::parse_baskets_reader(
-                std::io::BufReader::new(file),
-                segment_rows.unwrap_or(dualminer_mining::DEFAULT_SEGMENT_ROWS),
-            )
-            .map_err(|e| CliError::Format(e.in_file(&path)))?;
+            let (universe, db) = formats::parse_baskets_reader(std::io::BufReader::new(file))
+                .map_err(|e| CliError::Format(e.in_file(&path)))?;
             let sigma = min_support.resolve(db.n_rows());
             let opts = MineOpts { rules, maximal };
             match exec::mine(
@@ -432,38 +354,7 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                 Ok(())
             }
         }
-        Command::Serve {
-            listen,
-            unix,
-            workers,
-            cache_entries,
-            max_queue,
-            max_inflight_per_conn,
-            default_timeout,
-            max_timeout,
-            max_frame_bytes,
-            max_rows,
-            max_items,
-            write_timeout,
-            cache_persist,
-            cache_snapshot_every,
-        } => {
-            let config = server::ServeConfig {
-                tcp: listen,
-                unix,
-                workers,
-                cache_entries,
-                max_queue,
-                max_inflight_per_conn,
-                default_timeout,
-                max_timeout,
-                max_frame_bytes,
-                max_rows,
-                max_items,
-                write_timeout,
-                cache_persist,
-                cache_snapshot_every,
-            };
+        Command::Serve(config) => {
             let handle = server::start(&config)
                 .map_err(|e| CliError::Protocol(format!("cannot start server: {e}")))?;
             // The bound addresses go to stdout (port 0 is resolved here),

@@ -259,8 +259,7 @@ fn exit_code_taxonomy() {
         Some(EXIT_USAGE),
         "--resume sans --checkpoint: {out:?}"
     );
-    // Degenerate segmentation is a usage error at the flag parser, not a
-    // panic deep in the vertical store.
+    // The removed row-segment flag is a usage error that names it.
     let out = run(&["mine", "x.txt", "--min-support", "2", "--segment-rows", "0"]);
     assert_eq!(
         out.status.code(),
@@ -374,4 +373,69 @@ fn old_segment_engine_checkpoint_is_refused_by_kind() {
     assert_eq!(out.status.code(), Some(EXIT_IO), "{out:?}");
     assert!(stderr(&out).contains("apriori-seg"), "{out:?}");
     let _ = fs::remove_file(&ckpt);
+}
+
+/// `mine --progress` prints on stderr exactly the `[progress] …` texts the
+/// daemon streams as `progress` events for the same job — phases and
+/// levels on the plain route; retries and checkpoints on the
+/// fault-tolerant one.
+#[test]
+fn cli_progress_lines_equal_daemon_progress_events() {
+    use dualminer_serve::client::Conn;
+    use dualminer_serve::server::{start, ServeConfig};
+
+    let baskets = temp_file("p-baskets.txt", BASKETS);
+    let path = baskets.display().to_string();
+    let handle = start(&ServeConfig {
+        tcp: Some("127.0.0.1:0".into()),
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind an ephemeral port");
+    let mut conn = Conn::connect(&handle.tcp_addr.unwrap().to_string()).unwrap();
+    let (cli_ckpt, daemon_ckpt) = (temp_path("p-cli.ckpt"), temp_path("p-daemon.ckpt"));
+    let fault = "seed=3,transient=0.4";
+    for (id, tolerant) in [(1u64, false), (2, true)] {
+        let mut args = vec!["mine", &path, "--min-support", "2", "--progress"];
+        let mut run_json = String::new();
+        let cli_ckpt = cli_ckpt.display().to_string();
+        if tolerant {
+            args.extend(["--fault-inject", fault, "--retry", "3"]);
+            args.extend(["--checkpoint", &cli_ckpt, "--checkpoint-every", "1"]);
+            run_json = format!(
+                r#","run":{{"fault_inject":"{fault}","retry":3,"checkpoint":"{}","checkpoint_every":1}}"#,
+                daemon_ckpt.display()
+            );
+        }
+        let out = run(&args);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let cli: Vec<String> = stderr(&out)
+            .lines()
+            .filter(|l| l.starts_with("[progress]"))
+            .map(str::to_string)
+            .collect();
+        let line = format!(
+            r#"{{"op":"mine","id":{id},"input":{{"path":"{path}"}},"min_support":"2","progress":true{run_json}}}"#
+        );
+        let daemon: Vec<String> = conn
+            .roundtrip(&line, id)
+            .unwrap()
+            .iter()
+            .filter(|e| e.kind == "progress")
+            .map(|e| e.str_field("text").unwrap().to_string())
+            .collect();
+        assert!(cli.iter().any(|l| l.contains("level")), "{cli:?}");
+        if tolerant {
+            assert!(cli.iter().any(|l| l.contains("oracle fault")), "{cli:?}");
+            assert!(
+                cli.iter().any(|l| l.contains("checkpoint saved")),
+                "{cli:?}"
+            );
+        }
+        assert_eq!(cli, daemon, "tolerant={tolerant}");
+    }
+    handle.shutdown();
+    handle.join();
+    let _ = fs::remove_file(&cli_ckpt);
+    let _ = fs::remove_file(&daemon_ckpt);
 }

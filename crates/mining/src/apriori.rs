@@ -8,8 +8,8 @@
 //!   generation needs them (Section 2's closing remark);
 //! * support counting reuses the parent's tid structure (Eclat/dEclat): a
 //!   level `i+1` candidate is the union of its generating parent and its
-//!   join partner, so its support is one streaming AND (tidsets) or ANDNOT
-//!   (diffsets) pass over the segmented vertical store instead of `i+1`
+//!   join partner, so its support is one AND (tidsets) or ANDNOT
+//!   (diffsets) pass over two tid runs of the vertical store instead of `i+1`
 //!   intersections — see [`crate::vstore`] for the representation rules.
 //!
 //! The query structure is *identical* to the generic
@@ -598,41 +598,33 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            for segment_rows in [64usize, 100, 1024] {
-                let db = TransactionDb::with_segment_rows(
-                    n_items,
-                    rows.iter()
-                        .map(|r| AttrSet::from_indices(n_items, r.iter().copied()))
-                        .collect(),
-                    segment_rows,
-                );
-                let sigma = n_rows / 3;
-                let reference = apriori(&db, sigma);
-                for cfg in [
-                    EclatCfg::default(),
-                    EclatCfg::tidset_only(),
-                    EclatCfg::diffset_always(),
-                ] {
-                    for threads in [1, 3] {
-                        let meter = Meter::unlimited();
-                        let fs = apriori_with_cfg(
-                            &db,
-                            sigma,
-                            threads,
-                            &RunCtl::new(&meter, &NoopObserver),
-                            &cfg,
-                        )
-                        .expect_complete();
-                        let ctx = format!("rows={n_rows} seg={segment_rows} threads={threads}");
-                        assert_eq!(fs.itemsets, reference.itemsets, "{ctx}");
-                        assert_eq!(fs.maximal, reference.maximal, "{ctx}");
-                        assert_eq!(fs.negative_border, reference.negative_border, "{ctx}");
-                        assert_eq!(
-                            fs.candidates_per_level, reference.candidates_per_level,
-                            "{ctx}"
-                        );
-                        assert_eq!(fs.queries(), reference.queries(), "{ctx}");
-                    }
+            let db = TransactionDb::from_index_rows(n_items, rows);
+            let sigma = n_rows / 3;
+            let reference = apriori(&db, sigma);
+            for cfg in [
+                EclatCfg::default(),
+                EclatCfg::tidset_only(),
+                EclatCfg::diffset_always(),
+            ] {
+                for threads in [1, 3] {
+                    let meter = Meter::unlimited();
+                    let fs = apriori_with_cfg(
+                        &db,
+                        sigma,
+                        threads,
+                        &RunCtl::new(&meter, &NoopObserver),
+                        &cfg,
+                    )
+                    .expect_complete();
+                    let ctx = format!("rows={n_rows} threads={threads}");
+                    assert_eq!(fs.itemsets, reference.itemsets, "{ctx}");
+                    assert_eq!(fs.maximal, reference.maximal, "{ctx}");
+                    assert_eq!(fs.negative_border, reference.negative_border, "{ctx}");
+                    assert_eq!(
+                        fs.candidates_per_level, reference.candidates_per_level,
+                        "{ctx}"
+                    );
+                    assert_eq!(fs.queries(), reference.queries(), "{ctx}");
                 }
             }
         }

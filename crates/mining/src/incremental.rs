@@ -166,10 +166,10 @@ pub fn append_rows_ctl(
         }
         delta_evaluations += 1;
         ctl.meter.record_query();
-        // Direct subset tests against the appended rows: a vertical-store
-        // query pays per-call segment setup that dwarfs the work when the
-        // delta is a handful of rows, and this pass runs once per old
-        // frequent set.
+        // Direct subset tests against the appended rows: the delta is
+        // typically a handful of rows, and a subset test per row beats
+        // building a vertical store over them and unpacking the set's
+        // items for every query; this pass runs once per old frequent set.
         let add = new_rows.iter().filter(|r| s.is_subset(r)).count();
         supports.insert(s.clone(), supp + add);
     }

@@ -12,10 +12,10 @@
 //! paper's running example and the identity case of representation as sets
 //! (`f(X) = X`, Example 8).
 //!
-//! * [`TransactionDb`] — a segmented vertical store ([`vstore`]) of
-//!   per-item tidsets with lazily transposed horizontal rows, held whole
-//!   in memory; support counting is a streaming AND + popcount over one
-//!   row segment at a time.
+//! * [`TransactionDb`] — a vertical store ([`vstore`]) of per-item
+//!   tidsets with lazily transposed horizontal rows, held whole in
+//!   memory; support counting is one AND + popcount pass over the items'
+//!   tidset runs.
 //! * [`FrequencyOracle`] — the `Is-interesting` adapter: *frequent =
 //!   interesting*, monotone by construction.
 //! * [`apriori`] — the specialized levelwise miner that also records
@@ -67,4 +67,4 @@ pub mod vstore;
 
 pub use freq::FrequencyOracle;
 pub use tdb::TransactionDb;
-pub use vstore::{VStore, VStoreBuilder, DEFAULT_SEGMENT_ROWS};
+pub use vstore::{VStore, VStoreBuilder};

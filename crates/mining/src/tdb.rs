@@ -4,19 +4,18 @@ use std::sync::OnceLock;
 
 use dualminer_bitset::{AttrSet, Universe};
 
-use crate::vstore::{VStore, DEFAULT_SEGMENT_ROWS};
+use crate::vstore::{VStore, VStoreBuilder};
 
 /// A transaction database: a 0/1 relation whose rows are item sets.
 ///
-/// Stored **vertically only**: a segmented [`VStore`] holds per-item
-/// tidsets as contiguous cache-blocked `u64` runs, and `support(X)` is a
-/// streaming `|X|`-way AND-popcount over one segment at a time — the fast
-/// path Apriori/Eclat use. The horizontal rows are *lazy*: the first
-/// row-scan caller ([`rows`](Self::rows),
-/// [`support_horizontal`](Self::support_horizontal),
-/// [`display`](Self::display)) transposes the
-/// store once and caches the result, so mining paths that never row-scan
-/// hold a single copy of the data instead of two.
+/// Stored **vertically only**: a [`VStore`] holds each item's tidset as
+/// one contiguous `u64` run, and `support(X)` is an `|X|`-way
+/// AND-popcount over whole runs — the fast path Apriori/Eclat use. The
+/// horizontal rows are *lazy*: the first row-scan caller
+/// ([`rows`](Self::rows), [`support_horizontal`](Self::support_horizontal),
+/// [`display`](Self::display)) transposes the store once and caches the
+/// result, so mining paths that never row-scan hold a single copy of the
+/// data instead of two.
 #[derive(Debug)]
 pub struct TransactionDb {
     n_items: usize,
@@ -45,14 +44,6 @@ impl TransactionDb {
     /// # Panics
     /// Panics if any row's universe differs from `n_items`.
     pub fn new(n_items: usize, rows: Vec<AttrSet>) -> Self {
-        Self::with_segment_rows(n_items, rows, DEFAULT_SEGMENT_ROWS)
-    }
-
-    /// [`new`](Self::new) with an explicit segment row cap.
-    ///
-    /// # Panics
-    /// Panics on a row-universe mismatch or `segment_rows == 0`.
-    pub fn with_segment_rows(n_items: usize, rows: Vec<AttrSet>, segment_rows: usize) -> Self {
         for r in &rows {
             assert_eq!(
                 r.universe_size(),
@@ -60,7 +51,7 @@ impl TransactionDb {
                 "row universe does not match item count"
             );
         }
-        Self::from_vstore(VStore::from_rows(n_items, &rows, segment_rows))
+        Self::from_vstore(VStore::from_rows(n_items, &rows))
     }
 
     /// Builds a database from slices of item indices.
@@ -69,7 +60,8 @@ impl TransactionDb {
         I: IntoIterator<Item = J>,
         J: IntoIterator<Item = usize>,
     {
-        let mut builder = crate::vstore::VStoreBuilder::with_items(DEFAULT_SEGMENT_ROWS, n_items);
+        let rows = rows.into_iter();
+        let mut builder = VStoreBuilder::with_items(n_items, rows.size_hint().0);
         for row in rows {
             builder.push_row(row);
         }
@@ -83,7 +75,7 @@ impl TransactionDb {
     }
 
     /// The vertical-only constructor: wraps a finished [`VStore`]
-    /// (typically from a streaming [`crate::vstore::VStoreBuilder`])
+    /// (typically from a streaming [`VStoreBuilder`])
     /// without ever materializing horizontal rows.
     pub fn from_vstore(vstore: VStore) -> Self {
         TransactionDb {
@@ -106,7 +98,7 @@ impl TransactionDb {
         self.n_rows
     }
 
-    /// The segmented vertical store.
+    /// The vertical store.
     #[inline]
     pub fn vstore(&self) -> &VStore {
         &self.vstore
@@ -142,9 +134,9 @@ impl TransactionDb {
     /// Absolute support: number of rows containing all of `x` (vertical
     /// counting).
     ///
-    /// A streaming AND-popcount over one segment at a time; never
-    /// materializes an accumulator, and allocation-free for every arity
-    /// up to 64 (a stack buffer holds the item indices).
+    /// One AND-popcount pass over the items' runs; never materializes an
+    /// accumulator, and allocation-free for every arity up to 64 (a stack
+    /// buffer holds the item indices).
     pub fn support(&self, x: &AttrSet) -> usize {
         self.vstore.support(x)
     }
@@ -250,37 +242,8 @@ mod tests {
     }
 
     #[test]
-    fn segment_size_does_not_change_anything_observable() {
-        let rows = vec![
-            AttrSet::from_indices(4, [0, 1, 2]),
-            AttrSet::from_indices(4, [0, 1, 2, 3]),
-            AttrSet::from_indices(4, [1, 3]),
-        ];
-        let reference = TransactionDb::new(4, rows.clone());
-        for seg in [1, 2, 3, 4, 7] {
-            let db = TransactionDb::with_segment_rows(4, rows.clone(), seg);
-            assert_eq!(db.rows(), reference.rows(), "seg={seg}");
-            for bits in 0..16usize {
-                let x = AttrSet::from_indices(4, (0..4).filter(|i| bits >> i & 1 == 1));
-                assert_eq!(db.support(&x), reference.support(&x), "seg={seg} {x:?}");
-                assert_eq!(db.tidset(&x), reference.tidset(&x), "seg={seg} {x:?}");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "row universe")]
     fn row_universe_checked() {
         TransactionDb::new(4, vec![AttrSet::empty(5)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "segment_rows must be positive")]
-    fn zero_segment_rows_rejected() {
-        // The documented contract: a zero row cap panics here, at the
-        // constructor, instead of producing a degenerate (0-row-segment)
-        // vertical store. The CLI rejects `--segment-rows 0` at the flag
-        // parser before ever reaching this point.
-        TransactionDb::with_segment_rows(4, vec![AttrSet::empty(4)], 0);
     }
 }

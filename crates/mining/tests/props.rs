@@ -289,47 +289,3 @@ proptest! {
         assert_candidate_sequences_match(&db, sigma);
     }
 }
-
-// ---------------------------------------------------------------------------
-// Segmentation invariance
-// ---------------------------------------------------------------------------
-
-/// Asserts two mines are bit-identical on every observable axis.
-fn assert_mines_equal(
-    a: &dualminer_mining::apriori::FrequentSets,
-    b: &dualminer_mining::apriori::FrequentSets,
-    ctx: &str,
-) {
-    assert_eq!(a.itemsets(), b.itemsets(), "{ctx}");
-    assert_eq!(a.maximal, b.maximal, "{ctx}");
-    assert_eq!(a.negative_border, b.negative_border, "{ctx}");
-    assert_eq!(a.candidates_per_level, b.candidates_per_level, "{ctx}");
-    assert_eq!(a.queries(), b.queries(), "{ctx}");
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Mining output is invariant under the vertical store's segment
-    /// partition: caps of 1 (every row its own segment), a small
-    /// non-dividing cap, n−1, n, and an over-large cap all produce the
-    /// same theory, borders, candidate counts, and query totals.
-    #[test]
-    fn segmented_mining_equals_monolithic(db in arb_db(), sigma in 1usize..4) {
-        let reference = apriori(&db, sigma);
-        let rows = db.rows().to_vec();
-        let n_rows = db.n_rows();
-        let mut caps = vec![1, 7, 5, 1024];
-        if n_rows > 1 {
-            caps.push(n_rows - 1);
-        }
-        if n_rows > 0 {
-            caps.push(n_rows);
-        }
-        for cap in caps {
-            let seg_db = TransactionDb::with_segment_rows(N, rows.clone(), cap);
-            let fs = apriori(&seg_db, sigma);
-            assert_mines_equal(&fs, &reference, &format!("apriori cap={cap}"));
-        }
-    }
-}

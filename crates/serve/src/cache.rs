@@ -244,7 +244,7 @@ mod tests {
 
     fn mine_entry(params: u64, text: &str) -> Entry {
         let canon = canon_baskets(text).unwrap();
-        let (_, db) = canon.build(dualminer_mining::DEFAULT_SEGMENT_ROWS);
+        let (_, db) = canon.build(0);
         let sets = dualminer_mining::apriori::apriori(&db, 1);
         Entry {
             params,

@@ -83,13 +83,15 @@ pub struct CanonBaskets {
 }
 
 impl CanonBaskets {
-    /// Materializes the universe and database, byte-equal to what
-    /// [`formats::parse_baskets_reader`] builds from the same input at the
-    /// same segment size (mined output is identical at *every* segment
-    /// size; the knob only shapes the vertical layout).
-    pub fn build(&self, segment_rows: usize) -> (Universe, TransactionDb) {
+    /// Materializes the universe and database, equal to what
+    /// [`formats::parse_baskets_reader`] builds from the same input.
+    ///
+    /// The argument is inert: it was the row cap of a segmented store
+    /// layout that no longer exists, and stays only because existing
+    /// callers pass it.
+    pub fn build(&self, _segment_rows: usize) -> (Universe, TransactionDb) {
         let universe = Universe::new(self.names.clone());
-        let mut builder = VStoreBuilder::new(segment_rows);
+        let mut builder = VStoreBuilder::with_items(self.names.len(), self.rows.len());
         for row in self.rows.iter() {
             builder.push_row(row.iter().copied());
         }
@@ -458,7 +460,7 @@ mod props {
             let canon = canon_baskets(&text).unwrap();
             let names: Vec<&str> = (0..u_ref.size()).map(|i| u_ref.name(i)).collect();
             prop_assert_eq!(&canon.names, &names);
-            let (_, db) = canon.build(2);
+            let (_, db) = canon.build(0);
             prop_assert_eq!(db.rows(), db_ref.rows());
             prop_assert_eq!(canon.prefix.len(), canon.rows.len());
             prop_assert_eq!(canon.fingerprint, spec_digest(&canon.names, &canon.rows));

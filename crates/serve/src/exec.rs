@@ -90,6 +90,78 @@ impl ExecCtx<'_> {
     }
 }
 
+/// The frontends' observer: every hook feeds [`stats`](Self::stats) (so
+/// the stats artifact has data even when progress is off) and, when a
+/// [`progress`](Self::progress) sink is present, narrates phases, levels,
+/// iterations, retries and checkpoints as `[progress] …` lines. The CLI
+/// points the sink at stderr, the daemon at the client's `progress`
+/// events; without a sink no line is formatted.
+pub struct JobObserver<'a> {
+    /// The per-job stats collector.
+    pub stats: StatsCollector,
+    /// Where `[progress] …` lines go, if anywhere.
+    pub progress: Option<&'a (dyn Fn(&str) + Sync)>,
+}
+
+impl JobObserver<'_> {
+    fn emit(&self, args: std::fmt::Arguments<'_>) {
+        if let Some(sink) = self.progress {
+            sink(&format!("[progress] {args}"));
+        }
+    }
+}
+
+impl MiningObserver for JobObserver<'_> {
+    fn on_phase_start(&self, name: &str) {
+        self.stats.on_phase_start(name);
+        self.emit(format_args!("phase {name} started"));
+    }
+
+    fn on_phase_end(&self, name: &str) {
+        self.stats.on_phase_end(name);
+        self.emit(format_args!("phase {name} finished"));
+    }
+
+    fn on_level(&self, level: usize, candidates: usize, interesting: usize) {
+        self.stats.on_level(level, candidates, interesting);
+        self.emit(format_args!(
+            "level {level}: {candidates} candidates, {interesting} interesting"
+        ));
+    }
+
+    fn on_iteration(&self, iteration: usize, transversals_tested: usize, counterexample: bool) {
+        self.stats
+            .on_iteration(iteration, transversals_tested, counterexample);
+        self.emit(format_args!(
+            "iteration {iteration}: {transversals_tested} transversals tested, \
+             counterexample: {counterexample}"
+        ));
+    }
+
+    fn on_fk_calls(&self, count: u64) {
+        self.stats.on_fk_calls(count);
+    }
+
+    fn on_transversals(&self, count: u64) {
+        self.stats.on_transversals(count);
+    }
+
+    fn on_nodes(&self, count: u64) {
+        self.stats.on_nodes(count);
+    }
+
+    fn on_retry(&self, attempt: u32, will_retry: bool) {
+        self.emit(format_args!(
+            "oracle fault, attempt {attempt} (retrying: {will_retry})"
+        ));
+    }
+
+    fn on_checkpoint(&self, queries_so_far: u64) {
+        self.stats.on_checkpoint(queries_so_far);
+        self.emit(format_args!("checkpoint saved at {queries_so_far} queries"));
+    }
+}
+
 /// A rendered job result.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobOutput {

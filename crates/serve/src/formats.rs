@@ -2,7 +2,7 @@
 //!
 //! The high-volume formats (baskets, CSV relations) parse from any
 //! [`BufRead`] source one line at a time — basket rows stream straight
-//! into a segmented [`VStoreBuilder`], so a database larger than memory
+//! into a [`VStoreBuilder`], so a database larger than memory
 //! would ever hold as text materializes only its compact vertical form.
 //! The `&str` entry points are thin [`Cursor`] wrappers kept for tests
 //! and small inputs.
@@ -15,7 +15,7 @@ use dualminer_bitset::{AttrSet, Universe};
 use dualminer_episodes::EventSequence;
 use dualminer_fdep::Relation;
 use dualminer_hypergraph::Hypergraph;
-use dualminer_mining::{TransactionDb, VStoreBuilder, DEFAULT_SEGMENT_ROWS};
+use dualminer_mining::{TransactionDb, VStoreBuilder};
 
 /// A typed input-file parse error: what went wrong and where.
 ///
@@ -142,28 +142,25 @@ impl Interner {
 /// and are skipped. Item indices are assigned in order of first
 /// appearance.
 ///
-/// Thin wrapper over [`parse_baskets_reader`] at the default segment
-/// size. The CLI itself always streams from the file; the daemon parses
-/// in-memory request payloads through here.
+/// Thin wrapper over [`parse_baskets_reader`]. The CLI itself always
+/// streams from the file; the daemon parses in-memory request payloads
+/// through here.
 pub fn parse_baskets(text: &str) -> Result<(Universe, TransactionDb), FormatError> {
-    parse_baskets_reader(Cursor::new(text), DEFAULT_SEGMENT_ROWS)
+    parse_baskets_reader(Cursor::new(text))
 }
 
 /// Streaming [`parse_baskets`]: reads transactions line by line from any
-/// [`BufRead`] source, pushing each row into a [`VStoreBuilder`] with row
-/// segments capped at `segment_rows` (`--segment-rows` on the CLI). Only
-/// the dictionary and the compact vertical segments are ever resident —
-/// neither the input text nor an index-row copy of the database is
-/// materialized.
+/// [`BufRead`] source, pushing each row into a [`VStoreBuilder`]. Only
+/// the dictionary and the vertical store are ever resident — neither the
+/// input text nor an index-row copy of the database is materialized.
 ///
 /// I/O failures (including invalid UTF-8) surface as a [`FormatError`] at
 /// the offending physical line.
 pub fn parse_baskets_reader(
     reader: impl BufRead,
-    segment_rows: usize,
 ) -> Result<(Universe, TransactionDb), FormatError> {
     let mut items = Interner::new();
-    let mut builder = VStoreBuilder::new(segment_rows);
+    let mut builder = VStoreBuilder::new();
     let mut row: Vec<usize> = Vec::new();
     for (lineno, line) in reader.lines().enumerate() {
         let line =
@@ -366,19 +363,16 @@ mod tests {
     }
 
     #[test]
-    fn baskets_reader_matches_text_at_every_segment_size() {
+    fn baskets_reader_streams_items_first_seen_late() {
         let text = "milk bread\nbread butter # breakfast\n\nmilk\nbutter eggs milk\n";
-        let (u_ref, db_ref) = parse_baskets(text).unwrap();
-        for segment_rows in [1, 2, 3, 4, 1024] {
-            let (u, db) = parse_baskets_reader(Cursor::new(text), segment_rows).unwrap();
-            assert_eq!(u.size(), u_ref.size(), "segment_rows={segment_rows}");
-            for i in 0..u.size() {
-                assert_eq!(u.name(i), u_ref.name(i));
-            }
-            assert_eq!(db.n_items(), db_ref.n_items());
-            assert_eq!(db.n_rows(), db_ref.n_rows());
-            assert_eq!(db.rows(), db_ref.rows(), "segment_rows={segment_rows}");
-        }
+        let (u, db) = parse_baskets_reader(Cursor::new(text)).unwrap();
+        let names: Vec<&str> = (0..u.size()).map(|i| u.name(i)).collect();
+        assert_eq!(names, ["milk", "bread", "butter", "eggs"]);
+        let want: Vec<AttrSet> = [&[0, 1][..], &[1, 2], &[0], &[2, 3, 0]]
+            .iter()
+            .map(|r| AttrSet::from_indices(4, r.iter().copied()))
+            .collect();
+        assert_eq!(db.rows(), want.as_slice());
     }
 
     #[test]
@@ -386,7 +380,7 @@ mod tests {
         // Invalid UTF-8 on physical line 2 surfaces as a located
         // FormatError, not a panic or a silent truncation.
         let bytes: &[u8] = b"milk bread\n\xff\xfe\n";
-        let err = parse_baskets_reader(Cursor::new(bytes), 4).unwrap_err();
+        let err = parse_baskets_reader(Cursor::new(bytes)).unwrap_err();
         assert_eq!(err.line, Some(2));
         assert!(err.message.contains("read error"), "{err}");
 
@@ -536,34 +530,6 @@ mod props {
         #[test]
         fn parse_relation_never_panics(text in arb_text()) {
             let _ = parse_relation(&text);
-        }
-
-        /// The reader paths agree with the text paths on every input —
-        /// same parse, same error — at any segment size, and never panic
-        /// (the text functions are wrappers, but this pins the
-        /// equivalence for arbitrary `segment_rows` too).
-        #[test]
-        fn parse_baskets_reader_equals_text(
-            text in arb_text(),
-            segment_rows in 1usize..6,
-        ) {
-            let by_text = parse_baskets(&text);
-            let by_reader =
-                parse_baskets_reader(Cursor::new(text.as_str()), segment_rows);
-            match (by_text, by_reader) {
-                (Ok((u1, db1)), Ok((u2, db2))) => {
-                    prop_assert_eq!(u1.size(), u2.size());
-                    for i in 0..u1.size() {
-                        prop_assert_eq!(u1.name(i), u2.name(i));
-                    }
-                    prop_assert_eq!(db1.rows(), db2.rows());
-                }
-                (Err(_), Err(_)) => {}
-                (a, b) => {
-                    prop_assert!(false, "text {:?} vs reader {:?}",
-                        a.map(|_| ()), b.map(|_| ()));
-                }
-            }
         }
 
         #[test]

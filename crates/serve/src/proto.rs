@@ -102,7 +102,10 @@ pub enum OpKind {
         rules: Option<f64>,
         /// Emit the maximal sets + negative border block.
         maximal: bool,
-        /// Vertical-store segment row cap (`--segment-rows`).
+        /// Inert: always 1024. It was the row cap of a
+        /// segmented store layout that no longer exists; the parser no
+        /// longer reads it, and it stays only because existing callers
+        /// destructure it.
         segment_rows: usize,
     },
     /// Minimal-transversal enumeration (`dualminer transversals`).
@@ -286,10 +289,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 })
                 .transpose()?,
             maximal: bool_field(&obj, "maximal")?,
-            segment_rows: uint_field(&obj, "segment_rows")?
-                .map(|n| n as usize)
-                .unwrap_or(dualminer_mining::DEFAULT_SEGMENT_ROWS)
-                .max(1),
+            segment_rows: INERT_ROW_CAP,
         },
         "transversals" => OpKind::Transversals {
             algo: str_field(&obj, "algo")?
@@ -335,6 +335,12 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
 // Params fingerprint
 // ---------------------------------------------------------------------------
 
+/// What every mine params digest hashes where it once hashed the
+/// request's row-segment cap: that cap's old default. Digests of requests
+/// that never named the field — and the persisted cache keys built from
+/// them — are therefore unchanged.
+const INERT_ROW_CAP: usize = 1024;
+
 impl JobRequest {
     /// The params fingerprint: a digest of every request field that can
     /// influence the rendered body or the replayed stats artifact — the
@@ -355,7 +361,7 @@ impl JobRequest {
                 min_support,
                 rules,
                 maximal,
-                segment_rows,
+                ..
             } => {
                 match min_support {
                     Support::Absolute(n) => {
@@ -375,7 +381,7 @@ impl JobRequest {
                     None => h.update(b"norules"),
                 }
                 h.update(&[u8::from(*maximal)]);
-                h.update_u64(*segment_rows as u64);
+                h.update_u64(INERT_ROW_CAP as u64);
             }
             OpKind::Transversals { algo } => tag(&mut h, plan::algo_name(*algo)),
             OpKind::Keys { fds } => h.update(&[u8::from(*fds)]),
@@ -784,6 +790,38 @@ mod tests {
             fp(r#"{"op":"mine","id":1,"input":{"inline":"a\n"},"min_support":"1"}"#),
             fp(r#"{"op":"mine","id":1,"input":{"inline":"a\n"},"min_support":"1.0"}"#)
         );
+    }
+
+    #[test]
+    fn mine_params_fingerprints_are_pinned() {
+        // Persisted cache snapshots key entries by this digest. The values
+        // predate the unsegmented store: a request that names the old
+        // `segment_rows` field, at any value, shares the omitted-field key
+        // because its answer is the same.
+        let base = r#""op":"mine","id":1,"input":{"inline":"a b\n"}"#;
+        for (extra, want) in [
+            (r#","min_support":"2""#, 0x8710_a3c8_0eb6_a2ae_u64),
+            (
+                r#","min_support":"2","segment_rows":1024"#,
+                0x8710_a3c8_0eb6_a2ae,
+            ),
+            (
+                r#","min_support":"2","segment_rows":512"#,
+                0x8710_a3c8_0eb6_a2ae,
+            ),
+            (r#","min_support":"0.05""#, 0x291d_bc0b_4043_59c2),
+            (
+                r#","min_support":"2","maximal":true"#,
+                0xb24b_70ae_e2ca_ab8d,
+            ),
+            (r#","min_support":"2","rules":"0.5""#, 0x1155_67a6_2d45_6ee6),
+        ] {
+            let line = format!("{{{base}{extra}}}");
+            let Request::Job(job) = parse_request(&line).unwrap() else {
+                panic!("expected job")
+            };
+            assert_eq!(job.params_fingerprint(), want, "{line}");
+        }
     }
 
     #[test]

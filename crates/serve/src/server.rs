@@ -36,11 +36,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dualminer_bitset::Universe;
-use dualminer_obs::{available_cpus, Budget, BudgetReason, Meter, MiningObserver, StatsCollector};
+use dualminer_obs::{available_cpus, Budget, BudgetReason, Meter, StatsCollector};
 
 use crate::cache::{Entry, MineArtifacts, ResultCache};
 use crate::canon;
-use crate::exec::{self, ExecCtx, JobError, MineOpts};
+use crate::exec::{self, ExecCtx, JobError, JobObserver, MineOpts};
 use crate::formats;
 use crate::job::Support;
 use crate::persist;
@@ -65,7 +65,7 @@ const DEFAULT_MAX_FRAME_BYTES: usize = 8 * 1024 * 1024;
 const DEFAULT_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Server configuration (the `serve` subcommand's flags).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServeConfig {
     /// TCP listen address (e.g. `"127.0.0.1:0"`). When both this and
     /// `unix` are `None`, defaults to an ephemeral localhost TCP port.
@@ -485,84 +485,6 @@ impl Shared {
 }
 
 // ---------------------------------------------------------------------------
-// The observer
-// ---------------------------------------------------------------------------
-
-/// The daemon's observer: always feeds a per-job [`StatsCollector`]; with
-/// `"progress": true` additionally streams the same narration lines the
-/// CLI prints to stderr, as `progress` events on the client's connection.
-struct ServeObserver {
-    stats: StatsCollector,
-    progress: Option<(Arc<ConnSink>, u64)>,
-}
-
-impl ServeObserver {
-    fn new(progress: Option<(Arc<ConnSink>, u64)>) -> ServeObserver {
-        ServeObserver {
-            stats: StatsCollector::new(),
-            progress,
-        }
-    }
-
-    fn emit(&self, text: &str) {
-        if let Some((sink, id)) = &self.progress {
-            sink.send(&proto::ev_progress(*id, &format!("[progress] {text}")));
-        }
-    }
-}
-
-impl MiningObserver for ServeObserver {
-    fn on_phase_start(&self, name: &str) {
-        self.stats.on_phase_start(name);
-        self.emit(&format!("phase {name} started"));
-    }
-
-    fn on_phase_end(&self, name: &str) {
-        self.stats.on_phase_end(name);
-        self.emit(&format!("phase {name} finished"));
-    }
-
-    fn on_level(&self, level: usize, candidates: usize, interesting: usize) {
-        self.stats.on_level(level, candidates, interesting);
-        self.emit(&format!(
-            "level {level}: {candidates} candidates, {interesting} interesting"
-        ));
-    }
-
-    fn on_iteration(&self, iteration: usize, transversals_tested: usize, counterexample: bool) {
-        self.stats
-            .on_iteration(iteration, transversals_tested, counterexample);
-        self.emit(&format!(
-            "iteration {iteration}: {transversals_tested} transversals tested, \
-             counterexample: {counterexample}"
-        ));
-    }
-
-    fn on_fk_calls(&self, count: u64) {
-        self.stats.on_fk_calls(count);
-    }
-
-    fn on_transversals(&self, count: u64) {
-        self.stats.on_transversals(count);
-    }
-
-    fn on_nodes(&self, count: u64) {
-        self.stats.on_nodes(count);
-    }
-
-    fn on_retry(&self, attempt: u32, will_retry: bool) {
-        self.emit(&format!(
-            "oracle fault, attempt {attempt} (retrying: {will_retry})"
-        ));
-    }
-
-    fn on_checkpoint(&self, queries_so_far: u64) {
-        self.stats.on_checkpoint(queries_so_far);
-        self.emit(&format!("checkpoint saved at {queries_so_far} queries"));
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Job execution
 // ---------------------------------------------------------------------------
 
@@ -760,12 +682,12 @@ fn serve_job(
     // Pre-flight, exactly like the CLI: an already-spent (or
     // already-cancelled) budget reports before any work.
     if let Some(reason) = meter.exceeded() {
-        let observer = ServeObserver::new(None);
-        observer.stats.set_threads(req.threads.max(1));
+        let stats = StatsCollector::new();
+        stats.set_threads(req.threads.max(1));
         return Ok(Served {
             tag: CacheTag::Miss,
             body: format!("budget exceeded ({reason}) before any work was performed\n").into(),
-            stats: observer.stats.to_json(meter, Some(reason)).into(),
+            stats: stats.to_json(meter, Some(reason)).into(),
             exit: 6,
             reason: Some(reason),
             fingerprint,
@@ -866,11 +788,15 @@ fn compute_fresh(
     shared.counters.computations.fetch_add(1, Ordering::Relaxed);
 
     let threads = if req.threads == 0 { 1 } else { req.threads };
-    let observer = ServeObserver::new(req.progress.then(|| (Arc::clone(sink), id)));
+    let progress = |text: &str| sink.send(&proto::ev_progress(id, text));
+    let observer = JobObserver {
+        stats: StatsCollector::new(),
+        progress: req.progress.then_some(&progress as _),
+    };
     observer.stats.set_threads(threads);
-    if let Some(grain) = req.run.grain {
-        dualminer_parallel::set_default_grain(grain);
-    }
+    // Every computed job sets the grain, so one job's `run.grain` never
+    // outlives it (0 = adaptive).
+    dualminer_parallel::set_default_grain(req.run.grain.unwrap_or(0));
     let note = |text: &str| sink.send(&proto::ev_note(id, text));
     let cx = ExecCtx {
         meter,
@@ -887,7 +813,7 @@ fn compute_fresh(
             min_support,
             rules,
             maximal,
-            segment_rows,
+            ..
         } => {
             let canon = mine_canon.expect("mine jobs carry their canonical form");
             let opts = MineOpts {
@@ -928,7 +854,7 @@ fn compute_fresh(
                 ));
                 out
             } else {
-                let (universe, db) = canon.build(*segment_rows);
+                let (universe, db) = canon.build(0);
                 let sigma = min_support.resolve(db.n_rows());
                 let (out, sets) =
                     exec::mine(&universe, &db, sigma, &opts, &req.run, &cx).map_err(job_error)?;

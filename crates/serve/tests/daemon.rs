@@ -529,3 +529,19 @@ fn protocol_and_input_errors_carry_their_exit_codes() {
     handle.shutdown();
     handle.join();
 }
+
+#[test]
+fn a_jobs_grain_does_not_outlive_it() {
+    // The scheduler grain is process-global: a job that names one must
+    // not re-tune every later job the daemon runs. (Other tests in this
+    // binary run jobs concurrently, but none names a grain.)
+    let (handle, addr) = serve(1);
+    let mut conn = Conn::connect(&addr).unwrap();
+    let tuned = mine_line(1, BASKETS, r#","cache":"bypass","run":{"grain":1}"#);
+    assert_eq!(terminal(&conn.roundtrip(&tuned, 1).unwrap()).kind, "result");
+    let plain = mine_line(2, BASKETS, r#","cache":"bypass""#);
+    assert_eq!(terminal(&conn.roundtrip(&plain, 2).unwrap()).kind, "result");
+    assert_eq!(dualminer_parallel::default_grain(), 0, "adaptive again");
+    handle.shutdown();
+    handle.join();
+}
