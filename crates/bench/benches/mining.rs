@@ -110,19 +110,6 @@ fn bench_maximal_strategies(c: &mut Criterion) {
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("dualize_advance_batch", regime),
-            &(db, sigma),
-            |b, (db, sigma)| {
-                b.iter(|| {
-                    maximal_frequent_sets(
-                        db,
-                        *sigma,
-                        MaximalStrategy::DualizeAdvanceBatch(TrAlgorithm::Berge),
-                    )
-                })
-            },
-        );
-        group.bench_with_input(
             BenchmarkId::new("dualize_advance_fk", regime),
             &(db, sigma),
             |b, (db, sigma)| {

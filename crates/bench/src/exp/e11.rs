@@ -30,7 +30,7 @@ pub fn run() {
         let g = berge::transversals(f);
         let m = (f.len() + g.len()) as f64;
         let t0 = Instant::now();
-        let (w, stats) = fk::duality_witness_counted(f, &g);
+        let (w, stats) = fk::duality_witness_counted_par(f, &g, 1);
         let elapsed = t0.elapsed();
         assert!(w.is_none());
         // Normalized exponent: FK-A guarantees calls ≤ m^(c·log₂ m), so

@@ -4,15 +4,13 @@
 //! (a) Berge edge-processing order — intermediate-family peak sizes;
 //! (b) Dualize & Advance extension order — trajectory changes, identical
 //!     answers and near-identical query bills;
-//! (c) incremental vs batch Dualize & Advance — rounds vs queries;
 //! (d) memoization — levelwise and D&A never repeat a query, so the
 //!     distinct/raw distinction the theorems rely on costs nothing.
 
 use dualminer_bitset::AttrSet;
 use dualminer_core::checkpoint::FaultCtl;
 use dualminer_core::dualize_advance::{
-    dualize_advance, dualize_advance_batch, dualize_advance_ctl, DualizeAdvanceConfig,
-    ExtensionOrder,
+    dualize_advance, dualize_advance_ctl, DualizeAdvanceConfig, ExtensionOrder,
 };
 use dualminer_core::levelwise::levelwise;
 use dualminer_core::oracle::{CountingOracle, FamilyOracle};
@@ -118,30 +116,6 @@ pub fn run() {
                 .map_or("—".into(), |s| format!("{s:?}")),
             oracle.distinct_queries().to_string(),
             "✓".to_string(),
-        ]);
-    }
-    table.print();
-
-    println!("\n(c) incremental vs batch D&A (rounds vs queries):");
-    let mut table = Table::new(["variant", "|MTh|", "rounds", "queries"]);
-    for (mth, k) in [(6usize, 5usize), (12, 7)] {
-        let plants = random_antichain(16, mth, k, &mut rng);
-        let o1 = CountingOracle::new(FamilyOracle::new(16, plants.clone()));
-        let inc = dualize_advance(&o1, TrAlgorithm::Berge);
-        let o2 = CountingOracle::new(FamilyOracle::new(16, plants.clone()));
-        let bat = dualize_advance_batch(&o2, TrAlgorithm::Berge);
-        assert_eq!(inc.maximal, bat.maximal);
-        table.row([
-            format!("incremental k={k}"),
-            inc.maximal.len().to_string(),
-            inc.iterations.len().to_string(),
-            o1.distinct_queries().to_string(),
-        ]);
-        table.row([
-            format!("batch k={k}"),
-            bat.maximal.len().to_string(),
-            bat.iterations.len().to_string(),
-            o2.distinct_queries().to_string(),
         ]);
     }
     table.print();

@@ -209,27 +209,45 @@ fn keys_kill_and_resume_matches_undisturbed_run() {
 fn transversals_kill_and_resume_matches_undisturbed_run() {
     let graph = temp_file("k-graph.txt", GRAPH);
     let input = graph.display().to_string();
-    let plain = run(&["transversals", &input]);
-    assert!(plain.status.success(), "{plain:?}");
+    // The default engine materializes each round's border; `fk` reaches
+    // the incremental joint-generation step.
+    for algo in ["auto", "fk"] {
+        let plain = run(&["transversals", &input, "--algo", algo]);
+        assert!(plain.status.success(), "{algo}: {plain:?}");
 
-    let ckpt = temp_path("tr.ckpt");
-    let ckpt_s = ckpt.display().to_string();
-    let killed = run(&[
-        "transversals",
-        &input,
-        "--fault-inject",
-        "permanent=6",
-        "--checkpoint",
-        &ckpt_s,
-        "--checkpoint-every",
-        "1",
-    ]);
-    assert_eq!(killed.status.code(), Some(EXIT_FAULT), "{killed:?}");
+        let ckpt = temp_path(&format!("tr-{algo}.ckpt"));
+        let ckpt_s = ckpt.display().to_string();
+        let killed = run(&[
+            "transversals",
+            &input,
+            "--algo",
+            algo,
+            "--fault-inject",
+            "permanent=6",
+            "--checkpoint",
+            &ckpt_s,
+            "--checkpoint-every",
+            "1",
+        ]);
+        assert_eq!(killed.status.code(), Some(EXIT_FAULT), "{algo}: {killed:?}");
 
-    let resumed = run(&["transversals", &input, "--checkpoint", &ckpt_s, "--resume"]);
-    assert!(resumed.status.success(), "{resumed:?}");
-    assert_eq!(normalize(&stdout(&resumed)), normalize(&stdout(&plain)));
-    let _ = fs::remove_file(&ckpt);
+        let resumed = run(&[
+            "transversals",
+            &input,
+            "--algo",
+            algo,
+            "--checkpoint",
+            &ckpt_s,
+            "--resume",
+        ]);
+        assert!(resumed.status.success(), "{algo}: {resumed:?}");
+        assert_eq!(
+            normalize(&stdout(&resumed)),
+            normalize(&stdout(&plain)),
+            "{algo}"
+        );
+        let _ = fs::remove_file(&ckpt);
+    }
 }
 
 #[test]

@@ -31,7 +31,7 @@
 //! interesting) come out right.
 
 use dualminer_bitset::AttrSet;
-use dualminer_hypergraph::{plan, Hypergraph, TrAlgorithm};
+use dualminer_hypergraph::{joint_gen, plan, Hypergraph, TrAlgorithm};
 use dualminer_obs::{BudgetReason, Meter, NoopObserver, OracleError, Outcome, RunCtl, RunError};
 
 use crate::checkpoint::{Aborted, DaState, FaultCtl, ResumeState, DUALIZE_ADVANCE_KIND};
@@ -99,8 +99,9 @@ pub enum ExtensionOrder {
     Ascending,
     /// Descending attribute indices.
     Descending,
-    /// A caller-provided permutation (attributes missing from it are
-    /// never tried — callers almost always want a full permutation).
+    /// A caller-provided order: its entries first, in order (repeats
+    /// skipped), then the attributes it omits, ascending — so a partial
+    /// order still tries every attribute once and reaches a maximal set.
     Custom(Vec<usize>),
 }
 
@@ -109,7 +110,16 @@ impl ExtensionOrder {
         match self {
             ExtensionOrder::Ascending => (0..n).collect(),
             ExtensionOrder::Descending => (0..n).rev().collect(),
-            ExtensionOrder::Custom(v) => v.clone(),
+            ExtensionOrder::Custom(v) => {
+                let mut tried = vec![false; n];
+                let mut order: Vec<usize> = v
+                    .iter()
+                    .copied()
+                    .filter(|&i| !std::mem::replace(&mut tried[i], true))
+                    .collect();
+                order.extend((0..n).filter(|&i| !tried[i]));
+                order
+            }
         }
     }
 }
@@ -154,6 +164,31 @@ fn partial_run(
         negative_border: certificate,
         iterations,
         queries,
+    }
+}
+
+/// Closes a round the budget stopped before any counterexample: the trace
+/// gains the round with its `tested` count, and the partial result keeps
+/// `certificate`, the round's transversals verified uninteresting.
+fn tripped_round(
+    maximal: Vec<AttrSet>,
+    certificate: Vec<AttrSet>,
+    mut iterations: Vec<DualizeAdvanceIteration>,
+    tested: usize,
+    queries: u64,
+    reason: BudgetReason,
+    ctl: &RunCtl<'_>,
+) -> Outcome<DualizeAdvanceRun> {
+    iterations.push(DualizeAdvanceIteration {
+        transversals_tested: tested,
+        counterexample: None,
+        maximal_found: None,
+        extension_queries: 0,
+    });
+    ctl.observer.on_iteration(iterations.len(), tested, false);
+    Outcome::BudgetExceeded {
+        partial: partial_run(maximal, certificate, iterations, queries),
+        reason,
     }
 }
 
@@ -273,7 +308,11 @@ impl DaCkpt {
 /// `negative_border` and `queries` are bit-identical to an uninterrupted
 /// run; only the `iterations` trace restarts at the resume point (the
 /// `iterations.len() == maximal.len() + 1` invariant holds for
-/// un-resumed runs only).
+/// un-resumed runs only). A resume state need not come from a
+/// checkpoint: distinct verified-maximal sets with an empty round
+/// certificate are a valid safe point, which is how
+/// `mining::maximal::sample_then_certify` seeds the driver with its
+/// random-walk samples.
 #[allow(clippy::too_many_arguments)]
 pub fn dualize_advance_ctl<O: TryInterestOracle>(
     oracle: &O,
@@ -326,16 +365,9 @@ pub fn dualize_advance_ctl<O: TryInterestOracle>(
         // Seed: is anything interesting at all?
         queries += 1;
         ctl.meter.record_query();
-        let empty_interesting =
-            match query_with_retry(oracle, &AttrSet::empty(n), &fault.retry, ctl) {
-                Ok(v) => v,
-                Err(e) => {
-                    return Err(Aborted {
-                        error: RunError::Oracle(e),
-                        resume: None,
-                    })
-                }
-            };
+        // A fault before the first maximal set leaves nothing to resume.
+        let empty_interesting = query_with_retry(oracle, &AttrSet::empty(n), &fault.retry, ctl)
+            .map_err(|e| ckpt.abort(e, n, &maximal, &[], fault))?;
         if !empty_interesting {
             return Ok(Outcome::Complete(DualizeAdvanceRun {
                 maximal,
@@ -345,15 +377,8 @@ pub fn dualize_advance_ctl<O: TryInterestOracle>(
             }));
         }
         let (first, ext_q, tripped) =
-            match greedy_extend(oracle, AttrSet::empty(n), &ext_order, ctl, fault) {
-                Ok(v) => v,
-                Err(e) => {
-                    return Err(Aborted {
-                        error: RunError::Oracle(e),
-                        resume: None,
-                    })
-                }
-            };
+            greedy_extend(oracle, AttrSet::empty(n), &ext_order, ctl, fault)
+                .map_err(|e| ckpt.abort(e, n, &maximal, &[], fault))?;
         queries += ext_q;
         if let Some(reason) = tripped {
             // The extension was interrupted, so `first` is interesting but
@@ -388,71 +413,48 @@ pub fn dualize_advance_ctl<O: TryInterestOracle>(
 
         match algo {
             TrAlgorithm::FkJointGeneration => {
-                // Incremental enumeration with early exit: re-implement the
-                // joint-generation loop inline so each emitted transversal
-                // is queried immediately. On resume, seeding `g` with the
-                // certificate continues the enumeration where it stopped.
+                // Incremental enumeration with early exit: each transversal
+                // the joint-generation step emits is queried at once. On
+                // resume, seeding `g` with the certificate continues the
+                // enumeration where it stopped. The step wants a minimized
+                // hypergraph, and `complements` is one: the complements of
+                // an antichain are an antichain.
                 let mut g = Hypergraph::empty(n);
                 for t in &certificate {
                     g.add_edge(t.clone());
                 }
                 loop {
-                    let witness = match dualminer_hypergraph::fk::duality_witness_counted_par_ctl(
-                        &complements,
-                        &g,
-                        threads,
-                        ctl,
-                    ) {
-                        Outcome::Complete((w, _)) => w,
-                        Outcome::BudgetExceeded { reason, .. } => {
-                            iterations.push(DualizeAdvanceIteration {
-                                transversals_tested: tested,
-                                counterexample: None,
-                                maximal_found: None,
-                                extension_queries: 0,
-                            });
-                            ctl.observer.on_iteration(iterations.len(), tested, false);
-                            return Ok(Outcome::BudgetExceeded {
-                                partial: partial_run(maximal, certificate, iterations, queries),
+                    let t = match joint_gen::next_transversal(&complements, &g, threads, ctl) {
+                        Ok(Some(t)) => t,
+                        Ok(None) => break,
+                        Err(reason) => {
+                            return Ok(tripped_round(
+                                maximal,
+                                certificate,
+                                iterations,
+                                tested,
+                                queries,
                                 reason,
-                            });
+                                ctl,
+                            ))
                         }
                     };
-                    match witness {
-                        None => break,
-                        Some(w) => {
-                            let t = dualminer_hypergraph::oracle::minimize_transversal(
-                                &complements,
-                                &w.complement(),
-                            )
-                            .expect("witness complement is a transversal");
-                            tested += 1;
-                            queries += 1;
-                            ctl.meter.record_query();
-                            ctl.meter.record_transversal();
-                            ctl.observer.on_transversals(1);
-                            match query_with_retry(oracle, &t, &fault.retry, ctl) {
-                                Ok(true) => {
-                                    counterexample = Some(t);
-                                    break;
-                                }
-                                Ok(false) => {
-                                    certificate.push(t.clone());
-                                    g.add_edge(t);
-                                    ckpt.at_safe_point(
-                                        n,
-                                        &maximal,
-                                        &certificate,
-                                        queries,
-                                        ctl,
-                                        fault,
-                                    )?;
-                                }
-                                Err(e) => {
-                                    return Err(ckpt.abort(e, n, &maximal, &certificate, fault))
-                                }
-                            }
+                    tested += 1;
+                    queries += 1;
+                    ctl.meter.record_query();
+                    ctl.meter.record_transversal();
+                    ctl.observer.on_transversals(1);
+                    match query_with_retry(oracle, &t, &fault.retry, ctl) {
+                        Ok(true) => {
+                            counterexample = Some(t);
+                            break;
                         }
+                        Ok(false) => {
+                            certificate.push(t.clone());
+                            g.add_edge(t);
+                            ckpt.at_safe_point(n, &maximal, &certificate, queries, ctl, fault)?;
+                        }
+                        Err(e) => return Err(ckpt.abort(e, n, &maximal, &certificate, fault)),
                     }
                 }
             }
@@ -467,17 +469,15 @@ pub fn dualize_advance_ctl<O: TryInterestOracle>(
                         // The materialized border is incomplete (and for
                         // Berge not even a set of transversals), so the
                         // round is abandoned untested.
-                        iterations.push(DualizeAdvanceIteration {
-                            transversals_tested: 0,
-                            counterexample: None,
-                            maximal_found: None,
-                            extension_queries: 0,
-                        });
-                        ctl.observer.on_iteration(iterations.len(), 0, false);
-                        return Ok(Outcome::BudgetExceeded {
-                            partial: partial_run(maximal, Vec::new(), iterations, queries),
+                        return Ok(tripped_round(
+                            maximal,
+                            Vec::new(),
+                            iterations,
+                            0,
+                            queries,
                             reason,
-                        });
+                            ctl,
+                        ));
                     }
                 };
                 // On resume, the first `certificate.len()` transversals
@@ -499,17 +499,15 @@ pub fn dualize_advance_ctl<O: TryInterestOracle>(
                         continue;
                     }
                     if let Some(reason) = ctl.meter.exceeded() {
-                        iterations.push(DualizeAdvanceIteration {
-                            transversals_tested: tested,
-                            counterexample: None,
-                            maximal_found: None,
-                            extension_queries: 0,
-                        });
-                        ctl.observer.on_iteration(iterations.len(), tested, false);
-                        return Ok(Outcome::BudgetExceeded {
-                            partial: partial_run(maximal, certificate, iterations, queries),
+                        return Ok(tripped_round(
+                            maximal,
+                            certificate,
+                            iterations,
+                            tested,
+                            queries,
                             reason,
-                        });
+                            ctl,
+                        ));
                     }
                     tested += 1;
                     queries += 1;
@@ -836,156 +834,23 @@ mod config_tests {
             Some(u.parse("BD").unwrap())
         );
     }
-}
-
-/// The batch variant of Dualize & Advance: each round materializes the
-/// full negative border of the current collection and advances from
-/// *every* interesting transversal, not just the first.
-///
-/// Fewer (but more expensive) dualizations per run — at most
-/// `rank(MTh) + 1` rounds, since every round either finishes or grows
-/// some maximal chain — in exchange for evaluating the entire
-/// intermediate border each round (so Example 19-style blowups hit it
-/// harder than the incremental variant). This is closer to how the
-/// randomized study of reference \[11\] batched its certificates; the
-/// `dna_batch_vs_incremental` comparison lives in the E7 bench family.
-pub fn dualize_advance_batch<O: InterestOracle>(
-    oracle: &O,
-    algo: TrAlgorithm,
-) -> DualizeAdvanceRun {
-    let n = oracle.universe_size();
-    let mut queries = 1u64;
-    if !oracle.is_interesting(&AttrSet::empty(n)) {
-        return DualizeAdvanceRun {
-            maximal: Vec::new(),
-            negative_border: vec![AttrSet::empty(n)],
-            iterations: Vec::new(),
-            queries,
-        };
-    }
-    let (first, ext_q) = greedy_maximize(oracle, AttrSet::empty(n), None);
-    queries += ext_q;
-    let mut iterations = vec![DualizeAdvanceIteration {
-        transversals_tested: 0,
-        counterexample: Some(AttrSet::empty(n)),
-        maximal_found: Some(first.clone()),
-        extension_queries: ext_q,
-    }];
-    let mut maximal = vec![first];
-
-    loop {
-        let complements =
-            Hypergraph::from_edges(n, maximal.iter().map(AttrSet::complement).collect())
-                .expect("complements stay in universe");
-        let tr = dualminer_hypergraph::transversals_with(&complements, algo);
-        let mut tested = 0usize;
-        let mut ext_queries = 0u64;
-        let mut certificate: Vec<AttrSet> = Vec::new();
-        let mut last_counterexample = None;
-        let mut last_maximal = None;
-        for t in tr.edges() {
-            tested += 1;
-            queries += 1;
-            if oracle.is_interesting(t) {
-                let (y, q) = greedy_maximize(oracle, t.clone(), None);
-                queries += q;
-                ext_queries += q;
-                last_counterexample = Some(t.clone());
-                if !maximal.contains(&y) {
-                    last_maximal = Some(y.clone());
-                    maximal.push(y);
-                }
-            } else {
-                certificate.push(t.clone());
-            }
-        }
-        let found_any = last_counterexample.is_some();
-        iterations.push(DualizeAdvanceIteration {
-            transversals_tested: tested,
-            counterexample: last_counterexample,
-            maximal_found: last_maximal,
-            extension_queries: ext_queries,
-        });
-        if !found_any {
-            maximal.sort_by(|a, b| a.cmp_card_lex(b));
-            certificate.sort_by(|a, b| a.cmp_card_lex(b));
-            return DualizeAdvanceRun {
-                maximal,
-                negative_border: certificate,
-                iterations,
-                queries,
-            };
-        }
-    }
-}
-
-#[cfg(test)]
-mod batch_tests {
-    use super::*;
-    use crate::oracle::{CountingOracle, FamilyOracle, FnOracle};
-    use dualminer_bitset::Universe;
 
     #[test]
-    fn batch_matches_incremental_on_figure1() {
-        let u = Universe::letters(4);
-        let maxth = vec![u.parse("ABC").unwrap(), u.parse("BD").unwrap()];
-        let o1 = FamilyOracle::new(4, maxth.clone());
-        let inc = dualize_advance(&o1, TrAlgorithm::Berge);
-        let o2 = FamilyOracle::new(4, maxth);
-        let bat = dualize_advance_batch(&o2, TrAlgorithm::Berge);
-        assert_eq!(inc.maximal, bat.maximal);
-        assert_eq!(inc.negative_border, bat.negative_border);
-        // The batch variant uses no more rounds.
-        assert!(bat.iterations.len() <= inc.iterations.len());
+    fn partial_custom_order_still_reaches_maximal_sets() {
+        // Every subset of {0, 1} is interesting. An order naming only
+        // attribute 0 must still try attribute 1, or the seed extension
+        // stops at {0} and a non-maximal set enters MTh.
+        let oracle = FamilyOracle::new(2, vec![AttrSet::full(2)]);
+        let default = run_with_order(&oracle, ExtensionOrder::Ascending);
+        let partial = run_with_order(&oracle, ExtensionOrder::Custom(vec![0]));
+        assert_eq!(partial.maximal, vec![AttrSet::full(2)]);
+        assert_eq!(partial.maximal, default.maximal);
+        assert_eq!(partial.negative_border, default.negative_border);
     }
 
     #[test]
-    fn batch_round_count_bounded_by_rank() {
-        // Round bound: every round either certifies or extends at least
-        // one chain, and chains have length ≤ rank(MTh) + 1.
-        let n = 10;
-        let family: Vec<AttrSet> = (0..5)
-            .map(|i| AttrSet::from_indices(n, [i, i + 1, i + 2, i + 3]))
-            .collect();
-        let oracle = CountingOracle::new(FamilyOracle::new(n, family.clone()));
-        let run = dualize_advance_batch(&oracle, TrAlgorithm::Berge);
-        assert_eq!(run.maximal.len(), 5);
-        let rank = family.iter().map(AttrSet::len).max().unwrap();
-        assert!(
-            run.iterations.len() <= rank + 2,
-            "{} rounds for rank {}",
-            run.iterations.len(),
-            rank
-        );
-    }
-
-    #[test]
-    fn batch_on_random_oracles() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(61);
-        for _ in 0..20 {
-            let n = rng.gen_range(3..8);
-            let m = rng.gen_range(1..4);
-            let family: Vec<AttrSet> = (0..m)
-                .map(|_| {
-                    let k = rng.gen_range(1..=n);
-                    AttrSet::from_indices(n, (0..k).map(|_| rng.gen_range(0..n)))
-                })
-                .collect();
-            let o1 = FamilyOracle::new(n, family.clone());
-            let inc = dualize_advance(&o1, TrAlgorithm::Berge);
-            let o2 = FamilyOracle::new(n, family.clone());
-            let bat = dualize_advance_batch(&o2, TrAlgorithm::Berge);
-            assert_eq!(inc.maximal, bat.maximal, "{family:?}");
-            assert_eq!(inc.negative_border, bat.negative_border, "{family:?}");
-        }
-    }
-
-    #[test]
-    fn batch_empty_theory() {
-        let oracle = FnOracle::new(4, |_: &AttrSet| false);
-        let run = dualize_advance_batch(&oracle, TrAlgorithm::Berge);
-        assert!(run.maximal.is_empty());
-        assert_eq!(run.negative_border, vec![AttrSet::empty(4)]);
+    fn custom_order_skips_repeats_and_appends_omitted_attributes() {
+        let order = ExtensionOrder::Custom(vec![3, 1, 3, 1]);
+        assert_eq!(order.materialize(5), vec![3, 1, 0, 2, 4]);
     }
 }

@@ -18,8 +18,8 @@ use dualminer_core::levelwise::{levelwise_ctl, LevelwiseRun};
 use dualminer_core::oracle::FamilyOracle;
 use dualminer_hypergraph::TrAlgorithm;
 use dualminer_obs::{
-    CheckpointError, CheckpointSink, FaultSpec, Json, MemoryCheckpoints, Meter, NoopObserver,
-    RetryPolicy, RunCtl, RunError,
+    Budget, CheckpointError, CheckpointSink, FaultSpec, FnvStream, Json, MemoryCheckpoints, Meter,
+    NoopObserver, RetryPolicy, RunCtl, RunError,
 };
 
 /// A planted monotone predicate over 7 attributes with overlapping maximal
@@ -540,4 +540,125 @@ fn checkpoint_cadence_batches_saves() {
     let dense = count_saves(1);
     let sparse = count_saves(1_000_000);
     assert!(dense > sparse, "dense {dense} vs sparse {sparse}");
+}
+
+/// Canonical text of one joint-generation D&A run under `budget`, saving
+/// every safe point: the partial answer, its counters, the meter's query
+/// and transversal counts, and every saved `DaState`.
+fn fk_run_record(oracle: &FamilyOracle, budget: Budget) -> String {
+    let sink = MemoryCheckpoints::new();
+    let meter = budget.start();
+    let ctl = RunCtl::new(&meter, &NoopObserver);
+    let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
+    let (run, reason) = dualize_advance_ctl(
+        &oracle,
+        TrAlgorithm::FkJointGeneration,
+        &DualizeAdvanceConfig::default(),
+        1,
+        &ctl,
+        &fault,
+        None,
+    )
+    .expect("infallible")
+    .into_parts();
+    let family = |f: &[AttrSet]| {
+        f.iter()
+            .map(|s| format!("{:?}", s.iter().collect::<Vec<_>>()))
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    let mut record = format!(
+        "{reason:?} maximal={} border={} queries={} iterations={} meter={}/{}",
+        family(&run.maximal),
+        family(&run.negative_border),
+        run.queries,
+        run.iterations.len(),
+        meter.queries(),
+        meter.transversals()
+    );
+    for envelope in sink.all() {
+        let ResumeState::DualizeAdvance(state) =
+            ResumeState::from_envelope(&envelope).expect("decodable checkpoint")
+        else {
+            panic!("wrong checkpoint kind");
+        };
+        record += &format!(" | {}", state.to_json());
+    }
+    record
+}
+
+/// Pins where budgets stop the joint-generation driver and what it saves:
+/// for every `max_queries` K up to the complete run's meter count and
+/// every `max_transversals` K up to `|Bd⁻|`, the partial `maximal`,
+/// `negative_border`, `queries`, `iterations.len()`, the meter's counts
+/// and each `DaState` saved with `every = 1` are folded into one digest
+/// per sweep. The digests were recorded from a known-good build; moving
+/// any trip point, counter, event or checkpoint cursor changes them.
+#[test]
+fn fk_budget_trips_and_saved_states_are_pinned() {
+    // (name, oracle, complete meter queries, |Bd⁻|, digests of the
+    // complete record, the max_queries sweep, the max_transversals sweep)
+    let cases = [
+        (
+            "planted",
+            planted(),
+            336u64,
+            13u64,
+            [
+                9870321862887456365u64,
+                4114201784529027253,
+                4044201120972613195,
+            ],
+        ),
+        (
+            "matching(4)",
+            matching(4),
+            164,
+            16,
+            [
+                1515353171076714140,
+                12709484412612487784,
+                12631546742533674288,
+            ],
+        ),
+    ];
+    for (name, oracle, queries, border, pinned) in cases {
+        let full = da_scratch(&oracle, TrAlgorithm::FkJointGeneration);
+        assert_eq!(full.negative_border.len() as u64, border, "{name}");
+        let record = fk_run_record(&oracle, Budget::default());
+        assert!(
+            record.contains(&format!("meter={queries}/")),
+            "{name}: {record}"
+        );
+        let digest = |records: Vec<String>| {
+            let mut h = FnvStream::new();
+            for r in records {
+                h.update(r.as_bytes());
+                h.update(b"\n");
+            }
+            h.digest()
+        };
+        let max_queries = |k| Budget {
+            max_queries: Some(k),
+            ..Budget::default()
+        };
+        let max_transversals = |k| Budget {
+            max_transversals: Some(k),
+            ..Budget::default()
+        };
+        let got = [
+            digest(vec![record]),
+            digest(
+                (1..=queries)
+                    .map(|k| fk_run_record(&oracle, max_queries(k)))
+                    .collect(),
+            ),
+            digest(
+                (1..=border)
+                    .map(|k| fk_run_record(&oracle, max_transversals(k)))
+                    .collect(),
+            ),
+        ];
+        assert_eq!(got, pinned, "{name}");
+    }
 }

@@ -51,12 +51,7 @@ pub struct FkStats {
 /// # Panics
 /// Panics if the two hypergraphs have different universe sizes.
 pub fn duality_witness(f: &Hypergraph, g: &Hypergraph) -> Option<AttrSet> {
-    duality_witness_counted(f, g).0
-}
-
-/// [`duality_witness`] plus recursion statistics.
-pub fn duality_witness_counted(f: &Hypergraph, g: &Hypergraph) -> (Option<AttrSet>, FkStats) {
-    duality_witness_counted_par(f, g, 1)
+    duality_witness_counted_par(f, g, 1).0
 }
 
 /// Minimum combined family size (`|F| + |G|`) of a frequency split before
@@ -64,10 +59,11 @@ pub fn duality_witness_counted(f: &Hypergraph, g: &Hypergraph) -> (Option<AttrSe
 /// Below it, spawn overhead dwarfs the sub-problem cost.
 pub const FK_PAR_CUTOFF: usize = 16;
 
-/// [`duality_witness_counted`] with the two sub-problems of each frequency
-/// split evaluated on separate scoped threads while a thread budget
-/// remains (`threads` ≥ 2 halves down the recursion; `0` = available
-/// parallelism) and the split is big enough ([`FK_PAR_CUTOFF`]).
+/// [`duality_witness`] plus recursion statistics, with the two
+/// sub-problems of each frequency split evaluated on separate scoped
+/// threads while a thread budget remains (`threads` ≥ 2 halves down the
+/// recursion; `0` = available parallelism; `1` = sequential) and the
+/// split is big enough ([`FK_PAR_CUTOFF`]).
 ///
 /// Both the *witness* and the [`FkStats`] are bit-identical to the
 /// sequential check for every input and thread count (DESIGN §6). The
@@ -144,12 +140,6 @@ pub fn duality_witness_counted_par_ctl(
 /// Convenience wrapper: `true` iff `g = Tr(f)`.
 pub fn are_dual(f: &Hypergraph, g: &Hypergraph) -> bool {
     duality_witness(f, g).is_none()
-}
-
-/// [`are_dual`] with a thread budget for the recursion
-/// (see [`duality_witness_counted_par`]).
-pub fn are_dual_par(f: &Hypergraph, g: &Hypergraph, threads: usize) -> bool {
-    duality_witness_counted_par(f, g, threads).0.is_none()
 }
 
 /// Whether `h` is self-dual: `Tr(h) = min(h)`.
@@ -614,7 +604,7 @@ mod tests {
     fn stats_count_calls() {
         let f = h(6, &[&[0, 1], &[2, 3], &[4, 5]]);
         let tr = berge::transversals(&f);
-        let (w, stats) = duality_witness_counted(&f, &tr);
+        let (w, stats) = duality_witness_counted_par(&f, &tr, 1);
         assert!(w.is_none());
         assert!(stats.calls >= 1);
         assert!(stats.max_depth >= 1);
@@ -637,7 +627,7 @@ mod tests {
             let tr = berge::transversals(&hg);
             for threads in [0, 2, 4] {
                 // Dual pair: same verdict AND same stats.
-                let (w_seq, s_seq) = duality_witness_counted(&hg, &tr);
+                let (w_seq, s_seq) = duality_witness_counted_par(&hg, &tr, 1);
                 let (w_par, s_par) = duality_witness_counted_par(&hg, &tr, threads);
                 assert_eq!(w_seq, w_par, "{hg:?} threads={threads}");
                 assert_eq!(s_seq, s_par, "{hg:?} threads={threads}");
@@ -650,7 +640,7 @@ mod tests {
                     broken.pop();
                     let gb = Hypergraph::from_edges(n, broken).unwrap();
                     assert_eq!(
-                        duality_witness_counted(&hg, &gb),
+                        duality_witness_counted_par(&hg, &gb, 1),
                         duality_witness_counted_par(&hg, &gb, threads),
                         "{hg:?} vs {gb:?} threads={threads}"
                     );
@@ -668,12 +658,13 @@ mod tests {
         let tr = berge::transversals(&f);
         assert!(f.len() + tr.len() >= FK_PAR_CUTOFF);
         for threads in [1, 2, 4, 8] {
-            assert!(are_dual_par(&f, &tr, threads), "threads={threads}");
+            let (w, _) = duality_witness_counted_par(&f, &tr, threads);
+            assert!(w.is_none(), "threads={threads}");
         }
         let mut broken = tr.edges().to_vec();
         broken.pop();
         let gb = Hypergraph::from_edges(2 * k, broken).unwrap();
-        let seq = duality_witness_counted(&f, &gb);
+        let seq = duality_witness_counted_par(&f, &gb, 1);
         for threads in [2, 4, 8] {
             assert_eq!(
                 seq,
@@ -717,7 +708,7 @@ mod tests {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         let out = duality_witness_counted_par_ctl(&f, &tr, 2, &ctl).expect_complete();
-        assert_eq!(out, duality_witness_counted(&f, &tr));
+        assert_eq!(out, duality_witness_counted_par(&f, &tr, 1));
         // Every recursive call is metered as one oracle query.
         assert_eq!(meter.queries(), out.1.calls);
     }

@@ -10,7 +10,7 @@
 //! a pair of size `(|F|, i)` — quasi-polynomial incremental time.
 
 use dualminer_bitset::AttrSet;
-use dualminer_obs::{Outcome, RunCtl};
+use dualminer_obs::{BudgetReason, Outcome, RunCtl};
 
 use crate::oracle::{is_transversal, minimize_transversal};
 use crate::{fk, Hypergraph, TrAlgorithm};
@@ -20,11 +20,41 @@ pub fn transversals(h: &Hypergraph) -> Hypergraph {
     crate::transversals_with(h, TrAlgorithm::FkJointGeneration)
 }
 
-/// The joint-generation engine over a minimized hypergraph `hm`, with
-/// each duality check's recursion forked across up to `threads` scoped
-/// worker threads (`0` = available parallelism); see
-/// [`fk::duality_witness_counted_par`]. The emitted transversals are
-/// bit-identical to the sequential enumeration.
+/// One joint-generation step: one Fredman–Khachiyan duality check of the
+/// pair `(hm, g)` with up to `threads` workers (see
+/// [`fk::duality_witness_counted_par`]), then the complement of its
+/// witness minimized against `hm`. Requires `hm` minimized and
+/// `g ⊆ Tr(hm)`.
+///
+/// Returns `Ok(Some(t))` with a minimal transversal `t ∉ g`, `Ok(None)`
+/// when the pair is dual (`g = Tr(hm)`), and `Err` with the trip reason
+/// when the budget stops the check. The check's recursive calls are
+/// metered (one query each); the step records nothing else, so callers
+/// account for the transversal they receive.
+pub fn next_transversal(
+    hm: &Hypergraph,
+    g: &Hypergraph,
+    threads: usize,
+    ctl: &RunCtl<'_>,
+) -> Result<Option<AttrSet>, BudgetReason> {
+    debug_assert!(hm.is_minimized());
+    let witness = match fk::duality_witness_counted_par_ctl(hm, g, threads, ctl) {
+        Outcome::Complete((witness, _)) => witness,
+        Outcome::BudgetExceeded { reason, .. } => return Err(reason),
+    };
+    // Invariant: G ⊆ Tr(F) and pairwise intersecting, so the witness
+    // always has f(w) = 0 = g(w̄): w̄ is a transversal not containing any
+    // already-found minimal transversal.
+    Ok(witness.map(|w| {
+        let t = w.complement();
+        debug_assert!(is_transversal(hm, &t));
+        minimize_transversal(hm, &t).expect("FK witness complement must be a transversal")
+    }))
+}
+
+/// The joint-generation engine over a minimized hypergraph `hm`: loops
+/// [`next_transversal`] from an empty `g`, so the emitted transversals
+/// are bit-identical at every thread count.
 ///
 /// The budget is shared with the inner Fredman–Khachiyan checks (each FK
 /// recursive call is one metered query), and each emitted minimal
@@ -34,7 +64,6 @@ pub fn transversals(h: &Hypergraph) -> Hypergraph {
 /// the `Tr(H)` enumeration* — every member is a true minimal transversal
 /// of `H`.
 pub(crate) fn run(hm: &Hypergraph, threads: usize, ctl: &RunCtl<'_>) -> Outcome<Hypergraph> {
-    debug_assert!(hm.is_minimized());
     let n = hm.universe_size();
 
     // Constant corner cases mirror `berge::transversals`.
@@ -52,26 +81,16 @@ pub(crate) fn run(hm: &Hypergraph, threads: usize, ctl: &RunCtl<'_>) -> Outcome<
         if let Some(reason) = ctl.meter.exceeded() {
             return Outcome::BudgetExceeded { partial: g, reason };
         }
-        let witness = match fk::duality_witness_counted_par_ctl(hm, &g, threads, ctl) {
-            Outcome::Complete((witness, _)) => witness,
-            Outcome::BudgetExceeded { reason, .. } => {
-                return Outcome::BudgetExceeded { partial: g, reason };
+        match next_transversal(hm, &g, threads, ctl) {
+            Ok(Some(t)) => {
+                ctl.meter.record_transversal();
+                ctl.observer.on_transversals(1);
+                let added = g.add_edge(t);
+                assert!(added, "joint generation produced a duplicate transversal");
             }
-        };
-        let Some(w) = witness else {
-            return Outcome::Complete(g);
-        };
-        // Invariant: G ⊆ Tr(F) and pairwise intersecting, so the witness
-        // always has f(w) = 0 = g(w̄): w̄ is a transversal not containing
-        // any already-found minimal transversal.
-        let t = w.complement();
-        debug_assert!(is_transversal(hm, &t));
-        let t_min =
-            minimize_transversal(hm, &t).expect("FK witness complement must be a transversal");
-        ctl.meter.record_transversal();
-        ctl.observer.on_transversals(1);
-        let added = g.add_edge(t_min);
-        assert!(added, "joint generation produced a duplicate transversal");
+            Ok(None) => return Outcome::Complete(g),
+            Err(reason) => return Outcome::BudgetExceeded { partial: g, reason },
+        }
     }
 }
 

@@ -70,7 +70,10 @@ proptest! {
             Hypergraph::from_edges(N, edges).unwrap()
         });
         for threads in [1usize, 2, 4, 8] {
-            prop_assert!(fk::are_dual_par(&hm, &tr, threads), "threads={}", threads);
+            prop_assert!(
+                fk::duality_witness_counted_par(&hm, &tr, threads).0.is_none(),
+                "threads={}", threads
+            );
             if let Some(broken) = &broken {
                 prop_assert_eq!(
                     fk::duality_witness_counted_par(&hm, broken, threads).0,
@@ -92,7 +95,7 @@ proptest! {
             let mut edges = tr.edges().to_vec();
             edges.pop();
             let broken = Hypergraph::from_edges(N, edges).unwrap();
-            let (w_seq, s_seq) = fk::duality_witness_counted(&hm, &broken);
+            let (w_seq, s_seq) = fk::duality_witness_counted_par(&hm, &broken, 1);
             prop_assert!(w_seq.is_some(), "strict sub-family of Tr cannot be dual");
             for threads in [1usize, 2, 4, 8] {
                 let (w_par, s_par) = fk::duality_witness_counted_par(&hm, &broken, threads);

@@ -14,11 +14,13 @@
 //!   papers together suggest.
 
 use dualminer_bitset::AttrSet;
-use dualminer_core::dualize_advance::{dualize_advance, dualize_advance_batch, greedy_maximize};
+use dualminer_core::checkpoint::{DaState, FaultCtl};
+use dualminer_core::dualize_advance::{dualize_advance, dualize_advance_ctl, DualizeAdvanceConfig};
 use dualminer_core::levelwise::levelwise;
 use dualminer_core::oracle::{CountingOracle, InterestOracle};
 use dualminer_core::random_walk::random_walk_maxth;
-use dualminer_hypergraph::{transversals_with, Hypergraph, TrAlgorithm};
+use dualminer_hypergraph::TrAlgorithm;
+use dualminer_obs::{Meter, NoopObserver, RunCtl};
 use rand::Rng;
 
 use crate::{FrequencyOracle, TransactionDb};
@@ -30,9 +32,6 @@ pub enum MaximalStrategy {
     Levelwise,
     /// Dualize & Advance with the given transversal subroutine.
     DualizeAdvance(TrAlgorithm),
-    /// The batch variant: advance from every interesting transversal per
-    /// round (at most rank+1 dualizations).
-    DualizeAdvanceBatch(TrAlgorithm),
 }
 
 /// Result of a maximal-set mining run.
@@ -70,20 +69,15 @@ pub fn maximal_frequent_sets(
                 queries: oracle.distinct_queries(),
             }
         }
-        MaximalStrategy::DualizeAdvanceBatch(algo) => {
-            let run = dualize_advance_batch(&oracle, algo);
-            MaximalRun {
-                maximal: run.maximal,
-                negative_border: run.negative_border,
-                queries: oracle.distinct_queries(),
-            }
-        }
     }
 }
 
 /// Sample-then-certify: random restarts discover most of `MTh` cheaply,
-/// then Dualize & Advance runs seeded with the samples, needing only the
-/// missed sets' iterations plus one certificate round.
+/// then Dualize & Advance resumes from the samples as if from a
+/// checkpoint, needing only the missed sets' iterations plus one
+/// certificate round. The samples are distinct verified-maximal sets, so
+/// they are a valid safe point; an empty sample leaves the driver to seed
+/// itself.
 pub fn sample_then_certify<R: Rng + ?Sized>(
     db: &TransactionDb,
     min_support: usize,
@@ -93,51 +87,32 @@ pub fn sample_then_certify<R: Rng + ?Sized>(
 ) -> MaximalRun {
     let oracle = CountingOracle::new(FrequencyOracle::new(db, min_support));
     let sampled = random_walk_maxth(&oracle, restarts, rng);
-    let mut maximal: Vec<AttrSet> = sampled.found;
-    let n = oracle.universe_size();
-
-    if maximal.is_empty() {
-        // Either the theory is empty or sampling was unlucky with 0
-        // restarts; fall back to the plain algorithm.
-        let run = dualize_advance(&oracle, algo);
-        return MaximalRun {
-            maximal: run.maximal,
-            negative_border: run.negative_border,
-            queries: oracle.distinct_queries(),
-        };
-    }
-
-    // The certify/advance loop of Algorithm 16, starting from the sampled
-    // collection instead of a single seed.
-    loop {
-        let complements =
-            Hypergraph::from_edges(n, maximal.iter().map(AttrSet::complement).collect())
-                .expect("complements stay in universe");
-        let tr = transversals_with(&complements, algo);
-        let mut counterexample = None;
-        let mut certificate = Vec::new();
-        for t in tr.edges() {
-            if oracle.is_interesting(t) {
-                counterexample = Some(t.clone());
-                break;
-            }
-            certificate.push(t.clone());
-        }
-        match counterexample {
-            None => {
-                maximal.sort_by(|a, b| a.cmp_card_lex(b));
-                certificate.sort_by(|a, b| a.cmp_card_lex(b));
-                return MaximalRun {
-                    maximal,
-                    negative_border: certificate,
-                    queries: oracle.distinct_queries(),
-                };
-            }
-            Some(x) => {
-                let (y, _) = greedy_maximize(&oracle, x, None);
-                maximal.push(y);
-            }
-        }
+    let samples = DaState {
+        n: oracle.universe_size(),
+        maximal: sampled.found,
+        round_certificate: Vec::new(),
+        queries: 0,
+        threads: 1,
+    };
+    let meter = Meter::unlimited();
+    let ctl = RunCtl::new(&meter, &NoopObserver);
+    let config = DualizeAdvanceConfig::default();
+    let run = match dualize_advance_ctl(
+        &&oracle,
+        algo,
+        &config,
+        1,
+        &ctl,
+        &FaultCtl::none(),
+        Some(samples),
+    ) {
+        Ok(outcome) => outcome.expect_complete(),
+        Err(aborted) => unreachable!("infallible oracle cannot abort: {aborted}"),
+    };
+    MaximalRun {
+        maximal: run.maximal,
+        negative_border: run.negative_border,
+        queries: oracle.distinct_queries(),
     }
 }
 
@@ -163,14 +138,10 @@ mod tests {
             TrAlgorithm::LevelwiseLargeEdges,
             TrAlgorithm::MuMmcs,
         ] {
-            for strat in [
-                MaximalStrategy::DualizeAdvance(algo),
-                MaximalStrategy::DualizeAdvanceBatch(algo),
-            ] {
-                let run = maximal_frequent_sets(&db, 2, strat);
-                assert_eq!(run.maximal, reference.maximal, "{strat:?}");
-                assert_eq!(run.negative_border, reference.negative_border, "{strat:?}");
-            }
+            let strat = MaximalStrategy::DualizeAdvance(algo);
+            let run = maximal_frequent_sets(&db, 2, strat);
+            assert_eq!(run.maximal, reference.maximal, "{strat:?}");
+            assert_eq!(run.negative_border, reference.negative_border, "{strat:?}");
         }
     }
 

@@ -103,11 +103,19 @@ proptest! {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
         let reference = maximal_frequent_sets(&db, sigma, MaximalStrategy::Levelwise);
-        let run = dualminer_mining::maximal::sample_then_certify(
-            &db, sigma, 3, TrAlgorithm::Berge, &mut rng,
-        );
-        prop_assert_eq!(run.maximal, reference.maximal);
-        prop_assert_eq!(run.negative_border, reference.negative_border);
+        // Restarts 0 leave nothing sampled, so the driver seeds itself.
+        for algo in [TrAlgorithm::Berge, TrAlgorithm::FkJointGeneration, TrAlgorithm::MuMmcs] {
+            for restarts in [0, 3] {
+                let run = dualminer_mining::maximal::sample_then_certify(
+                    &db, sigma, restarts, algo, &mut rng,
+                );
+                prop_assert_eq!(&run.maximal, &reference.maximal, "{:?} restarts {}", algo, restarts);
+                prop_assert_eq!(
+                    &run.negative_border, &reference.negative_border,
+                    "{:?} restarts {}", algo, restarts
+                );
+            }
+        }
     }
 }
 
@@ -154,18 +162,6 @@ proptest! {
         prop_assert_eq!(update.frequent.itemsets(), fresh.itemsets());
         prop_assert_eq!(update.frequent.maximal, fresh.maximal);
         prop_assert_eq!(update.frequent.negative_border, fresh.negative_border);
-    }
-
-    #[test]
-    fn batch_strategy_agrees(db in arb_db(), sigma in 1usize..3) {
-        let reference = maximal_frequent_sets(&db, sigma, MaximalStrategy::Levelwise);
-        let batch = maximal_frequent_sets(
-            &db,
-            sigma,
-            MaximalStrategy::DualizeAdvanceBatch(TrAlgorithm::Berge),
-        );
-        prop_assert_eq!(batch.maximal, reference.maximal);
-        prop_assert_eq!(batch.negative_border, reference.negative_border);
     }
 }
 

@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use dualminer_bitset::{AttrSet, Universe};
 use dualminer_core::border::verify_maxth;
 use dualminer_core::checkpoint::{
-    Aborted, FaultCtl, ResumeState, DUALIZE_ADVANCE_KIND, LEVELWISE_KIND,
+    Aborted, DaState, FaultCtl, LevelwiseState, ResumeState, DUALIZE_ADVANCE_KIND, LEVELWISE_KIND,
 };
 use dualminer_core::dualize_advance::{dualize_advance_ctl, DualizeAdvanceConfig};
 use dualminer_core::fallible::FaultyOracle;
@@ -215,15 +215,38 @@ fn names(universe: &Universe, set: &AttrSet) -> String {
 // Checkpoint plumbing
 // ---------------------------------------------------------------------------
 
+/// A fault-tolerant engine's checkpoint state: the envelope kind it is
+/// saved under, and its variant of [`ResumeState`].
+trait Resumable: Sized {
+    const KIND: &'static str;
+    fn select(state: ResumeState) -> Option<Self>;
+}
+
+impl Resumable for LevelwiseState {
+    const KIND: &'static str = LEVELWISE_KIND;
+    fn select(state: ResumeState) -> Option<Self> {
+        match state {
+            ResumeState::Levelwise(s) => Some(s),
+            ResumeState::DualizeAdvance(_) => None,
+        }
+    }
+}
+
+impl Resumable for DaState {
+    const KIND: &'static str = DUALIZE_ADVANCE_KIND;
+    fn select(state: ResumeState) -> Option<Self> {
+        match state {
+            ResumeState::DualizeAdvance(s) => Some(s),
+            ResumeState::Levelwise(_) => None,
+        }
+    }
+}
+
 /// Loads and validates the resume state when `--resume` was given. A
 /// missing checkpoint file starts from scratch (so the same command line
 /// works for the first run and every rerun); a corrupt file or a
 /// checkpoint from a different engine is an error, never silent data loss.
-fn load_resume(
-    run: &RunOpts,
-    expect_kind: &str,
-    cx: &ExecCtx<'_>,
-) -> Result<Option<ResumeState>, JobError> {
+fn load_resume<S: Resumable>(run: &RunOpts, cx: &ExecCtx<'_>) -> Result<Option<S>, JobError> {
     if !run.resume {
         return Ok(None);
     }
@@ -240,15 +263,40 @@ fn load_resume(
         return Ok(None);
     };
     let state = ResumeState::from_envelope(&envelope).map_err(|e| JobError::Io(e.to_string()))?;
-    if state.kind() != expect_kind {
+    let kind = state.kind();
+    let Some(state) = S::select(state) else {
         return Err(JobError::Io(format!(
-            "checkpoint {path:?} holds a {} run, expected {}",
-            state.kind(),
-            expect_kind
+            "checkpoint {path:?} holds a {kind} run, expected {}",
+            S::KIND
         )));
-    }
+    };
     (cx.note)(&format!("note: resuming from checkpoint {path:?}"));
     Ok(Some(state))
+}
+
+/// Runs a fault-tolerant route: loads the `--resume` state, sets up the
+/// checkpoint sink and retry policy, wraps `oracle` in the
+/// `--fault-inject` schedule, and hands all three to `engine`. An aborted
+/// run ends `phase` and becomes the error for its cause.
+fn fault_tolerant<S: Resumable, O, T>(
+    run: &RunOpts,
+    phase: &str,
+    oracle: O,
+    cx: &ExecCtx<'_>,
+    engine: impl FnOnce(&FaultyOracle<O>, &FaultCtl<'_>, Option<S>) -> Result<T, Aborted>,
+) -> Result<T, JobError> {
+    let resume = load_resume(run, cx)?;
+    let sink = run.checkpoint.as_deref().map(FileCheckpoint::new);
+    let fault = match &sink {
+        Some(s) => FaultCtl::checkpointed(run.retry_policy(), s, run.checkpoint_cadence()),
+        None => FaultCtl::with_retry(run.retry_policy()),
+    };
+    let spec = run.fault_inject.clone().unwrap_or_default();
+    let oracle = FaultyOracle::new(oracle, &spec);
+    engine(&oracle, &fault, resume).map_err(|aborted| {
+        cx.observer.on_phase_end(phase);
+        abort_error(aborted, run.checkpoint.as_deref(), cx)
+    })
 }
 
 /// Converts an aborted fallible run into the error for its cause,
@@ -376,27 +424,12 @@ pub fn mine(
         // (possibly fault-injected) frequency oracle — retries,
         // checkpoint/resume — then exact supports recomputed from the
         // database. Bit-identical to apriori on the same input.
-        let resume = match load_resume(run, LEVELWISE_KIND, cx)? {
-            Some(ResumeState::Levelwise(state)) => Some(state),
-            _ => None,
-        };
-        let sink = run.checkpoint.as_deref().map(FileCheckpoint::new);
-        let fault = match &sink {
-            Some(s) => FaultCtl::checkpointed(run.retry_policy(), s, run.checkpoint_cadence()),
-            None => FaultCtl::with_retry(run.retry_policy()),
-        };
-        let spec = run.fault_inject.clone().unwrap_or_default();
-        let oracle = FaultyOracle::new(FrequencyOracle::new(db, sigma), &spec);
-        match levelwise_ctl(&oracle, cx.threads, &cx.ctl(), &fault, resume) {
-            Ok(outcome) => {
-                let (lw, reason) = outcome.into_parts();
-                (FrequentSets::from_levelwise(db, sigma, &lw), reason)
-            }
-            Err(aborted) => {
-                cx.observer.on_phase_end("mine");
-                return Err(abort_error(aborted, run.checkpoint.as_deref(), cx));
-            }
-        }
+        let oracle = FrequencyOracle::new(db, sigma);
+        let lw = fault_tolerant(run, "mine", oracle, cx, |oracle, fault, resume| {
+            levelwise_ctl(oracle, cx.threads, &cx.ctl(), fault, resume)
+        })?;
+        let (lw, reason) = lw.into_parts();
+        (FrequentSets::from_levelwise(db, sigma, &lw), reason)
     } else {
         apriori_par_ctl(db, sigma, cx.threads, &cx.ctl()).into_parts()
     };
@@ -474,42 +507,27 @@ pub fn keys(
         // Is-interesting model (non-superkey oracle) — MTh = maximal
         // agree sets, Bd⁻ = minimal keys. It stays on Berge: its query
         // counts and checkpoint files were recorded with that engine.
-        let resume = match load_resume(run, DUALIZE_ADVANCE_KIND, cx)? {
-            Some(ResumeState::DualizeAdvance(state)) => Some(state),
-            _ => None,
-        };
-        let sink = run.checkpoint.as_deref().map(FileCheckpoint::new);
-        let fault = match &sink {
-            Some(s) => FaultCtl::checkpointed(run.retry_policy(), s, run.checkpoint_cadence()),
-            None => FaultCtl::with_retry(run.retry_policy()),
-        };
-        let spec = run.fault_inject.clone().unwrap_or_default();
-        let oracle = FaultyOracle::new(NonSuperkeyOracle::new(rel), &spec);
-        match dualize_advance_ctl(
-            &oracle,
-            TrAlgorithm::Berge,
-            &DualizeAdvanceConfig::default(),
-            1,
-            &cx.ctl(),
-            &fault,
-            resume,
-        ) {
-            Ok(outcome) => {
-                let (da, reason) = outcome.into_parts();
-                (
-                    KeyDiscovery {
-                        minimal_keys: da.negative_border,
-                        maximal_non_superkeys: da.maximal,
-                        queries: da.queries,
-                    },
-                    reason,
-                )
-            }
-            Err(aborted) => {
-                cx.observer.on_phase_end("keys");
-                return Err(abort_error(aborted, run.checkpoint.as_deref(), cx));
-            }
-        }
+        let oracle = NonSuperkeyOracle::new(rel);
+        let da = fault_tolerant(run, "keys", oracle, cx, |oracle, fault, resume| {
+            dualize_advance_ctl(
+                oracle,
+                TrAlgorithm::Berge,
+                &DualizeAdvanceConfig::default(),
+                1,
+                &cx.ctl(),
+                fault,
+                resume,
+            )
+        })?;
+        let (da, reason) = da.into_parts();
+        (
+            KeyDiscovery {
+                minimal_keys: da.negative_border,
+                maximal_non_superkeys: da.maximal,
+                queries: da.queries,
+            },
+            reason,
+        )
     } else {
         let agree = agree.as_deref().expect("plain route computes agree sets");
         let keys = minimal_keys_from_agree_sets(agree, rel.n_attrs(), TrAlgorithm::Auto);
@@ -601,40 +619,25 @@ pub fn transversals(
         // Fault-tolerant route via Theorem 7: against the family oracle
         // of edge complements, "uninteresting" = transversal, so a
         // Dualize & Advance run delivers Bd⁻ = Tr(H).
-        let resume = match load_resume(run, DUALIZE_ADVANCE_KIND, cx)? {
-            Some(ResumeState::DualizeAdvance(state)) => Some(state),
-            _ => None,
-        };
-        let sink = run.checkpoint.as_deref().map(FileCheckpoint::new);
-        let fault = match &sink {
-            Some(s) => FaultCtl::checkpointed(run.retry_policy(), s, run.checkpoint_cadence()),
-            None => FaultCtl::with_retry(run.retry_policy()),
-        };
-        let spec = run.fault_inject.clone().unwrap_or_default();
         let complements: Vec<_> = h.edges().iter().map(AttrSet::complement).collect();
-        let oracle = FaultyOracle::new(FamilyOracle::new(h.universe_size(), complements), &spec);
-        match dualize_advance_ctl(
-            &oracle,
-            algo,
-            &DualizeAdvanceConfig::default(),
-            cx.threads,
-            &cx.ctl(),
-            &fault,
-            resume,
-        ) {
-            Ok(outcome) => {
-                let (da, reason) = outcome.into_parts();
-                (
-                    da.negative_border,
-                    reason,
-                    format!("dualize-advance/{}", plan::algo_name(algo)),
-                )
-            }
-            Err(aborted) => {
-                cx.observer.on_phase_end("transversals");
-                return Err(abort_error(aborted, run.checkpoint.as_deref(), cx));
-            }
-        }
+        let oracle = FamilyOracle::new(h.universe_size(), complements);
+        let da = fault_tolerant(run, "transversals", oracle, cx, |oracle, fault, resume| {
+            dualize_advance_ctl(
+                oracle,
+                algo,
+                &DualizeAdvanceConfig::default(),
+                cx.threads,
+                &cx.ctl(),
+                fault,
+                resume,
+            )
+        })?;
+        let (da, reason) = da.into_parts();
+        (
+            da.negative_border,
+            reason,
+            format!("dualize-advance/{}", plan::algo_name(algo)),
+        )
     } else {
         // Planner path: `--algo auto` resolves through the instance-shape
         // planner; the report carries what actually ran plus the engine's
