@@ -94,30 +94,60 @@ diff "$TMP/big_plain.out" "$TMP/big_resumed.out"
     --checkpoint "$TMP/big2.ckpt" --resume > "$TMP/big_resumed2.out" 2> /dev/null
 diff "$TMP/big_plain.out" "$TMP/big_resumed2.out"
 
-# Scheduler stress (DESIGN.md §13): hammer the work-stealing scheduler
-# with repeated runs at threads=8 and a fine grain — every repetition and
+# Scheduler stress (DESIGN.md §13): hammer the claim-cursor scheduler
+# with repeated runs at several thread counts — every repetition and
 # every thread count must print bit-identical output, including under a
 # seeded transient-fault schedule absorbed by retries. This catches
 # schedule-dependent nondeterminism the unit tests' single runs can miss.
-"$DM" mine "$TMP/baskets.txt" --min-support 2 --threads 8 --grain 1 \
-    > "$TMP/ws_ref.out"
+"$DM" mine "$TMP/baskets.txt" --min-support 2 --threads 8 > "$TMP/ws_ref.out"
 diff "$TMP/plain.out" "$TMP/ws_ref.out"
 for rep in 1 2 3 4 5; do
     for t in 2 4 8; do
         "$DM" mine "$TMP/baskets.txt" --min-support 2 \
-            --threads "$t" --grain 1 > "$TMP/ws.out"
+            --threads "$t" > "$TMP/ws.out"
         diff "$TMP/ws_ref.out" "$TMP/ws.out" \
-            || { echo "ws stress: rep=$rep threads=$t diverged"; exit 1; }
+            || { echo "scheduler stress: rep=$rep threads=$t diverged"; exit 1; }
         "$DM" mine "$TMP/baskets.txt" --min-support 2 \
-            --threads "$t" --grain 1 \
+            --threads "$t" \
             --fault-inject seed=7,transient=0.3 --retry 3 > "$TMP/ws_fault.out"
         diff "$TMP/ws_ref.out" "$TMP/ws_fault.out" \
-            || { echo "ws stress (faulty): rep=$rep threads=$t diverged"; exit 1; }
+            || { echo "scheduler stress (faulty): rep=$rep threads=$t diverged"; exit 1; }
     done
 done
 # Parallel runs surface scheduler counters in the stats artifact.
-"$DM" mine "$TMP/baskets.txt" --min-support 2 --threads 8 --grain 1 \
+"$DM" mine "$TMP/baskets.txt" --min-support 2 --threads 8 \
     --stats json | tail -n 1 | grep -q '"ws_tasks":'
+
+# Budget determinism (DESIGN.md §6): the query cap admits a prefix of
+# each level before it is dispatched, so a --max-queries partial and its
+# exit code are the same at every thread count, on the Apriori route and
+# on the checkpointed levelwise route.
+for k in 1 7 50 200; do
+    for mode in plain ckpt; do
+        for t in 1 2 4; do
+            rm -f "$TMP/cap.ckpt"
+            set +e
+            if [ "$mode" = ckpt ]; then
+                "$DM" mine "$TMP/big.txt" --min-support 0.05 \
+                    --max-queries "$k" --threads "$t" \
+                    --checkpoint "$TMP/cap.ckpt" --checkpoint-every 1 \
+                    > "$TMP/cap_$t.out" 2> /dev/null
+            else
+                "$DM" mine "$TMP/big.txt" --min-support 0.05 \
+                    --max-queries "$k" --threads "$t" \
+                    > "$TMP/cap_$t.out" 2> /dev/null
+            fi
+            echo "exit $?" >> "$TMP/cap_$t.out"
+            set -e
+        done
+        grep -qx 'exit 6' "$TMP/cap_1.out" \
+            || { echo "--max-queries $k ($mode) did not trip"; exit 1; }
+        for t in 2 4; do
+            diff "$TMP/cap_1.out" "$TMP/cap_$t.out" \
+                || { echo "--max-queries $k ($mode): threads $t diverged"; exit 1; }
+        done
+    done
+done
 
 # Daemon smoke (DESIGN.md §15): served bodies must be byte-identical to
 # the one-shot CLI's stdout; identical concurrent jobs compute once; a

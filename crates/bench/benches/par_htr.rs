@@ -10,14 +10,7 @@ use dualminer_hypergraph::{berge, fk, generators, TrAlgorithm};
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// Stamps the work-stealing steal count into each JSON line, so baseline
-/// artifacts show how much actual stealing each sweep point did.
-fn scheduler_steals() -> u64 {
-    dualminer_parallel::scheduler_stats().steals
-}
-
 fn bench_berge_threads(c: &mut Criterion) {
-    criterion::steal_track::set_steal_counter(scheduler_steals);
     let mut group = c.benchmark_group("par_berge");
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));

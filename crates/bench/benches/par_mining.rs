@@ -16,12 +16,6 @@ use rand::SeedableRng;
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// Stamps the work-stealing steal count into each JSON line, so baseline
-/// artifacts show how much actual stealing each sweep point did.
-fn scheduler_steals() -> u64 {
-    dualminer_parallel::scheduler_stats().steals
-}
-
 fn quest_db(items: usize, rows: usize) -> TransactionDb {
     let mut rng = StdRng::seed_from_u64(8);
     quest(
@@ -38,7 +32,6 @@ fn quest_db(items: usize, rows: usize) -> TransactionDb {
 }
 
 fn bench_apriori_threads(c: &mut Criterion) {
-    criterion::steal_track::set_steal_counter(scheduler_steals);
     let mut group = c.benchmark_group("par_apriori");
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));

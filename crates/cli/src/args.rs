@@ -67,11 +67,6 @@ OPTIONS:
     --threads <T>  worker threads for the parallel hot paths (support
                    counting / transversal search); 0 = all available cores;
                    default 1 (sequential). Output is identical for every T.
-    --grain <G>    smallest index range a work-stealing task is split down
-                   to (default 0 = adaptive: len/(threads*8)). Smaller
-                   grains improve load balance on skewed workloads at the
-                   cost of scheduling overhead; output is identical for
-                   every G.
 
 SERVE OPTIONS:
     --listen <host:port>  TCP listen address (port 0 = ephemeral; the
@@ -331,12 +326,6 @@ fn parse_run_flag<'a, I: Iterator<Item = &'a String>>(
                 return Err("--checkpoint-every must be ≥ 1".into());
             }
             run.checkpoint_every = Some(every);
-        }
-        "--grain" => {
-            let v = it.next().ok_or("--grain needs a value")?;
-            run.grain = Some(v.parse::<usize>().map_err(|_| {
-                format!("invalid --grain value {v:?} (want integer ≥ 0; 0 = auto)")
-            })?);
         }
         "--resume" => run.resume = true,
         _ => return Ok(false),
@@ -764,49 +753,6 @@ mod tests {
         assert!(matches!(cmd, Command::Transversals { threads: 0, .. }));
         assert!(parse(&v(&["mine", "b.txt", "--min-support", "2", "--threads"])).is_err());
         assert!(parse(&v(&["transversals", "h.txt", "--threads", "x"])).is_err());
-    }
-
-    #[test]
-    fn parse_grain_flag() {
-        let cmd = parse(&v(&[
-            "mine",
-            "b.txt",
-            "--min-support",
-            "2",
-            "--grain",
-            "16",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Mine {
-                run: RunOpts {
-                    grain: Some(16),
-                    ..
-                },
-                ..
-            }
-        ));
-        // 0 is the explicit "adaptive auto" request, distinct from unset.
-        let cmd = parse(&v(&["transversals", "h.txt", "--grain", "0"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Transversals {
-                run: RunOpts { grain: Some(0), .. },
-                ..
-            }
-        ));
-        let cmd = parse(&v(&["keys", "r.csv"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Keys {
-                run: RunOpts { grain: None, .. },
-                ..
-            }
-        ));
-        assert!(parse(&v(&["keys", "r.csv", "--grain"])).is_err());
-        assert!(parse(&v(&["keys", "r.csv", "--grain", "-1"])).is_err());
-        assert!(parse(&v(&["keys", "r.csv", "--grain", "x"])).is_err());
     }
 
     #[test]

@@ -131,9 +131,6 @@ impl Session {
             threads
         };
         observer.stats.set_threads(threads);
-        if let Some(grain) = run.grain {
-            dualminer_parallel::set_default_grain(grain);
-        }
         // Scheduler counters are process-global; zero them so the stats
         // artifact reflects this run only.
         dualminer_parallel::reset_scheduler_stats();
@@ -176,13 +173,7 @@ impl Session {
         if self.stats_json {
             let sched = dualminer_parallel::scheduler_stats();
             if self.threads > 1 && sched.tasks > 0 {
-                self.observer.stats.set_scheduler(
-                    sched.tasks,
-                    sched.steals,
-                    sched.splits,
-                    sched.joins,
-                    sched.per_worker,
-                );
+                self.observer.stats.set_scheduler(sched.tasks, sched.joins);
             }
             println!("{}", self.observer.stats.to_json(&self.meter, reason));
         }

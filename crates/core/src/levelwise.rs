@@ -266,14 +266,17 @@ fn unpack_resume(state: LevelwiseState, n: usize) -> Result<LevelwiseVars, Abort
 ///
 /// **Budget and observer.** Each candidate evaluation records one oracle
 /// query; each completed level fires `on_level` with its candidate and
-/// interesting counts. The budget is polled before every evaluation, so a
-/// tripped limit stops the walk mid-level: a worker that sees the trip
-/// skips its remaining candidates, and the merged verdicts are truncated
-/// at the first skipped candidate in sequential order. The partial result
-/// is a *genuine prefix* of the levelwise enumeration: the theory and
-/// negative border restricted to the sentences evaluated so far, with
-/// `positive_border` derived from that prefix (a valid `Bd⁺` of the
-/// truncated theory, not of `Th`).
+/// interesting counts. Before a level is dispatched, the query cap admits
+/// the prefix of it that still fits ([`Meter::admit`]); a shorter prefix
+/// is the trip, so a `max_queries` partial is the same at every thread
+/// count. The deadline and cancel flag are polled before every
+/// evaluation, so either stops the walk mid-level: a worker that sees the
+/// trip skips its remaining candidates, and the merged verdicts are
+/// truncated at the first skipped candidate in sequential order. The
+/// partial result is a *genuine prefix* of the levelwise enumeration: the
+/// theory and negative border restricted to the sentences evaluated so
+/// far, with `positive_border` derived from that prefix (a valid `Bd⁺` of
+/// the truncated theory, not of `Th`).
 ///
 /// **Faults.** Transient oracle errors are retried per `fault.retry`
 /// (infallible oracles enter through the blanket [`TryInterestOracle`]
@@ -369,15 +372,18 @@ pub fn levelwise_ctl<O: TryInterestOracle>(
         card += 1;
         let units = prefix_join_units(n, card, &level, Vec::as_slice);
 
-        // Evaluate the whole level in parallel; chunk-order concatenation
-        // reproduces the sequential evaluation order exactly. The budget
-        // and abort polls sit before every candidate: once either fires, a
-        // chunk answers `None` for the rest of its candidates, so the
-        // merged verdicts truncate at a prefix of the sequential
-        // enumeration.
+        // Evaluate the admitted prefix of the level in parallel;
+        // chunk-order concatenation reproduces the sequential evaluation
+        // order exactly. The query cap is settled here, before dispatch,
+        // so it truncates the level at the same candidate at every thread
+        // count. The deadline, cancel and abort polls sit before every
+        // candidate: once one fires, a chunk answers `None` for the rest
+        // of its candidates, so the merged verdicts truncate at a prefix
+        // of the sequential enumeration.
+        let prefix = &units[..ctl.meter.admit(units.len())];
         let abort = dualminer_parallel::AbortFlag::new();
         type Verdict = Option<(AttrSet, Result<bool, OracleError>)>;
-        let verdicts: Vec<Verdict> = dualminer_parallel::par_chunks(threads, 4, &units, |chunk| {
+        let verdicts: Vec<Verdict> = dualminer_parallel::par_chunks(threads, 4, prefix, |chunk| {
             chunk
                 .iter()
                 .map(|(_, _, cand)| {
@@ -417,10 +423,9 @@ pub fn levelwise_ctl<O: TryInterestOracle>(
         let mut next: Vec<Vec<usize>> = Vec::new();
         let mut tested = 0usize;
         let mut interesting_count = 0usize;
-        let mut tripped = false;
+        let level_len = units.len();
         for ((_, _, cand), verdict) in units.into_iter().zip(verdicts) {
             let Some((set, got)) = verdict else {
-                tripped = true;
                 break;
             };
             let interesting = got.expect("errors were handled above");
@@ -438,7 +443,7 @@ pub fn levelwise_ctl<O: TryInterestOracle>(
             candidates_per_level.push(tested);
         }
         ctl.observer.on_level(card, tested, interesting_count);
-        if tripped {
+        if tested < level_len {
             let reason = ctl
                 .meter
                 .exceeded()
@@ -611,11 +616,13 @@ mod tests {
     }
 
     /// Every `max_queries = k` short of the Theorem 10 count stops the
-    /// walk with a genuine prefix of the complete run; at one thread the
-    /// meter records exactly `k` queries.
+    /// walk with a genuine prefix of the complete run; at every thread
+    /// count the meter records exactly `k` queries and the partial equals
+    /// the one-thread partial.
     fn check_budget_prefixes<O: InterestOracle>(oracle: &O) {
         let full = levelwise(oracle);
         let count = full.theorem10_count();
+        let mut sequential = Vec::new();
         for threads in [1usize, 2, 4] {
             for k in 1..=count {
                 let meter = Budget {
@@ -640,9 +647,18 @@ mod tests {
                     "{context}: negative border"
                 );
                 assert_eq!(run.queries, run.theorem10_count(), "{context}");
+                assert_eq!(meter.queries(), k, "{context}: metered queries");
+                assert_eq!(run.queries, k, "{context}: run queries");
+                let parts = (
+                    run.theory,
+                    run.positive_border,
+                    run.negative_border,
+                    run.candidates_per_level,
+                );
                 if threads == 1 {
-                    assert_eq!(meter.queries(), k, "{context}: metered queries");
-                    assert_eq!(run.queries, k, "{context}: run queries");
+                    sequential.push(parts);
+                } else {
+                    assert_eq!(parts, sequential[k as usize - 1], "{context}: partial");
                 }
             }
         }

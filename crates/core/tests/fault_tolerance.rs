@@ -422,11 +422,11 @@ fn transient_schedule_on_dualize_advance_completes_identically() {
 fn steal_heavy_skew_with_seeded_faults_matches_sequential() {
     // Adversarial scheduler workload: one giant maximal set — a deep,
     // wide subtree of interesting candidates — among tiny ones, so the
-    // worker seeded with the giant range holds nearly all the work and
-    // the others must steal. Run at grain 1 to maximize splits/steals,
-    // under a seeded content-keyed transient fault schedule absorbed by
-    // retries: output AND fault/retry totals must match the sequential
-    // run at every thread count.
+    // worker that claims the giant range holds nearly all the work and
+    // the others must take the rest. Under a seeded content-keyed
+    // transient fault schedule absorbed by retries, output AND
+    // fault/retry totals must match the sequential run at every thread
+    // count.
     let n = 14;
     let family = vec![
         AttrSet::from_indices(n, 0..10),
@@ -445,8 +445,6 @@ fn steal_heavy_skew_with_seeded_faults_matches_sequential() {
         .expect_complete();
     assert!(seq_meter.faults() > 0, "fault schedule must fire");
 
-    let before = dualminer_parallel::default_grain();
-    dualminer_parallel::set_default_grain(1);
     for threads in [2usize, 8] {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
@@ -462,7 +460,6 @@ fn steal_heavy_skew_with_seeded_faults_matches_sequential() {
         assert_eq!(meter.faults(), seq_meter.faults(), "threads {threads}");
         assert_eq!(meter.retries(), seq_meter.retries(), "threads {threads}");
     }
-    dualminer_parallel::set_default_grain(before);
 }
 
 #[test]

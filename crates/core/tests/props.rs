@@ -53,7 +53,7 @@ proptest! {
 
     #[test]
     fn parallel_levelwise_is_bit_identical(family in arb_family()) {
-        // Work-stealing determinism contract: Th, both borders,
+        // Scheduler determinism contract: Th, both borders,
         // candidates_per_level and the query total are bit-identical to
         // sequential at every thread count.
         let oracle = FamilyOracle::new(N, family);

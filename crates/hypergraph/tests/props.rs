@@ -39,7 +39,7 @@ proptest! {
 
     #[test]
     fn parallel_algorithms_are_bit_identical(h in arb_hypergraph()) {
-        // The work-stealing scheduler's determinism contract: output is
+        // The scheduler's determinism contract: output is
         // bit-identical to sequential at every thread count.
         let seq_mu = mu_mmcs::transversals(&h);
         let seq_berge = berge::transversals(&h);

@@ -220,12 +220,14 @@ fn finish_sets(
 ///
 /// Each candidate support count records one metered query (matching
 /// [`FrequentSets::queries`] on a complete run), and each completed level
-/// fires `on_level` with its candidate/frequent counts. Workers poll the
-/// budget per candidate; on a trip the merged verdicts are truncated at
-/// the first skipped candidate, so the partial [`FrequentSets`] holds a
-/// *genuine prefix* of the sequential enumeration — every reported
-/// itemset is truly frequent with its exact support, and `maximal` is the
-/// maximal family of that prefix.
+/// fires `on_level` with its candidate/frequent counts. The query cap
+/// admits a prefix of each level before it is dispatched, so a
+/// `max_queries` trip lands on the same candidate at every thread count.
+/// Workers poll the deadline and cancel flag per candidate; on a trip the
+/// merged verdicts are truncated at the first skipped candidate, so the
+/// partial [`FrequentSets`] holds a *genuine prefix* of the sequential
+/// enumeration — every reported itemset is truly frequent with its exact
+/// support, and `maximal` is the maximal family of that prefix.
 pub fn apriori_par_ctl(
     db: &TransactionDb,
     min_support: usize,
@@ -309,16 +311,19 @@ fn apriori_with_cfg(
         // immediate subsets (the maximal-family marking below).
         let batch = prefix_join_batch(n, card, &level, |(v, _)| v.as_slice());
 
-        // Count supports for the whole candidate batch in parallel.
-        // Counting is non-materializing (`count_pair` is one contiguous
-        // read-only AND/ANDNOT-popcount over the sibling structures); a
-        // child node is materialized only for candidates that pass the
-        // threshold — the ones the next level keeps. `None` marks a
-        // candidate skipped because the budget tripped.
+        // Count supports for the batch prefix the query cap admits, in
+        // parallel. Counting is non-materializing (`count_pair` is one
+        // contiguous read-only AND/ANDNOT-popcount over the sibling
+        // structures); a child node is materialized only for candidates
+        // that pass the threshold — the ones the next level keeps. `None`
+        // marks a candidate skipped because the deadline or a cancel
+        // tripped.
         let level_ref = &level;
         let batch_ref = &batch;
+        let pairs = batch.pairs();
+        let prefix = &pairs[..ctl.meter.admit(pairs.len())];
         let counted: Vec<Option<(AttrSet, usize, Option<EclatNode>)>> =
-            dualminer_parallel::par_map(threads, batch.pairs(), |idx, &(p, q)| {
+            dualminer_parallel::par_map(threads, prefix, |idx, &(p, q)| {
                 if ctl.meter.exceeded().is_some() {
                     return None;
                 }
@@ -353,10 +358,8 @@ fn apriori_with_cfg(
         let mut next: Vec<(Vec<usize>, Option<EclatNode>)> = Vec::new();
         let mut tested = 0usize;
         let mut frequent_count = 0usize;
-        let mut tripped = false;
         for (idx, verdict) in counted.into_iter().enumerate() {
             let Some((cand_set, support, tids)) = verdict else {
-                tripped = true;
                 break;
             };
             tested += 1;
@@ -383,7 +386,7 @@ fn apriori_with_cfg(
             candidates_per_level.push(tested);
         }
         ctl.observer.on_level(card, tested, frequent_count);
-        if tripped {
+        if tested < pairs.len() {
             // The prefix's maximal family: unmarked members of the level
             // being extended, then every frequent set already emitted at
             // this level (none of *their* supersets were mined).
@@ -505,6 +508,57 @@ mod tests {
                 assert_eq!(par.negative_border, seq.negative_border);
                 assert_eq!(par.candidates_per_level, seq.candidates_per_level);
                 assert_eq!(par.queries(), seq.queries());
+            }
+        }
+    }
+
+    /// Every `max_queries = k` up to the Theorem 10 count meters exactly
+    /// `k` queries, and threads 2 and 4 return the one-thread partial.
+    #[test]
+    fn budgeted_partials_are_thread_invariant() {
+        use crate::gen::{quest, QuestParams};
+        use dualminer_obs::Budget;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let params = QuestParams {
+            n_items: 12,
+            n_transactions: 200,
+            avg_transaction_size: 5,
+            avg_pattern_size: 3,
+            n_patterns: 6,
+            corruption: 0.3,
+        };
+        let db = quest(&params, &mut StdRng::seed_from_u64(21));
+        let sigma = 12;
+        let count = apriori(&db, sigma).queries();
+        assert!(count > 30, "the sweep needs several levels: {count}");
+        for k in 1..=count {
+            let mut sequential = None;
+            for threads in [1usize, 2, 4] {
+                let meter = Budget {
+                    max_queries: Some(k),
+                    ..Budget::UNLIMITED
+                }
+                .start();
+                let outcome =
+                    apriori_par_ctl(&db, sigma, threads, &RunCtl::new(&meter, &NoopObserver));
+                let ctx = format!("k={k} threads={threads}");
+                assert_eq!(outcome.is_complete(), k == count, "{ctx}");
+                assert_eq!(meter.queries(), k, "{ctx}: metered queries");
+                let (fs, reason) = outcome.into_parts();
+                assert_eq!(fs.queries(), k, "{ctx}: run queries");
+                let parts = (
+                    fs.itemsets,
+                    fs.maximal,
+                    fs.negative_border,
+                    fs.candidates_per_level,
+                    reason,
+                );
+                match &sequential {
+                    None => sequential = Some(parts),
+                    Some(seq) => assert_eq!(&parts, seq, "{ctx}: partial"),
+                }
             }
         }
     }

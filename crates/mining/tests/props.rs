@@ -37,7 +37,7 @@ proptest! {
 
     #[test]
     fn parallel_apriori_is_bit_identical(db in arb_db(), sigma in 1usize..4) {
-        // Work-stealing determinism contract at every thread count.
+        // Scheduler determinism contract at every thread count.
         let seq = apriori(&db, sigma);
         for threads in [1usize, 2, 4, 8] {
             let meter = Meter::unlimited();

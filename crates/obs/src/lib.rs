@@ -182,6 +182,17 @@ impl Meter {
         }
     }
 
+    /// How many of the next `len` queries fit under the query cap (all of
+    /// them when there is no cap). A levelwise driver dispatches only this
+    /// prefix of a level, so the cap trips at the same candidate at every
+    /// thread count; a prefix shorter than `len` is the trip.
+    pub fn admit(&self, len: usize) -> usize {
+        self.max_queries.map_or(len, |max| {
+            let room = max.saturating_sub(self.queries());
+            len.min(usize::try_from(room).unwrap_or(usize::MAX))
+        })
+    }
+
     /// Records one enumerated transversal.
     #[inline]
     pub fn record_transversal(&self) {
@@ -433,7 +444,7 @@ struct StatsInner {
     transversals_tested: usize,
     counterexamples: usize,
     phases: Vec<(String, Option<Duration>, Instant)>,
-    /// Work-stealing scheduler counters, injected by the frontend at run
+    /// Claim-cursor scheduler counters, injected by the frontend at run
     /// end (this crate sits below the scheduler and cannot read them
     /// itself). `None` until [`StatsCollector::set_scheduler`] is called.
     scheduler: Option<SchedCounters>,
@@ -471,16 +482,12 @@ pub struct DualizeStats {
     pub egm_leaves: Option<u64>,
 }
 
-/// Run-total work-stealing scheduler counters plus the per-worker
-/// `(tasks, steals)` table, as injected via
+/// Run-total scheduler counters, as injected via
 /// [`StatsCollector::set_scheduler`].
 #[derive(Clone, Debug, Default, PartialEq)]
 struct SchedCounters {
     tasks: u64,
-    steals: u64,
-    splits: u64,
     joins: u64,
-    per_worker: Vec<(u64, u64)>,
 }
 
 /// A [`MiningObserver`] that accumulates every event and renders the
@@ -522,27 +529,13 @@ impl StatsCollector {
         self.threads.store(threads as u64, Ordering::Relaxed);
     }
 
-    /// Records the work-stealing scheduler counters for the JSON
-    /// artifact: run totals plus per-worker `(tasks, steals)` pairs. The
-    /// frontend snapshots the scheduler at run end and injects the
-    /// numbers here; until then the artifact omits the `ws_*` keys so
-    /// sequential runs keep their exact historical schema.
-    pub fn set_scheduler(
-        &self,
-        tasks: u64,
-        steals: u64,
-        splits: u64,
-        joins: u64,
-        per_worker: Vec<(u64, u64)>,
-    ) {
+    /// Records the scheduler's run-total claims and fork-join pairs for
+    /// the JSON artifact. The frontend snapshots the scheduler at run end
+    /// and injects the numbers here; until then the artifact omits the
+    /// `ws_*` keys so sequential runs keep their exact historical schema.
+    pub fn set_scheduler(&self, tasks: u64, joins: u64) {
         let mut inner = self.inner.lock().expect("stats mutex poisoned");
-        inner.scheduler = Some(SchedCounters {
-            tasks,
-            steals,
-            splits,
-            joins,
-            per_worker,
-        });
+        inner.scheduler = Some(SchedCounters { tasks, joins });
     }
 
     /// Records the dualization planner's decision and the executed
@@ -581,9 +574,8 @@ impl StatsCollector {
     ///   "phases": [{"name","ms"}], "threads", "cpus", "wall_ms"}`
     ///
     /// When [`StatsCollector::set_scheduler`] was called, the object
-    /// additionally carries `"ws_tasks"`, `"ws_steals"`, `"ws_splits"`,
-    /// `"ws_joins"` and `"ws_workers": [{"worker","tasks","steals"}]`
-    /// between `"phases"` and `"threads"`. When
+    /// additionally carries `"ws_tasks"` and `"ws_joins"` between
+    /// `"phases"` and `"threads"`. When
     /// [`StatsCollector::set_dualize`] was called, `"planner_choice"`,
     /// `"planner_rule"`, and whichever `"tr_*"` counters the executed
     /// backend collects follow the `ws_*` block.
@@ -639,17 +631,7 @@ impl StatsCollector {
         out.push_str("],");
         if let Some(sched) = &inner.scheduler {
             push_u64_field(&mut out, "ws_tasks", sched.tasks);
-            push_u64_field(&mut out, "ws_steals", sched.steals);
-            push_u64_field(&mut out, "ws_splits", sched.splits);
             push_u64_field(&mut out, "ws_joins", sched.joins);
-            out.push_str("\"ws_workers\":[");
-            for (i, &(t, s)) in sched.per_worker.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{{\"worker\":{i},\"tasks\":{t},\"steals\":{s}}}"));
-            }
-            out.push_str("],");
         }
         if let Some(d) = &inner.dualize {
             push_str_field(&mut out, "planner_choice", &d.backend);

@@ -35,11 +35,6 @@ pub struct RunOpts {
     pub checkpoint_every: Option<u64>,
     /// Resume from the checkpoint file (`--resume`).
     pub resume: bool,
-    /// Work-stealing task grain (`--grain`): smallest index range a
-    /// scheduler task is split down to. `None` leaves the process
-    /// default; `Some(0)` selects the adaptive auto grain explicitly.
-    /// Output is identical for every grain.
-    pub grain: Option<usize>,
 }
 
 impl RunOpts {

@@ -249,7 +249,6 @@ fn parse_run(obj: &Json) -> Result<RunOpts, ProtoError> {
         checkpoint: str_field(run, "checkpoint")?.map(str::to_string),
         checkpoint_every: uint_field(run, "checkpoint_every")?,
         resume: bool_field(run, "resume")?,
-        grain: uint_field(run, "grain")?.map(|g| g as usize),
         ..RunOpts::default()
     };
     // progress/stats_json are connection-level concerns on the wire, not
@@ -341,6 +340,12 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
 /// them — are therefore unchanged.
 const INERT_ROW_CAP: usize = 1024;
 
+/// What every params digest hashes where it once hashed the request's
+/// scheduler grain: the "unset" value. A `"grain"` field is now ignored
+/// like any unknown field, so requests with and without it share a key,
+/// and the keys of requests that never named it are unchanged.
+const INERT_GRAIN: u64 = u64::MAX;
+
 impl JobRequest {
     /// The params fingerprint: a digest of every request field that can
     /// influence the rendered body or the replayed stats artifact — the
@@ -403,7 +408,7 @@ impl JobRequest {
         }
         h.update_u64(run.checkpoint_every.unwrap_or(0));
         h.update(&[u8::from(run.resume)]);
-        h.update_u64(run.grain.map_or(u64::MAX, |g| g as u64));
+        h.update_u64(INERT_GRAIN);
         h.digest()
     }
 }
@@ -796,8 +801,8 @@ mod tests {
     fn mine_params_fingerprints_are_pinned() {
         // Persisted cache snapshots key entries by this digest. The values
         // predate the unsegmented store: a request that names the old
-        // `segment_rows` field, at any value, shares the omitted-field key
-        // because its answer is the same.
+        // `segment_rows` field or the old `run.grain`, at any value, shares
+        // the omitted-field key because its answer is the same.
         let base = r#""op":"mine","id":1,"input":{"inline":"a b\n"}"#;
         for (extra, want) in [
             (r#","min_support":"2""#, 0x8710_a3c8_0eb6_a2ae_u64),
@@ -815,6 +820,16 @@ mod tests {
                 0xb24b_70ae_e2ca_ab8d,
             ),
             (r#","min_support":"2","rules":"0.5""#, 0x1155_67a6_2d45_6ee6),
+            // The old scheduler `grain` is ignored at every value,
+            // including the 0 that once meant "auto" explicitly.
+            (
+                r#","min_support":"2","run":{"grain":1}"#,
+                0x8710_a3c8_0eb6_a2ae,
+            ),
+            (
+                r#","min_support":"2","run":{"grain":0}"#,
+                0x8710_a3c8_0eb6_a2ae,
+            ),
         ] {
             let line = format!("{{{base}{extra}}}");
             let Request::Job(job) = parse_request(&line).unwrap() else {

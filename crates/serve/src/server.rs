@@ -4,7 +4,7 @@
 //! unix socket, speaking the line-oriented JSON protocol of
 //! [`crate::proto`]. Each connection gets a reader thread; jobs are
 //! multiplexed onto a bounded worker pool (the engines underneath fan
-//! out further through the deterministic work-stealing scheduler, so the
+//! out further through the deterministic claim-cursor scheduler, so the
 //! pool bounds *jobs*, not parallelism).
 //!
 //! The perf core is the flow in `serve_job`:
@@ -683,7 +683,7 @@ fn serve_job(
     // already-cancelled) budget reports before any work.
     if let Some(reason) = meter.exceeded() {
         let stats = StatsCollector::new();
-        stats.set_threads(req.threads.max(1));
+        stats.set_threads(job_threads(req.threads));
         return Ok(Served {
             tag: CacheTag::Miss,
             body: format!("budget exceeded ({reason}) before any work was performed\n").into(),
@@ -768,6 +768,13 @@ fn serve_job(
     outcome
 }
 
+/// The worker threads a job runs on: its `"threads"` (0 or absent means
+/// 1), capped at the machine's CPUs. The field is unchecked client input,
+/// and each parallel level spawns up to this many OS threads.
+fn job_threads(requested: usize) -> usize {
+    requested.clamp(1, available_cpus())
+}
+
 /// Runs the engines for a job that neither the cache nor an in-flight
 /// twin could answer: the incremental route when a cached base covers a
 /// prefix of the input, a cold [`crate::exec`] run otherwise. Complete
@@ -787,16 +794,13 @@ fn compute_fresh(
     let id = req.id;
     shared.counters.computations.fetch_add(1, Ordering::Relaxed);
 
-    let threads = if req.threads == 0 { 1 } else { req.threads };
+    let threads = job_threads(req.threads);
     let progress = |text: &str| sink.send(&proto::ev_progress(id, text));
     let observer = JobObserver {
         stats: StatsCollector::new(),
         progress: req.progress.then_some(&progress as _),
     };
     observer.stats.set_threads(threads);
-    // Every computed job sets the grain, so one job's `run.grain` never
-    // outlives it (0 = adaptive).
-    dualminer_parallel::set_default_grain(req.run.grain.unwrap_or(0));
     let note = |text: &str| sink.send(&proto::ev_note(id, text));
     let cx = ExecCtx {
         meter,
@@ -1380,6 +1384,14 @@ pub fn start(config: &ServeConfig) -> io::Result<ServerHandle> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn job_threads_defaults_to_one_and_caps_at_the_cpus() {
+        let cpus = available_cpus();
+        assert_eq!(job_threads(0), 1);
+        assert_eq!(job_threads(1), 1);
+        assert_eq!(job_threads(usize::MAX), cpus);
+    }
 
     #[test]
     fn line_reader_splits_and_survives_partial_reads() {

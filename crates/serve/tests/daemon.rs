@@ -531,17 +531,43 @@ fn protocol_and_input_errors_carry_their_exit_codes() {
 }
 
 #[test]
-fn a_jobs_grain_does_not_outlive_it() {
-    // The scheduler grain is process-global: a job that names one must
-    // not re-tune every later job the daemon runs. (Other tests in this
-    // binary run jobs concurrently, but none names a grain.)
+fn a_grain_field_is_ignored_and_shares_the_cache_key() {
+    // `run.grain` once tuned a process-global scheduler knob. It is now
+    // ignored like any unknown field: the request is accepted, carries
+    // the fingerprint of the request without it, and hits its entry.
     let (handle, addr) = serve(1);
     let mut conn = Conn::connect(&addr).unwrap();
-    let tuned = mine_line(1, BASKETS, r#","cache":"bypass","run":{"grain":1}"#);
-    assert_eq!(terminal(&conn.roundtrip(&tuned, 1).unwrap()).kind, "result");
-    let plain = mine_line(2, BASKETS, r#","cache":"bypass""#);
-    assert_eq!(terminal(&conn.roundtrip(&plain, 2).unwrap()).kind, "result");
-    assert_eq!(dualminer_parallel::default_grain(), 0, "adaptive again");
+    let plain = conn.roundtrip(&mine_line(1, BASKETS, ""), 1).unwrap();
+    let tuned = mine_line(2, BASKETS, r#","run":{"grain":1}"#);
+    let tuned = conn.roundtrip(&tuned, 2).unwrap();
+    let (plain, tuned) = (terminal(&plain), terminal(&tuned));
+    assert_eq!(tuned.kind, "result", "{:?}", tuned.fields);
+    assert_eq!(field(plain, "cache"), "miss");
+    assert_eq!(field(tuned, "cache"), "hit");
+    assert_eq!(field(plain, "fingerprint"), field(tuned, "fingerprint"));
+    assert_eq!(field(plain, "body"), field(tuned, "body"));
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn a_jobs_threads_are_capped_at_the_cpus() {
+    // `"threads"` is unchecked client input. Two items keep any build
+    // from spawning more than two workers for this request.
+    let (handle, addr) = serve(1);
+    let mut conn = Conn::connect(&addr).unwrap();
+    let line = mine_line(1, "a b\n", r#","threads":1000000"#);
+    let events = conn.roundtrip(&line, 1).unwrap();
+    let ev = terminal(&events);
+    assert_eq!(ev.kind, "result", "{:?}", ev.fields);
+    let stats = field(ev, "stats");
+    let (_, tail) = stats.split_once("\"threads\":").expect("threads in stats");
+    let digits = tail.split(|c: char| !c.is_ascii_digit()).next().unwrap();
+    let threads: u64 = digits.parse().unwrap();
+    assert!(
+        threads as usize <= dualminer_obs::available_cpus(),
+        "threads={threads}"
+    );
     handle.shutdown();
     handle.join();
 }
