@@ -48,6 +48,13 @@ printf 'milk bread\nbread butter\nmilk butter bread\nmilk\nbread eggs\n' > "$TMP
 "$DM" mine "$TMP/baskets.txt" --min-support 2 \
     --fault-inject seed=7,transient=0.3 --retry 3 > "$TMP/transient.out"
 diff "$TMP/plain.out" "$TMP/transient.out"
+# The maximal block (with its Corollary 4 verification) and the rules,
+# which read the recorded supports, too.
+"$DM" mine "$TMP/baskets.txt" --min-support 2 --maximal --rules 0.6 \
+    > "$TMP/plain_mr.out"
+"$DM" mine "$TMP/baskets.txt" --min-support 2 --maximal --rules 0.6 \
+    --fault-inject seed=7,transient=0.3 --retry 3 > "$TMP/transient_mr.out"
+diff "$TMP/plain_mr.out" "$TMP/transient_mr.out"
 
 # Kill mid-run (exit 5), then resume (exit 0) to identical output.
 set +e
@@ -63,9 +70,9 @@ grep -q -- '--resume' "$TMP/kill.err"
 diff "$TMP/plain.out" "$TMP/resumed.out"
 
 # 100k-row smoke (DESIGN.md §11): a checkpointed run interrupted at its
-# query cap (--max-queries, exit 6, exactly 40 queries) must --resume on
-# the levelwise engine to the plain output, from the checkpoint itself
-# and from a copy of it resumed at two threads.
+# query cap (--max-queries, exit 6, exactly 40 queries) must --resume to
+# the plain output, from the checkpoint itself and from a copy of it
+# resumed at two threads.
 awk 'BEGIN {
     srand(11);
     for (r = 0; r < 100000; r++) {
@@ -120,8 +127,7 @@ done
 
 # Budget determinism (DESIGN.md §6): the query cap admits a prefix of
 # each level before it is dispatched, so a --max-queries partial and its
-# exit code are the same at every thread count, on the Apriori route and
-# on the checkpointed levelwise route.
+# exit code are the same at every thread count, plain and checkpointed.
 for k in 1 7 50 200; do
     for mode in plain ckpt; do
         for t in 1 2 4; do

@@ -1,7 +1,7 @@
 //! Mining benchmarks: support counting (vertical vs horizontal — the
 //! DESIGN.md §5 layout ablation), Apriori end-to-end on Quest workloads,
-//! specialized Apriori vs generic levelwise (the candidate-generation /
-//! tidset-caching ablation), and the levelwise vs Dualize & Advance
+//! the levelwise walk with the Apriori evaluator vs a frequency oracle
+//! (the tidset-caching ablation), and the levelwise vs Dualize & Advance
 //! timing in both k regimes (experiment E8's wall-clock companion).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -1,6 +1,7 @@
 //! Thread-scaling benchmarks for the parallel mining hot paths: Apriori
-//! support counting (`apriori_par_ctl`) and the generic levelwise driver
-//! (`levelwise_ctl`) on Quest workloads, sweeping the worker-thread count.
+//! support counting (`apriori_par_ctl`) and the levelwise walk over a
+//! frequency oracle (`levelwise_ctl`) on Quest workloads, sweeping the
+//! worker-thread count.
 //! Results are bit-identical across the sweep; only wall-clock changes.
 //! `BENCH_baseline.json` records a reference run of this file.
 
@@ -70,7 +71,7 @@ fn bench_levelwise_threads(c: &mut Criterion) {
                     let oracle = FrequencyOracle::new(&db, sigma);
                     let meter = Meter::unlimited();
                     let ctl = RunCtl::new(&meter, &NoopObserver);
-                    levelwise_ctl(&&oracle, threads, &ctl, &FaultCtl::none(), None)
+                    levelwise_ctl(&oracle, threads, &ctl, &FaultCtl::none(), None)
                         .expect("infallible oracle")
                         .expect_complete()
                 })

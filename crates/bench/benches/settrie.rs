@@ -7,8 +7,8 @@
 //! `/pairwise` (resp. `/naive`) lines measure exactly the PR 4 delta.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dualminer_bitset::candidates::prefix_join_batch;
 use dualminer_bitset::AttrSet;
-use dualminer_core::candidates::prefix_join_units;
 use dualminer_hypergraph::minimize_family;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -85,7 +85,7 @@ fn mixed_family(m: usize) -> Vec<AttrSet> {
 }
 
 /// A sparse level of distinct ascending 3-sets over `n = 200`, lex
-/// sorted — the shape `prefix_join_units` sees when mining wide, sparse
+/// sorted — the shape `prefix_join_batch` sees when mining wide, sparse
 /// databases, where trying all `n` extensions per parent is wasteful.
 fn sparse_level(m: usize) -> (usize, Vec<Vec<usize>>) {
     const N: usize = 200;
@@ -136,10 +136,10 @@ fn bench_candidate_gen(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.sample_size(10);
     let (n, level) = sparse_level(2000);
+    let batch = prefix_join_batch(n, 4, &level, Vec::as_slice);
     assert_eq!(
-        prefix_join_units(n, 4, &level, Vec::as_slice)
-            .into_iter()
-            .map(|(parent, _, cand)| (parent, cand))
+        (0..batch.len())
+            .map(|i| (batch.pair(i).0, batch.cand(i).to_vec()))
             .collect::<Vec<_>>(),
         naive_units(n, 4, &level),
         "prefix-join and naive generation must agree before timing them"
@@ -147,7 +147,7 @@ fn bench_candidate_gen(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("candidate_gen/trie", level.len()),
         &level,
-        |b, level| b.iter(|| prefix_join_units(n, 4, level, Vec::as_slice)),
+        |b, level| b.iter(|| prefix_join_batch(n, 4, level, Vec::as_slice)),
     );
     group.bench_with_input(
         BenchmarkId::new("candidate_gen/naive", level.len()),

@@ -90,7 +90,7 @@ pub fn run() {
             extension_order: order,
         };
         let run = dualize_advance_ctl(
-            &&oracle,
+            &oracle,
             TrAlgorithm::Berge,
             &config,
             1,

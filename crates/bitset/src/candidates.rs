@@ -1,6 +1,8 @@
 //! Prefix-join candidate generation — the database-free prune step of
-//! Algorithm 9, shared by the generic levelwise walker and the Apriori
-//! miner.
+//! Algorithm 9, shared by every level-wise walk over a subset lattice:
+//! `dualminer-core`'s levelwise walk (with Apriori as one of its
+//! evaluators) and the Corollary 15 transversal walk of
+//! `dualminer-hypergraph`.
 //!
 //! The naive formulation tries all `n` single-item extensions of every
 //! level member and rejects an extension unless *each* of its immediate
@@ -22,7 +24,7 @@
 //! cursor per drop position resolves every extension of the parent by a
 //! linear merge. No per-level trie build, no per-candidate allocation, and
 //! the matched cursor positions are exactly the level indices of the
-//! candidate's immediate subsets — which the miner's maximal-family
+//! candidate's immediate subsets — which the walk's maximal-family
 //! marking wants anyway ([`CandidateBatch::drop_subsets`]).
 //!
 //! **The emitted sequence is bit-identical to the naive generator's**:
@@ -35,16 +37,6 @@
 //! reaches one extension at a time.) Theorem 10's query accounting —
 //! every theory and negative-border sentence evaluated exactly once, in
 //! the documented order — therefore holds verbatim.
-
-/// One candidate with the indices of its generating parent *and* join
-/// partner in the level: `(parent, partner, indices)` where `indices =
-/// level[parent] + [last(level[partner])]`. Since the candidate is the
-/// union of the two members, its tidset is `t(parent) ∩ t(partner)` — the
-/// Eclat/dEclat miner counts and materializes from the two sibling nodes
-/// without ever touching an item column. The generic levelwise walker
-/// ignores both indices. At cardinality 1 (singleton candidates extend
-/// the single parent ∅) the partner index degenerates to the parent's.
-pub type CandidateUnit = (usize, usize, Vec<usize>);
 
 /// One level's candidates in flat stride-indexed storage: no
 /// per-candidate `Vec`, and every candidate carries the level indices of
@@ -124,7 +116,7 @@ impl CandidateBatch {
 ///
 /// `level` holds the previous level's members as ascending index vectors
 /// (each of cardinality `card − 1`), in ascending lex order; `key`
-/// projects a level entry to its index vector, letting Apriori pass its
+/// projects a level entry to its index vector, letting the walk pass its
 /// `(indices, tidset)` entries without copying.
 pub fn prefix_join_batch<T, F>(n: usize, card: usize, level: &[T], key: F) -> CandidateBatch
 where
@@ -262,22 +254,6 @@ where
     batch
 }
 
-/// [`prefix_join_batch`] flattened to owned per-candidate units — the
-/// shape the generic levelwise walker consumes (it moves each candidate
-/// vector into its next level).
-pub fn prefix_join_units<T, F>(n: usize, card: usize, level: &[T], key: F) -> Vec<CandidateUnit>
-where
-    F: Fn(&T) -> &[usize],
-{
-    let batch = prefix_join_batch(n, card, level, key);
-    (0..batch.len())
-        .map(|i| {
-            let (p, q) = batch.pair(i);
-            (p, q, batch.cand(i).to_vec())
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -396,17 +372,5 @@ mod tests {
         }
         let empty = prefix_join_batch(5, 1, &[] as &[Vec<usize>], |v| v.as_slice());
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn units_wrapper_preserves_shape() {
-        let level = random_level(3, 10, 3, 20);
-        let units = prefix_join_units(10, 3, &level, |v| v.as_slice());
-        let batch = prefix_join_batch(10, 3, &level, |v| v.as_slice());
-        assert_eq!(units.len(), batch.len());
-        for (i, (p, q, cand)) in units.iter().enumerate() {
-            assert_eq!((*p, *q), batch.pair(i));
-            assert_eq!(cand.as_slice(), batch.cand(i));
-        }
     }
 }

@@ -20,10 +20,11 @@
 //! * Enumeration helpers — [`SubsetsOfSize`], immediate subsets/supersets —
 //!   that the levelwise and Dualize-and-Advance algorithms use to walk the
 //!   subset lattice one level at a time.
+//! * [`candidates`] — prefix-join candidate generation, the
+//!   database-free step of every level-wise walk over the lattice.
 //! * [`SetTrie`] — a prefix tree over ascending-index set representations
 //!   answering subset/superset existence queries in output-sensitive time:
-//!   the index behind antichain minimization, prefix-join candidate
-//!   generation, and border derivation.
+//!   the index behind antichain minimization and border derivation.
 //!
 //! # Example
 //!
@@ -43,6 +44,7 @@
 #![warn(missing_docs)]
 
 mod attr_set;
+pub mod candidates;
 mod enumerate;
 pub mod kernels;
 mod ops;

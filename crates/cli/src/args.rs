@@ -131,8 +131,8 @@ RUN OPTIONS (budget and observability, accepted by every subcommand):
                             faults, checkpoints, per-phase wall time,
                             thread count) as the final line of stdout
 
-FAULT TOLERANCE (accepted by every subcommand; any of these routes the run
-through the fallible engines — `episodes` warns and ignores them):
+FAULT TOLERANCE (accepted by every subcommand; any of these routes keys and
+transversals through Dualize & Advance — `episodes` warns and ignores them):
     --retry <N>             retry a transiently failing oracle query up to
                             N times (deterministic, jitter-free backoff);
                             retries are metered separately and never count

@@ -28,7 +28,7 @@
 
 use dualminer_bitset::AttrSet;
 use dualminer_obs::checkpoint::{CheckpointError, CheckpointSink, Envelope};
-use dualminer_obs::{Json, RetryPolicy, RunError};
+use dualminer_obs::{FaultPlan, Json, RetryPolicy, RunError};
 
 /// Envelope `kind` for levelwise checkpoints.
 pub const LEVELWISE_KIND: &str = "levelwise";
@@ -276,11 +276,15 @@ impl std::fmt::Debug for CheckpointCfg<'_> {
     }
 }
 
-/// Fault-tolerance knobs for one run: the retry policy plus optional
-/// checkpointing. [`FaultCtl::none`] (the `Default`) is the infallible
-/// configuration the plain `_ctl` wrappers use.
+/// Fault-tolerance knobs for one run: the injected fault schedule, the
+/// retry policy, and optional checkpointing. [`FaultCtl::none`] (the
+/// `Default`) is the fault-free configuration the plain wrappers use.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FaultCtl<'a> {
+    /// The seeded fault schedule every query consults before it reaches
+    /// the oracle (see [`crate::fallible::query_with_retry`]); `None`
+    /// injects nothing.
+    pub plan: Option<&'a FaultPlan>,
     /// Retry policy for transient oracle errors.
     pub retry: RetryPolicy,
     /// Checkpointing, if enabled.
@@ -288,9 +292,10 @@ pub struct FaultCtl<'a> {
 }
 
 impl<'a> FaultCtl<'a> {
-    /// No retries, no checkpoints.
+    /// No faults, no retries, no checkpoints.
     pub const fn none() -> FaultCtl<'static> {
         FaultCtl {
+            plan: None,
             retry: RetryPolicy::none(),
             checkpoint: None,
         }
@@ -299,6 +304,7 @@ impl<'a> FaultCtl<'a> {
     /// Retries only.
     pub const fn with_retry(retry: RetryPolicy) -> FaultCtl<'static> {
         FaultCtl {
+            plan: None,
             retry,
             checkpoint: None,
         }
@@ -311,6 +317,7 @@ impl<'a> FaultCtl<'a> {
         every: u64,
     ) -> FaultCtl<'a> {
         FaultCtl {
+            plan: None,
             retry,
             checkpoint: Some(CheckpointCfg {
                 sink,
@@ -439,6 +446,7 @@ mod tests {
     #[test]
     fn fault_ctl_constructors() {
         let none = FaultCtl::none();
+        assert!(none.plan.is_none());
         assert!(none.checkpoint.is_none());
         assert_eq!(none.retry, RetryPolicy::none());
 

@@ -35,7 +35,7 @@ use dualminer_hypergraph::{joint_gen, plan, Hypergraph, TrAlgorithm};
 use dualminer_obs::{BudgetReason, Meter, NoopObserver, OracleError, Outcome, RunCtl, RunError};
 
 use crate::checkpoint::{Aborted, DaState, FaultCtl, ResumeState, DUALIZE_ADVANCE_KIND};
-use crate::fallible::{query_with_retry, TryInterestOracle};
+use crate::fallible::query_with_retry;
 use crate::oracle::InterestOracle;
 
 /// Trace of one outer iteration (one new maximal set, or the final
@@ -143,9 +143,9 @@ pub fn dualize_advance<O: InterestOracle>(oracle: &O, algo: TrAlgorithm) -> Dual
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
     let config = DualizeAdvanceConfig::default();
-    match dualize_advance_ctl(&oracle, algo, &config, 1, &ctl, &FaultCtl::none(), None) {
+    match dualize_advance_ctl(oracle, algo, &config, 1, &ctl, &FaultCtl::none(), None) {
         Ok(outcome) => outcome.expect_complete(),
-        Err(aborted) => unreachable!("infallible oracle cannot abort: {aborted}"),
+        Err(aborted) => unreachable!("no faults injected and no checkpoint: {aborted}"),
     }
 }
 
@@ -286,10 +286,10 @@ impl DaCkpt {
 /// interrupted round (members of `Bd⁻(Cᵢ)`, not necessarily of the final
 /// `Bd⁻(MTh)`).
 ///
-/// **Faults.** Transient oracle errors are retried per `fault.retry`
-/// (infallible oracles enter through the blanket [`TryInterestOracle`]
-/// impl on `&O` and never fail); an error that survives aborts the run
-/// with the state of the last safe point.
+/// **Faults.** Every query goes through [`query_with_retry`]: faults
+/// from `fault.plan` are injected before the oracle runs and transient
+/// ones are retried per `fault.retry`; an error that survives aborts the
+/// run with the state of the last safe point.
 ///
 /// **Checkpoints and resume.** Safe points are (a) after each enumerated
 /// transversal is verified uninteresting — the `round_certificate` cursor
@@ -314,7 +314,7 @@ impl DaCkpt {
 /// `mining::maximal::sample_then_certify` seeds the driver with its
 /// random-walk samples.
 #[allow(clippy::too_many_arguments)]
-pub fn dualize_advance_ctl<O: TryInterestOracle>(
+pub fn dualize_advance_ctl<O: InterestOracle>(
     oracle: &O,
     algo: TrAlgorithm,
     config: &DualizeAdvanceConfig,
@@ -366,19 +366,20 @@ pub fn dualize_advance_ctl<O: TryInterestOracle>(
         queries += 1;
         ctl.meter.record_query();
         // A fault before the first maximal set leaves nothing to resume.
-        let empty_interesting = query_with_retry(oracle, &AttrSet::empty(n), &fault.retry, ctl)
-            .map_err(|e| ckpt.abort(e, n, &maximal, &[], fault))?;
+        let empty = AttrSet::empty(n);
+        let empty_interesting =
+            query_with_retry(&empty, fault, ctl, || oracle.is_interesting(&empty))
+                .map_err(|e| ckpt.abort(e, n, &maximal, &[], fault))?;
         if !empty_interesting {
             return Ok(Outcome::Complete(DualizeAdvanceRun {
                 maximal,
-                negative_border: vec![AttrSet::empty(n)],
+                negative_border: vec![empty],
                 iterations,
                 queries,
             }));
         }
-        let (first, ext_q, tripped) =
-            greedy_extend(oracle, AttrSet::empty(n), &ext_order, ctl, fault)
-                .map_err(|e| ckpt.abort(e, n, &maximal, &[], fault))?;
+        let (first, ext_q, tripped) = greedy_extend(oracle, empty, &ext_order, ctl, fault)
+            .map_err(|e| ckpt.abort(e, n, &maximal, &[], fault))?;
         queries += ext_q;
         if let Some(reason) = tripped {
             // The extension was interrupted, so `first` is interesting but
@@ -444,7 +445,7 @@ pub fn dualize_advance_ctl<O: TryInterestOracle>(
                     ctl.meter.record_query();
                     ctl.meter.record_transversal();
                     ctl.observer.on_transversals(1);
-                    match query_with_retry(oracle, &t, &fault.retry, ctl) {
+                    match query_with_retry(&t, fault, ctl, || oracle.is_interesting(&t)) {
                         Ok(true) => {
                             counterexample = Some(t);
                             break;
@@ -512,7 +513,7 @@ pub fn dualize_advance_ctl<O: TryInterestOracle>(
                     tested += 1;
                     queries += 1;
                     ctl.meter.record_query();
-                    match query_with_retry(oracle, t, &fault.retry, ctl) {
+                    match query_with_retry(t, fault, ctl, || oracle.is_interesting(t)) {
                         Ok(true) => {
                             counterexample = Some(t.clone());
                             break;
@@ -603,20 +604,20 @@ pub fn greedy_maximize<O: InterestOracle>(
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
     let order = order.unwrap_or(&ascending);
-    match greedy_extend(&oracle, x, order, &ctl, &FaultCtl::none()) {
+    match greedy_extend(oracle, x, order, &ctl, &FaultCtl::none()) {
         Ok((y, queries, _)) => (y, queries),
-        Err(e) => unreachable!("infallible oracle cannot fail: {e}"),
+        Err(e) => unreachable!("no faults injected: {e}"),
     }
 }
 
-/// Budget-aware greedy extension over a fallible oracle: polls the meter
+/// Budget-aware greedy extension under the run's faults: polls the meter
 /// before every query and bails with the trip reason; the returned set is
 /// then interesting but not verified maximal, so callers must not add it
 /// to the MTh prefix. The extension is *atomic* with respect to
 /// checkpointing: an oracle error (after retries) discards the whole
 /// extension and the caller rolls back to its last safe point — partial
 /// extensions are never persisted.
-fn greedy_extend<O: TryInterestOracle>(
+fn greedy_extend<O: InterestOracle>(
     oracle: &O,
     mut x: AttrSet,
     order: &[usize],
@@ -634,7 +635,7 @@ fn greedy_extend<O: TryInterestOracle>(
         x.insert(v);
         queries += 1;
         ctl.meter.record_query();
-        if !query_with_retry(oracle, &x, &fault.retry, ctl)? {
+        if !query_with_retry(&x, fault, ctl, || oracle.is_interesting(&x))? {
             x.remove(v);
         }
     }
@@ -790,7 +791,7 @@ mod config_tests {
             extension_order: order,
         };
         dualize_advance_ctl(
-            &oracle,
+            oracle,
             TrAlgorithm::Berge,
             &config,
             1,

@@ -1,55 +1,32 @@
-//! The fallible oracle tier: `Is-interesting` queries that can fail.
+//! The query step: one logical `Is-interesting` query under fault
+//! injection and retries.
 //!
 //! The paper's model of computation assumes the oracle always answers; a
 //! production deployment reaches the database over I/O that can time out
-//! or break mid-run. [`TryInterestOracle`] is the fallible mirror of
-//! [`InterestOracle`] — same `universe_size`, but the query returns
-//! `Result<bool, OracleError>` with a transient/permanent classification.
+//! or break mid-run. Every driver issues its queries through
+//! [`query_with_retry`], the one place faults enter a run: before each
+//! attempt it consults the run's seeded fault schedule
+//! ([`FaultCtl::plan`], the harness behind `--fault-inject`), and only an
+//! attempt the schedule lets through reaches the (infallible) evaluation.
+//! An injected failure therefore never corrupts oracle state, and a
+//! retried attempt reaches the oracle exactly like a first attempt would.
 //!
-//! **Every infallible oracle is automatically a fallible one** through
-//! the blanket impl on `&O`: a driver generic over `TryInterestOracle`
-//! accepts `&my_oracle` and never sees an error. The blanket lives on the
-//! *reference* type rather than on `O` itself so it can never overlap
-//! with the [`FaultyOracle`] impl below (a downstream crate is allowed to
-//! implement `InterestOracle` for `FaultyOracle<TheirType>`, which a
-//! direct `impl<O: InterestOracle> TryInterestOracle for O` would then
-//! collide with).
-//!
-//! Recovery is centralized in [`query_with_retry`]: bounded,
-//! deterministic (jitter-free) retries for transient errors per
+//! Recovery is bounded and deterministic (jitter-free) per
 //! [`RetryPolicy`]. One **logical** query is still one
 //! [`Meter::record_query`](dualminer_obs::Meter::record_query) no matter
 //! how many attempts it takes — the Theorem-10/21 accounting never sees
 //! faults; retries and faults are metered on their own counters.
 
 use dualminer_bitset::AttrSet;
-use dualminer_obs::{fnv1a64, FaultPlan, FaultSpec, OracleError, RetryPolicy, RunCtl};
+use dualminer_obs::{fnv1a64, FaultPlan, OracleError, RetryPolicy, RunCtl};
 
-use crate::oracle::InterestOracle;
-
-/// A fallible `Is-interesting` oracle, shareable across worker threads.
-pub trait TryInterestOracle: Sync {
-    /// Number of attributes in the universe `R`.
-    fn universe_size(&self) -> usize;
-
-    /// The `Is-interesting` query; `Err` carries the failure class.
-    fn try_is_interesting(&self, x: &AttrSet) -> Result<bool, OracleError>;
-}
-
-impl<O: InterestOracle + ?Sized> TryInterestOracle for &O {
-    fn universe_size(&self) -> usize {
-        InterestOracle::universe_size(*self)
-    }
-    fn try_is_interesting(&self, x: &AttrSet) -> Result<bool, OracleError> {
-        Ok((**self).is_interesting(x))
-    }
-}
+use crate::checkpoint::FaultCtl;
 
 /// The content key of a query: a stable hash of the queried set's
-/// indices. The fault-injection harness keys its content-based decisions
-/// on this, so which queries fault depends only on the fault seed and the
-/// query itself — never on thread scheduling or arrival order.
-pub fn query_key(x: &AttrSet) -> u64 {
+/// indices. The fault schedule keys its content-based decisions on this,
+/// so which queries fault depends only on the fault seed and the query
+/// itself — never on thread scheduling or arrival order.
+fn query_key(x: &AttrSet) -> u64 {
     let mut bytes = Vec::with_capacity(4 * x.len() + 4);
     bytes.extend_from_slice(&(x.universe_size() as u32).to_le_bytes());
     for i in x.iter() {
@@ -58,119 +35,84 @@ pub fn query_key(x: &AttrSet) -> u64 {
     fnv1a64(&bytes)
 }
 
-/// Wraps any oracle with a seeded, reproducible fault schedule
-/// ([`FaultSpec`]): the test harness behind `--fault-inject` and the
-/// fault-tolerance suite.
+/// Drives one logical query on `x` to completion: each attempt first
+/// sleeps the schedule's injected latency and registers one arrival with
+/// `fault.plan` (when a schedule is set); transient faults are retried
+/// (with the policy's deterministic backoff) up to `fault.retry`'s
+/// budget, and permanent faults or an exhausted budget return `Err`. The
+/// first attempt the schedule lets through runs `evaluate`. The caller
+/// records the single logical query on the meter; this helper records
+/// only the fault/retry side-channel counters.
 ///
-/// Faults are decided *before* the wrapped oracle runs, so an injected
-/// failure never corrupts oracle state; a retried attempt arrives at the
-/// wrapped oracle exactly like a first attempt would.
-#[derive(Debug)]
-pub struct FaultyOracle<O> {
-    inner: O,
-    plan: FaultPlan,
+/// Inlined so that a run without a schedule pays one branch per query:
+/// the retry loop lives out of line in `admit`.
+#[inline]
+pub fn query_with_retry<T>(
+    x: &AttrSet,
+    fault: &FaultCtl<'_>,
+    ctl: &RunCtl<'_>,
+    evaluate: impl FnOnce() -> T,
+) -> Result<T, OracleError> {
+    if let Some(plan) = fault.plan {
+        admit(plan, x, &fault.retry, ctl)?;
+    }
+    Ok(evaluate())
 }
 
-impl<O> FaultyOracle<O> {
-    /// Wraps `inner` with a fresh run of `spec`'s schedule.
-    pub fn new(inner: O, spec: &FaultSpec) -> FaultyOracle<O> {
-        FaultyOracle {
-            inner,
-            plan: spec.plan(),
-        }
-    }
-
-    /// The live fault schedule (arrival counter etc.).
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// The wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Consumes the wrapper, returning the wrapped oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: InterestOracle> TryInterestOracle for FaultyOracle<O> {
-    fn universe_size(&self) -> usize {
-        self.inner.universe_size()
-    }
-    fn try_is_interesting(&self, x: &AttrSet) -> Result<bool, OracleError> {
-        self.plan.inject_latency();
-        self.plan.check(query_key(x))?;
-        Ok(self.inner.is_interesting(x))
-    }
-}
-
-/// Drives one logical query to completion under `retry`: transient
-/// errors are retried (with the policy's deterministic backoff) up to
-/// `max_retries` times; permanent errors and exhausted budgets return
-/// `Err`. The caller records the single logical query on the meter;
-/// this helper records only the fault/retry side-channel counters.
-pub fn query_with_retry<O: TryInterestOracle + ?Sized>(
-    oracle: &O,
+/// Attempts the query on `x` against `plan` until an attempt goes
+/// through. Every fault is metered; a transient one is retried after the
+/// policy's deterministic backoff while `retry` allows, and a permanent
+/// one or an exhausted budget fails the query.
+fn admit(
+    plan: &FaultPlan,
     x: &AttrSet,
     retry: &RetryPolicy,
     ctl: &RunCtl<'_>,
-) -> Result<bool, OracleError> {
+) -> Result<(), OracleError> {
     let mut attempt = 0u32;
     loop {
-        match oracle.try_is_interesting(x) {
-            Ok(v) => return Ok(v),
-            Err(e) => {
-                if let Some(e) = note_fault(e, &mut attempt, retry, ctl) {
-                    return Err(e);
-                }
-            }
+        plan.inject_latency();
+        let Err(e) = plan.check(query_key(x)) else {
+            return Ok(());
+        };
+        ctl.meter.record_fault();
+        if !e.is_transient() {
+            return Err(e);
+        }
+        if attempt >= retry.max_retries {
+            ctl.observer.on_retry(attempt, false);
+            return Err(e);
+        }
+        attempt += 1;
+        ctl.meter.record_retry();
+        ctl.observer.on_retry(attempt, true);
+        let backoff = retry.backoff(attempt);
+        if !backoff.is_zero() {
+            std::thread::sleep(backoff);
         }
     }
-}
-
-/// Fault bookkeeping: meters the fault, decides retry vs. give-up,
-/// sleeps the deterministic backoff. Returns `Some(e)` when the query
-/// must fail, `None` when the caller should attempt again.
-fn note_fault(
-    e: OracleError,
-    attempt: &mut u32,
-    retry: &RetryPolicy,
-    ctl: &RunCtl<'_>,
-) -> Option<OracleError> {
-    ctl.meter.record_fault();
-    if !e.is_transient() {
-        return Some(e);
-    }
-    if *attempt >= retry.max_retries {
-        ctl.observer.on_retry(*attempt, false);
-        return Some(e);
-    }
-    *attempt += 1;
-    ctl.meter.record_retry();
-    ctl.observer.on_retry(*attempt, true);
-    let backoff = retry.backoff(*attempt);
-    if !backoff.is_zero() {
-        std::thread::sleep(backoff);
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{FamilyOracle, FnOracle};
-    use dualminer_obs::{ErrorClass, Meter, NoopObserver};
+    use dualminer_obs::{ErrorClass, FaultSpec, Meter, NoopObserver};
 
-    #[test]
-    fn blanket_impl_makes_infallible_oracles_fallible() {
-        let oracle = FnOracle::new(3, |x: &AttrSet| x.len() <= 1);
-        let fallible = &oracle;
-        assert_eq!(TryInterestOracle::universe_size(&fallible), 3);
-        assert_eq!(fallible.try_is_interesting(&AttrSet::empty(3)), Ok(true));
-        assert_eq!(fallible.try_is_interesting(&AttrSet::full(3)), Ok(false));
+    /// Runs one logical query on ∅ over 3 attributes under `spec` and
+    /// `retries`, returning its result and the number of evaluations.
+    fn ask(spec: &str, retries: u32, meter: &Meter) -> (Result<bool, OracleError>, u32) {
+        let ctl = RunCtl::new(meter, &NoopObserver);
+        let plan = FaultSpec::parse(spec).unwrap().plan();
+        let fault = FaultCtl {
+            plan: Some(&plan),
+            ..FaultCtl::with_retry(RetryPolicy::retries(retries))
+        };
+        let mut evaluations = 0;
+        let got = query_with_retry(&AttrSet::empty(3), &fault, &ctl, || {
+            evaluations += 1;
+            true
+        });
+        (got, evaluations)
     }
 
     #[test]
@@ -186,26 +128,28 @@ mod tests {
     }
 
     #[test]
-    fn faulty_oracle_injects_per_schedule() {
-        let spec = FaultSpec::parse("permanent=1").unwrap();
-        let oracle = FaultyOracle::new(FnOracle::new(3, |_: &AttrSet| true), &spec);
-        assert_eq!(oracle.try_is_interesting(&AttrSet::empty(3)), Ok(true));
-        let err = oracle.try_is_interesting(&AttrSet::empty(3)).unwrap_err();
-        assert_eq!(err.class, ErrorClass::Permanent);
-        assert_eq!(oracle.plan().calls(), 2);
-        assert_eq!(InterestOracle::universe_size(&oracle.into_inner()), 3);
+    fn injects_per_schedule_before_evaluating() {
+        let meter = Meter::unlimited();
+        let ctl = RunCtl::new(&meter, &NoopObserver);
+        let plan = FaultSpec::parse("permanent=1").unwrap().plan();
+        let fault = FaultCtl {
+            plan: Some(&plan),
+            ..FaultCtl::none()
+        };
+        let x = AttrSet::empty(3);
+        assert_eq!(query_with_retry(&x, &fault, &ctl, || true), Ok(true));
+        let err = query_with_retry(&x, &fault, &ctl, || unreachable!("faulted attempt"));
+        assert_eq!(err.unwrap_err().class, ErrorClass::Permanent);
+        assert_eq!(plan.calls(), 2);
+        // Without a schedule the evaluation always runs.
+        assert_eq!(query_with_retry(&x, &FaultCtl::none(), &ctl, || 7), Ok(7));
     }
 
     #[test]
     fn retry_recovers_from_transient_burst() {
         let meter = Meter::unlimited();
-        let ctl = RunCtl::new(&meter, &NoopObserver);
-        let spec = FaultSpec::parse("burst=2@0").unwrap();
-        let oracle = FaultyOracle::new(FamilyOracle::new(3, vec![AttrSet::full(3)]), &spec);
-
         // Two transient failures, then success: needs 2 retries.
-        let got = query_with_retry(&oracle, &AttrSet::empty(3), &RetryPolicy::retries(3), &ctl);
-        assert_eq!(got, Ok(true));
+        assert_eq!(ask("burst=2@0", 3, &meter), (Ok(true), 1));
         assert_eq!(meter.retries(), 2);
         assert_eq!(meter.faults(), 2);
         // Retries are NOT logical queries.
@@ -215,12 +159,9 @@ mod tests {
     #[test]
     fn retry_budget_exhaustion_fails_with_transient_error() {
         let meter = Meter::unlimited();
-        let ctl = RunCtl::new(&meter, &NoopObserver);
-        let spec = FaultSpec::parse("burst=5@0").unwrap();
-        let oracle = FaultyOracle::new(FnOracle::new(3, |_: &AttrSet| true), &spec);
-        let got = query_with_retry(&oracle, &AttrSet::empty(3), &RetryPolicy::retries(2), &ctl);
-        let err = got.unwrap_err();
-        assert!(err.is_transient());
+        let (got, evaluations) = ask("burst=5@0", 2, &meter);
+        assert!(got.unwrap_err().is_transient());
+        assert_eq!(evaluations, 0);
         assert_eq!(meter.retries(), 2);
         assert_eq!(meter.faults(), 3); // initial attempt + 2 retries
     }
@@ -228,10 +169,7 @@ mod tests {
     #[test]
     fn permanent_error_is_never_retried() {
         let meter = Meter::unlimited();
-        let ctl = RunCtl::new(&meter, &NoopObserver);
-        let spec = FaultSpec::parse("permanent=0").unwrap();
-        let oracle = FaultyOracle::new(FnOracle::new(3, |_: &AttrSet| true), &spec);
-        let got = query_with_retry(&oracle, &AttrSet::empty(3), &RetryPolicy::retries(10), &ctl);
+        let (got, _) = ask("permanent=0", 10, &meter);
         assert!(!got.unwrap_err().is_transient());
         assert_eq!(meter.retries(), 0);
         assert_eq!(meter.faults(), 1);

@@ -13,26 +13,35 @@
 //!   `k` is the maximal rank of an interesting sentence; for frequent sets
 //!   this is `2ᵏ · n · |MTh|` (Corollary 13).
 //!
+//! There is one walk, [`walk`], generic over its per-candidate evaluator:
+//! [`levelwise_ctl`] runs it with an [`InterestOracle`], and
+//! `dualminer-mining`'s Apriori runs it with a support counter that hands
+//! each frequent set's dEclat tid structure down to its extensions. Both
+//! therefore share every query, budget trip, event and checkpoint.
+//!
 //! One convention is ours: the lattice bottom `∅` is a sentence (the
 //! paper's Example 11 starts at singletons, leaving ∅ implicit). Level 0
 //! therefore evaluates ∅ — one extra query — and an empty theory is
 //! representable (`MTh = ∅`, `Bd⁻ = {∅}`). Experiment E1 reports the count
 //! both ways.
 
-use dualminer_bitset::{AttrSet, SetTrie};
-use dualminer_obs::{Meter, NoopObserver, OracleError, Outcome, RunCtl, RunError};
+use std::sync::Mutex;
 
-use crate::candidates::prefix_join_units;
+use dualminer_bitset::candidates::prefix_join_batch;
+use dualminer_bitset::{AttrSet, ImmediateSubsets};
+use dualminer_obs::{BudgetReason, Meter, NoopObserver, OracleError, Outcome, RunCtl, RunError};
+
 use crate::checkpoint::{Aborted, FaultCtl, LevelwiseState, ResumeState, LEVELWISE_KIND};
-use crate::fallible::{query_with_retry, TryInterestOracle};
+use crate::fallible::query_with_retry;
 use crate::oracle::InterestOracle;
 
 /// Complete output of one levelwise run.
 #[derive(Clone, Debug)]
-pub struct LevelwiseRun {
+pub struct LevelwiseRun<T = AttrSet> {
     /// The whole theory `Th(L, r, q)`: every interesting sentence, sorted
-    /// by cardinality then lexicographically.
-    pub theory: Vec<AttrSet>,
+    /// by cardinality then lexicographically. [`walk`] pairs each with
+    /// the value its evaluator recorded (Apriori: the support).
+    pub theory: Vec<T>,
     /// `Bd⁺(Th) = MTh`: the maximal interesting sentences.
     pub positive_border: Vec<AttrSet>,
     /// `Bd⁻(Th)`: the minimal uninteresting sentences — exactly the
@@ -44,7 +53,7 @@ pub struct LevelwiseRun {
     pub queries: u64,
 }
 
-impl LevelwiseRun {
+impl<T> LevelwiseRun<T> {
     /// `|Th ∪ Bd⁻(Th)|` — the Theorem 10 identity this run's `queries`
     /// must equal (the two families are disjoint, so it is a plain sum).
     pub fn theorem10_count(&self) -> u64 {
@@ -64,36 +73,66 @@ impl LevelwiseRun {
 pub fn levelwise<O: InterestOracle>(oracle: &O) -> LevelwiseRun {
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
-    match levelwise_ctl(&oracle, 1, &ctl, &FaultCtl::none(), None) {
+    match levelwise_ctl(oracle, 1, &ctl, &FaultCtl::none(), None) {
         Ok(outcome) => outcome.expect_complete(),
-        Err(aborted) => unreachable!("infallible oracle cannot abort: {aborted}"),
+        Err(aborted) => unreachable!("no faults injected and no checkpoint: {aborted}"),
     }
 }
 
+/// [`levelwise`] with every knob: a thread count, a budget and an
+/// observer, fault tolerance, and resume — [`walk`] with the oracle as
+/// its evaluator.
+pub fn levelwise_ctl<O: InterestOracle>(
+    oracle: &O,
+    threads: usize,
+    ctl: &RunCtl<'_>,
+    fault: &FaultCtl<'_>,
+    resume: Option<LevelwiseState>,
+) -> Result<Outcome<LevelwiseRun>, Aborted> {
+    let outcome = walk(
+        oracle.universe_size(),
+        |x: &AttrSet, _: &[usize], _: (&(), &())| oracle.is_interesting(x).then_some(((), ())),
+        |_| (),
+        threads,
+        ctl,
+        fault,
+        resume,
+    )?;
+    Ok(outcome.map(|run| LevelwiseRun {
+        theory: run.theory.into_iter().map(|(t, ())| t).collect(),
+        positive_border: run.positive_border,
+        negative_border: run.negative_border,
+        candidates_per_level: run.candidates_per_level,
+        queries: run.queries,
+    }))
+}
+
 /// Assembles a [`LevelwiseRun`] from the accumulated theory and negative
-/// border: derives `Bd⁺` from the theory alone (no database access) and
-/// card-lex-sorts `Bd⁻`. Also correct on a truncated (budget-tripped)
-/// theory prefix: the positive border is then the border *of the prefix*.
-fn finish_run(
-    theory: Vec<AttrSet>,
+/// border: `Bd⁺` is every theory member no interesting immediate superset
+/// marked (no database access), and `Bd⁻` is card-lex sorted. Also
+/// correct on a truncated (budget-tripped) theory prefix: the positive
+/// border is then the border *of the prefix*.
+fn finish_run<V>(
+    theory: Vec<(AttrSet, V)>,
+    marked: &[bool],
     mut negative: Vec<AttrSet>,
     candidates_per_level: Vec<usize>,
     queries: u64,
-) -> LevelwiseRun {
-    // A theory member is maximal iff the theory holds no proper superset
-    // of it. Candidate pruning keeps every theory prefix closed under
-    // immediate subsets, so "some proper superset is a member" and "some
-    // *immediate* superset is a member" coincide — one pruned trie query
-    // per member instead of materializing and hashing n supersets.
-    let mut member_trie = SetTrie::new();
-    for t in &theory {
-        member_trie.insert(t);
-    }
+) -> LevelwiseRun<(AttrSet, V)> {
+    // Candidate pruning keeps every theory prefix closed under immediate
+    // subsets, so "no marked immediate superset" and "no proper superset
+    // in the theory" coincide.
     let positive_border: Vec<AttrSet> = theory
         .iter()
-        .filter(|t| !member_trie.has_proper_superset_of(t))
-        .cloned()
+        .zip(marked)
+        .filter(|(_, &m)| !m)
+        .map(|((t, _), _)| t.clone())
         .collect();
+    debug_assert_eq!(
+        positive_border,
+        crate::border::positive_border(&theory.iter().map(|(t, _)| t.clone()).collect::<Vec<_>>()),
+        "subset marking must agree with the maximal-family scan"
+    );
     negative.sort_by(|a, b| a.cmp_card_lex(b));
     LevelwiseRun {
         theory,
@@ -104,9 +143,24 @@ fn finish_run(
     }
 }
 
-/// Checkpoint bookkeeping of the levelwise driver: the state at the last
-/// level boundary (the trim point for abort-time
-/// checkpoints) plus the save cadence.
+/// The subset marks of a restored theory (complete levels, card-lex
+/// sorted): a member is marked iff some member one level up contains it.
+fn restored_marks(theory: &[AttrSet]) -> Vec<bool> {
+    let mut marked = vec![false; theory.len()];
+    for t in theory {
+        for sub in ImmediateSubsets::new(t) {
+            if let Ok(i) = theory.binary_search_by(|s| s.cmp_card_lex(&sub)) {
+                marked[i] = true;
+            }
+        }
+    }
+    marked
+}
+
+/// Checkpoint bookkeeping of the walk: the state at the last level
+/// boundary (the trim point for abort-time checkpoints) plus the save
+/// cadence.
+#[derive(Default)]
 struct LevelwiseCkpt {
     boundary_theory: usize,
     boundary_negative: usize,
@@ -118,28 +172,20 @@ struct LevelwiseCkpt {
 }
 
 impl LevelwiseCkpt {
-    fn fresh(threads: u64) -> LevelwiseCkpt {
-        LevelwiseCkpt {
-            boundary_theory: 0,
-            boundary_negative: 0,
-            boundary_levels: 0,
-            boundary_queries: 0,
-            last_saved: 0,
-            threads,
-        }
-    }
-
     /// State trimmed to the last completed level boundary.
-    fn state(
+    fn state<V>(
         &self,
         n: usize,
-        theory: &[AttrSet],
+        theory: &[(AttrSet, V)],
         negative: &[AttrSet],
         candidates_per_level: &[usize],
     ) -> LevelwiseState {
         LevelwiseState {
             n,
-            theory: theory[..self.boundary_theory].to_vec(),
+            theory: theory[..self.boundary_theory]
+                .iter()
+                .map(|(t, _)| t.clone())
+                .collect(),
             negative: negative[..self.boundary_negative].to_vec(),
             candidates_per_level: candidates_per_level[..self.boundary_levels].to_vec(),
             queries: self.boundary_queries,
@@ -152,10 +198,10 @@ impl LevelwiseCkpt {
     /// (continuing un-checkpointed would silently void the crash-safety
     /// contract the caller asked for).
     #[allow(clippy::too_many_arguments)]
-    fn at_boundary(
+    fn at_boundary<V>(
         &mut self,
         n: usize,
-        theory: &[AttrSet],
+        theory: &[(AttrSet, V)],
         negative: &[AttrSet],
         candidates_per_level: &[usize],
         queries: u64,
@@ -187,11 +233,11 @@ impl LevelwiseCkpt {
     /// Builds the abort value for a mid-level oracle failure: persists
     /// the trimmed boundary state (best effort — the oracle error stays
     /// primary) and hands it back in memory.
-    fn abort(
+    fn abort<V>(
         &self,
         error: OracleError,
         n: usize,
-        theory: &[AttrSet],
+        theory: &[(AttrSet, V)],
         negative: &[AttrSet],
         candidates_per_level: &[usize],
         fault: &FaultCtl<'_>,
@@ -212,57 +258,28 @@ impl LevelwiseCkpt {
     }
 }
 
-/// Validates a resume state against the oracle and unpacks it into the
-/// driver's working variables `(theory, negative, candidates_per_level,
-/// queries, frontier, card)`.
-type LevelwiseVars = (
-    Vec<AttrSet>,
-    Vec<AttrSet>,
-    Vec<usize>,
-    u64,
-    Vec<Vec<usize>>,
-    usize,
-);
-
-fn unpack_resume(state: LevelwiseState, n: usize) -> Result<LevelwiseVars, Aborted> {
-    let corrupt = |msg: String| Aborted {
-        error: RunError::Checkpoint(msg),
-        resume: None,
-    };
-    if state.n != n {
-        return Err(corrupt(format!(
-            "checkpoint universe size {} does not match oracle universe size {n}",
-            state.n
-        )));
-    }
-    if state.candidates_per_level.is_empty() {
-        return Err(corrupt("checkpoint has no completed levels".into()));
-    }
-    let frontier = state.frontier();
-    let card = state.candidates_per_level.len() - 1;
-    Ok((
-        state.theory,
-        state.negative,
-        state.candidates_per_level,
-        state.queries,
-        frontier,
-        card,
-    ))
-}
-
-/// [`levelwise`] with every knob: a thread count, a budget and an
-/// observer, fault tolerance, and resume.
+/// The one level-wise walk over the subset lattice, generic over its
+/// per-candidate evaluator.
+///
+/// **Evaluation.** `evaluate(x, indices, pair)` answers the
+/// `Is-interesting` query for candidate `x` (its ascending attribute
+/// `indices` alongside) and, when `x` is interesting, returns the value
+/// recorded with it in [`LevelwiseRun::theory`] and the node its
+/// extensions receive. `pair` holds the nodes of the candidate's join
+/// pair — the two level members whose union it is (`x` minus its largest,
+/// and minus its second-largest element). The walk hands default nodes
+/// where no such pair was evaluated in this run: for ∅ and the
+/// singletons, and for the first level after a resume. `restore(x)`
+/// rebuilds the value of a theory member read back from a checkpoint.
 ///
 /// **Threads.** Each level's candidates are evaluated on up to `threads`
 /// scoped workers (`0` = available parallelism). Candidate *generation*
-/// stays sequential (pure lattice bookkeeping, no database access); only
-/// the `Is-interesting` evaluations — the paper's unit of cost — fan out.
-/// Candidates are generated in sequential order, split into contiguous
-/// chunks, and the per-chunk verdicts are concatenated in chunk order, so
-/// the result — theory, borders, per-level candidate counts, `queries` —
-/// is bit-identical for every thread count. At `threads = 1` the whole
-/// level is one chunk and the walk issues its queries strictly in
-/// sequential order, fault arrivals included.
+/// ([`prefix_join_batch`]) stays sequential (pure lattice bookkeeping, no
+/// database access); only the evaluations — the paper's unit of cost —
+/// fan out. Results merge in candidate order, so the run — theory with
+/// values, borders, per-level candidate counts, `queries` — is
+/// bit-identical for every thread count. At `threads = 1` the walk issues
+/// its queries strictly in sequential order, fault arrivals included.
 ///
 /// **Budget and observer.** Each candidate evaluation records one oracle
 /// query; each completed level fires `on_level` with its candidate and
@@ -278,16 +295,17 @@ fn unpack_resume(state: LevelwiseState, n: usize) -> Result<LevelwiseVars, Abort
 /// far, with `positive_border` derived from that prefix (a valid `Bd⁺` of
 /// the truncated theory, not of `Th`).
 ///
-/// **Faults.** Transient oracle errors are retried per `fault.retry`
-/// (infallible oracles enter through the blanket [`TryInterestOracle`]
-/// impl on `&O` and never fail). A query that still fails raises a shared
-/// [`dualminer_parallel::AbortFlag`] so sibling chunks stop early; the
-/// merge then picks the **first error in sequential candidate order**,
-/// and the run aborts with the state trimmed to the last completed level,
-/// persisted through the checkpoint sink when one is configured and
-/// returned in [`Aborted::resume`]. Retries and faults are metered on
-/// [`Meter::retries`] / [`Meter::faults`]; `record_query` still fires
-/// exactly once per logical query, keeping the Theorem 10 identity intact.
+/// **Faults.** Every evaluation goes through [`query_with_retry`], which
+/// injects `fault.plan`'s faults before the evaluator runs and retries
+/// transient ones per `fault.retry`. A query that still fails raises a
+/// shared [`dualminer_parallel::AbortFlag`] so sibling workers stop
+/// early; the merge then picks the **first error in sequential candidate
+/// order**, and the run aborts with the state trimmed to the last
+/// completed level, persisted through the checkpoint sink when one is
+/// configured and returned in [`Aborted::resume`]. Retries and faults are
+/// metered on [`Meter::retries`] / [`Meter::faults`]; `record_query`
+/// still fires exactly once per logical query, keeping the Theorem 10
+/// identity intact.
 ///
 /// **Checkpoints and resume.** With checkpointing on, state is saved at
 /// level boundaries whenever at least `every` logical queries accumulated
@@ -295,57 +313,89 @@ fn unpack_resume(state: LevelwiseState, n: usize) -> Result<LevelwiseVars, Abort
 /// any thread count): the walk restarts at the first unfinished level and
 /// replays exactly the suffix a from-scratch run would execute, so the
 /// result is bit-identical to an uninterrupted run.
-pub fn levelwise_ctl<O: TryInterestOracle>(
-    oracle: &O,
+pub fn walk<V, N>(
+    n: usize,
+    evaluate: impl Fn(&AttrSet, &[usize], (&N, &N)) -> Option<(V, N)> + Sync,
+    restore: impl Fn(&AttrSet) -> V,
     threads: usize,
     ctl: &RunCtl<'_>,
     fault: &FaultCtl<'_>,
     resume: Option<LevelwiseState>,
-) -> Result<Outcome<LevelwiseRun>, Aborted> {
-    let n = oracle.universe_size();
-    let mut theory: Vec<AttrSet>;
-    let mut negative: Vec<AttrSet>;
-    let mut candidates_per_level: Vec<usize>;
+) -> Result<Outcome<LevelwiseRun<(AttrSet, V)>>, Aborted>
+where
+    V: Send,
+    N: Default + Send + Sync,
+{
+    let mut theory: Vec<(AttrSet, V)> = Vec::new();
+    // `marked[i]`: an interesting immediate superset of `theory[i]` was
+    // found, so it is not maximal.
+    let mut marked: Vec<bool> = Vec::new();
+    let mut negative: Vec<AttrSet> = Vec::new();
+    let mut candidates_per_level: Vec<usize> = Vec::new();
     let mut queries: u64;
-    let mut level: Vec<Vec<usize>>;
-    let mut card: usize;
-    let mut ckpt = LevelwiseCkpt::fresh(dualminer_parallel::effective_threads(threads) as u64);
+    let mut ckpt = LevelwiseCkpt {
+        threads: dualminer_parallel::effective_threads(threads) as u64,
+        ..LevelwiseCkpt::default()
+    };
 
     if let Some(reason) = ctl.meter.exceeded() {
         return Ok(Outcome::BudgetExceeded {
-            partial: finish_run(Vec::new(), Vec::new(), Vec::new(), 0),
+            partial: finish_run(theory, &marked, negative, candidates_per_level, 0),
             reason,
         });
     }
 
+    // The last completed level's members with their nodes, and the theory
+    // index of its first member.
+    let mut level: Vec<(Vec<usize>, N)>;
+    let mut level_start: usize;
+    let mut card: usize;
     if let Some(state) = resume {
-        (theory, negative, candidates_per_level, queries, level, card) = unpack_resume(state, n)?;
+        let corrupt = |msg: String| Aborted {
+            error: RunError::Checkpoint(msg),
+            resume: None,
+        };
+        if state.n != n {
+            return Err(corrupt(format!(
+                "checkpoint universe size {} does not match oracle universe size {n}",
+                state.n
+            )));
+        }
+        if state.candidates_per_level.is_empty() {
+            return Err(corrupt("checkpoint has no completed levels".into()));
+        }
+        card = state.candidates_per_level.len() - 1;
+        level = state
+            .frontier()
+            .into_iter()
+            .map(|v| (v, N::default()))
+            .collect();
+        level_start = state.theory.len() - level.len();
+        marked = restored_marks(&state.theory);
+        let values: Vec<V> = state.theory.iter().map(restore).collect();
+        theory = state.theory.into_iter().zip(values).collect();
+        negative = state.negative;
+        candidates_per_level = state.candidates_per_level;
+        queries = state.queries;
         ckpt.boundary_theory = theory.len();
         ckpt.boundary_negative = negative.len();
         ckpt.boundary_levels = candidates_per_level.len();
         ckpt.boundary_queries = queries;
         ckpt.last_saved = queries;
     } else {
-        theory = Vec::new();
-        negative = Vec::new();
-        candidates_per_level = Vec::new();
-
         // Level 0: the single most general sentence, ∅.
         let empty = AttrSet::empty(n);
         candidates_per_level.push(1);
         queries = 1;
         ctl.meter.record_query();
-        let empty_interesting = match query_with_retry(oracle, &empty, &fault.retry, ctl) {
-            Ok(v) => v,
-            Err(e) => {
-                return Err(Aborted {
-                    error: RunError::Oracle(e),
-                    resume: None,
-                })
-            }
-        };
-        ctl.observer.on_level(0, 1, usize::from(empty_interesting));
-        if !empty_interesting {
+        let none = N::default();
+        let got = query_with_retry(&empty, fault, ctl, || evaluate(&empty, &[], (&none, &none)))
+            .map_err(|e| Aborted {
+                error: RunError::Oracle(e),
+                resume: None,
+            })?;
+        ctl.observer.on_level(0, 1, usize::from(got.is_some()));
+        let Some((value, node)) = got else {
             return Ok(Outcome::Complete(LevelwiseRun {
                 theory,
                 positive_border: vec![],
@@ -353,9 +403,11 @@ pub fn levelwise_ctl<O: TryInterestOracle>(
                 candidates_per_level,
                 queries,
             }));
-        }
-        theory.push(empty);
-        level = vec![vec![]];
+        };
+        theory.push((empty, value));
+        marked.push(false);
+        level = vec![(Vec::new(), node)];
+        level_start = 0;
         card = 0;
         ckpt.at_boundary(
             n,
@@ -370,90 +422,94 @@ pub fn levelwise_ctl<O: TryInterestOracle>(
 
     while !level.is_empty() && card < n {
         card += 1;
-        let units = prefix_join_units(n, card, &level, Vec::as_slice);
+        // The flat batch carries, per candidate, its join pair's level
+        // indices (the evaluator's `pair`) and the level indices of its
+        // remaining immediate subsets (the maximal-family marking below).
+        let batch = prefix_join_batch(n, card, &level, |(v, _)| v.as_slice());
 
-        // Evaluate the admitted prefix of the level in parallel;
-        // chunk-order concatenation reproduces the sequential evaluation
-        // order exactly. The query cap is settled here, before dispatch,
-        // so it truncates the level at the same candidate at every thread
+        // Evaluate the admitted prefix of the level in parallel; the
+        // ordered merge reproduces the sequential evaluation order
+        // exactly. The query cap is settled here, before dispatch, so it
+        // truncates the level at the same candidate at every thread
         // count. The deadline, cancel and abort polls sit before every
-        // candidate: once one fires, a chunk answers `None` for the rest
+        // candidate: once one fires, a worker answers `None` for the rest
         // of its candidates, so the merged verdicts truncate at a prefix
         // of the sequential enumeration.
-        let prefix = &units[..ctl.meter.admit(units.len())];
+        let prefix = &batch.pairs()[..ctl.meter.admit(batch.len())];
         let abort = dualminer_parallel::AbortFlag::new();
-        type Verdict = Option<(AttrSet, Result<bool, OracleError>)>;
-        let verdicts: Vec<Verdict> = dualminer_parallel::par_chunks(threads, 4, prefix, |chunk| {
-            chunk
-                .iter()
-                .map(|(_, _, cand)| {
-                    if abort.is_set() || ctl.meter.exceeded().is_some() {
-                        return None;
+        // The first failed query in candidate order, if any.
+        let first_fault: Mutex<Option<(usize, OracleError)>> = Mutex::new(None);
+        let verdicts = dualminer_parallel::par_map(threads, prefix, |i, &(p, q)| {
+            if abort.is_set() || ctl.meter.exceeded().is_some() {
+                return None;
+            }
+            ctl.meter.record_query();
+            let cand = batch.cand(i);
+            let set = AttrSet::from_indices(n, cand.iter().copied());
+            let pair = (&level[p as usize].1, &level[q as usize].1);
+            match query_with_retry(&set, fault, ctl, || evaluate(&set, cand, pair)) {
+                Ok(got) => Some((set, got)),
+                Err(e) => {
+                    abort.raise();
+                    let mut first = first_fault.lock().expect("fault slot poisoned");
+                    if first.as_ref().map_or(true, |(j, _)| i < *j) {
+                        *first = Some((i, e));
                     }
-                    ctl.meter.record_query();
-                    let set = AttrSet::from_indices(n, cand.iter().copied());
-                    let got = query_with_retry(oracle, &set, &fault.retry, ctl);
-                    if got.is_err() {
-                        abort.raise();
-                    }
-                    Some((set, got))
-                })
-                .collect::<Vec<_>>()
-        })
-        .concat();
+                    None
+                }
+            }
+        });
 
         // A fault anywhere in the level aborts it wholesale — the first
         // error in sequential order wins, independent of which worker
         // hit it first on the clock.
-        if let Some(e) = verdicts
-            .iter()
-            .flatten()
-            .find_map(|(_, r)| r.as_ref().err())
-        {
-            return Err(ckpt.abort(
-                e.clone(),
-                n,
-                &theory,
-                &negative,
-                &candidates_per_level,
-                fault,
-            ));
+        if let Some((_, e)) = first_fault.into_inner().expect("fault slot poisoned") {
+            return Err(ckpt.abort(e, n, &theory, &negative, &candidates_per_level, fault));
         }
 
-        let mut next: Vec<Vec<usize>> = Vec::new();
+        let next_start = theory.len();
+        let mut next: Vec<(Vec<usize>, N)> = Vec::new();
         let mut tested = 0usize;
         let mut interesting_count = 0usize;
-        let level_len = units.len();
-        for ((_, _, cand), verdict) in units.into_iter().zip(verdicts) {
+        for (i, verdict) in verdicts.into_iter().enumerate() {
             let Some((set, got)) = verdict else {
                 break;
             };
-            let interesting = got.expect("errors were handled above");
             tested += 1;
-            queries += 1;
-            if interesting {
-                interesting_count += 1;
-                theory.push(set);
-                next.push(cand);
-            } else {
-                negative.push(set);
+            match got {
+                Some((value, node)) => {
+                    interesting_count += 1;
+                    // An interesting candidate makes every immediate
+                    // subset non-maximal — and the batch carries all of
+                    // their level indices: the join pair and the
+                    // prefix-dropping subsets the prune step located.
+                    let (p, q) = batch.pair(i);
+                    marked[level_start + p] = true;
+                    marked[level_start + q] = true;
+                    for &m in batch.drop_subsets(i) {
+                        marked[level_start + m as usize] = true;
+                    }
+                    theory.push((set, value));
+                    marked.push(false);
+                    next.push((batch.cand(i).to_vec(), node));
+                }
+                None => negative.push(set),
             }
         }
+        queries += tested as u64;
         if tested > 0 {
             candidates_per_level.push(tested);
         }
         ctl.observer.on_level(card, tested, interesting_count);
-        if tested < level_len {
-            let reason = ctl
-                .meter
-                .exceeded()
-                .unwrap_or(dualminer_obs::BudgetReason::Cancelled);
+        if tested < batch.len() {
+            let reason = ctl.meter.exceeded().unwrap_or(BudgetReason::Cancelled);
             return Ok(Outcome::BudgetExceeded {
-                partial: finish_run(theory, negative, candidates_per_level, queries),
+                partial: finish_run(theory, &marked, negative, candidates_per_level, queries),
                 reason,
             });
         }
         level = next;
+        level_start = next_start;
         ckpt.at_boundary(
             n,
             &theory,
@@ -467,6 +523,7 @@ pub fn levelwise_ctl<O: TryInterestOracle>(
 
     Ok(Outcome::Complete(finish_run(
         theory,
+        &marked,
         negative,
         candidates_per_level,
         queries,
@@ -492,7 +549,7 @@ mod tests {
     fn levelwise_threads<O: InterestOracle>(oracle: &O, threads: usize) -> LevelwiseRun {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        levelwise_ctl(&oracle, threads, &ctl, &FaultCtl::none(), None)
+        levelwise_ctl(oracle, threads, &ctl, &FaultCtl::none(), None)
             .expect("infallible oracle")
             .expect_complete()
     }
@@ -525,21 +582,20 @@ mod tests {
     }
 
     #[test]
-    fn empty_theory() {
-        let run = levelwise(&FnOracle::new(4, |_: &AttrSet| false));
-        assert!(run.theory.is_empty());
-        assert!(run.positive_border.is_empty());
-        assert_eq!(run.negative_border, vec![AttrSet::empty(4)]);
-        assert_eq!(run.queries, 1);
-    }
+    fn empty_and_full_theories() {
+        for threads in [1, 3] {
+            let run = levelwise_threads(&FnOracle::new(4, |_: &AttrSet| false), threads);
+            assert!(run.theory.is_empty());
+            assert!(run.positive_border.is_empty());
+            assert_eq!(run.negative_border, vec![AttrSet::empty(4)]);
+            assert_eq!(run.queries, 1);
 
-    #[test]
-    fn full_theory() {
-        let run = levelwise(&FnOracle::new(3, |_: &AttrSet| true));
-        assert_eq!(run.theory.len(), 8);
-        assert_eq!(run.positive_border, vec![AttrSet::full(3)]);
-        assert!(run.negative_border.is_empty());
-        assert_eq!(run.queries, 8);
+            let run = levelwise_threads(&FnOracle::new(3, |_: &AttrSet| true), threads);
+            assert_eq!(run.theory.len(), 8);
+            assert_eq!(run.positive_border, vec![AttrSet::full(3)]);
+            assert!(run.negative_border.is_empty());
+            assert_eq!(run.queries, 8);
+        }
     }
 
     #[test]
@@ -590,19 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_empty_and_full_theories() {
-        let empty = levelwise_threads(&FnOracle::new(4, |_: &AttrSet| false), 3);
-        assert!(empty.theory.is_empty());
-        assert_eq!(empty.negative_border, vec![AttrSet::empty(4)]);
-        assert_eq!(empty.queries, 1);
-
-        let full = levelwise_threads(&FnOracle::new(3, |_: &AttrSet| true), 3);
-        assert_eq!(full.theory.len(), 8);
-        assert_eq!(full.positive_border, vec![AttrSet::full(3)]);
-        assert_eq!(full.queries, 8);
-    }
-
-    #[test]
     fn size_threshold_oracle() {
         // Interesting = |x| ≤ 2 over n = 5: MTh = all 10 pairs,
         // Bd⁻ = all 10 triples.
@@ -631,7 +674,7 @@ mod tests {
                 }
                 .start();
                 let ctl = RunCtl::new(&meter, &NoopObserver);
-                let outcome = levelwise_ctl(&oracle, threads, &ctl, &FaultCtl::none(), None)
+                let outcome = levelwise_ctl(oracle, threads, &ctl, &FaultCtl::none(), None)
                     .expect("infallible oracle");
                 let context = format!("threads={threads}, k={k}");
                 assert_eq!(outcome.is_complete(), k == count, "{context}");

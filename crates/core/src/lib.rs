@@ -20,8 +20,8 @@
 //! ## What lives here
 //!
 //! * [`oracle`] — the oracle trait, query counting and memoization.
-//! * [`fallible`] — the fallible oracle trait the full drivers take,
-//!   seeded fault injection, and the one retry helper.
+//! * [`fallible`] — the drivers' one query step: seeded fault injection
+//!   and bounded retries around every `Is-interesting` query.
 //! * [`checkpoint`] — what the full drivers persist at safe points and
 //!   how a resumed run picks it back up.
 //! * [`border`] — positive/negative borders `Bd⁺`/`Bd⁻`, the Theorem 7
@@ -65,7 +65,6 @@
 
 pub mod border;
 pub mod bounds;
-pub mod candidates;
 pub mod checkpoint;
 pub mod dualize_advance;
 pub mod fallible;

@@ -13,13 +13,12 @@ use dualminer_core::checkpoint::{FaultCtl, ResumeState};
 use dualminer_core::dualize_advance::{
     dualize_advance_ctl, DualizeAdvanceConfig, DualizeAdvanceRun,
 };
-use dualminer_core::fallible::FaultyOracle;
 use dualminer_core::levelwise::{levelwise_ctl, LevelwiseRun};
 use dualminer_core::oracle::FamilyOracle;
 use dualminer_hypergraph::TrAlgorithm;
 use dualminer_obs::{
-    Budget, CheckpointError, CheckpointSink, FaultSpec, FnvStream, Json, MemoryCheckpoints, Meter,
-    NoopObserver, RetryPolicy, RunCtl, RunError,
+    Budget, CheckpointError, CheckpointSink, FaultPlan, FaultSpec, FnvStream, Json,
+    MemoryCheckpoints, Meter, NoopObserver, RetryPolicy, RunCtl, RunError,
 };
 
 /// A planted monotone predicate over 7 attributes with overlapping maximal
@@ -51,10 +50,18 @@ fn matching(pairs: usize) -> FamilyOracle {
     )
 }
 
+/// `base` with `plan`'s faults injected before every query.
+fn injecting<'a>(plan: &'a FaultPlan, base: FaultCtl<'a>) -> FaultCtl<'a> {
+    FaultCtl {
+        plan: Some(plan),
+        ..base
+    }
+}
+
 fn lw_scratch(oracle: &FamilyOracle) -> LevelwiseRun {
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
-    levelwise_ctl(&oracle, 1, &ctl, &FaultCtl::none(), None)
+    levelwise_ctl(oracle, 1, &ctl, &FaultCtl::none(), None)
         .expect("infallible")
         .expect_complete()
 }
@@ -63,7 +70,7 @@ fn da_scratch(oracle: &FamilyOracle, algo: TrAlgorithm) -> DualizeAdvanceRun {
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
     dualize_advance_ctl(
-        &oracle,
+        oracle,
         algo,
         &DualizeAdvanceConfig::default(),
         1,
@@ -101,104 +108,45 @@ fn assert_da_eq(got: &DualizeAdvanceRun, want: &DualizeAdvanceRun, context: &str
     assert_eq!(got.queries, want.queries, "{context}: queries");
 }
 
+/// A run saving at every safe point, at one thread or two, records its
+/// thread count, and a resume from each checkpoint at any thread count is
+/// bit-identical to scratch (the ordered-merge contract), never an error.
 #[test]
 fn levelwise_resume_matches_scratch_from_every_checkpoint() {
     let scratch = lw_scratch(&planted());
-
-    // Fresh run saving at every safe point.
-    let sink = MemoryCheckpoints::new();
-    {
+    for saving_threads in [1u64, 2] {
+        let sink = MemoryCheckpoints::new();
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
-        let inner = planted();
-        let fallible = &inner;
-        let run = levelwise_ctl(&fallible, 1, &ctl, &fault, None)
+        let run = levelwise_ctl(&planted(), saving_threads as usize, &ctl, &fault, None)
             .expect("no faults injected")
             .expect_complete();
         assert_lw_eq(&run, &scratch, "checkpointing run");
-    }
-    let saved = sink.all();
-    assert!(saved.len() >= 3, "expected one save per level boundary");
+        let saved = sink.all();
+        assert!(saved.len() >= 3, "expected one save per level boundary");
 
-    for (i, envelope) in saved.iter().enumerate() {
-        let ResumeState::Levelwise(state) =
-            ResumeState::from_envelope(envelope).expect("decodable checkpoint")
-        else {
-            panic!("wrong checkpoint kind");
-        };
-        for threads in [1usize, 4] {
-            let meter = Meter::unlimited();
-            let ctl = RunCtl::new(&meter, &NoopObserver);
-            let inner = planted();
-            let fallible = &inner;
-            let resumed = levelwise_ctl(
-                &fallible,
-                threads,
-                &ctl,
-                &FaultCtl::none(),
-                Some(state.clone()),
-            )
-            .expect("no faults injected")
-            .expect_complete();
-            assert_lw_eq(
-                &resumed,
-                &scratch,
-                &format!("checkpoint {i}, threads {threads}"),
-            );
-        }
-    }
-}
-
-#[test]
-fn checkpoint_records_thread_count_and_resume_crosses_thread_counts() {
-    let scratch = lw_scratch(&planted());
-
-    // Saving run is parallel at threads = 2; every safe point persisted.
-    let sink = MemoryCheckpoints::new();
-    {
-        let meter = Meter::unlimited();
-        let ctl = RunCtl::new(&meter, &NoopObserver);
-        let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
-        let inner = planted();
-        let fallible = &inner;
-        let run = levelwise_ctl(&fallible, 2, &ctl, &fault, None)
-            .expect("no faults injected")
-            .expect_complete();
-        assert_lw_eq(&run, &scratch, "saving run");
-    }
-    let saved = sink.all();
-    assert!(!saved.is_empty(), "parallel run must checkpoint");
-
-    for (i, envelope) in saved.iter().enumerate() {
-        let ResumeState::Levelwise(state) =
-            ResumeState::from_envelope(envelope).expect("decodable checkpoint")
-        else {
-            panic!("wrong checkpoint kind");
-        };
-        // The envelope payload records the saving run's worker count …
-        assert_eq!(state.threads, 2, "checkpoint {i} records thread count");
-        // … and a resume at ANY other thread count is bit-identical to
-        // scratch (the ordered-merge contract), never an error.
-        for threads in [1usize, 2, 4, 8] {
-            let meter = Meter::unlimited();
-            let ctl = RunCtl::new(&meter, &NoopObserver);
-            let inner = planted();
-            let fallible = &inner;
-            let resumed = levelwise_ctl(
-                &fallible,
-                threads,
-                &ctl,
-                &FaultCtl::none(),
-                Some(state.clone()),
-            )
-            .expect("no faults injected")
-            .expect_complete();
-            assert_lw_eq(
-                &resumed,
-                &scratch,
-                &format!("checkpoint {i} saved at 2 threads, resumed at {threads}"),
-            );
+        for (i, envelope) in saved.iter().enumerate() {
+            let ResumeState::Levelwise(state) =
+                ResumeState::from_envelope(envelope).expect("decodable checkpoint")
+            else {
+                panic!("wrong checkpoint kind");
+            };
+            assert_eq!(state.threads, saving_threads, "checkpoint {i}");
+            for threads in [1usize, 2, 4, 8] {
+                let resumed = levelwise_ctl(
+                    &planted(),
+                    threads,
+                    &ctl,
+                    &FaultCtl::none(),
+                    Some(state.clone()),
+                )
+                .expect("no faults injected")
+                .expect_complete();
+                let context =
+                    format!("saved at {saving_threads}, checkpoint {i}, threads {threads}");
+                assert_lw_eq(&resumed, &scratch, &context);
+            }
         }
     }
 }
@@ -213,10 +161,9 @@ fn dualize_advance_resume_matches_scratch_from_every_checkpoint() {
             let meter = Meter::unlimited();
             let ctl = RunCtl::new(&meter, &NoopObserver);
             let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
-            let inner = matching(3);
-            let fallible = &inner;
+            let oracle = matching(3);
             let run = dualize_advance_ctl(
-                &fallible,
+                &oracle,
                 algo,
                 &DualizeAdvanceConfig::default(),
                 1,
@@ -239,10 +186,9 @@ fn dualize_advance_resume_matches_scratch_from_every_checkpoint() {
             };
             let meter = Meter::unlimited();
             let ctl = RunCtl::new(&meter, &NoopObserver);
-            let inner = matching(3);
-            let fallible = &inner;
+            let oracle = matching(3);
             let resumed = dualize_advance_ctl(
-                &fallible,
+                &oracle,
                 algo,
                 &DualizeAdvanceConfig::default(),
                 1,
@@ -269,10 +215,11 @@ fn levelwise_killed_at_every_query_resumes_identically() {
         };
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
-        let faulty = FaultyOracle::new(planted(), &spec);
+        let plan = spec.plan();
+        let fault = injecting(&plan, FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1));
+        let oracle = planted();
         let aborted =
-            levelwise_ctl(&faulty, 1, &ctl, &fault, None).expect_err("permanent fault must abort");
+            levelwise_ctl(&oracle, 1, &ctl, &fault, None).expect_err("permanent fault must abort");
         assert!(matches!(aborted.error, RunError::Oracle(ref e) if !e.is_transient()));
         aborts += 1;
 
@@ -284,9 +231,8 @@ fn levelwise_killed_at_every_query_resumes_identically() {
         });
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        let inner = planted();
-        let fallible = &inner;
-        let resumed = levelwise_ctl(&fallible, 1, &ctl, &FaultCtl::none(), resume)
+        let oracle = planted();
+        let resumed = levelwise_ctl(&oracle, 1, &ctl, &FaultCtl::none(), resume)
             .expect("healthy oracle")
             .expect_complete();
         assert_lw_eq(&resumed, &scratch, &format!("killed at query {k}"));
@@ -306,10 +252,11 @@ fn dualize_advance_killed_at_every_query_resumes_identically() {
         };
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
-        let faulty = FaultyOracle::new(matching(3), &spec);
+        let plan = spec.plan();
+        let fault = injecting(&plan, FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1));
+        let oracle = matching(3);
         let aborted = dualize_advance_ctl(
-            &faulty,
+            &oracle,
             algo,
             &DualizeAdvanceConfig::default(),
             1,
@@ -324,10 +271,9 @@ fn dualize_advance_killed_at_every_query_resumes_identically() {
         });
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        let inner = matching(3);
-        let fallible = &inner;
+        let oracle = matching(3);
         let resumed = dualize_advance_ctl(
-            &fallible,
+            &oracle,
             algo,
             &DualizeAdvanceConfig::default(),
             1,
@@ -347,11 +293,12 @@ fn transient_schedule_completes_identically_across_thread_counts() {
     let spec = FaultSpec::parse("seed=42,transient=0.5").expect("valid spec");
     let mut retry_totals = Vec::new();
     for threads in [1usize, 4] {
-        let faulty = FaultyOracle::new(planted(), &spec);
+        let oracle = planted();
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        let fault = FaultCtl::with_retry(RetryPolicy::retries(3));
-        let run = levelwise_ctl(&faulty, threads, &ctl, &fault, None)
+        let plan = spec.plan();
+        let fault = injecting(&plan, FaultCtl::with_retry(RetryPolicy::retries(3)));
+        let run = levelwise_ctl(&oracle, threads, &ctl, &fault, None)
             .expect("transients absorbed by retries")
             .expect_complete();
         assert_lw_eq(&run, &scratch, &format!("threads {threads}"));
@@ -382,10 +329,9 @@ fn transient_schedule_on_dualize_advance_completes_identically() {
         let scratch_meter = {
             let meter = Meter::unlimited();
             let ctl = RunCtl::new(&meter, &NoopObserver);
-            let inner = matching(3);
-            let fallible = &inner;
+            let oracle = matching(3);
             dualize_advance_ctl(
-                &fallible,
+                &oracle,
                 algo,
                 &DualizeAdvanceConfig::default(),
                 1,
@@ -399,10 +345,11 @@ fn transient_schedule_on_dualize_advance_completes_identically() {
         };
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        let fault = FaultCtl::with_retry(RetryPolicy::retries(3));
-        let faulty = FaultyOracle::new(matching(3), &spec);
+        let plan = spec.plan();
+        let fault = injecting(&plan, FaultCtl::with_retry(RetryPolicy::retries(3)));
+        let oracle = matching(3);
         let run = dualize_advance_ctl(
-            &faulty,
+            &oracle,
             algo,
             &DualizeAdvanceConfig::default(),
             1,
@@ -439,8 +386,10 @@ fn steal_heavy_skew_with_seeded_faults_matches_sequential() {
 
     let seq_meter = Meter::unlimited();
     let ctl = RunCtl::new(&seq_meter, &NoopObserver);
-    let faulty = FaultyOracle::new(FamilyOracle::new(n, family.clone()), &spec);
-    let scratch = levelwise_ctl(&faulty, 1, &ctl, &FaultCtl::with_retry(retry), None)
+    let oracle = FamilyOracle::new(n, family.clone());
+    let plan = spec.plan();
+    let fault = injecting(&plan, FaultCtl::with_retry(retry));
+    let scratch = levelwise_ctl(&oracle, 1, &ctl, &fault, None)
         .expect("transients absorbed by retries")
         .expect_complete();
     assert!(seq_meter.faults() > 0, "fault schedule must fire");
@@ -448,8 +397,10 @@ fn steal_heavy_skew_with_seeded_faults_matches_sequential() {
     for threads in [2usize, 8] {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        let faulty = FaultyOracle::new(FamilyOracle::new(n, family.clone()), &spec);
-        let run = levelwise_ctl(&faulty, threads, &ctl, &FaultCtl::with_retry(retry), None)
+        let oracle = FamilyOracle::new(n, family.clone());
+        let plan = spec.plan();
+        let fault = injecting(&plan, FaultCtl::with_retry(retry));
+        let run = levelwise_ctl(&oracle, threads, &ctl, &fault, None)
             .expect("transients absorbed by retries")
             .expect_complete();
         assert_lw_eq(
@@ -473,10 +424,14 @@ fn retry_exhaustion_aborts_with_resumable_state() {
     let sink = MemoryCheckpoints::new();
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
-    let fault = FaultCtl::checkpointed(RetryPolicy::retries(2), &sink, 1);
-    let faulty = FaultyOracle::new(planted(), &spec);
+    let plan = spec.plan();
+    let fault = injecting(
+        &plan,
+        FaultCtl::checkpointed(RetryPolicy::retries(2), &sink, 1),
+    );
+    let oracle = planted();
     let aborted =
-        levelwise_ctl(&faulty, 1, &ctl, &fault, None).expect_err("burst outlives retries");
+        levelwise_ctl(&oracle, 1, &ctl, &fault, None).expect_err("burst outlives retries");
     assert!(matches!(aborted.error, RunError::Oracle(ref e) if e.is_transient()));
     assert!(aborted.resume.is_some(), "past the first boundary");
     assert_eq!(meter.retries(), 2, "retry budget fully spent");
@@ -487,9 +442,8 @@ fn retry_exhaustion_aborts_with_resumable_state() {
     });
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
-    let inner = planted();
-    let fallible = &inner;
-    let resumed = levelwise_ctl(&fallible, 1, &ctl, &FaultCtl::none(), resume)
+    let oracle = planted();
+    let resumed = levelwise_ctl(&oracle, 1, &ctl, &FaultCtl::none(), resume)
         .expect("healthy oracle")
         .expect_complete();
     assert_lw_eq(&resumed, &lw_scratch(&planted()), "after burst abort");
@@ -511,10 +465,9 @@ fn failed_checkpoint_save_aborts_the_run() {
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
     let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
-    let inner = planted();
-    let fallible = &inner;
+    let oracle = planted();
     let aborted =
-        levelwise_ctl(&fallible, 1, &ctl, &fault, None).expect_err("failed save must abort");
+        levelwise_ctl(&oracle, 1, &ctl, &fault, None).expect_err("failed save must abort");
     assert!(matches!(aborted.error, RunError::Checkpoint(_)));
 }
 
@@ -527,9 +480,8 @@ fn checkpoint_cadence_batches_saves() {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, every);
-        let inner = planted();
-        let fallible = &inner;
-        levelwise_ctl(&fallible, 1, &ctl, &fault, None)
+        let oracle = planted();
+        levelwise_ctl(&oracle, 1, &ctl, &fault, None)
             .expect("no faults")
             .expect_complete();
         sink.len()
@@ -548,7 +500,7 @@ fn fk_run_record(oracle: &FamilyOracle, budget: Budget) -> String {
     let ctl = RunCtl::new(&meter, &NoopObserver);
     let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, 1);
     let (run, reason) = dualize_advance_ctl(
-        &oracle,
+        oracle,
         TrAlgorithm::FkJointGeneration,
         &DualizeAdvanceConfig::default(),
         1,

@@ -61,7 +61,7 @@ proptest! {
         for threads in [1usize, 2, 4, 8] {
             let meter = Meter::unlimited();
             let ctl = RunCtl::new(&meter, &NoopObserver);
-            let par = levelwise_ctl(&&oracle, threads, &ctl, &FaultCtl::none(), None)
+            let par = levelwise_ctl(&oracle, threads, &ctl, &FaultCtl::none(), None)
                 .expect("infallible oracle")
                 .expect_complete();
             prop_assert_eq!(par.theory, seq.theory.clone(), "threads={}", threads);

@@ -21,8 +21,7 @@
 //! solely through "is `X` a transversal?" tests, matching the paper's
 //! remark that the structure of the hypergraph is never used directly.
 
-use std::collections::HashSet;
-
+use dualminer_bitset::candidates::prefix_join_batch;
 use dualminer_bitset::AttrSet;
 use dualminer_obs::{Meter, NoopObserver, Outcome, RunCtl};
 
@@ -56,8 +55,9 @@ pub fn transversals_large_edges_traced(h: &Hypergraph) -> (Hypergraph, Levelwise
 /// Each candidate "is transversal?" test records one oracle query; each
 /// discovered minimal transversal records one transversal event; each
 /// completed level fires `on_level` with its candidate/transversal
-/// counts. The budget is polled once per level and once per candidate,
-/// so runaway instances (small edges force deep levels) stop promptly.
+/// counts. The budget is polled once per single-item extension of a level
+/// member, pruned or not, so runaway instances (small edges force deep
+/// levels) stop promptly.
 /// The partial result is a genuine subset of `Tr(H)`: the minimal
 /// transversals found on fully or partially explored levels.
 pub(crate) fn run(hm: &Hypergraph, ctl: &RunCtl<'_>) -> Outcome<(Hypergraph, LevelwiseTrStats)> {
@@ -93,59 +93,52 @@ pub(crate) fn run(hm: &Hypergraph, ctl: &RunCtl<'_>) -> Outcome<(Hypergraph, Lev
 
     while !level.is_empty() && card < n {
         card += 1;
-        // Apriori candidate generation: extend each member by an attribute
-        // larger than its maximum, then prune candidates with a
-        // non-member immediate subset. The prefix (candidate minus its
-        // largest element) is the generator itself, so each candidate is
-        // produced exactly once.
-        let member: HashSet<&[usize]> = level.iter().map(Vec::as_slice).collect();
+        // Apriori candidate generation: the prefix join of the level,
+        // pruned unless every immediate subset is a non-transversal.
+        let batch = prefix_join_batch(n, card, &level, Vec::as_slice);
+        // The budget is polled once per extension `x ∪ {a}` (a > max x)
+        // of a level member, pruned or not. Between two candidates no
+        // query runs, so the polls that matter are the one before each
+        // candidate and one for any extension after the last candidate.
+        let extensible = |x: &Vec<usize>| x.last().map_or(0, |&m| m + 1) < n;
+        let extension_after_last = match batch.len().checked_sub(1) {
+            Some(last) => {
+                let (parent, _) = batch.pair(last);
+                batch.cand(last)[card - 1] + 1 < n || level[parent + 1..].iter().any(extensible)
+            }
+            None => level.iter().any(extensible),
+        };
         let mut next: Vec<Vec<usize>> = Vec::new();
         let mut tested = 0usize;
         let mut found_this_level = 0usize;
-        for x in &level {
-            let lo = x.last().map_or(0, |&m| m + 1);
-            'ext: for a in lo..n {
-                if let Some(reason) = ctl.meter.exceeded() {
-                    stats.candidates_per_level.push(tested);
-                    stats.evaluations += tested;
-                    return Outcome::BudgetExceeded {
-                        partial: (
-                            Hypergraph::from_edges(n, minimal_transversals).expect("in universe"),
-                            stats,
-                        ),
-                        reason,
-                    };
-                }
-                let mut cand = x.clone();
-                cand.push(a);
-                // Prune: every immediate subset must be a non-transversal.
-                if card >= 2 {
-                    let mut sub = Vec::with_capacity(card - 1);
-                    for drop in 0..cand.len() - 1 {
-                        sub.clear();
-                        sub.extend(
-                            cand.iter()
-                                .enumerate()
-                                .filter_map(|(i, &v)| (i != drop).then_some(v)),
-                        );
-                        if !member.contains(sub.as_slice()) {
-                            continue 'ext;
-                        }
-                    }
-                }
-                tested += 1;
-                ctl.meter.record_query();
-                ctl.observer.on_nodes(1);
-                let cand_set = AttrSet::from_indices(n, cand.iter().copied());
-                if is_transversal(hm, &cand_set) {
-                    // All proper subsets are non-transversals ⇒ minimal.
-                    minimal_transversals.push(cand_set);
-                    found_this_level += 1;
-                    ctl.meter.record_transversal();
-                    ctl.observer.on_transversals(1);
-                } else {
-                    next.push(cand);
-                }
+        for i in 0..batch.len() + usize::from(extension_after_last) {
+            if let Some(reason) = ctl.meter.exceeded() {
+                stats.candidates_per_level.push(tested);
+                stats.evaluations += tested;
+                return Outcome::BudgetExceeded {
+                    partial: (
+                        Hypergraph::from_edges(n, minimal_transversals).expect("in universe"),
+                        stats,
+                    ),
+                    reason,
+                };
+            }
+            if i == batch.len() {
+                break; // the poll for the extensions after the last candidate
+            }
+            let cand = batch.cand(i);
+            tested += 1;
+            ctl.meter.record_query();
+            ctl.observer.on_nodes(1);
+            let cand_set = AttrSet::from_indices(n, cand.iter().copied());
+            if is_transversal(hm, &cand_set) {
+                // All proper subsets are non-transversals ⇒ minimal.
+                minimal_transversals.push(cand_set);
+                found_this_level += 1;
+                ctl.meter.record_transversal();
+                ctl.observer.on_transversals(1);
+            } else {
+                next.push(cand.to_vec());
             }
         }
         stats.candidates_per_level.push(tested);
@@ -217,5 +210,80 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One run's canonical text: the (partial) `Tr`, the per-level
+    /// candidate counts, the evaluations, the meter's counts and every
+    /// observer event in order.
+    fn run_record(hm: &Hypergraph, budget: dualminer_obs::Budget) -> String {
+        #[derive(Default)]
+        struct Events(std::sync::Mutex<Vec<String>>);
+        impl dualminer_obs::MiningObserver for Events {
+            fn on_level(&self, level: usize, candidates: usize, found: usize) {
+                let event = format!("L{level}/{candidates}/{found}");
+                self.0.lock().unwrap().push(event);
+            }
+            fn on_nodes(&self, count: u64) {
+                self.0.lock().unwrap().push(format!("N{count}"));
+            }
+            fn on_transversals(&self, count: u64) {
+                self.0.lock().unwrap().push(format!("T{count}"));
+            }
+        }
+        let (meter, events) = (budget.start(), Events::default());
+        let outcome = run(hm, &RunCtl::new(&meter, &events));
+        let complete = outcome.is_complete();
+        let (tr, stats) = outcome.into_value();
+        let sets: Vec<Vec<usize>> = tr.edges().iter().map(AttrSet::to_vec).collect();
+        let (cpl, evaluations) = (stats.candidates_per_level, stats.evaluations);
+        let (q, t) = (meter.queries(), meter.transversals());
+        let events = events.0.lock().unwrap().join(",");
+        format!("{complete} {sets:?} {cpl:?} {evaluations} q={q} t={t} ev={events}")
+    }
+
+    /// Pins answers, events and budget trip points on 48 instances: the
+    /// complete run and every `max_queries` / `max_transversals` K up to
+    /// one past the complete run's count. The digest was recorded from
+    /// the hash-set prune this walk's prefix join replaced.
+    #[test]
+    fn budget_trips_and_events_are_pinned() {
+        use dualminer_obs::Budget;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(20261018);
+        let mut instances = Vec::new();
+        for n in [5usize, 6, 8, 10, 12] {
+            for (k, m) in [1usize, 2, 3]
+                .into_iter()
+                .flat_map(|k| [2, 4, 7].map(|m| (k, m)))
+            {
+                instances.push(generators::co_sparse(n, k, m, &mut rng));
+            }
+        }
+        instances.push(h(6, &[&[0, 1], &[2, 3], &[4, 5]]));
+        instances.push(h(5, &[&[4], &[0, 2]]));
+        instances.push(h(4, &[&[0, 1, 2, 3]]));
+        let mut records = String::new();
+        for hm in instances.iter().map(Hypergraph::minimized) {
+            let meter = Budget::default().start();
+            let _ = run(&hm, &RunCtl::new(&meter, &NoopObserver));
+            let queries = (0..=meter.queries() + 1).map(|k| Budget {
+                max_queries: Some(k),
+                ..Budget::default()
+            });
+            let transversals = (0..=meter.transversals() + 1).map(|k| Budget {
+                max_transversals: Some(k),
+                ..Budget::default()
+            });
+            for budget in std::iter::once(Budget::default())
+                .chain(queries)
+                .chain(transversals)
+            {
+                records += &run_record(&hm, budget);
+                records += "\n";
+            }
+        }
+        let digest = dualminer_obs::fnv1a64(records.as_bytes());
+        assert_eq!(digest, 16251750818764879438);
     }
 }

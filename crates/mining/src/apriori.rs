@@ -1,28 +1,28 @@
-//! Apriori: the specialized levelwise frequent-set miner.
+//! Apriori: Algorithm 9 instantiated for frequent sets.
 //!
-//! Algorithm 9 instantiated for frequent sets (\[2, 20\] in the paper), with
-//! the two standard systems refinements the generic oracle version cannot
-//! express:
+//! Apriori (\[2, 20\] in the paper) is the levelwise walk
+//! [`dualminer_core::levelwise::walk`] with a support counter as its
+//! evaluator, adding the two standard systems refinements a bare
+//! `Is-interesting` oracle cannot express:
 //!
 //! * supports are *recorded*, not just thresholded — association-rule
 //!   generation needs them (Section 2's closing remark);
 //! * support counting reuses the parent's tid structure (Eclat/dEclat): a
-//!   level `i+1` candidate is the union of its generating parent and its
-//!   join partner, so its support is one AND (tidsets) or ANDNOT
-//!   (diffsets) pass over two tid runs of the vertical store instead of `i+1`
+//!   level `i+1` candidate is the union of its join pair, so its support is
+//!   one AND (tidsets) or ANDNOT (diffsets) pass over the pair's two tid
+//!   runs, which the walk hands down with them, instead of `i+1`
 //!   intersections — see [`crate::vstore`] for the representation rules.
 //!
-//! The query structure is *identical* to the generic
-//! [`dualminer_core::levelwise::levelwise`] run against a
-//! [`crate::FrequencyOracle`] — the unit tests assert equality of theory,
-//! borders, and candidate counts — so every Theorem 10/12 statement about
-//! the generic algorithm applies verbatim to this miner.
+//! The query structure — candidates, budget trips, events, checkpoints —
+//! is the walk's own, so every Theorem 10/12 statement about the generic
+//! algorithm applies verbatim to this miner.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use dualminer_bitset::{AttrSet, SetTrie};
-use dualminer_core::candidates::prefix_join_batch;
+use dualminer_bitset::AttrSet;
+use dualminer_core::checkpoint::{Aborted, FaultCtl, LevelwiseState};
+use dualminer_core::levelwise::{walk, LevelwiseRun};
 use dualminer_obs::{Meter, NoopObserver, Outcome, RunCtl};
 
 use crate::vstore::{EclatCfg, EclatNode};
@@ -108,39 +108,6 @@ impl FrequentSets {
     pub fn queries(&self) -> u64 {
         (self.itemsets.len() + self.negative_border.len()) as u64
     }
-
-    /// Assembles a [`FrequentSets`] from a generic levelwise run over `db`,
-    /// recomputing each theory member's exact support from the database.
-    ///
-    /// The fault-tolerant mining path drives the *generic*
-    /// [`dualminer_core::levelwise`] engine (which supports retries and
-    /// checkpoint/resume but knows nothing about supports) against a
-    /// [`crate::FrequencyOracle`], then converts the completed run with
-    /// this helper. `run.theory` is card-lex sorted — the invariant
-    /// [`support_of`](Self::support_of) binary-searches on — and for a run
-    /// mined from `db` at the same threshold the result is bit-identical
-    /// to [`apriori`] (asserted by the unit tests).
-    pub fn from_levelwise(
-        db: &TransactionDb,
-        min_support: usize,
-        run: &dualminer_core::levelwise::LevelwiseRun,
-    ) -> FrequentSets {
-        let itemsets: Vec<(AttrSet, usize)> = run
-            .theory
-            .iter()
-            .map(|s| (s.clone(), db.support(s)))
-            .collect();
-        FrequentSets {
-            n_items: db.n_items(),
-            min_support,
-            n_rows: db.n_rows(),
-            itemsets,
-            maximal: run.positive_border.clone(),
-            negative_border: run.negative_border.clone(),
-            candidates_per_level: run.candidates_per_level.clone(),
-            support_index: OnceLock::new(),
-        }
-    }
 }
 
 /// Mines all frequent itemsets of `db` at absolute threshold `min_support`.
@@ -152,287 +119,142 @@ pub fn apriori(db: &TransactionDb, min_support: usize) -> FrequentSets {
     apriori_par_ctl(db, min_support, 1, &RunCtl::new(&meter, &NoopObserver)).expect_complete()
 }
 
-/// The maximal family of a mined (downward-closed) itemset collection, by
-/// proper-superset queries against a trie of the members.
-fn trie_maximal(itemsets: &[(AttrSet, usize)]) -> Vec<AttrSet> {
-    let mut member_trie = SetTrie::new();
-    for (s, _) in itemsets {
-        member_trie.insert(s);
-    }
-    itemsets
-        .iter()
-        .map(|(s, _)| s)
-        .filter(|s| !member_trie.has_proper_superset_of(s))
-        .cloned()
-        .collect()
-}
-
-/// Sorts the negative border and assembles the result — shared by
-/// complete and budget-exceeded exits, so partial results carry the
-/// maximal sets *of the mined prefix*. The miner derives `maximal`
-/// incrementally from its per-level subset marks; debug builds check it
-/// against the trie scan.
-fn finish_sets(
-    db: &TransactionDb,
-    min_support: usize,
-    mut itemsets: Vec<(AttrSet, usize)>,
-    mut maximal: Vec<AttrSet>,
-    mut negative: Vec<AttrSet>,
-    candidates_per_level: Vec<usize>,
-) -> FrequentSets {
-    debug_assert_eq!(
-        maximal,
-        trie_maximal(&itemsets),
-        "incremental maximal marking must agree with the trie scan"
-    );
-    negative.sort_by(|a, b| a.cmp_card_lex(b));
-    // The result may be retained (the daemon caches it): drop the growth
-    // slack of the level-by-level pushes.
-    itemsets.shrink_to_fit();
-    maximal.shrink_to_fit();
-    negative.shrink_to_fit();
-
-    FrequentSets {
-        n_items: db.n_items(),
-        min_support,
-        n_rows: db.n_rows(),
-        itemsets,
-        maximal,
-        negative_border: negative,
-        candidates_per_level,
-        support_index: OnceLock::new(),
-    }
-}
-
 /// [`apriori`] with each level's support counting spread over up to
 /// `threads` scoped worker threads (`0` = available parallelism), under a
-/// budget and an observer.
+/// budget and an observer — [`apriori_ctl`] without faults or
+/// checkpoints.
 ///
-/// Work splits by candidate: every candidate's support is still one
-/// streaming pass over its parent's and join partner's tid structures
-/// (the Eclat/dEclat reuse is intact — level nodes are shared read-only
-/// across workers). Chunks are contiguous runs of the sequential
-/// candidate order and per-chunk results merge in chunk order, so a
-/// complete run's [`FrequentSets`] — itemsets with supports, maximal
-/// family, negative border, per-level candidate counts, and therefore
-/// [`FrequentSets::queries`] — is bit-identical to the sequential miner
-/// for every thread count.
-///
-/// Each candidate support count records one metered query (matching
-/// [`FrequentSets::queries`] on a complete run), and each completed level
-/// fires `on_level` with its candidate/frequent counts. The query cap
-/// admits a prefix of each level before it is dispatched, so a
-/// `max_queries` trip lands on the same candidate at every thread count.
-/// Workers poll the deadline and cancel flag per candidate; on a trip the
-/// merged verdicts are truncated at the first skipped candidate, so the
-/// partial [`FrequentSets`] holds a *genuine prefix* of the sequential
-/// enumeration — every reported itemset is truly frequent with its exact
-/// support, and `maximal` is the maximal family of that prefix.
+/// Every candidate's support is one streaming pass over its join pair's
+/// tid structures, shared read-only across workers, and results merge in
+/// candidate order: a complete run's [`FrequentSets`] is bit-identical
+/// for every thread count. Each support count records one metered query
+/// and each completed level fires `on_level` (see
+/// [`dualminer_core::levelwise::walk`]). A budget trip — at the same
+/// candidate at every thread count for `max_queries` — leaves a *genuine
+/// prefix* of the sequential enumeration: every reported itemset is truly
+/// frequent with its exact support, and `maximal` is the maximal family
+/// of that prefix.
 pub fn apriori_par_ctl(
     db: &TransactionDb,
     min_support: usize,
     threads: usize,
     ctl: &RunCtl<'_>,
 ) -> Outcome<FrequentSets> {
-    apriori_with_cfg(db, min_support, threads, ctl, &EclatCfg::default())
+    match apriori_ctl(db, min_support, threads, ctl, &FaultCtl::none(), None) {
+        Ok(outcome) => outcome,
+        Err(aborted) => unreachable!("no faults injected and no checkpoint: {aborted}"),
+    }
 }
 
-/// [`apriori_par_ctl`] with an explicit tidset↔diffset switching
-/// configuration. The configuration affects only the shape of the
-/// intermediate tid structures — every support is exact either way, so
-/// output is bit-identical across settings (the unit tests run
-/// `EclatCfg::tidset_only` against `EclatCfg::diffset_always`).
-fn apriori_with_cfg(
+/// [`apriori_par_ctl`] under fault tolerance: injected faults and retries
+/// per `fault`, checkpoints at level boundaries, and `resume` from a
+/// saved [`LevelwiseState`] — the walk's own (see
+/// [`dualminer_core::levelwise::walk`]). A resumed run recounts the
+/// restored itemsets' supports from the database and counts its first
+/// new level from the item columns; its result is bit-identical to an
+/// uninterrupted run.
+///
+/// # Panics
+/// Panics if `min_support` is 0 (see [`crate::FrequencyOracle::new`]).
+pub fn apriori_ctl(
     db: &TransactionDb,
     min_support: usize,
     threads: usize,
     ctl: &RunCtl<'_>,
-    cfg: &EclatCfg,
-) -> Outcome<FrequentSets> {
-    assert!(min_support > 0, "min_support must be positive");
-    let n = db.n_items();
-    let mut itemsets: Vec<(AttrSet, usize)> = Vec::new();
-    let mut negative: Vec<AttrSet> = Vec::new();
-    let mut candidates_per_level: Vec<usize> = Vec::new();
-
-    if let Some(reason) = ctl.meter.exceeded() {
-        return Outcome::BudgetExceeded {
-            partial: finish_sets(
-                db,
-                min_support,
-                itemsets,
-                vec![],
-                negative,
-                candidates_per_level,
-            ),
-            reason,
-        };
-    }
-
-    // Level 0: ∅ with support |r|.
-    candidates_per_level.push(1);
-    ctl.meter.record_query();
-    let empty_support = db.n_rows();
-    let empty_frequent = empty_support >= min_support;
-    ctl.observer.on_level(0, 1, usize::from(empty_frequent));
-    if !empty_frequent {
-        return Outcome::Complete(FrequentSets {
-            n_items: n,
-            min_support,
-            n_rows: db.n_rows(),
-            itemsets,
-            maximal: vec![],
-            negative_border: vec![AttrSet::empty(n)],
-            candidates_per_level,
-            support_index: OnceLock::new(),
-        });
-    }
-    itemsets.push((AttrSet::empty(n), empty_support));
-
-    // Level entries carry (sorted index vector, dEclat node). A level-0
-    // placeholder node is never read: cardinality-1 candidates are item
-    // columns, gathered straight from the store.
-    let vstore = db.vstore();
-    let mut level: Vec<(Vec<usize>, Option<EclatNode>)> = vec![(vec![], None)];
-    // The maximal family accrues level by level: a member is maximal iff
-    // no frequent immediate superset marks it while its extensions are
-    // counted (the mined family is downward closed, so immediate
-    // supersets decide proper-superset-freeness). `level_start` indexes
-    // the current level's first member in `itemsets` — level and itemsets
-    // push in lockstep, so level[m]'s set is itemsets[level_start + m].
-    let mut maximal: Vec<AttrSet> = Vec::new();
-    let mut level_start = 0usize;
-    let mut card = 0usize;
-    while !level.is_empty() && card < n {
-        card += 1;
-        // Shared prefix-join engine; the flat batch carries, per
-        // candidate, its `(parent, partner)` level indices (the dEclat
-        // sibling reuse below) and the level indices of its remaining
-        // immediate subsets (the maximal-family marking below).
-        let batch = prefix_join_batch(n, card, &level, |(v, _)| v.as_slice());
-
-        // Count supports for the batch prefix the query cap admits, in
-        // parallel. Counting is non-materializing (`count_pair` is one
-        // contiguous read-only AND/ANDNOT-popcount over the sibling
-        // structures); a child node is materialized only for candidates
-        // that pass the threshold — the ones the next level keeps. `None`
-        // marks a candidate skipped because the deadline or a cancel
-        // tripped.
-        let level_ref = &level;
-        let batch_ref = &batch;
-        let pairs = batch.pairs();
-        let prefix = &pairs[..ctl.meter.admit(pairs.len())];
-        let counted: Vec<Option<(AttrSet, usize, Option<EclatNode>)>> =
-            dualminer_parallel::par_map(threads, prefix, |idx, &(p, q)| {
-                if ctl.meter.exceeded().is_some() {
-                    return None;
-                }
-                ctl.meter.record_query();
-                let cand = batch_ref.cand(idx);
-                let cand_set = AttrSet::from_indices(n, cand.iter().copied());
-                let (support, node) = if card == 1 {
-                    let item = cand[0];
-                    let support = vstore.item_support(item);
-                    let node =
-                        (support >= min_support).then(|| vstore.item_node(item, support, cfg));
-                    (support, node)
-                } else {
-                    let x = level_ref[p as usize]
-                        .1
-                        .as_ref()
-                        .expect("level ≥ 1 has nodes");
-                    let y = level_ref[q as usize]
-                        .1
-                        .as_ref()
-                        .expect("level ≥ 1 has nodes");
-                    let support = vstore.count_pair(x, y);
-                    let node =
-                        (support >= min_support).then(|| vstore.make_child(x, y, support, cfg));
-                    (support, node)
-                };
-                Some((cand_set, support, node))
-            });
-
-        let next_start = itemsets.len();
-        let mut marks = vec![false; level.len()];
-        let mut next: Vec<(Vec<usize>, Option<EclatNode>)> = Vec::new();
-        let mut tested = 0usize;
-        let mut frequent_count = 0usize;
-        for (idx, verdict) in counted.into_iter().enumerate() {
-            let Some((cand_set, support, tids)) = verdict else {
-                break;
-            };
-            tested += 1;
-            match tids {
-                Some(cand_node) => {
-                    frequent_count += 1;
-                    // A frequent candidate makes every immediate subset
-                    // non-maximal — and the batch already carries all of
-                    // their level indices: parent, join partner, and the
-                    // prefix-dropping subsets the prune step located.
-                    let (p, q) = batch.pair(idx);
-                    marks[p] = true;
-                    marks[q] = true;
-                    for &m in batch.drop_subsets(idx) {
-                        marks[m as usize] = true;
-                    }
-                    itemsets.push((cand_set, support));
-                    next.push((batch.cand(idx).to_vec(), Some(cand_node)));
-                }
-                None => negative.push(cand_set),
-            }
-        }
-        if tested > 0 {
-            candidates_per_level.push(tested);
-        }
-        ctl.observer.on_level(card, tested, frequent_count);
-        if tested < pairs.len() {
-            // The prefix's maximal family: unmarked members of the level
-            // being extended, then every frequent set already emitted at
-            // this level (none of *their* supersets were mined).
-            for (m, &marked) in marks.iter().enumerate() {
-                if !marked {
-                    maximal.push(itemsets[level_start + m].0.clone());
-                }
-            }
-            maximal.extend(itemsets[next_start..].iter().map(|(s, _)| s.clone()));
-            let reason = ctl
-                .meter
-                .exceeded()
-                .unwrap_or(dualminer_obs::BudgetReason::Cancelled);
-            return Outcome::BudgetExceeded {
-                partial: finish_sets(
-                    db,
-                    min_support,
-                    itemsets,
-                    maximal,
-                    negative,
-                    candidates_per_level,
-                ),
-                reason,
-            };
-        }
-        // This level's extensions are all counted: unmarked members are
-        // maximal for good.
-        for (m, &marked) in marks.iter().enumerate() {
-            if !marked {
-                maximal.push(itemsets[level_start + m].0.clone());
-            }
-        }
-        level = next;
-        level_start = next_start;
-    }
-
-    // Members of the final level were never extended: all maximal.
-    maximal.extend(itemsets[level_start..].iter().map(|(s, _)| s.clone()));
-    Outcome::Complete(finish_sets(
+    fault: &FaultCtl<'_>,
+    resume: Option<LevelwiseState>,
+) -> Result<Outcome<FrequentSets>, Aborted> {
+    mine(
         db,
         min_support,
-        itemsets,
-        maximal,
-        negative,
+        threads,
+        ctl,
+        fault,
+        resume,
+        &EclatCfg::default(),
+    )
+}
+
+/// [`apriori_ctl`] with an explicit tidset↔diffset switching
+/// configuration. The configuration affects only the shape of the
+/// intermediate tid structures — every support is exact either way, so
+/// output is bit-identical across settings (the unit tests run
+/// `EclatCfg::tidset_only` against `EclatCfg::diffset_always`).
+fn mine(
+    db: &TransactionDb,
+    min_support: usize,
+    threads: usize,
+    ctl: &RunCtl<'_>,
+    fault: &FaultCtl<'_>,
+    resume: Option<LevelwiseState>,
+    cfg: &EclatCfg,
+) -> Result<Outcome<FrequentSets>, Aborted> {
+    assert!(min_support > 0, "min_support must be positive");
+    let vstore = db.vstore();
+    // A frequent candidate's node is its tid structure (`None` for ∅,
+    // which no count reads). Counting is non-materializing (`count_pair`
+    // is one read-only AND/ANDNOT-popcount over the pair's structures); a
+    // node is materialized only for candidates that pass the threshold —
+    // the ones the next level extends.
+    let evaluate = |_: &AttrSet, cand: &[usize], pair: (&Option<EclatNode>, &Option<EclatNode>)| {
+        let (support, node) = match pair {
+            (Some(x), Some(y)) => {
+                let support = vstore.count_pair(x, y);
+                let node = (support >= min_support).then(|| vstore.make_child(x, y, support, cfg));
+                (support, node)
+            }
+            // ∅, the singletons, and the first level after a resume have
+            // no evaluated pair: count from the item columns.
+            _ => {
+                let support = vstore.support_items(cand);
+                let node = (support >= min_support && !cand.is_empty())
+                    .then(|| vstore.items_node(cand, support, cfg));
+                (support, node)
+            }
+        };
+        (support >= min_support).then_some((support, node))
+    };
+    let outcome = walk(
+        db.n_items(),
+        evaluate,
+        |x| db.support(x),
+        threads,
+        ctl,
+        fault,
+        resume,
+    )?;
+    Ok(outcome.map(|run| frequent_sets(db, min_support, run)))
+}
+
+/// Assembles the walk's result: the theory, its members paired with
+/// their supports, is the itemset list.
+fn frequent_sets(
+    db: &TransactionDb,
+    min_support: usize,
+    run: LevelwiseRun<(AttrSet, usize)>,
+) -> FrequentSets {
+    let LevelwiseRun {
+        theory: mut itemsets,
+        mut positive_border,
+        mut negative_border,
         candidates_per_level,
-    ))
+        ..
+    } = run;
+    // The result may be retained (the daemon caches it): drop the growth
+    // slack of the level-by-level pushes.
+    itemsets.shrink_to_fit();
+    positive_border.shrink_to_fit();
+    negative_border.shrink_to_fit();
+    FrequentSets {
+        n_items: db.n_items(),
+        min_support,
+        n_rows: db.n_rows(),
+        itemsets,
+        maximal: positive_border,
+        negative_border,
+        candidates_per_level,
+        support_index: OnceLock::new(),
+    }
 }
 
 #[cfg(test)]
@@ -583,31 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn from_levelwise_matches_apriori() {
-        let db = fig1_db();
-        for sigma in 1..=4usize {
-            let direct = apriori(&db, sigma);
-            let oracle = FrequencyOracle::new(&db, sigma);
-            let run = levelwise(&oracle);
-            let converted = FrequentSets::from_levelwise(&db, sigma, &run);
-            assert_eq!(converted.itemsets, direct.itemsets, "σ={sigma}");
-            assert_eq!(converted.maximal, direct.maximal, "σ={sigma}");
-            assert_eq!(
-                converted.negative_border, direct.negative_border,
-                "σ={sigma}"
-            );
-            assert_eq!(
-                converted.candidates_per_level, direct.candidates_per_level,
-                "σ={sigma}"
-            );
-            assert_eq!(converted.queries(), direct.queries(), "σ={sigma}");
-            assert_eq!(converted.n_items(), direct.n_items());
-            assert_eq!(converted.n_rows(), direct.n_rows());
-            assert_eq!(converted.min_support(), direct.min_support());
-        }
-    }
-
-    #[test]
     fn threshold_above_rows_gives_empty_theory() {
         let db = fig1_db();
         let fs = apriori(&db, 4);
@@ -662,13 +459,16 @@ mod tests {
             ] {
                 for threads in [1, 3] {
                     let meter = Meter::unlimited();
-                    let fs = apriori_with_cfg(
+                    let fs = mine(
                         &db,
                         sigma,
                         threads,
                         &RunCtl::new(&meter, &NoopObserver),
+                        &FaultCtl::none(),
+                        None,
                         &cfg,
                     )
+                    .expect("no faults injected")
                     .expect_complete();
                     let ctx = format!("rows={n_rows} threads={threads}");
                     assert_eq!(fs.itemsets, reference.itemsets, "{ctx}");

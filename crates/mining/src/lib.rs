@@ -18,13 +18,11 @@
 //!   tidset runs.
 //! * [`FrequencyOracle`] — the `Is-interesting` adapter: *frequent =
 //!   interesting*, monotone by construction.
-//! * [`apriori`] — the specialized levelwise miner that also records
-//!   supports (Eclat/dEclat tid structures along the prefix tree), with
-//!   two entry points: [`apriori::apriori`] and the parallel, budgeted
-//!   [`apriori::apriori_par_ctl`]. Checkpointed and fault-tolerant runs
-//!   drive the generic `dualminer_core::levelwise::levelwise_ctl` over a
-//!   [`FrequencyOracle`] instead, whose safe points are level
-//!   boundaries.
+//! * [`apriori`] — the levelwise walk with a support-counting evaluator
+//!   that records supports and hands Eclat/dEclat tid structures down
+//!   the prefix tree: [`apriori::apriori`], the parallel, budgeted
+//!   [`apriori::apriori_par_ctl`], and [`apriori::apriori_ctl`] with
+//!   faults, retries and checkpoint/resume at level boundaries.
 //! * [`maximal`] — maximal-frequent-set mining by levelwise, by Dualize &
 //!   Advance, or by random restarts, all through the `dualminer-core`
 //!   machinery.

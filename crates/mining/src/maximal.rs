@@ -98,7 +98,7 @@ pub fn sample_then_certify<R: Rng + ?Sized>(
     let ctl = RunCtl::new(&meter, &NoopObserver);
     let config = DualizeAdvanceConfig::default();
     let run = match dualize_advance_ctl(
-        &&oracle,
+        &oracle,
         algo,
         &config,
         1,

@@ -366,9 +366,17 @@ impl VStore {
         support as f64 >= cfg.diffset_density * parent_support as f64
     }
 
-    /// A level-1 node: a copy of one item's tidset run.
-    pub(crate) fn item_node(&self, item: usize, support: usize, cfg: &EclatCfg) -> EclatNode {
-        let blocks = self.run(item).to_vec();
+    /// The tidset node of a nonempty itemset, read off its item columns —
+    /// a copy of the item's run for a singleton. Its children switch to
+    /// diffsets by comparing its support against the row count.
+    pub(crate) fn items_node(&self, items: &[usize], support: usize, cfg: &EclatCfg) -> EclatNode {
+        let (&first, rest) = items.split_first().expect("a node has at least one item");
+        let mut blocks = self.run(first).to_vec();
+        for &item in rest {
+            for (w, &r) in blocks.iter_mut().zip(self.run(item)) {
+                *w &= r;
+            }
+        }
         debug_assert_eq!(kernels::popcount(&blocks), support);
         EclatNode {
             support,
@@ -552,7 +560,7 @@ mod tests {
                 EclatCfg::diffset_always(),
             ] {
                 let items: Vec<EclatNode> = (0..n)
-                    .map(|i| vs.item_node(i, vs.item_support(i), &cfg))
+                    .map(|i| vs.items_node(&[i], vs.item_support(i), &cfg))
                     .collect();
                 for i in 0..n {
                     for j in (i + 1)..n {
@@ -572,6 +580,11 @@ mod tests {
                                 expect3,
                                 "rows={n_rows} triple {i},{j},{k}"
                             );
+                            // Nodes rebuilt from the item columns (a
+                            // resumed walk's first level) pair the same.
+                            let r_ij = vs.items_node(&[i, j], expect, &cfg);
+                            let r_ik = vs.items_node(&[i, k], support_ik, &cfg);
+                            assert_eq!(vs.count_pair(&r_ij, &r_ik), expect3);
                             let made = vs.make_child(&c_ij, &c_ik, expect3, &cfg);
                             assert_eq!(made.support, expect3);
                         }

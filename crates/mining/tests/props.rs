@@ -169,7 +169,7 @@ proptest! {
 /// each level member, try every extension above its maximum and keep
 /// the candidate iff all immediate subsets (other than the parent
 /// itself) are level members. Emission order is parents in level order,
-/// extensions ascending — the order [`prefix_join_units`] must match
+/// extensions ascending — the order [`prefix_join_batch`] must match
 /// bit for bit.
 fn naive_units(n: usize, card: usize, level: &[Vec<usize>]) -> Vec<(usize, usize, Vec<usize>)> {
     use std::collections::HashMap;
@@ -232,7 +232,13 @@ fn assert_candidate_sequences_match(db: &TransactionDb, sigma: usize) {
             .filter(|(s, _)| s.len() == card - 1)
             .map(|(s, _)| s.to_vec())
             .collect();
-        let new = dualminer_core::candidates::prefix_join_units(n, card, &level, Vec::as_slice);
+        let batch = dualminer_bitset::candidates::prefix_join_batch(n, card, &level, Vec::as_slice);
+        let new: Vec<(usize, usize, Vec<usize>)> = (0..batch.len())
+            .map(|i| {
+                let (parent, partner) = batch.pair(i);
+                (parent, partner, batch.cand(i).to_vec())
+            })
+            .collect();
         assert_eq!(new, naive_units(n, card, &level), "card {card}");
     }
 }

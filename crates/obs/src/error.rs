@@ -3,7 +3,7 @@
 //!
 //! Real deployments reach the database through I/O that can fail — a
 //! timed-out connection, a transient storage error, a partition that never
-//! heals. The fallible oracle tier (`dualminer-core::fallible`) surfaces
+//! heals. The drivers' query step (`dualminer-core::fallible`) surfaces
 //! those failures as [`OracleError`] values classified as *transient*
 //! (retry may succeed) or *permanent* (retrying is pointless). The
 //! [`RetryPolicy`] here is the single retry mechanism every driver uses:

@@ -3,9 +3,9 @@
 //!
 //! A [`FaultSpec`] is the declarative schedule (parsed from the CLI's
 //! `--fault-inject <spec>` string); [`FaultSpec::plan`] turns it into a
-//! live [`FaultPlan`] with the per-run counters. The oracle wrapper that
-//! consults the plan on every `Is-interesting` call (`FaultyOracle`) lives
-//! in `dualminer-core::fallible`, next to the oracle traits it implements;
+//! live [`FaultPlan`] with the per-run counters. The drivers consult the
+//! plan in their one query step (`dualminer-core::fallible::
+//! query_with_retry`), before every attempt reaches the oracle;
 //! everything *about* the schedule — parsing, seeding, the deterministic
 //! decision function — lives here so the CLI and tests share one grammar.
 //!
@@ -139,14 +139,6 @@ impl FaultSpec {
         Ok(spec)
     }
 
-    /// Whether this spec injects nothing at all.
-    pub fn is_noop(&self) -> bool {
-        self.transient_prob == 0.0
-            && self.burst.is_none()
-            && self.permanent_at.is_empty()
-            && self.latency.is_zero()
-    }
-
     /// Starts the schedule: fresh call counter and per-content attempt
     /// tracking.
     pub fn plan(&self) -> FaultPlan {
@@ -189,16 +181,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan that never faults (and never sleeps).
-    pub fn noop() -> FaultPlan {
-        FaultSpec::default().plan()
-    }
-
-    /// The schedule this plan executes.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
     /// Total oracle-call arrivals observed (including retries).
     pub fn calls(&self) -> u64 {
         self.calls.load(Ordering::Relaxed)
@@ -260,12 +242,11 @@ mod tests {
         assert_eq!(spec.burst, Some((10, 3)));
         assert_eq!(spec.permanent_at, vec![7]);
         assert_eq!(spec.latency, Duration::from_millis(2));
-        assert!(!spec.is_noop());
 
         let multi = FaultSpec::parse("permanent=3,permanent=9").unwrap();
         assert_eq!(multi.permanent_at, vec![3, 9]);
 
-        assert!(FaultSpec::parse("").unwrap().is_noop());
+        assert_eq!(FaultSpec::parse("").unwrap(), FaultSpec::default());
         assert!(FaultSpec::parse("transient=2").is_err());
         assert!(FaultSpec::parse("burst=oops").is_err());
         assert!(FaultSpec::parse("frequency=1").is_err());
@@ -314,12 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn noop_plan_never_faults() {
-        let plan = FaultPlan::noop();
+    fn default_plan_never_faults() {
+        let plan = FaultSpec::default().plan();
         for k in 0..100 {
             assert!(plan.check(k).is_ok());
         }
-        assert!(plan.spec().is_noop());
     }
 
     #[test]

@@ -72,11 +72,6 @@ impl Budget {
         max_transversals: None,
     };
 
-    /// Whether no limit is set on any axis.
-    pub fn is_unlimited(&self) -> bool {
-        self.timeout.is_none() && self.max_queries.is_none() && self.max_transversals.is_none()
-    }
-
     /// Applies a server-side deadline policy: a budget with no timeout
     /// inherits `default`, and any timeout (including an inherited one)
     /// is capped at `max`. Returns the adjusted budget and whether the
@@ -415,14 +410,6 @@ impl<'a> RunCtl<'a> {
     /// Bundles a meter and an observer.
     pub fn new(meter: &'a Meter, observer: &'a dyn MiningObserver) -> Self {
         RunCtl { meter, observer }
-    }
-
-    /// A control handle with the given meter and no observer.
-    pub fn with_meter(meter: &'a Meter) -> Self {
-        RunCtl {
-            meter,
-            observer: &NoopObserver,
-        }
     }
 }
 

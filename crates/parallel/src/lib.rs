@@ -40,7 +40,7 @@ use std::thread;
 
 /// A cooperative early-exit signal shared by the workers of one parallel
 /// batch: when one worker hits a terminal condition (e.g. a permanent
-/// oracle fault in the fault-tolerant levelwise driver), it raises the
+/// oracle fault in the levelwise walk), it raises the
 /// flag and siblings skip their remaining items instead of burning work
 /// — and, under injected latency, wall-clock — on a doomed level.
 ///

@@ -21,20 +21,18 @@ use dualminer_core::checkpoint::{
     Aborted, DaState, FaultCtl, LevelwiseState, ResumeState, DUALIZE_ADVANCE_KIND, LEVELWISE_KIND,
 };
 use dualminer_core::dualize_advance::{dualize_advance_ctl, DualizeAdvanceConfig};
-use dualminer_core::fallible::FaultyOracle;
-use dualminer_core::levelwise::levelwise_ctl;
 use dualminer_core::oracle::{CountingOracle, FamilyOracle};
 use dualminer_fdep::agree::agree_sets;
 use dualminer_fdep::fd::all_minimal_fds;
 use dualminer_fdep::keys::{minimal_keys_from_agree_sets, KeyDiscovery, NonSuperkeyOracle};
 use dualminer_fdep::Relation;
 use dualminer_hypergraph::{plan, Hypergraph, TrAlgorithm};
-use dualminer_mining::apriori::{apriori_par_ctl, FrequentSets};
+use dualminer_mining::apriori::{apriori_ctl, FrequentSets};
 use dualminer_mining::incremental::{append_rows_ctl, IncrementalUpdate};
 use dualminer_mining::rules::association_rules;
 use dualminer_mining::{FrequencyOracle, TransactionDb};
 use dualminer_obs::{
-    BudgetReason, DualizeStats, FileCheckpoint, Meter, MiningObserver, RunCtl, RunError,
+    BudgetReason, DualizeStats, FaultSpec, FileCheckpoint, Meter, MiningObserver, RunCtl, RunError,
     StatsCollector,
 };
 
@@ -275,25 +273,26 @@ fn load_resume<S: Resumable>(run: &RunOpts, cx: &ExecCtx<'_>) -> Result<Option<S
 }
 
 /// Runs a fault-tolerant route: loads the `--resume` state, sets up the
-/// checkpoint sink and retry policy, wraps `oracle` in the
-/// `--fault-inject` schedule, and hands all three to `engine`. An aborted
-/// run ends `phase` and becomes the error for its cause.
-fn fault_tolerant<S: Resumable, O, T>(
+/// checkpoint sink, the retry policy and the `--fault-inject` schedule,
+/// and hands them to `engine`. An aborted run ends `phase` and becomes
+/// the error for its cause.
+fn fault_tolerant<S: Resumable, T>(
     run: &RunOpts,
     phase: &str,
-    oracle: O,
     cx: &ExecCtx<'_>,
-    engine: impl FnOnce(&FaultyOracle<O>, &FaultCtl<'_>, Option<S>) -> Result<T, Aborted>,
+    engine: impl FnOnce(&FaultCtl<'_>, Option<S>) -> Result<T, Aborted>,
 ) -> Result<T, JobError> {
     let resume = load_resume(run, cx)?;
     let sink = run.checkpoint.as_deref().map(FileCheckpoint::new);
-    let fault = match &sink {
-        Some(s) => FaultCtl::checkpointed(run.retry_policy(), s, run.checkpoint_cadence()),
-        None => FaultCtl::with_retry(run.retry_policy()),
+    let plan = run.fault_inject.as_ref().map(FaultSpec::plan);
+    let fault = FaultCtl {
+        plan: plan.as_ref(),
+        ..match &sink {
+            Some(s) => FaultCtl::checkpointed(run.retry_policy(), s, run.checkpoint_cadence()),
+            None => FaultCtl::with_retry(run.retry_policy()),
+        }
     };
-    let spec = run.fault_inject.clone().unwrap_or_default();
-    let oracle = FaultyOracle::new(oracle, &spec);
-    engine(&oracle, &fault, resume).map_err(|aborted| {
+    engine(&fault, resume).map_err(|aborted| {
         cx.observer.on_phase_end(phase);
         abort_error(aborted, run.checkpoint.as_deref(), cx)
     })
@@ -403,10 +402,9 @@ fn render_mine(
 
 /// Mines `db` at absolute threshold `sigma` and renders the `mine` body.
 ///
-/// Two routes, bit-identical on complete runs: any fault-tolerance
-/// option (injected faults, retries, `--checkpoint` or `--resume`) takes
-/// the fault-tolerant levelwise engine, whose safe points are level
-/// boundaries; plain runs keep the specialized apriori fast path.
+/// One route: Apriori under the run's fault options (injected faults,
+/// retries, `--checkpoint` at level boundaries, `--resume`) — all empty
+/// on a plain run.
 ///
 /// Returns the rendered output plus the mined collection (which the
 /// daemon caches to power incremental re-mining; the CLI drops it).
@@ -419,20 +417,10 @@ pub fn mine(
     cx: &ExecCtx<'_>,
 ) -> Result<(JobOutput, FrequentSets), JobError> {
     cx.observer.on_phase_start("mine");
-    let (fs, reason) = if run.fault_tolerant() {
-        // Fault-tolerant route: the generic levelwise engine over a
-        // (possibly fault-injected) frequency oracle — retries,
-        // checkpoint/resume — then exact supports recomputed from the
-        // database. Bit-identical to apriori on the same input.
-        let oracle = FrequencyOracle::new(db, sigma);
-        let lw = fault_tolerant(run, "mine", oracle, cx, |oracle, fault, resume| {
-            levelwise_ctl(oracle, cx.threads, &cx.ctl(), fault, resume)
-        })?;
-        let (lw, reason) = lw.into_parts();
-        (FrequentSets::from_levelwise(db, sigma, &lw), reason)
-    } else {
-        apriori_par_ctl(db, sigma, cx.threads, &cx.ctl()).into_parts()
-    };
+    let (fs, reason) = fault_tolerant(run, "mine", cx, |fault, resume| {
+        apriori_ctl(db, sigma, cx.threads, &cx.ctl(), fault, resume)
+    })?
+    .into_parts();
     cx.observer.on_phase_end("mine");
     let body = render_mine(universe, db, sigma, &fs, opts, reason);
     Ok((
@@ -505,12 +493,14 @@ pub fn keys(
     let (keys, reason) = if run.fault_tolerant() {
         // Fault-tolerant route: Dualize & Advance under the restricted
         // Is-interesting model (non-superkey oracle) — MTh = maximal
-        // agree sets, Bd⁻ = minimal keys. It stays on Berge: its query
-        // counts and checkpoint files were recorded with that engine.
+        // agree sets, Bd⁻ = minimal keys. It stays on Berge: under `auto`
+        // the planner's levelwise dualizations meter their candidate
+        // tests on the run's budget, which moves `--max-queries` trip
+        // points, query counts and checkpoint files.
         let oracle = NonSuperkeyOracle::new(rel);
-        let da = fault_tolerant(run, "keys", oracle, cx, |oracle, fault, resume| {
+        let da = fault_tolerant(run, "keys", cx, |fault, resume| {
             dualize_advance_ctl(
-                oracle,
+                &oracle,
                 TrAlgorithm::Berge,
                 &DualizeAdvanceConfig::default(),
                 1,
@@ -621,9 +611,9 @@ pub fn transversals(
         // Dualize & Advance run delivers Bd⁻ = Tr(H).
         let complements: Vec<_> = h.edges().iter().map(AttrSet::complement).collect();
         let oracle = FamilyOracle::new(h.universe_size(), complements);
-        let da = fault_tolerant(run, "transversals", oracle, cx, |oracle, fault, resume| {
+        let da = fault_tolerant(run, "transversals", cx, |fault, resume| {
             dualize_advance_ctl(
-                oracle,
+                &oracle,
                 algo,
                 &DualizeAdvanceConfig::default(),
                 cx.threads,

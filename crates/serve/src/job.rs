@@ -47,9 +47,10 @@ impl RunOpts {
         }
     }
 
-    /// Whether any fault-tolerance option was given. Subcommands route
-    /// through the fallible engines only then, so plain runs keep their
-    /// specialized fast paths (and their exact output) untouched.
+    /// Whether any fault-tolerance option was given. `keys` and
+    /// `transversals` route through Dualize & Advance only then, so their
+    /// plain runs keep the one-shot dualization (and its exact output);
+    /// `mine` runs one route either way.
     pub fn fault_tolerant(&self) -> bool {
         self.fault_inject.is_some() || self.retry > 0 || self.checkpoint.is_some() || self.resume
     }

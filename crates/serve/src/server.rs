@@ -545,18 +545,25 @@ fn job_error(e: JobError) -> JobFailure {
 /// distinct whitespace/comma-separated tokens (items) against the
 /// configured bounds, before any canonicalization or parsing touches the
 /// text. A cheap linear scan — the point is to reject a 10M-row input
-/// with a typed `too_large` error instead of parsing it first.
-fn check_input_size(limits: &Limits, label: &str, text: &str) -> Result<(), JobFailure> {
+/// with a typed `too_large` error instead of parsing it first. With
+/// `header`, the first such line is a CSV header, not a data row, and is
+/// not counted.
+fn check_input_size(
+    limits: &Limits,
+    label: &str,
+    text: &str,
+    header: bool,
+) -> Result<(), JobFailure> {
     if limits.max_rows == 0 && limits.max_items == 0 {
         return Ok(());
     }
     let mut rows = 0u64;
     let mut items: HashSet<&str> = HashSet::new();
-    for line in text.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
+    let lines = text
+        .lines()
+        .map(|line| line.split('#').next().unwrap_or("").trim())
+        .filter(|line| !line.is_empty());
+    for line in lines.skip(usize::from(header)) {
         rows += 1;
         if limits.max_rows != 0 && rows > limits.max_rows {
             return Err(JobFailure::too_large(format!(
@@ -641,7 +648,8 @@ fn serve_job(
     // the appended-rows probe and the (single) parse. Size bounds are
     // enforced on the raw text, before any canonicalization.
     let text = read_input(&req.input)?;
-    check_input_size(&shared.limits, req.input.label(), &text)?;
+    let header = matches!(req.op, OpKind::Keys { .. });
+    check_input_size(&shared.limits, req.input.label(), &text, header)?;
     let (content, mine_canon) = match &req.op {
         OpKind::Mine { .. } => {
             let canon = canon::canon_baskets(&text)
@@ -661,7 +669,7 @@ fn serve_job(
         OpKind::VerifyDual => {
             let input2 = req.input2.as_ref().expect("parser enforced input2");
             let g_text = read_input(input2)?;
-            check_input_size(&shared.limits, input2.label(), &g_text)?;
+            check_input_size(&shared.limits, input2.label(), &g_text, false)?;
             let fp = canon::fingerprint_dual_pair(&text, &g_text).map_err(|e| {
                 // The raw parse error does not say which file; report the
                 // one that fails to parse alone.
@@ -1503,17 +1511,23 @@ mod tests {
             max_items: 3,
             ..Limits::from_config(&ServeConfig::default())
         };
-        assert!(check_input_size(&limits, "in", "a b\n# comment\na c\n").is_ok());
-        let err = check_input_size(&limits, "in", "a\nb\nc\n").unwrap_err();
+        assert!(check_input_size(&limits, "in", "a b\n# comment\na c\n", false).is_ok());
+        let err = check_input_size(&limits, "in", "a\nb\nc\n", false).unwrap_err();
         assert_eq!((err.code, err.kind), (3, Some("too_large")));
         assert!(err.message.contains("max-rows"));
-        let err = check_input_size(&limits, "in", "a,b\nc,d\n").unwrap_err();
+        let err = check_input_size(&limits, "in", "a,b\nc,d\n", false).unwrap_err();
         assert_eq!((err.code, err.kind), (3, Some("too_large")));
         assert!(err.message.contains("max-items"));
         // Repeated items are distinct-counted, not occurrence-counted.
-        assert!(check_input_size(&limits, "in", "a b c\na b c\n").is_ok());
+        assert!(check_input_size(&limits, "in", "a b c\na b c\n", false).is_ok());
+        // A CSV header is not a data row: two rows under it pass, three
+        // do not; a leading comment does not make the header a row.
+        let csv = "# relation\nx,y\n1,2\n1,3\n";
+        assert!(check_input_size(&limits, "in", csv, true).is_ok());
+        let err = check_input_size(&limits, "in", &format!("{csv}2,2\n"), true).unwrap_err();
+        assert!(err.message.contains("max-rows"));
         // Unlimited by default.
         let unlimited = Limits::from_config(&ServeConfig::default());
-        assert!(check_input_size(&unlimited, "in", "a\nb\nc\nd\ne\n").is_ok());
+        assert!(check_input_size(&unlimited, "in", "a\nb\nc\nd\ne\n", false).is_ok());
     }
 }

@@ -487,6 +487,37 @@ fn input_size_limits_reject_typed() {
     handle.join();
 }
 
+/// `--max-rows N` counts data rows: a `keys` relation's CSV header is not
+/// one, so exactly N rows under it are served and N + 1 are rejected.
+#[test]
+fn max_rows_does_not_count_a_csv_header() {
+    let (handle, addr) = serve(ServeConfig {
+        workers: 1,
+        max_rows: 3,
+        ..ServeConfig::default()
+    });
+    let keys_line = |id: u64, rows: &str| {
+        format!(
+            r#"{{"op":"keys","id":{id},"input":{{"inline":"{}"}}}}"#,
+            jesc(&format!("A,B,C\n{rows}"))
+        )
+    };
+    let mut conn = Conn::connect(&addr).expect("connect");
+    let events = conn
+        .roundtrip(&keys_line(1, "1,2,3\n1,5,6\n4,2,6\n"), 1)
+        .expect("three data rows");
+    assert_eq!(terminal(&events).kind, "result");
+    let events = conn
+        .roundtrip(&keys_line(2, "1,2,3\n1,5,6\n4,2,6\n4,5,3\n"), 2)
+        .expect("four data rows");
+    let last = terminal(&events);
+    assert_eq!(last.str_field("kind"), Some("too_large"));
+    assert!(last.str_field("message").unwrap().contains("max-rows"));
+    handle.shutdown();
+    drop(conn);
+    handle.join();
+}
+
 /// An oversized frame gets a typed `too_large` error and the connection
 /// is closed (the stream cannot be resynchronized mid-frame).
 #[test]

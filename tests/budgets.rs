@@ -33,7 +33,7 @@ fn example19_dualize_advance_max_transversals_partial_mth() {
     let ctl = RunCtl::new(&meter, &NoopObserver);
     let config = DualizeAdvanceConfig::default();
     match dualize_advance_ctl(
-        &&oracle,
+        &oracle,
         TrAlgorithm::Berge,
         &config,
         1,
