@@ -204,6 +204,25 @@ RESPELLED_REQ='{"op":"mine","id":6,"input":{"path":"'"$TMP/respelled.txt"'"},"mi
 diff "$TMP/plain.out" "$TMP/respelled.out"
 grep -q 'note: cache hit' "$TMP/respelled.err" \
     || { echo "respelled baskets missed the cache"; exit 1; }
+# The other separators: vertical tab, form feed and U+00A0 (a Unicode
+# White_Space the byte-level tokenizer hands to split_whitespace).
+printf 'milk\vbread\nbread\fbutter\nmilk\302\240butter bread\nmilk\nbread\302\240\veggs\n' \
+    > "$TMP/respelled2.txt"
+RESPELLED2_REQ='{"op":"mine","id":11,"input":{"path":"'"$TMP/respelled2.txt"'"},"min_support":"2"}'
+"$DM" request "$ADDR" --json "$RESPELLED2_REQ" > "$TMP/respelled2.out" 2> "$TMP/respelled2.err"
+diff "$TMP/plain.out" "$TMP/respelled2.out"
+grep -q 'note: cache hit' "$TMP/respelled2.err" \
+    || { echo "VT/FF/U+00A0-separated baskets missed the cache"; exit 1; }
+# Multibyte names, names longer than a packed word and a \x1F inside a
+# token: the CLI and the daemon parse and render them alike.
+printf 'caf\303\251 na\303\257ve_long_item x\037y\ncaf\303\251 x\037y \317\200\317\200\317\200\317\200\nna\303\257ve_long_item caf\303\251 x\037y # c\n' \
+    > "$TMP/wide.txt"
+"$DM" mine "$TMP/wide.txt" --min-support 2 > "$TMP/wide_cli.out"
+WIDE_REQ='{"op":"mine","id":12,"input":{"path":"'"$TMP/wide.txt"'"},"min_support":"2"}'
+"$DM" request "$ADDR" --json "$WIDE_REQ" > "$TMP/wide_daemon.out" 2> /dev/null
+diff "$TMP/wide_cli.out" "$TMP/wide_daemon.out"
+grep -q 'naïve_long_item' "$TMP/wide_cli.out" \
+    || { echo "multibyte basket names were lost"; exit 1; }
 
 # Keys with FDs and a maximal mine with its Corollary 4 check: the
 # daemon's bodies are byte-identical to the CLI's, with a pinned FD line

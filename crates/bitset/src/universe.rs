@@ -13,9 +13,17 @@ use crate::AttrSet;
 /// universe and [`Universe::parse`]/[`Universe::display`] round-trip the
 /// shorthand, which keeps tests and example programs legible against the
 /// paper text.
+///
+/// The rendering facts that depend only on the names — the shorthand's
+/// separator and each name's width in chars — are computed once, at
+/// construction, so writing a set never rescans the universe.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Universe {
     names: Vec<String>,
+    /// Width of each name in chars (what `{:<w}` padding counts).
+    widths: Vec<usize>,
+    /// `""` when every name is one char, `","` otherwise.
+    sep: &'static str,
 }
 
 /// Error returned by [`Universe::parse`] when a token is not an attribute
@@ -36,33 +44,33 @@ impl std::error::Error for ParseSetError {}
 impl Universe {
     /// A universe of `n` attributes named by the caller.
     pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(names: I) -> Self {
-        Universe {
-            names: names.into_iter().map(Into::into).collect(),
-        }
+        let names: Vec<String> = names.into_iter().map(Into::into).collect();
+        let widths: Vec<usize> = names.iter().map(|n| n.chars().count()).collect();
+        let sep = if widths.iter().all(|&w| w == 1) {
+            ""
+        } else {
+            ","
+        };
+        Universe { names, widths, sep }
     }
 
     /// A universe of `n` attributes named `A, B, C, …` (then `A1, B1, …`
     /// past 26, so names stay unique for any `n`).
     pub fn letters(n: usize) -> Self {
-        let names = (0..n)
-            .map(|i| {
-                let letter = (b'A' + (i % 26) as u8) as char;
-                if i < 26 {
-                    letter.to_string()
-                } else {
-                    format!("{letter}{}", i / 26)
-                }
-            })
-            .collect();
-        Universe { names }
+        Universe::new((0..n).map(|i| {
+            let letter = (b'A' + (i % 26) as u8) as char;
+            if i < 26 {
+                letter.to_string()
+            } else {
+                format!("{letter}{}", i / 26)
+            }
+        }))
     }
 
     /// A universe of `n` attributes named `x1, …, xn` (the paper's Section 6
     /// variable convention).
     pub fn variables(n: usize) -> Self {
-        Universe {
-            names: (1..=n).map(|i| format!("x{i}")).collect(),
-        }
+        Universe::new((1..=n).map(|i| format!("x{i}")))
     }
 
     /// Number of attributes in the universe.
@@ -100,8 +108,7 @@ impl Universe {
     /// (`"x1 x3"`, `"x1,x3"`). The empty string parses to the empty set.
     pub fn parse(&self, text: &str) -> Result<AttrSet, ParseSetError> {
         let mut set = self.empty_set();
-        let single_char_names = self.names.iter().all(|n| n.chars().count() == 1);
-        let tokens: Vec<String> = if text.contains([' ', ',']) || !single_char_names {
+        let tokens: Vec<String> = if text.contains([' ', ',']) || !self.sep.is_empty() {
             text.split([' ', ','])
                 .filter(|t| !t.is_empty())
                 .map(str::to_owned)
@@ -124,20 +131,47 @@ impl Universe {
     /// names are single characters, comma-separated otherwise. The empty
     /// set renders as `"∅"`.
     pub fn display(&self, set: &AttrSet) -> String {
+        let mut out = String::new();
+        self.write_set(&mut out, set);
+        out
+    }
+
+    /// Appends [`display`](Self::display)'s rendering of `set` to `out`
+    /// and returns its width in chars, from the widths computed at
+    /// construction.
+    ///
+    /// # Panics
+    /// Panics if `set` is over a different universe size.
+    pub fn write_set(&self, out: &mut String, set: &AttrSet) -> usize {
         assert_eq!(
             set.universe_size(),
             self.size(),
             "set universe does not match this Universe"
         );
         if set.is_empty() {
-            return "∅".to_string();
+            out.push('∅');
+            return 1;
         }
-        let single = self.names.iter().all(|n| n.chars().count() == 1);
-        let sep = if single { "" } else { "," };
-        set.iter()
-            .map(|i| self.names[i].as_str())
-            .collect::<Vec<_>>()
-            .join(sep)
+        let mut width = self.sep.len() * (set.len() - 1);
+        for (k, i) in set.iter().enumerate() {
+            if k > 0 {
+                out.push_str(self.sep);
+            }
+            out.push_str(&self.names[i]);
+            width += self.widths[i];
+        }
+        width
+    }
+
+    /// Appends the names of `set`'s members to `out`, joined by `sep` (the
+    /// empty set appends nothing).
+    pub fn write_names(&self, out: &mut String, set: &AttrSet, sep: &str) {
+        for (k, i) in set.iter().enumerate() {
+            if k > 0 {
+                out.push_str(sep);
+            }
+            out.push_str(&self.names[i]);
+        }
     }
 
     /// Renders a family of sets as `{ABC, BD}` sorted by cardinality then
@@ -145,12 +179,15 @@ impl Universe {
     pub fn display_family<'a, I: IntoIterator<Item = &'a AttrSet>>(&self, family: I) -> String {
         let mut sets: Vec<&AttrSet> = family.into_iter().collect();
         sets.sort_by(|a, b| a.cmp_card_lex(b));
-        let inner = sets
-            .iter()
-            .map(|s| self.display(s))
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!("{{{inner}}}")
+        let mut out = String::from("{");
+        for (k, set) in sets.into_iter().enumerate() {
+            if k > 0 {
+                out.push_str(", ");
+            }
+            self.write_set(&mut out, set);
+        }
+        out.push('}');
+        out
     }
 }
 

@@ -7,7 +7,7 @@
 //! access is needed, because every support involved (`Z` and `Z \ A`) is
 //! already in the mined collection (frequent sets are downward closed).
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use dualminer_bitset::{AttrSet, Universe};
 
@@ -38,13 +38,21 @@ impl AssociationRule {
 
     /// Renders the rule with item names, e.g. `AB ⇒ C (supp 2, conf 1.00)`.
     pub fn display(&self, universe: &Universe) -> String {
-        format!(
-            "{} ⇒ {} (supp {}, conf {:.2})",
-            universe.display(&self.antecedent),
+        let mut out = String::new();
+        self.write(&mut out, universe);
+        out
+    }
+
+    /// Appends [`display`](Self::display)'s rendering to `out`.
+    pub fn write(&self, out: &mut String, universe: &Universe) {
+        universe.write_set(out, &self.antecedent);
+        let _ = write!(
+            out,
+            " ⇒ {} (supp {}, conf {:.2})",
             universe.name(self.consequent),
             self.support,
             self.confidence
-        )
+        );
     }
 }
 

@@ -1,5 +1,6 @@
 //! The 0/1 relation: [`TransactionDb`].
 
+use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use dualminer_bitset::{AttrSet, Universe};
@@ -159,12 +160,15 @@ impl TransactionDb {
 
     /// Renders the database with item names, one row per line.
     pub fn display(&self, universe: &Universe) -> String {
-        self.rows()
-            .iter()
-            .enumerate()
-            .map(|(i, r)| format!("t{i}: {}", universe.display(r)))
-            .collect::<Vec<_>>()
-            .join("\n")
+        let mut out = String::new();
+        for (i, row) in self.rows().iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            let _ = write!(out, "t{i}: ");
+            universe.write_set(&mut out, row);
+        }
+        out
     }
 }
 

@@ -66,11 +66,17 @@ impl FnvStream {
     }
 
     /// Feeds one `u64` as its 8 little-endian bytes. The high zero bytes
-    /// of a small value (every item index) cost one multiply in total.
+    /// of a small value (every item index) fold into the multiply of the
+    /// last nonzero byte, so a value below 256 costs one multiply.
     pub fn update_u64(&mut self, value: u64) {
         let live = 8 - value.leading_zeros() as usize / 8;
-        self.update(&value.to_le_bytes()[..live]);
-        self.state = self.state.wrapping_mul(FNV_PRIME_POW[8 - live]);
+        let Some(last) = live.checked_sub(1) else {
+            self.state = self.state.wrapping_mul(FNV_PRIME_POW[8]);
+            return;
+        };
+        let bytes = value.to_le_bytes();
+        self.update(&bytes[..last]);
+        self.state = (self.state ^ u64::from(bytes[last])).wrapping_mul(FNV_PRIME_POW[8 - last]);
     }
 
     /// The digest of everything fed so far. Non-consuming: the stream can

@@ -20,7 +20,7 @@ use dualminer_bitset::{AttrSet, Universe};
 use dualminer_mining::{TransactionDb, VStoreBuilder};
 use dualminer_obs::RowFingerprint;
 
-use crate::formats::{self, FormatError, Interner};
+use crate::formats::{self, FormatError, Interner, Token};
 
 /// One rung of the basket prefix ladder: the content digest after row
 /// `k`, plus how many item symbols had been interned by then.
@@ -134,27 +134,30 @@ pub fn canon_baskets(text: &str) -> Result<CanonBaskets, FormatError> {
     let mut rows = Rows::default();
     let mut prefix: Vec<RowMark> = Vec::new();
     let mut fp = RowFingerprint::new();
-    for line in text.lines() {
-        let start = rows.items.len();
-        for item in formats::strip_comment(line).split_whitespace() {
+    let mut row_start = 0;
+    formats::basket_tokens(text, |token| match token {
+        Token::Item(item, packed) => {
             let fresh = items.len();
-            let id = items.intern(item);
+            let id = items.intern_packed(item, packed);
             if id == fresh {
                 fp.push_symbol(item);
             }
             fp.push_item(id);
             rows.items.push(id);
         }
-        if rows.items.len() == start {
-            continue;
+        Token::LineEnd => {
+            if rows.items.len() == row_start {
+                return;
+            }
+            row_start = rows.items.len();
+            rows.ends.push(row_start);
+            fp.end_row();
+            prefix.push(RowMark {
+                digest: fp.digest(),
+                n_items: items.len() as u32,
+            });
         }
-        rows.ends.push(rows.items.len());
-        fp.end_row();
-        prefix.push(RowMark {
-            digest: fp.digest(),
-            n_items: items.len() as u32,
-        });
-    }
+    });
     if rows.is_empty() {
         return Err(FormatError::new("no transactions found"));
     }
@@ -386,10 +389,59 @@ mod tests {
     }
 }
 
+/// The canonicalizer before the byte-level tokenizer: `str::lines`,
+/// `split_whitespace` and a std `HashMap` dictionary. The differential
+/// tests pin [`canon_baskets`] to it.
+#[cfg(test)]
+fn reference_canon_baskets(text: &str) -> Result<CanonBaskets, FormatError> {
+    use std::collections::HashMap;
+    let mut names: Vec<String> = Vec::new();
+    let mut index: HashMap<String, usize> = HashMap::new();
+    let mut rows = Rows::default();
+    let mut prefix: Vec<RowMark> = Vec::new();
+    let mut fp = RowFingerprint::new();
+    for line in text.lines() {
+        let start = rows.items.len();
+        for item in formats::strip_comment(line).split_whitespace() {
+            let id = match index.get(item) {
+                Some(&id) => id,
+                None => {
+                    names.push(item.to_string());
+                    index.insert(item.to_string(), names.len() - 1);
+                    fp.push_symbol(item);
+                    names.len() - 1
+                }
+            };
+            fp.push_item(id);
+            rows.items.push(id);
+        }
+        if rows.items.len() == start {
+            continue;
+        }
+        rows.ends.push(rows.items.len());
+        fp.end_row();
+        prefix.push(RowMark {
+            digest: fp.digest(),
+            n_items: names.len() as u32,
+        });
+    }
+    if rows.is_empty() {
+        return Err(FormatError::new("no transactions found"));
+    }
+    let fingerprint = fp.digest();
+    Ok(CanonBaskets {
+        names,
+        rows,
+        prefix,
+        fingerprint,
+    })
+}
+
 #[cfg(test)]
 mod props {
     use super::*;
     use crate::formats::parse_baskets;
+    use crate::formats::props::arb_tokenizer_text;
     use proptest::prelude::*;
 
     /// Basket texts built from names (ASCII and not), every separator the
@@ -447,6 +499,28 @@ mod props {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The byte-level tokenizer and packed interner canonicalize
+        /// exactly like the reference: same names, rows, prefix marks,
+        /// fingerprint, and error.
+        #[test]
+        fn canon_matches_reference(text in arb_tokenizer_text()) {
+            match (canon_baskets(&text), reference_canon_baskets(&text)) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(&got.names, &want.names);
+                    prop_assert!(got.rows.iter().eq(want.rows.iter()));
+                    prop_assert_eq!(&got.prefix, &want.prefix);
+                    prop_assert_eq!(got.fingerprint, want.fingerprint);
+                }
+                (Err(got), Err(want)) => prop_assert_eq!(got, want),
+                (got, want) => prop_assert!(
+                    false,
+                    "canon {:?} vs reference {:?}",
+                    got.map(|c| c.fingerprint),
+                    want.map(|c| c.fingerprint)
+                ),
+            }
+        }
 
         /// Canonicalization parses exactly like `parse_baskets`, its digest
         /// follows the event-stream spec, and every prefix digest equals

@@ -202,11 +202,87 @@ fn note_partial(body: &mut String, reason: BudgetReason) {
     out!(body, "\nNOTE: budget exceeded ({reason}); results below are the partial prefix computed before the limit.");
 }
 
-fn names(universe: &Universe, set: &AttrSet) -> String {
-    set.iter()
-        .map(|i| universe.name(i))
-        .collect::<Vec<_>>()
-        .join(", ")
+/// Appends one `  {a, b, c}` line: the names of `set`, comma-separated.
+fn braced_line(body: &mut String, universe: &Universe, set: &AttrSet) {
+    body.push_str("  {");
+    universe.write_names(body, set, ", ");
+    body.push_str("}\n");
+}
+
+/// Appends one `  <set>` line in the universe's shorthand.
+fn set_line(body: &mut String, universe: &Universe, set: &AttrSet) {
+    body.push_str("  ");
+    universe.write_set(body, set);
+    body.push('\n');
+}
+
+/// Appends `n` in decimal.
+fn push_decimal(body: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    body.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `100·support / n_rows` as `{:.1}` prints the `f64` quotient,
+/// without formatting a float.
+///
+/// The text is `k / 10` and `k % 10` for `k` = `1000·support / n_rows`
+/// rounded to the nearest integer. Ten times the `f64` quotient lies
+/// within `1000·2⁻⁵³` of `1000·support / n_rows`. Unless that rational is
+/// a tie (`k + ½` exactly), it is at least `1 / (2·n_rows)` from one,
+/// which is larger while `n_rows ≤ 2³²`, so the float rounds to the same
+/// `k`. Ties and larger inputs go through the float formatter.
+fn push_percent(body: &mut String, support: usize, n_rows: usize) {
+    let (s, n) = (support as u64, n_rows as u64);
+    if (1..=1 << 32).contains(&n) && s <= n {
+        let twice_rem = 2 * (1000 * s % n);
+        if twice_rem != n {
+            let k = 1000 * s / n + u64::from(twice_rem > n);
+            push_decimal(body, k / 10);
+            body.push('.');
+            body.push(char::from(b'0' + (k % 10) as u8));
+            return;
+        }
+    }
+    let _ = write!(body, "{:.1}", 100.0 * support as f64 / n_rows as f64);
+}
+
+/// The column the itemset lines pad their set to, in chars.
+const SET_COLUMN: usize = 30;
+
+/// [`SET_COLUMN`] spaces.
+const PADDING: &str = "                              ";
+
+/// Appends one `  <set, padded to 30 chars> support <s> (<p>%)` line per
+/// nonempty itemset, in one pass: set widths come from the universe, and
+/// the numbers are written without `fmt` (see [`push_percent`]).
+fn render_itemsets(
+    body: &mut String,
+    universe: &Universe,
+    n_rows: usize,
+    itemsets: &[(AttrSet, usize)],
+) {
+    for (set, support) in itemsets {
+        if set.is_empty() {
+            continue;
+        }
+        body.push_str("  ");
+        let width = universe.write_set(body, set);
+        body.push_str(&PADDING[..SET_COLUMN.saturating_sub(width)]);
+        body.push_str(" support ");
+        push_decimal(body, *support as u64);
+        body.push_str(" (");
+        push_percent(body, *support, n_rows);
+        body.push_str("%)\n");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -342,26 +418,15 @@ fn render_mine(
         note_partial(&mut body, r);
     }
     out!(body, "\n{} frequent itemsets:", fs.itemsets().len());
-    for (set, support) in fs.itemsets() {
-        if set.is_empty() {
-            continue;
-        }
-        out!(
-            body,
-            "  {:<30} support {} ({:.1}%)",
-            universe.display(set),
-            support,
-            100.0 * *support as f64 / db.n_rows() as f64
-        );
-    }
+    render_itemsets(&mut body, universe, db.n_rows(), fs.itemsets());
     if opts.maximal {
         out!(body, "\nMaximal frequent sets (MTh):");
         for m in &fs.maximal {
-            out!(body, "  {}", universe.display(m));
+            set_line(&mut body, universe, m);
         }
         out!(body, "Negative border (certificate of completeness):");
         for b in &fs.negative_border {
-            out!(body, "  {}", universe.display(b));
+            set_line(&mut body, universe, b);
         }
         if reason.is_none() {
             // Verify with Corollary 4 — belt and braces for the user. Tr
@@ -388,7 +453,9 @@ fn render_mine(
                 rules.len()
             );
             for r in &rules {
-                out!(body, "  {}", r.display(universe));
+                body.push_str("  ");
+                r.write(&mut body, universe);
+                body.push('\n');
             }
         } else {
             out!(
@@ -532,12 +599,12 @@ pub fn keys(
     } else {
         out!(body, "\nMinimal keys:");
         for k in &keys.minimal_keys {
-            out!(body, "  {{{}}}", names(universe, k));
+            braced_line(&mut body, universe, k);
         }
     }
     out!(body, "Maximal agree sets:");
     for ag in &keys.maximal_non_superkeys {
-        out!(body, "  {{{}}}", names(universe, ag));
+        braced_line(&mut body, universe, ag);
     }
     if fds {
         let agree = agree.as_deref().expect("--fds computes agree sets");
@@ -546,12 +613,11 @@ pub fn keys(
         for d in all_minimal_fds(agree, rel.n_attrs(), TrAlgorithm::Auto) {
             for lhs in &d.minimal_lhs {
                 any = true;
-                out!(
-                    body,
-                    "  {{{}}} → {}",
-                    names(universe, lhs),
-                    universe.name(d.target)
-                );
+                body.push_str("  {");
+                universe.write_names(&mut body, lhs, ", ");
+                body.push_str("} → ");
+                body.push_str(universe.name(d.target));
+                body.push('\n');
             }
         }
         if !any {
@@ -659,7 +725,7 @@ pub fn transversals(
     (cx.note)(&format!("note: engine {engine}"));
     out!(body, "\nTr(H): {} minimal transversals:", edges.len());
     for t in &edges {
-        out!(body, "  {{{}}}", names(universe, t));
+        braced_line(&mut body, universe, t);
     }
     Ok(JobOutput {
         body,
@@ -701,5 +767,153 @@ pub fn verify_dual_pair(
             reason: None,
             not_dual: true,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The shorthand before `Universe` precomputed its separator: every
+    /// name rescanned per set.
+    fn reference_display(universe: &Universe, set: &AttrSet) -> String {
+        if set.is_empty() {
+            return "∅".to_string();
+        }
+        let single = (0..universe.size()).all(|i| universe.name(i).chars().count() == 1);
+        let sep = if single { "" } else { "," };
+        set.iter()
+            .map(|i| universe.name(i))
+            .collect::<Vec<_>>()
+            .join(sep)
+    }
+
+    /// The itemset loop before the one-pass renderer.
+    fn reference_itemsets(
+        universe: &Universe,
+        n_rows: usize,
+        itemsets: &[(AttrSet, usize)],
+    ) -> String {
+        let mut body = String::new();
+        for (set, support) in itemsets {
+            if set.is_empty() {
+                continue;
+            }
+            out!(
+                body,
+                "  {:<30} support {} ({:.1}%)",
+                reference_display(universe, set),
+                support,
+                100.0 * *support as f64 / n_rows as f64
+            );
+        }
+        body
+    }
+
+    fn assert_renders_like_reference(
+        universe: &Universe,
+        n_rows: usize,
+        itemsets: &[(AttrSet, usize)],
+    ) {
+        let mut body = String::new();
+        render_itemsets(&mut body, universe, n_rows, itemsets);
+        let want = reference_itemsets(universe, n_rows, itemsets);
+        if body != want {
+            let diff = body.lines().zip(want.lines()).find(|(a, b)| a != b);
+            panic!("n_rows {n_rows}: first differing line {diff:?}");
+        }
+    }
+
+    /// Sets cycling through every size up to the whole universe, so some
+    /// are wider than 30 chars.
+    fn sets(universe: &Universe, count: usize) -> Vec<AttrSet> {
+        let n = universe.size();
+        (0..count)
+            .map(|k| AttrSet::from_indices(n, (0..n).filter(|i| (i * 7 + k) % (k % n + 1) == 0)))
+            .collect()
+    }
+
+    #[test]
+    fn itemset_lines_match_reference_at_every_support() {
+        let universes = [
+            Universe::letters(5),
+            Universe::letters(40),
+            Universe::new(["π", "σ", "Ü", "日"]),
+            Universe::new(["π", "日本", "Ünï", "a", "item_with_a_long_name", "x1"]),
+            Universe::variables(12),
+        ];
+        for n_rows in [1, 3, 7, 1000, 20_000, 52_000] {
+            for universe in &universes {
+                let sets = sets(universe, 64);
+                let itemsets: Vec<(AttrSet, usize)> = (0..=n_rows)
+                    .map(|support| (sets[support % sets.len()].clone(), support))
+                    .collect();
+                assert_renders_like_reference(universe, n_rows, &itemsets);
+            }
+        }
+    }
+
+    #[test]
+    fn percent_text_matches_float_formatting() {
+        let want = |s: usize, n: usize| format!("{:.1}", 100.0 * s as f64 / n as f64);
+        let check = |s: usize, n: usize| {
+            let mut got = String::new();
+            push_percent(&mut got, s, n);
+            assert_eq!(got, want(s, n), "support {s} of {n}");
+        };
+        // Ties, the 2³² edge on both sides, an empty database (NaN), and
+        // a support above n_rows.
+        for n in [
+            0usize,
+            1,
+            2,
+            4,
+            8,
+            20,
+            40,
+            2000,
+            1 << 32,
+            (1 << 32) + 2,
+            6_000_000_014,
+        ] {
+            for s in [
+                0,
+                1,
+                n / 2,
+                n / 4,
+                n / 8,
+                n / 20,
+                n / 40,
+                n.saturating_sub(1),
+                n,
+                n + 1,
+            ] {
+                check(s, n);
+            }
+        }
+        // Pseudo-random pairs up to 2³⁴ rows.
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for _ in 0..200_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let n = (x >> 30) as usize % (1 << 34) + 1;
+            check((x as usize) % (n + 1), n);
+        }
+    }
+
+    #[test]
+    fn set_widths_count_chars_not_bytes() {
+        let universe = Universe::new(["π", "日本", "Ünï"]);
+        let all = universe.full_set();
+        let mut body = String::new();
+        assert_eq!(
+            universe.write_set(&mut body, &all),
+            "π,日本,Ünï".chars().count()
+        );
+        assert_eq!(body, reference_display(&universe, &all));
+        let single = Universe::new(["π", "σ"]);
+        assert_eq!(single.display(&single.full_set()), "πσ");
+        assert_eq!(single.display(&single.empty_set()), "∅");
     }
 }

@@ -546,8 +546,9 @@ fn job_error(e: JobError) -> JobFailure {
 /// configured bounds, before any canonicalization or parsing touches the
 /// text. A cheap linear scan — the point is to reject a 10M-row input
 /// with a typed `too_large` error instead of parsing it first. With
-/// `header`, the first such line is a CSV header, not a data row, and is
-/// not counted.
+/// `header` the text is a CSV relation: the first such line is its
+/// header, not a data row, and is not counted, and comments follow the
+/// CSV rule (only a whole line is one; `#` inside a cell is data).
 fn check_input_size(
     limits: &Limits,
     label: &str,
@@ -561,7 +562,14 @@ fn check_input_size(
     let mut items: HashSet<&str> = HashSet::new();
     let lines = text
         .lines()
-        .map(|line| line.split('#').next().unwrap_or("").trim())
+        .map(|line| {
+            if header {
+                formats::strip_whole_line_comment(line)
+            } else {
+                formats::strip_comment(line)
+            }
+            .trim()
+        })
         .filter(|line| !line.is_empty());
     for line in lines.skip(usize::from(header)) {
         rows += 1;
@@ -1392,6 +1400,29 @@ pub fn start(config: &ServeConfig) -> io::Result<ServerHandle> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn limits(max_rows: u64, max_items: u64) -> Limits {
+        Limits {
+            max_rows,
+            max_items,
+            ..Limits::from_config(&ServeConfig::default())
+        }
+    }
+
+    #[test]
+    fn max_items_counts_hash_cells_of_a_relation_as_data() {
+        // Four distinct cells, each holding a `#`: over a bound of 3.
+        let csv = "a,b\nx#1,y#2\nx#3,y#4\n";
+        let err = check_input_size(&limits(0, 3), "r.csv", csv, true).unwrap_err();
+        assert_eq!(err.kind, Some("too_large"));
+        assert!(err.message.contains("max-items"), "{}", err.message);
+        // A whole-line comment is still not data, and the bound holds.
+        let csv = "a,b\n# x#1,y#2,z#3,w#4\nx,y\n";
+        assert!(check_input_size(&limits(0, 3), "r.csv", csv, true).is_ok());
+        // In a whitespace format `#` starts an inline comment.
+        let baskets = "x y # z w v\n";
+        assert!(check_input_size(&limits(0, 2), "b.txt", baskets, false).is_ok());
+    }
 
     #[test]
     fn job_threads_defaults_to_one_and_caps_at_the_cpus() {

@@ -518,6 +518,37 @@ fn max_rows_does_not_count_a_csv_header() {
     handle.join();
 }
 
+/// `--max-items N` counts a relation's cells the way `keys` parses them:
+/// `#` inside a cell is data, so four distinct `#`-holding cells exceed a
+/// bound of three, while the same relation under a bound of four is served.
+#[test]
+fn max_items_counts_hash_cells_of_a_relation() {
+    let keys_line = |id: u64| {
+        format!(
+            r#"{{"op":"keys","id":{id},"input":{{"inline":"{}"}}}}"#,
+            jesc("a,b\nx#1,y#2\nx#3,y#4\n")
+        )
+    };
+    for (max_items, kind) in [(3, "error"), (4, "result")] {
+        let (handle, addr) = serve(ServeConfig {
+            workers: 1,
+            max_items,
+            ..ServeConfig::default()
+        });
+        let mut conn = Conn::connect(&addr).expect("connect");
+        let events = conn.roundtrip(&keys_line(1), 1).expect("keys job");
+        let last = terminal(&events);
+        assert_eq!(last.kind, kind, "max-items {max_items}");
+        if kind == "error" {
+            assert_eq!(last.str_field("kind"), Some("too_large"));
+            assert!(last.str_field("message").unwrap().contains("max-items"));
+        }
+        handle.shutdown();
+        drop(conn);
+        handle.join();
+    }
+}
+
 /// An oversized frame gets a typed `too_large` error and the connection
 /// is closed (the stream cannot be resynchronized mid-frame).
 #[test]
