@@ -248,6 +248,21 @@ APPEND_REQ='{"op":"mine","id":3,"input":{"path":"'"$TMP/appended.txt"'"},"min_su
 "$DM" request "$ADDR" --json "$APPEND_REQ" > "$TMP/inc.out" 2> "$TMP/inc.err"
 diff "$TMP/appended_ref.out" "$TMP/inc.out"
 grep -q 'note: cache incremental' "$TMP/inc.err"
+# A budgeted append reuses the same base: the update is the levelwise
+# walk over the merged rows, so it stops where the one-shot run under the
+# same budget stops — exit 6 and a byte-identical partial.
+APPEND_Q7_REQ='{"op":"mine","id":10,"input":{"path":"'"$TMP/appended.txt"'"},"min_support":"2","run":{"max_queries":7}}'
+set +e
+"$DM" mine "$TMP/appended.txt" --min-support 2 --max-queries 7 > "$TMP/appended_q7_ref.out"
+ref_code=$?
+"$DM" request "$ADDR" --json "$APPEND_Q7_REQ" > "$TMP/inc_q7.out" 2> "$TMP/inc_q7.err"
+code=$?
+set -e
+[ "$ref_code" -eq 6 ] && [ "$code" -eq 6 ] \
+    || { echo "expected exit 6 from the budgeted append, got $ref_code/$code"; exit 1; }
+diff "$TMP/appended_q7_ref.out" "$TMP/inc_q7.out"
+grep -q 'note: cache incremental' "$TMP/inc_q7.err" \
+    || { echo "the budgeted append was not served incrementally"; exit 1; }
 
 # Kill-and-resume: budget-kill a checkpointing job (exit 6), SIGKILL the
 # server, restart, resume from the persisted envelope to the undisturbed

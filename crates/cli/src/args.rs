@@ -8,7 +8,9 @@
 use std::time::Duration;
 
 use dualminer_hypergraph::TrAlgorithm;
-use dualminer_serve::job::{parse_algo, parse_duration, parse_support, validate_run};
+use dualminer_serve::job::{
+    parse_algo, parse_confidence, parse_duration, parse_support, validate_run,
+};
 use dualminer_serve::server::ServeConfig;
 
 pub use dualminer_serve::job::{RunOpts, Support};
@@ -371,11 +373,7 @@ fn parse_inner(argv: &[String]) -> Result<Command, String> {
                     }
                     "--rules" => {
                         let v = it.next().ok_or("--rules needs a confidence value")?;
-                        let c: f64 = v.parse().map_err(|_| format!("invalid confidence {v:?}"))?;
-                        if !(0.0..=1.0).contains(&c) {
-                            return Err("confidence must be in [0, 1]".into());
-                        }
-                        rules = Some(c);
+                        rules = Some(parse_confidence(v)?);
                     }
                     "--maximal" => maximal = true,
                     other => return Err(format!("mine: unknown flag {other:?}")),
@@ -734,6 +732,25 @@ mod tests {
                 assert_eq!(threads, 1);
             }
             _ => panic!("wrong command"),
+        }
+    }
+
+    #[test]
+    fn rules_confidence_range() {
+        let rules = |c: &str| parse(&v(&["mine", "b.txt", "--min-support", "2", "--rules", c]));
+        for (c, want) in [("0", 0.0), ("0.6", 0.6), ("1", 1.0)] {
+            let cmd = rules(c).unwrap();
+            assert!(
+                matches!(cmd, Command::Mine { rules: Some(r), .. } if r == want),
+                "{c}"
+            );
+        }
+        for c in ["1.5", "-0.1", "NaN", "x"] {
+            assert_eq!(
+                rules(c).unwrap_err(),
+                parse_confidence(c).unwrap_err(),
+                "{c}"
+            );
         }
     }
 

@@ -227,8 +227,9 @@ fn mine(
 }
 
 /// Assembles the walk's result: the theory, its members paired with
-/// their supports, is the itemset list.
-fn frequent_sets(
+/// their supports, is the itemset list. Shared with the incremental
+/// update, which runs the same walk over a merged database.
+pub(crate) fn frequent_sets(
     db: &TransactionDb,
     min_support: usize,
     run: LevelwiseRun<(AttrSet, usize)>,

@@ -5,28 +5,35 @@
 //! supports, so the theory can only grow: old frequent sets stay
 //! frequent, and new frequent sets enter through the old negative border
 //! (a new frequent set's minimal formerly-infrequent ancestor lies in
-//! `Bd⁻(Th_old)`). The update therefore
+//! `Bd⁻(Th_old)`). The update is the levelwise walk
+//! [`dualminer_core::levelwise::walk`] over the merged database, with an
+//! evaluator that answers most candidates from the old collection:
 //!
-//! 1. refreshes supports of `Th_old` with one pass over the new rows,
-//! 2. re-evaluates on the merged database only the border sets the
-//!    appended rows actually contain — an untouched border set kept its
-//!    old sub-threshold support and stays in `Bd⁻` unqueried — and
-//! 3. resumes the levelwise walk only above border sets that crossed the
-//!    threshold.
+//! 1. an old frequent set's support is its old support plus the number of
+//!    appended rows that contain it;
+//! 2. an old border set none of the appended rows contains kept its old
+//!    support, which was < σ by definition of `Bd⁻` — it stays infrequent
+//!    without a database pass;
+//! 3. every other candidate — a border set the delta touched, or a set
+//!    above the old border — is counted on the merged database.
 //!
 //! This is the FUP-style argument expressed in the paper's border
-//! vocabulary, and the cost is `O(touched + growth)` full-database
-//! evaluations plus `O(|Th ∪ Bd⁻|)` subset tests against the delta rows
-//! alone, instead of `|Th ∪ Bd⁻|` full evaluations — the same reason
-//! Corollary 4 makes verification cheap.
+//! vocabulary. The walk evaluates exactly `Th ∪ Bd⁻` of the merged
+//! database (Theorem 10), which contains the old `Th ∪ Bd⁻`, so the cost
+//! is `O(touched + growth)` full-database evaluations plus
+//! `O(|Th ∪ Bd⁻|)` subset tests against the delta rows alone, instead of
+//! `|Th ∪ Bd⁻|` full evaluations — the same reason Corollary 4 makes
+//! verification cheap.
 
-use std::collections::{HashMap, HashSet};
-use std::sync::OnceLock;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dualminer_bitset::AttrSet;
+use dualminer_core::checkpoint::FaultCtl;
+use dualminer_core::levelwise::walk;
 use dualminer_obs::{Meter, NoopObserver, Outcome, RunCtl};
 
-use crate::apriori::FrequentSets;
+use crate::apriori::{frequent_sets, FrequentSets};
 use crate::TransactionDb;
 
 /// Result of an incremental update.
@@ -35,10 +42,12 @@ pub struct IncrementalUpdate {
     /// The merged database (old rows followed by the new ones).
     pub db: TransactionDb,
     /// The updated frequent-set collection — identical to mining the
-    /// merged database from scratch.
+    /// merged database from scratch, and on a budget trip the same
+    /// genuine prefix a from-scratch run leaves under the same query cap.
     pub frequent: FrequentSets,
     /// Support evaluations against the **delta** rows only (refreshing the
-    /// old theory's counts) — each touches just the appended batch.
+    /// old theory's counts, and confirming untouched border sets) — each
+    /// touches just the appended batch.
     pub delta_evaluations: usize,
     /// Support evaluations against the **merged** database (border
     /// re-checks and growth candidates) — the expensive passes; compare
@@ -59,76 +68,15 @@ pub fn append_rows(
     append_rows_ctl(db, old, new_rows, &RunCtl::new(&meter, &NoopObserver)).expect_complete()
 }
 
-/// Sorts and re-derives borders from a support map — the assembly step
-/// shared by complete and budget-exceeded exits.
-fn assemble(
-    merged: TransactionDb,
-    sigma: usize,
-    supports: HashMap<AttrSet, usize>,
-    negative: HashSet<AttrSet>,
-    delta_evaluations: usize,
-    merged_evaluations: usize,
-) -> IncrementalUpdate {
-    let n = merged.n_items();
-    let mut itemsets: Vec<(AttrSet, usize)> = supports.into_iter().collect();
-    itemsets.sort_by(|(a, _), (b, _)| a.cmp_card_lex(b));
-    let members: HashSet<&AttrSet> = itemsets.iter().map(|(s, _)| s).collect();
-    let mut maximal: Vec<AttrSet> = itemsets
-        .iter()
-        .map(|(s, _)| s)
-        .filter(|s| dualminer_bitset::ImmediateSupersets::new(s).all(|t| !members.contains(&t)))
-        .cloned()
-        .collect();
-    let mut negative: Vec<AttrSet> = negative.into_iter().collect();
-    negative.sort_by(|a, b| a.cmp_card_lex(b));
-
-    // Candidate-per-level bookkeeping is not meaningful for an
-    // incremental run; recompute level sizes from the evaluated family.
-    // The top level is often border-only (the border sits one level above
-    // the longest frequent set), so the maximum must range over both
-    // collections.
-    let max_level = itemsets
-        .iter()
-        .map(|(s, _)| s.len())
-        .chain(negative.iter().map(AttrSet::len))
-        .max()
-        .unwrap_or(0);
-    let mut candidates_per_level = Vec::with_capacity(max_level + 1);
-    for level in 0..=max_level {
-        let count = itemsets.iter().filter(|(s, _)| s.len() == level).count()
-            + negative.iter().filter(|s| s.len() == level).count();
-        candidates_per_level.push(count);
-    }
-
-    itemsets.shrink_to_fit();
-    maximal.shrink_to_fit();
-    negative.shrink_to_fit();
-    let frequent = FrequentSets {
-        n_items: n,
-        min_support: sigma,
-        n_rows: merged.n_rows(),
-        itemsets,
-        maximal,
-        negative_border: negative,
-        candidates_per_level,
-        support_index: OnceLock::new(),
-    };
-    IncrementalUpdate {
-        db: merged,
-        frequent,
-        delta_evaluations,
-        merged_evaluations,
-    }
-}
-
 /// [`append_rows`] under a budget and an observer.
 ///
-/// Every support evaluation (delta refresh, border re-check, resumed
-/// walk) records one metered query; the three stages fire phase events.
-/// On a trip the partial update still contains only sets whose merged
-/// support was actually verified ≥ σ, but it may miss part of the theory
-/// growth — unlike a complete run it is *not* guaranteed to equal a
-/// from-scratch mining of the merged database.
+/// The update is the levelwise walk on one thread, so its candidates,
+/// events and budget trips are a cold run's: every evaluation — delta or
+/// merged — records one metered query, and each completed level fires
+/// `on_level`. A budget trip leaves a *genuine prefix* of the walk over
+/// the merged database — under a `max_queries` cap, exactly the partial
+/// [`crate::apriori::apriori_par_ctl`] leaves on the merged database
+/// under the same cap.
 pub fn append_rows_ctl(
     db: &TransactionDb,
     old: &FrequentSets,
@@ -138,133 +86,62 @@ pub fn append_rows_ctl(
     let n = db.n_items();
     assert_eq!(old.n_items(), n, "mined collection from a different schema");
     let sigma = old.min_support();
-    let mut all_rows = db.rows().to_vec();
+    // Rows from the store, not `db.rows()`: `db` may be a shared cached
+    // base, and its lazy transpose would stay resident there.
+    let mut all_rows = db.vstore().to_rows();
     all_rows.extend(new_rows.iter().cloned());
     let merged = TransactionDb::new(n, all_rows);
 
-    let mut merged_evaluations = 0usize;
-    let mut delta_evaluations = 0usize;
-
-    // 1. Old theory: supports only grow; add the delta support. These
-    // passes touch only the appended rows.
-    ctl.observer.on_phase_start("incremental-delta-refresh");
-    let mut supports: HashMap<AttrSet, usize> = HashMap::with_capacity(old.itemsets.len());
-    for (s, supp) in &old.itemsets {
-        if let Some(reason) = ctl.meter.exceeded() {
-            ctl.observer.on_phase_end("incremental-delta-refresh");
-            return Outcome::BudgetExceeded {
-                partial: assemble(
-                    merged,
-                    sigma,
-                    supports,
-                    HashSet::new(),
-                    delta_evaluations,
-                    merged_evaluations,
-                ),
-                reason,
-            };
-        }
-        delta_evaluations += 1;
-        ctl.meter.record_query();
+    // The old theory with its supports, and the old border (`None`).
+    let old_sets: HashMap<&AttrSet, Option<usize>> = old
+        .itemsets
+        .iter()
+        .map(|(s, supp)| (s, Some(*supp)))
+        .chain(old.negative_border.iter().map(|b| (b, None)))
+        .collect();
+    let delta_evaluations = AtomicUsize::new(0);
+    let merged_evaluations = AtomicUsize::new(0);
+    let evaluate = |x: &AttrSet, _: &[usize], _: (&(), &())| {
         // Direct subset tests against the appended rows: the delta is
         // typically a handful of rows, and a subset test per row beats
-        // building a vertical store over them and unpacking the set's
-        // items for every query; this pass runs once per old frequent set.
-        let add = new_rows.iter().filter(|r| s.is_subset(r)).count();
-        supports.insert(s.clone(), supp + add);
-    }
-    ctl.observer.on_phase_end("incremental-delta-refresh");
-
-    // 2 + 3. Promote border sets that crossed the threshold, resuming the
-    // levelwise walk above them.
-    ctl.observer.on_phase_start("incremental-border-recheck");
-    let mut frontier: Vec<AttrSet> = Vec::new();
-    let mut negative: HashSet<AttrSet> = HashSet::new();
-    for b in &old.negative_border {
-        if let Some(reason) = ctl.meter.exceeded() {
-            ctl.observer.on_phase_end("incremental-border-recheck");
-            return Outcome::BudgetExceeded {
-                partial: assemble(
-                    merged,
-                    sigma,
-                    supports,
-                    negative,
-                    delta_evaluations,
-                    merged_evaluations,
-                ),
-                reason,
-            };
-        }
-        // A border set none of the appended rows contains kept its old
-        // support, which was < σ by definition of Bd⁻ — it cannot have
-        // crossed the threshold, so the merged database is only queried
-        // for sets the delta actually touched.
-        if new_rows.iter().all(|r| !b.is_subset(r)) {
-            delta_evaluations += 1;
-            ctl.meter.record_query();
-            negative.insert(b.clone());
-            continue;
-        }
-        merged_evaluations += 1;
-        ctl.meter.record_query();
-        let supp = merged.support(b);
-        if supp >= sigma {
-            supports.insert(b.clone(), supp);
-            frontier.push(b.clone());
-        } else {
-            negative.insert(b.clone());
-        }
-    }
-    ctl.observer.on_phase_end("incremental-border-recheck");
-
-    // Resume: extend newly frequent sets; a candidate is evaluated when
-    // all its immediate subsets are (now) frequent.
-    ctl.observer.on_phase_start("incremental-resume");
-    while let Some(x) = frontier.pop() {
-        for cand in dualminer_bitset::ImmediateSupersets::new(&x) {
-            if supports.contains_key(&cand) || negative.contains(&cand) {
-                continue;
+        // building a vertical store over them.
+        let added = || new_rows.iter().filter(|r| x.is_subset(r));
+        let support = match old_sets.get(x) {
+            // Supports only grow, by the appended rows that contain `x`.
+            Some(Some(supp)) => {
+                delta_evaluations.fetch_add(1, Ordering::Relaxed);
+                supp + added().count()
             }
-            let all_subs_frequent =
-                dualminer_bitset::ImmediateSubsets::new(&cand).all(|s| supports.contains_key(&s));
-            if !all_subs_frequent {
-                continue;
+            // An untouched border set kept its old support, < σ.
+            Some(None) if added().next().is_none() => {
+                delta_evaluations.fetch_add(1, Ordering::Relaxed);
+                return None;
             }
-            if let Some(reason) = ctl.meter.exceeded() {
-                ctl.observer.on_phase_end("incremental-resume");
-                return Outcome::BudgetExceeded {
-                    partial: assemble(
-                        merged,
-                        sigma,
-                        supports,
-                        negative,
-                        delta_evaluations,
-                        merged_evaluations,
-                    ),
-                    reason,
-                };
+            _ => {
+                merged_evaluations.fetch_add(1, Ordering::Relaxed);
+                merged.support(x)
             }
-            merged_evaluations += 1;
-            ctl.meter.record_query();
-            let supp = merged.support(&cand);
-            if supp >= sigma {
-                supports.insert(cand.clone(), supp);
-                frontier.push(cand);
-            } else {
-                negative.insert(cand);
-            }
-        }
-    }
-    ctl.observer.on_phase_end("incremental-resume");
-
-    Outcome::Complete(assemble(
-        merged,
-        sigma,
-        supports,
-        negative,
-        delta_evaluations,
-        merged_evaluations,
-    ))
+        };
+        (support >= sigma).then_some((support, ()))
+    };
+    let outcome = match walk(
+        n,
+        evaluate,
+        |x| merged.support(x),
+        1,
+        ctl,
+        &FaultCtl::none(),
+        None,
+    ) {
+        Ok(outcome) => outcome,
+        Err(aborted) => unreachable!("no faults injected and no checkpoint: {aborted}"),
+    };
+    outcome.map(|run| IncrementalUpdate {
+        frequent: frequent_sets(&merged, sigma, run),
+        db: merged,
+        delta_evaluations: delta_evaluations.into_inner(),
+        merged_evaluations: merged_evaluations.into_inner(),
+    })
 }
 
 #[cfg(test)]

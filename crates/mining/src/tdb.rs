@@ -246,6 +246,20 @@ mod tests {
     }
 
     #[test]
+    fn append_leaves_the_base_untransposed() {
+        // The base of an append may be a shared cached entry: the merged
+        // rows must come from its store, not its lazily cached transpose,
+        // or the horizontal copy stays resident in the entry.
+        let base = small();
+        let old = crate::apriori::apriori(&base, 2);
+        let update =
+            crate::incremental::append_rows(&base, &old, vec![AttrSet::from_indices(4, [0, 3])]);
+        assert!(base.rows.get().is_none());
+        assert_eq!(update.db.n_rows(), 4);
+        assert_eq!(update.db.rows()[..3], *small().rows());
+    }
+
+    #[test]
     #[should_panic(expected = "row universe")]
     fn row_universe_checked() {
         TransactionDb::new(4, vec![AttrSet::empty(5)]);

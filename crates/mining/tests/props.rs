@@ -4,10 +4,11 @@
 use dualminer_bitset::{AttrSet, SubsetsOfSize};
 use dualminer_hypergraph::TrAlgorithm;
 use dualminer_mining::apriori::{apriori, apriori_par_ctl};
+use dualminer_mining::incremental::{append_rows, append_rows_ctl};
 use dualminer_mining::maximal::{maximal_frequent_sets, MaximalStrategy};
 use dualminer_mining::rules::association_rules;
 use dualminer_mining::TransactionDb;
-use dualminer_obs::{Meter, NoopObserver, RunCtl};
+use dualminer_obs::{Budget, Meter, NoopObserver, RunCtl};
 use proptest::prelude::*;
 
 const N: usize = 6;
@@ -15,6 +16,15 @@ const N: usize = 6;
 fn arb_db() -> impl Strategy<Value = TransactionDb> {
     proptest::collection::vec(proptest::collection::vec(0..N, 0..N), 0..12)
         .prop_map(|rows| TransactionDb::from_index_rows(N, rows))
+}
+
+/// A batch of up to five appended rows.
+fn arb_rows() -> impl Strategy<Value = Vec<AttrSet>> {
+    proptest::collection::vec(proptest::collection::vec(0..N, 0..N), 0..6).prop_map(|rows| {
+        rows.into_iter()
+            .map(|r| AttrSet::from_indices(N, r))
+            .collect()
+    })
 }
 
 proptest! {
@@ -148,20 +158,81 @@ proptest! {
     #[test]
     fn incremental_matches_scratch(
         db in arb_db(),
-        extra in proptest::collection::vec(proptest::collection::vec(0..N, 0..N), 0..6),
+        extra in arb_rows(),
         sigma in 1usize..3,
     ) {
-        use dualminer_bitset::AttrSet;
-        let old = dualminer_mining::apriori::apriori(&db, sigma);
-        let extra_rows: Vec<AttrSet> = extra
-            .into_iter()
-            .map(|r| AttrSet::from_indices(N, r))
-            .collect();
-        let update = dualminer_mining::incremental::append_rows(&db, &old, extra_rows);
-        let fresh = dualminer_mining::apriori::apriori(&update.db, sigma);
+        let old = apriori(&db, sigma);
+        let untouched_border = old
+            .negative_border
+            .iter()
+            .filter(|b| extra.iter().all(|r| !b.is_subset(r)))
+            .count();
+        let update = append_rows(&db, &old, extra);
+        let fresh = apriori(&update.db, sigma);
         prop_assert_eq!(update.frequent.itemsets(), fresh.itemsets());
-        prop_assert_eq!(update.frequent.maximal, fresh.maximal);
-        prop_assert_eq!(update.frequent.negative_border, fresh.negative_border);
+        prop_assert_eq!(&update.frequent.maximal, &fresh.maximal);
+        prop_assert_eq!(&update.frequent.negative_border, &fresh.negative_border);
+        prop_assert_eq!(
+            &update.frequent.candidates_per_level,
+            &fresh.candidates_per_level
+        );
+        // The old theory and the border the delta left untouched are
+        // answered from the appended rows alone; everything else costs a
+        // merged-database pass, and the two add up to a cold run's count.
+        prop_assert_eq!(
+            update.delta_evaluations,
+            old.itemsets().len() + untouched_border
+        );
+        prop_assert_eq!(
+            (update.delta_evaluations + update.merged_evaluations) as u64,
+            fresh.queries()
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every `max_queries = k` up to the merged run's query count: the
+    /// incremental update stops at the same genuine prefix, after the
+    /// same metered queries, as a cold one-thread mine of the merged
+    /// database under the same cap.
+    #[test]
+    fn budgeted_incremental_equals_budgeted_scratch(
+        db in arb_db(),
+        extra in arb_rows(),
+        sigma in 1usize..3,
+    ) {
+        let old = apriori(&db, sigma);
+        let merged = append_rows(&db, &old, extra.clone()).db;
+        let count = apriori(&merged, sigma).queries();
+        for k in 1..=count {
+            let run = |incremental: bool| {
+                let meter = Budget {
+                    max_queries: Some(k),
+                    ..Budget::UNLIMITED
+                }
+                .start();
+                let ctl = RunCtl::new(&meter, &NoopObserver);
+                let (fs, reason) = if incremental {
+                    let (update, reason) = append_rows_ctl(&db, &old, extra.clone(), &ctl).into_parts();
+                    (update.frequent, reason)
+                } else {
+                    apriori_par_ctl(&merged, sigma, 1, &ctl).into_parts()
+                };
+                (
+                    fs.itemsets().to_vec(),
+                    fs.maximal,
+                    fs.negative_border,
+                    fs.candidates_per_level,
+                    reason,
+                    meter.queries(),
+                )
+            };
+            let incremental = run(true);
+            prop_assert_eq!(incremental.4.is_none(), k == count, "k={}", k);
+            prop_assert_eq!(incremental, run(false), "k={}", k);
+        }
     }
 }
 

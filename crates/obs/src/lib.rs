@@ -75,9 +75,7 @@ impl Budget {
     /// Applies a server-side deadline policy: a budget with no timeout
     /// inherits `default`, and any timeout (including an inherited one)
     /// is capped at `max`. Returns the adjusted budget and whether the
-    /// policy changed anything — callers that prove bit-identity only
-    /// for unbudgeted runs (incremental re-mining) must treat a clamped
-    /// budget exactly like a client-requested one.
+    /// policy changed anything (the daemon counts clamped jobs).
     pub fn clamp_timeout(self, default: Option<Duration>, max: Option<Duration>) -> (Budget, bool) {
         let mut timeout = self.timeout.or(default);
         if let (Some(t), Some(cap)) = (timeout, max) {

@@ -215,11 +215,19 @@ pub fn fingerprint_hypergraph(text: &str) -> Result<u64, FormatError> {
 /// sentinel symbol no parse can produce (the empty string — vertex tokens
 /// come from `split_whitespace`). Vertex *spellings* are canonically
 /// irrelevant here: the verdict depends only on the two index families,
-/// and no name is ever printed.
-pub fn fingerprint_dual_pair(f_text: &str, g_text: &str) -> Result<u64, FormatError> {
+/// and no name is ever printed. A parse error names the file that
+/// failed: `f_label` or `g_label`.
+pub(crate) fn fingerprint_dual_pair(
+    f_text: &str,
+    g_text: &str,
+    f_label: &str,
+    g_label: &str,
+) -> Result<u64, FormatError> {
     let mut vertices = Interner::new();
-    let f_raw = formats::parse_hypergraph_raw(f_text, &mut vertices)?;
-    let g_raw = formats::parse_hypergraph_raw(g_text, &mut vertices)?;
+    let f_raw =
+        formats::parse_hypergraph_raw(f_text, &mut vertices).map_err(|e| e.in_file(f_label))?;
+    let g_raw =
+        formats::parse_hypergraph_raw(g_text, &mut vertices).map_err(|e| e.in_file(g_label))?;
     let mut fp = RowFingerprint::new();
     let mut seen = 0;
     replay_edges(&mut fp, &f_raw, None, &mut seen);
@@ -288,7 +296,7 @@ mod tests {
             0xcc92_cf00_4d8a_5707
         );
         assert_eq!(
-            fingerprint_dual_pair("x y\ny z\n", "y\nx z\n").unwrap(),
+            fingerprint_dual_pair("x y\ny z\n", "y\nx z\n", "f", "g").unwrap(),
             0x2bfa_309c_b3ee_4fe1
         );
     }
@@ -361,16 +369,16 @@ mod tests {
 
     #[test]
     fn dual_pair_fingerprints() {
-        let a = fingerprint_dual_pair("x y\ny z\n", "y\nx z\n").unwrap();
+        let a = fingerprint_dual_pair("x y\ny z\n", "y\nx z\n", "f", "g").unwrap();
         // Renaming vertices consistently does not change the verdict and
         // does not change the fingerprint.
-        let b = fingerprint_dual_pair("p q\nq r\n", "q\np r\n").unwrap();
+        let b = fingerprint_dual_pair("p q\nq r\n", "q\np r\n", "f", "g").unwrap();
         assert_eq!(a, b);
         // Swapping the families does.
-        let c = fingerprint_dual_pair("y\nx z\n", "x y\ny z\n").unwrap();
+        let c = fingerprint_dual_pair("y\nx z\n", "x y\ny z\n", "f", "g").unwrap();
         assert_ne!(a, c);
         // Moving an edge across the separator does.
-        let d = fingerprint_dual_pair("x y\n", "y z\ny\nx z\n").unwrap();
+        let d = fingerprint_dual_pair("x y\n", "y z\ny\nx z\n", "f", "g").unwrap();
         assert_ne!(a, d);
     }
 

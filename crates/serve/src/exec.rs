@@ -504,11 +504,14 @@ pub fn mine(
 /// rows through the FUP-style border update instead of from-scratch
 /// work, then renders through the same `render_mine` as the cold path.
 ///
-/// On a complete run the update is proven bit-identical to mining the
-/// merged database from scratch (itemsets, maximal sets, negative
-/// border, per-level candidate accounting), so the rendered body is
-/// byte-equal to a cold run on the appended input. Returns the merged
-/// database and collection for re-caching under the new fingerprint.
+/// The update is the levelwise walk over the merged database, so a
+/// complete run is bit-identical to mining it from scratch (itemsets,
+/// maximal sets, negative border, per-level candidate accounting) and a
+/// budget-tripped run is a genuine prefix — under `max_queries`, the
+/// one a cold run leaves under the same cap. In both cases the rendered
+/// body is byte-equal to a cold run's on the appended input. Returns the
+/// merged database and collection for re-caching under the new
+/// fingerprint.
 pub fn mine_incremental(
     universe: &Universe,
     old_db: &TransactionDb,

@@ -143,6 +143,17 @@ pub fn parse_support(s: &str) -> Result<Support, String> {
     }
 }
 
+/// Parses a `--rules` / `"rules"` minimum confidence: a fraction in
+/// `[0, 1]`.
+pub fn parse_confidence(s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(c) if (0.0..=1.0).contains(&c) => Ok(c),
+        _ => Err(format!(
+            "invalid rules confidence {s:?} (want fraction in [0, 1])"
+        )),
+    }
+}
+
 /// Cross-flag validation shared by the CLI parser and the wire protocol.
 pub fn validate_run(run: &RunOpts) -> Result<(), String> {
     if run.resume && run.checkpoint.is_none() {

@@ -280,13 +280,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
                 .ok_or_else(|| ProtoError::new("mine requires \"min_support\""))
                 .and_then(|s| job::parse_support(s).map_err(ProtoError::new))?,
             rules: str_field(&obj, "rules")?
-                .map(|s| match s.parse::<f64>() {
-                    Ok(c) if c > 0.0 && c <= 1.0 => Ok(c),
-                    _ => Err(ProtoError::new(format!(
-                        "invalid rules confidence {s:?} (want fraction in (0,1])"
-                    ))),
-                })
-                .transpose()?,
+                .map(job::parse_confidence)
+                .transpose()
+                .map_err(ProtoError::new)?,
             maximal: bool_field(&obj, "maximal")?,
             segment_rows: INERT_ROW_CAP,
         },
@@ -355,6 +351,25 @@ impl JobRequest {
     /// flags (`progress`, `cache`), which change what is streamed but
     /// never what is computed.
     pub fn params_fingerprint(&self) -> u64 {
+        self.fingerprint_with(&self.run)
+    }
+
+    /// The params fingerprint of this request with its budget cleared:
+    /// the key a cached incremental base is looked up under. A budget
+    /// decides only where a run stops, never what a complete run answers,
+    /// so one complete base serves the request at every budget.
+    pub(crate) fn base_params_fingerprint(&self) -> u64 {
+        self.fingerprint_with(&RunOpts {
+            timeout: None,
+            max_queries: None,
+            max_transversals: None,
+            ..self.run.clone()
+        })
+    }
+
+    /// [`params_fingerprint`](Self::params_fingerprint) with `run` in
+    /// place of the request's run tier.
+    fn fingerprint_with(&self, run: &RunOpts) -> u64 {
         let mut h = dualminer_obs::FnvStream::new();
         let tag = |h: &mut dualminer_obs::FnvStream, s: &str| {
             h.update_u64(s.len() as u64);
@@ -393,7 +408,6 @@ impl JobRequest {
             OpKind::VerifyDual => {}
         }
         h.update_u64(self.threads as u64);
-        let run = &self.run;
         h.update_u64(run.timeout.map_or(u64::MAX, |d| d.as_nanos() as u64));
         h.update_u64(run.max_queries.unwrap_or(u64::MAX));
         h.update_u64(run.max_transversals.unwrap_or(u64::MAX));
@@ -755,6 +769,54 @@ mod tests {
             let err = parse_request(line).unwrap_err();
             assert!(err.message.contains(want), "{line} → {err}");
         }
+    }
+
+    #[test]
+    fn rules_confidence_is_the_flag_parser() {
+        // The wire accepts exactly what `--rules` accepts: [0, 1].
+        let line = |c: &str| {
+            format!(
+                r#"{{"op":"mine","id":1,"input":{{"path":"x"}},"min_support":"2","rules":"{c}"}}"#
+            )
+        };
+        for (c, want) in [("0", 0.0), ("0.6", 0.6), ("1", 1.0)] {
+            let Ok(Request::Job(job)) = parse_request(&line(c)) else {
+                panic!("{c} rejected")
+            };
+            assert!(
+                matches!(job.op, OpKind::Mine { rules: Some(r), .. } if r == want),
+                "{c}"
+            );
+        }
+        for c in ["1.5", "-0.1", "NaN", "x"] {
+            let err = parse_request(&line(c)).unwrap_err();
+            assert_eq!(err.message, job::parse_confidence(c).unwrap_err(), "{c}");
+        }
+    }
+
+    #[test]
+    fn base_params_ignore_only_the_budget() {
+        let job = |run: &str| {
+            let line =
+                format!(r#"{{"op":"mine","id":1,"input":{{"path":"x"}},"min_support":"2"{run}}}"#);
+            let Ok(Request::Job(job)) = parse_request(&line) else {
+                panic!("{line}")
+            };
+            job
+        };
+        let plain = job("").params_fingerprint();
+        assert_eq!(job("").base_params_fingerprint(), plain);
+        for run in [
+            r#","run":{"max_queries":7}"#,
+            r#","run":{"timeout":"2s","max_transversals":3}"#,
+        ] {
+            assert_ne!(job(run).params_fingerprint(), plain, "{run}");
+            assert_eq!(job(run).base_params_fingerprint(), plain, "{run}");
+        }
+        assert_ne!(
+            job(r#","run":{"max_queries":7,"retry":1}"#).base_params_fingerprint(),
+            plain
+        );
     }
 
     #[test]

@@ -306,10 +306,6 @@ struct QueuedJob {
     /// against the budget, so a job that aged out in the queue is shed
     /// instead of computed for a client that already gave up on it.
     deadline: Option<Instant>,
-    /// Whether the server changed the requested timeout (defaulted or
-    /// capped). A clamped job skips the incremental route — bit-identity
-    /// with a from-scratch run is proven only for unbudgeted runs.
-    clamped: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -621,16 +617,13 @@ fn storeable(req: &JobRequest) -> bool {
 }
 
 /// Whether a mine request may be served by incremental re-mining on top
-/// of a cached base. Stricter than [`storeable`]: the FUP-style update is
-/// proven bit-identical to from-scratch only for *complete* runs over a
-/// fixed absolute threshold, so any budget that could cut the run short
-/// mid-update, and any relative threshold (which resolves differently on
-/// the extended row count), falls back to a cold run.
+/// of a cached base: a plain run over a fixed absolute threshold. A
+/// relative threshold resolves differently on the extended row count, so
+/// it falls back to a cold run. A budget does not: the update is the
+/// levelwise walk over the merged database, so a trip leaves the same
+/// prefix a cold run leaves under the same budget.
 fn incremental_ok(req: &JobRequest) -> bool {
     storeable(req)
-        && req.run.timeout.is_none()
-        && req.run.max_queries.is_none()
-        && req.run.max_transversals.is_none()
         && matches!(
             req.op,
             OpKind::Mine {
@@ -648,47 +641,40 @@ fn serve_job(
     req: &JobRequest,
     meter: &Arc<Meter>,
     sink: &Arc<ConnSink>,
-    clamped: bool,
 ) -> Result<Served, JobFailure> {
     let id = req.id;
 
     // Read and fingerprint the input. Mine keeps its canonical form for
-    // the appended-rows probe and the (single) parse. Size bounds are
-    // enforced on the raw text, before any canonicalization.
+    // the appended-rows probe and the (single) parse; verify-dual keeps
+    // its second text, so the verdict is computed from the very bytes its
+    // cache key digests. Size bounds are enforced on the raw text, before
+    // any canonicalization.
     let text = read_input(&req.input)?;
     let header = matches!(req.op, OpKind::Keys { .. });
     check_input_size(&shared.limits, req.input.label(), &text, header)?;
-    let (content, mine_canon) = match &req.op {
+    let mut mine_canon = None;
+    let mut text2 = None;
+    let content = match &req.op {
         OpKind::Mine { .. } => {
             let canon = canon::canon_baskets(&text)
                 .map_err(|e| JobFailure::new(3, e.in_file(req.input.label()).to_string()))?;
-            (canon.fingerprint, Some(canon))
+            mine_canon.insert(canon).fingerprint
         }
-        OpKind::Transversals { .. } => (
-            canon::fingerprint_hypergraph(&text)
-                .map_err(|e| JobFailure::new(3, e.in_file(req.input.label()).to_string()))?,
-            None,
-        ),
-        OpKind::Keys { .. } => (
-            canon::fingerprint_relation(&text)
-                .map_err(|e| JobFailure::new(3, e.in_file(req.input.label()).to_string()))?,
-            None,
-        ),
+        OpKind::Transversals { .. } => canon::fingerprint_hypergraph(&text)
+            .map_err(|e| JobFailure::new(3, e.in_file(req.input.label()).to_string()))?,
+        OpKind::Keys { .. } => canon::fingerprint_relation(&text)
+            .map_err(|e| JobFailure::new(3, e.in_file(req.input.label()).to_string()))?,
         OpKind::VerifyDual => {
             let input2 = req.input2.as_ref().expect("parser enforced input2");
             let g_text = read_input(input2)?;
             check_input_size(&shared.limits, input2.label(), &g_text, false)?;
-            let fp = canon::fingerprint_dual_pair(&text, &g_text).map_err(|e| {
-                // The raw parse error does not say which file; report the
-                // one that fails to parse alone.
-                let label = if formats::parse_hypergraph(&text).is_err() {
-                    req.input.label()
-                } else {
-                    input2.label()
-                };
-                JobFailure::new(3, e.in_file(label).to_string())
-            })?;
-            (fp, None)
+            canon::fingerprint_dual_pair(
+                &text,
+                text2.insert(g_text),
+                req.input.label(),
+                input2.label(),
+            )
+            .map_err(|e| JobFailure::new(3, e.to_string()))?
         }
     };
     let params = req.params_fingerprint();
@@ -761,7 +747,15 @@ fn serve_job(
     };
 
     let outcome = compute_fresh(
-        shared, req, meter, sink, clamped, &text, mine_canon, params, content,
+        shared,
+        req,
+        meter,
+        sink,
+        &text,
+        text2.as_deref(),
+        mine_canon,
+        params,
+        content,
     );
 
     // Publish to waiters and clear the flight — on every path, including
@@ -793,16 +787,17 @@ fn job_threads(requested: usize) -> usize {
 
 /// Runs the engines for a job that neither the cache nor an in-flight
 /// twin could answer: the incremental route when a cached base covers a
-/// prefix of the input, a cold [`crate::exec`] run otherwise. Complete
-/// results of plain runs are stored for the next request.
+/// prefix of the input, a cold [`crate::exec`] run otherwise. `text2` is
+/// verify-dual's second input as [`serve_job`] read it. Complete results
+/// of plain runs are stored for the next request.
 #[allow(clippy::too_many_arguments)]
 fn compute_fresh(
     shared: &Shared,
     req: &JobRequest,
     meter: &Arc<Meter>,
     sink: &Arc<ConnSink>,
-    clamped: bool,
     text: &str,
+    text2: Option<&str>,
     mine_canon: Option<canon::CanonBaskets>,
     params: u64,
     content: u64,
@@ -840,11 +835,12 @@ fn compute_fresh(
                 rules: *rules,
                 maximal: *maximal,
             };
-            // A server-clamped deadline can cut the FUP update short
-            // mid-merge, so a clamped job takes the cold route even when
-            // the request itself looks incremental-eligible.
-            let base = (incremental_ok(req) && !clamped)
-                .then(|| shared.cache.find_mine_base(params, &canon))
+            let base = incremental_ok(req)
+                .then(|| {
+                    shared
+                        .cache
+                        .find_mine_base(req.base_params_fingerprint(), &canon)
+                })
                 .flatten();
             if let Some((entry, base_rows)) = base {
                 // Incremental re-mining from the cached prefix.
@@ -894,8 +890,8 @@ fn compute_fresh(
         }
         OpKind::VerifyDual => {
             let input2 = req.input2.as_ref().expect("parser enforced input2");
-            let g_text = read_input(input2)?;
-            exec::verify_dual_pair(text, &g_text, req.input.label(), input2.label())
+            let g_text = text2.expect("serve_job read input2");
+            exec::verify_dual_pair(text, g_text, req.input.label(), input2.label())
                 .map_err(job_error)?
         }
     };
@@ -955,7 +951,6 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         req,
         budget,
         deadline,
-        clamped,
     } = job;
     let id = req.id;
     shared.counters.busy_workers.fetch_add(1, Ordering::Relaxed);
@@ -982,7 +977,7 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         meter.cancel();
     }
 
-    let outcome = serve_job(shared, &req, &meter, &sink, clamped);
+    let outcome = serve_job(shared, &req, &meter, &sink);
 
     // Deregister (only if this registration is still ours — a reused job
     // id re-registers and must not be unregistered by the older job).
@@ -1125,7 +1120,6 @@ fn handle_conn(shared: Arc<Shared>, reader: Box<dyn Read + Send>, writer: Box<dy
                     req,
                     budget,
                     deadline,
-                    clamped,
                 });
                 drop(queue);
                 shared.queue_cv.notify_one();

@@ -224,10 +224,9 @@ fn incremental_append_reuses_the_cached_base() {
 }
 
 #[test]
-fn relative_support_and_budgeted_runs_fall_back_to_cold_mining() {
-    // Neither route may use the FUP update: a relative threshold resolves
-    // differently on the appended row count, and a budget could interrupt
-    // the update at a state that is not bit-identical to from-scratch.
+fn relative_support_falls_back_to_cold_mining_and_budgets_do_not() {
+    // A relative threshold resolves differently on the appended row
+    // count, so it may not use the incremental update.
     let (handle, addr) = serve(1);
     let mut conn = Conn::connect(&addr).unwrap();
     let appended = format!("{BASKETS}milk eggs\n");
@@ -248,12 +247,85 @@ fn relative_support_and_budgeted_runs_fall_back_to_cold_mining() {
         "miss",
         "relative support is never served incrementally"
     );
-    let budgeted = mine_line(3, &appended, r#","run":{"max_queries":100000}"#);
-    assert_eq!(
-        field(terminal(&conn.roundtrip(&budgeted, 3).unwrap()), "cache"),
-        "miss",
-        "a budgeted run is never served incrementally"
-    );
+
+    // A budget may: the update is the levelwise walk over the merged
+    // rows, so a budgeted append reuses the unbudgeted base and stops
+    // exactly where a cold run under the same budget stops.
+    let base = conn.roundtrip(&mine_line(3, BASKETS, ""), 3).unwrap();
+    assert_eq!(field(terminal(&base), "cache"), "miss");
+    for (id, max_queries, exit) in [(4, 7, 6), (6, 100_000, 0)] {
+        let run = format!(r#","run":{{"max_queries":{max_queries}}}"#);
+        let inc = conn.roundtrip(&mine_line(id, &appended, &run), id).unwrap();
+        let bypass = format!(r#","cache":"bypass"{run}"#);
+        let cold = conn
+            .roundtrip(&mine_line(id + 1, &appended, &bypass), id + 1)
+            .unwrap();
+        let (inc, cold) = (terminal(&inc), terminal(&cold));
+        assert_eq!(
+            field(inc, "cache"),
+            "incremental",
+            "max_queries {max_queries}"
+        );
+        assert_eq!(field(cold, "cache"), "miss", "max_queries {max_queries}");
+        assert_eq!(
+            field(inc, "body"),
+            field(cold, "body"),
+            "max_queries {max_queries}"
+        );
+        assert_eq!(
+            inc.int_field("exit"),
+            Some(exit),
+            "max_queries {max_queries}"
+        );
+        assert_eq!(
+            cold.int_field("exit"),
+            Some(exit),
+            "max_queries {max_queries}"
+        );
+    }
+    handle.shutdown();
+    handle.join();
+}
+
+#[test]
+fn verify_dual_parse_errors_name_the_failing_file() {
+    let (handle, addr) = serve(1);
+    let mut conn = Conn::connect(&addr).unwrap();
+    let dir = std::env::temp_dir().join(format!("dualminer-dual-labels-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // A file with no edges is the one way a hypergraph fails to parse.
+    const NO_EDGES: &str = "# no edges\n";
+    let good = dir.join("good.txt");
+    let bad = dir.join("bad.txt");
+    std::fs::write(&good, DUAL_F).unwrap();
+    std::fs::write(&bad, NO_EDGES).unwrap();
+    let (good, bad) = (good.to_str().unwrap(), bad.to_str().unwrap());
+    let path = |p: &str| format!(r#"{{"path":"{}"}}"#, jesc(p));
+    let inline = |t: &str| format!(r#"{{"inline":"{}"}}"#, jesc(t));
+    let cases = [
+        (inline(NO_EDGES), path(good), "<inline>"),
+        (path(good), inline(NO_EDGES), "<inline>"),
+        (path(bad), inline(DUAL_G), bad),
+        (inline(DUAL_F), path(bad), bad),
+        (path(bad), path(good), bad),
+        (path(good), path(bad), bad),
+    ];
+    for (id, (f, g, want)) in (1u64..).zip(cases) {
+        let line = format!(r#"{{"op":"verify-dual","id":{id},"input":{f},"input2":{g}}}"#);
+        let events = conn.roundtrip(&line, id).unwrap();
+        let ev = terminal(&events);
+        assert_eq!(
+            (ev.kind.as_str(), ev.int_field("code")),
+            ("error", Some(3)),
+            "{line}"
+        );
+        let message = field(ev, "message");
+        assert!(
+            message.starts_with(&format!("{want}:")),
+            "{line} → {message}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
     handle.shutdown();
     handle.join();
 }
