@@ -248,8 +248,8 @@ APPEND_REQ='{"op":"mine","id":3,"input":{"path":"'"$TMP/appended.txt"'"},"min_su
 "$DM" request "$ADDR" --json "$APPEND_REQ" > "$TMP/inc.out" 2> "$TMP/inc.err"
 diff "$TMP/appended_ref.out" "$TMP/inc.out"
 grep -q 'note: cache incremental' "$TMP/inc.err"
-# A budgeted append reuses the same base: the update is the levelwise
-# walk over the merged rows, so it stops where the one-shot run under the
+# A budgeted append reuses the same base: the update meters each level
+# as the cold walk does, so it stops where the one-shot run under the
 # same budget stops — exit 6 and a byte-identical partial.
 APPEND_Q7_REQ='{"op":"mine","id":10,"input":{"path":"'"$TMP/appended.txt"'"},"min_support":"2","run":{"max_queries":7}}'
 set +e
@@ -263,6 +263,30 @@ set -e
 diff "$TMP/appended_q7_ref.out" "$TMP/inc_q7.out"
 grep -q 'note: cache incremental' "$TMP/inc_q7.err" \
     || { echo "the budgeted append was not served incrementally"; exit 1; }
+# A second append promotes the old border sets {eggs} and {milk, butter}
+# and grows their supersets up to the full item set (levels 2–4). The
+# update counts only those sets and still prints the one-shot output byte
+# for byte: complete, and under a cap of 13 queries, which trips inside
+# level 3, where every candidate is growth.
+printf 'milk butter bread eggs\nmilk butter bread eggs\n' | cat "$TMP/baskets.txt" - > "$TMP/grown.txt"
+"$DM" mine "$TMP/grown.txt" --min-support 2 > "$TMP/grown_ref.out"
+GROWN_REQ='{"op":"mine","id":13,"input":{"path":"'"$TMP/grown.txt"'"},"min_support":"2"}'
+"$DM" request "$ADDR" --json "$GROWN_REQ" > "$TMP/grown.out" 2> "$TMP/grown.err"
+diff "$TMP/grown_ref.out" "$TMP/grown.out"
+grep -q 'note: cache incremental' "$TMP/grown.err" \
+    || { echo "the growing append was not served incrementally"; exit 1; }
+GROWN_Q13_REQ='{"op":"mine","id":14,"input":{"path":"'"$TMP/grown.txt"'"},"min_support":"2","run":{"max_queries":13}}'
+set +e
+"$DM" mine "$TMP/grown.txt" --min-support 2 --max-queries 13 > "$TMP/grown_q13_ref.out"
+ref_code=$?
+"$DM" request "$ADDR" --json "$GROWN_Q13_REQ" > "$TMP/grown_q13.out" 2> "$TMP/grown_q13.err"
+code=$?
+set -e
+[ "$ref_code" -eq 6 ] && [ "$code" -eq 6 ] \
+    || { echo "expected exit 6 from the budgeted growing append, got $ref_code/$code"; exit 1; }
+diff "$TMP/grown_q13_ref.out" "$TMP/grown_q13.out"
+grep -q 'note: cache incremental' "$TMP/grown_q13.err" \
+    || { echo "the budgeted growing append was not served incrementally"; exit 1; }
 
 # Kill-and-resume: budget-kill a checkpointing job (exit 6), SIGKILL the
 # server, restart, resume from the persisted envelope to the undisturbed

@@ -53,7 +53,7 @@ mod universe;
 
 pub use attr_set::AttrSet;
 pub use enumerate::{ImmediateSubsets, ImmediateSupersets, SubsetsOfSize};
-pub use set_trie::{NodeId, SetTrie, SubsetsOf};
+pub use set_trie::{NodeId, SetTrie};
 pub use universe::{ParseSetError, Universe};
 
 /// Number of bits in one storage block of an [`AttrSet`].

@@ -293,66 +293,6 @@ impl SetTrie {
         }
         false
     }
-
-    /// Iterates over the stored subsets of `x`, in ascending-index
-    /// lexicographic order, materialized over `x`'s universe.
-    pub fn subsets_of<'a>(&'a self, x: &'a AttrSet) -> SubsetsOf<'a> {
-        SubsetsOf {
-            trie: self,
-            x,
-            stack: vec![(0, 0)],
-            path: Vec::new(),
-        }
-    }
-}
-
-/// Iterator over the stored subsets of a query set — see
-/// [`SetTrie::subsets_of`].
-pub struct SubsetsOf<'a> {
-    trie: &'a SetTrie,
-    x: &'a AttrSet,
-    /// DFS frames: `(node, cursor)`. Cursor 0 means the node's terminal
-    /// flag has not been checked yet; cursor `i + 1` means children up to
-    /// index `i` (exclusive) have been visited.
-    stack: Vec<(u32, u32)>,
-    /// Items along the current path.
-    path: Vec<usize>,
-}
-
-impl Iterator for SubsetsOf<'_> {
-    type Item = AttrSet;
-
-    fn next(&mut self) -> Option<AttrSet> {
-        loop {
-            let &mut (node, ref mut cursor) = self.stack.last_mut()?;
-            let nd = &self.trie.nodes[node as usize];
-            if *cursor == 0 {
-                *cursor = 1;
-                if nd.terminal {
-                    return Some(AttrSet::from_indices(
-                        self.x.universe_size(),
-                        self.path.iter().copied(),
-                    ));
-                }
-                continue;
-            }
-            let mut i = (*cursor - 1) as usize;
-            while i < nd.children.len() && !self.x.contains(nd.children[i].0 as usize) {
-                i += 1;
-            }
-            match nd.children.get(i) {
-                Some(&(item, child)) => {
-                    *cursor = (i + 2) as u32;
-                    self.path.push(item as usize);
-                    self.stack.push((child, 0));
-                }
-                None => {
-                    self.stack.pop();
-                    self.path.pop();
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -371,7 +311,6 @@ mod tests {
         assert!(!trie.has_subset_of(&set([0, 1, 2])));
         assert!(!trie.has_superset_of(&set([])));
         assert!(!trie.has_proper_superset_of(&set([])));
-        assert_eq!(trie.subsets_of(&set([0, 1])).count(), 0);
     }
 
     #[test]
@@ -440,28 +379,6 @@ mod tests {
         assert!(!trie.has_subset_of(&set([2, 4])));
         assert!(trie.has_superset_of(&set([2, 4])));
         assert!(trie.has_proper_superset_of(&set([2, 4])));
-    }
-
-    #[test]
-    fn subsets_of_yields_lex_order() {
-        let mut trie = SetTrie::new();
-        for s in [
-            vec![],
-            vec![0],
-            vec![0, 1],
-            vec![0, 5],
-            vec![1, 2],
-            vec![3],
-            vec![0, 1, 5],
-        ] {
-            trie.insert(&set(s));
-        }
-        let x = set([0, 1, 5]);
-        let got: Vec<Vec<usize>> = trie.subsets_of(&x).map(|s| s.to_vec()).collect();
-        assert_eq!(
-            got,
-            vec![vec![], vec![0], vec![0, 1], vec![0, 1, 5], vec![0, 5]]
-        );
     }
 
     #[test]

@@ -344,6 +344,37 @@ impl VStore {
         out
     }
 
+    /// This store with `rows` appended: one arena copy that moves each
+    /// item's run into a run of the new length, then sets the appended
+    /// rows' bits. `self` is only read, never transposed.
+    ///
+    /// # Panics
+    /// Panics if any row's universe differs from the item count.
+    pub(crate) fn appended(&self, rows: &[AttrSet]) -> VStore {
+        let n_rows = self.n_rows + rows.len();
+        let blocks = n_rows.div_ceil(64);
+        let mut bits = vec![0; self.n_items * blocks];
+        for item in 0..self.n_items {
+            bits[item * blocks..][..self.blocks].copy_from_slice(self.run(item));
+        }
+        for (tid, row) in (self.n_rows..).zip(rows) {
+            assert_eq!(
+                row.universe_size(),
+                self.n_items,
+                "row universe does not match item count"
+            );
+            for item in row {
+                bits[item * blocks + tid / 64] |= 1 << (tid % 64);
+            }
+        }
+        VStore {
+            n_items: self.n_items,
+            n_rows,
+            blocks,
+            bits,
+        }
+    }
+
     /// Reconstructs the horizontal rows (the lazy-row path of
     /// `TransactionDb`).
     pub fn to_rows(&self) -> Vec<AttrSet> {
@@ -510,6 +541,33 @@ mod tests {
                 let want: Vec<usize> = (0..n_rows).filter(|&t| rs[t].contains(i)).collect();
                 assert_eq!(vs.column(i).to_vec(), want, "rows={n_rows} item={i}");
             }
+        }
+    }
+
+    /// An appended store is the store of all rows, bit for bit, for base
+    /// and batch sizes on both sides of a block boundary.
+    #[test]
+    fn appended_equals_store_of_all_rows() {
+        let n = 5;
+        for (base, extra) in [
+            (0usize, 0usize),
+            (0, 3),
+            (1, 62),
+            (63, 1),
+            (63, 2),
+            (64, 1),
+            (100, 29),
+        ] {
+            let rows: Vec<AttrSet> = (0..base + extra)
+                .map(|t| AttrSet::from_indices(n, late_items_row(t, base + extra, n)))
+                .collect();
+            let got = VStore::from_rows(n, &rows[..base]).appended(&rows[base..]);
+            let want = VStore::from_rows(n, &rows);
+            assert_eq!(
+                (got.n_rows, got.blocks, &got.bits),
+                (want.n_rows, want.blocks, &want.bits),
+                "base={base} extra={extra}"
+            );
         }
     }
 

@@ -1,15 +1,18 @@
 //! Property tests: Apriori against brute force on random databases, and
 //! rule statistics against direct recomputation.
 
+use std::sync::Mutex;
+
 use dualminer_bitset::{AttrSet, SubsetsOfSize};
 use dualminer_hypergraph::TrAlgorithm;
-use dualminer_mining::apriori::{apriori, apriori_par_ctl};
+use dualminer_mining::apriori::{apriori, apriori_par_ctl, FrequentSets};
 use dualminer_mining::incremental::{append_rows, append_rows_ctl};
 use dualminer_mining::maximal::{maximal_frequent_sets, MaximalStrategy};
 use dualminer_mining::rules::association_rules;
 use dualminer_mining::TransactionDb;
-use dualminer_obs::{Budget, Meter, NoopObserver, RunCtl};
+use dualminer_obs::{Budget, Meter, MiningObserver, NoopObserver, RunCtl};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 const N: usize = 6;
 
@@ -162,12 +165,7 @@ proptest! {
         sigma in 1usize..3,
     ) {
         let old = apriori(&db, sigma);
-        let untouched_border = old
-            .negative_border
-            .iter()
-            .filter(|b| extra.iter().all(|r| !b.is_subset(r)))
-            .count();
-        let update = append_rows(&db, &old, extra);
+        let update = append_rows(&db, &old, extra.clone());
         let fresh = apriori(&update.db, sigma);
         prop_assert_eq!(update.frequent.itemsets(), fresh.itemsets());
         prop_assert_eq!(&update.frequent.maximal, &fresh.maximal);
@@ -176,64 +174,144 @@ proptest! {
             &update.frequent.candidates_per_level,
             &fresh.candidates_per_level
         );
-        // The old theory and the border the delta left untouched are
-        // answered from the appended rows alone; everything else costs a
-        // merged-database pass, and the two add up to a cold run's count.
-        prop_assert_eq!(
-            update.delta_evaluations,
-            old.itemsets().len() + untouched_border
-        );
-        prop_assert_eq!(
-            (update.delta_evaluations + update.merged_evaluations) as u64,
-            fresh.queries()
-        );
+        prop_assert_eq!(update.frequent.queries(), fresh.queries());
+        let (settled, counted) = update_work(&old, &extra, &fresh);
+        prop_assert_eq!(update.delta_evaluations, settled);
+        prop_assert_eq!(update.merged_evaluations, counted);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every `max_queries = k` up to the merged run's query count: the
-    /// incremental update stops at the same genuine prefix, after the
-    /// same metered queries, as a cold one-thread mine of the merged
-    /// database under the same cap.
+    /// An append equals a cold one-thread mine of the merged rows, complete
+    /// and under every `max_queries` (see [`append_is_cold_walk`]).
     #[test]
     fn budgeted_incremental_equals_budgeted_scratch(
         db in arb_db(),
         extra in arb_rows(),
         sigma in 1usize..3,
     ) {
-        let old = apriori(&db, sigma);
-        let merged = append_rows(&db, &old, extra.clone()).db;
-        let count = apriori(&merged, sigma).queries();
-        for k in 1..=count {
-            let run = |incremental: bool| {
-                let meter = Budget {
-                    max_queries: Some(k),
-                    ..Budget::UNLIMITED
-                }
-                .start();
-                let ctl = RunCtl::new(&meter, &NoopObserver);
-                let (fs, reason) = if incremental {
-                    let (update, reason) = append_rows_ctl(&db, &old, extra.clone(), &ctl).into_parts();
-                    (update.frequent, reason)
-                } else {
-                    apriori_par_ctl(&merged, sigma, 1, &ctl).into_parts()
-                };
-                (
-                    fs.itemsets().to_vec(),
-                    fs.maximal,
-                    fs.negative_border,
-                    fs.candidates_per_level,
-                    reason,
-                    meter.queries(),
-                )
-            };
-            let incremental = run(true);
-            prop_assert_eq!(incremental.4.is_none(), k == count, "k={}", k);
-            prop_assert_eq!(incremental, run(false), "k={}", k);
-        }
+        append_is_cold_walk(&db, sigma, &extra)?;
     }
+
+    /// Appended rows that promote a `Bd⁻` set `B` and grow its supersets
+    /// over two more levels (`σ` copies of `B ∪ {a, b}`, beside random
+    /// rows): the update still equals the cold walk in every field.
+    #[test]
+    fn append_promotes_border_over_growth_levels(
+        db in arb_db(),
+        noise in arb_rows(),
+        sigma in 1usize..4,
+        pick in 0usize..1000,
+    ) {
+        let old = apriori(&db, sigma);
+        let borders: Vec<&AttrSet> =
+            old.negative_border.iter().filter(|b| b.len() + 2 <= N).collect();
+        prop_assume!(!borders.is_empty());
+        let b = borders[pick % borders.len()].clone();
+        let out: Vec<usize> = (0..N).filter(|&i| !b.contains(i)).collect();
+        let mut one = b.clone();
+        one.insert(out[pick % out.len()]);
+        let mut two = one.clone();
+        two.insert(out[(pick + 1) % out.len()]);
+        let mut extra = vec![two.clone(); sigma];
+        extra.extend(noise);
+        let update = append_rows(&db, &old, extra.clone());
+        // Not vacuous: B is promoted, and B ∪ {a} and B ∪ {a, b} are new
+        // frequent sets on two growth levels above it.
+        for set in [&b, &one, &two] {
+            prop_assert!(old.support_of(set).is_none());
+            prop_assert!(update.frequent.support_of(set).is_some(), "{:?} not frequent", set);
+        }
+        let fresh = apriori(&update.db, sigma);
+        prop_assert_eq!(update_work(&old, &extra, &fresh), (update.delta_evaluations, update.merged_evaluations));
+        append_is_cold_walk(&db, sigma, &extra)?;
+    }
+}
+
+/// The work an append of `extra` to the database `old` was mined on must
+/// do, from the cold run `fresh` on the merged rows: the old sets
+/// (frequent or `Bd⁻`) inside some appended row are settled from the
+/// delta; the merged run's other candidates inside some appended row —
+/// the touched `Bd⁻` and the growth — are counted on the merged rows.
+fn update_work(old: &FrequentSets, extra: &[AttrSet], fresh: &FrequentSets) -> (usize, usize) {
+    let inside = |x: &AttrSet| extra.iter().any(|r| x.is_subset(r));
+    let sets = |fs: &FrequentSets| -> Vec<AttrSet> {
+        fs.itemsets()
+            .iter()
+            .map(|(x, _)| x.clone())
+            .chain(fs.negative_border.iter().cloned())
+            .collect()
+    };
+    let settled = sets(old).iter().filter(|x| inside(x)).count();
+    let counted = sets(fresh)
+        .iter()
+        .filter(|x| inside(x) && old.support_of(x).is_none())
+        .count();
+    (settled, counted)
+}
+
+/// Records every `on_level` event.
+#[derive(Default)]
+struct LevelLog(Mutex<Vec<(usize, usize, usize)>>);
+
+impl MiningObserver for LevelLog {
+    fn on_level(&self, level: usize, candidates: usize, interesting: usize) {
+        self.0
+            .lock()
+            .unwrap()
+            .push((level, candidates, interesting));
+    }
+}
+
+/// An append of `extra` to `db` against a cold one-thread mine of the
+/// merged rows, complete and under every `max_queries` from 0 up to the
+/// merged run's count: every field of the result, the trip reason, the
+/// `on_level` events and the metered queries agree.
+fn append_is_cold_walk(
+    db: &TransactionDb,
+    sigma: usize,
+    extra: &[AttrSet],
+) -> Result<(), TestCaseError> {
+    let old = apriori(db, sigma);
+    let merged = append_rows(db, &old, extra.to_vec()).db;
+    let count = apriori(&merged, sigma).queries();
+    for cap in (0..=count).map(Some).chain([None]) {
+        let run = |incremental: bool| {
+            let meter = Budget {
+                max_queries: cap,
+                ..Budget::UNLIMITED
+            }
+            .start();
+            let log = LevelLog::default();
+            let ctl = RunCtl::new(&meter, &log);
+            let (fs, reason) = if incremental {
+                let (update, reason) = append_rows_ctl(db, &old, extra.to_vec(), &ctl).into_parts();
+                (update.frequent, reason)
+            } else {
+                apriori_par_ctl(&merged, sigma, 1, &ctl).into_parts()
+            };
+            (
+                fs.itemsets().to_vec(),
+                fs.maximal,
+                fs.negative_border,
+                fs.candidates_per_level,
+                reason,
+                log.0.into_inner().unwrap(),
+                meter.queries(),
+            )
+        };
+        let incremental = run(true);
+        prop_assert_eq!(
+            incremental.4.is_none(),
+            cap.map_or(true, |k| k == count),
+            "cap={:?}",
+            cap
+        );
+        prop_assert_eq!(incremental, run(false), "cap={:?}", cap);
+    }
+    Ok(())
 }
 
 /// The pre-PR-4 candidate generator, kept verbatim as a reference: for

@@ -504,14 +504,17 @@ pub fn mine(
 /// rows through the FUP-style border update instead of from-scratch
 /// work, then renders through the same `render_mine` as the cold path.
 ///
-/// The update is the levelwise walk over the merged database, so a
-/// complete run is bit-identical to mining it from scratch (itemsets,
-/// maximal sets, negative border, per-level candidate accounting) and a
-/// budget-tripped run is a genuine prefix — under `max_queries`, the
-/// one a cold run leaves under the same cap. In both cases the rendered
-/// body is byte-equal to a cold run's on the appended input. Returns the
-/// merged database and collection for re-caching under the new
-/// fingerprint.
+/// The update ([`append_rows_ctl`]) settles the old sets inside the
+/// appended rows from those rows alone and counts on the merged database
+/// only the border sets they touch and the growth above them. It meters
+/// and reports each level as the cold walk does, so a complete run is
+/// bit-identical to mining the merged database from scratch
+/// (itemsets, maximal sets, negative border, per-level candidate
+/// accounting, query count) and a budget-tripped run is a genuine prefix
+/// — under `max_queries`, the one a cold run leaves under the same cap.
+/// In both cases the rendered body is byte-equal to a cold run's on the
+/// appended input. Returns the merged database and collection for
+/// re-caching under the new fingerprint.
 pub fn mine_incremental(
     universe: &Universe,
     old_db: &TransactionDb,

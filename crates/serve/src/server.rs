@@ -619,9 +619,9 @@ fn storeable(req: &JobRequest) -> bool {
 /// Whether a mine request may be served by incremental re-mining on top
 /// of a cached base: a plain run over a fixed absolute threshold. A
 /// relative threshold resolves differently on the extended row count, so
-/// it falls back to a cold run. A budget does not: the update is the
-/// levelwise walk over the merged database, so a trip leaves the same
-/// prefix a cold run leaves under the same budget.
+/// it falls back to a cold run. A budget does not: the update meters each
+/// level as the cold walk does, so a trip leaves the same prefix a cold
+/// run leaves under the same budget.
 fn incremental_ok(req: &JobRequest) -> bool {
     storeable(req)
         && matches!(

@@ -68,8 +68,8 @@ fn main() {
         assert_eq!(update.frequent.itemsets(), scratch.itemsets());
         println!(
             "Day {day}: +{} baskets → {} frequent sets; incremental cost: {} \
-             full-database evaluations (plus {} delta-only refreshes) vs {} \
-             full-database evaluations from scratch",
+             full-database counts (plus {} old sets settled from the new \
+             baskets alone) vs {} full-database counts from scratch",
             batch.n_rows(),
             update.frequent.itemsets().len(),
             update.merged_evaluations,
