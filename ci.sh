@@ -187,6 +187,9 @@ wait "$C1" "$C2" "$C3"
 diff "$TMP/plain.out" "$TMP/c1.out"
 diff "$TMP/plain.out" "$TMP/c2.out"
 grep -q 'Tr(H): 2 minimal transversals' "$TMP/c3.out"
+printf 'a b\nc\n' > "$TMP/tr.txt"
+"$DM" transversals "$TMP/tr.txt" > "$TMP/tr_cli.out" 2> /dev/null
+diff "$TMP/tr_cli.out" "$TMP/c3.out"
 grep -qE 'note: cache (hit|coalesced)' "$TMP/c1.err" "$TMP/c2.err" \
     || { echo "identical concurrent jobs were not deduplicated"; exit 1; }
 
@@ -241,6 +244,24 @@ grep -q 'Verified: true' "$TMP/maximal_cli.out" \
 MAXIMAL_REQ='{"op":"mine","id":8,"input":{"path":"'"$TMP/baskets.txt"'"},"min_support":"2","maximal":true}'
 "$DM" request "$ADDR" --json "$MAXIMAL_REQ" > "$TMP/maximal_daemon.out" 2> /dev/null
 diff "$TMP/maximal_cli.out" "$TMP/maximal_daemon.out"
+
+# verify-dual over the socket, both verdicts: the daemon's bytes and exit
+# code (0 dual, 1 not dual) are the CLI's.
+printf 'a b\nb c\na c\n' > "$TMP/tri.txt"
+printf 'a\nb\n' > "$TMP/pair.txt"
+for g in tri pair; do
+    VD_REQ='{"op":"verify-dual","id":13,"input":{"path":"'"$TMP/tri.txt"'"},"input2":{"path":"'"$TMP/$g.txt"'"}}'
+    set +e
+    "$DM" verify-dual "$TMP/tri.txt" "$TMP/$g.txt" > "$TMP/vd_cli.out"
+    cli_code=$?
+    "$DM" request "$ADDR" --json "$VD_REQ" > "$TMP/vd_daemon.out" 2> /dev/null
+    code=$?
+    set -e
+    want=$([ "$g" = tri ] && echo 0 || echo 1)
+    [ "$cli_code" -eq "$want" ] && [ "$code" -eq "$want" ] \
+        || { echo "verify-dual tri/$g: want exit $want, got $cli_code (CLI) / $code (daemon)"; exit 1; }
+    diff "$TMP/vd_cli.out" "$TMP/vd_daemon.out"
+done
 
 # Incremental append: re-mines on top of the cached base, byte-identical
 # to the one-shot run over the full appended file.

@@ -4,8 +4,8 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use crate::ops;
 use crate::{blocks_for, BLOCK_BITS, INLINE_BITS, INLINE_BLOCKS};
+use crate::{kernels, ops};
 
 /// Storage for an [`AttrSet`]'s bit blocks.
 ///
@@ -464,7 +464,7 @@ impl AttrSet {
             (Repr::Inline(a), Repr::Inline(b)) => {
                 ((a[0] & b[0]).count_ones() + (a[1] & b[1]).count_ones()) as usize
             }
-            (Repr::Spilled(a), Repr::Spilled(b)) => ops::intersection_len_blocks(a, b),
+            (Repr::Spilled(a), Repr::Spilled(b)) => kernels::and_len(a, b),
             _ => unreachable!("same universe implies same representation"),
         }
     }
@@ -482,9 +482,7 @@ impl AttrSet {
             (Repr::Inline(x), Repr::Inline(y), Repr::Inline(z)) => {
                 ((x[0] & y[0] & z[0]).count_ones() + (x[1] & y[1] & z[1]).count_ones()) as usize
             }
-            (Repr::Spilled(x), Repr::Spilled(y), Repr::Spilled(z)) => {
-                ops::intersection_len3_blocks(x, y, z)
-            }
+            (Repr::Spilled(x), Repr::Spilled(y), Repr::Spilled(z)) => kernels::and3_len(x, y, z),
             _ => unreachable!("same universe implies same representation"),
         }
     }

@@ -8,9 +8,10 @@
 //! materialized result) out, no allocation, no branching beyond the block
 //! loop.
 //!
-//! The [`crate::AttrSet`]-level kernels in `ops.rs` stay `pub(crate)`;
-//! this module is the deliberately small *public* slice-level surface the
-//! store builds on. All functions assume `a.len() == b.len()` (and
+//! [`crate::AttrSet`]'s spilled arms use [`and_len`] and [`and3_len`] for
+//! their intersection popcounts; its other block kernels in `ops.rs` stay
+//! `pub(crate)`, and this module is the deliberately small *public*
+//! slice-level surface the store builds on. All functions assume `a.len() == b.len()` (and
 //! `out.len() == a.len()` for the materializing variants) — the store
 //! guarantees this because every run has the same block count — and
 //! `debug_assert!` it.

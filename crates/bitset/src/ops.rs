@@ -4,9 +4,10 @@
 //!
 //! The slice-level inner loops every multi-block (spilled) set operation
 //! compiles down to. They are deliberately *non-materializing* where
-//! possible: [`intersection_len_blocks`], [`intersection_len3_blocks`],
-//! [`is_disjoint_blocks`], and [`is_subset_blocks`] answer questions about
-//! a combination of sets without ever building it, and
+//! possible: [`is_disjoint_blocks`] and [`is_subset_blocks`] answer
+//! questions about a combination of sets without ever building it (the
+//! intersection popcounts are [`crate::kernels::and_len`] and
+//! [`crate::kernels::and3_len`]), and
 //! [`intersect_returning_len_blocks`] fuses the write and the popcount into
 //! one pass. `AttrSet`'s public methods dispatch here for heap-backed sets
 //! and use fully unrolled two-word arms for inline sets (see
@@ -59,25 +60,6 @@ pub(crate) fn symmetric_difference_blocks(a: &mut [u64], b: &[u64]) {
     for (x, y) in a.iter_mut().zip(b) {
         *x ^= *y;
     }
-}
-
-/// Popcount of `a ∩ b` without materializing the intersection.
-#[inline]
-pub(crate) fn intersection_len_blocks(a: &[u64], b: &[u64]) -> usize {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x & y).count_ones() as usize)
-        .sum()
-}
-
-/// Popcount of the three-way intersection `a ∩ b ∩ c` in a single pass.
-#[inline]
-pub(crate) fn intersection_len3_blocks(a: &[u64], b: &[u64], c: &[u64]) -> usize {
-    a.iter()
-        .zip(b)
-        .zip(c)
-        .map(|((x, y), z)| (x & y & z).count_ones() as usize)
-        .sum()
 }
 
 /// Whether `a ∩ b = ∅`, short-circuiting on the first shared block.

@@ -11,9 +11,10 @@ use dualminer_hypergraph::TrAlgorithm;
 use dualminer_serve::job::{
     parse_algo, parse_confidence, parse_duration, parse_support, validate_run,
 };
+use dualminer_serve::proto::{CacheMode, Input, JobRequest, OpKind, INERT_ROW_CAP};
 use dualminer_serve::server::ServeConfig;
 
-pub use dualminer_serve::job::{RunOpts, Support};
+pub use dualminer_serve::job::RunOpts;
 
 /// Usage text shown on parse errors and `--help`.
 pub const USAGE: &str = "\
@@ -166,48 +167,10 @@ FILE FORMATS:
 /// A parsed command line.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
-    /// `mine` subcommand.
-    Mine {
-        /// Input basket file.
-        path: String,
-        /// Absolute (`≥ 1`) or relative (`(0,1)`) support threshold.
-        min_support: Support,
-        /// Minimum confidence for rule output (absent = no rules).
-        rules: Option<f64>,
-        /// Also print the maximal sets + negative border.
-        maximal: bool,
-        /// Worker threads for support counting (0 = auto, 1 = sequential).
-        threads: usize,
-        /// Budget / observability options.
-        run: RunOpts,
-    },
-    /// `keys` subcommand.
-    Keys {
-        /// Input CSV relation.
-        path: String,
-        /// Also derive minimal FDs per attribute.
-        fds: bool,
-        /// Budget / observability options.
-        run: RunOpts,
-    },
-    /// `transversals` subcommand.
-    Transversals {
-        /// Input hypergraph file.
-        path: String,
-        /// Engine selection.
-        algo: TrAlgorithm,
-        /// Worker threads for the search (0 = auto, 1 = sequential).
-        threads: usize,
-        /// Budget / observability options.
-        run: RunOpts,
-    },
-    /// `verify-dual` subcommand.
-    VerifyDual {
-        /// First hypergraph file.
-        f_path: String,
-        /// Second hypergraph file (checked to be `Tr` of the first).
-        g_path: String,
-    },
+    /// `mine`, `keys`, `transversals` or `verify-dual`: one job, in the
+    /// daemon's request shape with `Input::Path` inputs. Its `threads` is
+    /// `--threads` (default 1; 0 = all available CPUs).
+    Job(JobRequest),
     /// `episodes` subcommand.
     Episodes {
         /// Input events file.
@@ -247,20 +210,19 @@ pub enum Command {
     Help,
 }
 
-impl Command {
-    /// The shared run options, for every subcommand that carries them.
-    pub fn run_opts(&self) -> Option<&RunOpts> {
-        match self {
-            Command::Mine { run, .. }
-            | Command::Keys { run, .. }
-            | Command::Transversals { run, .. }
-            | Command::Episodes { run, .. } => Some(run),
-            Command::VerifyDual { .. }
-            | Command::Serve(_)
-            | Command::Request { .. }
-            | Command::Help => None,
-        }
-    }
+/// A job command over the input file `path` (and verify-dual's second
+/// file).
+fn job(op: OpKind, path: String, path2: Option<String>, threads: usize, run: RunOpts) -> Command {
+    Command::Job(JobRequest {
+        id: 0,
+        op,
+        input: Input::Path(path),
+        input2: path2.map(Input::Path),
+        threads,
+        progress: run.progress,
+        run,
+        cache_mode: CacheMode::Normal,
+    })
 }
 
 fn parse_threads(s: &str) -> Result<usize, String> {
@@ -338,7 +300,7 @@ fn parse_run_flag<'a, I: Iterator<Item = &'a String>>(
 /// Parses an argument vector (without the program name).
 pub fn parse(argv: &[String]) -> Result<Command, String> {
     let cmd = parse_inner(argv)?;
-    if let Some(run) = cmd.run_opts() {
+    if let Command::Job(JobRequest { run, .. }) | Command::Episodes { run, .. } = &cmd {
         validate_run(run)?;
     }
     Ok(cmd)
@@ -379,14 +341,13 @@ fn parse_inner(argv: &[String]) -> Result<Command, String> {
                     other => return Err(format!("mine: unknown flag {other:?}")),
                 }
             }
-            Ok(Command::Mine {
-                path,
+            let op = OpKind::Mine {
                 min_support: min_support.ok_or("mine: --min-support is required")?,
                 rules,
                 maximal,
-                threads,
-                run,
-            })
+                segment_rows: INERT_ROW_CAP,
+            };
+            Ok(job(op, path, None, threads, run))
         }
         "keys" => {
             let path = it.next().ok_or("keys: missing input file")?.clone();
@@ -401,7 +362,7 @@ fn parse_inner(argv: &[String]) -> Result<Command, String> {
                     other => return Err(format!("keys: unknown flag {other:?}")),
                 }
             }
-            Ok(Command::Keys { path, fds, run })
+            Ok(job(OpKind::Keys { fds }, path, None, 1, run))
         }
         "transversals" => {
             let path = it.next().ok_or("transversals: missing input file")?.clone();
@@ -424,12 +385,7 @@ fn parse_inner(argv: &[String]) -> Result<Command, String> {
                     other => return Err(format!("transversals: unknown flag {other:?}")),
                 }
             }
-            Ok(Command::Transversals {
-                path,
-                algo,
-                threads,
-                run,
-            })
+            Ok(job(OpKind::Transversals { algo }, path, None, threads, run))
         }
         "verify-dual" => {
             let f_path = it.next().ok_or("verify-dual: missing first file")?.clone();
@@ -437,7 +393,8 @@ fn parse_inner(argv: &[String]) -> Result<Command, String> {
             if let Some(extra) = it.next() {
                 return Err(format!("verify-dual: unexpected argument {extra:?}"));
             }
-            Ok(Command::VerifyDual { f_path, g_path })
+            let run = RunOpts::default();
+            Ok(job(OpKind::VerifyDual, f_path, Some(g_path), 1, run))
         }
         "episodes" => {
             let path = it.next().ok_or("episodes: missing input file")?.clone();
@@ -633,10 +590,28 @@ fn parse_inner(argv: &[String]) -> Result<Command, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dualminer_serve::job::Support;
     use std::time::Duration;
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The job a job subcommand parses to.
+    fn parse_job(args: &[&str]) -> JobRequest {
+        match parse(&v(args)).unwrap() {
+            Command::Job(req) => req,
+            other => panic!("not a job: {other:?}"),
+        }
+    }
+
+    fn mine_op(min_support: Support, rules: Option<f64>, maximal: bool) -> OpKind {
+        OpKind::Mine {
+            min_support,
+            rules,
+            maximal,
+            segment_rows: INERT_ROW_CAP,
+        }
     }
 
     #[test]
@@ -653,14 +628,16 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Mine {
-                path: "b.txt".into(),
-                min_support: Support::Relative(0.1),
-                rules: Some(0.8),
-                maximal: true,
+            Command::Job(JobRequest {
+                id: 0,
+                op: mine_op(Support::Relative(0.1), Some(0.8), true),
+                input: Input::Path("b.txt".into()),
+                input2: None,
                 threads: 1,
                 run: RunOpts::default(),
-            }
+                progress: false,
+                cache_mode: CacheMode::Normal,
+            })
         );
     }
 
@@ -685,15 +662,15 @@ mod tests {
             "--stats",
             "json",
         ];
-        let mut mine = v(&["mine", "b.txt", "--min-support", "2"]);
-        mine.extend(shared.iter().map(|s| s.to_string()));
-        assert!(matches!(parse(&mine).unwrap(), Command::Mine { run: r, .. } if r == run));
-        let mut keys = v(&["keys", "r.csv"]);
-        keys.extend(shared.iter().map(|s| s.to_string()));
-        assert!(matches!(parse(&keys).unwrap(), Command::Keys { run: r, .. } if r == run));
-        let mut tr = v(&["transversals", "h.txt"]);
-        tr.extend(shared.iter().map(|s| s.to_string()));
-        assert!(matches!(parse(&tr).unwrap(), Command::Transversals { run: r, .. } if r == run));
+        for base in [
+            &["mine", "b.txt", "--min-support", "2"][..],
+            &["keys", "r.csv"],
+            &["transversals", "h.txt"],
+        ] {
+            let req = parse_job(&[base, &shared[..]].concat());
+            assert_eq!(req.run, run, "{base:?}");
+            assert!(req.progress, "{base:?}");
+        }
         let mut ep = v(&["episodes", "e.txt", "--window", "5", "--min-freq", "0.2"]);
         ep.extend(shared.iter().map(|s| s.to_string()));
         assert!(matches!(parse(&ep).unwrap(), Command::Episodes { run: r, .. } if r == run));
@@ -717,31 +694,21 @@ mod tests {
 
     #[test]
     fn parse_mine_absolute_support() {
-        let cmd = parse(&v(&["mine", "b.txt", "--min-support", "5"])).unwrap();
-        match cmd {
-            Command::Mine {
-                min_support,
-                rules,
-                maximal,
-                threads,
-                ..
-            } => {
-                assert_eq!(min_support, Support::Absolute(5));
-                assert_eq!(rules, None);
-                assert!(!maximal);
-                assert_eq!(threads, 1);
-            }
-            _ => panic!("wrong command"),
-        }
+        let req = parse_job(&["mine", "b.txt", "--min-support", "5"]);
+        assert_eq!(req.op, mine_op(Support::Absolute(5), None, false));
+        assert_eq!(req.threads, 1);
     }
 
     #[test]
     fn rules_confidence_range() {
         let rules = |c: &str| parse(&v(&["mine", "b.txt", "--min-support", "2", "--rules", c]));
         for (c, want) in [("0", 0.0), ("0.6", 0.6), ("1", 1.0)] {
-            let cmd = rules(c).unwrap();
-            assert!(
-                matches!(cmd, Command::Mine { rules: Some(r), .. } if r == want),
+            let Command::Job(req) = rules(c).unwrap() else {
+                panic!("{c}: not a job");
+            };
+            assert_eq!(
+                req.op,
+                mine_op(Support::Absolute(2), Some(want), false),
                 "{c}"
             );
         }
@@ -756,18 +723,10 @@ mod tests {
 
     #[test]
     fn parse_threads_flag() {
-        let cmd = parse(&v(&[
-            "mine",
-            "b.txt",
-            "--min-support",
-            "2",
-            "--threads",
-            "4",
-        ]))
-        .unwrap();
-        assert!(matches!(cmd, Command::Mine { threads: 4, .. }));
-        let cmd = parse(&v(&["transversals", "h.txt", "--threads", "0"])).unwrap();
-        assert!(matches!(cmd, Command::Transversals { threads: 0, .. }));
+        let req = parse_job(&["mine", "b.txt", "--min-support", "2", "--threads", "4"]);
+        assert_eq!(req.threads, 4);
+        let req = parse_job(&["transversals", "h.txt", "--threads", "0"]);
+        assert_eq!(req.threads, 0);
         assert!(parse(&v(&["mine", "b.txt", "--min-support", "2", "--threads"])).is_err());
         assert!(parse(&v(&["transversals", "h.txt", "--threads", "x"])).is_err());
     }
@@ -781,37 +740,32 @@ mod tests {
 
     #[test]
     fn parse_keys_and_transversals() {
+        let keys = parse_job(&["keys", "r.csv", "--fds"]);
+        assert_eq!(keys.op, OpKind::Keys { fds: true });
+        assert_eq!(keys.input, Input::Path("r.csv".into()));
+        assert_eq!((keys.threads, &keys.run), (1, &RunOpts::default()));
+        let tr = parse_job(&["transversals", "h.txt", "--algo", "mu-mmcs"]);
         assert_eq!(
-            parse(&v(&["keys", "r.csv", "--fds"])).unwrap(),
-            Command::Keys {
-                path: "r.csv".into(),
-                fds: true,
-                run: RunOpts::default(),
+            tr.op,
+            OpKind::Transversals {
+                algo: TrAlgorithm::MuMmcs
             }
         );
-        assert_eq!(
-            parse(&v(&["transversals", "h.txt", "--algo", "mu-mmcs"])).unwrap(),
-            Command::Transversals {
-                path: "h.txt".into(),
-                algo: TrAlgorithm::MuMmcs,
-                threads: 1,
-                run: RunOpts::default(),
-            }
-        );
+        assert_eq!(tr.input, Input::Path("h.txt".into()));
+        assert_eq!((tr.threads, &tr.run), (1, &RunOpts::default()));
         assert!(parse(&v(&["transversals", "h.txt", "--algo", "zzz"])).is_err());
     }
 
     #[test]
     fn transversals_algo_spellings() {
         // The default is the planner.
-        let cmd = parse(&v(&["transversals", "h.txt"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Transversals {
-                algo: TrAlgorithm::Auto,
-                ..
+        let req = parse_job(&["transversals", "h.txt"]);
+        assert_eq!(
+            req.op,
+            OpKind::Transversals {
+                algo: TrAlgorithm::Auto
             }
-        ));
+        );
         for (name, algo) in [
             ("auto", TrAlgorithm::Auto),
             ("berge", TrAlgorithm::Berge),
@@ -820,11 +774,8 @@ mod tests {
             ("mu-mmcs", TrAlgorithm::MuMmcs),
             ("egm", TrAlgorithm::Egm),
         ] {
-            let cmd = parse(&v(&["transversals", "h.txt", "--algo", name])).unwrap();
-            assert!(
-                matches!(cmd, Command::Transversals { algo: a, .. } if a == algo),
-                "{name}"
-            );
+            let req = parse_job(&["transversals", "h.txt", "--algo", name]);
+            assert_eq!(req.op, OpKind::Transversals { algo }, "{name}");
         }
         // "mmcs" named the list-based engine MU-MMCS replaced; no alias.
         for bogus in ["bogus", "mmcs"] {
@@ -836,13 +787,11 @@ mod tests {
 
     #[test]
     fn parse_verify_dual() {
-        assert_eq!(
-            parse(&v(&["verify-dual", "f.txt", "g.txt"])).unwrap(),
-            Command::VerifyDual {
-                f_path: "f.txt".into(),
-                g_path: "g.txt".into(),
-            }
-        );
+        let req = parse_job(&["verify-dual", "f.txt", "g.txt"]);
+        assert_eq!(req.op, OpKind::VerifyDual);
+        assert_eq!(req.input, Input::Path("f.txt".into()));
+        assert_eq!(req.input2, Some(Input::Path("g.txt".into())));
+        assert_eq!((req.threads, &req.run), (1, &RunOpts::default()));
         assert!(parse(&v(&["verify-dual", "f.txt"])).is_err());
         assert!(parse(&v(&["verify-dual", "f.txt", "g.txt", "h.txt"])).is_err());
     }
@@ -1030,7 +979,7 @@ mod tests {
             "seed=7,transient=0.1",
         ]))
         .unwrap();
-        let Command::Mine { run, .. } = cmd else {
+        let Command::Job(JobRequest { run, .. }) = cmd else {
             panic!("wrong command");
         };
         assert!(run.fault_tolerant());
@@ -1061,8 +1010,11 @@ mod tests {
         ] {
             let mut argv = base;
             argv.extend(shared.iter().map(|s| s.to_string()));
-            let cmd = parse(&argv).unwrap();
-            let run = cmd.run_opts().unwrap();
+            let (Command::Job(JobRequest { run, .. }) | Command::Episodes { run, .. }) =
+                parse(&argv).unwrap()
+            else {
+                panic!("no run options: {argv:?}");
+            };
             assert!(run.fault_tolerant());
             assert_eq!(run.retry, 2);
         }

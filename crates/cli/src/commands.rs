@@ -1,93 +1,72 @@
-//! Command implementations.
+//! Command implementations: thin frontends over [`dualminer_serve`].
 //!
-//! Job execution (engine routing, budget handling, checkpoint resume,
-//! output rendering) lives in [`dualminer_serve::exec`], shared with the
-//! daemon so `dualminer mine …` and a served `mine` job produce
-//! byte-identical bodies. This module owns what is CLI-specific: the
-//! process session (meter, observer, stats line), stdout/stderr routing,
-//! exit codes, and the `serve`/`request` frontends.
+//! A job subcommand (`mine`, `keys`, `transversals`, `verify-dual`) is a
+//! [`JobRequest`] with file inputs. This module reads and parses its
+//! files (baskets and CSV relations stream from the file), then makes the
+//! two calls the daemon makes — [`exec::preflight`] and [`exec::run`] —
+//! and prints the body, so `dualminer <op>` and `dualminer request`
+//! print the same bytes and exit with the same code. What stays here is
+//! CLI-specific: the process session (meter, observer, and the stats line
+//! with the scheduler counters), stdout/stderr routing, the `episodes`
+//! subcommand, and the `serve`/`request` frontends.
 
 use std::fmt;
+use std::fs::File;
+use std::io::{BufRead, BufReader};
 
 use dualminer_obs::{
     available_cpus, BudgetReason, Meter, MiningObserver, RetryPolicy, StatsCollector,
 };
-use dualminer_serve::exec::{self, ExecCtx, JobError, JobObserver, MineOpts};
+use dualminer_serve::exec::{self, ExecCtx, JobError, JobObserver, JobOutput, Parsed};
 use dualminer_serve::formats::{self, FormatError};
 use dualminer_serve::job::RunOpts;
-use dualminer_serve::{client, proto, server};
+use dualminer_serve::proto::{Input, JobRequest, OpKind};
+use dualminer_serve::{canon, client, proto, server};
 
 use crate::args::{Command, USAGE};
 
 /// A command failure, carrying its process exit code so scripts can tell
-/// the failure classes apart (`main` maps usage errors to 2; these start
-/// at 3).
+/// the failure classes apart (`main` maps usage errors to 2).
 #[derive(Clone, Debug, PartialEq)]
 pub enum CliError {
-    /// `verify-dual` decided the pair is not dual (exit 1). Not a failure
-    /// of the tool — the verdict itself, in grep-able exit-code form.
-    NotDual,
-    /// An input file could not be parsed (exit 3).
-    Format(FormatError),
-    /// File or checkpoint I/O failure, including corrupt or mismatched
-    /// checkpoints (exit 4).
-    Io(String),
-    /// An oracle fault survived the retry budget (exit 5).
-    Fault(String),
-    /// The run tripped its budget; printed results are the partial prefix
-    /// (exit 6).
-    Budget(BudgetReason),
+    /// A job ended with a nonzero exit, run here or by a daemon (which
+    /// ships the same codes): 1 "not dual" (the verdict itself, already
+    /// on stdout), 3 parse, 4 I/O or checkpoint, 5 oracle fault, 6 budget
+    /// exceeded (stdout holds the partial prefix).
+    Job {
+        /// The exit code.
+        code: u8,
+        /// What to print on stderr.
+        message: String,
+    },
     /// `request`/`serve`: the connection or the protocol itself failed —
     /// unreachable server, dropped connection, malformed request or event
     /// line (exit 7).
     Protocol(String),
-    /// `request`: the *server* reported a job failure. The daemon ships
-    /// the one-shot CLI exit code over the wire; the client process exits
-    /// with that same code so scripts cannot tell the frontends apart.
-    Remote {
-        /// The exit code the equivalent one-shot run would have used.
-        code: u8,
-        /// The server's error message (or budget verdict).
-        message: String,
-    },
 }
 
 impl CliError {
     /// The process exit code for this failure class.
     pub fn exit_code(&self) -> u8 {
         match self {
-            CliError::NotDual => 1,
-            CliError::Format(_) => 3,
-            CliError::Io(_) => 4,
-            CliError::Fault(_) => 5,
-            CliError::Budget(_) => 6,
+            CliError::Job { code, .. } => *code,
             CliError::Protocol(_) => 7,
-            CliError::Remote { code, .. } => *code,
         }
     }
 
     /// Whether `main` should print this as an `error:` line on stderr.
-    /// The `NotDual` verdict is already on stdout; repeating it as an
+    /// The "not dual" verdict is already on stdout; repeating it as an
     /// error would misread a negative answer as a malfunction.
     pub fn is_silent(&self) -> bool {
-        matches!(self, CliError::NotDual)
+        matches!(self, CliError::Job { code: 1, .. })
     }
 }
 
 impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CliError::NotDual => write!(f, "not dual"),
-            CliError::Format(e) => write!(f, "{e}"),
-            CliError::Io(msg) | CliError::Fault(msg) | CliError::Protocol(msg) => {
-                write!(f, "{msg}")
-            }
-            CliError::Remote { message, .. } => write!(f, "{message}"),
-            CliError::Budget(reason) => {
-                write!(
-                    f,
-                    "budget exceeded ({reason}); output is the partial prefix"
-                )
+            CliError::Job { message, .. } | CliError::Protocol(message) => {
+                write!(f, "{message}")
             }
         }
     }
@@ -95,14 +74,27 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-impl From<JobError> for CliError {
-    fn from(e: JobError) -> CliError {
-        match e {
-            JobError::Format(e) => CliError::Format(e),
-            JobError::Io(msg) => CliError::Io(msg),
-            JobError::Fault(msg) => CliError::Fault(msg),
-        }
+/// A job failure as a command failure.
+fn failed(e: JobError) -> CliError {
+    CliError::Job {
+        code: e.code(),
+        message: e.to_string(),
     }
+}
+
+/// A finished job's exit as a command result; `budget` is the reason a
+/// run stopped early.
+fn finished(exit: u8, budget: Option<&str>) -> Result<(), CliError> {
+    let message = match (exit, budget) {
+        (0, _) => return Ok(()),
+        (_, Some(reason)) => format!("budget exceeded ({reason}); output is the partial prefix"),
+        (1, None) => "not dual".to_string(),
+        (code, None) => format!("job failed with exit {code}"),
+    };
+    Err(CliError::Job {
+        code: exit,
+        message,
+    })
 }
 
 /// One budgeted run: the started meter plus the collecting observer.
@@ -145,27 +137,22 @@ impl Session {
     /// The shared execution context, borrowing this session's meter,
     /// observer, and stats sink. Notes (engine choice, checkpoint-resume
     /// narration) go to stderr, keeping stdout machine-parsable.
-    fn cx<'a>(&'a self, note: &'a dyn Fn(&str)) -> ExecCtx<'a> {
+    fn cx(&self) -> ExecCtx<'_> {
         ExecCtx {
             meter: &self.meter,
             observer: &self.observer,
             stats: &self.observer.stats,
-            note,
+            note: &note_stderr,
             threads: self.threads,
         }
     }
 
-    /// Uniform pre-flight: with `--timeout 0` (or an already-spent
-    /// budget), every subcommand reports cleanly before doing any work.
-    fn preflight(&self) -> Result<(), CliError> {
-        match self.meter.exceeded() {
-            Some(reason) => {
-                println!("budget exceeded ({reason}) before any work was performed");
-                self.finish(Some(reason));
-                Err(CliError::Budget(reason))
-            }
-            None => Ok(()),
-        }
+    /// Prints a job's body and the stats line; the job's exit becomes the
+    /// command's result.
+    fn report(&self, out: JobOutput) -> Result<(), CliError> {
+        print!("{}", out.body);
+        self.finish(out.reason);
+        finished(out.exit, out.reason.map(|r| r.as_str()))
     }
 
     /// Prints the JSON stats artifact as the final stdout line.
@@ -178,20 +165,66 @@ impl Session {
             println!("{}", self.observer.stats.to_json(&self.meter, reason));
         }
     }
-
-    /// Stats line, then the budget verdict: a tripped budget is a distinct
-    /// nonzero exit (6) so scripts can tell partial output from complete.
-    fn close(&self, reason: Option<BudgetReason>) -> Result<(), CliError> {
-        self.finish(reason);
-        match reason {
-            Some(r) => Err(CliError::Budget(r)),
-            None => Ok(()),
-        }
-    }
 }
 
 fn note_stderr(text: &str) {
     eprintln!("{text}");
+}
+
+/// Reads and parses a job's input files: baskets and CSV relations
+/// stream from the file; a hypergraph pair parses over one merged vertex
+/// dictionary.
+fn load(req: &JobRequest) -> Result<Parsed, JobError> {
+    let path = req.input.label();
+    let open = || -> Result<BufReader<File>, JobError> {
+        let io = |e: std::io::Error| JobError::Io(format!("cannot read {path:?}: {e}"));
+        let mut reader = BufReader::new(File::open(path).map_err(io)?);
+        // A path that opens but cannot be read, such as a directory,
+        // fails its first read: an I/O error, not a parse error.
+        reader.fill_buf().map_err(io)?;
+        Ok(reader)
+    };
+    let in_file = |e: FormatError| JobError::Format(e.in_file(path));
+    Ok(match &req.op {
+        OpKind::Mine { .. } => {
+            let (universe, db) = formats::parse_baskets_reader(open()?).map_err(in_file)?;
+            Parsed::Baskets(universe, db)
+        }
+        OpKind::Keys { .. } => {
+            let (universe, rel) = formats::parse_relation_reader(open()?).map_err(in_file)?;
+            Parsed::Relation(universe, rel)
+        }
+        OpKind::Transversals { .. } => {
+            let text = exec::read_input(&req.input)?;
+            let (universe, h) = formats::parse_hypergraph(&text).map_err(in_file)?;
+            Parsed::Hypergraph(universe, h)
+        }
+        OpKind::VerifyDual => {
+            let input2 = req.input2.as_ref().expect("verify-dual has two inputs");
+            let (f_text, g_text) = (exec::read_input(&req.input)?, exec::read_input(input2)?);
+            let (f, g, _) = canon::canon_dual_pair(&f_text, &g_text, path, input2.label())
+                .map_err(JobError::Format)?;
+            Parsed::DualPair(f, g)
+        }
+    })
+}
+
+/// Runs one job the way the daemon's cold path does: parse, pre-flight,
+/// run; then prints the body and the stats line.
+fn run_job(req: &JobRequest) -> Result<(), CliError> {
+    let session = Session::new(&req.run, req.threads);
+    let input = load(req).map_err(failed)?;
+    let out = match exec::preflight(&session.meter) {
+        Some(out) => out,
+        None => match exec::run(&req.op, &input, &req.run, &session.cx()) {
+            Ok((out, _)) => out,
+            Err(e) => {
+                session.finish(None);
+                return Err(failed(e));
+            }
+        },
+    };
+    session.report(out)
 }
 
 /// Executes a parsed command.
@@ -201,56 +234,7 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             println!("{USAGE}");
             Ok(())
         }
-        Command::Mine {
-            path,
-            min_support,
-            rules,
-            maximal,
-            threads,
-            run,
-        } => {
-            let session = Session::new(&run, threads);
-            session.preflight()?;
-            let file = open(&path)?;
-            let (universe, db) = formats::parse_baskets_reader(std::io::BufReader::new(file))
-                .map_err(|e| CliError::Format(e.in_file(&path)))?;
-            let sigma = min_support.resolve(db.n_rows());
-            let opts = MineOpts { rules, maximal };
-            match exec::mine(
-                &universe,
-                &db,
-                sigma,
-                &opts,
-                &run,
-                &session.cx(&note_stderr),
-            ) {
-                Ok((out, _)) => {
-                    print!("{}", out.body);
-                    session.close(out.reason)
-                }
-                Err(e) => {
-                    session.finish(None);
-                    Err(e.into())
-                }
-            }
-        }
-        Command::Keys { path, fds, run } => {
-            let session = Session::new(&run, 1);
-            session.preflight()?;
-            let file = open(&path)?;
-            let (universe, rel) = formats::parse_relation_reader(std::io::BufReader::new(file))
-                .map_err(|e| CliError::Format(e.in_file(&path)))?;
-            match exec::keys(&universe, &rel, fds, &run, &session.cx(&note_stderr)) {
-                Ok(out) => {
-                    print!("{}", out.body);
-                    session.close(out.reason)
-                }
-                Err(e) => {
-                    session.finish(None);
-                    Err(e.into())
-                }
-            }
-        }
+        Command::Job(req) => run_job(&req),
         Command::Episodes {
             path,
             window,
@@ -265,10 +249,12 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                 );
             }
             let session = Session::new(&run, 1);
-            session.preflight()?;
-            let text = read(&path)?;
-            let (names, seq) =
-                formats::parse_events(&text).map_err(|e| CliError::Format(e.in_file(&path)))?;
+            let text = exec::read_input(&Input::Path(path.clone())).map_err(failed)?;
+            let (names, seq) = formats::parse_events(&text)
+                .map_err(|e| failed(JobError::Format(e.in_file(&path))))?;
+            if let Some(out) = exec::preflight(&session.meter) {
+                return session.report(out);
+            }
             let class = if serial {
                 dualminer_episodes::mine::EpisodeClass::Serial
             } else {
@@ -310,40 +296,8 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             for e in &episodes_run.maximal {
                 println!("  {}", render(e));
             }
-            session.close(None)
-        }
-        Command::Transversals {
-            path,
-            algo,
-            threads,
-            run,
-        } => {
-            let session = Session::new(&run, threads);
-            session.preflight()?;
-            let text = read(&path)?;
-            let (universe, h) =
-                formats::parse_hypergraph(&text).map_err(|e| CliError::Format(e.in_file(&path)))?;
-            match exec::transversals(&universe, &h, algo, &run, &session.cx(&note_stderr)) {
-                Ok(out) => {
-                    print!("{}", out.body);
-                    session.close(out.reason)
-                }
-                Err(e) => {
-                    session.finish(None);
-                    Err(e.into())
-                }
-            }
-        }
-        Command::VerifyDual { f_path, g_path } => {
-            let f_text = read(&f_path)?;
-            let g_text = read(&g_path)?;
-            let out = exec::verify_dual_pair(&f_text, &g_text, &f_path, &g_path)?;
-            print!("{}", out.body);
-            if out.not_dual {
-                Err(CliError::NotDual)
-            } else {
-                Ok(())
-            }
+            session.finish(None);
+            Ok(())
         }
         Command::Serve(config) => {
             let handle = server::start(&config)
@@ -374,7 +328,10 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
         } => {
             let line = match (json, json_file) {
                 (Some(line), None) => line,
-                (None, Some(path)) => read(&path)?.trim_end().to_string(),
+                (None, Some(path)) => exec::read_input(&Input::Path(path))
+                    .map_err(failed)?
+                    .trim_end()
+                    .to_string(),
                 // parse() enforces exactly-one; defend without panicking.
                 _ => return Err(CliError::Protocol("no request line".into())),
             };
@@ -437,24 +394,11 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                                 println!("{}", event.str_field("stats").unwrap_or("{}"));
                             }
                             let exit = event.int_field("exit").unwrap_or(0);
-                            return match exit {
-                                0 => Ok(()),
-                                1 => Err(CliError::NotDual),
-                                code => {
-                                    let outcome = event.str_field("outcome").unwrap_or("");
-                                    let message = match outcome.strip_prefix("budget:") {
-                                        Some(reason) => format!(
-                                            "budget exceeded ({reason}); output is the \
-                                             partial prefix"
-                                        ),
-                                        None => format!("job failed with exit {code}"),
-                                    };
-                                    Err(CliError::Remote {
-                                        code: u8::try_from(code).unwrap_or(7),
-                                        message,
-                                    })
-                                }
-                            };
+                            let outcome = event.str_field("outcome").unwrap_or("");
+                            return finished(
+                                u8::try_from(exit).unwrap_or(7),
+                                outcome.strip_prefix("budget:"),
+                            );
                         }
                         "error" => {
                             let code = event.int_field("code").unwrap_or(7);
@@ -481,7 +425,7 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
                                 std::thread::sleep(sleep);
                                 continue 'attempts;
                             }
-                            return Err(CliError::Remote {
+                            return Err(CliError::Job {
                                 code: u8::try_from(code).unwrap_or(7),
                                 message,
                             });
@@ -502,12 +446,4 @@ pub fn run(cmd: Command) -> Result<(), CliError> {
             }
         }
     }
-}
-
-fn read(path: &str) -> Result<String, CliError> {
-    std::fs::read_to_string(path).map_err(|e| CliError::Io(format!("cannot read {path:?}: {e}")))
-}
-
-fn open(path: &str) -> Result<std::fs::File, CliError> {
-    std::fs::File::open(path).map_err(|e| CliError::Io(format!("cannot read {path:?}: {e}")))
 }

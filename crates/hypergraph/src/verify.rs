@@ -20,19 +20,21 @@
 //! checker, not a space-optimal machine), so the worst case is not
 //! polynomial; on the dual pairs the test suites feed it, the
 //! max-frequency split empties one side within a few levels. A node
-//! budget backstops adversarial shapes by falling back to one direct
-//! `Tr(F) = G` comparison.
+//! budget backstops adversarial shapes by falling back to
+//! Fredman–Khachiyan's quasi-polynomial duality test
+//! ([`crate::fk::duality_witness`]), which decides without enumerating.
 //!
-//! The point of the module is **independence**: it shares no code with
-//! [`crate::fk`] (different recursion, different base cases, no witness
-//! machinery), so it serves as a cross-check oracle for every enumeration
-//! backend — `verify_dual(h, engine(h))` must hold for each engine.
+//! The point of the module is **independence**: below the budget it
+//! shares no code with [`crate::fk`] (different recursion, different base
+//! cases, no witness machinery) or any enumeration backend, so it serves
+//! as a cross-check oracle for every backend — `verify_dual(h, engine(h))`
+//! must hold for each engine.
 
 use dualminer_bitset::AttrSet;
 
 use crate::{minimize_family, Hypergraph};
 
-/// Recursion-node budget before falling back to direct enumeration.
+/// Recursion-node budget before falling back to the FK duality test.
 const NODE_BUDGET: usize = 200_000;
 
 /// Decides whether `g = Tr(f)` (equivalently `f = Tr(g)`; duality is
@@ -44,28 +46,29 @@ const NODE_BUDGET: usize = 200_000;
 /// convention of [`Hypergraph::from_edges`] rather than panicking like
 /// [`crate::fk::duality_witness`].
 pub fn verify_dual(f: &Hypergraph, g: &Hypergraph) -> bool {
+    verify_dual_within(f, g, NODE_BUDGET)
+}
+
+/// [`verify_dual`] with the self-reduction cut at `budget` nodes.
+fn verify_dual_within(f: &Hypergraph, g: &Hypergraph, budget: usize) -> bool {
     if f.universe_size() != g.universe_size() {
         return false;
     }
     let fm = f.minimized();
     let gm = g.minimized();
-    let mut nodes = 0usize;
+    let mut nodes = budget;
     match dual_rec(fm.edges(), gm.edges(), &mut nodes) {
         Some(v) => v,
-        None => {
-            // Node budget exhausted: decide by one direct enumeration.
-            // Still exact — just no longer the cheap path.
-            crate::berge::transversals(&fm) == gm
-        }
+        // Node budget exhausted: FK decides without enumerating. Still
+        // exact — just no longer the cheap path.
+        None => crate::fk::duality_witness(&fm, &gm).is_none(),
     }
 }
 
-/// `None` = node budget exhausted; otherwise the exact verdict.
+/// `None` = node budget exhausted; otherwise the exact verdict. `nodes`
+/// is the budget left.
 fn dual_rec(f: &[AttrSet], g: &[AttrSet], nodes: &mut usize) -> Option<bool> {
-    *nodes += 1;
-    if *nodes > NODE_BUDGET {
-        return None;
-    }
+    *nodes = nodes.checked_sub(1)?;
     // Constant base cases (families are minimized, so "contains ∅" means
     // the family is exactly {∅}): Tr(∅) = {∅} and Tr({∅}) = ∅.
     if f.is_empty() {
@@ -191,6 +194,40 @@ mod tests {
             &empty,
             &Hypergraph::from_index_edges(4, [vec![1]])
         ));
+    }
+
+    /// Past the node budget the verdict comes from FK; with a budget of
+    /// 0 or 1 node every non-trivial pair takes that route, and the
+    /// verdict must still be the enumerated one.
+    #[test]
+    fn budget_fallback_agrees_with_enumeration() {
+        let mut rng = StdRng::seed_from_u64(1123);
+        for _ in 0..60 {
+            let n = rng.gen_range(3..8);
+            let m = rng.gen_range(1..7);
+            let edges: Vec<Vec<usize>> = (0..m)
+                .map(|_| {
+                    let k = rng.gen_range(1..=n.min(4));
+                    (0..k).map(|_| rng.gen_range(0..n)).collect()
+                })
+                .collect();
+            let h = Hypergraph::from_index_edges(n, edges);
+            let tr = crate::naive::transversals(&h);
+            let mut broken = tr.edges().to_vec();
+            broken.pop();
+            let broken = Hypergraph::from_edges(n, broken).unwrap();
+            // `broken` misses one minimal transversal: never dual.
+            for budget in [0, 1] {
+                assert!(verify_dual_within(&h, &tr, budget), "{h:?}");
+                assert!(verify_dual_within(&tr, &h, budget), "{h:?}");
+                assert!(!verify_dual_within(&h, &broken, budget), "{h:?}");
+            }
+        }
+        // A threshold pair and a non-dual pair too big for the closed
+        // forms, whose first node alone is past a budget of 0.
+        let (h, d) = (generators::threshold(6, 3), generators::threshold(6, 4));
+        assert!(verify_dual_within(&h, &d, 0));
+        assert!(!verify_dual_within(&h, &h, 0));
     }
 
     #[test]

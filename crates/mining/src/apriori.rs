@@ -17,9 +17,6 @@
 //! is the walk's own, so every Theorem 10/12 statement about the generic
 //! algorithm applies verbatim to this miner.
 
-use std::collections::HashMap;
-use std::sync::OnceLock;
-
 use dualminer_bitset::AttrSet;
 use dualminer_core::checkpoint::{Aborted, FaultCtl, LevelwiseState};
 use dualminer_core::levelwise::{walk, LevelwiseRun};
@@ -35,9 +32,8 @@ pub struct FrequentSets {
     pub(crate) min_support: usize,
     pub(crate) n_rows: usize,
     /// Frequent sets, card-lex sorted, with absolute supports. Read-only
-    /// behind [`itemsets`](Self::itemsets): the cached
-    /// [`support_index`](Self::support_index) is derived from this vector,
-    /// and public mutability would let the two silently diverge.
+    /// behind [`itemsets`](Self::itemsets): [`support_of`](Self::support_of)
+    /// relies on the order.
     pub(crate) itemsets: Vec<(AttrSet, usize)>,
     /// The maximal frequent sets (`MTh`).
     pub maximal: Vec<AttrSet>,
@@ -46,9 +42,6 @@ pub struct FrequentSets {
     pub negative_border: Vec<AttrSet>,
     /// Candidates evaluated per level (level = cardinality).
     pub candidates_per_level: Vec<usize>,
-    /// Lazily built support lookup table (see
-    /// [`support_index`](Self::support_index)).
-    pub(crate) support_index: OnceLock<HashMap<AttrSet, usize>>,
 }
 
 impl FrequentSets {
@@ -68,10 +61,6 @@ impl FrequentSets {
     }
 
     /// The frequent sets, card-lex sorted, with absolute supports.
-    ///
-    /// Read-only: [`support_index`](Self::support_index) caches a lookup
-    /// table built from this vector on first use, so exposing the field
-    /// mutably would allow the cache to go stale.
     pub fn itemsets(&self) -> &[(AttrSet, usize)] {
         &self.itemsets
     }
@@ -85,23 +74,6 @@ impl FrequentSets {
             .binary_search_by(|(s, _)| s.cmp_card_lex(x))
             .ok()
             .map(|i| self.itemsets[i].1)
-    }
-
-    /// Support lookup table — `O(1)` per lookup after a one-time `O(m)`
-    /// build that is **cached**: repeated rule-mining passes share one
-    /// table instead of re-hashing the whole theory per call.
-    ///
-    /// The cache keys are clones of the stored itemsets (allocation-free
-    /// for universes ≤ 128 bits). The itemset collection is immutable
-    /// after mining (see [`itemsets`](Self::itemsets)), so the cached
-    /// table can never go stale.
-    pub fn support_index(&self) -> &HashMap<AttrSet, usize> {
-        self.support_index.get_or_init(|| {
-            self.itemsets
-                .iter()
-                .map(|(s, supp)| (s.clone(), *supp))
-                .collect()
-        })
     }
 
     /// Total support-counting operations performed (Theorem 10's count).
@@ -254,7 +226,6 @@ pub(crate) fn frequent_sets(
         maximal: positive_border,
         negative_border,
         candidates_per_level,
-        support_index: OnceLock::new(),
     }
 }
 
@@ -282,9 +253,6 @@ mod tests {
         assert_eq!(fs.support_of(&u.parse("ABC").unwrap()), Some(2));
         assert_eq!(fs.support_of(&u.parse("BD").unwrap()), Some(2));
         assert_eq!(fs.support_of(&u.parse("AD").unwrap()), None);
-        let index = fs.support_index();
-        assert_eq!(index.len(), fs.itemsets.len());
-        assert_eq!(index[&u.parse("B").unwrap()], 3);
     }
 
     #[test]
@@ -296,25 +264,6 @@ mod tests {
         }
         // Infrequent (support 1 < σ): not in the theory, so no lookup hit.
         assert_eq!(fs.support_of(&AttrSet::from_indices(4, [0, 1, 2, 3])), None);
-    }
-
-    #[test]
-    fn support_index_cannot_go_stale() {
-        // Regression: `itemsets` used to be a public field, so callers
-        // could mutate it after `support_index()` had cached its lookup
-        // table and the two views would silently diverge. The field is
-        // now read-only behind `itemsets()`; the cached table is built
-        // once and always agrees with the stored itemsets.
-        let db = fig1_db();
-        let fs = apriori(&db, 2);
-        let first: *const HashMap<AttrSet, usize> = fs.support_index();
-        for (set, supp) in fs.itemsets() {
-            assert_eq!(fs.support_index().get(set), Some(supp));
-            assert_eq!(fs.support_of(set), Some(*supp));
-        }
-        assert_eq!(fs.support_index().len(), fs.itemsets().len());
-        // Repeated calls return the same cached table, never a rebuild.
-        assert!(std::ptr::eq(first, fs.support_index()));
     }
 
     #[test]

@@ -77,7 +77,6 @@ pub fn association_rules(frequent: &FrequentSets, min_confidence: f64) -> Vec<As
         (0.0..=1.0).contains(&min_confidence),
         "confidence threshold must be in [0, 1]"
     );
-    let supports = frequent.support_index();
     let mut rules = Vec::new();
     for (z, support) in &frequent.itemsets {
         let support = *support;
@@ -87,7 +86,9 @@ pub fn association_rules(frequent: &FrequentSets, min_confidence: f64) -> Vec<As
         for a in z {
             let mut x = z.clone();
             x.remove(a);
-            let x_support = supports[&x]; // present: theory is closed down
+            let x_support = frequent
+                .support_of(&x)
+                .expect("the theory is closed downwards");
             let confidence = support as f64 / x_support as f64;
             if confidence >= min_confidence {
                 rules.push(AssociationRule {

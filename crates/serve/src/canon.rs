@@ -15,12 +15,20 @@
 //! by appended rows only is recognized because the cached content digest
 //! appears verbatim in the new input's prefix ladder, which is what routes
 //! the job through incremental re-mining instead of a cold run.
+//!
+//! Fingerprinting *is* the daemon's parse: each input is parsed once,
+//! and the parsed value travels with its digest to the runner (baskets
+//! as [`CanonBaskets`], built into a database only on a cold run).
 
 use dualminer_bitset::{AttrSet, Universe};
+use dualminer_fdep::Relation;
+use dualminer_hypergraph::Hypergraph;
 use dualminer_mining::{TransactionDb, VStoreBuilder};
 use dualminer_obs::RowFingerprint;
 
+use crate::exec::Parsed;
 use crate::formats::{self, FormatError, Interner, Token};
+use crate::proto::OpKind;
 
 /// One rung of the basket prefix ladder: the content digest after row
 /// `k`, plus how many item symbols had been interned by then.
@@ -198,31 +206,39 @@ fn replay_edges(
     }
 }
 
-/// Canonical fingerprint of a `transversals` input: the parsed
+/// Parses a `transversals` input and fingerprints the parsed
 /// hypergraph's dictionary and edge list. Vertex names are *included* —
 /// they appear in the rendered transversals.
-pub fn fingerprint_hypergraph(text: &str) -> Result<u64, FormatError> {
+fn canon_hypergraph(text: &str) -> Result<(Universe, Hypergraph, u64), FormatError> {
     let mut vertices = Interner::new();
     let raw = formats::parse_hypergraph_raw(text, &mut vertices)?;
+    let names = vertices.into_names();
     let mut fp = RowFingerprint::new();
-    let mut seen = 0;
-    replay_edges(&mut fp, &raw, Some(&vertices.into_names()), &mut seen);
-    Ok(fp.digest())
+    replay_edges(&mut fp, &raw, Some(&names), &mut 0);
+    let h = formats::hypergraph_from_raw(names.len(), raw)?;
+    Ok((Universe::new(names), h, fp.digest()))
 }
 
-/// Canonical fingerprint of a `verify-dual` input pair: both families'
-/// edges over the merged first-appearance vocabulary, separated by a
-/// sentinel symbol no parse can produce (the empty string — vertex tokens
-/// come from `split_whitespace`). Vertex *spellings* are canonically
-/// irrelevant here: the verdict depends only on the two index families,
-/// and no name is ever printed. A parse error names the file that
-/// failed: `f_label` or `g_label`.
-pub(crate) fn fingerprint_dual_pair(
+/// Canonical fingerprint of a `transversals` input: the digest half of
+/// the daemon's one parse of it.
+pub fn fingerprint_hypergraph(text: &str) -> Result<u64, FormatError> {
+    canon_hypergraph(text).map(|(_, _, digest)| digest)
+}
+
+/// Parses a `verify-dual` input pair over one merged first-appearance
+/// vocabulary — so the families land in the same universe even when each
+/// mentions only its own vertex names — and fingerprints both families'
+/// edges, separated by a sentinel symbol no parse can produce (the empty
+/// string — vertex tokens come from `split_whitespace`). Vertex
+/// *spellings* are canonically irrelevant here: the verdict depends only
+/// on the two index families, and no name is ever printed. A parse error
+/// names the file that failed: `f_label` or `g_label`.
+pub fn canon_dual_pair(
     f_text: &str,
     g_text: &str,
     f_label: &str,
     g_label: &str,
-) -> Result<u64, FormatError> {
+) -> Result<(Hypergraph, Hypergraph, u64), FormatError> {
     let mut vertices = Interner::new();
     let f_raw =
         formats::parse_hypergraph_raw(f_text, &mut vertices).map_err(|e| e.in_file(f_label))?;
@@ -234,16 +250,19 @@ pub(crate) fn fingerprint_dual_pair(
     fp.push_symbol("");
     fp.end_row();
     replay_edges(&mut fp, &g_raw, None, &mut seen);
-    Ok(fp.digest())
+    let n = vertices.len();
+    let f = formats::hypergraph_from_raw(n, f_raw).map_err(|e| e.in_file(f_label))?;
+    let g = formats::hypergraph_from_raw(n, g_raw).map_err(|e| e.in_file(g_label))?;
+    Ok((f, g, fp.digest()))
 }
 
-/// Canonical fingerprint of a `keys` input: the header names (they are
+/// Parses a `keys` input and fingerprints the header names (they are
 /// printed in every key and FD) plus the dictionary-coded rows. Cell
 /// *spellings* are canonically irrelevant — the relation's agree-set
 /// structure, and therefore every key, FD, and agree set, depends only on
 /// which cells within a column are equal, which is exactly what the
 /// per-column first-appearance codes record.
-pub fn fingerprint_relation(text: &str) -> Result<u64, FormatError> {
+fn canon_relation(text: &str) -> Result<(Universe, Relation, u64), FormatError> {
     let (universe, rel) = formats::parse_relation(text)?;
     let mut fp = RowFingerprint::new();
     for i in 0..universe.size() {
@@ -256,12 +275,71 @@ pub fn fingerprint_relation(text: &str) -> Result<u64, FormatError> {
         }
         fp.end_row();
     }
-    Ok(fp.digest())
+    Ok((universe, rel, fp.digest()))
+}
+
+/// Canonical fingerprint of a `keys` input: the digest half of the
+/// daemon's one parse of it.
+pub fn fingerprint_relation(text: &str) -> Result<u64, FormatError> {
+    canon_relation(text).map(|(_, _, digest)| digest)
+}
+
+/// A daemon input after its one parse: baskets in canonical form (the
+/// incremental route reads their rows and prefix ladder; a cold run
+/// builds the database from them), every other op's input as the
+/// [`Parsed`] value the runner takes.
+pub(crate) enum Canon {
+    /// A `mine` input.
+    Baskets(CanonBaskets),
+    /// A `keys`, `transversals` or `verify-dual` input.
+    Parsed(Parsed),
+}
+
+/// Parses a job's input text — and verify-dual's second text, `second`
+/// with its label — into the form the daemon computes on, together with
+/// its content digest. A parse error names the file that failed.
+pub(crate) fn canon_input(
+    op: &OpKind,
+    text: &str,
+    label: &str,
+    second: Option<(&str, &str)>,
+) -> Result<(Canon, u64), FormatError> {
+    let in_file = |e: FormatError| e.in_file(label);
+    Ok(match op {
+        OpKind::Mine { .. } => {
+            let canon = canon_baskets(text).map_err(in_file)?;
+            let digest = canon.fingerprint;
+            (Canon::Baskets(canon), digest)
+        }
+        OpKind::Transversals { .. } => {
+            let (universe, h, digest) = canon_hypergraph(text).map_err(in_file)?;
+            (Canon::Parsed(Parsed::Hypergraph(universe, h)), digest)
+        }
+        OpKind::Keys { .. } => {
+            let (universe, rel, digest) = canon_relation(text).map_err(in_file)?;
+            (Canon::Parsed(Parsed::Relation(universe, rel)), digest)
+        }
+        OpKind::VerifyDual => {
+            let (g_text, g_label) = second.expect("verify-dual carries a second input");
+            let (f, g, digest) = canon_dual_pair(text, g_text, label, g_label)?;
+            (Canon::Parsed(Parsed::DualPair(f, g)), digest)
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The pair digest alone.
+    fn fingerprint_dual_pair(
+        f_text: &str,
+        g_text: &str,
+        f_label: &str,
+        g_label: &str,
+    ) -> Result<u64, FormatError> {
+        canon_dual_pair(f_text, g_text, f_label, g_label).map(|(_, _, digest)| digest)
+    }
 
     const BASE: &str = "milk bread\nbread butter\nmilk\n";
 

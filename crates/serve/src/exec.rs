@@ -1,17 +1,27 @@
-//! Job execution and rendering, shared by the CLI and the daemon.
+//! The job runner shared by the CLI and the daemon.
 //!
-//! Each public function here is one subcommand body — engine routing,
-//! fault tolerance, checkpoint resume, budget handling, and output
-//! formatting — turned into a function from parsed input to a rendered
-//! output string. The CLI prints the string to stdout; the daemon ships
-//! it in a `result` event and stores it in the result cache. Because
-//! both frontends run *this* code, a cached daemon answer is byte-equal
-//! to a cold CLI run by construction.
+//! A job is a [`JobRequest`](crate::proto::JobRequest)'s op applied to
+//! its parsed input. Each frontend reads and parses the input its own
+//! way — the CLI streams basket and CSV files, the daemon parses once
+//! through [`crate::canon`] to fingerprint the input for its cache — and
+//! then makes the same two
+//! calls: [`preflight`], which answers an already-spent budget before any
+//! work, and [`run`], which dispatches on the op to the `mine`, `keys`,
+//! `transversals` or verify-dual body. Each body does the engine routing,
+//! fault tolerance, checkpoint resume, budget handling and output
+//! formatting, and returns the rendered stdout body with its exit code.
+//! The CLI prints the body; the daemon ships it in a `result` event and
+//! stores it in the result cache. Because both frontends run *this* code,
+//! a cached daemon answer is byte-equal to a cold CLI run, exit code
+//! included, by construction.
 //!
-//! Nothing here writes to stdout. Narration that the CLI used to
-//! `eprintln!` (checkpoint-resume notes, the engine choice) goes through
-//! [`ExecCtx::note`], which the CLI points at stderr and the daemon at
-//! the client's progress stream.
+//! The exit-code table lives here too: [`JobError::code`] (3 parse, 4 I/O
+//! or checkpoint, 5 fault) and [`JobOutput::exit`] (0, 1 not dual, 6
+//! budget).
+//!
+//! Nothing here writes to stdout. Narration (checkpoint-resume notes,
+//! the engine choice) goes through [`ExecCtx::note`], which the CLI
+//! points at stderr and the daemon at the client's progress stream.
 
 use std::fmt::Write as _;
 
@@ -36,21 +46,32 @@ use dualminer_obs::{
     StatsCollector,
 };
 
-use crate::formats::{self, FormatError};
+use crate::formats::FormatError;
 use crate::job::RunOpts;
+use crate::proto::{Input, OpKind};
 
-/// A job failure, typed by failure class. Exit codes are assigned by the
-/// frontends (CLI `CliError`, daemon `error` events) but agree: parse
-/// errors are 3, I/O and checkpoint errors 4, surviving oracle faults 5.
+/// A job failure, typed by failure class; [`code`](Self::code) is the
+/// exit code both frontends report for it.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JobError {
-    /// An input could not be parsed.
+    /// An input could not be parsed, or is not UTF-8.
     Format(FormatError),
     /// File or checkpoint I/O failure, including corrupt or mismatched
     /// checkpoints.
     Io(String),
     /// An oracle fault survived the retry budget.
     Fault(String),
+}
+
+impl JobError {
+    /// The exit code: 3 parse, 4 I/O or checkpoint, 5 fault.
+    pub fn code(&self) -> u8 {
+        match self {
+            JobError::Format(_) => 3,
+            JobError::Io(_) => 4,
+            JobError::Fault(_) => 5,
+        }
+    }
 }
 
 impl std::fmt::Display for JobError {
@@ -63,6 +84,28 @@ impl std::fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
+
+/// Reads a job input's text. A file that cannot be opened or read is an
+/// I/O error; one that is not UTF-8 is a parse error at the line of its
+/// first invalid byte, in the words the streaming readers use.
+pub fn read_input(input: &Input) -> Result<String, JobError> {
+    let path = match input {
+        Input::Inline(text) => return Ok(text.clone()),
+        Input::Path(path) => path,
+    };
+    let bytes =
+        std::fs::read(path).map_err(|e| JobError::Io(format!("cannot read {path:?}: {e}")))?;
+    String::from_utf8(bytes).map_err(|e| {
+        let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
+        let line = 1 + valid.iter().filter(|&&b| b == b'\n').count();
+        JobError::Format(FormatError {
+            file: Some(path.clone()),
+            line: Some(line),
+            column: None,
+            message: "read error: stream did not contain valid UTF-8".into(),
+        })
+    })
+}
 
 /// Everything a job body needs from its frontend: the live budget meter,
 /// the observer (stats + progress), the stats collector for engine
@@ -169,17 +212,96 @@ pub struct JobOutput {
     /// Why the run stopped early, if it did (the body then holds the
     /// partial prefix).
     pub reason: Option<BudgetReason>,
-    /// `verify-dual` answered "not dual" (exit 1 on the CLI).
-    pub not_dual: bool,
+    /// The exit code: 0, 1 when verify-dual answered "not dual", 6 when
+    /// the budget tripped.
+    pub exit: u8,
 }
 
 impl JobOutput {
-    fn complete(body: String) -> JobOutput {
+    /// A body that stopped for `reason`, if any (exit 6), or ran to the
+    /// end (exit 0).
+    fn new(body: String, reason: Option<BudgetReason>) -> JobOutput {
         JobOutput {
             body,
-            reason: None,
-            not_dual: false,
+            reason,
+            exit: if reason.is_some() { 6 } else { 0 },
         }
+    }
+}
+
+/// A job's input after its one parse: what [`run`] takes for each op.
+pub enum Parsed {
+    /// `mine`'s transactions.
+    Baskets(Universe, TransactionDb),
+    /// `keys`' relation.
+    Relation(Universe, Relation),
+    /// `transversals`' hypergraph.
+    Hypergraph(Universe, Hypergraph),
+    /// verify-dual's two families, over one merged vertex dictionary.
+    DualPair(Hypergraph, Hypergraph),
+}
+
+/// The pre-flight check both frontends make once the input is read and
+/// parsed: with an already-spent (or cancelled) budget, the job answers
+/// without doing any work.
+pub fn preflight(meter: &Meter) -> Option<JobOutput> {
+    let reason = meter.exceeded()?;
+    Some(JobOutput::new(
+        format!("budget exceeded ({reason}) before any work was performed\n"),
+        Some(reason),
+    ))
+}
+
+/// Runs `op` on its parsed input: the one dispatch both frontends share.
+/// A `mine` job also returns its mined collection, which the daemon
+/// caches for incremental re-mining.
+///
+/// # Panics
+/// Panics when `input` is not the variant `op` takes; both frontends
+/// parse by op.
+pub fn run(
+    op: &OpKind,
+    input: &Parsed,
+    run: &RunOpts,
+    cx: &ExecCtx<'_>,
+) -> Result<(JobOutput, Option<FrequentSets>), JobError> {
+    match (op, input) {
+        (
+            OpKind::Mine {
+                min_support,
+                rules,
+                maximal,
+                ..
+            },
+            Parsed::Baskets(universe, db),
+        ) => {
+            let sigma = min_support.resolve(db.n_rows());
+            let opts = MineOpts {
+                rules: *rules,
+                maximal: *maximal,
+            };
+            let (out, sets) = mine(universe, db, sigma, &opts, run, cx)?;
+            Ok((out, Some(sets)))
+        }
+        (OpKind::Keys { fds }, Parsed::Relation(universe, rel)) => {
+            Ok((keys(universe, rel, *fds, run, cx)?, None))
+        }
+        (OpKind::Transversals { algo }, Parsed::Hypergraph(universe, h)) => {
+            Ok((transversals(universe, h, *algo, run, cx)?, None))
+        }
+        (OpKind::VerifyDual, Parsed::DualPair(f, g)) => {
+            let out = if dualminer_hypergraph::verify_dual(f, g) {
+                JobOutput::new("dual\n".to_string(), None)
+            } else {
+                JobOutput {
+                    body: "not dual\n".to_string(),
+                    reason: None,
+                    exit: 1,
+                }
+            };
+            Ok((out, None))
+        }
+        (op, _) => panic!("{} job given another op's input", op.name()),
     }
 }
 
@@ -490,14 +612,7 @@ pub fn mine(
     .into_parts();
     cx.observer.on_phase_end("mine");
     let body = render_mine(universe, db, sigma, &fs, opts, reason);
-    Ok((
-        JobOutput {
-            body,
-            reason,
-            not_dual: false,
-        },
-        fs,
-    ))
+    Ok((JobOutput::new(body, reason), fs))
 }
 
 /// Incremental re-mining: extends a cached mined collection by appended
@@ -528,14 +643,7 @@ pub fn mine_incremental(
     let (update, reason) = append_rows_ctl(old_db, old, new_rows, &cx.ctl()).into_parts();
     cx.observer.on_phase_end("mine");
     let body = render_mine(universe, &update.db, sigma, &update.frequent, opts, reason);
-    (
-        JobOutput {
-            body,
-            reason,
-            not_dual: false,
-        },
-        update,
-    )
+    (JobOutput::new(body, reason), update)
 }
 
 // ---------------------------------------------------------------------------
@@ -630,11 +738,7 @@ pub fn keys(
             out!(body, "  (none)");
         }
     }
-    Ok(JobOutput {
-        body,
-        reason,
-        not_dual: false,
-    })
+    Ok(JobOutput::new(body, reason))
 }
 
 // ---------------------------------------------------------------------------
@@ -733,47 +837,7 @@ pub fn transversals(
     for t in &edges {
         braced_line(&mut body, universe, t);
     }
-    Ok(JobOutput {
-        body,
-        reason,
-        not_dual: false,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// verify-dual
-// ---------------------------------------------------------------------------
-
-/// Decides whether `g = Tr(f)` without enumerating. Parses both texts
-/// over one merged vertex dictionary (so the families land in the same
-/// universe even when each mentions only its own vertex names), then
-/// runs the witness checker. The body is the verdict line; `not_dual`
-/// carries the exit-1 verdict.
-pub fn verify_dual_pair(
-    f_text: &str,
-    g_text: &str,
-    f_label: &str,
-    g_label: &str,
-) -> Result<JobOutput, JobError> {
-    let mut vocab = formats::Interner::new();
-    let f_raw = formats::parse_hypergraph_raw(f_text, &mut vocab)
-        .map_err(|e| JobError::Format(e.in_file(f_label)))?;
-    let g_raw = formats::parse_hypergraph_raw(g_text, &mut vocab)
-        .map_err(|e| JobError::Format(e.in_file(g_label)))?;
-    let n = vocab.len();
-    let f =
-        formats::hypergraph_from_raw(n, f_raw).map_err(|e| JobError::Format(e.in_file(f_label)))?;
-    let g =
-        formats::hypergraph_from_raw(n, g_raw).map_err(|e| JobError::Format(e.in_file(g_label)))?;
-    if dualminer_hypergraph::verify_dual(&f, &g) {
-        Ok(JobOutput::complete("dual\n".to_string()))
-    } else {
-        Ok(JobOutput {
-            body: "not dual\n".to_string(),
-            reason: None,
-            not_dual: true,
-        })
-    }
+    Ok(JobOutput::new(body, reason))
 }
 
 #[cfg(test)]

@@ -566,7 +566,7 @@ pub fn parse_hypergraph(text: &str) -> Result<(Universe, Hypergraph), FormatErro
 /// dictionary, then materialize each edge list with
 /// [`hypergraph_from_raw`] at the final dictionary size. Indices are
 /// assigned in order of first appearance across all calls.
-pub fn parse_hypergraph_raw(
+pub(crate) fn parse_hypergraph_raw(
     text: &str,
     vertices: &mut Interner,
 ) -> Result<Vec<Vec<usize>>, FormatError> {
@@ -585,7 +585,7 @@ pub fn parse_hypergraph_raw(
 
 /// Materializes raw index edges (from [`parse_hypergraph_raw`]) as a
 /// [`Hypergraph`] over a universe of `n` vertices.
-pub fn hypergraph_from_raw(
+pub(crate) fn hypergraph_from_raw(
     n: usize,
     raw_edges: Vec<Vec<usize>>,
 ) -> Result<Hypergraph, FormatError> {

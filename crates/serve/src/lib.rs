@@ -14,11 +14,13 @@
 //!   tolerance, checkpointing), [`job::Support`], and the flag-value
 //!   parsers (`--timeout` durations, `--algo` spellings, support
 //!   thresholds) reused by the CLI parser and the wire protocol.
-//! * [`exec`] — job execution and rendering: each subcommand body
-//!   (engine routing, budget handling, checkpoint resume, output
-//!   formatting) as a function from parsed input to an output string.
-//!   The CLI prints that string; the daemon caches and ships it.
-//! * [`canon`] — canonical input fingerprinting on top of
+//! * [`exec`] — the job runner both frontends call: read an input,
+//!   pre-flight the budget, and run an op on its parsed input (engine
+//!   routing, budget handling, checkpoint resume, output formatting),
+//!   returning the rendered output with its exit code. The CLI prints
+//!   it; the daemon caches and ships it.
+//! * [`canon`] — the daemon's one parse: each input parsed into the value
+//!   the runner takes, with its canonical fingerprint on top of
 //!   [`dualminer_obs::fingerprint`]: whitespace/comment-equivalent
 //!   inputs hash equal, and basket inputs record per-row prefix digests
 //!   so appended-rows near-misses are recognized.

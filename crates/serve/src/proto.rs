@@ -145,7 +145,8 @@ pub struct JobRequest {
     pub input: Input,
     /// `verify-dual`'s second family.
     pub input2: Option<Input>,
-    /// Worker threads for this job (0 = server default).
+    /// Worker threads for this job. The daemon runs 0 as 1 and caps every
+    /// count at its CPUs; the CLI runs 0 as all available CPUs.
     pub threads: usize,
     /// Budgets, fault tolerance, checkpointing.
     pub run: RunOpts,
@@ -333,8 +334,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
 /// What every mine params digest hashes where it once hashed the
 /// request's row-segment cap: that cap's old default. Digests of requests
 /// that never named the field — and the persisted cache keys built from
-/// them — are therefore unchanged.
-const INERT_ROW_CAP: usize = 1024;
+/// them — are therefore unchanged. A frontend that builds a mine
+/// [`OpKind`] itself fills its `segment_rows` with this.
+pub const INERT_ROW_CAP: usize = 1024;
 
 /// What every params digest hashes where it once hashed the request's
 /// scheduler grain: the "unset" value. A `"grain"` field is now ignored

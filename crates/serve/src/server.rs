@@ -9,14 +9,15 @@
 //!
 //! The perf core is the flow in `serve_job`:
 //!
-//! 1. canonical content fingerprint (input equivalence, not bytes),
+//! 1. one parse of the input, with its canonical content fingerprint
+//!    (input equivalence, not bytes), then the budget pre-flight,
 //! 2. exact-key cache lookup — warm hits answer in O(1) with the stored
 //!    body and stats, no engine or oracle work,
 //! 3. appended-rows probe — a mine request extending a cached input
 //!    re-mines incrementally from the cached collection,
 //! 4. in-flight dedup — N identical concurrent requests run the engine
 //!    once; the rest wait on the flight and share its result,
-//! 5. a fresh computation through [`crate::exec`] otherwise.
+//! 5. a fresh computation through [`crate::exec::run`] otherwise.
 //!
 //! Jobs are cancellable (`cancel` trips the job's budget meter, so the
 //! engines stop at their next safe point exactly as a `--timeout` would)
@@ -39,12 +40,12 @@ use dualminer_bitset::Universe;
 use dualminer_obs::{available_cpus, Budget, BudgetReason, Meter, StatsCollector};
 
 use crate::cache::{Entry, MineArtifacts, ResultCache};
-use crate::canon;
-use crate::exec::{self, ExecCtx, JobError, JobObserver, MineOpts};
+use crate::canon::{self, Canon};
+use crate::exec::{self, ExecCtx, JobError, JobObserver, MineOpts, Parsed};
 use crate::formats;
 use crate::job::Support;
 use crate::persist;
-use crate::proto::{self, CacheTag, Input, JobRequest, OpKind, Request, ServerCounters};
+use crate::proto::{self, CacheTag, JobRequest, OpKind, Request, ServerCounters};
 
 /// How long blocking reads and accept polls wait before re-checking the
 /// shutdown flag. Bounds shutdown latency without busy-spinning.
@@ -521,19 +522,9 @@ impl JobFailure {
     }
 }
 
-fn read_input(input: &Input) -> Result<String, JobFailure> {
-    match input {
-        Input::Inline(text) => Ok(text.clone()),
-        Input::Path(path) => std::fs::read_to_string(path)
-            .map_err(|e| JobFailure::new(4, format!("cannot read {path:?}: {e}"))),
-    }
-}
-
-fn job_error(e: JobError) -> JobFailure {
-    match e {
-        JobError::Format(e) => JobFailure::new(3, e.to_string()),
-        JobError::Io(msg) => JobFailure::new(4, msg),
-        JobError::Fault(msg) => JobFailure::new(5, msg),
+impl From<JobError> for JobFailure {
+    fn from(e: JobError) -> JobFailure {
+        JobFailure::new(i32::from(e.code()), e.to_string())
     }
 }
 
@@ -593,16 +584,6 @@ fn check_input_size(
     Ok(())
 }
 
-fn exit_for(out: &exec::JobOutput) -> i32 {
-    if out.reason.is_some() {
-        6
-    } else if out.not_dual {
-        1
-    } else {
-        0
-    }
-}
-
 /// Whether a complete result of this request may be stored: plain runs
 /// only. Fault injection, retries, and checkpoint/resume runs are kept
 /// out of the cache — their outputs depend on state beyond the content
@@ -644,54 +625,43 @@ fn serve_job(
 ) -> Result<Served, JobFailure> {
     let id = req.id;
 
-    // Read and fingerprint the input. Mine keeps its canonical form for
-    // the appended-rows probe and the (single) parse; verify-dual keeps
-    // its second text, so the verdict is computed from the very bytes its
-    // cache key digests. Size bounds are enforced on the raw text, before
-    // any canonicalization.
-    let text = read_input(&req.input)?;
+    // Read, parse and fingerprint the input, once: the parsed value (for
+    // mine, the canonical rows the appended-rows probe also reads) goes on
+    // to the runner. Size bounds are enforced on the raw text, before any
+    // parsing.
+    let text = exec::read_input(&req.input)?;
     let header = matches!(req.op, OpKind::Keys { .. });
     check_input_size(&shared.limits, req.input.label(), &text, header)?;
-    let mut mine_canon = None;
-    let mut text2 = None;
-    let content = match &req.op {
-        OpKind::Mine { .. } => {
-            let canon = canon::canon_baskets(&text)
-                .map_err(|e| JobFailure::new(3, e.in_file(req.input.label()).to_string()))?;
-            mine_canon.insert(canon).fingerprint
-        }
-        OpKind::Transversals { .. } => canon::fingerprint_hypergraph(&text)
-            .map_err(|e| JobFailure::new(3, e.in_file(req.input.label()).to_string()))?,
-        OpKind::Keys { .. } => canon::fingerprint_relation(&text)
-            .map_err(|e| JobFailure::new(3, e.in_file(req.input.label()).to_string()))?,
-        OpKind::VerifyDual => {
-            let input2 = req.input2.as_ref().expect("parser enforced input2");
-            let g_text = read_input(input2)?;
+    let text2 = match &req.input2 {
+        Some(input2) => {
+            let g_text = exec::read_input(input2)?;
             check_input_size(&shared.limits, input2.label(), &g_text, false)?;
-            canon::fingerprint_dual_pair(
-                &text,
-                text2.insert(g_text),
-                req.input.label(),
-                input2.label(),
-            )
-            .map_err(|e| JobFailure::new(3, e.to_string()))?
+            Some((g_text, input2.label()))
         }
+        None => None,
     };
+    let second = text2
+        .as_ref()
+        .map(|(g_text, label)| (g_text.as_str(), *label));
+    let (input, content) =
+        canon::canon_input(&req.op, &text, req.input.label(), second).map_err(JobError::Format)?;
+    // Past the parse only the parsed value is needed.
+    drop((text, text2));
     let params = req.params_fingerprint();
     let fingerprint = proto::fingerprint_str(params, content);
     sink.send(&proto::ev_accepted(id, &fingerprint));
 
-    // Pre-flight, exactly like the CLI: an already-spent (or
+    // Pre-flight, at the CLI's point: an already-spent (or
     // already-cancelled) budget reports before any work.
-    if let Some(reason) = meter.exceeded() {
+    if let Some(out) = exec::preflight(meter) {
         let stats = StatsCollector::new();
         stats.set_threads(job_threads(req.threads));
         return Ok(Served {
             tag: CacheTag::Miss,
-            body: format!("budget exceeded ({reason}) before any work was performed\n").into(),
-            stats: stats.to_json(meter, Some(reason)).into(),
-            exit: 6,
-            reason: Some(reason),
+            stats: stats.to_json(meter, out.reason).into(),
+            exit: i32::from(out.exit),
+            reason: out.reason,
+            body: out.body.into(),
             fingerprint,
         });
     }
@@ -746,17 +716,7 @@ fn serve_job(
         None
     };
 
-    let outcome = compute_fresh(
-        shared,
-        req,
-        meter,
-        sink,
-        &text,
-        text2.as_deref(),
-        mine_canon,
-        params,
-        content,
-    );
+    let outcome = compute_fresh(shared, req, meter, sink, input, params, content);
 
     // Publish to waiters and clear the flight — on every path, including
     // failure, or coalesced requests would hang.
@@ -787,18 +747,14 @@ fn job_threads(requested: usize) -> usize {
 
 /// Runs the engines for a job that neither the cache nor an in-flight
 /// twin could answer: the incremental route when a cached base covers a
-/// prefix of the input, a cold [`crate::exec`] run otherwise. `text2` is
-/// verify-dual's second input as [`serve_job`] read it. Complete results
-/// of plain runs are stored for the next request.
-#[allow(clippy::too_many_arguments)]
+/// prefix of the input, the shared runner ([`exec::run`]) otherwise.
+/// Complete results of plain runs are stored for the next request.
 fn compute_fresh(
     shared: &Shared,
     req: &JobRequest,
     meter: &Arc<Meter>,
     sink: &Arc<ConnSink>,
-    text: &str,
-    text2: Option<&str>,
-    mine_canon: Option<canon::CanonBaskets>,
+    input: Canon,
     params: u64,
     content: u64,
 ) -> Result<Served, JobFailure> {
@@ -822,19 +778,8 @@ fn compute_fresh(
     };
 
     let mut tag = CacheTag::Miss;
-    let mut mine_result: Option<(MineArtifacts, u64)> = None;
-    let out = match &req.op {
-        OpKind::Mine {
-            min_support,
-            rules,
-            maximal,
-            ..
-        } => {
-            let canon = mine_canon.expect("mine jobs carry their canonical form");
-            let opts = MineOpts {
-                rules: *rules,
-                maximal: *maximal,
-            };
+    let (out, mine) = match input {
+        Canon::Baskets(canon) => {
             let base = incremental_ok(req)
                 .then(|| {
                     shared
@@ -842,65 +787,52 @@ fn compute_fresh(
                         .find_mine_base(req.base_params_fingerprint(), &canon)
                 })
                 .flatten();
-            if let Some((entry, base_rows)) = base {
+            let rows = canon.rows.len() as u64;
+            if let (Some((entry, base_rows)), OpKind::Mine { rules, maximal, .. }) = (base, &req.op)
+            {
                 // Incremental re-mining from the cached prefix.
                 tag = CacheTag::Incremental;
                 shared.counters.incremental.fetch_add(1, Ordering::Relaxed);
                 note(&format!(
-                    "note: incremental base covers {base_rows} of {} rows",
-                    canon.rows.len()
+                    "note: incremental base covers {base_rows} of {rows} rows"
                 ));
                 let artifacts = entry.mine.as_ref().expect("mine base carries artifacts");
                 let universe = Universe::new(canon.names.clone());
-                let new_rows = canon.rows_from(base_rows);
+                let opts = MineOpts {
+                    rules: *rules,
+                    maximal: *maximal,
+                };
                 let (out, update) = exec::mine_incremental(
                     &universe,
                     &artifacts.db,
                     &artifacts.sets,
-                    new_rows,
+                    canon.rows_from(base_rows),
                     &opts,
                     &cx,
                 );
-                mine_result = Some((
-                    MineArtifacts {
-                        db: update.db,
-                        sets: update.frequent,
-                    },
-                    canon.rows.len() as u64,
-                ));
-                out
+                let artifacts = MineArtifacts {
+                    db: update.db,
+                    sets: update.frequent,
+                };
+                (out, Some((artifacts, rows)))
             } else {
                 let (universe, db) = canon.build(0);
-                let sigma = min_support.resolve(db.n_rows());
-                let (out, sets) =
-                    exec::mine(&universe, &db, sigma, &opts, &req.run, &cx).map_err(job_error)?;
-                mine_result = Some((MineArtifacts { db, sets }, canon.rows.len() as u64));
-                out
+                let input = Parsed::Baskets(universe, db);
+                let (out, sets) = exec::run(&req.op, &input, &req.run, &cx)?;
+                let (Parsed::Baskets(_, db), Some(sets)) = (input, sets) else {
+                    unreachable!("a mine run returns its mined collection")
+                };
+                (out, Some((MineArtifacts { db, sets }, rows)))
             }
         }
-        OpKind::Transversals { algo } => {
-            let (universe, h) = formats::parse_hypergraph(text)
-                .map_err(|e| JobFailure::new(3, e.in_file(req.input.label()).to_string()))?;
-            exec::transversals(&universe, &h, *algo, &req.run, &cx).map_err(job_error)?
-        }
-        OpKind::Keys { fds } => {
-            let (universe, rel) = formats::parse_relation(text)
-                .map_err(|e| JobFailure::new(3, e.in_file(req.input.label()).to_string()))?;
-            exec::keys(&universe, &rel, *fds, &req.run, &cx).map_err(job_error)?
-        }
-        OpKind::VerifyDual => {
-            let input2 = req.input2.as_ref().expect("parser enforced input2");
-            let g_text = text2.expect("serve_job read input2");
-            exec::verify_dual_pair(text, g_text, req.input.label(), input2.label())
-                .map_err(job_error)?
-        }
+        Canon::Parsed(input) => (exec::run(&req.op, &input, &req.run, &cx)?.0, None),
     };
 
-    let exit = exit_for(&out);
+    let exit = i32::from(out.exit);
     let stats: Arc<str> = observer.stats.to_json(meter, out.reason).into();
     let body: Arc<str> = out.body.into();
     if storeable(req) && out.reason.is_none() {
-        let (mine, rows) = match mine_result {
+        let (mine, rows) = match mine {
             Some((artifacts, rows)) => (Some(Arc::new(artifacts)), rows),
             None => (None, 0),
         };
@@ -1156,80 +1088,36 @@ fn handle_conn(shared: Arc<Shared>, reader: Box<dyn Read + Send>, writer: Box<dy
     shared.counters.open_conns.fetch_sub(1, Ordering::Relaxed);
 }
 
-fn accept_loop_tcp(shared: Arc<Shared>, listener: TcpListener) {
-    // A listener that cannot go nonblocking would wedge shutdown; better
-    // to run without this listener than to panic the accept thread.
-    if let Err(e) = listener.set_nonblocking(true) {
-        eprintln!("serve: warning: TCP listener disabled (set_nonblocking: {e})");
-        return;
-    }
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                // A socket that cannot take its deadlines is dropped:
-                // running it without timeouts would reintroduce the
-                // unbounded-stall failure modes the deadlines exist for.
-                let prepared = stream
-                    .set_read_timeout(Some(POLL))
-                    .and_then(|()| stream.set_write_timeout(Some(shared.limits.write_timeout)))
-                    .and_then(|()| stream.try_clone());
-                let writer = match prepared {
-                    Ok(writer) => writer,
-                    Err(e) => {
-                        eprintln!("serve: warning: dropping connection (socket setup: {e})");
-                        continue;
-                    }
-                };
-                let shared2 = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || {
-                    handle_conn(shared2, Box::new(stream), Box::new(writer))
-                });
-                shared.conns.lock().unwrap().push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
-        }
-    }
-}
+/// A connection's read and write halves, ready for [`handle_conn`].
+type Halves = (Box<dyn Read + Send>, Box<dyn Write + Send>);
 
-#[cfg(unix)]
-fn accept_loop_unix(shared: Arc<Shared>, listener: UnixListener) {
-    if let Err(e) = listener.set_nonblocking(true) {
-        eprintln!("serve: warning: unix listener disabled (set_nonblocking: {e})");
+/// The accept loop of one listener, polled until shutdown. `nonblocking`
+/// is the listener's switch to nonblocking accepts: a listener that
+/// cannot make it would wedge shutdown, so it is disabled rather than
+/// panicking the accept thread. `accept` takes the next pending
+/// connection: `Err` when none is pending (or accept failed), `Ok(Err)`
+/// when its socket could not take its deadlines.
+fn accept_loop(
+    shared: Arc<Shared>,
+    kind: &str,
+    nonblocking: io::Result<()>,
+    accept: impl Fn() -> io::Result<io::Result<Halves>>,
+) {
+    if let Err(e) = nonblocking {
+        eprintln!("serve: warning: {kind} listener disabled (set_nonblocking: {e})");
         return;
     }
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let prepared = stream
-                    .set_read_timeout(Some(POLL))
-                    .and_then(|()| stream.set_write_timeout(Some(shared.limits.write_timeout)))
-                    .and_then(|()| stream.try_clone());
-                let writer = match prepared {
-                    Ok(writer) => writer,
-                    Err(e) => {
-                        eprintln!("serve: warning: dropping connection (socket setup: {e})");
-                        continue;
-                    }
-                };
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        match accept() {
+            Ok(Ok((reader, writer))) => {
                 let shared2 = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || {
-                    handle_conn(shared2, Box::new(stream), Box::new(writer))
-                });
+                let handle = std::thread::spawn(move || handle_conn(shared2, reader, writer));
                 shared.conns.lock().unwrap().push(handle);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
+            // A socket that cannot take its deadlines is dropped: running
+            // it without timeouts would reintroduce the unbounded-stall
+            // failure modes the deadlines exist for.
+            Ok(Err(e)) => eprintln!("serve: warning: dropping connection (socket setup: {e})"),
             Err(_) => std::thread::sleep(Duration::from_millis(50)),
         }
     }
@@ -1348,7 +1236,16 @@ pub fn start(config: &ServeConfig) -> io::Result<ServerHandle> {
         tcp_addr = Some(listener.local_addr()?);
         let shared2 = Arc::clone(&shared);
         accepters.push(std::thread::spawn(move || {
-            accept_loop_tcp(shared2, listener)
+            let nonblocking = listener.set_nonblocking(true);
+            accept_loop(shared2, "TCP", nonblocking, || {
+                let (stream, _) = listener.accept()?;
+                let _ = stream.set_nodelay(true);
+                Ok(stream
+                    .set_read_timeout(Some(POLL))
+                    .and_then(|()| stream.set_write_timeout(Some(limits.write_timeout)))
+                    .and_then(|()| stream.try_clone())
+                    .map(|writer| -> Halves { (Box::new(stream), Box::new(writer)) }))
+            })
         }));
     }
     let mut unix_path = None;
@@ -1362,7 +1259,15 @@ pub fn start(config: &ServeConfig) -> io::Result<ServerHandle> {
             unix_path = Some(PathBuf::from(path));
             let shared2 = Arc::clone(&shared);
             accepters.push(std::thread::spawn(move || {
-                accept_loop_unix(shared2, listener)
+                let nonblocking = listener.set_nonblocking(true);
+                accept_loop(shared2, "unix", nonblocking, || {
+                    let (stream, _) = listener.accept()?;
+                    Ok(stream
+                        .set_read_timeout(Some(POLL))
+                        .and_then(|()| stream.set_write_timeout(Some(limits.write_timeout)))
+                        .and_then(|()| stream.try_clone())
+                        .map(|writer| -> Halves { (Box::new(stream), Box::new(writer)) }))
+                })
             }));
         }
         #[cfg(not(unix))]
