@@ -1,13 +1,13 @@
 //! Set-trie benchmarks for the family-level operations PR 4 rewrote:
 //! `minimize_family` on mixed-cardinality families (trie descent vs the
 //! pre-PR-4 pairwise kept-prefix scan) and levelwise candidate
-//! generation on a sparse large-universe level (prefix-join + trie
-//! subset pruning vs the try-every-extension reference). Both baselines
-//! are the previous implementations copied verbatim so the `/trie` vs
-//! `/pairwise` (resp. `/naive`) lines measure exactly the PR 4 delta.
+//! generation on a sparse large-universe level (today the extension-mask
+//! join, under its historical `/trie` id, vs the try-every-extension
+//! reference). Both baselines are the previous implementations copied
+//! verbatim.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dualminer_bitset::candidates::prefix_join_batch;
+use dualminer_bitset::candidates::CandidateBatch;
 use dualminer_bitset::AttrSet;
 use dualminer_hypergraph::minimize_family;
 use rand::rngs::StdRng;
@@ -136,18 +136,19 @@ fn bench_candidate_gen(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.sample_size(10);
     let (n, level) = sparse_level(2000);
-    let batch = prefix_join_batch(n, 4, &level, Vec::as_slice);
+    let flat = CandidateBatch::from_members(n, 3, level.iter().map(Vec::as_slice));
+    let batch = flat.join();
     assert_eq!(
         (0..batch.len())
             .map(|i| (batch.pair(i).0, batch.cand(i).to_vec()))
             .collect::<Vec<_>>(),
         naive_units(n, 4, &level),
-        "prefix-join and naive generation must agree before timing them"
+        "the mask join and naive generation must agree before timing them"
     );
     group.bench_with_input(
         BenchmarkId::new("candidate_gen/trie", level.len()),
-        &level,
-        |b, level| b.iter(|| prefix_join_batch(n, 4, level, Vec::as_slice)),
+        &flat,
+        |b, flat| b.iter(|| flat.join()),
     );
     group.bench_with_input(
         BenchmarkId::new("candidate_gen/naive", level.len()),

@@ -12,13 +12,13 @@
 
 use std::fmt;
 use std::fs::File;
-use std::io::{BufRead, BufReader};
+use std::io::BufReader;
 
 use dualminer_obs::{
     available_cpus, BudgetReason, Meter, MiningObserver, RetryPolicy, StatsCollector,
 };
 use dualminer_serve::exec::{self, ExecCtx, JobError, JobObserver, JobOutput, Parsed};
-use dualminer_serve::formats::{self, FormatError};
+use dualminer_serve::formats::{self, FormatError, ReadError};
 use dualminer_serve::job::RunOpts;
 use dualminer_serve::proto::{Input, JobRequest, OpKind};
 use dualminer_serve::{canon, client, proto, server};
@@ -176,22 +176,22 @@ fn note_stderr(text: &str) {
 /// dictionary.
 fn load(req: &JobRequest) -> Result<Parsed, JobError> {
     let path = req.input.label();
-    let open = || -> Result<BufReader<File>, JobError> {
-        let io = |e: std::io::Error| JobError::Io(format!("cannot read {path:?}: {e}"));
-        let mut reader = BufReader::new(File::open(path).map_err(io)?);
-        // A path that opens but cannot be read, such as a directory,
-        // fails its first read: an I/O error, not a parse error.
-        reader.fill_buf().map_err(io)?;
-        Ok(reader)
-    };
+    let io = |e: std::io::Error| JobError::Io(format!("cannot read {path:?}: {e}"));
+    let open = || File::open(path).map(BufReader::new).map_err(io);
     let in_file = |e: FormatError| JobError::Format(e.in_file(path));
+    // A source that fails mid-read, such as a directory, is an I/O error
+    // wherever it fails; malformed text is a parse error.
+    let read = |e: ReadError| match e {
+        ReadError::Io(e) => io(e),
+        ReadError::Format(e) => in_file(e),
+    };
     Ok(match &req.op {
         OpKind::Mine { .. } => {
-            let (universe, db) = formats::parse_baskets_reader(open()?).map_err(in_file)?;
+            let (universe, db) = formats::parse_baskets_reader(open()?).map_err(read)?;
             Parsed::Baskets(universe, db)
         }
         OpKind::Keys { .. } => {
-            let (universe, rel) = formats::parse_relation_reader(open()?).map_err(in_file)?;
+            let (universe, rel) = formats::parse_relation_reader(open()?).map_err(read)?;
             Parsed::Relation(universe, rel)
         }
         OpKind::Transversals { .. } => {

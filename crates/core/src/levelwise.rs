@@ -25,9 +25,9 @@
 //! representable (`MTh = ∅`, `Bd⁻ = {∅}`). Experiment E1 reports the count
 //! both ways.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
-use dualminer_bitset::candidates::prefix_join_batch;
+use dualminer_bitset::candidates::CandidateBatch;
 use dualminer_bitset::{AttrSet, ImmediateSubsets};
 use dualminer_obs::{BudgetReason, Meter, NoopObserver, OracleError, Outcome, RunCtl, RunError};
 
@@ -91,7 +91,9 @@ pub fn levelwise_ctl<O: InterestOracle>(
 ) -> Result<Outcome<LevelwiseRun>, Aborted> {
     let outcome = walk(
         oracle.universe_size(),
-        |x: &AttrSet, _: &[usize], _: (&(), &())| oracle.is_interesting(x).then_some(((), ())),
+        0,
+        |x: &AttrSet, _: &[usize], _| oracle.is_interesting(x).then_some(((), ())),
+        |_, _, _, _| {},
         |_| (),
         threads,
         ctl,
@@ -258,6 +260,59 @@ impl LevelwiseCkpt {
     }
 }
 
+/// No slab slot: the member's words are not read.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Slabs kept between walks: the two largest a finished walk returned.
+/// Without them a walk grows its slabs from pages the heap handed back to
+/// the system when the previous walk freed its own, and pays a minor
+/// fault per page (DESIGN §9).
+static KEPT_SLABS: Mutex<Vec<Vec<u64>>> = Mutex::new(Vec::new());
+
+/// A walk's two level slabs: `cur` holds the level's words, `spare`
+/// receives the next level's. Taken from [`KEPT_SLABS`] (unless the walk
+/// has no words) and given back when the walk ends, however it ends.
+#[derive(Default)]
+struct Slabs {
+    cur: Vec<u64>,
+    spare: Vec<u64>,
+}
+
+impl Slabs {
+    fn take(stride: usize) -> Slabs {
+        if stride == 0 {
+            return Slabs::default();
+        }
+        // A pool of plain buffers is valid in any state a panic left.
+        let mut kept = KEPT_SLABS.lock().unwrap_or_else(PoisonError::into_inner);
+        Slabs {
+            cur: kept.pop().unwrap_or_default(),
+            spare: kept.pop().unwrap_or_default(),
+        }
+    }
+}
+
+impl Drop for Slabs {
+    fn drop(&mut self) {
+        let slabs = [
+            std::mem::take(&mut self.cur),
+            std::mem::take(&mut self.spare),
+        ];
+        if slabs.iter().all(|slab| slab.capacity() == 0) {
+            return;
+        }
+        let mut kept = KEPT_SLABS.lock().unwrap_or_else(PoisonError::into_inner);
+        kept.extend(slabs);
+        kept.sort_unstable_by_key(Vec::capacity);
+        let surplus = kept.len().saturating_sub(2);
+        kept.drain(..surplus);
+    }
+}
+
+/// The node handed to an evaluator: a level member's value-side state and
+/// its slice of the level slab (empty where no member was evaluated).
+pub type Node<'a, N> = (&'a N, &'a [u64]);
+
 /// The one level-wise walk over the subset lattice, generic over its
 /// per-candidate evaluator.
 ///
@@ -265,21 +320,35 @@ impl LevelwiseCkpt {
 /// `Is-interesting` query for candidate `x` (its ascending attribute
 /// `indices` alongside) and, when `x` is interesting, returns the value
 /// recorded with it in [`LevelwiseRun::theory`] and the node its
-/// extensions receive. `pair` holds the nodes of the candidate's join
-/// pair — the two level members whose union it is (`x` minus its largest,
-/// and minus its second-largest element). The walk hands default nodes
-/// where no such pair was evaluated in this run: for ∅ and the
-/// singletons, and for the first level after a resume. `restore(x)`
-/// rebuilds the value of a theory member read back from a checkpoint.
+/// extensions receive. `pair` holds the [`Node`]s of the candidate's join
+/// pair — the two level members whose union it is (`x` minus its
+/// largest, and minus its second-largest element). The singletons
+/// receive ∅'s node twice, with no words; the first level after a resume
+/// receives default nodes with no words. `restore(x)` rebuilds the value
+/// of a theory member read back from a checkpoint.
 ///
-/// **Threads.** Each level's candidates are evaluated on up to `threads`
-/// scoped workers (`0` = available parallelism). Candidate *generation*
-/// ([`prefix_join_batch`]) stays sequential (pure lattice bookkeeping, no
-/// database access); only the evaluations — the paper's unit of cost —
-/// fan out. Results merge in candidate order, so the run — theory with
-/// values, borders, per-level candidate counts, `queries` — is
-/// bit-identical for every thread count. At `threads = 1` the walk issues
-/// its queries strictly in sequential order, fault arrivals included.
+/// **Nodes and the level slab.** A node is the evaluator's `N` plus
+/// `stride` words. Counting is read-only: `evaluate` only reads its
+/// pair's words. Once the level's verdicts are merged, the interesting
+/// candidates form the next level and are joined into the next batch;
+/// then a second pass calls `materialize(indices, pair, node, words)` for
+/// each member some next candidate pairs with — no other member's words
+/// are ever read — and it must write all `stride` words of its slice (a
+/// slice starts with stale contents). The slices lie in member order in
+/// one slab per level; the walk keeps two slabs, swaps them at each level
+/// boundary and leaves them to the next walk when it ends, so a run
+/// allocates at most per level, never per node. An evaluator with no
+/// per-node words passes `stride = 0` and takes no slabs.
+///
+/// **Threads.** Each level's candidates are evaluated, and its nodes
+/// materialized, on up to `threads` workers, the calling thread among
+/// them (`0` = available parallelism). Candidate *generation* ([`CandidateBatch::join`]) stays
+/// sequential (pure lattice bookkeeping, no database access); only the
+/// evaluations — the paper's unit of cost — and the writes fan out.
+/// Results merge in candidate order, so the run — theory with values,
+/// borders, per-level candidate counts, `queries` — is bit-identical for
+/// every thread count. At `threads = 1` the walk issues its queries
+/// strictly in sequential order, fault arrivals included.
 ///
 /// **Budget and observer.** Each candidate evaluation records one oracle
 /// query; each completed level fires `on_level` with its candidate and
@@ -313,9 +382,12 @@ impl LevelwiseCkpt {
 /// any thread count): the walk restarts at the first unfinished level and
 /// replays exactly the suffix a from-scratch run would execute, so the
 /// result is bit-identical to an uninterrupted run.
+#[allow(clippy::too_many_arguments)]
 pub fn walk<V, N>(
     n: usize,
-    evaluate: impl Fn(&AttrSet, &[usize], (&N, &N)) -> Option<(V, N)> + Sync,
+    stride: usize,
+    evaluate: impl Fn(&AttrSet, &[usize], (Node<'_, N>, Node<'_, N>)) -> Option<(V, N)> + Sync,
+    materialize: impl Fn(&[usize], (Node<'_, N>, Node<'_, N>), &N, &mut [u64]) + Sync,
     restore: impl Fn(&AttrSet) -> V,
     threads: usize,
     ctl: &RunCtl<'_>,
@@ -345,9 +417,14 @@ where
         });
     }
 
-    // The last completed level's members with their nodes, and the theory
-    // index of its first member.
-    let mut level: Vec<(Vec<usize>, N)>;
+    // The last completed level: its members, their nodes, and the theory
+    // index of its first member. A member the next level reads has its
+    // words at `slot[m]` (in units of `stride`) of `slabs.cur`;
+    // `slabs.spare` is the slab the next level's words go into.
+    let mut level: CandidateBatch;
+    let mut nodes: Vec<N>;
+    let mut slot: Vec<u32> = Vec::new();
+    let mut slabs = Slabs::take(stride);
     let mut level_start: usize;
     let mut card: usize;
     if let Some(state) = resume {
@@ -365,11 +442,9 @@ where
             return Err(corrupt("checkpoint has no completed levels".into()));
         }
         card = state.candidates_per_level.len() - 1;
-        level = state
-            .frontier()
-            .into_iter()
-            .map(|v| (v, N::default()))
-            .collect();
+        let frontier = state.frontier();
+        level = CandidateBatch::from_members(n, card, frontier.iter().map(Vec::as_slice));
+        nodes = (0..level.len()).map(|_| N::default()).collect();
         level_start = state.theory.len() - level.len();
         marked = restored_marks(&state.theory);
         let values: Vec<V> = state.theory.iter().map(restore).collect();
@@ -389,11 +464,13 @@ where
         queries = 1;
         ctl.meter.record_query();
         let none = N::default();
-        let got = query_with_retry(&empty, fault, ctl, || evaluate(&empty, &[], (&none, &none)))
-            .map_err(|e| Aborted {
+        let no_pair = ((&none, &[][..]), (&none, &[][..]));
+        let got = query_with_retry(&empty, fault, ctl, || evaluate(&empty, &[], no_pair)).map_err(
+            |e| Aborted {
                 error: RunError::Oracle(e),
                 resume: None,
-            })?;
+            },
+        )?;
         ctl.observer.on_level(0, 1, usize::from(got.is_some()));
         let Some((value, node)) = got else {
             return Ok(Outcome::Complete(LevelwiseRun {
@@ -406,7 +483,8 @@ where
         };
         theory.push((empty, value));
         marked.push(false);
-        level = vec![(Vec::new(), node)];
+        nodes = vec![node];
+        level = CandidateBatch::from_members(n, 0, [&[][..]]);
         level_start = 0;
         card = 0;
         ckpt.at_boundary(
@@ -420,12 +498,25 @@ where
         )?;
     }
 
+    // The candidates of the level after `level`.
+    let mut batch = level.join();
     while !level.is_empty() && card < n {
         card += 1;
+        // A member's node: ∅ and a resumed level's members have no words.
+        let node = |m: usize| {
+            let words = match slot.get(m) {
+                Some(&k) if k != NO_SLOT => &slabs.cur[k as usize * stride..][..stride],
+                _ => &[][..],
+            };
+            (&nodes[m], words)
+        };
         // The flat batch carries, per candidate, its join pair's level
         // indices (the evaluator's `pair`) and the level indices of its
         // remaining immediate subsets (the maximal-family marking below).
-        let batch = prefix_join_batch(n, card, &level, |(v, _)| v.as_slice());
+        let pair = |batch: &CandidateBatch, i: usize| {
+            let (p, q) = batch.pair(i);
+            (node(p), node(q))
+        };
 
         // Evaluate the admitted prefix of the level in parallel; the
         // ordered merge reproduces the sequential evaluation order
@@ -434,20 +525,20 @@ where
         // count. The deadline, cancel and abort polls sit before every
         // candidate: once one fires, a worker answers `None` for the rest
         // of its candidates, so the merged verdicts truncate at a prefix
-        // of the sequential enumeration.
-        let prefix = &batch.pairs()[..ctl.meter.admit(batch.len())];
+        // of the sequential enumeration. (`par_map` maps over one unit
+        // per admitted candidate; a `Vec` of `()` allocates nothing.)
+        let admitted = vec![(); ctl.meter.admit(batch.len())];
         let abort = dualminer_parallel::AbortFlag::new();
         // The first failed query in candidate order, if any.
         let first_fault: Mutex<Option<(usize, OracleError)>> = Mutex::new(None);
-        let verdicts = dualminer_parallel::par_map(threads, prefix, |i, &(p, q)| {
+        let verdicts = dualminer_parallel::par_map(threads, &admitted, |i, ()| {
             if abort.is_set() || ctl.meter.exceeded().is_some() {
                 return None;
             }
             ctl.meter.record_query();
             let cand = batch.cand(i);
             let set = AttrSet::from_indices(n, cand.iter().copied());
-            let pair = (&level[p as usize].1, &level[q as usize].1);
-            match query_with_retry(&set, fault, ctl, || evaluate(&set, cand, pair)) {
+            match query_with_retry(&set, fault, ctl, || evaluate(&set, cand, pair(&batch, i))) {
                 Ok(got) => Some((set, got)),
                 Err(e) => {
                     abort.raise();
@@ -468,9 +559,10 @@ where
         }
 
         let next_start = theory.len();
-        let mut next: Vec<(Vec<usize>, N)> = Vec::new();
+        // The interesting candidates: their batch indices and nodes.
+        let mut kept: Vec<usize> = Vec::new();
+        let mut next_nodes: Vec<N> = Vec::new();
         let mut tested = 0usize;
-        let mut interesting_count = 0usize;
         for (i, verdict) in verdicts.into_iter().enumerate() {
             let Some((set, got)) = verdict else {
                 break;
@@ -478,7 +570,6 @@ where
             tested += 1;
             match got {
                 Some((value, node)) => {
-                    interesting_count += 1;
                     // An interesting candidate makes every immediate
                     // subset non-maximal — and the batch carries all of
                     // their level indices: the join pair and the
@@ -491,7 +582,8 @@ where
                     }
                     theory.push((set, value));
                     marked.push(false);
-                    next.push((batch.cand(i).to_vec(), node));
+                    kept.push(i);
+                    next_nodes.push(node);
                 }
                 None => negative.push(set),
             }
@@ -500,7 +592,7 @@ where
         if tested > 0 {
             candidates_per_level.push(tested);
         }
-        ctl.observer.on_level(card, tested, interesting_count);
+        ctl.observer.on_level(card, tested, kept.len());
         if tested < batch.len() {
             let reason = ctl.meter.exceeded().unwrap_or(BudgetReason::Cancelled);
             return Ok(Outcome::BudgetExceeded {
@@ -508,7 +600,39 @@ where
                 reason,
             });
         }
-        level = next;
+
+        // The interesting candidates are the new level, and its join the
+        // next batch. Only the members some next candidate pairs with get
+        // words: an exclusive scan over them gives each its slot, and one
+        // parallel pass writes the slots into the spare slab, which then
+        // becomes the level's.
+        batch.retain(|i| kept.binary_search(&i).is_ok());
+        let next = batch.join();
+        let mut next_slot = vec![NO_SLOT; batch.len()];
+        for c in 0..next.len() {
+            let (p, q) = next.pair(c);
+            next_slot[p] = 0;
+            next_slot[q] = 0;
+        }
+        let mut readers: Vec<usize> = Vec::new();
+        for (m, k) in next_slot.iter_mut().enumerate() {
+            if *k != NO_SLOT {
+                *k = readers.len() as u32;
+                readers.push(m);
+            }
+        }
+        // Its stale words are all overwritten. Growing it keeps the pages
+        // it already touched: the allocator remaps a large block rather
+        // than copying it, where a fresh block faults every page anew.
+        slabs.spare.resize(readers.len() * stride, 0);
+        dualminer_parallel::par_fill(threads, &mut slabs.spare, stride, |k, words| {
+            let m = readers[k];
+            materialize(batch.cand(m), pair(&batch, m), &next_nodes[m], words)
+        });
+        std::mem::swap(&mut slabs.cur, &mut slabs.spare);
+        slot = next_slot;
+        nodes = next_nodes;
+        level = std::mem::replace(&mut batch, next);
         level_start = next_start;
         ckpt.at_boundary(
             n,

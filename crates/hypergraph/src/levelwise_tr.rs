@@ -21,7 +21,7 @@
 //! solely through "is `X` a transversal?" tests, matching the paper's
 //! remark that the structure of the hypergraph is never used directly.
 
-use dualminer_bitset::candidates::prefix_join_batch;
+use dualminer_bitset::candidates::CandidateBatch;
 use dualminer_bitset::AttrSet;
 use dualminer_obs::{Meter, NoopObserver, Outcome, RunCtl};
 
@@ -86,32 +86,32 @@ pub(crate) fn run(hm: &Hypergraph, ctl: &RunCtl<'_>) -> Outcome<(Hypergraph, Lev
         ));
     }
 
-    // `level`: the non-transversals of the current cardinality, as sorted
-    // index vectors for prefix-based candidate generation.
-    let mut level: Vec<Vec<usize>> = vec![vec![]];
+    // `level`: the non-transversals of the current cardinality, the
+    // flat level the next join reads.
+    let mut level = CandidateBatch::from_members(n, 0, [&[][..]]);
     let mut card = 0usize;
 
     while !level.is_empty() && card < n {
         card += 1;
         // Apriori candidate generation: the prefix join of the level,
         // pruned unless every immediate subset is a non-transversal.
-        let batch = prefix_join_batch(n, card, &level, Vec::as_slice);
+        let mut batch = level.join();
         // The budget is polled once per extension `x ∪ {a}` (a > max x)
         // of a level member, pruned or not. Between two candidates no
         // query runs, so the polls that matter are the one before each
         // candidate and one for any extension after the last candidate.
-        let extensible = |x: &Vec<usize>| x.last().map_or(0, |&m| m + 1) < n;
+        let extensible = |m: usize| level.cand(m).last().map_or(0, |&l| l + 1) < n;
         let extension_after_last = match batch.len().checked_sub(1) {
             Some(last) => {
                 let (parent, _) = batch.pair(last);
-                batch.cand(last)[card - 1] + 1 < n || level[parent + 1..].iter().any(extensible)
+                batch.cand(last)[card - 1] + 1 < n || (parent + 1..level.len()).any(extensible)
             }
-            None => level.iter().any(extensible),
+            None => (0..level.len()).any(extensible),
         };
-        let mut next: Vec<Vec<usize>> = Vec::new();
-        let mut tested = 0usize;
+        let mut non_transversal = Vec::with_capacity(batch.len());
         let mut found_this_level = 0usize;
         for i in 0..batch.len() + usize::from(extension_after_last) {
+            let tested = non_transversal.len();
             if let Some(reason) = ctl.meter.exceeded() {
                 stats.candidates_per_level.push(tested);
                 stats.evaluations += tested;
@@ -126,25 +126,25 @@ pub(crate) fn run(hm: &Hypergraph, ctl: &RunCtl<'_>) -> Outcome<(Hypergraph, Lev
             if i == batch.len() {
                 break; // the poll for the extensions after the last candidate
             }
-            let cand = batch.cand(i);
-            tested += 1;
             ctl.meter.record_query();
             ctl.observer.on_nodes(1);
-            let cand_set = AttrSet::from_indices(n, cand.iter().copied());
-            if is_transversal(hm, &cand_set) {
+            let cand_set = AttrSet::from_indices(n, batch.cand(i).iter().copied());
+            let is_tr = is_transversal(hm, &cand_set);
+            if is_tr {
                 // All proper subsets are non-transversals ⇒ minimal.
                 minimal_transversals.push(cand_set);
                 found_this_level += 1;
                 ctl.meter.record_transversal();
                 ctl.observer.on_transversals(1);
-            } else {
-                next.push(cand.to_vec());
             }
+            non_transversal.push(!is_tr);
         }
+        let tested = non_transversal.len();
         stats.candidates_per_level.push(tested);
         stats.evaluations += tested;
         ctl.observer.on_level(card, tested, found_this_level);
-        level = next;
+        batch.retain(|i| non_transversal[i]);
+        level = batch;
     }
 
     Outcome::Complete((

@@ -19,7 +19,7 @@
 
 use dualminer_bitset::AttrSet;
 use dualminer_core::checkpoint::{Aborted, FaultCtl, LevelwiseState};
-use dualminer_core::levelwise::{walk, LevelwiseRun};
+use dualminer_core::levelwise::{walk, LevelwiseRun, Node};
 use dualminer_obs::{Meter, NoopObserver, Outcome, RunCtl};
 
 use crate::vstore::{EclatCfg, EclatNode};
@@ -163,32 +163,45 @@ fn mine(
 ) -> Result<Outcome<FrequentSets>, Aborted> {
     assert!(min_support > 0, "min_support must be positive");
     let vstore = db.vstore();
-    // A frequent candidate's node is its tid structure (`None` for ∅,
-    // which no count reads). Counting is non-materializing (`count_pair`
-    // is one read-only AND/ANDNOT-popcount over the pair's structures); a
-    // node is materialized only for candidates that pass the threshold —
-    // the ones the next level extends.
-    let evaluate = |_: &AttrSet, cand: &[usize], pair: (&Option<EclatNode>, &Option<EclatNode>)| {
-        let (support, node) = match pair {
-            (Some(x), Some(y)) => {
-                let support = vstore.count_pair(x, y);
-                let node = (support >= min_support).then(|| vstore.make_child(x, y, support, cfg));
-                (support, node)
-            }
-            // ∅, the singletons, and the first level after a resume have
-            // no evaluated pair: count from the item columns.
-            _ => {
-                let support = vstore.support_items(cand);
-                let node = (support >= min_support && !cand.is_empty())
-                    .then(|| vstore.items_node(cand, support, cfg));
-                (support, node)
-            }
+    // A frequent candidate's node is its dEclat bookkeeping (`None` for ∅,
+    // which no count reads) and its tid structure in the level slab.
+    // Counting is non-materializing (`count_pair` is one read-only
+    // AND/ANDNOT-popcount over the pair's structures); the walk writes
+    // the structures of the level's frequent candidates once all of its
+    // counts are in — the ones the next level extends.
+    let evaluate =
+        |_: &AttrSet, cand: &[usize], pair: (Node<'_, Option<EclatNode>>, Node<'_, _>)| {
+            let (support, node) = match pair {
+                ((Some(x), xs), (Some(y), ys)) => {
+                    let support = vstore.count_pair(x, xs, y, ys);
+                    (support, vstore.child_node(x, support, cfg))
+                }
+                // ∅, the singletons, and the first level after a resume have
+                // no evaluated pair: count from the item columns.
+                _ => {
+                    let support = vstore.support_items(cand);
+                    (support, vstore.items_node(support, cfg))
+                }
+            };
+            (support >= min_support).then_some((support, (!cand.is_empty()).then_some(node)))
         };
-        (support >= min_support).then_some((support, node))
+    let materialize = |cand: &[usize],
+                       pair: (Node<'_, Option<EclatNode>>, Node<'_, _>),
+                       node: &Option<EclatNode>,
+                       out: &mut [u64]| {
+        let child = node
+            .as_ref()
+            .expect("only ∅ lacks a tid structure, and ∅ is no pair member");
+        match pair {
+            ((Some(x), xs), (_, ys)) => vstore.write_child(x, xs, ys, child.support, out),
+            _ => vstore.write_items(cand, out),
+        }
     };
     let outcome = walk(
         db.n_items(),
+        vstore.blocks(),
         evaluate,
+        materialize,
         |x| db.support(x),
         threads,
         ctl,
@@ -330,6 +343,117 @@ mod tests {
                 match &sequential {
                     None => sequential = Some(parts),
                     Some(seq) => assert_eq!(&parts, seq, "{ctx}: partial"),
+                }
+            }
+        }
+    }
+
+    /// The level slabs move where tid structures live, never an answer.
+    /// Under every representation policy at threads 1, 2 and 4, a run
+    /// resumed from each level boundary (its first level counted from the
+    /// item columns into the slab) and the partial at every `max_queries`
+    /// equal the one-thread default-policy run: itemsets with supports,
+    /// `MTh`, `Bd⁻`, candidates per level and the metered queries.
+    #[test]
+    fn slab_runs_match_one_thread_reference() {
+        use crate::gen::{quest, QuestParams};
+        use dualminer_core::checkpoint::ResumeState;
+        use dualminer_obs::{Budget, MemoryCheckpoints, RetryPolicy};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let params = QuestParams {
+            n_items: 12,
+            n_transactions: 200,
+            avg_transaction_size: 5,
+            avg_pattern_size: 3,
+            n_patterns: 6,
+            corruption: 0.3,
+        };
+        let db = quest(&params, &mut StdRng::seed_from_u64(28));
+        let sigma = 12;
+        type Parts = (
+            Vec<(AttrSet, usize)>,
+            Vec<AttrSet>,
+            Vec<AttrSet>,
+            Vec<usize>,
+            u64,
+        );
+        let run = |cfg: &EclatCfg,
+                   threads: usize,
+                   budget: Budget,
+                   sink: Option<&MemoryCheckpoints>,
+                   resume: Option<LevelwiseState>|
+         -> (Parts, u64) {
+            let meter = budget.start();
+            let fault = match sink {
+                Some(sink) => FaultCtl::checkpointed(RetryPolicy::default(), sink, 1),
+                None => FaultCtl::none(),
+            };
+            let ctl = RunCtl::new(&meter, &NoopObserver);
+            let fs = mine(&db, sigma, threads, &ctl, &fault, resume, cfg)
+                .expect("no faults injected")
+                .into_value();
+            let queries = fs.queries();
+            let parts = (
+                fs.itemsets,
+                fs.maximal,
+                fs.negative_border,
+                fs.candidates_per_level,
+                queries,
+            );
+            (parts, meter.queries())
+        };
+        let sink = MemoryCheckpoints::new();
+        let (reference, count) = run(
+            &EclatCfg::default(),
+            1,
+            Budget::default(),
+            Some(&sink),
+            None,
+        );
+        assert!(
+            reference.3.len() > 4,
+            "the sweep needs several levels: {count} queries"
+        );
+        let boundaries: Vec<LevelwiseState> = sink
+            .all()
+            .iter()
+            .map(|envelope| match ResumeState::from_envelope(envelope) {
+                Ok(ResumeState::Levelwise(state)) => state,
+                other => panic!("not a levelwise state: {other:?}"),
+            })
+            .collect();
+        assert_eq!(boundaries.len(), reference.3.len());
+        let capped = |k: u64| Budget {
+            max_queries: Some(k),
+            ..Budget::default()
+        };
+        let partials: Vec<(Parts, u64)> = (1..=count)
+            .map(|k| run(&EclatCfg::default(), 1, capped(k), None, None))
+            .collect();
+        for cfg in [
+            EclatCfg::default(),
+            EclatCfg::tidset_only(),
+            EclatCfg::diffset_always(),
+        ] {
+            for threads in [1usize, 2, 4] {
+                let ctx = format!("density={} threads={threads}", cfg.diffset_density);
+                let whole = run(&cfg, threads, Budget::default(), None, None);
+                assert_eq!(whole, (reference.clone(), count), "{ctx}");
+                for state in &boundaries {
+                    let done = state.queries;
+                    let resumed = run(&cfg, threads, Budget::default(), None, Some(state.clone()));
+                    assert_eq!(
+                        resumed,
+                        (reference.clone(), count - done),
+                        "{ctx} resumed at {done}"
+                    );
+                }
+                for (k, partial) in (1..=count).zip(&partials) {
+                    let got = run(&cfg, threads, capped(k), None, None);
+                    assert_eq!(&got, partial, "{ctx} max_queries={k}");
+                    assert_eq!(got.1, k, "{ctx} max_queries={k}");
                 }
             }
         }

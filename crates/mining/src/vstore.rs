@@ -10,9 +10,21 @@
 //! **tidset** or its dEclat **diffset** `d(c) = t(parent) \ t(c)` (so
 //! `support(c) = support(parent) − |d(c)|`), chosen per node by a density
 //! heuristic (`EclatCfg::diffset_density`): dense children switch to
-//! diffsets, which empty out as the prefix tree deepens. Node runs have
-//! the store's run length, so the read-only count (`count_pair`) and the
-//! materializing pass (`make_child`) are each one pass over two runs.
+//! diffsets, which empty out as the prefix tree deepens.
+//!
+//! **Count, then materialize, into one slab per level.** A node's tid
+//! structure has the store's run length (`VStore::blocks`), so every
+//! node of a level fits one fixed-stride slab, which the levelwise walk
+//! owns: it keeps two, swaps them at each level boundary and hands them
+//! from one mine to the next. A level is counted first — `count_pair`
+//! reads its two parents' runs and writes nothing, for every candidate —
+//! and only after all of its counts are in does a second parallel pass
+//! write the structures of the frequent candidates the next level reads
+//! (`write_child`, or `write_items` off the item columns where no pair
+//! was evaluated), each into its own slice. `EclatNode` is the
+//! bookkeeping beside the slice: support, representation, and the
+//! switch for its children. So a mine allocates per level, not per
+//! frequent set (DESIGN §9).
 //!
 //! **Representation uniformity.** A node's `diff_children` flag fixes the
 //! representation of *all* its children (forced to diffsets when the node
@@ -193,9 +205,11 @@ pub(crate) enum TidRepr {
     Diffset,
 }
 
-/// One prefix-tree node of the Eclat/dEclat miner: its support plus the
-/// stored tid structure, one run as long as the store's item runs.
-#[derive(Clone, Debug)]
+/// The bookkeeping of one prefix-tree node of the Eclat/dEclat miner:
+/// its support and which tid structure it stores. The structure itself,
+/// one run as long as the store's item runs, is the node's slice of the
+/// walk's level slab.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct EclatNode {
     /// Absolute support of the node's itemset.
     pub(crate) support: usize,
@@ -203,8 +217,6 @@ pub(crate) struct EclatNode {
     /// Children of this node materialize as diffsets (forced when the
     /// node itself is one — see the module docs).
     diff_children: bool,
-    /// The stored tidset or diffset.
-    blocks: Vec<u64>,
 }
 
 impl VStore {
@@ -397,69 +409,51 @@ impl VStore {
         support as f64 >= cfg.diffset_density * parent_support as f64
     }
 
-    /// The tidset node of a nonempty itemset, read off its item columns —
-    /// a copy of the item's run for a singleton. Its children switch to
-    /// diffsets by comparing its support against the row count.
-    pub(crate) fn items_node(&self, items: &[usize], support: usize, cfg: &EclatCfg) -> EclatNode {
-        let (&first, rest) = items.split_first().expect("a node has at least one item");
-        let mut blocks = self.run(first).to_vec();
-        for &item in rest {
-            for (w, &r) in blocks.iter_mut().zip(self.run(item)) {
-                *w &= r;
-            }
-        }
-        debug_assert_eq!(kernels::popcount(&blocks), support);
+    /// Blocks per node run: the stride of the walk's level slab.
+    pub(crate) fn blocks(&self) -> usize {
+        self.blocks
+    }
+
+    /// The tidset node of a nonempty itemset read off its item columns.
+    /// Its children switch to diffsets by comparing its support against
+    /// the row count.
+    pub(crate) fn items_node(&self, support: usize, cfg: &EclatCfg) -> EclatNode {
         EclatNode {
             support,
             repr: TidRepr::Tidset,
             diff_children: self.heuristic_diff(support, self.n_rows, cfg),
-            blocks,
         }
     }
 
-    /// `|t(x ∪ y)|` for two sibling nodes: one AND/ANDNOT-popcount pass
-    /// that materializes nothing — the miner takes this path for every
-    /// candidate, including each that misses the threshold.
-    pub(crate) fn count_pair(&self, x: &EclatNode, y: &EclatNode) -> usize {
+    /// Writes the tidset of `items` (nonempty) into `out`: a copy of the
+    /// item's run for a singleton, the AND of the runs above that.
+    pub(crate) fn write_items(&self, items: &[usize], out: &mut [u64]) {
+        let (&first, rest) = items.split_first().expect("a node has at least one item");
+        out.copy_from_slice(self.run(first));
+        for &item in rest {
+            for (w, &r) in out.iter_mut().zip(self.run(item)) {
+                *w &= r;
+            }
+        }
+    }
+
+    /// `|t(x ∪ y)|` for two sibling nodes with tid structures `xs` and
+    /// `ys`: one AND/ANDNOT-popcount pass that materializes nothing — the
+    /// miner takes this path for every candidate, including each that
+    /// misses the threshold.
+    pub(crate) fn count_pair(&self, x: &EclatNode, xs: &[u64], y: &EclatNode, ys: &[u64]) -> usize {
         debug_assert_eq!(x.repr, y.repr, "prefix-join pairs share a representation");
         match x.repr {
-            TidRepr::Tidset => kernels::and_len(&x.blocks, &y.blocks),
+            TidRepr::Tidset => kernels::and_len(xs, ys),
             // support(c) = support(x) − |d(y) \ d(x)|.
-            TidRepr::Diffset => x.support - kernels::andnot_len(&y.blocks, &x.blocks),
+            TidRepr::Diffset => x.support - kernels::andnot_len(ys, xs),
         }
     }
 
-    /// Materializes the child of `x ∪ {last(y)}` (tidset or diffset, per
-    /// `x.diff_children`) in one write pass — called only for candidates
-    /// that passed the threshold, with the `support` that
-    /// [`count_pair`](Self::count_pair) already established.
-    pub(crate) fn make_child(
-        &self,
-        x: &EclatNode,
-        y: &EclatNode,
-        support: usize,
-        cfg: &EclatCfg,
-    ) -> EclatNode {
-        debug_assert_eq!(x.repr, y.repr);
-        let mut blocks = vec![0u64; self.blocks];
-        let stored = if !x.diff_children {
-            // Tidset child of tidset parents: t(x) ∩ t(y).
-            kernels::and_into(&x.blocks, &y.blocks, &mut blocks)
-        } else if x.repr == TidRepr::Tidset {
-            // Diffset child of tidset parents: d(c) = t(x) \ t(y).
-            kernels::andnot_into(&x.blocks, &y.blocks, &mut blocks)
-        } else {
-            // Diffset child of diffset parents: d(c) = d(y) \ d(x).
-            kernels::andnot_into(&y.blocks, &x.blocks, &mut blocks)
-        };
-        debug_assert_eq!(
-            if x.diff_children {
-                x.support - stored
-            } else {
-                stored
-            },
-            support
-        );
+    /// The node of the child `x ∪ {last(y)}` of `x` with the `support`
+    /// [`count_pair`](Self::count_pair) established: a diffset per
+    /// `x.diff_children`, and its own children's switch decided.
+    pub(crate) fn child_node(&self, x: &EclatNode, support: usize, cfg: &EclatCfg) -> EclatNode {
         let repr = if x.diff_children {
             TidRepr::Diffset
         } else {
@@ -469,8 +463,38 @@ impl VStore {
             support,
             repr,
             diff_children: repr == TidRepr::Diffset || self.heuristic_diff(support, x.support, cfg),
-            blocks,
         }
+    }
+
+    /// Writes the tid structure of `x`'s child with `y` into `out` in one
+    /// pass — called only for candidates that passed the threshold, after
+    /// the level's counts, with the child's `support`.
+    pub(crate) fn write_child(
+        &self,
+        x: &EclatNode,
+        xs: &[u64],
+        ys: &[u64],
+        support: usize,
+        out: &mut [u64],
+    ) {
+        let stored = if !x.diff_children {
+            // Tidset child of tidset parents: t(x) ∩ t(y).
+            kernels::and_into(xs, ys, out)
+        } else if x.repr == TidRepr::Tidset {
+            // Diffset child of tidset parents: d(c) = t(x) \ t(y).
+            kernels::andnot_into(xs, ys, out)
+        } else {
+            // Diffset child of diffset parents: d(c) = d(y) \ d(x).
+            kernels::andnot_into(ys, xs, out)
+        };
+        debug_assert_eq!(
+            if x.diff_children {
+                x.support - stored
+            } else {
+                stored
+            },
+            support
+        );
     }
 }
 
@@ -599,6 +623,34 @@ mod tests {
         assert!(vs.column(1).is_empty());
     }
 
+    /// A node with its tid structure, built the way the walk does:
+    /// counted first, then written into a slab slice.
+    type Owned = (EclatNode, Vec<u64>);
+
+    fn items_owned(vs: &VStore, items: &[usize], cfg: &EclatCfg) -> Owned {
+        let mut out = vec![0; vs.blocks()];
+        vs.write_items(items, &mut out);
+        let support = vs.support_items(items);
+        assert_eq!(kernels::popcount(&out), support);
+        (vs.items_node(support, cfg), out)
+    }
+
+    fn count(vs: &VStore, (x, xs): &Owned, (y, ys): &Owned) -> usize {
+        vs.count_pair(x, xs, y, ys)
+    }
+
+    fn child(
+        vs: &VStore,
+        (x, xs): &Owned,
+        (_, ys): &Owned,
+        support: usize,
+        cfg: &EclatCfg,
+    ) -> Owned {
+        let mut out = vec![u64::MAX; vs.blocks()]; // stale slab contents
+        vs.write_child(x, xs, ys, support, &mut out);
+        (vs.child_node(x, support, cfg), out)
+    }
+
     /// Exhaustively mines pairs/triples through both representations and
     /// checks every support against the horizontal count.
     #[test]
@@ -617,34 +669,32 @@ mod tests {
                 EclatCfg::tidset_only(),
                 EclatCfg::diffset_always(),
             ] {
-                let items: Vec<EclatNode> = (0..n)
-                    .map(|i| vs.items_node(&[i], vs.item_support(i), &cfg))
-                    .collect();
+                let items: Vec<Owned> = (0..n).map(|i| items_owned(&vs, &[i], &cfg)).collect();
                 for i in 0..n {
                     for j in (i + 1)..n {
                         let x = &items[i];
                         let y = &items[j];
                         let expect = naive_support(&rs, &AttrSet::from_indices(n, [i, j]));
-                        assert_eq!(vs.count_pair(x, y), expect, "rows={n_rows} pair {i},{j}");
-                        let c_ij = vs.make_child(x, y, expect, &cfg);
-                        assert_eq!(c_ij.support, expect);
+                        assert_eq!(count(&vs, x, y), expect, "rows={n_rows} pair {i},{j}");
+                        let c_ij = child(&vs, x, y, expect, &cfg);
+                        assert_eq!(c_ij.0.support, expect);
                         // Grandchildren: siblings c_ij, c_ik share parent i.
                         for k in (j + 1)..n {
-                            let support_ik = vs.count_pair(x, &items[k]);
-                            let c_ik = vs.make_child(x, &items[k], support_ik, &cfg);
+                            let support_ik = count(&vs, x, &items[k]);
+                            let c_ik = child(&vs, x, &items[k], support_ik, &cfg);
                             let expect3 = naive_support(&rs, &AttrSet::from_indices(n, [i, j, k]));
                             assert_eq!(
-                                vs.count_pair(&c_ij, &c_ik),
+                                count(&vs, &c_ij, &c_ik),
                                 expect3,
                                 "rows={n_rows} triple {i},{j},{k}"
                             );
                             // Nodes rebuilt from the item columns (a
                             // resumed walk's first level) pair the same.
-                            let r_ij = vs.items_node(&[i, j], expect, &cfg);
-                            let r_ik = vs.items_node(&[i, k], support_ik, &cfg);
-                            assert_eq!(vs.count_pair(&r_ij, &r_ik), expect3);
-                            let made = vs.make_child(&c_ij, &c_ik, expect3, &cfg);
-                            assert_eq!(made.support, expect3);
+                            let r_ij = items_owned(&vs, &[i, j], &cfg);
+                            let r_ik = items_owned(&vs, &[i, k], &cfg);
+                            assert_eq!(count(&vs, &r_ij, &r_ik), expect3);
+                            let made = child(&vs, &c_ij, &c_ik, expect3, &cfg);
+                            assert_eq!(made.0.support, expect3);
                         }
                     }
                 }

@@ -318,7 +318,7 @@ fn append_is_cold_walk(
 /// each level member, try every extension above its maximum and keep
 /// the candidate iff all immediate subsets (other than the parent
 /// itself) are level members. Emission order is parents in level order,
-/// extensions ascending — the order [`prefix_join_batch`] must match
+/// extensions ascending — the order `CandidateBatch::join` must match
 /// bit for bit.
 fn naive_units(n: usize, card: usize, level: &[Vec<usize>]) -> Vec<(usize, usize, Vec<usize>)> {
     use std::collections::HashMap;
@@ -381,7 +381,12 @@ fn assert_candidate_sequences_match(db: &TransactionDb, sigma: usize) {
             .filter(|(s, _)| s.len() == card - 1)
             .map(|(s, _)| s.to_vec())
             .collect();
-        let batch = dualminer_bitset::candidates::prefix_join_batch(n, card, &level, Vec::as_slice);
+        let batch = dualminer_bitset::candidates::CandidateBatch::from_members(
+            n,
+            card - 1,
+            level.iter().map(Vec::as_slice),
+        )
+        .join();
         let new: Vec<(usize, usize, Vec<usize>)> = (0..batch.len())
             .map(|i| {
                 let (parent, partner) = batch.pair(i);

@@ -20,7 +20,9 @@
 //!   [`std::thread::available_parallelism`].
 //!
 //! Scheduling is one shared `AtomicUsize` **claim cursor**: each of
-//! `threads` scoped workers repeatedly claims the next
+//! `threads` workers — the calling thread and `threads − 1` scoped
+//! threads, since a spawn costs more on a small VM than the caller's
+//! share of the work — repeatedly claims the next
 //! `max(1, len / (threads * 8))` items until the cursor passes the end.
 //! About eight claims per worker let fast workers take over the share of
 //! a worker stuck on one expensive item (one giant transversal subtree
@@ -36,6 +38,7 @@
 #![warn(missing_docs)]
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::thread;
 
 /// A cooperative early-exit signal shared by the workers of one parallel
@@ -130,7 +133,7 @@ fn claim_len(len: usize, threads: usize) -> usize {
     (len / (threads * 8)).max(1)
 }
 
-/// Maps `f` over `items` on up to `threads` scoped workers, returning the
+/// Maps `f` over `items` on up to `threads` workers, returning the
 /// results **in item order**.
 ///
 /// `f` receives `(item_index, &item)`. Workers claim contiguous ranges
@@ -172,11 +175,12 @@ pub fn par_map<T: Sync, R: Send>(
         claims
     };
     let mut claims: Vec<(usize, Vec<R>)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+        let mut claims = worker();
+        for h in handles {
+            claims.extend(h.join().expect("parallel worker panicked"));
+        }
+        claims
     });
     // Claims partition `0..len`, so ordering them by start reproduces the
     // sequential order exactly — the determinism contract every caller
@@ -229,6 +233,53 @@ pub fn par_chunks<T: Sync, R: Send>(
         .chunks(chunk_len(threads, oversubscribe, items.len()))
         .collect();
     par_map(threads, &chunks, |_, chunk| f(chunk))
+}
+
+/// Writes `out` in place, `stride` items at a time, on up to `threads`
+/// workers: `f(k, slice)` fills `out[k * stride..(k + 1) *
+/// stride]`. Workers claim contiguous ranges of `max(1, len / (threads *
+/// 8))` slices, as [`par_map`] does; the slices are disjoint, so the
+/// result is the sequential loop's whatever the schedule. A zero
+/// `stride` writes nothing.
+pub fn par_fill<T: Send>(
+    threads: usize,
+    out: &mut [T],
+    stride: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    if stride == 0 || out.is_empty() {
+        return;
+    }
+    let len = out.len() / stride;
+    let fill = |first: usize, chunk: &mut [T]| {
+        for (k, slice) in chunk.chunks_mut(stride).enumerate() {
+            f(first + k, slice);
+        }
+    };
+    let threads = effective_threads(threads).min(len);
+    if threads <= 1 {
+        TOTAL_TASKS.fetch_add(1, Ordering::Relaxed);
+        fill(0, out);
+        return;
+    }
+    let claim = claim_len(len, threads);
+    let claims = Mutex::new(out.chunks_mut(claim * stride).enumerate());
+    let worker = || {
+        let mut done = 0;
+        loop {
+            let next = claims.lock().expect("claim cursor poisoned").next();
+            let Some((c, chunk)) = next else { break };
+            fill(c * claim, chunk);
+            done += 1;
+        }
+        TOTAL_TASKS.fetch_add(done, Ordering::Relaxed);
+    };
+    thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(worker);
+        }
+        worker();
+    });
 }
 
 /// Runs two closures, on two scoped threads when `parallel` is true, and
@@ -399,6 +450,25 @@ mod tests {
         let items: Vec<u32> = (0..7).collect();
         let chunks = par_chunks(3, 1, &items, |c| c.to_vec());
         assert_eq!(chunks, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]]);
+    }
+
+    #[test]
+    fn par_fill_matches_sequential() {
+        for (len, stride) in [(0usize, 3usize), (1, 3), (17, 1), (65, 4), (997, 2), (5, 0)] {
+            let want: Vec<usize> = (0..len * stride)
+                .map(|j| j / stride.max(1) * 10 + j % stride.max(1))
+                .collect();
+            for threads in [1, 2, 3, 8] {
+                let mut out = vec![usize::MAX; len * stride];
+                par_fill(threads, &mut out, stride, |k, slice| {
+                    assert_eq!(slice.len(), stride);
+                    for (d, x) in slice.iter_mut().enumerate() {
+                        *x = k * 10 + d;
+                    }
+                });
+                assert_eq!(out, want, "len={len} stride={stride} threads={threads}");
+            }
+        }
     }
 
     #[test]

@@ -93,6 +93,52 @@ impl fmt::Display for FormatError {
 
 impl std::error::Error for FormatError {}
 
+/// Why a streaming reader stopped: its source failed, or what it read is
+/// malformed. Frontends report the first as an I/O error and the second
+/// as a parse error, wherever in the stream either happens.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The source failed mid-stream.
+    Io(std::io::Error),
+    /// The text read so far is malformed, or not UTF-8.
+    Format(FormatError),
+}
+
+impl From<FormatError> for ReadError {
+    fn from(e: FormatError) -> ReadError {
+        ReadError::Format(e)
+    }
+}
+
+/// A reader's result over in-memory text, whose source cannot fail.
+fn from_text<T>(read: Result<T, ReadError>) -> Result<T, FormatError> {
+    read.map_err(|e| match e {
+        ReadError::Format(e) => e,
+        ReadError::Io(e) => unreachable!("reading a Cursor over a str failed: {e}"),
+    })
+}
+
+/// The next physical line of `reader` into `line`, without its `\n` or
+/// `\r\n` (the split of [`BufRead::lines`]); `None` at the end.
+fn next_line<'a>(
+    reader: &mut impl BufRead,
+    line: &'a mut Vec<u8>,
+    lineno: usize,
+) -> Result<Option<&'a str>, ReadError> {
+    line.clear();
+    if reader.read_until(b'\n', line).map_err(ReadError::Io)? == 0 {
+        return Ok(None);
+    }
+    // The wording of `BufRead::lines`.
+    let text = std::str::from_utf8(line).map_err(|_| {
+        FormatError::at_line(lineno, "read error: stream did not contain valid UTF-8")
+    })?;
+    Ok(Some(match text.strip_suffix('\n') {
+        Some(line) => line.strip_suffix('\r').unwrap_or(line),
+        None => text,
+    }))
+}
+
 /// A first-appearance dictionary: names in the order they were first
 /// seen, plus a name → index map. Every parser's dictionary (basket
 /// items, hypergraph vertices, CSV cell values, event types) is one.
@@ -443,7 +489,7 @@ fn line_end(bytes: &[u8], i: usize) -> usize {
 /// streams from the file; the daemon parses in-memory request payloads
 /// through here.
 pub fn parse_baskets(text: &str) -> Result<(Universe, TransactionDb), FormatError> {
-    parse_baskets_reader(Cursor::new(text))
+    from_text(parse_baskets_reader(Cursor::new(text)))
 }
 
 /// Streaming [`parse_baskets`]: reads transactions line by line from any
@@ -451,27 +497,19 @@ pub fn parse_baskets(text: &str) -> Result<(Universe, TransactionDb), FormatErro
 /// the dictionary and the vertical store are ever resident — neither the
 /// input text nor an index-row copy of the database is materialized.
 ///
-/// I/O failures (including invalid UTF-8) surface as a [`FormatError`] at
-/// the offending physical line.
+/// A failing source is [`ReadError::Io`]; invalid UTF-8 is a
+/// [`FormatError`] at the offending physical line.
 pub fn parse_baskets_reader(
     mut reader: impl BufRead,
-) -> Result<(Universe, TransactionDb), FormatError> {
+) -> Result<(Universe, TransactionDb), ReadError> {
     let mut items = Interner::new();
     let mut builder = VStoreBuilder::new();
     let mut row: Vec<usize> = Vec::new();
     let mut line: Vec<u8> = Vec::new();
     for lineno in 1.. {
-        line.clear();
-        let read = reader
-            .read_until(b'\n', &mut line)
-            .map_err(|e| FormatError::at_line(lineno, format!("read error: {e}")))?;
-        if read == 0 {
+        let Some(text) = next_line(&mut reader, &mut line, lineno)? else {
             break;
-        }
-        // The wording of `BufRead::lines`, which the CSV reader reports.
-        let text = std::str::from_utf8(&line).map_err(|_| {
-            FormatError::at_line(lineno, "read error: stream did not contain valid UTF-8")
-        })?;
+        };
         row.clear();
         basket_tokens(text, |token| {
             if let Token::Item(item, packed) = token {
@@ -484,7 +522,7 @@ pub fn parse_baskets_reader(
         builder.push_row(row.iter().copied());
     }
     if builder.n_rows() == 0 {
-        return Err(FormatError::new("no transactions found"));
+        return Err(FormatError::new("no transactions found").into());
     }
     let universe = Universe::new(items.into_names());
     let db = TransactionDb::from_vstore(builder.finish());
@@ -498,22 +536,24 @@ pub fn parse_baskets_reader(
 /// legitimately contain `#` (part numbers, anchors, …), so inline
 /// stripping would silently corrupt them.
 pub fn parse_relation(text: &str) -> Result<(Universe, Relation), FormatError> {
-    parse_relation_reader(Cursor::new(text))
+    from_text(parse_relation_reader(Cursor::new(text)))
 }
 
 /// Streaming [`parse_relation`]: reads the CSV from any [`BufRead`]
 /// source one line at a time, dictionary-coding cells as they arrive, so
-/// only the coded rows and per-column dictionaries are resident. I/O
-/// failures (including invalid UTF-8) surface as a [`FormatError`] at the
-/// offending physical line.
-pub fn parse_relation_reader(reader: impl BufRead) -> Result<(Universe, Relation), FormatError> {
+/// only the coded rows and per-column dictionaries are resident. A
+/// failing source is [`ReadError::Io`]; invalid UTF-8 is a
+/// [`FormatError`] at the offending physical line.
+pub fn parse_relation_reader(mut reader: impl BufRead) -> Result<(Universe, Relation), ReadError> {
     let mut names: Vec<String> = Vec::new();
     let mut dictionaries: Vec<Interner> = Vec::new();
     let mut rows: Vec<Vec<u32>> = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let lineno = lineno + 1;
-        let line = line.map_err(|e| FormatError::at_line(lineno, format!("read error: {e}")))?;
-        let line = strip_whole_line_comment(&line);
+    let mut buf: Vec<u8> = Vec::new();
+    for lineno in 1.. {
+        let Some(line) = next_line(&mut reader, &mut buf, lineno)? else {
+            break;
+        };
+        let line = strip_whole_line_comment(line);
         if line.trim().is_empty() {
             continue;
         }
@@ -521,7 +561,7 @@ pub fn parse_relation_reader(reader: impl BufRead) -> Result<(Universe, Relation
             // First data line is the header.
             names = line.split(',').map(|s| s.trim().to_string()).collect();
             if names.iter().any(String::is_empty) {
-                return Err(FormatError::at_line(lineno, "invalid header row"));
+                return Err(FormatError::at_line(lineno, "invalid header row").into());
             }
             dictionaries = vec![Interner::new(); names.len()];
             continue;
@@ -532,7 +572,8 @@ pub fn parse_relation_reader(reader: impl BufRead) -> Result<(Universe, Relation
             return Err(FormatError::at_line(
                 lineno,
                 format!("row has {} cells, expected {}", cells.len(), n),
-            ));
+            )
+            .into());
         }
         let row = cells
             .iter()
@@ -542,7 +583,7 @@ pub fn parse_relation_reader(reader: impl BufRead) -> Result<(Universe, Relation
         rows.push(row);
     }
     if names.is_empty() {
-        return Err(FormatError::new("empty relation file"));
+        return Err(FormatError::new("empty relation file").into());
     }
     let n = names.len();
     Ok((Universe::new(names), Relation::new(n, rows)))
@@ -680,16 +721,16 @@ mod tests {
     }
 
     #[test]
-    fn reader_io_errors_are_format_errors() {
+    fn reader_utf8_errors_are_format_errors() {
         // Invalid UTF-8 on physical line 2 surfaces as a located
         // FormatError, not a panic or a silent truncation.
         let bytes: &[u8] = b"milk bread\n\xff\xfe\n";
-        let err = parse_baskets_reader(Cursor::new(bytes)).unwrap_err();
+        let err = from_text(parse_baskets_reader(Cursor::new(bytes))).unwrap_err();
         assert_eq!(err.line, Some(2));
         assert!(err.message.contains("read error"), "{err}");
 
         let csv: &[u8] = b"a,b\n\xff,2\n";
-        let err = parse_relation_reader(Cursor::new(csv)).unwrap_err();
+        let err = from_text(parse_relation_reader(Cursor::new(csv))).unwrap_err();
         assert_eq!(err.line, Some(2));
     }
 
@@ -986,9 +1027,9 @@ pub(crate) mod props {
     }
 
     fn parsed(
-        result: Result<(Universe, TransactionDb), FormatError>,
+        result: Result<(Universe, TransactionDb), ReadError>,
     ) -> Result<(Vec<String>, Vec<AttrSet>), FormatError> {
-        result.map(|(u, db)| {
+        from_text(result).map(|(u, db)| {
             let names = (0..u.size()).map(|i| u.name(i).to_string()).collect();
             (names, db.rows().to_vec())
         })
@@ -1005,8 +1046,11 @@ pub(crate) mod props {
         }
     }
 
+    /// A source that fails after some bytes — past a line, mid-line,
+    /// past the reader's first buffer, or at once — is an I/O error for
+    /// both readers, never a parse error.
     #[test]
-    fn reader_io_errors_match_reference() {
+    fn reader_source_failures_are_io_errors() {
         /// Yields `data`, then fails.
         struct Failing<'a>(&'a [u8]);
         impl std::io::Read for Failing<'_> {
@@ -1020,12 +1064,23 @@ pub(crate) mod props {
                 Ok(n)
             }
         }
-        for data in [&b"a b\nc d\ne"[..], b"a b\n", b""] {
-            let reader = || std::io::BufReader::with_capacity(4, Failing(data));
-            let got = parsed(parse_baskets_reader(reader()));
-            let want = reference_parse_baskets_reader(reader());
-            assert_eq!(got, want, "{data:?}");
-            assert!(got.unwrap_err().message.contains("disk on fire"));
+        let long = "a,b\n1,2\n".repeat(2048);
+        for data in [&b"a,b\n1,2\n3"[..], b"a,b\n", b"", long.as_bytes()] {
+            for capacity in [4, 8192] {
+                let reader = || std::io::BufReader::with_capacity(capacity, Failing(data));
+                let is_io = |e: ReadError| match e {
+                    ReadError::Io(e) => e.to_string() == "disk on fire",
+                    ReadError::Format(_) => false,
+                };
+                assert!(
+                    is_io(parse_baskets_reader(reader()).unwrap_err()),
+                    "{data:?}"
+                );
+                assert!(
+                    is_io(parse_relation_reader(reader()).unwrap_err()),
+                    "{data:?}"
+                );
+            }
         }
     }
 
@@ -1112,7 +1167,7 @@ pub(crate) mod props {
         #[test]
         fn parse_relation_reader_never_panics_and_equals_text(text in arb_text()) {
             let by_text = parse_relation(&text);
-            let by_reader = parse_relation_reader(Cursor::new(text.as_str()));
+            let by_reader = from_text(parse_relation_reader(Cursor::new(text.as_str())));
             match (by_text, by_reader) {
                 (Ok((u1, r1)), Ok((u2, r2))) => {
                     prop_assert_eq!(u1.size(), u2.size());
