@@ -21,6 +21,7 @@ cargo bench -q -p dualminer-bench --bench bitset_kernels -- "is_disjoint/100" >/
 cargo bench -q -p dualminer-bench --bench settrie -- "minimize_family/trie/250" >/dev/null
 cargo bench -q -p dualminer-bench --bench vstore -- "support_sparse" >/dev/null
 cargo bench -q -p dualminer-bench --bench apriori_probe -- smoke >/dev/null
+cargo bench -q -p dualminer-bench --bench canon_probe -- smoke >/dev/null
 cargo bench -q -p dualminer-bench --bench dualize_matrix -- "cosparse40/mu-mmcs" >/dev/null
 cargo bench -q -p dualminer-bench --bench keys -- "agree_sets/400x13" >/dev/null
 cargo bench -q -p dualminer-bench --bench serve -- "frame/decode" >/dev/null

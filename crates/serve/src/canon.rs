@@ -19,6 +19,11 @@
 //! Fingerprinting *is* the daemon's parse: each input is parsed once,
 //! and the parsed value travels with its digest to the runner (baskets
 //! as [`CanonBaskets`], built into a database only on a cold run).
+//!
+//! A basket input is read in one pass ([`canon_baskets`]): the
+//! tokenizer's loop interns each name, feeds the fingerprint and appends
+//! the `u32` item id to the row buffer, which is reserved once from the
+//! text's length.
 
 use dualminer_bitset::{AttrSet, Universe};
 use dualminer_fdep::Relation;
@@ -45,12 +50,12 @@ pub struct RowMark {
     pub n_items: u32,
 }
 
-/// Item-index rows stored flat: one buffer of every row's items, plus
-/// the end offset of each row in it.
+/// Item-index rows stored flat: one buffer of every row's item ids, plus
+/// the end offset of each row in it, both `u32`.
 #[derive(Clone, Debug, Default)]
 pub struct Rows {
-    items: Vec<usize>,
-    ends: Vec<usize>,
+    items: Vec<u32>,
+    ends: Vec<u32>,
 }
 
 impl Rows {
@@ -65,13 +70,13 @@ impl Rows {
     }
 
     /// Row `k`'s item indices.
-    fn row(&self, k: usize) -> &[usize] {
-        let start = k.checked_sub(1).map_or(0, |j| self.ends[j]);
-        &self.items[start..self.ends[k]]
+    fn row(&self, k: usize) -> &[u32] {
+        let start = k.checked_sub(1).map_or(0, |j| self.ends[j] as usize);
+        &self.items[start..self.ends[k] as usize]
     }
 
     /// Every row, in input order.
-    pub fn iter(&self) -> impl Iterator<Item = &[usize]> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
         (0..self.len()).map(|k| self.row(k))
     }
 }
@@ -101,7 +106,7 @@ impl CanonBaskets {
         let universe = Universe::new(self.names.clone());
         let mut builder = VStoreBuilder::with_items(self.names.len(), self.rows.len());
         for row in self.rows.iter() {
-            builder.push_row(row.iter().copied());
+            builder.push_row(row.iter().map(|&id| id as usize));
         }
         (universe, TransactionDb::from_vstore(builder.finish()))
     }
@@ -112,7 +117,7 @@ impl CanonBaskets {
     pub fn rows_from(&self, from: usize) -> Vec<AttrSet> {
         let n = self.names.len();
         (from..self.rows.len())
-            .map(|k| AttrSet::from_indices(n, self.rows.row(k).iter().copied()))
+            .map(|k| AttrSet::from_indices(n, self.rows.row(k).iter().map(|&id| id as usize)))
             .collect()
     }
 
@@ -135,40 +140,54 @@ impl CanonBaskets {
 /// names, `#` comments, blank/empty lines skipped, indices assigned in
 /// first-appearance order, empty input rejected.
 ///
-/// Only an item's first appearance allocates: a repeated token is a
-/// borrowed dictionary lookup, and every row lands in one flat buffer.
+/// One pass over the bytes: the tokenizer's loop interns, fingerprints
+/// and writes each row. Only an item's first appearance allocates, and
+/// the row buffers are reserved once (a name and the byte after it take
+/// two bytes of text), so they never grow.
 pub fn canon_baskets(text: &str) -> Result<CanonBaskets, FormatError> {
     let mut items = Interner::new();
-    let mut rows = Rows::default();
+    let capacity = text.len() / 2 + 1;
+    let mut rows = Rows {
+        items: Vec::with_capacity(capacity),
+        ends: Vec::with_capacity(capacity),
+    };
     let mut prefix: Vec<RowMark> = Vec::new();
     let mut fp = RowFingerprint::new();
     let mut row_start = 0;
-    formats::basket_tokens(text, |token| match token {
-        Token::Item(item, packed) => {
-            let fresh = items.len();
-            let id = items.intern_packed(item, packed);
-            if id == fresh {
-                fp.push_symbol(item);
+    formats::basket_tokens(
+        text,
+        // Once per token: inlined into the loop, so the fingerprint state
+        // stays in a register.
+        #[inline(always)]
+        |token| match token {
+            Token::Item(item, packed) => {
+                let fresh = items.len();
+                let id = items.intern_packed(item, packed);
+                if id == fresh {
+                    fp.push_symbol(items.name(id));
+                }
+                fp.push_item(id);
+                // Ids and ends are below the token count, checked below.
+                rows.items.push(id as u32);
             }
-            fp.push_item(id);
-            rows.items.push(id);
-        }
-        Token::LineEnd => {
-            if rows.items.len() == row_start {
-                return;
+            Token::LineEnd => {
+                if rows.items.len() == row_start {
+                    return;
+                }
+                row_start = rows.items.len();
+                rows.ends.push(row_start as u32);
+                fp.end_row();
+                prefix.push(RowMark {
+                    digest: fp.digest(),
+                    n_items: items.len() as u32,
+                });
             }
-            row_start = rows.items.len();
-            rows.ends.push(row_start);
-            fp.end_row();
-            prefix.push(RowMark {
-                digest: fp.digest(),
-                n_items: items.len() as u32,
-            });
-        }
-    });
+        },
+    );
     if rows.is_empty() {
         return Err(FormatError::new("no transactions found"));
     }
+    check_width(rows.items.len())?;
     let fingerprint = fp.digest();
     Ok(CanonBaskets {
         names: items.into_names(),
@@ -176,6 +195,15 @@ pub fn canon_baskets(text: &str) -> Result<CanonBaskets, FormatError> {
         prefix,
         fingerprint,
     })
+}
+
+/// Refuses an input of more item tokens than a `u32` counts: every row
+/// id and end is at most the token count, so none of them was truncated
+/// when this passes.
+fn check_width(tokens: usize) -> Result<(), FormatError> {
+    u32::try_from(tokens)
+        .map(drop)
+        .map_err(|_| FormatError::new(format!("more than {} item tokens", u32::MAX)))
 }
 
 /// Replays already-parsed shared-dictionary edges (from
@@ -362,7 +390,7 @@ mod tests {
         let canon = canon_baskets("a\x0bb\u{a0}c\r\nc  d\u{2003}e # x\nπ σ\n").unwrap();
         assert_eq!(canon.fingerprint, 0x1405_eb0d_9a98_8f8a);
         assert_eq!(canon.names, ["a", "b", "c", "d", "e", "π", "σ"]);
-        let rows: Vec<&[usize]> = canon.rows.iter().collect();
+        let rows: Vec<&[u32]> = canon.rows.iter().collect();
         assert_eq!(rows, [&[0, 1, 2][..], &[2, 3, 4], &[5, 6]]);
 
         assert_eq!(
@@ -377,6 +405,13 @@ mod tests {
             fingerprint_dual_pair("x y\ny z\n", "y\nx z\n", "f", "g").unwrap(),
             0x2bfa_309c_b3ee_4fe1
         );
+    }
+
+    #[test]
+    fn token_counts_past_u32_are_refused() {
+        assert!(check_width(u32::MAX as usize).is_ok());
+        let err = check_width(u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(err.to_string(), "more than 4294967295 item tokens");
     }
 
     #[test]
@@ -499,12 +534,12 @@ fn reference_canon_baskets(text: &str) -> Result<CanonBaskets, FormatError> {
                 }
             };
             fp.push_item(id);
-            rows.items.push(id);
+            rows.items.push(id as u32);
         }
         if rows.items.len() == start {
             continue;
         }
-        rows.ends.push(rows.items.len());
+        rows.ends.push(rows.items.len() as u32);
         fp.end_row();
         prefix.push(RowMark {
             digest: fp.digest(),
@@ -569,6 +604,7 @@ mod props {
         let mut seen = 0;
         for row in rows.iter() {
             for &id in row {
+                let id = id as usize;
                 if id == seen {
                     bytes.push(b'S');
                     bytes.extend_from_slice(&(names[id].len() as u64).to_le_bytes());
@@ -583,8 +619,83 @@ mod props {
         dualminer_obs::fnv1a64(&bytes)
     }
 
+    /// Panics unless [`canon_baskets`] and the reference agree on `text`:
+    /// names, rows, every prefix mark and the fingerprint, or the error.
+    fn assert_same_as_reference(text: &str) {
+        let shown = if text.len() <= 200 {
+            format!("{text:?}")
+        } else {
+            format!("a text of {} bytes", text.len())
+        };
+        match (canon_baskets(text), reference_canon_baskets(text)) {
+            (Ok(got), Ok(want)) => {
+                assert!(got.names == want.names, "names differ on {shown}");
+                assert!(
+                    got.rows.iter().eq(want.rows.iter()),
+                    "rows differ on {shown}"
+                );
+                assert!(got.prefix == want.prefix, "prefix marks differ on {shown}");
+                assert_eq!(got.fingerprint, want.fingerprint, "{shown}");
+            }
+            (Err(got), Err(want)) => assert_eq!(got, want, "{shown}"),
+            (got, want) => panic!(
+                "canon {:?} vs reference {:?} on {shown}",
+                got.map(|c| c.fingerprint),
+                want.map(|c| c.fingerprint)
+            ),
+        }
+    }
+
+    /// Mine-cold-shaped Quest texts of 1.1–2.7 MB (20k–50k rows over
+    /// 50–95 items named `it<N>`, the canon probe's shapes): the one-pass
+    /// loop canonicalizes whole inputs exactly like the reference.
+    #[test]
+    fn canon_matches_reference_on_quest_texts() {
+        use dualminer_mining::gen::{quest, QuestParams};
+        use rand::{rngs::StdRng, SeedableRng};
+        for (rows, items) in [(20_000, 50), (30_000, 82), (40_000, 63), (50_000, 95)] {
+            let params = QuestParams {
+                n_items: items,
+                n_transactions: rows,
+                avg_transaction_size: 10,
+                avg_pattern_size: 4,
+                n_patterns: 30,
+                corruption: 0.3,
+            };
+            let db = quest(&params, &mut StdRng::seed_from_u64(rows as u64));
+            let mut text = String::new();
+            for row in db.rows() {
+                let names: Vec<String> = row.iter().map(|i| format!("it{i}")).collect();
+                text.push_str(&names.join(" "));
+                text.push('\n');
+            }
+            assert!(text.len() >= 1_000_000, "{} bytes", text.len());
+            assert_same_as_reference(&text);
+        }
+    }
+
+    /// Pad characters that shift a text against the 8-byte words.
+    const PAD: [char; 4] = [' ', '\t', '\n', 'q'];
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// 0–15 leading pad bytes and 0–8 bytes cut from the end put every
+        /// token, `#`, wide byte and CR at each offset of a word and at
+        /// each of the last 8 bytes of the input.
+        #[test]
+        fn canon_matches_reference_at_every_offset(
+            text in arb_tokenizer_text(),
+            pad in proptest::collection::vec(0..PAD.len(), 0..16),
+            cut in 0usize..9,
+        ) {
+            let mut end = text.len().saturating_sub(cut);
+            while !text.is_char_boundary(end) {
+                end -= 1;
+            }
+            let shifted: String = pad.iter().map(|&p| PAD[p]).chain(text[..end].chars()).collect();
+            assert_same_as_reference(&shifted);
+        }
 
         /// The byte-level tokenizer and packed interner canonicalize
         /// exactly like the reference: same names, rows, prefix marks,
@@ -627,7 +738,7 @@ mod props {
 
             let mut lines = String::new();
             for (k, row) in canon.rows.iter().enumerate() {
-                let row: Vec<&str> = row.iter().map(|&i| canon.names[i].as_str()).collect();
+                let row: Vec<&str> = row.iter().map(|&i| canon.names[i as usize].as_str()).collect();
                 lines.push_str(&row.join(" "));
                 lines.push('\n');
                 let alone = canon_baskets(&lines).unwrap();

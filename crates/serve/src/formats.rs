@@ -6,6 +6,13 @@
 //! would ever hold as text materializes only its compact vertical form.
 //! The `&str` entry points are thin [`Cursor`] wrappers kept for tests
 //! and small inputs.
+//!
+//! The whitespace formats (baskets, hypergraphs) share one tokenizer,
+//! `basket_tokens`: one pass over the bytes that costs one word load per
+//! ASCII token and reports each name as a byte slice with its packed
+//! interner key. It inlines into its callers, so the daemon's interning,
+//! fingerprinting and row push run inside the loop (DESIGN §15, "The
+//! basket tokenizer").
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -168,32 +175,41 @@ impl Interner {
     /// The index of `name`. A name not seen before gets the next index,
     /// [`len`](Self::len) before the call.
     pub fn intern(&mut self, name: &str) -> usize {
-        self.intern_packed(name, 0)
+        self.intern_packed(name.as_bytes(), 0)
     }
 
     /// [`intern`](Self::intern) for a token the tokenizer already packed:
-    /// `packed` is `name`'s packed key, or 0 to have it derived here.
-    pub(crate) fn intern_packed(&mut self, name: &str, packed: u64) -> usize {
-        let key = if packed != 0 {
-            packed
-        } else {
-            short_key(name.as_bytes())
-        };
-        if key != 0 {
-            let names = &mut self.names;
-            let slot = self.short.get_or_insert_with(key, || {
-                names.push(name.to_string());
-                names.len() as u64
-            });
-            return slot as usize - 1;
+    /// `packed` is `name`'s packed key, or 0 to have it derived here. A
+    /// name seen before costs one lookup; the rest is out of line.
+    #[inline]
+    pub(crate) fn intern_packed(&mut self, name: &[u8], packed: u64) -> usize {
+        let key = if packed != 0 { packed } else { short_key(name) };
+        // No stored key is 0, so a name the table does not take misses.
+        match self.short.get(key) {
+            Some(id) => id as usize,
+            None => self.intern_miss(name, key),
         }
-        if let Some(&id) = self.long.get(name) {
-            return id;
-        }
+    }
+
+    /// A name the packed table does not hold: new, or (`key` 0) one it
+    /// does not take.
+    fn intern_miss(&mut self, name: &[u8], key: u64) -> usize {
+        let name = std::str::from_utf8(name).expect("names are cut from a str at ASCII bytes");
         let id = self.names.len();
+        if key != 0 {
+            self.short.insert(key, id as u64);
+        } else if let Some(&id) = self.long.get(name) {
+            return id;
+        } else {
+            self.long.insert(name.to_string(), id);
+        }
         self.names.push(name.to_string());
-        self.long.insert(name.to_string(), id);
         id
+    }
+
+    /// The name of index `id`.
+    pub(crate) fn name(&self, id: usize) -> &str {
+        &self.names[id]
     }
 
     /// Names interned so far.
@@ -236,9 +252,11 @@ fn short_key(bytes: &[u8]) -> u64 {
 /// An odd constant (MurmurHash3's finalizer multiplier).
 const PREMIX: u64 = 0xff51_afd7_ed55_8ccd;
 
-/// An open-addressed map from `u64` keys to nonzero `u64` values:
-/// linear probing over a power-of-two table kept at most half full, with
-/// whole-key compares.
+/// An open-addressed map from nonzero `u64` keys to `u64` values:
+/// linear probing over a power-of-two table kept at most a quarter full,
+/// with whole-key compares. A key past its home slot costs the lookup a
+/// mispredicted branch: at half full, those made a mine-cold input's
+/// canonicalization up to a quarter slower.
 ///
 /// The hash is multiply-shift, `(a·x + b) >> (64 − log₂ capacity)`, over
 /// a fixed bijective premix `x` of the key, with `a` (odd) and `b` drawn
@@ -246,7 +264,7 @@ const PREMIX: u64 = 0xff51_afd7_ed55_8ccd;
 /// at one probe run.
 #[derive(Clone, Debug)]
 struct KeyedMap {
-    /// `(key, value)`; value 0 marks an empty slot.
+    /// `(key, value)`; key 0 marks an empty slot.
     slots: Vec<(u64, u64)>,
     len: usize,
     shift: u32,
@@ -277,6 +295,7 @@ impl Default for KeyedMap {
 }
 
 impl KeyedMap {
+    #[inline]
     fn home(&self, key: u64) -> usize {
         // A fixed bijection first: on its own, multiply-shift maps keys in
         // arithmetic progression (`it0`, `it1`, … packed) to evenly strided
@@ -288,28 +307,36 @@ impl KeyedMap {
         (x.wrapping_mul(self.mul).wrapping_add(self.add) >> self.shift) as usize
     }
 
-    /// The value under `key`; a missing key first gets `value()`, which
-    /// must be nonzero.
-    fn get_or_insert_with(&mut self, key: u64, value: impl FnOnce() -> u64) -> u64 {
-        if 2 * self.len >= self.slots.len() {
+    /// The value under `key`, if any. An empty table has no slot at any
+    /// index, so every lookup misses.
+    #[inline]
+    fn get(&self, key: u64) -> Option<u64> {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut i = self.home(key);
+        loop {
+            let &(k, v) = self.slots.get(i)?;
+            if k == 0 {
+                return None;
+            }
+            if k == key {
+                return Some(v);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Stores `value` under `key`, which is nonzero and not in the table.
+    fn insert(&mut self, key: u64, value: u64) {
+        if 4 * self.len >= self.slots.len() {
             self.grow();
         }
         let mask = self.slots.len() - 1;
         let mut i = self.home(key);
-        loop {
-            let (k, v) = self.slots[i];
-            if v == 0 {
-                let v = value();
-                debug_assert_ne!(v, 0, "KeyedMap values are nonzero");
-                self.slots[i] = (key, v);
-                self.len += 1;
-                return v;
-            }
-            if k == key {
-                return v;
-            }
+        while self.slots[i].0 != 0 {
             i = (i + 1) & mask;
         }
+        self.slots[i] = (key, value);
+        self.len += 1;
     }
 
     fn grow(&mut self) {
@@ -317,9 +344,9 @@ impl KeyedMap {
         let old = std::mem::replace(&mut self.slots, vec![(0, 0); capacity]);
         self.shift = 64 - capacity.trailing_zeros();
         let mask = capacity - 1;
-        for (k, v) in old.into_iter().filter(|&(_, v)| v != 0) {
+        for (k, v) in old.into_iter().filter(|&(k, _)| k != 0) {
             let mut i = self.home(k);
-            while self.slots[i].1 != 0 {
+            while self.slots[i].0 != 0 {
                 i = (i + 1) & mask;
             }
             self.slots[i] = (k, v);
@@ -332,38 +359,12 @@ impl KeyedMap {
 pub(crate) enum Token<'a> {
     /// An item name, and its packed key for
     /// [`Interner::intern_packed`] (0 when the tokenizer did not pack it).
-    Item(&'a str, u64),
+    /// The name is a slice of the text cut at ASCII bytes, so it is UTF-8;
+    /// bytes spare the loop the `str` slice's char-boundary checks.
+    Item(&'a [u8], u64),
     /// The end of a physical line.
     LineEnd,
 }
-
-/// A byte's role on the basket tokenizer's ASCII path.
-const WORD: u8 = 0;
-const SEP: u8 = 1;
-const NEWLINE: u8 = 2;
-const HASH: u8 = 3;
-const WIDE: u8 = 4;
-
-/// [`WORD`], [`SEP`], [`NEWLINE`], [`HASH`] or [`WIDE`] (≥ 0x80) per
-/// byte. The separators are `\t \x0B \x0C \r` and space, which with `\n`
-/// are exactly the ASCII characters `split_whitespace` splits on
-/// (`u8::is_ascii_whitespace` omits `\x0B`).
-const CLASS: [u8; 256] = {
-    let mut class = [WORD; 256];
-    let mut b = 0x80;
-    while b < 256 {
-        class[b] = WIDE;
-        b += 1;
-    }
-    class[b'\t' as usize] = SEP;
-    class[0x0B] = SEP;
-    class[0x0C] = SEP;
-    class[b'\r' as usize] = SEP;
-    class[b' ' as usize] = SEP;
-    class[b'\n' as usize] = NEWLINE;
-    class[b'#' as usize] = HASH;
-    class
-};
 
 /// `0x01` in every byte of a word.
 const ONES: u64 = 0x0101_0101_0101_0101;
@@ -374,8 +375,46 @@ const HIGHS: u64 = 0x8080_8080_8080_8080;
 /// borrow can also flag a byte above a true hit, never below the lowest
 /// one, so only the lowest flag is exact (the masks of
 /// `dualminer_obs`'s JSON codec).
+#[inline]
 fn below(w: u64, n: u8) -> u64 {
     w.wrapping_sub(ONES * u64::from(n)) & !w & HIGHS
+}
+
+/// Flags the bytes of `w` that may end a token: ≤ 0x20, `#` or ≥ 0x80.
+/// Only the lowest flag is exact.
+#[inline]
+fn specials(w: u64) -> u64 {
+    below(w, 0x21) | below(w ^ (ONES * u64::from(b'#')), 1) | (w & HIGHS)
+}
+
+/// Whether `b` is ASCII whitespace: a separator or `\n`.
+#[inline]
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// Whether a byte that [`specials`] flags ends a token. The rest of the
+/// flagged bytes, the controls other than `\t \n \x0B \x0C \r`, are part
+/// of a name.
+#[inline]
+fn ends_token(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ' | b'#' | 0x80..)
+}
+
+/// The word of the 8 bytes at `i`, little-endian. Bytes past the end of
+/// the input read as spaces, so a token that runs to the end of the
+/// input ends at a separator like any other.
+#[inline]
+fn word_at(bytes: &[u8], i: usize) -> u64 {
+    match bytes.get(i..i + 8) {
+        Some(chunk) => u64::from_le_bytes(chunk.try_into().expect("8 bytes")),
+        None => {
+            let mut word = [b' '; 8];
+            let rest = &bytes[i.min(bytes.len())..];
+            word[..rest.len()].copy_from_slice(rest);
+            u64::from_le_bytes(word)
+        }
+    }
 }
 
 /// The tokenizer of the whitespace formats (baskets and hypergraphs):
@@ -383,41 +422,78 @@ fn below(w: u64, n: u8) -> u64 {
 /// line, to `emit` in order.
 ///
 /// Lines end at `\n`; the last line need not. `#` ends a line's content.
-/// Tokens are separated by whitespace. ASCII is scanned a word (8 bytes)
-/// at a time: the lowest byte that is ≤ 0x20, `#` or ≥ 0x80 ends a token
-/// unless [`CLASS`] calls it a [`WORD`] byte (`\x00`, `\x1C` …). From the
-/// first token that holds a byte ≥ 0x80, the rest of the line goes
-/// through `split_whitespace`, so every Unicode `White_Space` character
-/// stays a separator.
+/// Tokens are separated by whitespace. On ASCII a token costs one word:
+/// the lowest byte of the 8 at its start that is ≤ 0x20, `#` or ≥ 0x80
+/// ends it, that byte is read from the same word, and a separator there
+/// is consumed in the same step. A token that ends inside that word
+/// comes with its packed key. Control bytes other than whitespace
+/// (`\x00`, `\x1C` …) are part of a name and send the token on a slower
+/// scan, as does a name longer than 7 bytes. From the first token that
+/// holds a byte ≥ 0x80, the rest of the line goes through
+/// `split_whitespace`, so every Unicode `White_Space` character stays a
+/// separator.
+///
+/// Inlined, so a caller's `emit` (interning, fingerprinting, the row
+/// push) compiles into the loop.
+#[inline]
 pub(crate) fn basket_tokens<'a>(text: &'a str, mut emit: impl FnMut(Token<'a>)) {
     let bytes = text.as_bytes();
     let mut i = 0;
     while i < bytes.len() {
-        match CLASS[bytes[i] as usize] {
-            SEP => i += 1,
-            NEWLINE => {
-                emit(Token::LineEnd);
-                i += 1;
-            }
-            HASH => i = line_end(bytes, i),
-            class => {
-                let (end, packed) = if class == WORD {
-                    token_end(bytes, i)
-                } else {
-                    (i, 0)
-                };
-                if bytes.get(end).is_some_and(|&b| CLASS[b as usize] == WIDE) {
-                    // `i` follows an ASCII byte, so it is a char boundary.
-                    let end = line_end(bytes, end);
-                    strip_comment(&text[i..end])
-                        .split_whitespace()
-                        .for_each(|item| emit(Token::Item(item, 0)));
-                    i = end;
-                } else {
-                    emit(Token::Item(&text[i..end], packed));
-                    i = end;
+        let w = word_at(bytes, i);
+        let k = specials(w).trailing_zeros() as usize / 8;
+        // The token `i..end`, its packed key, and the byte that ends it
+        // (a space past the end of the input).
+        let (mut end, mut packed, mut stop) = if k.wrapping_sub(1) < 7 {
+            // The key holds no byte below 0x21, so it does not end in NUL.
+            (i + k, w & ((1 << (8 * k)) - 1), (w >> (8 * k)) as u8)
+        } else if k == 8 {
+            let end = word_end(bytes, i + 8);
+            let packed = if end == i + 8 { w } else { 0 };
+            (end, packed, byte_or_space(bytes, end))
+        } else {
+            // No name starts at `i`, unless with a control byte.
+            match w as u8 {
+                b'\n' => {
+                    emit(Token::LineEnd);
+                    i += 1;
+                    continue;
                 }
+                b'#' => {
+                    i = line_end(bytes, i);
+                    continue;
+                }
+                0x80.. => (i, 0, 0x80),
+                b if ends_token(b) => {
+                    i += 1;
+                    continue;
+                }
+                b => (i, 0, b),
             }
+        };
+        if !is_space(stop) {
+            while !ends_token(stop) {
+                // A control byte inside the name.
+                end = word_end(bytes, end + 1);
+                packed = 0;
+                stop = byte_or_space(bytes, end);
+            }
+            if stop >= 0x80 {
+                // `i` follows an ASCII byte, so it is a char boundary.
+                let line = line_end(bytes, i);
+                strip_comment(&text[i..line])
+                    .split_whitespace()
+                    .for_each(|item| emit(Token::Item(item.as_bytes(), 0)));
+                i = line;
+                continue;
+            }
+        }
+        emit(Token::Item(&bytes[i..end], packed));
+        i = end + 1;
+        if stop == b'\n' {
+            emit(Token::LineEnd);
+        } else if stop == b'#' {
+            i = line_end(bytes, end);
         }
     }
     if !text.is_empty() && !text.ends_with('\n') {
@@ -425,51 +501,27 @@ pub(crate) fn basket_tokens<'a>(text: &'a str, mut emit: impl FnMut(Token<'a>)) 
     }
 }
 
-/// Flags the bytes of `w` that may end a token: ≤ 0x20, `#` or ≥ 0x80.
-/// Only the lowest flag is exact.
-fn specials(w: u64) -> u64 {
-    below(w, 0x21) | below(w ^ (ONES * u64::from(b'#')), 1) | (w & HIGHS)
+/// The byte at `i`, or a space past the end.
+#[inline]
+fn byte_or_space(bytes: &[u8], i: usize) -> u8 {
+    bytes.get(i).copied().unwrap_or(b' ')
 }
 
-/// The word of the 8 bytes at `i`, if there are 8.
-fn word_at(bytes: &[u8], i: usize) -> Option<u64> {
-    let chunk = bytes.get(i..i + 8)?;
-    Some(u64::from_le_bytes(chunk.try_into().expect("8 bytes")))
-}
-
-/// The end of the token that starts at `start` (the index of its first
-/// non-[`WORD`] byte), and its packed key when it ends within the first
-/// word read (else 0). A key holds no byte below 0x21, so no NUL.
-fn token_end(bytes: &[u8], start: usize) -> (usize, u64) {
-    let Some(w) = word_at(bytes, start) else {
-        return (word_end(bytes, start), 0);
-    };
-    // The first byte is a WORD byte, so a token that ends here has k ≥ 1.
-    let k = specials(w).trailing_zeros() as usize / 8;
-    match bytes.get(start + k) {
-        Some(&b) if CLASS[b as usize] == WORD => (word_end(bytes, start + k), 0),
-        _ => (start + k, w & (u64::MAX >> (64 - 8 * k))),
-    }
-}
-
-/// The index of the first non-[`WORD`] byte at or after `i`.
+/// The index of the first byte at or after `i` that ends a token, or the
+/// length.
 fn word_end(bytes: &[u8], mut i: usize) -> usize {
-    while let Some(w) = word_at(bytes, i) {
-        let flags = specials(w);
+    loop {
+        let flags = specials(word_at(bytes, i));
         if flags == 0 {
             i += 8;
             continue;
         }
         i += flags.trailing_zeros() as usize / 8;
-        if CLASS[bytes[i] as usize] != WORD {
-            return i;
+        match bytes.get(i) {
+            Some(&b) if !ends_token(b) => i += 1,
+            _ => return i.min(bytes.len()),
         }
-        i += 1;
     }
-    while bytes.get(i).is_some_and(|&b| CLASS[b as usize] == WORD) {
-        i += 1;
-    }
-    i
 }
 
 /// The index of the `\n` that ends the line holding `i`, or the length.
@@ -835,22 +887,25 @@ mod tests {
         let mut got = Vec::new();
         basket_tokens(text, |t| got.push(t));
         let want = [
-            Token::Item("ab", 0x6261),
-            Token::Item("cd", 0x6463),
+            Token::Item(b"ab", 0x6261),
+            Token::Item(b"cd", 0x6463),
             Token::LineEnd,
             Token::LineEnd,
-            Token::Item("abcdefgh", u64::from_le_bytes(*b"abcdefgh")),
-            Token::Item("x", 0x78),
-            Token::Item("abcdefghi", 0),
+            Token::Item(b"abcdefgh", u64::from_le_bytes(*b"abcdefgh")),
+            Token::Item(b"x", 0x78),
+            Token::Item(b"abcdefghi", 0),
             Token::LineEnd,
-            // The last line is shorter than a word: packed by the interner.
-            Token::Item("y", 0),
+            // The last line is shorter than a word: read space-padded.
+            Token::Item(b"y", 0x79),
             Token::LineEnd,
         ];
         assert_eq!(got, want);
-        for name in ["ab", "abcdefgh", "x"] {
+        for name in ["ab", "abcdefgh", "x", "y"] {
             let packed = short_key(name.as_bytes());
-            assert!(want.contains(&Token::Item(name, packed)), "{name}");
+            assert!(
+                want.contains(&Token::Item(name.as_bytes(), packed)),
+                "{name}"
+            );
         }
     }
 
@@ -1124,7 +1179,7 @@ pub(crate) mod props {
             let mut items = Vec::new();
             let mut ends = 0;
             basket_tokens(&text, |token| match token {
-                Token::Item(item, packed) => items.push((item, packed)),
+                Token::Item(item, packed) => items.push((std::str::from_utf8(item).unwrap(), packed)),
                 Token::LineEnd => ends += 1,
             });
             let want: Vec<&str> = text
