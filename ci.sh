@@ -157,6 +157,27 @@ for k in 1 7 50 200; do
     done
 done
 
+# The FK duality check runs on the calling thread, so a budgeted
+# joint-generation partial (each FK recursive call is one query) and its
+# exit code are the same at every thread count. The 6-edge matching has
+# 64 minimal transversals, more than any cap below admits.
+printf 'a b\nc d\ne f\ng h\ni j\nk l\n' > "$TMP/matching6.txt"
+for k in 1 7 50; do
+    for t in 1 2 4; do
+        set +e
+        "$DM" transversals "$TMP/matching6.txt" --algo fk \
+            --max-queries "$k" --threads "$t" > "$TMP/fkcap_$t.out" 2> /dev/null
+        echo "exit $?" >> "$TMP/fkcap_$t.out"
+        set -e
+    done
+    grep -qx 'exit 6' "$TMP/fkcap_1.out" \
+        || { echo "--algo fk --max-queries $k did not trip"; exit 1; }
+    for t in 2 4; do
+        diff "$TMP/fkcap_1.out" "$TMP/fkcap_$t.out" \
+            || { echo "--algo fk --max-queries $k: threads $t diverged"; exit 1; }
+    done
+done
+
 # Daemon smoke (DESIGN.md §15): served bodies must be byte-identical to
 # the one-shot CLI's stdout; identical concurrent jobs compute once; a
 # warm repeat is a cache hit; an appended-rows request re-mines

@@ -8,6 +8,7 @@ use std::time::Instant;
 
 use dualminer_hypergraph::{berge, fk, generators, Hypergraph};
 use dualminer_learning::learn::transversals_via_learner;
+use dualminer_obs::{Meter, NoopObserver, RunCtl};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,7 +31,9 @@ pub fn run() {
         let g = berge::transversals(f);
         let m = (f.len() + g.len()) as f64;
         let t0 = Instant::now();
-        let (w, stats) = fk::duality_witness_counted_par(f, &g, 1);
+        let meter = Meter::unlimited();
+        let (w, stats) =
+            fk::duality_witness_ctl(f, &g, &RunCtl::new(&meter, &NoopObserver)).expect_complete();
         let elapsed = t0.elapsed();
         assert!(w.is_none());
         // Normalized exponent: FK-A guarantees calls ≤ m^(c·log₂ m), so

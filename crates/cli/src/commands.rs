@@ -160,7 +160,7 @@ impl Session {
         if self.stats_json {
             let sched = dualminer_parallel::scheduler_stats();
             if self.threads > 1 && sched.tasks > 0 {
-                self.observer.stats.set_scheduler(sched.tasks, sched.joins);
+                self.observer.stats.set_scheduler(sched.tasks);
             }
             println!("{}", self.observer.stats.to_json(&self.meter, reason));
         }

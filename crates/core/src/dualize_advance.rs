@@ -425,7 +425,7 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
                     g.add_edge(t.clone());
                 }
                 loop {
-                    let t = match joint_gen::next_transversal(&complements, &g, threads, ctl) {
+                    let t = match joint_gen::next_transversal(&complements, &g, ctl) {
                         Ok(Some(t)) => t,
                         Ok(None) => break,
                         Err(reason) => {

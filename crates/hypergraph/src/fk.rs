@@ -25,8 +25,11 @@
 //! terminates; with the frequency-based split the running time is
 //! `(|F|+|G|)^{O(log²(|F|+|G|))}` — the quasi-polynomial bound the paper's
 //! Corollaries 22 and 29 quote as `t(n) = n^{o(log n)}`-class behaviour.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//!
+//! The check runs on the calling thread, as the paper's sequential
+//! incremental subroutine. Each recursive call is one metered query
+//! ([`duality_witness_ctl`]), so a budgeted check stops after the same
+//! call whatever thread count its caller was given.
 
 use dualminer_bitset::AttrSet;
 use dualminer_obs::{BudgetReason, Meter, NoopObserver, Outcome, RunCtl};
@@ -51,53 +54,36 @@ pub struct FkStats {
 /// # Panics
 /// Panics if the two hypergraphs have different universe sizes.
 pub fn duality_witness(f: &Hypergraph, g: &Hypergraph) -> Option<AttrSet> {
-    duality_witness_counted_par(f, g, 1).0
-}
-
-/// Minimum combined family size (`|F| + |G|`) of a frequency split before
-/// its two recursive sub-problems are evaluated on separate threads.
-/// Below it, spawn overhead dwarfs the sub-problem cost.
-pub const FK_PAR_CUTOFF: usize = 16;
-
-/// [`duality_witness`] plus recursion statistics, with the two
-/// sub-problems of each frequency split evaluated on separate scoped
-/// threads while a thread budget remains (`threads` ≥ 2 halves down the
-/// recursion; `0` = available parallelism; `1` = sequential) and the
-/// split is big enough ([`FK_PAR_CUTOFF`]).
-///
-/// Both the *witness* and the [`FkStats`] are bit-identical to the
-/// sequential check for every input and thread count (DESIGN §6). The
-/// second branch of a fork runs speculatively; when the first branch
-/// yields a witness the sibling is cancelled cooperatively and its
-/// counters are discarded, reproducing the sequential short-circuit
-/// exactly — a cancelled subtree's statistics are only ever merged into
-/// totals that are themselves discarded.
-pub fn duality_witness_counted_par(
-    f: &Hypergraph,
-    g: &Hypergraph,
-    threads: usize,
-) -> (Option<AttrSet>, FkStats) {
     let meter = Meter::unlimited();
-    duality_witness_counted_par_ctl(f, g, threads, &RunCtl::new(&meter, &NoopObserver))
+    duality_witness_ctl(f, g, &RunCtl::new(&meter, &NoopObserver))
         .expect_complete()
+        .0
 }
 
-/// [`duality_witness_counted_par`] under a budget and an observer.
+/// [`duality_witness`] plus recursion statistics, under a budget and an
+/// observer.
 ///
 /// Each recursive call records one oracle query on `ctl.meter` and one
 /// [`dualminer_obs::MiningObserver::on_fk_calls`] event; the budget is
 /// polled at every call entry, so a tripped deadline/query limit aborts
-/// the recursion cooperatively. On a trip the verdict is *undetermined*:
-/// the partial value carries `None` for the witness and the statistics
-/// accumulated so far, under [`Outcome::BudgetExceeded`] so it cannot be
-/// mistaken for a completed "dual" verdict. Observer `on_fk_calls`
-/// events count *all* work performed, including speculatively evaluated
-/// sibling branches; the returned [`FkStats`] remain
-/// sequential-equivalent.
-pub fn duality_witness_counted_par_ctl(
+/// the recursion. On a trip the verdict is *undetermined*: the partial
+/// value carries `None` for the witness and the statistics accumulated
+/// so far (one call per query recorded), under
+/// [`Outcome::BudgetExceeded`] so it cannot be mistaken for a completed
+/// "dual" verdict.
+pub fn duality_witness_ctl(
     f: &Hypergraph,
     g: &Hypergraph,
-    threads: usize,
+    ctl: &RunCtl<'_>,
+) -> Outcome<(Option<AttrSet>, FkStats)> {
+    antichain_witness(&f.minimized(), &g.minimized(), ctl)
+}
+
+/// [`duality_witness_ctl`] on families that are already minimized, so
+/// callers holding antichains skip the re-minimization.
+pub(crate) fn antichain_witness(
+    f: &Hypergraph,
+    g: &Hypergraph,
     ctl: &RunCtl<'_>,
 ) -> Outcome<(Option<AttrSet>, FkStats)> {
     assert_eq!(
@@ -105,36 +91,31 @@ pub fn duality_witness_counted_par_ctl(
         g.universe_size(),
         "duality check requires a common universe"
     );
+    debug_assert!(f.is_minimized() && g.is_minimized());
     let mut stats = FkStats::default();
-    let tripped = AtomicBool::new(false);
-    let ctx = Ctx {
-        ctl,
-        tripped: &tripped,
-    };
-    let w = check(
+    let checked = check(
         f.universe_size(),
-        f.minimized().edges().to_vec(),
-        g.minimized().edges().to_vec(),
+        f.edges().to_vec(),
+        g.edges().to_vec(),
         1,
-        dualminer_parallel::effective_threads(threads),
         &mut stats,
-        &ctx,
-        None,
+        ctl,
     );
-    if tripped.load(Ordering::Relaxed) {
-        let reason = ctl.meter.exceeded().unwrap_or(BudgetReason::Cancelled);
-        return Outcome::BudgetExceeded {
-            partial: (w, stats),
+    match checked {
+        Ok(w) => {
+            if let Some(ref w) = w {
+                debug_assert!(
+                    eval(f.edges(), w) == eval(g.edges(), &w.complement()),
+                    "FK produced an invalid witness"
+                );
+            }
+            Outcome::Complete((w, stats))
+        }
+        Err(reason) => Outcome::BudgetExceeded {
+            partial: (None, stats),
             reason,
-        };
+        },
     }
-    if let Some(ref w) = w {
-        debug_assert!(
-            eval(f.minimized().edges(), w) == eval(g.minimized().edges(), &w.complement()),
-            "FK produced an invalid witness"
-        );
-    }
-    Outcome::Complete((w, stats))
 }
 
 /// Convenience wrapper: `true` iff `g = Tr(f)`.
@@ -144,8 +125,7 @@ pub fn are_dual(f: &Hypergraph, g: &Hypergraph) -> bool {
 
 /// Whether `h` is self-dual: `Tr(h) = min(h)`.
 pub fn is_self_dual(h: &Hypergraph) -> bool {
-    let m = h.minimized();
-    are_dual(&m, &m)
+    are_dual(h, h)
 }
 
 /// `f(x)` for the monotone function of an edge family: does `x` contain an
@@ -155,61 +135,23 @@ fn eval(edges: &[AttrSet], x: &AttrSet) -> bool {
     edges.iter().any(|e| e.is_subset(x))
 }
 
-/// Shared recursion context: the run control handle plus the sticky
-/// "budget tripped somewhere in the tree" flag.
-#[derive(Clone, Copy)]
-struct Ctx<'a> {
-    ctl: &'a RunCtl<'a>,
-    tripped: &'a AtomicBool,
-}
-
-/// Cooperative cancellation chain for speculative sibling branches. Each
-/// fork gives its second branch a fresh flag linked to the enclosing
-/// chain, so a subtree observes both its own sibling's win and any
-/// ancestor's: the flag of *every* enclosing fork whose first branch
-/// found a witness.
-struct SiblingCancel<'a> {
-    flag: &'a AtomicBool,
-    parent: Option<&'a SiblingCancel<'a>>,
-}
-
-impl SiblingCancel<'_> {
-    fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed) || self.parent.is_some_and(|p| p.is_cancelled())
-    }
-}
-
-/// Core recursion. `f` and `g` are minimal antichains over universe `n`;
-/// `threads` is the remaining fork budget (1 = fully sequential).
-/// Returns `None` iff the pair is dual.
-///
-/// Early exits (a cancelled speculative sibling, or a tripped budget)
-/// return `None` *before* counting the call, so the counters a caller
-/// keeps are exactly the sequential ones: a sibling is only cancelled
-/// when the first branch's witness makes the fork discard the sibling's
-/// counters anyway, and a budget trip downgrades the whole run to
-/// [`Outcome::BudgetExceeded`], which makes no determinism claim.
-#[allow(clippy::too_many_arguments)]
+/// Core recursion. `f` and `g` are minimal antichains over universe `n`.
+/// Returns `Ok(None)` iff the pair is dual, and `Err` with the trip
+/// reason when the budget stops it before the verdict; a tripped call
+/// returns before it is counted.
 fn check(
     n: usize,
     f: Vec<AttrSet>,
     g: Vec<AttrSet>,
     depth: u32,
-    threads: usize,
     stats: &mut FkStats,
-    ctx: &Ctx<'_>,
-    cancel: Option<&SiblingCancel<'_>>,
-) -> Option<AttrSet> {
-    if cancel.is_some_and(|c| c.is_cancelled()) {
-        // Speculative branch whose result the winning sibling discards.
-        return None;
+    ctl: &RunCtl<'_>,
+) -> Result<Option<AttrSet>, BudgetReason> {
+    if let Some(reason) = ctl.meter.exceeded() {
+        return Err(reason);
     }
-    if ctx.ctl.meter.exceeded().is_some() {
-        ctx.tripped.store(true, Ordering::Relaxed);
-        return None;
-    }
-    ctx.ctl.meter.record_query();
-    ctx.ctl.observer.on_fk_calls(1);
+    ctl.meter.record_query();
+    ctl.observer.on_fk_calls(1);
     stats.calls += 1;
     stats.max_depth = stats.max_depth.max(depth);
 
@@ -217,29 +159,29 @@ fn check(
     if f.is_empty() {
         // f ≡ 0; dual iff g ≡ 1, i.e. G = {∅}.
         if g.len() == 1 && g[0].is_empty() {
-            return None;
+            return Ok(None);
         }
         // Find y with g(y) = 0 and return w = ȳ (then f(w) = 0 = g(w̄)).
         let y = unsatisfying_assignment(n, &g);
-        return Some(y.complement());
+        return Ok(Some(y.complement()));
     }
     if f.len() == 1 && f[0].is_empty() {
         // f ≡ 1; dual iff g ≡ 0.
         if g.is_empty() {
-            return None;
+            return Ok(None);
         }
         // w = complement of any G-edge: f(w) = 1, g(w̄) = g(T) = 1.
-        return Some(g[0].complement());
+        return Ok(Some(g[0].complement()));
     }
     if g.is_empty() {
         // g ≡ 0; dual iff f ≡ 1 — already excluded, so not dual.
         // Find w with f(w) = 0: then f(w) = 0 = g(w̄).
-        return Some(unsatisfying_assignment(n, &f));
+        return Ok(Some(unsatisfying_assignment(n, &f)));
     }
     if g.len() == 1 && g[0].is_empty() {
         // g ≡ 1; dual iff f ≡ 0 — already excluded, so not dual.
         // w = any F-edge: f(w) = 1 = g(w̄).
-        return Some(f[0].clone());
+        return Ok(Some(f[0].clone()));
     }
 
     // --- pairwise intersection --------------------------------------------
@@ -249,7 +191,7 @@ fn check(
     for e in &f {
         for t in &g {
             if e.is_disjoint(t) {
-                return Some(e.clone());
+                return Ok(Some(e.clone()));
             }
         }
     }
@@ -259,7 +201,7 @@ fn check(
         let (e, t) = (&f[0], &g[0]);
         // Tr({E}) is the set of singletons of E, so duality needs
         // E = T = {v}. All witnesses below satisfy f(w) = 0 = g(w̄).
-        return if !e.is_subset(t) {
+        return Ok(if !e.is_subset(t) {
             // v ∈ E \ T: w = E \ {v} misses E, and T ∩ w ⊇ T ∩ E ≠ ∅.
             let v = e.difference(t).first().expect("nonempty difference");
             let mut w = e.clone();
@@ -274,7 +216,7 @@ fn check(
         } else {
             // E = T, |E| ≥ 2: w = {v} misses E and hits T.
             Some(AttrSet::singleton(n, e.first().expect("nonempty edge")))
-        };
+        });
     }
 
     // --- probability bound -------------------------------------------------
@@ -284,7 +226,7 @@ fn check(
         .chain(g.iter().map(|t| 0.5f64.powi(t.len() as i32)))
         .sum();
     if s < 1.0 {
-        return Some(conditional_expectation_witness(n, &f, &g));
+        return Ok(Some(conditional_expectation_witness(n, &f, &g)));
     }
 
     // --- frequency split ---------------------------------------------------
@@ -295,64 +237,15 @@ fn check(
     let g1 = contract(&g, v);
 
     // dual(f, g) ⟺ dual(f₁, g₀) ∧ dual(f₀, g₁); witnesses lift by fixing v.
-    if threads >= 2 && f.len() + g.len() >= FK_PAR_CUTOFF {
-        // Fork: the first branch runs authoritatively on the current
-        // thread; the second runs speculatively on a worker. When the
-        // first branch yields a witness it raises `cancel_b`, the
-        // speculative sibling drains cooperatively, and its counters are
-        // discarded — exactly what the sequential short-circuit does.
-        // The first branch is never cancelled by the second (sequential
-        // evaluation always completes it), only by enclosing forks via
-        // the inherited `cancel` chain.
-        let (ta, tb) = (threads - threads / 2, threads / 2);
-        let cancel_b = AtomicBool::new(false);
-        let ((wa, sa), (wb, sb)) = dualminer_parallel::join(
-            true,
-            || {
-                let mut s = FkStats::default();
-                let w = check(n, f1, g0, depth + 1, ta, &mut s, ctx, cancel);
-                if w.is_some() {
-                    cancel_b.store(true, Ordering::Relaxed);
-                }
-                (w, s)
-            },
-            || {
-                let chain = SiblingCancel {
-                    flag: &cancel_b,
-                    parent: cancel,
-                };
-                let mut s = FkStats::default();
-                let w = check(n, f0, g1, depth + 1, tb, &mut s, ctx, Some(&chain));
-                (w, s)
-            },
-        );
-        // Sequential-equivalent counters: the sequential check evaluates
-        // the second branch only when the first found no witness.
-        stats.calls += sa.calls;
-        stats.max_depth = stats.max_depth.max(sa.max_depth);
-        if wa.is_none() {
-            stats.calls += sb.calls;
-            stats.max_depth = stats.max_depth.max(sb.max_depth);
-        }
-        if let Some(mut w) = wa {
-            w.insert(v);
-            return Some(w);
-        }
-        if let Some(mut w) = wb {
-            w.remove(v);
-            return Some(w);
-        }
-        return None;
-    }
-    if let Some(mut w) = check(n, f1, g0, depth + 1, threads, stats, ctx, cancel) {
+    if let Some(mut w) = check(n, f1, g0, depth + 1, stats, ctl)? {
         w.insert(v);
-        return Some(w);
+        return Ok(Some(w));
     }
-    if let Some(mut w) = check(n, f0, g1, depth + 1, threads, stats, ctx, cancel) {
+    if let Some(mut w) = check(n, f0, g1, depth + 1, stats, ctl)? {
         w.remove(v);
-        return Some(w);
+        return Ok(Some(w));
     }
-    None
+    Ok(None)
 }
 
 /// The restriction `x_v := 1`: drop `v` from every edge, re-minimize.
@@ -511,6 +404,12 @@ mod tests {
         Hypergraph::from_index_edges(n, edges.iter().map(|e| e.to_vec()))
     }
 
+    /// An unbudgeted [`duality_witness_ctl`]: the witness and the stats.
+    fn counted(f: &Hypergraph, g: &Hypergraph) -> (Option<AttrSet>, FkStats) {
+        let meter = Meter::unlimited();
+        duality_witness_ctl(f, g, &RunCtl::new(&meter, &NoopObserver)).expect_complete()
+    }
+
     #[test]
     fn constants() {
         let zero = Hypergraph::empty(3);
@@ -604,74 +503,10 @@ mod tests {
     fn stats_count_calls() {
         let f = h(6, &[&[0, 1], &[2, 3], &[4, 5]]);
         let tr = berge::transversals(&f);
-        let (w, stats) = duality_witness_counted_par(&f, &tr, 1);
+        let (w, stats) = counted(&f, &tr);
         assert!(w.is_none());
         assert!(stats.calls >= 1);
         assert!(stats.max_depth >= 1);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(55);
-        for _ in 0..30 {
-            let n: usize = rng.gen_range(3..10);
-            let m = rng.gen_range(1..8);
-            let edges: Vec<Vec<usize>> = (0..m)
-                .map(|_| {
-                    let k = rng.gen_range(1..=n.min(4));
-                    (0..k).map(|_| rng.gen_range(0..n)).collect()
-                })
-                .collect();
-            let hg = Hypergraph::from_index_edges(n, edges).minimized();
-            let tr = berge::transversals(&hg);
-            for threads in [0, 2, 4] {
-                // Dual pair: same verdict AND same stats.
-                let (w_seq, s_seq) = duality_witness_counted_par(&hg, &tr, 1);
-                let (w_par, s_par) = duality_witness_counted_par(&hg, &tr, threads);
-                assert_eq!(w_seq, w_par, "{hg:?} threads={threads}");
-                assert_eq!(s_seq, s_par, "{hg:?} threads={threads}");
-                // Broken (non-dual) pair: identical witness AND identical
-                // stats — the speculative sibling's counters are dropped
-                // whenever the sequential check would have short-circuited
-                // it (DESIGN §6 determinism invariant).
-                if !tr.is_empty() {
-                    let mut broken = tr.edges().to_vec();
-                    broken.pop();
-                    let gb = Hypergraph::from_edges(n, broken).unwrap();
-                    assert_eq!(
-                        duality_witness_counted_par(&hg, &gb, 1),
-                        duality_witness_counted_par(&hg, &gb, threads),
-                        "{hg:?} vs {gb:?} threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_on_wide_self_dual_instance() {
-        // A matching is big enough to cross FK_PAR_CUTOFF: Tr has 2^(n/2)
-        // edges, so |F| + |G| = k + 2^k with k pairs.
-        let k = 5;
-        let f = Hypergraph::from_index_edges(2 * k, (0..k).map(|i| vec![2 * i, 2 * i + 1]));
-        let tr = berge::transversals(&f);
-        assert!(f.len() + tr.len() >= FK_PAR_CUTOFF);
-        for threads in [1, 2, 4, 8] {
-            let (w, _) = duality_witness_counted_par(&f, &tr, threads);
-            assert!(w.is_none(), "threads={threads}");
-        }
-        let mut broken = tr.edges().to_vec();
-        broken.pop();
-        let gb = Hypergraph::from_edges(2 * k, broken).unwrap();
-        let seq = duality_witness_counted_par(&f, &gb, 1);
-        for threads in [2, 4, 8] {
-            assert_eq!(
-                seq,
-                duality_witness_counted_par(&f, &gb, threads),
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]
@@ -689,7 +524,7 @@ mod tests {
         let meter = budget.start();
         let collector = StatsCollector::new();
         let ctl = RunCtl::new(&meter, &collector);
-        match duality_witness_counted_par_ctl(&f, &tr, 1, &ctl) {
+        match duality_witness_ctl(&f, &tr, &ctl) {
             Outcome::BudgetExceeded { partial, reason } => {
                 assert_eq!(reason, BudgetReason::MaxQueries);
                 assert!(partial.1.calls <= 2, "stopped early: {:?}", partial.1);
@@ -707,10 +542,40 @@ mod tests {
         let tr = berge::transversals(&f);
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        let out = duality_witness_counted_par_ctl(&f, &tr, 2, &ctl).expect_complete();
-        assert_eq!(out, duality_witness_counted_par(&f, &tr, 1));
+        let out = duality_witness_ctl(&f, &tr, &ctl).expect_complete();
+        assert_eq!(out.0, duality_witness(&f, &tr));
         // Every recursive call is metered as one oracle query.
         assert_eq!(meter.queries(), out.1.calls);
+    }
+
+    #[test]
+    fn trip_reports_no_witness_and_counts_every_call() {
+        use dualminer_obs::Budget;
+        // A non-dual pair, so the completed check has a witness to hide:
+        // the matching's transversals with one member dropped.
+        let k = 4;
+        let f = Hypergraph::from_index_edges(2 * k, (0..k).map(|i| vec![2 * i, 2 * i + 1]));
+        let mut broken = berge::transversals(&f).edges().to_vec();
+        broken.pop();
+        let g = Hypergraph::from_edges(2 * k, broken).unwrap();
+        let (witness, full) = counted(&f, &g);
+        assert!(witness.is_some() && full.calls > 2);
+        for cap in 1..full.calls {
+            let meter = Budget {
+                max_queries: Some(cap),
+                ..Budget::default()
+            }
+            .start();
+            match duality_witness_ctl(&f, &g, &RunCtl::new(&meter, &NoopObserver)) {
+                Outcome::BudgetExceeded { partial, reason } => {
+                    assert_eq!(reason, BudgetReason::MaxQueries);
+                    assert_eq!(partial.0, None, "cap {cap}");
+                    assert_eq!(partial.1.calls, meter.queries(), "cap {cap}");
+                    assert_eq!(partial.1.calls, cap);
+                }
+                Outcome::Complete(_) => panic!("cap {cap} < {} calls completed", full.calls),
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! `w` satisfies `f(w) = 0 = g(w̄)`, so `w̄` is a transversal of `F`
 //! containing no member of `G`; greedily minimizing it yields a **new**
 //! minimal transversal. Each of the `i` outputs costs one duality check on
-//! a pair of size `(|F|, i)` — quasi-polynomial incremental time.
+//! a pair of size `(|F|, i)` — quasi-polynomial incremental time. Both
+//! the steps and the checks run on the calling thread.
 
 use dualminer_bitset::AttrSet;
 use dualminer_obs::{BudgetReason, Outcome, RunCtl};
@@ -21,10 +22,9 @@ pub fn transversals(h: &Hypergraph) -> Hypergraph {
 }
 
 /// One joint-generation step: one Fredman–Khachiyan duality check of the
-/// pair `(hm, g)` with up to `threads` workers (see
-/// [`fk::duality_witness_counted_par`]), then the complement of its
-/// witness minimized against `hm`. Requires `hm` minimized and
-/// `g ⊆ Tr(hm)`.
+/// pair `(hm, g)` (see [`fk::duality_witness_ctl`]), then the complement
+/// of its witness minimized against `hm`. Requires `hm` minimized and
+/// `g ⊆ Tr(hm)` (an antichain, since its members are minimal).
 ///
 /// Returns `Ok(Some(t))` with a minimal transversal `t ∉ g`, `Ok(None)`
 /// when the pair is dual (`g = Tr(hm)`), and `Err` with the trip reason
@@ -34,11 +34,9 @@ pub fn transversals(h: &Hypergraph) -> Hypergraph {
 pub fn next_transversal(
     hm: &Hypergraph,
     g: &Hypergraph,
-    threads: usize,
     ctl: &RunCtl<'_>,
 ) -> Result<Option<AttrSet>, BudgetReason> {
-    debug_assert!(hm.is_minimized());
-    let witness = match fk::duality_witness_counted_par_ctl(hm, g, threads, ctl) {
+    let witness = match fk::antichain_witness(hm, g, ctl) {
         Outcome::Complete((witness, _)) => witness,
         Outcome::BudgetExceeded { reason, .. } => return Err(reason),
     };
@@ -53,8 +51,9 @@ pub fn next_transversal(
 }
 
 /// The joint-generation engine over a minimized hypergraph `hm`: loops
-/// [`next_transversal`] from an empty `g`, so the emitted transversals
-/// are bit-identical at every thread count.
+/// [`next_transversal`] from an empty `g`. It takes no thread count, so
+/// the emitted transversals, and a budgeted run's partial prefix, are
+/// the same whatever count the dispatcher was given.
 ///
 /// The budget is shared with the inner Fredman–Khachiyan checks (each FK
 /// recursive call is one metered query), and each emitted minimal
@@ -63,7 +62,7 @@ pub fn next_transversal(
 /// incremental, so the partial result on a trip is a *genuine prefix of
 /// the `Tr(H)` enumeration* — every member is a true minimal transversal
 /// of `H`.
-pub(crate) fn run(hm: &Hypergraph, threads: usize, ctl: &RunCtl<'_>) -> Outcome<Hypergraph> {
+pub(crate) fn run(hm: &Hypergraph, ctl: &RunCtl<'_>) -> Outcome<Hypergraph> {
     let n = hm.universe_size();
 
     // Constant corner cases mirror `berge::transversals`.
@@ -81,7 +80,7 @@ pub(crate) fn run(hm: &Hypergraph, threads: usize, ctl: &RunCtl<'_>) -> Outcome<
         if let Some(reason) = ctl.meter.exceeded() {
             return Outcome::BudgetExceeded { partial: g, reason };
         }
-        match next_transversal(hm, &g, threads, ctl) {
+        match next_transversal(hm, &g, ctl) {
             Ok(Some(t)) => {
                 ctl.meter.record_transversal();
                 ctl.observer.on_transversals(1);
@@ -173,7 +172,7 @@ mod tests {
         let f = h(6, &[&[0, 1], &[2, 3], &[4, 5]]);
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        let tr = run(&f, 1, &ctl).expect_complete();
+        let tr = run(&f, &ctl).expect_complete();
         assert_eq!(tr.len(), 8);
         assert_eq!(meter.transversals(), 8);
     }

@@ -245,7 +245,7 @@ pub fn dualize_ctl_report(
     let out = match decision.backend {
         TrAlgorithm::Auto => unreachable!("decide() returns a concrete backend"),
         TrAlgorithm::Berge => berge::run(&hm, berge::EdgeOrder::LargestFirst, threads, ctl),
-        TrAlgorithm::FkJointGeneration => joint_gen::run(&hm, threads, ctl),
+        TrAlgorithm::FkJointGeneration => joint_gen::run(&hm, ctl),
         TrAlgorithm::LevelwiseLargeEdges => levelwise_tr::run(&hm, ctl).map(|(tr, _)| tr),
         TrAlgorithm::MuMmcs => {
             let (out, mu) = mu_mmcs::run(&hm, threads, ctl);

@@ -31,6 +31,7 @@
 //! must hold for each engine.
 
 use dualminer_bitset::AttrSet;
+use dualminer_obs::{Meter, NoopObserver, RunCtl};
 
 use crate::{minimize_family, Hypergraph};
 
@@ -61,7 +62,12 @@ fn verify_dual_within(f: &Hypergraph, g: &Hypergraph, budget: usize) -> bool {
         Some(v) => v,
         // Node budget exhausted: FK decides without enumerating. Still
         // exact — just no longer the cheap path.
-        None => crate::fk::duality_witness(&fm, &gm).is_none(),
+        None => {
+            let meter = Meter::unlimited();
+            let ctl = RunCtl::new(&meter, &NoopObserver);
+            let (witness, _) = crate::fk::antichain_witness(&fm, &gm, &ctl).expect_complete();
+            witness.is_none()
+        }
     }
 }
 

@@ -6,7 +6,7 @@ use dualminer_hypergraph::oracle::{is_minimal_transversal, is_transversal};
 use dualminer_hypergraph::{
     berge, fk, joint_gen, levelwise_tr, mu_mmcs, naive, plan, Hypergraph, TrAlgorithm,
 };
-use dualminer_obs::{Meter, NoopObserver, RunCtl};
+use dualminer_obs::{Budget, Meter, NoopObserver, RunCtl, StatsCollector};
 use proptest::prelude::*;
 
 const N: usize = 8;
@@ -23,6 +23,13 @@ fn tr_threads(h: &Hypergraph, algo: TrAlgorithm, threads: usize) -> Hypergraph {
 fn arb_hypergraph() -> impl Strategy<Value = Hypergraph> {
     proptest::collection::vec(proptest::collection::vec(0..N, 1..5), 0..7)
         .prop_map(|edges| Hypergraph::from_index_edges(N, edges))
+}
+
+/// Wider instances over 12 vertices: their FK checks reach `|F| + |G|`
+/// in the dozens, and budgets trip in the middle of the enumeration.
+fn arb_wide_hypergraph() -> impl Strategy<Value = Hypergraph> {
+    proptest::collection::vec(proptest::collection::vec(0..12usize, 2..4), 3..9)
+        .prop_map(|edges| Hypergraph::from_index_edges(12, edges))
 }
 
 proptest! {
@@ -61,47 +68,33 @@ proptest! {
     }
 
     #[test]
-    fn parallel_fk_agrees(h in arb_hypergraph()) {
-        let hm = h.minimized();
-        let tr = berge::transversals(&hm);
-        let broken = (tr.len() >= 2).then(|| {
-            let mut edges = tr.edges().to_vec();
-            edges.pop();
-            Hypergraph::from_edges(N, edges).unwrap()
-        });
-        for threads in [1usize, 2, 4, 8] {
-            prop_assert!(
-                fk::duality_witness_counted_par(&hm, &tr, threads).0.is_none(),
-                "threads={}", threads
-            );
-            if let Some(broken) = &broken {
-                prop_assert_eq!(
-                    fk::duality_witness_counted_par(&hm, broken, threads).0,
-                    fk::duality_witness(&hm, broken),
-                    "threads={}", threads
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_fk_stats_sequential_equivalent_on_non_dual(h in arb_hypergraph()) {
-        // DESIGN §6 determinism invariant: on non-dual inputs the parallel
-        // FK check must report the same witness AND the same call counters
-        // as the sequential short-circuiting check, for every thread count.
-        let hm = h.minimized();
-        let tr = berge::transversals(&hm);
-        if tr.len() >= 2 {
-            let mut edges = tr.edges().to_vec();
-            edges.pop();
-            let broken = Hypergraph::from_edges(N, edges).unwrap();
-            let (w_seq, s_seq) = fk::duality_witness_counted_par(&hm, &broken, 1);
-            prop_assert!(w_seq.is_some(), "strict sub-family of Tr cannot be dual");
-            for threads in [1usize, 2, 4, 8] {
-                let (w_par, s_par) = fk::duality_witness_counted_par(&hm, &broken, threads);
-                prop_assert_eq!(w_seq.clone(), w_par, "witness, threads={}", threads);
-                prop_assert_eq!(s_seq, s_par, "stats, threads={}", threads);
-            }
+    fn fk_partials_are_thread_invariant(
+        h in arb_wide_hypergraph(),
+        max_queries in 1u64..3000,
+        max_transversals in 1u64..48,
+    ) {
+        // A budgeted joint-generation run stops at the same prefix, for
+        // the same reason, at every thread count, and every FK call it
+        // meters is one observed `on_fk_calls` event.
+        let budget = Budget {
+            max_queries: Some(max_queries),
+            max_transversals: Some(max_transversals),
+            ..Budget::default()
+        };
+        let run = |threads: usize| {
+            let meter = budget.start();
+            let collector = StatsCollector::new();
+            let ctl = RunCtl::new(&meter, &collector);
+            let (out, _) =
+                plan::dualize_ctl_report(&h, TrAlgorithm::FkJointGeneration, threads, &ctl);
+            (out, meter.queries(), collector.fk_calls())
+        };
+        let (seq, queries, fk_calls) = run(1);
+        prop_assert_eq!(queries, fk_calls);
+        for threads in [2usize, 4] {
+            let (par, queries, fk_calls) = run(threads);
+            prop_assert_eq!(&par, &seq, "threads={}", threads);
+            prop_assert_eq!(queries, fk_calls, "threads={}", threads);
         }
     }
 

@@ -429,10 +429,10 @@ struct StatsInner {
     transversals_tested: usize,
     counterexamples: usize,
     phases: Vec<(String, Option<Duration>, Instant)>,
-    /// Claim-cursor scheduler counters, injected by the frontend at run
+    /// Claim-cursor scheduler claims, injected by the frontend at run
     /// end (this crate sits below the scheduler and cannot read them
     /// itself). `None` until [`StatsCollector::set_scheduler`] is called.
-    scheduler: Option<SchedCounters>,
+    scheduler_tasks: Option<u64>,
     /// Dualization-planner decision and engine counters, injected by the
     /// frontend (this crate sits below the hypergraph engines). `None`
     /// until [`StatsCollector::set_dualize`] is called.
@@ -465,14 +465,6 @@ pub struct DualizeStats {
     pub egm_splits: Option<u64>,
     /// EGM leaf sub-instances handed to MU-MMCS.
     pub egm_leaves: Option<u64>,
-}
-
-/// Run-total scheduler counters, as injected via
-/// [`StatsCollector::set_scheduler`].
-#[derive(Clone, Debug, Default, PartialEq)]
-struct SchedCounters {
-    tasks: u64,
-    joins: u64,
 }
 
 /// A [`MiningObserver`] that accumulates every event and renders the
@@ -514,13 +506,13 @@ impl StatsCollector {
         self.threads.store(threads as u64, Ordering::Relaxed);
     }
 
-    /// Records the scheduler's run-total claims and fork-join pairs for
-    /// the JSON artifact. The frontend snapshots the scheduler at run end
-    /// and injects the numbers here; until then the artifact omits the
-    /// `ws_*` keys so sequential runs keep their exact historical schema.
-    pub fn set_scheduler(&self, tasks: u64, joins: u64) {
+    /// Records the scheduler's run-total claims for the JSON artifact.
+    /// The frontend snapshots the scheduler at run end and injects the
+    /// number here; until then the artifact omits the `ws_tasks` key so
+    /// sequential runs keep their exact historical schema.
+    pub fn set_scheduler(&self, tasks: u64) {
         let mut inner = self.inner.lock().expect("stats mutex poisoned");
-        inner.scheduler = Some(SchedCounters { tasks, joins });
+        inner.scheduler_tasks = Some(tasks);
     }
 
     /// Records the dualization planner's decision and the executed
@@ -559,11 +551,10 @@ impl StatsCollector {
     ///   "phases": [{"name","ms"}], "threads", "cpus", "wall_ms"}`
     ///
     /// When [`StatsCollector::set_scheduler`] was called, the object
-    /// additionally carries `"ws_tasks"` and `"ws_joins"` between
-    /// `"phases"` and `"threads"`. When
-    /// [`StatsCollector::set_dualize`] was called, `"planner_choice"`,
-    /// `"planner_rule"`, and whichever `"tr_*"` counters the executed
-    /// backend collects follow the `ws_*` block.
+    /// additionally carries `"ws_tasks"` between `"phases"` and
+    /// `"threads"`. When [`StatsCollector::set_dualize`] was called,
+    /// `"planner_choice"`, `"planner_rule"`, and whichever `"tr_*"`
+    /// counters the executed backend collects follow `"ws_tasks"`.
     pub fn to_json(&self, meter: &Meter, outcome: Option<BudgetReason>) -> String {
         let inner = self.inner.lock().expect("stats mutex poisoned");
         let mut out = String::with_capacity(512);
@@ -614,9 +605,8 @@ impl StatsCollector {
             out.push_str(&format!("\",\"ms\":{ms:.3}}}"));
         }
         out.push_str("],");
-        if let Some(sched) = &inner.scheduler {
-            push_u64_field(&mut out, "ws_tasks", sched.tasks);
-            push_u64_field(&mut out, "ws_joins", sched.joins);
+        if let Some(tasks) = inner.scheduler_tasks {
+            push_u64_field(&mut out, "ws_tasks", tasks);
         }
         if let Some(d) = &inner.dualize {
             push_str_field(&mut out, "planner_choice", &d.backend);

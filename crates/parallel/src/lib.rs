@@ -1,8 +1,7 @@
 //! # dualminer-parallel
 //!
 //! Deterministic claim-cursor scheduler for the workspace's hot paths:
-//! levelwise support counting, minimal-transversal branch exploration, and
-//! the Fredman–Khachiyan duality-check recursion.
+//! levelwise support counting and minimal-transversal branch exploration.
 //!
 //! Design constraints (DESIGN.md §6/§13: std threads suffice — no external
 //! dependencies, `forbid(unsafe_code)`):
@@ -30,7 +29,7 @@
 //! start index with its results, and the roughly `threads * 8` claims are
 //! sorted by start and concatenated into exactly the sequential order.
 //!
-//! The scheduler keeps process-global claim/join counters
+//! The scheduler keeps a process-global claim counter
 //! ([`scheduler_stats`]) which the CLI surfaces in its `--stats json`
 //! artifact and the bench harness stamps into its JSON lines.
 
@@ -90,12 +89,11 @@ pub fn effective_threads(threads: usize) -> usize {
 // ---------------------------------------------------------------------------
 
 static TOTAL_TASKS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_JOINS: AtomicU64 = AtomicU64::new(0);
 
-/// A snapshot of the process-global scheduler counters: claims executed
-/// and fork-join pairs. Counters are cumulative since process start or
-/// the last [`reset_scheduler_stats`]; they are observability only and
-/// never influence scheduling decisions or output.
+/// A snapshot of the process-global scheduler counters: claims executed.
+/// Counters are cumulative since process start or the last
+/// [`reset_scheduler_stats`]; they are observability only and never
+/// influence scheduling decisions or output.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Claims executed: one per claimed range at threads > 1, one per
@@ -104,8 +102,6 @@ pub struct SchedStats {
     /// Always 0: the claim cursor never steals. Kept so readers of the
     /// old work-stealing counter still compile.
     pub steals: u64,
-    /// Two-way fork-join invocations ([`join`] with `parallel == true`).
-    pub joins: u64,
 }
 
 /// Snapshots the global scheduler counters.
@@ -113,7 +109,6 @@ pub fn scheduler_stats() -> SchedStats {
     SchedStats {
         tasks: TOTAL_TASKS.load(Ordering::Relaxed),
         steals: 0,
-        joins: TOTAL_JOINS.load(Ordering::Relaxed),
     }
 }
 
@@ -121,7 +116,6 @@ pub fn scheduler_stats() -> SchedStats {
 /// this).
 pub fn reset_scheduler_stats() {
     TOTAL_TASKS.store(0, Ordering::Relaxed);
-    TOTAL_JOINS.store(0, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -282,28 +276,6 @@ pub fn par_fill<T: Send>(
     });
 }
 
-/// Runs two closures, on two scoped threads when `parallel` is true, and
-/// returns both results. The FK duality check uses this for its two
-/// recursive sub-problems (heterogeneous result types keep it off the
-/// homogeneous claim cursor; it shares the scheduler's stats layer via
-/// the `joins` counter). `parallel == false` degenerates to plain
-/// sequential calls on the current thread.
-pub fn join<RA: Send, RB: Send>(
-    parallel: bool,
-    a: impl FnOnce() -> RA + Send,
-    b: impl FnOnce() -> RB + Send,
-) -> (RA, RB) {
-    if !parallel {
-        return (a(), b());
-    }
-    TOTAL_JOINS.fetch_add(1, Ordering::Relaxed);
-    thread::scope(|scope| {
-        let hb = scope.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("parallel worker panicked"))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -397,10 +369,6 @@ mod tests {
         let claims = items.len().div_ceil(claim) as u64;
         assert!(stats.tasks >= claims, "tasks={}", stats.tasks);
         assert_eq!(stats.steals, 0);
-
-        let before = stats.joins;
-        let _ = join(true, || 1, || 2);
-        assert!(scheduler_stats().joins > before);
     }
 
     #[test]
@@ -469,22 +437,6 @@ mod tests {
                 assert_eq!(out, want, "len={len} stride={stride} threads={threads}");
             }
         }
-    }
-
-    #[test]
-    fn join_returns_both() {
-        for parallel in [false, true] {
-            let (a, b) = join(parallel, || 1 + 1, || "x".to_string());
-            assert_eq!(a, 2);
-            assert_eq!(b, "x");
-        }
-    }
-
-    #[test]
-    fn join_borrows_environment() {
-        let data = [1, 2, 3];
-        let (s, l) = join(true, || data.iter().sum::<i32>(), || data.len());
-        assert_eq!((s, l), (6, 3));
     }
 
     #[test]
