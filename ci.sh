@@ -24,7 +24,7 @@ cargo bench -q -p dualminer-bench --bench apriori_probe -- smoke >/dev/null
 cargo bench -q -p dualminer-bench --bench canon_probe -- smoke >/dev/null
 cargo bench -q -p dualminer-bench --bench dualize_matrix -- "cosparse40/mu-mmcs" >/dev/null
 cargo bench -q -p dualminer-bench --bench keys -- "agree_sets/400x13" >/dev/null
-cargo bench -q -p dualminer-bench --bench serve -- "frame/decode" >/dev/null
+cargo bench -q -p dualminer-bench --bench serve -- "frame/" >/dev/null
 # The DESIGN.md §5 ablation harness: every table asserts that its knob
 # leaves the answers invariant, so a regression aborts the run.
 cargo run -q --release -p dualminer-bench --bin experiments -- e14 >/dev/null

@@ -3,8 +3,10 @@
 //! on a deep-lattice mine, incremental re-mining over appended rows vs
 //! from-scratch, and batch completion time at 1/4/16 concurrent clients.
 //! The `frame` group times the result-frame codec alone on that mine's
-//! ~1 MB body: `encode` is the server's `proto::ev_result`, `decode` the
-//! client's `Json::parse`.
+//! ~1 MB body: `encode` is `proto::ev_result` (escaping the body into a
+//! fresh frame), `hit` what the daemon does for a cached body (the
+//! frame's head and tail around the stored wire form, written with one
+//! vectored write), `decode` the client's `Json::parse`.
 //!
 //! Every measurement is a full protocol round trip (request line out,
 //! event stream back to the terminal `result`), so the numbers include
@@ -20,7 +22,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dualminer_mining::gen::{quest, QuestParams};
 use dualminer_obs::Json;
 use dualminer_serve::client::{Conn, Event};
-use dualminer_serve::proto::{ev_result, CacheTag};
+use dualminer_serve::proto::{ev_result, result_frame, wire_body, write_line, CacheTag};
 use dualminer_serve::server::{start, ServeConfig, ServerHandle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -173,7 +175,9 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
 /// of [`bench_cold_vs_warm`] mined at σ = 72 (a ~1.1 MB body, the size
 /// the daemon benchmark's warm hits serve), fetched once from a live
 /// daemon, then encoded with `proto::ev_result` as a hit frame and decoded
-/// with `Json::parse` — the two string passes every result frame pays.
+/// with `Json::parse` — the two string passes a frame encoded from the raw
+/// body pays — and assembled from the cached wire form as a hit is, into
+/// a buffer standing in for the socket.
 fn bench_frame_codec(c: &mut Criterion) {
     let dir = bench_dir();
     let path_buf = dir.join("deep_frame.txt");
@@ -210,6 +214,21 @@ fn bench_frame_codec(c: &mut Criterion) {
     group.bench_function("encode", |b| {
         b.iter(|| ev_result(3, CacheTag::Hit, None, 0, &fingerprint, &body, &stats))
     });
+    let wire = wire_body(&body);
+    let mut sent: Vec<u8> = Vec::with_capacity(frame.len() + 1);
+    let send_hit = |sent: &mut Vec<u8>| {
+        sent.clear();
+        let (head, tail) = result_frame(3, CacheTag::Hit, None, 0, &fingerprint, &stats);
+        write_line(sent, &[head.as_bytes(), wire.as_bytes(), tail.as_bytes()])
+            .expect("a Vec takes every byte");
+    };
+    send_hit(&mut sent);
+    assert_eq!(
+        sent,
+        format!("{frame}\n").into_bytes(),
+        "the hit frame is the encoded frame"
+    );
+    group.bench_function("hit", |b| b.iter(|| send_hit(&mut sent)));
     group.bench_function("decode", |b| {
         b.iter(|| Json::parse(&frame).expect("frame parses"))
     });

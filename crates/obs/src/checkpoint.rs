@@ -72,19 +72,30 @@ impl std::error::Error for CheckpointError {}
 
 /// Serializes a checkpoint envelope around `payload`.
 pub fn encode(kind: &str, payload: &Json) -> String {
-    let body = payload.to_string();
-    Json::Obj(vec![
+    encode_text(kind, &payload.to_string())
+}
+
+/// The envelope around a payload already serialized as compact JSON:
+/// the bytes [`encode`] writes for the value that text is. The payload is
+/// serialized once, for its checksum and its place in the file alike.
+fn encode_text(kind: &str, payload: &str) -> String {
+    let mut text = Json::Obj(vec![
         ("format".into(), Json::str(CHECKPOINT_FORMAT)),
         ("version".into(), Json::Int(CHECKPOINT_VERSION)),
         ("kind".into(), Json::str(kind)),
-        ("payload_len".into(), Json::uint(body.len() as u64)),
+        ("payload_len".into(), Json::uint(payload.len() as u64)),
         (
             "checksum".into(),
-            Json::Str(format!("{:016x}", fnv1a64(body.as_bytes()))),
+            Json::Str(format!("{:016x}", fnv1a64(payload.as_bytes()))),
         ),
-        ("payload".into(), payload.clone()),
     ])
-    .to_string()
+    .to_string();
+    // Reopen the object: the payload is its last field.
+    text.pop();
+    text.push_str(",\"payload\":");
+    text.push_str(payload);
+    text.push('}');
+    text
 }
 
 /// Parses and verifies a checkpoint envelope.
@@ -174,11 +185,12 @@ impl FileCheckpoint {
         };
         decode(&text).map(Some)
     }
-}
 
-impl CheckpointSink for FileCheckpoint {
-    fn save(&self, kind: &str, payload: &Json) -> Result<(), CheckpointError> {
-        let text = encode(kind, payload);
+    /// Persists a checkpoint whose payload is already serialized as
+    /// compact JSON, replacing any previous one: [`CheckpointSink::save`]
+    /// for a caller that writes the payload text itself.
+    pub fn save_text(&self, kind: &str, payload: &str) -> Result<(), CheckpointError> {
+        let text = encode_text(kind, payload);
         let tmp = self.path.with_extension("tmp");
         let io_err = |what: &str, e: std::io::Error| {
             CheckpointError::Io(format!("cannot {what} {:?}: {e}", tmp))
@@ -192,6 +204,12 @@ impl CheckpointSink for FileCheckpoint {
             CheckpointError::Io(format!("cannot rename {:?} to {:?}: {e}", tmp, self.path))
         })?;
         Ok(())
+    }
+}
+
+impl CheckpointSink for FileCheckpoint {
+    fn save(&self, kind: &str, payload: &Json) -> Result<(), CheckpointError> {
+        self.save_text(kind, &payload.to_string())
     }
 }
 

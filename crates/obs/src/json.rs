@@ -252,7 +252,9 @@ fn find_quote_or_backslash(bytes: &[u8], from: usize) -> Option<usize> {
 /// newline, tab and carriage return get their two-byte escapes, other
 /// control bytes `\u00XX` (lowercase hex), everything else is copied in
 /// clean runs. Every escaped byte is ASCII, so runs end on char boundaries.
-pub(crate) fn escape_into(out: &mut String, s: &str) {
+/// The writer escapes every string this way, so a string escaped once can
+/// be spliced into a document where [`Json::serialize`] would write it.
+pub fn escape_into(out: &mut String, s: &str) {
     let bytes = s.as_bytes();
     // Room for one escape per 8 bytes: a result body (a newline every ~50
     // bytes) then escapes without regrowing and copying the frame.

@@ -4,7 +4,10 @@
 //! threshold, algorithm, every output-relevant flag) and `content` (the
 //! canonical input digest from [`crate::canon`]). A warm hit returns the
 //! cached rendered body and stats artifact in O(1) — no parsing beyond
-//! the fingerprint, no oracle queries, no engine work.
+//! the fingerprint, no oracle queries, no engine work. The body is held in
+//! wire form, escaped once when it was computed, so the hit's `result`
+//! event writes the cached bytes between its frame's head and tail
+//! without encoding or copying them.
 //!
 //! Mine entries additionally retain the mined collection and database
 //! ([`MineArtifacts`]), which is what powers the near-miss route: a
@@ -52,7 +55,10 @@ pub struct Entry {
     pub content: u64,
     /// Input rows (basket transactions) for mine entries; 0 otherwise.
     pub rows: u64,
-    /// The rendered stdout body, byte-equal to a cold run's.
+    /// The rendered stdout body in wire form ([`crate::proto::wire_body`]):
+    /// the inside of the JSON string literal a `result` event carries, so
+    /// it decodes to a cold run's stdout byte for byte. The cache holds
+    /// only this form.
     pub body: Arc<str>,
     /// The stats JSON artifact recorded when the entry was computed.
     pub stats: Arc<str>,

@@ -5,13 +5,15 @@
 //! protocol lines and events come back as parsed [`Event`]s in server
 //! order.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
 use dualminer_obs::Json;
+
+use crate::proto;
 
 /// How long [`Conn::next_event`] waits for one line before giving up,
 /// unless reconfigured with [`Conn::set_read_timeout`]. Generous: a
@@ -111,6 +113,14 @@ impl io::Write for Stream {
         }
     }
 
+    fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> io::Result<()> {
         match self {
             Stream::Tcp(s) => s.flush(),
@@ -195,10 +205,9 @@ impl Conn {
         Conn::connect_tcp(addr)
     }
 
-    /// Sends one raw request line.
+    /// Sends one raw request line, line and newline in one write.
     pub fn send_line(&mut self, line: &str) -> io::Result<()> {
-        writeln!(self.writer, "{line}")?;
-        self.writer.flush()
+        proto::write_line(&mut self.writer, &[line.as_bytes()])
     }
 
     /// Reads and parses the next event line. `Ok(None)` means the server

@@ -11,20 +11,25 @@
 //! What is persisted per entry: the cache key (`params`/`content`
 //! fingerprints as zero-padded hex, the form snapshots have always used,
 //! kept so existing snapshot files stay byte-identical), the row count,
-//! exit code, rendered body, and stats artifact. The in-memory
-//! [`MineArtifacts`](crate::cache::MineArtifacts) (mined collection +
-//! database) are deliberately *not* serialized: restored entries answer
-//! exact-key warm hits byte-identically but sit out the incremental
-//! appended-rows probe until re-mined once. Snapshot size stays
+//! exit code, rendered body, and stats artifact. The cache holds each
+//! body in wire form ([`crate::proto::wire_body`]); the snapshot holds the
+//! body itself as a JSON string, whose bytes in the file are those same
+//! wire bytes, so the file format is unchanged by the cache's form. A save
+//! writes the cached bytes as they are and a load escapes each body once.
+//! The in-memory [`MineArtifacts`](crate::cache::MineArtifacts) (mined
+//! collection + database) are deliberately *not* serialized: restored
+//! entries answer exact-key warm hits byte-identically but sit out the
+//! incremental appended-rows probe until re-mined once. Snapshot size stays
 //! proportional to rendered output, not to the mined databases.
 
 use std::path::Path;
 use std::sync::Arc;
 
-use dualminer_obs::checkpoint::{CheckpointError, CheckpointSink, FileCheckpoint};
+use dualminer_obs::checkpoint::{CheckpointError, FileCheckpoint};
 use dualminer_obs::Json;
 
 use crate::cache::{Entry, ResultCache};
+use crate::proto;
 
 /// The envelope `kind` discriminator for cache snapshots.
 pub const SNAPSHOT_KIND: &str = "serve-cache";
@@ -45,26 +50,38 @@ fn parse_hex_u64(s: &str) -> Result<u64, CheckpointError> {
 
 /// Writes a snapshot of every resident cache entry to `path`, atomically
 /// replacing any previous snapshot. Returns the number of entries saved.
+/// Each entry is its fields as one JSON object; the cached wire body is
+/// spliced in as the `"body"` string's bytes, so no body is decoded or
+/// escaped again.
 pub fn save_snapshot(cache: &ResultCache, path: &Path) -> Result<u64, CheckpointError> {
     let entries = cache.export();
-    let rows: Vec<Json> = entries
-        .iter()
-        .map(|e| {
-            Json::Obj(vec![
-                ("params".into(), Json::Str(hex_u64(e.params))),
-                ("content".into(), Json::Str(hex_u64(e.content))),
-                ("rows".into(), Json::uint(e.rows)),
-                ("exit".into(), Json::Int(i64::from(e.exit))),
-                ("body".into(), Json::str(e.body.as_ref())),
-                ("stats".into(), Json::str(e.stats.as_ref())),
-            ])
-        })
-        .collect();
-    let payload = Json::Obj(vec![
+    let mut payload = Json::Obj(vec![
         ("snapshot_version".into(), Json::Int(SNAPSHOT_VERSION)),
-        ("entries".into(), Json::Arr(rows)),
-    ]);
-    FileCheckpoint::new(path).save(SNAPSHOT_KIND, &payload)?;
+        ("entries".into(), Json::Arr(Vec::new())),
+    ])
+    .serialize();
+    // Reopen the entries array: `]}` closes it again below.
+    payload.truncate(payload.len() - 2);
+    for (i, e) in entries.iter().enumerate() {
+        if i > 0 {
+            payload.push(',');
+        }
+        let head = Json::Obj(vec![
+            ("params".into(), Json::Str(hex_u64(e.params))),
+            ("content".into(), Json::Str(hex_u64(e.content))),
+            ("rows".into(), Json::uint(e.rows)),
+            ("exit".into(), Json::Int(i64::from(e.exit))),
+        ])
+        .serialize();
+        payload.push_str(&head[..head.len() - 1]);
+        payload.push_str(r#","body":""#);
+        payload.push_str(&e.body);
+        payload.push_str(r#"","stats":"#);
+        payload.push_str(&Json::str(e.stats.as_ref()).serialize());
+        payload.push('}');
+    }
+    payload.push_str("]}");
+    FileCheckpoint::new(path).save_text(SNAPSHOT_KIND, &payload)?;
     Ok(entries.len() as u64)
 }
 
@@ -120,7 +137,7 @@ pub fn load_snapshot(cache: &ResultCache, path: &Path) -> Result<u64, Checkpoint
             params,
             content,
             rows,
-            body: Arc::from(field(e, "body")?.as_str()),
+            body: proto::wire_body(&field(e, "body")?).into(),
             stats: Arc::from(field(e, "stats")?.as_str()),
             exit,
             // Mined artifacts are not persisted; the restored entry
@@ -137,16 +154,74 @@ pub fn load_snapshot(cache: &ResultCache, path: &Path) -> Result<u64, Checkpoint
 mod tests {
     use super::*;
 
+    /// An entry holding `body` as the cache does, in wire form.
     fn entry(params: u64, content: u64, body: &str) -> Entry {
         Entry {
             params,
             content,
             rows: 3,
-            body: body.into(),
+            body: proto::wire_body(body).into(),
             stats: r#"{"queries":7}"#.into(),
             exit: 0,
             mine: None,
         }
+    }
+
+    /// A snapshot written by the writer as it was while the cache held raw
+    /// bodies, for the entries of [`v1_entries`].
+    const V1_SNAPSHOT: &str = include_str!("../tests/fixtures/cache_snapshot_v1.json");
+
+    /// `(params, content, rows, exit, raw body, stats)`: bodies with
+    /// quotes, backslashes, control bytes and multibyte characters, an
+    /// empty body, and keys above `i64::MAX`.
+    #[allow(clippy::type_complexity)]
+    fn v1_entries() -> [(u64, u64, u64, i32, &'static str, &'static str); 3] {
+        [
+            (
+                u64::MAX - 1,
+                42,
+                3,
+                0,
+                "Frequent sets (σ ≥ 2):\n  {a\"b, c\\d} 3\n  {e\u{1}f, ü𝄞} 2\n",
+                r#"{"queries":7,"outcome":"complete"}"#,
+            ),
+            (7, u64::MAX, 0, 1, "not dual\twitness: {x}\r\n", "{}"),
+            (7, 9, 12, 0, "", r#"{"note":"tab\there"}"#),
+        ]
+    }
+
+    #[test]
+    fn saves_are_byte_identical_to_the_raw_body_writer() {
+        let path = tmp("v1_save");
+        let cache = ResultCache::new(64);
+        for (params, content, rows, exit, body, stats) in v1_entries() {
+            cache.insert(Entry {
+                rows,
+                exit,
+                stats: stats.into(),
+                ..entry(params, content, body)
+            });
+        }
+        assert_eq!(save_snapshot(&cache, &path).unwrap(), 3);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), V1_SNAPSHOT);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_raw_body_snapshot_restores_and_resaves_byte_identically() {
+        let (path, resaved) = (tmp("v1_load"), tmp("v1_resave"));
+        std::fs::write(&path, V1_SNAPSHOT).unwrap();
+        let cache = ResultCache::new(64);
+        assert_eq!(load_snapshot(&cache, &path).unwrap(), 3);
+        for (params, content, rows, exit, body, stats) in v1_entries() {
+            let e = cache.lookup(params, content).expect("restored entry");
+            assert_eq!(e.body.as_ref(), proto::wire_body(body), "wire form");
+            assert_eq!((e.rows, e.exit, e.stats.as_ref()), (rows, exit, stats));
+        }
+        save_snapshot(&cache, &resaved).unwrap();
+        assert_eq!(std::fs::read_to_string(&resaved).unwrap(), V1_SNAPSHOT);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&resaved);
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -165,7 +240,12 @@ mod tests {
         let restored = ResultCache::new(64);
         assert_eq!(load_snapshot(&restored, &path).unwrap(), 2);
         let e = restored.lookup(u64::MAX - 1, 42).expect("restored entry");
-        assert_eq!(e.body.as_ref(), "body one\n");
+        let raw = Json::parse(&format!("\"{}\"", e.body)).unwrap();
+        assert_eq!(
+            raw.as_str(),
+            Some("body one\n"),
+            "raw body in, raw body out"
+        );
         assert_eq!(e.stats.as_ref(), r#"{"queries":7}"#);
         assert_eq!((e.rows, e.exit), (3, 0));
         assert!(e.mine.is_none(), "artifacts are not persisted");

@@ -18,7 +18,10 @@
 //! `StatsCollector` — is embedded as an escaped JSON string field, not as
 //! a nested object.
 
+use std::io::{self, IoSlice, Write};
+
 use dualminer_hypergraph::{plan, TrAlgorithm};
+use dualminer_obs::json::escape_into;
 use dualminer_obs::{BudgetReason, FaultSpec, Json};
 
 use crate::job::{self, RunOpts, Support};
@@ -499,7 +502,8 @@ impl CacheTag {
 /// `"budget:<reason>"`; `exit` is the code the one-shot CLI would have
 /// exited with (0, 1 for not-dual, 6 for budget-tripped); `body` is the
 /// byte-exact stdout of the equivalent one-shot run and `stats` its
-/// stats-JSON artifact, both as embedded strings.
+/// stats-JSON artifact, both as embedded strings. The event is
+/// [`result_frame`]'s head, the body's [`wire_body`], then its tail.
 #[allow(clippy::too_many_arguments)]
 pub fn ev_result(
     id: u64,
@@ -510,6 +514,24 @@ pub fn ev_result(
     body: &str,
     stats: &str,
 ) -> String {
+    let (mut frame, tail) = result_frame(id, cache, reason, exit, fingerprint, stats);
+    escape_into(&mut frame, body);
+    frame.push_str(&tail);
+    frame
+}
+
+/// A `result` event's bytes on either side of its body: the head ends
+/// with the body's opening quote, the tail starts with its closing one.
+/// Between them goes the body in wire form ([`wire_body`]), so a body
+/// already held in that form is sent as it lies.
+pub fn result_frame(
+    id: u64,
+    cache: CacheTag,
+    reason: Option<BudgetReason>,
+    exit: i32,
+    fingerprint: &str,
+    stats: &str,
+) -> (String, String) {
     let mut f = event("result", id);
     f.push(("cache".into(), Json::str(cache.as_str())));
     let outcome = match reason {
@@ -519,9 +541,51 @@ pub fn ev_result(
     f.push(("outcome".into(), Json::str(outcome)));
     f.push(("exit".into(), Json::Int(i64::from(exit))));
     f.push(("fingerprint".into(), Json::str(fingerprint)));
-    f.push(("body".into(), Json::str(body)));
-    f.push(("stats".into(), Json::str(stats)));
-    Json::Obj(f).serialize()
+    let mut head = Json::Obj(f).serialize();
+    // Reopen the object: the body and stats fields follow.
+    head.pop();
+    head.push_str(r#","body":""#);
+    let mut tail = String::from(r#"","stats":""#);
+    escape_into(&mut tail, stats);
+    tail.push_str("\"}");
+    (head, tail)
+}
+
+/// A result body in wire form: the inside of the JSON string literal a
+/// `result` event carries it as. The daemon escapes each body once, when
+/// it is computed, and caches this form.
+pub fn wire_body(body: &str) -> String {
+    let mut wire = String::new();
+    escape_into(&mut wire, body);
+    wire
+}
+
+/// Writes one protocol line: `parts` back to back, then its `\n`, through
+/// vectored writes. A line the socket takes whole leaves in one system
+/// call, and a cached body is written from where it lies rather than
+/// copied into a frame first.
+pub fn write_line<W: Write + ?Sized>(w: &mut W, parts: &[&[u8]]) -> io::Result<()> {
+    let mut parts: Vec<&[u8]> = parts.iter().copied().filter(|p| !p.is_empty()).collect();
+    parts.push(b"\n");
+    // `parts[at..]` is what is left to write.
+    let mut at = 0;
+    while at < parts.len() {
+        let slices: Vec<IoSlice<'_>> = parts[at..].iter().map(|p| IoSlice::new(p)).collect();
+        let mut n = match w.write_vectored(&slices) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        while at < parts.len() && n >= parts[at].len() {
+            n -= parts[at].len();
+            at += 1;
+        }
+        if n > 0 {
+            parts[at] = &parts[at][n..];
+        }
+    }
+    w.flush()
 }
 
 /// `error`: the terminal failure event, carrying the CLI exit code
@@ -662,6 +726,7 @@ pub fn ev_server_stats(id: u64, c: &ServerCounters) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::time::Duration;
 
     #[test]
@@ -979,6 +1044,134 @@ mod tests {
         assert_eq!(st.get("jobs").and_then(Json::as_uint), Some(0));
         assert_eq!(st.get("shed_queue_full").and_then(Json::as_uint), Some(0));
         assert_eq!(st.get("persist_restored").and_then(Json::as_uint), Some(0));
+    }
+
+    /// The `result` event as one `Json` object serialized whole — the
+    /// encoder the spliced frame replaced, kept as its byte reference.
+    fn reference_result(
+        id: u64,
+        cache: CacheTag,
+        reason: Option<BudgetReason>,
+        exit: i32,
+        fingerprint: &str,
+        body: &str,
+        stats: &str,
+    ) -> String {
+        let outcome = reason.map_or("complete".to_string(), |r| format!("budget:{}", r.as_str()));
+        Json::Obj(vec![
+            ("event".into(), Json::str("result")),
+            ("id".into(), Json::uint(id)),
+            ("cache".into(), Json::str(cache.as_str())),
+            ("outcome".into(), Json::str(outcome)),
+            ("exit".into(), Json::Int(i64::from(exit))),
+            ("fingerprint".into(), Json::str(fingerprint)),
+            ("body".into(), Json::str(body)),
+            ("stats".into(), Json::str(stats)),
+        ])
+        .serialize()
+    }
+
+    /// Every byte class the escaper treats apart: plain runs, the two
+    /// delimiters, control bytes with and without short escapes, 0x7f,
+    /// and 2- to 4-byte UTF-8.
+    const PIECES: &[&str] = &[
+        "a",
+        "{it3, it7} 12",
+        "\"",
+        "\\",
+        "\n",
+        "\t",
+        "\r",
+        "\u{0}",
+        "\u{1}",
+        "\u{1f}",
+        "\u{7f}",
+        "é",
+        "σ ≥ 2",
+        "𝄞",
+        "😀",
+    ];
+
+    fn pieces() -> impl Strategy<Value = String> {
+        collection::vec(0..PIECES.len(), 0..64)
+            .prop_map(|ix| ix.iter().map(|&i| PIECES[i]).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Head, wire body and tail spliced together are `ev_result`'s
+        /// bytes and the whole-object encoder's, and decode to the body.
+        #[test]
+        fn spliced_result_frames_equal_the_encoded_event(
+            body in pieces(),
+            stats in pieces(),
+            id in any::<u64>(),
+            tag in 0usize..4,
+            reason in 0usize..5,
+            exit in 0usize..3,
+        ) {
+            let tag = [CacheTag::Miss, CacheTag::Hit, CacheTag::Incremental, CacheTag::Coalesced][tag];
+            let reason = [
+                None,
+                Some(BudgetReason::Deadline),
+                Some(BudgetReason::MaxQueries),
+                Some(BudgetReason::MaxTransversals),
+                Some(BudgetReason::Cancelled),
+            ][reason];
+            let exit = [0, 1, 6][exit];
+            let fp = fingerprint_str(id, !id);
+            let (head, tail) = result_frame(id, tag, reason, exit, &fp, &stats);
+            let spliced = format!("{head}{}{tail}", wire_body(&body));
+            prop_assert_eq!(&spliced, &ev_result(id, tag, reason, exit, &fp, &body, &stats));
+            prop_assert_eq!(&spliced, &reference_result(id, tag, reason, exit, &fp, &body, &stats));
+            let parsed = Json::parse(&spliced).unwrap();
+            prop_assert_eq!(parsed.get("body").and_then(Json::as_str), Some(&*body));
+            prop_assert_eq!(parsed.get("stats").and_then(Json::as_str), Some(&*stats));
+        }
+    }
+
+    #[test]
+    fn write_line_sends_parts_and_newline_in_one_write() {
+        /// Records each write call's byte count.
+        #[derive(Default)]
+        struct Calls(Vec<u8>, Vec<usize>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.extend_from_slice(buf);
+                self.1.push(buf.len());
+                Ok(buf.len())
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+                let n = bufs.iter().map(|b| b.len()).sum();
+                bufs.iter().for_each(|b| self.0.extend_from_slice(b));
+                self.1.push(n);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Calls::default();
+        write_line(&mut w, &[b"{\"body\":\"", b"", b"x\\n", b"\"}"]).unwrap();
+        assert_eq!(w.0, b"{\"body\":\"x\\n\"}\n");
+        assert_eq!(w.1, [w.0.len()], "one write for the whole line");
+
+        // A writer that takes 3 bytes per call still gets every byte once.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                let n = buf.len().min(3);
+                self.0.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Trickle(Vec::new());
+        write_line(&mut w, &[b"head,", b"body,", b"tail"]).unwrap();
+        assert_eq!(w.0, b"head,body,tail\n");
     }
 
     #[test]

@@ -12,12 +12,16 @@
 //! 1. one parse of the input, with its canonical content fingerprint
 //!    (input equivalence, not bytes), then the budget pre-flight,
 //! 2. exact-key cache lookup — warm hits answer in O(1) with the stored
-//!    body and stats, no engine or oracle work,
+//!    body and stats, no engine or oracle work; the body is stored in
+//!    wire form, so the hit's `result` event is the frame's head, those
+//!    cached bytes and its tail in one vectored write, with no encoding,
 //! 3. appended-rows probe — a mine request extending a cached input
 //!    re-mines incrementally from the cached collection,
 //! 4. in-flight dedup — N identical concurrent requests run the engine
 //!    once; the rest wait on the flight and share its result,
-//! 5. a fresh computation through [`crate::exec::run`] otherwise.
+//! 5. a fresh computation through [`crate::exec::run`] otherwise, whose
+//!    body is escaped to wire form once, for the cache, its coalesced
+//!    waiters and its own reply alike.
 //!
 //! Jobs are cancellable (`cancel` trips the job's budget meter, so the
 //! engines stop at their next safe point exactly as a `--timeout` would)
@@ -158,7 +162,8 @@ fn retry_hint_ms(backlog: u64, workers: u64) -> u64 {
 // ---------------------------------------------------------------------------
 
 /// The write half of one connection. Workers and the reader thread both
-/// emit events here; the mutex makes each line atomic. A failed write
+/// emit events here; the mutex makes each line atomic, and each line goes
+/// out through one vectored write ([`proto::write_line`]). A failed write
 /// marks the connection dead and later sends become no-ops — a client
 /// that disconnected (or, with the socket write deadline, stopped
 /// reading) mid-job just loses its events, the job itself completes (and
@@ -179,11 +184,17 @@ impl ConnSink {
     }
 
     fn send(&self, line: &str) {
+        self.send_parts(&[line.as_bytes()]);
+    }
+
+    /// Sends one line made of `parts` back to back: a `result` event is
+    /// its frame's head, the cached wire body and the tail.
+    fn send_parts(&self, parts: &[&[u8]]) {
         if !self.alive.load(Ordering::Relaxed) {
             return;
         }
         let mut w = self.writer.lock().unwrap();
-        if let Err(e) = writeln!(w, "{line}").and_then(|()| w.flush()) {
+        if let Err(e) = proto::write_line(&mut *w, parts) {
             if matches!(
                 e.kind(),
                 io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
@@ -209,15 +220,30 @@ enum Frame {
     Closed,
 }
 
+/// The read room a connection starts with, and the most a full buffer
+/// grows by at once. Between the two the room grows with the buffered
+/// input, so a small request touches a few KiB, a large frame arrives in
+/// large reads, and zero-filling the room stays linear in the frame.
+const READ_MIN: usize = 8 * 1024;
+const READ_MAX: usize = 1024 * 1024;
+
 /// Buffered line reading over a raw stream with a read timeout. Unlike
 /// `BufReader::read_line`, a timeout between chunks never discards the
 /// partial line already buffered — it just re-checks the shutdown flag
 /// and keeps reading. Frames are bounded: a peer that streams more than
 /// `max_frame` bytes without a newline gets [`Frame::TooLong`] instead of
-/// growing the buffer without limit.
+/// growing the buffer without limit. Each byte is scanned for the newline
+/// once, however many reads a frame takes, so a frame near the bound is
+/// read in time linear in its size.
 struct LineReader<R: Read> {
     inner: R,
+    /// `buf[start..filled]` is buffered input not yet returned; the rest
+    /// past `filled` is zeroed room the next read fills in place.
     buf: Vec<u8>,
+    start: usize,
+    filled: usize,
+    /// `buf[start..scanned]` holds no newline.
+    scanned: usize,
     max_frame: usize,
 }
 
@@ -226,6 +252,9 @@ impl<R: Read> LineReader<R> {
         LineReader {
             inner,
             buf: Vec::new(),
+            start: 0,
+            filled: 0,
+            scanned: 0,
             max_frame,
         }
     }
@@ -234,27 +263,41 @@ impl<R: Read> LineReader<R> {
     /// EOF, hard error, or shutdown.
     fn next_line(&mut self, shutdown: &AtomicBool) -> Frame {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                if pos > self.max_frame {
+            let new = &self.buf[self.scanned..self.filled];
+            if let Some(at) = new.iter().position(|&b| b == b'\n') {
+                let end = self.scanned + at;
+                let mut line = &self.buf[self.start..end];
+                if line.len() > self.max_frame {
                     return Frame::TooLong;
                 }
-                let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
-                line.pop();
-                if line.last() == Some(&b'\r') {
-                    line.pop();
+                if let Some(rest) = line.strip_suffix(b"\r") {
+                    line = rest;
                 }
-                return Frame::Line(String::from_utf8_lossy(&line).into_owned());
+                let line = String::from_utf8_lossy(line).into_owned();
+                self.start = end + 1;
+                self.scanned = self.start;
+                return Frame::Line(line);
             }
-            if self.buf.len() > self.max_frame {
+            self.scanned = self.filled;
+            if self.filled - self.start > self.max_frame {
                 return Frame::TooLong;
             }
             if shutdown.load(Ordering::SeqCst) {
                 return Frame::Closed;
             }
-            let mut chunk = [0u8; 4096];
-            match self.inner.read(&mut chunk) {
+            // The partial line moves to the front once per read, not once
+            // per line returned, so pipelined lines cost their own bytes.
+            self.buf.copy_within(self.start..self.filled, 0);
+            self.filled -= self.start;
+            self.scanned = self.filled;
+            self.start = 0;
+            if self.buf.len() == self.filled {
+                let room = self.filled.clamp(READ_MIN, READ_MAX);
+                self.buf.resize(self.filled + room, 0);
+            }
+            match self.inner.read(&mut self.buf[self.filled..]) {
                 Ok(0) => return Frame::Closed,
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(n) => self.filled += n,
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -313,7 +356,8 @@ struct QueuedJob {
 // In-flight deduplication
 // ---------------------------------------------------------------------------
 
-/// What a finished computation publishes to its coalesced waiters.
+/// What a finished computation publishes to its coalesced waiters; the
+/// body is in wire form, shared with the cache entry.
 #[derive(Clone)]
 enum FlightResult {
     Done {
@@ -485,7 +529,8 @@ impl Shared {
 // Job execution
 // ---------------------------------------------------------------------------
 
-/// A job's outcome, ready to serialize as its `result` event.
+/// A job's outcome, ready to serialize as its `result` event. `body` is
+/// in wire form ([`proto::wire_body`]), as the cache holds it.
 struct Served {
     tag: CacheTag,
     body: Arc<str>,
@@ -661,7 +706,7 @@ fn serve_job(
             stats: stats.to_json(meter, out.reason).into(),
             exit: i32::from(out.exit),
             reason: out.reason,
-            body: out.body.into(),
+            body: proto::wire_body(&out.body).into(),
             fingerprint,
         });
     }
@@ -830,7 +875,12 @@ fn compute_fresh(
 
     let exit = i32::from(out.exit);
     let stats: Arc<str> = observer.stats.to_json(meter, out.reason).into();
-    let body: Arc<str> = out.body.into();
+    // The one escape of this body: the cache, coalesced waiters and this
+    // reply all send these bytes. The raw body goes before the shared copy
+    // is made, so no more than two body-sized buffers are live at once.
+    let wire = proto::wire_body(&out.body);
+    drop(out.body);
+    let body: Arc<str> = wire.into();
     if storeable(req) && out.reason.is_none() {
         let (mine, rows) = match mine {
             Some((artifacts, rows)) => (Some(Arc::new(artifacts)), rows),
@@ -924,15 +974,15 @@ fn run_job(shared: &Shared, job: QueuedJob) {
 
     match outcome {
         Ok(served) => {
-            sink.send(&proto::ev_result(
+            let (head, tail) = proto::result_frame(
                 id,
                 served.tag,
                 served.reason,
                 served.exit,
                 &served.fingerprint,
-                &served.body,
                 &served.stats,
-            ));
+            );
+            sink.send_parts(&[head.as_bytes(), served.body.as_bytes(), tail.as_bytes()]);
         }
         Err(f) => {
             shared.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -1390,6 +1440,61 @@ mod tests {
         // At or under the cap passes.
         let mut lines = LineReader::new(io::Cursor::new(b"ok\n".to_vec()), 16);
         assert!(matches!(lines.next_line(&shutdown), Frame::Line(l) if l == "ok"));
+    }
+
+    #[test]
+    fn line_reader_reads_frames_near_the_bound_in_linear_time() {
+        // A socket hands a large frame over a few KiB per read; each read
+        // must cost its own bytes, not a rescan of the whole buffer.
+        struct Chunked(io::Cursor<Vec<u8>>);
+        impl Read for Chunked {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = buf.len().min(4096);
+                self.0.read(&mut buf[..n])
+            }
+        }
+        let reader = |data: Vec<u8>| {
+            LineReader::new(Chunked(io::Cursor::new(data)), DEFAULT_MAX_FRAME_BYTES)
+        };
+        let shutdown = AtomicBool::new(false);
+        let start = Instant::now();
+        let len = DEFAULT_MAX_FRAME_BYTES - 1024;
+        let mut frame = vec![b'x'; len];
+        frame.extend_from_slice(b"\nnext\n");
+        let mut lines = reader(frame);
+        assert!(matches!(lines.next_line(&shutdown), Frame::Line(l) if l.len() == len));
+        assert!(matches!(lines.next_line(&shutdown), Frame::Line(l) if l == "next"));
+        // Over the bound, with or without a newline, is still rejected.
+        let flood = vec![b'y'; DEFAULT_MAX_FRAME_BYTES + 4096];
+        assert!(matches!(
+            reader(flood.clone()).next_line(&shutdown),
+            Frame::TooLong
+        ));
+        let mut long_line = flood;
+        long_line.push(b'\n');
+        assert!(matches!(
+            reader(long_line).next_line(&shutdown),
+            Frame::TooLong
+        ));
+        // Small lines pipelined behind a large frame arrive in one large
+        // read; returning each must not move the rest of the buffer.
+        let mut data = vec![b'z'; 4 << 20];
+        data.push(b'\n');
+        data.extend(b"ok\n".repeat(200_000));
+        let mut lines = LineReader::new(io::Cursor::new(data), DEFAULT_MAX_FRAME_BYTES);
+        assert!(matches!(lines.next_line(&shutdown), Frame::Line(l) if l.len() == 4 << 20));
+        for _ in 0..200_000 {
+            assert!(matches!(lines.next_line(&shutdown), Frame::Line(l) if l == "ok"));
+        }
+        assert!(matches!(lines.next_line(&shutdown), Frame::Closed));
+        // Generous bound: linear reading takes well under a second even in
+        // debug builds; rescanning the buffer after every read took tens
+        // of seconds.
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "frame reading is superlinear again: {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]
