@@ -157,24 +157,31 @@ for k in 1 7 50 200; do
     done
 done
 
-# The FK duality check runs on the calling thread, so a budgeted
-# joint-generation partial (each FK recursive call is one query) and its
-# exit code are the same at every thread count. The 6-edge matching has
-# 64 minimal transversals, more than any cap below admits.
+# Every transversal engine runs on the calling thread, so a budgeted
+# partial (each FK recursive call, MU-MMCS node or EGM split is one
+# query) and its exit code are the same at every thread count. The
+# 6-edge matching has 64 minimal transversals, more than any small cap
+# below admits; the 12-edge matching (4096) is wide enough at K = 1000
+# that a parallel search would race to different prefixes.
 printf 'a b\nc d\ne f\ng h\ni j\nk l\n' > "$TMP/matching6.txt"
-for k in 1 7 50; do
-    for t in 1 2 4; do
-        set +e
-        "$DM" transversals "$TMP/matching6.txt" --algo fk \
-            --max-queries "$k" --threads "$t" > "$TMP/fkcap_$t.out" 2> /dev/null
-        echo "exit $?" >> "$TMP/fkcap_$t.out"
-        set -e
-    done
-    grep -qx 'exit 6' "$TMP/fkcap_1.out" \
-        || { echo "--algo fk --max-queries $k did not trip"; exit 1; }
-    for t in 2 4; do
-        diff "$TMP/fkcap_1.out" "$TMP/fkcap_$t.out" \
-            || { echo "--algo fk --max-queries $k: threads $t diverged"; exit 1; }
+for i in $(seq 0 11); do echo "a$i b$i"; done > "$TMP/matching12.txt"
+for algo in fk mu-mmcs egm; do
+    for cap in matching6:1 matching6:7 matching6:50 matching12:1000; do
+        input="${cap%%:*}"
+        k="${cap##*:}"
+        for t in 1 2 4; do
+            set +e
+            "$DM" transversals "$TMP/$input.txt" --algo "$algo" \
+                --max-queries "$k" --threads "$t" > "$TMP/trcap_$t.out" 2> /dev/null
+            echo "exit $?" >> "$TMP/trcap_$t.out"
+            set -e
+        done
+        grep -qx 'exit 6' "$TMP/trcap_1.out" \
+            || { echo "--algo $algo --max-queries $k on $input did not trip"; exit 1; }
+        for t in 2 4; do
+            diff "$TMP/trcap_1.out" "$TMP/trcap_$t.out" \
+                || { echo "--algo $algo --max-queries $k on $input: threads $t diverged"; exit 1; }
+        done
     done
 done
 

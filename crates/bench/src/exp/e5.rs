@@ -38,11 +38,11 @@ pub fn run() {
         let t_level = t0.elapsed();
 
         let t0 = Instant::now();
-        let tr_b = crate::dualize_with(&h, TrAlgorithm::Berge, crate::threads());
+        let tr_b = crate::dualize_with(&h, TrAlgorithm::Berge);
         let t_berge = t0.elapsed();
 
         let t0 = Instant::now();
-        let tr_j = crate::dualize_with(&h, TrAlgorithm::FkJointGeneration, crate::threads());
+        let tr_j = crate::dualize_with(&h, TrAlgorithm::FkJointGeneration);
         let t_joint = t0.elapsed();
 
         assert_eq!(tr_l, tr_b);

@@ -43,12 +43,12 @@ pub fn threads() -> usize {
     THREADS.load(Ordering::Relaxed)
 }
 
-/// `Tr(H)` with `algo` on `threads` workers, unbudgeted: the dispatcher
-/// call the experiments and thread-sweep benches share.
-pub fn dualize_with(h: &Hypergraph, algo: TrAlgorithm, threads: usize) -> Hypergraph {
+/// `Tr(H)` with `algo`, unbudgeted: the dispatcher call the experiments
+/// share. Every transversal engine runs on the calling thread.
+pub fn dualize_with(h: &Hypergraph, algo: TrAlgorithm) -> Hypergraph {
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
-    plan::dualize_ctl_report(h, algo, threads, &ctl)
+    plan::dualize_ctl_report(h, algo, 1, &ctl)
         .0
         .expect_complete()
 }

@@ -67,9 +67,10 @@ OPTIONS:
                    fk (Fredman–Khachiyan joint generation) runs only when
                    named. Every engine prints the identical canonical
                    output.
-    --threads <T>  worker threads for the parallel hot paths (support
-                   counting / transversal search); 0 = all available cores;
-                   default 1 (sequential). Output is identical for every T.
+    --threads <T>  (mine) worker threads for support counting; 0 = all
+                   available cores; default 1 (sequential). Accepted on
+                   transversals, where every engine runs on the calling
+                   thread. Output is identical for every T.
 
 SERVE OPTIONS:
     --listen <host:port>  TCP listen address (port 0 = ephemeral; the

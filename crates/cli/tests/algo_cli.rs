@@ -111,6 +111,48 @@ fn forced_mu_mmcs_reports_crit_counters_in_stats_json() {
     assert!(json.contains("\"tr_crit_removals\":"), "{json}");
 }
 
+/// The `"tr_*"` fields of a `--stats json` line, in order.
+fn tr_fields(json: &str) -> Vec<&str> {
+    json.trim_matches(|c| c == '{' || c == '}')
+        .split(',')
+        .filter(|f| f.starts_with("\"tr_"))
+        .collect()
+}
+
+#[test]
+fn mu_mmcs_stats_are_the_same_at_every_thread_count() {
+    // 24 three-vertex edges over 16 vertices: hundreds of search nodes,
+    // with critical edges removed and restored below the root.
+    let edges: String = (0..24)
+        .map(|i| format!("v{} v{} v{}\n", i % 16, (i * 5 + 3) % 16, (i * 7 + 11) % 16))
+        .collect();
+    let graph = temp_file("g-mu-threads.txt", &edges);
+    let stats_at = |threads: &str| {
+        let out = run(&[
+            "transversals",
+            &graph.display().to_string(),
+            "--algo",
+            "mu-mmcs",
+            "--stats",
+            "json",
+            "--threads",
+            threads,
+        ]);
+        assert!(out.status.success(), "{out:?}");
+        stdout(&out)
+            .trim_end()
+            .lines()
+            .last()
+            .unwrap_or_default()
+            .to_string()
+    };
+    let seq = stats_at("1");
+    let fields = tr_fields(&seq);
+    assert_eq!(fields.len(), 6, "{seq}");
+    assert!(!seq.contains("\"tr_crit_removals\":0,"), "{seq}");
+    assert_eq!(tr_fields(&stats_at("2")), fields);
+}
+
 #[test]
 fn verify_dual_exit_codes() {
     let f = temp_file("vd-f.txt", TRIANGLE);

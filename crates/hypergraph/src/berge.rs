@@ -11,7 +11,8 @@
 //! regenerated by experiment E6 — which is why the paper turns to
 //! Fredman–Khachiyan for its Theorem 21/Corollary 22 bounds. On instances
 //! with small borders, however, Berge is hard to beat, and the planner
-//! picks it for few-edge and matching-like inputs.
+//! picks it for few-edge and matching-like inputs. Each step consumes the
+//! previous family, so the engine runs on the calling thread.
 
 use dualminer_bitset::{AttrSet, SetTrie};
 use dualminer_obs::{Meter, NoopObserver, Outcome, RunCtl};
@@ -45,25 +46,13 @@ pub fn transversals(h: &Hypergraph) -> Hypergraph {
 /// [`transversals`] with an explicit edge-processing order.
 pub fn transversals_with_order(h: &Hypergraph, order: EdgeOrder) -> Hypergraph {
     let meter = Meter::unlimited();
-    run(
-        &h.minimized(),
-        order,
-        1,
-        &RunCtl::new(&meter, &NoopObserver),
-    )
-    .expect_complete()
+    run(&h.minimized(), order, &RunCtl::new(&meter, &NoopObserver)).expect_complete()
 }
 
-/// The Berge engine over a minimized hypergraph `hm`.
-///
-/// The edge loop itself is inherently sequential (each step consumes the
-/// previous family), but the dominant inner work — classifying every
-/// current transversal against the new edge and generating extensions — is
-/// an independent per-transversal computation. With `threads > 1` it is
-/// split into contiguous chunks of the current family, each worker fills
-/// private kept/extended buffers, and the buffers are concatenated in
-/// chunk order, so the family after every step (and hence the result) is
-/// bit-identical to the sequential algorithm for every thread count.
+/// The Berge engine over a minimized hypergraph `hm`, on the calling
+/// thread: each step consumes the previous family, so the family after
+/// every step (and hence the result, budgeted or not) is the same at
+/// every thread count.
 ///
 /// The budget is polled before each edge-multiplication step (the unit
 /// of progress in Berge's algorithm). Per step, one oracle query is
@@ -74,12 +63,7 @@ pub fn transversals_with_order(h: &Hypergraph, order: EdgeOrder) -> Hypergraph {
 /// is `Tr` of the *processed edge prefix* (in the chosen order): a
 /// complete minimal-transversal family of a sub-hypergraph, not a subset
 /// of `Tr(H)`.
-pub(crate) fn run(
-    hm: &Hypergraph,
-    order: EdgeOrder,
-    threads: usize,
-    ctl: &RunCtl<'_>,
-) -> Outcome<Hypergraph> {
+pub(crate) fn run(hm: &Hypergraph, order: EdgeOrder, ctl: &RunCtl<'_>) -> Outcome<Hypergraph> {
     debug_assert!(hm.is_minimized());
     let n = hm.universe_size();
     if hm.edges().iter().any(|e| e.is_empty()) {
@@ -93,7 +77,6 @@ pub(crate) fn run(
         EdgeOrder::AsStored => {}
     }
 
-    let threads = dualminer_parallel::effective_threads(threads);
     let mut tr: Vec<AttrSet> = vec![AttrSet::empty(n)];
     ctl.meter.record_transversal();
     ctl.observer.on_transversals(1);
@@ -108,42 +91,16 @@ pub(crate) fn run(
         ctl.observer.on_nodes(tr.len() as u64);
         let mut next: Vec<AttrSet> = Vec::with_capacity(tr.len());
         let mut extended: Vec<AttrSet> = Vec::new();
-        if threads <= 1 {
-            // Move-based sequential step: kept transversals are reused
-            // without cloning.
-            for t in tr {
-                if t.intersects(edge) {
-                    next.push(t);
-                } else {
-                    for v in edge {
-                        let mut ext = t.clone();
-                        ext.insert(v);
-                        extended.push(ext);
-                    }
+        // Kept transversals move into the next family without cloning.
+        for t in tr {
+            if t.intersects(edge) {
+                next.push(t);
+            } else {
+                for v in edge {
+                    let mut ext = t.clone();
+                    ext.insert(v);
+                    extended.push(ext);
                 }
-            }
-        } else {
-            // (kept, extensions) per chunk, merged in chunk order.
-            let parts: Vec<(Vec<AttrSet>, Vec<AttrSet>)> =
-                dualminer_parallel::par_chunks(threads, 4, &tr, |chunk| {
-                    let mut kept: Vec<AttrSet> = Vec::with_capacity(chunk.len());
-                    let mut ext: Vec<AttrSet> = Vec::new();
-                    for t in chunk {
-                        if t.intersects(edge) {
-                            kept.push(t.clone());
-                        } else {
-                            for v in edge {
-                                let mut e = t.clone();
-                                e.insert(v);
-                                ext.push(e);
-                            }
-                        }
-                    }
-                    (kept, ext)
-                });
-            for (kept, ext) in parts {
-                next.extend(kept);
-                extended.extend(ext);
             }
         }
         // Kept transversals are already a minimal antichain among
@@ -257,7 +214,7 @@ mod tests {
         }
     }
 
-    fn berge_par(h: &Hypergraph, threads: usize) -> Hypergraph {
+    fn berge_at(h: &Hypergraph, threads: usize) -> Hypergraph {
         let meter = Meter::unlimited();
         let ctl = RunCtl::new(&meter, &NoopObserver);
         crate::plan::dualize_ctl_report(h, TrAlgorithm::Berge, threads, &ctl)
@@ -266,47 +223,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(31);
-        for _ in 0..25 {
-            let n: usize = rng.gen_range(3..9);
-            let m = rng.gen_range(0..7);
-            let edges: Vec<Vec<usize>> = (0..m)
-                .map(|_| {
-                    let k = rng.gen_range(1..=n.min(4));
-                    (0..k).map(|_| rng.gen_range(0..n)).collect()
-                })
-                .collect();
-            let h = Hypergraph::from_index_edges(n, edges);
-            let hm = h.minimized();
-            for order in [
-                EdgeOrder::LargestFirst,
-                EdgeOrder::SmallestFirst,
-                EdgeOrder::AsStored,
-            ] {
-                let seq = transversals_with_order(&h, order);
-                for threads in [0, 2, 3, 8] {
-                    let meter = Meter::unlimited();
-                    let ctl = RunCtl::new(&meter, &NoopObserver);
-                    assert_eq!(
-                        run(&hm, order, threads, &ctl).expect_complete(),
-                        seq,
-                        "{h:?} {order:?} threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_constants_and_blowup() {
-        let tr = berge_par(&Hypergraph::empty(4), 4);
+    fn constants_and_blowup_at_any_thread_count() {
+        let tr = berge_at(&Hypergraph::empty(4), 4);
         assert_eq!(tr.len(), 1);
         let falsum = Hypergraph::from_index_edges(3, [Vec::<usize>::new(), vec![0]]);
-        assert!(berge_par(&falsum, 4).is_empty());
+        assert!(berge_at(&falsum, 4).is_empty());
         let h = Hypergraph::from_index_edges(6, [vec![0, 1], vec![2, 3], vec![4, 5]]);
-        assert_eq!(berge_par(&h, 3), transversals(&h));
+        assert_eq!(berge_at(&h, 3), transversals(&h));
     }
 
     #[test]

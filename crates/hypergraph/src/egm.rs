@@ -22,7 +22,8 @@
 //! (see `SPLIT_MIN_EDGES`/`SPLIT_MIN_DEGREE_FRACTION`), bottoming out
 //! in the MU-MMCS engine; sub-results are recombined with
 //! [`crate::minimize_family`], whose card-lex canonical order makes the
-//! final result bit-identical to every other backend.
+//! final result bit-identical to every other backend. The split tree and
+//! its leaves run on the calling thread.
 
 use dualminer_bitset::AttrSet;
 use dualminer_obs::{Outcome, RunCtl};
@@ -59,10 +60,9 @@ pub fn transversals(h: &Hypergraph) -> Hypergraph {
 }
 
 /// The EGM engine over a minimized hypergraph `hm`, reporting the run's
-/// [`EgmStats`]. Leaf sub-searches run MU-MMCS on up to `threads` scoped
-/// worker threads (`0` = available parallelism); the decomposition tree
-/// itself is walked sequentially — determinism comes for free and the
-/// leaves carry virtually all the work.
+/// [`EgmStats`]. The decomposition tree and its MU-MMCS leaves run on the
+/// calling thread, so a run — budgeted or not — is the same at every
+/// thread count.
 ///
 /// Each split records one oracle query on `ctl.meter`; leaves account like
 /// [`mu_mmcs::run`]. **Partial-result caveat** (same class as Berge): when
@@ -70,24 +70,12 @@ pub fn transversals(h: &Hypergraph) -> Hypergraph {
 /// union of whatever sub-results completed — its members need not be
 /// transversals of `H`, so treat it as a diagnostic, not a prefix of
 /// `Tr(H)`.
-pub(crate) fn run(
-    hm: &Hypergraph,
-    threads: usize,
-    ctl: &RunCtl<'_>,
-) -> (Outcome<Hypergraph>, EgmStats) {
+pub(crate) fn run(hm: &Hypergraph, ctl: &RunCtl<'_>) -> (Outcome<Hypergraph>, EgmStats) {
     debug_assert!(hm.is_minimized());
     let n = hm.universe_size();
     let mut stats = EgmStats::default();
     let mut tripped = false;
-    let edges = recurse(
-        n,
-        hm.edges().to_vec(),
-        0,
-        threads,
-        ctl,
-        &mut stats,
-        &mut tripped,
-    );
+    let edges = recurse(n, hm.edges().to_vec(), 0, ctl, &mut stats, &mut tripped);
     let result = Hypergraph::from_edges(n, edges).expect("in universe");
     if tripped {
         (
@@ -137,7 +125,6 @@ fn recurse(
     n: usize,
     edges: Vec<AttrSet>,
     depth: usize,
-    threads: usize,
     ctl: &RunCtl<'_>,
     stats: &mut EgmStats,
     tripped: &mut bool,
@@ -151,7 +138,7 @@ fn recurse(
         // the v̄-branch is re-minimized below, and the v-branch keeps a
         // subset of an antichain.
         let leaf = Hypergraph::from_edges(n, edges).expect("in universe");
-        let (out, leaf_stats) = mu_mmcs::run(&leaf, threads, ctl);
+        let (out, leaf_stats) = mu_mmcs::run(&leaf, ctl);
         stats.leaf.nodes += leaf_stats.nodes;
         stats.leaf.emitted += leaf_stats.emitted;
         stats.leaf.minimality_prunes += leaf_stats.minimality_prunes;
@@ -191,7 +178,7 @@ fn recurse(
     let mut combined: Vec<AttrSet> = Vec::new();
     if v_branch_alive {
         let sub = minimize_family(without_v);
-        combined.extend(recurse(n, sub, depth + 1, threads, ctl, stats, tripped));
+        combined.extend(recurse(n, sub, depth + 1, ctl, stats, tripped));
     }
 
     // Branch 2: transversals through v still hit the edges missing v
@@ -200,7 +187,7 @@ fn recurse(
     if avoiding.is_empty() {
         combined.push(AttrSet::singleton(n, v));
     } else {
-        for mut t in recurse(n, avoiding, depth + 1, threads, ctl, stats, tripped) {
+        for mut t in recurse(n, avoiding, depth + 1, ctl, stats, tripped) {
             t.insert(v);
             combined.push(t);
         }
@@ -258,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
+    fn thread_count_never_changes_the_answer() {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(6);
         let h = generators::hub(18, 3, 20, 3, &mut rng);

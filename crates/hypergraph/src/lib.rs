@@ -36,9 +36,9 @@
 //! * [`dualize`] — the planner entry point ([`plan`]): picks a backend
 //!   from the instance's shape; `--algo auto` on the CLI. It, together
 //!   with [`transversals_with`] and each backend's `transversals`, is a
-//!   thin call into one dispatcher, [`plan::dualize_ctl_report`] (threads,
-//!   budget, observer), which minimizes the input once and hands `min(H)`
-//!   to the engine.
+//!   thin call into one dispatcher, [`plan::dualize_ctl_report`] (budget,
+//!   observer), which minimizes the input once and hands `min(H)` to the
+//!   engine. Every engine runs on the calling thread.
 //! * [`verify_dual`] — independent duality verification (Gottlob's
 //!   quadratic-logspace self-reduction), the cross-check oracle for all
 //!   of the above.
@@ -114,9 +114,9 @@ pub enum TrAlgorithm {
     Egm,
 }
 
-/// Computes `Tr(H)` with the chosen strategy, sequentially and without a
-/// budget; [`plan::dualize_ctl_report`] is the same dispatcher with a
-/// thread count, a budget, and an observer.
+/// Computes `Tr(H)` with the chosen strategy, without a budget;
+/// [`plan::dualize_ctl_report`] is the same dispatcher with a budget and
+/// an observer.
 ///
 /// All strategies return the same minimal-transversal hypergraph; they
 /// differ only in running time.

@@ -34,17 +34,17 @@
 //!   reported in [`MuStats`].
 //! * **Allocation-free hot loop.** A depth-indexed pool of `Frame`s
 //!   (DESIGN.md §9), sized up front, holds one set of buffers per DFS depth
-//!   (uncovered split, hit set, new critical set, undo pairs), and search
-//!   counters accumulate in plain locals flushed to the shared cells once
-//!   per task — the recursion itself performs no heap allocation and no
-//!   atomic traffic once warmed up (for `m ≤ 128` the edge bitsets are
-//!   inline and allocation-free by construction).
+//!   (uncovered split, hit set, new critical set, undo pairs) — the
+//!   recursion itself performs no heap allocation once warmed up (for
+//!   `m ≤ 128` the edge bitsets are inline and allocation-free by
+//!   construction).
 //!
-//! Outputs are bit-identical to every other engine: the emitted family is
-//! canonicalized by [`Hypergraph::from_edges`], so the degree renaming and
-//! the parallel frontier order never show in the result.
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+//! The search is one depth-first recursion on the calling thread, so the
+//! emission order, the counters and a budgeted run's partial result are
+//! the same at every thread count. Outputs are bit-identical to every
+//! other engine: the emitted family is canonicalized by
+//! [`Hypergraph::from_edges`], so the degree renaming never shows in the
+//! result.
 
 use dualminer_bitset::AttrSet;
 use dualminer_obs::{BudgetReason, Outcome, RunCtl};
@@ -52,8 +52,8 @@ use dualminer_obs::{BudgetReason, Outcome, RunCtl};
 use crate::{Hypergraph, TrAlgorithm};
 
 /// Search counters for one MU-MMCS run, for stats surfaces and planner
-/// diagnostics. All counters are schedule-invariant on complete runs: the
-/// set of visited nodes does not depend on the thread count.
+/// diagnostics. The search runs on the calling thread, so every counter
+/// is the same at every thread count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MuStats {
     /// DFS nodes entered (= oracle queries recorded on the meter).
@@ -68,8 +68,8 @@ pub struct MuStats {
     pub dead_branches: u64,
     /// Critical edges moved out of some `crit(w)` while descending.
     pub crit_removals: u64,
-    /// Critical edges restored while unwinding (equals `crit_removals`
-    /// on complete sequential runs; frontier hand-off skips some undos).
+    /// Critical edges restored while unwinding. Every removal is undone,
+    /// so this equals `crit_removals`.
     pub crit_restores: u64,
 }
 
@@ -81,18 +81,11 @@ pub fn transversals(h: &Hypergraph) -> Hypergraph {
 /// The MU-MMCS engine over a minimized hypergraph `hm`, reporting the
 /// run's [`MuStats`].
 ///
-/// With `threads > 1` (`0` = available parallelism) the top of the branch
-/// tree is expanded into a frontier of owned subtrees explored on scoped
-/// worker threads; outputs concatenate in frontier (= DFS) order, so the
-/// result is bit-identical for every thread count. One query is recorded
-/// per DFS node and one transversal per emission, with the budget polled
-/// at every node; a tripped run's partial result is a genuine subset of
+/// One query is recorded per DFS node and one transversal per emission,
+/// with the budget polled at every node; a tripped run's partial result
+/// is the depth-first prefix of the emissions, a genuine subset of
 /// `Tr(H)`.
-pub(crate) fn run(
-    hm: &Hypergraph,
-    threads: usize,
-    ctl: &RunCtl<'_>,
-) -> (Outcome<Hypergraph>, MuStats) {
+pub(crate) fn run(hm: &Hypergraph, ctl: &RunCtl<'_>) -> (Outcome<Hypergraph>, MuStats) {
     debug_assert!(hm.is_minimized());
     let n = hm.universe_size();
     if hm.is_empty() {
@@ -124,176 +117,66 @@ pub(crate) fn run(
         .collect();
     let m = edges.len();
     let mut vert_edges = vec![AttrSet::empty(m); n];
+    let mut cand = AttrSet::empty(n);
     for (ei, e) in edges.iter().enumerate() {
+        cand.union_with(e);
         for v in e.iter() {
             vert_edges[v].insert(ei);
         }
     }
 
-    let state = Search {
+    let mut search = Search {
         edges,
         vert_edges,
-        n,
-        m,
         ctl: *ctl,
-        tripped: AtomicBool::new(false),
-        stats: CounterCells::default(),
-    };
-    let root = Node {
         s: AttrSet::empty(n),
-        cand: state.relevant_vertices(),
-        uncov: AttrSet::full(m),
-        crit_any: AttrSet::empty(m),
-        owner: vec![0usize; m],
-        crit_count: vec![0u32; n],
+        out: Vec::new(),
+        stats: MuStats::default(),
+        tripped: false,
     };
-
-    let threads = dualminer_parallel::effective_threads(threads);
-    let out: Vec<AttrSet> = if threads <= 1 {
-        let mut out = Vec::new();
-        state.run_from(root, &mut out);
-        out
-    } else {
-        // Frontier expansion: expand leftmost until every worker can be
-        // fed, workers run the sequential recursion on owned subtrees,
-        // outputs concatenate in frontier (= DFS) order.
-        let target = threads * 4;
-        let mut budget = target * 8;
-        let mut frontier: Vec<Task> = vec![Task::Explore(root)];
-        loop {
-            let explore_count = frontier
-                .iter()
-                .filter(|t| matches!(t, Task::Explore(_)))
-                .count();
-            if explore_count == 0 || explore_count >= target || budget == 0 {
-                break;
-            }
-            budget -= 1;
-            let Some(pos) = frontier.iter().position(|t| matches!(t, Task::Explore(_))) else {
-                break;
-            };
-            let Task::Explore(node) = frontier.remove(pos) else {
-                unreachable!("position() matched an Explore task");
-            };
-            let children = state.expand(node);
-            frontier.splice(pos..pos, children);
-        }
-        dualminer_parallel::par_map(threads, &frontier, |_, task| match task {
-            Task::Emit(t) => {
-                let mut local = LocalStats::default();
-                self_emit(&state, &mut local);
-                state.stats.add(&local);
-                vec![t.clone()]
-            }
-            Task::Explore(node) => {
-                let mut local = Vec::new();
-                state.run_from(node.clone(), &mut local);
-                local
-            }
-        })
-        .concat()
-    };
+    // One frame per DFS depth, sized up front: every branching level
+    // grows `s` by one vertex, so `n + 1` frames always suffice and the
+    // recursion itself never allocates (DESIGN.md §9).
+    let mut frames: Vec<Frame> = (0..=n).map(|_| Frame::fresh(m)).collect();
+    search.recurse(
+        cand,
+        &AttrSet::full(m),
+        &mut AttrSet::empty(m),
+        &mut vec![0usize; m],
+        &mut vec![0u32; n],
+        &mut frames,
+    );
 
     // Map renamed vertices back to the caller's numbering.
-    let out = out
-        .into_iter()
+    let out = search
+        .out
+        .iter()
         .map(|s| AttrSet::from_indices(n, s.iter().map(|v| perm[v])))
         .collect();
-    let stats = state.stats.snapshot();
-    (
-        state.outcome(Hypergraph::from_edges(n, out).expect("in universe")),
-        stats,
-    )
-}
-
-/// Emission accounting shared by the worker closure (free function so the
-/// closure does not capture a second `&Search` borrow path).
-fn self_emit(state: &Search<'_>, local: &mut LocalStats) {
-    state.ctl.meter.record_transversal();
-    state.ctl.observer.on_transversals(1);
-    local.emitted += 1;
-}
-
-/// One independent unit of work for the parallel frontier.
-enum Task {
-    Emit(AttrSet),
-    Explore(Node),
-}
-
-/// A self-contained DFS node in renamed vertex space. `uncov` and
-/// `crit_any` are bitsets over the edge universe `{0, …, m−1}`;
-/// `owner[ei]` names the unique `S`-member hitting edge `ei` while
-/// `ei ∈ crit_any`, and `crit_count[w] = |crit(w)|` for `w ∈ S`.
-#[derive(Clone)]
-struct Node {
-    s: AttrSet,
-    cand: AttrSet,
-    uncov: AttrSet,
-    crit_any: AttrSet,
-    owner: Vec<usize>,
-    crit_count: Vec<u32>,
-}
-
-/// Shared atomic counter cells. Workers accumulate in plain
-/// [`LocalStats`] and flush once per task, so the DFS hot loop performs no
-/// atomic traffic; totals are schedule-invariant because the visited node
-/// set is.
-#[derive(Default)]
-struct CounterCells {
-    nodes: AtomicU64,
-    emitted: AtomicU64,
-    minimality_prunes: AtomicU64,
-    dead_branches: AtomicU64,
-    crit_removals: AtomicU64,
-    crit_restores: AtomicU64,
-}
-
-/// Per-task plain counters (no atomics in the recursion).
-#[derive(Default)]
-struct LocalStats {
-    nodes: u64,
-    emitted: u64,
-    minimality_prunes: u64,
-    dead_branches: u64,
-    crit_removals: u64,
-    crit_restores: u64,
-}
-
-impl CounterCells {
-    fn add(&self, l: &LocalStats) {
-        self.nodes.fetch_add(l.nodes, Ordering::Relaxed);
-        self.emitted.fetch_add(l.emitted, Ordering::Relaxed);
-        self.minimality_prunes
-            .fetch_add(l.minimality_prunes, Ordering::Relaxed);
-        self.dead_branches
-            .fetch_add(l.dead_branches, Ordering::Relaxed);
-        self.crit_removals
-            .fetch_add(l.crit_removals, Ordering::Relaxed);
-        self.crit_restores
-            .fetch_add(l.crit_restores, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> MuStats {
-        MuStats {
-            nodes: self.nodes.load(Ordering::Relaxed),
-            emitted: self.emitted.load(Ordering::Relaxed),
-            minimality_prunes: self.minimality_prunes.load(Ordering::Relaxed),
-            dead_branches: self.dead_branches.load(Ordering::Relaxed),
-            crit_removals: self.crit_removals.load(Ordering::Relaxed),
-            crit_restores: self.crit_restores.load(Ordering::Relaxed),
+    let result = Hypergraph::from_edges(n, out).expect("in universe");
+    let outcome = if search.tripped {
+        Outcome::BudgetExceeded {
+            partial: result,
+            reason: ctl.meter.exceeded().unwrap_or(BudgetReason::Cancelled),
         }
-    }
+    } else {
+        Outcome::Complete(result)
+    };
+    (outcome, search.stats)
 }
 
+/// The search's fixed instance (renamed edges and their vertex index) and
+/// its running state: the partial hitting set `S`, the emissions so far,
+/// the counters and whether the budget tripped.
 struct Search<'a> {
     edges: Vec<AttrSet>,
     /// `vert_edges[v]` = bitset of edge indices containing `v`.
     vert_edges: Vec<AttrSet>,
-    n: usize,
-    m: usize,
     ctl: RunCtl<'a>,
-    tripped: AtomicBool,
-    stats: CounterCells,
+    s: AttrSet,
+    out: Vec<AttrSet>,
+    stats: MuStats,
+    tripped: bool,
 }
 
 /// One depth's worth of reusable buffers: the uncovered-edge split, the
@@ -320,34 +203,15 @@ impl Frame {
 impl Search<'_> {
     /// Accounts one DFS node (query + observer event); `false` when the
     /// budget has tripped and the search should unwind.
-    fn enter_node(&self, local: &mut LocalStats) -> bool {
+    fn enter_node(&mut self) -> bool {
         if self.ctl.meter.exceeded().is_some() {
-            self.tripped.store(true, Ordering::Relaxed);
+            self.tripped = true;
             return false;
         }
         self.ctl.meter.record_query();
         self.ctl.observer.on_nodes(1);
-        local.nodes += 1;
+        self.stats.nodes += 1;
         true
-    }
-
-    fn outcome(&self, h: Hypergraph) -> Outcome<Hypergraph> {
-        if self.tripped.load(Ordering::Relaxed) {
-            Outcome::BudgetExceeded {
-                partial: h,
-                reason: self.ctl.meter.exceeded().unwrap_or(BudgetReason::Cancelled),
-            }
-        } else {
-            Outcome::Complete(h)
-        }
-    }
-
-    fn relevant_vertices(&self) -> AttrSet {
-        let mut v = AttrSet::empty(self.n);
-        for e in &self.edges {
-            v.union_with(e);
-        }
-        v
     }
 
     /// Picks the uncovered edge with the fewest remaining candidates
@@ -368,136 +232,32 @@ impl Search<'_> {
         best.map(|(_, ei)| ei)
     }
 
-    /// Runs the sequential recursion from an owned node state.
-    fn run_from(&self, node: Node, out: &mut Vec<AttrSet>) {
-        let Node {
-            mut s,
-            cand,
-            uncov,
-            mut crit_any,
-            mut owner,
-            mut crit_count,
-        } = node;
-        // One frame per DFS depth, sized up front: every branching level
-        // grows `s` by one vertex, so `n + 1` frames always suffice and
-        // the recursion itself never allocates (DESIGN.md §9).
-        let mut frames: Vec<Frame> = (0..=self.n).map(|_| Frame::fresh(self.m)).collect();
-        let mut local = LocalStats::default();
-        self.recurse(
-            &mut s,
-            cand,
-            &uncov,
-            &mut crit_any,
-            &mut owner,
-            &mut crit_count,
-            &mut frames,
-            out,
-            &mut local,
-        );
-        self.stats.add(&local);
-    }
-
-    /// Expands one node into its ordered children — the same branching step
-    /// as [`Search::recurse`] but producing owned child states; child order
-    /// equals the recursion's visit order.
-    fn expand(&self, node: Node) -> Vec<Task> {
-        let mut local = LocalStats::default();
-        let entered = self.enter_node(&mut local);
-        if !entered {
-            self.stats.add(&local);
-            return Vec::new();
-        }
-        let Node {
-            s,
-            mut cand,
-            uncov,
-            crit_any,
-            owner,
-            crit_count,
-        } = node;
-        let Some(pick) = self.pick_edge(&uncov, &cand) else {
-            self.stats.add(&local);
-            return vec![Task::Emit(s)];
-        };
-        let branch = self.edges[pick].intersection(&cand);
-        if branch.is_empty() {
-            local.dead_branches += 1;
-            self.stats.add(&local);
-            return Vec::new();
-        }
-        cand.difference_with(&branch);
-
-        let mut children: Vec<Task> = Vec::new();
-        for v in branch.iter() {
-            let ve = &self.vert_edges[v];
-            let hit = crit_any.intersection(ve);
-            let mut child_count = crit_count.clone();
-            let mut still_minimal = true;
-            for ei in hit.iter() {
-                local.crit_removals += 1;
-                let w = owner[ei];
-                child_count[w] -= 1;
-                if child_count[w] == 0 {
-                    still_minimal = false;
-                    break;
-                }
-            }
-            if still_minimal {
-                let mut child_s = s.clone();
-                child_s.insert(v);
-                let new_crit = uncov.intersection(ve);
-                let mut child_owner = owner.clone();
-                for ei in new_crit.iter() {
-                    child_owner[ei] = v;
-                }
-                child_count[v] = new_crit.len() as u32;
-                let mut child_any = crit_any.difference(ve);
-                child_any.union_with(&new_crit);
-                children.push(Task::Explore(Node {
-                    s: child_s,
-                    cand: cand.clone(),
-                    uncov: uncov.difference(ve),
-                    crit_any: child_any,
-                    owner: child_owner,
-                    crit_count: child_count,
-                }));
-            } else {
-                local.minimality_prunes += 1;
-            }
-            // v becomes available again for deeper levels of later
-            // siblings (the MMCS re-insertion step).
-            cand.insert(v);
-        }
-        self.stats.add(&local);
-        children
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// One DFS node: `crit_any` holds the edges critical for some
+    /// `w ∈ S`, `owner[ei]` names the unique `S`-member hitting a
+    /// critical edge `ei`, and `crit_count[w] = |crit(w)|` for `w ∈ S`.
+    /// All three are restored before returning.
     fn recurse(
-        &self,
-        s: &mut AttrSet,
+        &mut self,
         mut cand: AttrSet,
         uncov: &AttrSet,
         crit_any: &mut AttrSet,
         owner: &mut [usize],
         crit_count: &mut [u32],
         frames: &mut [Frame],
-        out: &mut Vec<AttrSet>,
-        local: &mut LocalStats,
     ) {
-        if !self.enter_node(local) {
+        if !self.enter_node() {
             return;
         }
         let Some(pick) = self.pick_edge(uncov, &cand) else {
-            out.push(s.clone());
+            self.out.push(self.s.clone());
             self.ctl.meter.record_transversal();
             self.ctl.observer.on_transversals(1);
-            local.emitted += 1;
+            self.stats.emitted += 1;
             return;
         };
         let branch = self.edges[pick].intersection(&cand);
         if branch.is_empty() {
-            local.dead_branches += 1;
+            self.stats.dead_branches += 1;
             return;
         }
         cand.difference_with(&branch);
@@ -516,7 +276,7 @@ impl Search<'_> {
             crit_any.intersection_into(ve, &mut frame.hit);
             let mut still_minimal = true;
             for ei in frame.hit.iter() {
-                local.crit_removals += 1;
+                self.stats.crit_removals += 1;
                 let w = owner[ei];
                 frame.pairs.push((ei, w));
                 crit_count[w] -= 1;
@@ -537,35 +297,31 @@ impl Search<'_> {
                 crit_any.difference_with(ve);
                 crit_any.union_with(&frame.new_crit);
                 uncov.difference_into(ve, &mut frame.new_uncov);
-                s.insert(v);
+                self.s.insert(v);
                 self.recurse(
-                    s,
                     cand.clone(),
                     &frame.new_uncov,
                     crit_any,
                     owner,
                     crit_count,
                     deeper,
-                    out,
-                    local,
                 );
-                s.remove(v);
+                self.s.remove(v);
                 // Undo the commit. Owners of restored edges are intact:
                 // an edge in the undo log is covered ≥ 2 below v, so no
                 // deeper level ever re-owned it.
                 crit_any.difference_with(&frame.new_crit);
                 crit_count[v] = 0;
                 for (ei, w) in frame.pairs.drain(..) {
-                    local.crit_restores += 1;
+                    self.stats.crit_restores += 1;
                     crit_any.insert(ei);
                     crit_count[w] += 1;
                 }
             } else {
-                local.minimality_prunes += 1;
+                self.stats.minimality_prunes += 1;
                 // Only counters were touched; hand the decrements back.
-                for (ei, w) in frame.pairs.drain(..) {
-                    let _ = ei;
-                    local.crit_restores += 1;
+                for (_, w) in frame.pairs.drain(..) {
+                    self.stats.crit_restores += 1;
                     crit_count[w] += 1;
                 }
             }
@@ -635,43 +391,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(321);
-        for _ in 0..25 {
-            let n: usize = rng.gen_range(3..10);
-            let m = rng.gen_range(0..8);
-            let edges: Vec<Vec<usize>> = (0..m)
-                .map(|_| {
-                    let k = rng.gen_range(1..=n.min(4));
-                    (0..k).map(|_| rng.gen_range(0..n)).collect()
-                })
-                .collect();
-            let h = Hypergraph::from_index_edges(n, edges);
-            let hm = h.minimized();
-            let seq = transversals(&h);
-            for threads in [0, 2, 3, 8] {
-                let meter = Meter::unlimited();
-                let ctl = RunCtl::new(&meter, &NoopObserver);
-                assert_eq!(
-                    run(&hm, threads, &ctl).0.expect_complete(),
-                    seq,
-                    "{h:?} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn stats_balance_on_sequential_runs() {
+        // Through the dispatcher at several thread counts: the search runs
+        // on the calling thread, so the counters are identical and every
+        // critical-edge removal is undone.
         let h = generators::threshold(8, 4);
-        let meter = Meter::unlimited();
-        let ctl = RunCtl::new(&meter, &NoopObserver);
-        let (out, stats) = run(&h, 1, &ctl);
-        assert_eq!(out.expect_complete(), berge::transversals(&h));
+        let expected = berge::transversals(&h);
+        let run_at = |threads: usize| {
+            let meter = Meter::unlimited();
+            let ctl = RunCtl::new(&meter, &NoopObserver);
+            let (out, report) =
+                crate::plan::dualize_ctl_report(&h, TrAlgorithm::MuMmcs, threads, &ctl);
+            assert_eq!(out.expect_complete(), expected, "threads={threads}");
+            report.mu.expect("MU-MMCS reports its counters")
+        };
+        let stats = run_at(1);
         assert!(stats.nodes > 0);
-        assert_eq!(stats.emitted as usize, berge::transversals(&h).len());
+        assert_eq!(stats.emitted as usize, expected.len());
         assert_eq!(stats.crit_removals, stats.crit_restores);
+        for threads in [2, 4] {
+            assert_eq!(run_at(threads), stats, "threads={threads}");
+        }
     }
 
     #[test]
@@ -683,7 +423,7 @@ mod tests {
         }
         .start();
         let ctl = RunCtl::new(&meter, &NoopObserver);
-        match run(&h, 1, &ctl).0 {
+        match run(&h, &ctl).0 {
             Outcome::BudgetExceeded { partial, .. } => {
                 let full = berge::transversals(&h);
                 for t in partial.edges() {

@@ -202,10 +202,9 @@ pub fn dualize(h: &Hypergraph) -> Hypergraph {
     crate::transversals_with(h, TrAlgorithm::Auto)
 }
 
-/// Runs `algo` on `min(H)` with `threads` workers (`0` = available
-/// parallelism) under `ctl`'s budget and observer, and reports what ran:
-/// the planner decision (for a forced backend, the rule is `"forced"`)
-/// plus engine counters where the backend collects them.
+/// Runs `algo` on `min(H)` under `ctl`'s budget and observer, and
+/// reports what ran: the planner decision (for a forced backend, the rule
+/// is `"forced"`) plus engine counters where the backend collects them.
 ///
 /// [`TrAlgorithm::Auto`] resolves through [`plan`]. A forced levelwise run
 /// whose Corollary 15 precondition fails falls back to the planner's
@@ -216,11 +215,14 @@ pub fn dualize(h: &Hypergraph) -> Hypergraph {
 /// partial result is a genuine subset of `Tr(H)` for MU-MMCS, joint
 /// generation, and levelwise; for Berge it is `Tr` of the processed edge
 /// prefix, and for EGM the minimized union of the completed sub-results.
-/// Outputs are bit-identical across backends and thread counts.
+///
+/// Every engine runs on the calling thread, so `_threads` is ignored and
+/// a run — complete or budgeted, with its counters — is the same at every
+/// thread count. Complete outputs are bit-identical across backends.
 pub fn dualize_ctl_report(
     h: &Hypergraph,
     algo: TrAlgorithm,
-    threads: usize,
+    _threads: usize,
     ctl: &RunCtl<'_>,
 ) -> (Outcome<Hypergraph>, PlanReport) {
     let hm = h.minimized();
@@ -244,16 +246,16 @@ pub fn dualize_ctl_report(
     };
     let out = match decision.backend {
         TrAlgorithm::Auto => unreachable!("decide() returns a concrete backend"),
-        TrAlgorithm::Berge => berge::run(&hm, berge::EdgeOrder::LargestFirst, threads, ctl),
+        TrAlgorithm::Berge => berge::run(&hm, berge::EdgeOrder::LargestFirst, ctl),
         TrAlgorithm::FkJointGeneration => joint_gen::run(&hm, ctl),
         TrAlgorithm::LevelwiseLargeEdges => levelwise_tr::run(&hm, ctl).map(|(tr, _)| tr),
         TrAlgorithm::MuMmcs => {
-            let (out, mu) = mu_mmcs::run(&hm, threads, ctl);
+            let (out, mu) = mu_mmcs::run(&hm, ctl);
             report.mu = Some(mu);
             out
         }
         TrAlgorithm::Egm => {
-            let (out, eg) = egm::run(&hm, threads, ctl);
+            let (out, eg) = egm::run(&hm, ctl);
             report.mu = Some(eg.leaf);
             report.egm = Some(eg);
             out

@@ -68,33 +68,43 @@ proptest! {
     }
 
     #[test]
-    fn fk_partials_are_thread_invariant(
+    fn budgeted_partials_are_thread_invariant(
         h in arb_wide_hypergraph(),
         max_queries in 1u64..3000,
         max_transversals in 1u64..48,
     ) {
-        // A budgeted joint-generation run stops at the same prefix, for
-        // the same reason, at every thread count, and every FK call it
-        // meters is one observed `on_fk_calls` event.
+        // Every engine runs on the calling thread: a budgeted run stops at
+        // the same prefix, for the same reason, with the same counters and
+        // query count at every thread count. Every FK call joint
+        // generation meters is one observed `on_fk_calls` event.
         let budget = Budget {
             max_queries: Some(max_queries),
             max_transversals: Some(max_transversals),
             ..Budget::default()
         };
-        let run = |threads: usize| {
-            let meter = budget.start();
-            let collector = StatsCollector::new();
-            let ctl = RunCtl::new(&meter, &collector);
-            let (out, _) =
-                plan::dualize_ctl_report(&h, TrAlgorithm::FkJointGeneration, threads, &ctl);
-            (out, meter.queries(), collector.fk_calls())
-        };
-        let (seq, queries, fk_calls) = run(1);
-        prop_assert_eq!(queries, fk_calls);
-        for threads in [2usize, 4] {
-            let (par, queries, fk_calls) = run(threads);
-            prop_assert_eq!(&par, &seq, "threads={}", threads);
-            prop_assert_eq!(queries, fk_calls, "threads={}", threads);
+        for algo in [
+            TrAlgorithm::FkJointGeneration,
+            TrAlgorithm::MuMmcs,
+            TrAlgorithm::Egm,
+            TrAlgorithm::Berge,
+        ] {
+            let run = |threads: usize| {
+                let meter = budget.start();
+                let collector = StatsCollector::new();
+                let ctl = RunCtl::new(&meter, &collector);
+                let (out, report) = plan::dualize_ctl_report(&h, algo, threads, &ctl);
+                (out, report, meter.queries(), collector.fk_calls())
+            };
+            let (seq, seq_report, queries, fk_calls) = run(1);
+            if algo == TrAlgorithm::FkJointGeneration {
+                prop_assert_eq!(queries, fk_calls);
+            }
+            for threads in [2usize, 4] {
+                let (par, report, par_queries, _) = run(threads);
+                prop_assert_eq!(&par, &seq, "{:?} threads={}", algo, threads);
+                prop_assert_eq!(report, seq_report, "{:?} threads={}", algo, threads);
+                prop_assert_eq!(par_queries, queries, "{:?} threads={}", algo, threads);
+            }
         }
     }
 

@@ -1,7 +1,9 @@
 //! # dualminer-parallel
 //!
-//! Deterministic claim-cursor scheduler for the workspace's hot paths:
-//! levelwise support counting and minimal-transversal branch exploration.
+//! Deterministic claim-cursor scheduler for the workspace's one parallel
+//! hot path: the levelwise walk's support counting ([`par_map`] over a
+//! level's candidates, [`par_fill`] over its tid slab). Every
+//! transversal engine runs on the calling thread.
 //!
 //! Design constraints (DESIGN.md §6/§13: std threads suffice — no external
 //! dependencies, `forbid(unsafe_code)`):
@@ -24,8 +26,9 @@
 //! share of the work — repeatedly claims the next
 //! `max(1, len / (threads * 8))` items until the cursor passes the end.
 //! About eight claims per worker let fast workers take over the share of
-//! a worker stuck on one expensive item (one giant transversal subtree
-//! among many trivial ones) without a cost model. Each claim returns its
+//! a worker stuck on expensive items (a candidate's cost follows the tid
+//! lists it intersects, and a worker can be descheduled) without a cost
+//! model. Each claim returns its
 //! start index with its results, and the roughly `threads * 8` claims are
 //! sorted by start and concatenated into exactly the sequential order.
 //!
@@ -188,47 +191,6 @@ pub fn par_map<T: Sync, R: Send>(
     out
 }
 
-/// Decides the chunk geometry of [`par_chunks`]: at most `threads * max(oversubscribe, 1)`
-/// contiguous chunks of equal ceiling length. Note the *actual* chunk
-/// count `ceil(len / chunk_len)` can undershoot the requested `n_chunks`
-/// (e.g. `len = 6`, `n_chunks = 4` → `chunk_len = 2` → 3 chunks); every
-/// chunk except possibly the last has exactly `chunk_len` items and no
-/// chunk is ever empty, so `chunk_index * chunk_len` is always the
-/// chunk's global offset. `oversubscribe = 0` is treated as 1.
-fn chunk_len(threads: usize, oversubscribe: usize, len: usize) -> usize {
-    let n_chunks = (threads * oversubscribe.max(1)).min(len);
-    len.div_ceil(n_chunks)
-}
-
-/// [`par_map`] over contiguous chunks: splits `items` into at most
-/// `threads * oversubscribe` contiguous chunks, maps `f` over each chunk
-/// on the claim-cursor workers, and returns the per-chunk results **in
-/// chunk order** (so `Vec::concat` of per-chunk output vectors reproduces
-/// the sequential iteration order exactly).
-///
-/// Use this when per-item work is small — chunking amortizes the
-/// scheduling overhead — or when the caller's merge step wants
-/// slice-granular results (e.g. one output buffer per prefix group).
-pub fn par_chunks<T: Sync, R: Send>(
-    threads: usize,
-    oversubscribe: usize,
-    items: &[T],
-    f: impl Fn(&[T]) -> R + Sync,
-) -> Vec<R> {
-    let threads = effective_threads(threads).min(items.len());
-    if threads <= 1 {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        TOTAL_TASKS.fetch_add(1, Ordering::Relaxed);
-        return vec![f(items)];
-    }
-    let chunks: Vec<&[T]> = items
-        .chunks(chunk_len(threads, oversubscribe, items.len()))
-        .collect();
-    par_map(threads, &chunks, |_, chunk| f(chunk))
-}
-
 /// Writes `out` in place, `stride` items at a time, on up to `threads`
 /// workers: `f(k, slice)` fills `out[k * stride..(k + 1) *
 /// stride]`. Workers claim contiguous ranges of `max(1, len / (threads *
@@ -369,55 +331,6 @@ mod tests {
         let claims = items.len().div_ceil(claim) as u64;
         assert!(stats.tasks >= claims, "tasks={}", stats.tasks);
         assert_eq!(stats.steals, 0);
-    }
-
-    #[test]
-    fn par_chunks_concat_matches_sequential() {
-        let items: Vec<u32> = (0..1000).collect();
-        for threads in [1, 2, 5] {
-            let chunked = par_chunks(threads, 4, &items, |chunk| {
-                chunk.iter().map(|x| x + 1).collect::<Vec<_>>()
-            });
-            let flat: Vec<u32> = chunked.concat();
-            assert_eq!(flat, items.iter().map(|x| x + 1).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn par_chunks_empty() {
-        let empty: Vec<u32> = vec![];
-        assert!(par_chunks(4, 4, &empty, |c| c.len()).is_empty());
-    }
-
-    /// Satellite audit (ISSUE 7): pin the chunk-boundary arithmetic for
-    /// the off-by-one shapes — `oversubscribe = 0`, `len < threads`, and
-    /// the undershoot case where `ceil(len / chunk_len)` yields fewer
-    /// chunks than requested.
-    #[test]
-    fn par_chunks_boundary_arithmetic() {
-        // oversubscribe = 0 behaves as 1: `threads` chunks.
-        let items: Vec<u32> = (0..8).collect();
-        let sizes = par_chunks(2, 0, &items, |c| c.len());
-        assert_eq!(sizes, vec![4, 4]);
-
-        // len = 6, threads = 2, oversubscribe = 2 → n_chunks = 4,
-        // chunk_len = 2 → only 3 actual chunks, none empty.
-        let items: Vec<u32> = (0..6).collect();
-        let chunks = par_chunks(2, 2, &items, |c| c.to_vec());
-        assert_eq!(chunks, vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
-
-        // len = 5 < threads * oversubscribe: n_chunks clamps to len=5?
-        // threads clamps to len first (5), then n_chunks = min(5*1, 5).
-        let items: Vec<u32> = (0..5).collect();
-        let sizes = par_chunks(8, 1, &items, |c| c.len());
-        assert_eq!(sizes.iter().sum::<usize>(), 5);
-        assert!(sizes.iter().all(|&s| s >= 1));
-
-        // len = 7, threads = 3, oversubscribe = 1 → chunk_len = 3 →
-        // chunks of 3, 3, 1.
-        let items: Vec<u32> = (0..7).collect();
-        let chunks = par_chunks(3, 1, &items, |c| c.to_vec());
-        assert_eq!(chunks, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6]]);
     }
 
     #[test]
