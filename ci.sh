@@ -71,6 +71,23 @@ grep -q -- '--resume' "$TMP/kill.err"
     --checkpoint "$TMP/mine.ckpt" --resume > "$TMP/resumed.out" 2> /dev/null
 diff "$TMP/plain.out" "$TMP/resumed.out"
 
+# The same round trip on the Dualize & Advance route: `keys` killed by
+# an injected permanent fault resumes to the plain `keys` output.
+printf 'dept,role,site\nsales,mgr,hq\nsales,ic,hq\neng,ic,lab\neng,mgr,lab\n' \
+    > "$TMP/relation.csv"
+"$DM" keys "$TMP/relation.csv" > "$TMP/keys_plain.out"
+set +e
+"$DM" keys "$TMP/relation.csv" \
+    --fault-inject permanent=4 --checkpoint "$TMP/keys.ckpt" \
+    --checkpoint-every 1 > /dev/null 2> "$TMP/keys_kill.err"
+code=$?
+set -e
+[ "$code" -eq 5 ] || { echo "expected exit 5 from injected fault on keys, got $code"; exit 1; }
+grep -q -- '--resume' "$TMP/keys_kill.err"
+"$DM" keys "$TMP/relation.csv" \
+    --checkpoint "$TMP/keys.ckpt" --resume > "$TMP/keys_resumed.out" 2> /dev/null
+diff "$TMP/keys_plain.out" "$TMP/keys_resumed.out"
+
 # 100k-row smoke (DESIGN.md §11): a checkpointed run interrupted at its
 # query cap (--max-queries, exit 6, exactly 40 queries) must --resume to
 # the plain output, from the checkpoint itself and from a copy of it
@@ -181,6 +198,32 @@ for algo in fk mu-mmcs egm; do
         for t in 2 4; do
             diff "$TMP/trcap_1.out" "$TMP/trcap_$t.out" \
                 || { echo "--algo $algo --max-queries $k on $input: threads $t diverged"; exit 1; }
+        done
+    done
+done
+
+# Dualize & Advance runs on the calling thread, so a checkpointed
+# transversal run stopped by its query cap prints the same partial,
+# exits the same and writes the same checkpoint bytes at every thread
+# count, on the materializing (berge) and incremental (fk) routes.
+for algo in berge fk; do
+    for k in 20 60 200; do
+        for t in 1 2 4; do
+            rm -f "$TMP/da_$t.ckpt"
+            set +e
+            "$DM" transversals "$TMP/matching6.txt" --algo "$algo" --retry 1 \
+                --checkpoint "$TMP/da_$t.ckpt" --checkpoint-every 1 \
+                --max-queries "$k" --threads "$t" > "$TMP/da_$t.out" 2> /dev/null
+            echo "exit $?" >> "$TMP/da_$t.out"
+            set -e
+        done
+        grep -qx 'exit 6' "$TMP/da_1.out" \
+            || { echo "checkpointed --algo $algo --max-queries $k did not trip"; exit 1; }
+        for t in 2 4; do
+            diff "$TMP/da_1.out" "$TMP/da_$t.out" \
+                || { echo "checkpointed --algo $algo --max-queries $k: threads $t diverged"; exit 1; }
+            cmp "$TMP/da_1.ckpt" "$TMP/da_$t.ckpt" \
+                || { echo "checkpointed --algo $algo --max-queries $k: threads $t saved other bytes"; exit 1; }
         done
     done
 done

@@ -93,7 +93,6 @@ pub fn run() {
             &oracle,
             TrAlgorithm::Berge,
             &config,
-            1,
             &ctl,
             &FaultCtl::none(),
             None,

@@ -393,6 +393,39 @@ fn old_segment_engine_checkpoint_is_refused_by_kind() {
     let _ = fs::remove_file(&ckpt);
 }
 
+/// Each driver refuses the other's checkpoint with a typed I/O error
+/// that names the kind it found: `mine` a Dualize & Advance checkpoint
+/// written by `keys`, and `keys` a levelwise one written by `mine`.
+#[test]
+fn checkpoint_of_the_other_driver_is_refused_by_kind() {
+    let baskets = temp_file("w-baskets.txt", BASKETS).display().to_string();
+    let relation = temp_file("w-relation.csv", RELATION).display().to_string();
+    let mine = ["mine", &baskets, "--min-support", "2"];
+    let keys = ["keys", &relation];
+    for (writer, reader, kind) in [
+        (&keys[..], &mine[..], "dualize-advance"),
+        (&mine[..], &keys[..], "levelwise"),
+    ] {
+        let ckpt = temp_path(&format!("{kind}.ckpt"));
+        let ckpt_s = ckpt.display().to_string();
+        let killed = run(&[
+            writer,
+            &["--fault-inject", "permanent=4", "--checkpoint", &ckpt_s],
+            &["--checkpoint-every", "1"],
+        ]
+        .concat());
+        assert_eq!(killed.status.code(), Some(EXIT_FAULT), "{kind}: {killed:?}");
+
+        let out = run(&[reader, &["--checkpoint", &ckpt_s, "--resume"]].concat());
+        assert_eq!(out.status.code(), Some(EXIT_IO), "{kind}: {out:?}");
+        assert!(
+            stderr(&out).contains(&format!("holds a {kind} run")),
+            "{kind}: {out:?}"
+        );
+        let _ = fs::remove_file(&ckpt);
+    }
+}
+
 /// `mine --progress` prints on stderr exactly the `[progress] …` texts the
 /// daemon streams as `progress` events for the same job — phases and
 /// levels on the plain route; retries and checkpoints on the

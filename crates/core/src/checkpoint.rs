@@ -1,5 +1,6 @@
 //! Driver checkpoint states: what levelwise and Dualize-and-Advance
-//! persist at safe points, and how a resumed run picks it back up.
+//! persist at safe points, how a resumed run picks it back up, and the
+//! one checkpoint policy both drivers follow.
 //!
 //! The envelope (versioning, checksums, atomic file replacement) lives in
 //! `dualminer-obs::checkpoint`; this module defines the two payloads and
@@ -20,6 +21,15 @@
 //!   it rolls back to the last safe point and the resumed run re-issues
 //!   the counterexample's query and the extension from scratch.
 //!
+//! **The policy.** One crate-private type, `Checkpointer`, decides for
+//! both drivers: a safe point saves when `every` queries have passed
+//! since the last save; a failed save aborts the run; an oracle abort
+//! saves the last safe point's state as a best effort and hands it back
+//! in [`Aborted::resume`]; a resume from a different universe size is
+//! refused. A driver only says where its safe points are and how to
+//! build its [`ResumeState`] there, which it does only when a save is due
+//! or the run aborts.
+//!
 //! Because every safe point is also a point the *from-scratch* run passes
 //! through with exactly the same `(collections, queries)` pair, a resumed
 //! run replays the remaining suffix verbatim: `Th`/`MTh`/`Bd⁻`,
@@ -28,7 +38,7 @@
 
 use dualminer_bitset::AttrSet;
 use dualminer_obs::checkpoint::{CheckpointError, CheckpointSink, Envelope};
-use dualminer_obs::{FaultPlan, Json, RetryPolicy, RunError};
+use dualminer_obs::{FaultPlan, Json, OracleError, RetryPolicy, RunCtl, RunError};
 
 /// Envelope `kind` for levelwise checkpoints.
 pub const LEVELWISE_KIND: &str = "levelwise";
@@ -183,8 +193,9 @@ pub struct DaState {
     pub round_certificate: Vec<AttrSet>,
     /// Logical queries issued up to this safe point.
     pub queries: u64,
-    /// Worker threads of the saving run (`0` = unrecorded). Same
-    /// informational contract as [`LevelwiseState::threads`].
+    /// Worker threads of the saving run (`0` = unrecorded). The driver
+    /// runs on the calling thread, so it records `1`. Same informational
+    /// contract as [`LevelwiseState::threads`].
     pub threads: u64,
 }
 
@@ -323,6 +334,98 @@ impl<'a> FaultCtl<'a> {
                 sink,
                 every: every.max(1),
             }),
+        }
+    }
+}
+
+/// The checkpoint policy of one driver run: the cadence, the save that
+/// aborts on failure, the best-effort save of an oracle abort, and the
+/// universe-size check of a resume. The driver hands it a closure that
+/// builds its [`ResumeState`], called only when that state is needed.
+pub(crate) struct Checkpointer<'a> {
+    cfg: Option<CheckpointCfg<'a>>,
+    /// Universe size of the run.
+    n: usize,
+    /// Queries issued at the last safe point.
+    safe: u64,
+    /// Queries issued at the last save.
+    saved: u64,
+}
+
+impl<'a> Checkpointer<'a> {
+    /// The policy of a run over `n` attributes under `fault`.
+    pub(crate) fn new(fault: &FaultCtl<'a>, n: usize) -> Checkpointer<'a> {
+        Checkpointer {
+            cfg: fault.checkpoint,
+            n,
+            safe: 0,
+            saved: 0,
+        }
+    }
+
+    /// Picks the run up at a state saved over `saved_n` attributes after
+    /// `queries` queries: that is the last safe point and the last save.
+    /// A different universe size is refused.
+    pub(crate) fn resume(&mut self, saved_n: usize, queries: u64) -> Result<(), Aborted> {
+        if saved_n != self.n {
+            return Err(Aborted {
+                error: RunError::Checkpoint(format!(
+                    "checkpoint universe size {saved_n} does not match oracle universe size {}",
+                    self.n
+                )),
+                resume: None,
+            });
+        }
+        self.safe = queries;
+        self.saved = queries;
+        Ok(())
+    }
+
+    /// Marks a safe point reached after `queries` queries and saves
+    /// `state()` when at least `every` queries have passed since the last
+    /// save. A failed save aborts the run: continuing un-checkpointed
+    /// would silently void the crash safety the caller asked for.
+    pub(crate) fn safe_point(
+        &mut self,
+        queries: u64,
+        ctl: &RunCtl<'_>,
+        state: impl FnOnce() -> ResumeState,
+    ) -> Result<(), Aborted> {
+        self.safe = queries;
+        let Some(cfg) = self.cfg else {
+            return Ok(());
+        };
+        if queries.saturating_sub(self.saved) < cfg.every {
+            return Ok(());
+        }
+        let state = state();
+        if let Err(e) = cfg.sink.save(state.kind(), &state.to_json()) {
+            return Err(Aborted {
+                error: RunError::Checkpoint(e.to_string()),
+                resume: Some(Box::new(state)),
+            });
+        }
+        ctl.observer.on_checkpoint(queries);
+        self.saved = queries;
+        Ok(())
+    }
+
+    /// The abort value for an oracle failure. `state(queries)` builds the
+    /// state of the last safe point, reached after `queries` queries
+    /// (`None` before the first); it is saved as a best effort, since the
+    /// oracle error stays the one reported.
+    pub(crate) fn abort(
+        &self,
+        error: OracleError,
+        state: impl FnOnce(u64) -> Option<ResumeState>,
+    ) -> Aborted {
+        let resume = state(self.safe);
+        if let (Some(cfg), Some(state)) = (self.cfg, &resume) {
+            let _ = cfg.sink.save(state.kind(), &state.to_json());
+        }
+        Aborted {
+            error: RunError::Oracle(error),
+            resume: resume.map(Box::new),
         }
     }
 }

@@ -29,12 +29,17 @@
 //! some singleton is interesting or `∅` itself is maximal). This also
 //! makes the degenerate theories (`∅` uninteresting, or only `∅`
 //! interesting) come out right.
+//!
+//! Both enumerations, incremental FK and the materializing engines, test
+//! each transversal in one shared step: the query, the certificate push
+//! that is a safe point, and the abort. Saves follow
+//! [`crate::checkpoint`]'s one policy, shared with the levelwise walk.
 
 use dualminer_bitset::AttrSet;
 use dualminer_hypergraph::{joint_gen, plan, Hypergraph, TrAlgorithm};
 use dualminer_obs::{BudgetReason, Meter, NoopObserver, OracleError, Outcome, RunCtl, RunError};
 
-use crate::checkpoint::{Aborted, DaState, FaultCtl, ResumeState, DUALIZE_ADVANCE_KIND};
+use crate::checkpoint::{Aborted, Checkpointer, DaState, FaultCtl, ResumeState};
 use crate::fallible::query_with_retry;
 use crate::oracle::InterestOracle;
 
@@ -143,7 +148,7 @@ pub fn dualize_advance<O: InterestOracle>(oracle: &O, algo: TrAlgorithm) -> Dual
     let meter = Meter::unlimited();
     let ctl = RunCtl::new(&meter, &NoopObserver);
     let config = DualizeAdvanceConfig::default();
-    match dualize_advance_ctl(oracle, algo, &config, 1, &ctl, &FaultCtl::none(), None) {
+    match dualize_advance_ctl(oracle, algo, &config, &ctl, &FaultCtl::none(), None) {
         Ok(outcome) => outcome.expect_complete(),
         Err(aborted) => unreachable!("no faults injected and no checkpoint: {aborted}"),
     }
@@ -192,89 +197,25 @@ fn tripped_round(
     }
 }
 
-/// Checkpoint bookkeeping for the fault-tolerant Dualize-and-Advance
-/// driver. Unlike levelwise, `maximal` and the round certificate mutate
-/// **only at safe points** (the greedy extension is atomic), so the abort
-/// state is always just the current collections plus the query count as
-/// of the last safe point.
-struct DaCkpt {
-    safe_queries: u64,
-    last_saved: u64,
-    /// Worker threads of this run, recorded into saved states.
-    threads: u64,
+/// The checkpoint state of a safe point: the verified-maximal sets in
+/// discovery order, the round's certificate and the query count. Both
+/// collections change only at safe points (the greedy extension is
+/// atomic), so at an abort they, with the last safe point's query count,
+/// are that point's state. The driver runs on the calling thread, so the
+/// state records one thread.
+fn da_state(n: usize, maximal: &[AttrSet], certificate: &[AttrSet], queries: u64) -> ResumeState {
+    ResumeState::DualizeAdvance(DaState {
+        n,
+        maximal: maximal.to_vec(),
+        round_certificate: certificate.to_vec(),
+        queries,
+        threads: 1,
+    })
 }
 
-impl DaCkpt {
-    fn state(&self, n: usize, maximal: &[AttrSet], certificate: &[AttrSet]) -> DaState {
-        DaState {
-            n,
-            maximal: maximal.to_vec(),
-            round_certificate: certificate.to_vec(),
-            queries: self.safe_queries,
-            threads: self.threads,
-        }
-    }
-
-    /// Marks a safe point and persists per cadence; a failed save aborts.
-    fn at_safe_point(
-        &mut self,
-        n: usize,
-        maximal: &[AttrSet],
-        certificate: &[AttrSet],
-        queries: u64,
-        ctl: &RunCtl<'_>,
-        fault: &FaultCtl<'_>,
-    ) -> Result<(), Aborted> {
-        self.safe_queries = queries;
-        let Some(cfg) = fault.checkpoint else {
-            return Ok(());
-        };
-        if queries.saturating_sub(self.last_saved) < cfg.every {
-            return Ok(());
-        }
-        let state = self.state(n, maximal, certificate);
-        if let Err(e) = cfg.sink.save(DUALIZE_ADVANCE_KIND, &state.to_json()) {
-            return Err(Aborted {
-                error: RunError::Checkpoint(e.to_string()),
-                resume: Some(Box::new(ResumeState::DualizeAdvance(state))),
-            });
-        }
-        ctl.observer.on_checkpoint(queries);
-        self.last_saved = queries;
-        Ok(())
-    }
-
-    /// The abort value for an oracle failure: state as of the last safe
-    /// point, persisted best-effort (the oracle error stays primary).
-    fn abort(
-        &self,
-        error: OracleError,
-        n: usize,
-        maximal: &[AttrSet],
-        certificate: &[AttrSet],
-        fault: &FaultCtl<'_>,
-    ) -> Aborted {
-        if maximal.is_empty() {
-            // Still in the seed phase: nothing durable yet.
-            return Aborted {
-                error: RunError::Oracle(error),
-                resume: None,
-            };
-        }
-        let state = self.state(n, maximal, certificate);
-        if let Some(cfg) = fault.checkpoint {
-            let _ = cfg.sink.save(DUALIZE_ADVANCE_KIND, &state.to_json());
-        }
-        Aborted {
-            error: RunError::Oracle(error),
-            resume: Some(Box::new(ResumeState::DualizeAdvance(state))),
-        }
-    }
-}
-
-/// [`dualize_advance`] with every knob: tunables, a thread budget for
-/// the transversal subroutine (`0` = available parallelism), a budget and
-/// an observer, fault tolerance, and resume.
+/// [`dualize_advance`] with every knob: tunables, a budget and an
+/// observer, fault tolerance, and resume. The driver and its transversal
+/// subroutine run on the calling thread.
 ///
 /// **Budget and observer.** Every `Is-interesting` query records one
 /// metered query (so does each inner FK recursive call when `algo` is
@@ -295,9 +236,10 @@ impl DaCkpt {
 /// transversal is verified uninteresting — the `round_certificate` cursor
 /// the checkpoint serializes — and (b) each iteration boundary, after a
 /// counterexample's greedy extension installs a new verified-maximal set.
-/// A fault inside an extension rolls back to the last safe point; the
-/// resumed run re-issues the counterexample query and the extension from
-/// scratch, so its query total matches an uninterrupted run exactly.
+/// Saves follow the policy of [`crate::checkpoint`]. A fault inside an
+/// extension rolls back to the last safe point; the resumed run re-issues
+/// the counterexample query and the extension from scratch, so its query
+/// total matches an uninterrupted run exactly.
 ///
 /// On resume, the complement hypergraph is rebuilt from `maximal` in
 /// discovery order and the round's transversal enumeration replays
@@ -313,12 +255,10 @@ impl DaCkpt {
 /// certificate are a valid safe point, which is how
 /// `mining::maximal::sample_then_certify` seeds the driver with its
 /// random-walk samples.
-#[allow(clippy::too_many_arguments)]
 pub fn dualize_advance_ctl<O: InterestOracle>(
     oracle: &O,
     algo: TrAlgorithm,
     config: &DualizeAdvanceConfig,
-    threads: usize,
     ctl: &RunCtl<'_>,
     fault: &FaultCtl<'_>,
     resume: Option<DaState>,
@@ -331,11 +271,7 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
     // Certificate carried into the first (resumed) round; later rounds
     // start empty.
     let mut pending_certificate: Vec<AttrSet> = Vec::new();
-    let mut ckpt = DaCkpt {
-        safe_queries: 0,
-        last_saved: 0,
-        threads: dualminer_parallel::effective_threads(threads) as u64,
-    };
+    let mut ckpt = Checkpointer::new(fault, n);
 
     if let Some(reason) = ctl.meter.exceeded() {
         return Ok(Outcome::BudgetExceeded {
@@ -345,20 +281,10 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
     }
 
     if let Some(state) = resume {
-        if state.n != n {
-            return Err(Aborted {
-                error: RunError::Checkpoint(format!(
-                    "checkpoint universe size {} does not match oracle universe size {n}",
-                    state.n
-                )),
-                resume: None,
-            });
-        }
+        ckpt.resume(state.n, state.queries)?;
         maximal = state.maximal;
         pending_certificate = state.round_certificate;
         queries = state.queries;
-        ckpt.safe_queries = queries;
-        ckpt.last_saved = queries;
     }
 
     if maximal.is_empty() {
@@ -369,7 +295,7 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
         let empty = AttrSet::empty(n);
         let empty_interesting =
             query_with_retry(&empty, fault, ctl, || oracle.is_interesting(&empty))
-                .map_err(|e| ckpt.abort(e, n, &maximal, &[], fault))?;
+                .map_err(|e| ckpt.abort(e, |_| None))?;
         if !empty_interesting {
             return Ok(Outcome::Complete(DualizeAdvanceRun {
                 maximal,
@@ -379,7 +305,7 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
             }));
         }
         let (first, ext_q, tripped) = greedy_extend(oracle, empty, &ext_order, ctl, fault)
-            .map_err(|e| ckpt.abort(e, n, &maximal, &[], fault))?;
+            .map_err(|e| ckpt.abort(e, |_| None))?;
         queries += ext_q;
         if let Some(reason) = tripped {
             // The extension was interrupted, so `first` is interesting but
@@ -397,7 +323,7 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
         });
         ctl.observer.on_iteration(iterations.len(), 0, true);
         maximal.push(first);
-        ckpt.at_safe_point(n, &maximal, &[], queries, ctl, fault)?;
+        ckpt.safe_point(queries, ctl, || da_state(n, &maximal, &[], queries))?;
     }
 
     loop {
@@ -410,9 +336,27 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
 
         let mut certificate: Vec<AttrSet> = std::mem::take(&mut pending_certificate);
         let mut tested = certificate.len();
-        let mut counterexample: Option<AttrSet> = None;
+        // The step both enumerations share: query transversal `t`; an
+        // uninteresting one joins the round certificate, a safe point,
+        // and an interesting one is the counterexample (`Ok(true)`).
+        let mut test = |t: &AttrSet, certificate: &mut Vec<AttrSet>| {
+            tested += 1;
+            queries += 1;
+            ctl.meter.record_query();
+            match query_with_retry(t, fault, ctl, || oracle.is_interesting(t)) {
+                Ok(true) => Ok(true),
+                Ok(false) => {
+                    certificate.push(t.clone());
+                    ckpt.safe_point(queries, ctl, || da_state(n, &maximal, certificate, queries))?;
+                    Ok(false)
+                }
+                Err(e) => Err(ckpt.abort(e, |queries| {
+                    Some(da_state(n, &maximal, certificate, queries))
+                })),
+            }
+        };
 
-        match algo {
+        let counterexample = match algo {
             TrAlgorithm::FkJointGeneration => {
                 // Incremental enumeration with early exit: each transversal
                 // the joint-generation step emits is queried at once. On
@@ -427,7 +371,7 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
                 loop {
                     let t = match joint_gen::next_transversal(&complements, &g, ctl) {
                         Ok(Some(t)) => t,
-                        Ok(None) => break,
+                        Ok(None) => break None,
                         Err(reason) => {
                             return Ok(tripped_round(
                                 maximal,
@@ -440,23 +384,12 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
                             ))
                         }
                     };
-                    tested += 1;
-                    queries += 1;
-                    ctl.meter.record_query();
                     ctl.meter.record_transversal();
                     ctl.observer.on_transversals(1);
-                    match query_with_retry(&t, fault, ctl, || oracle.is_interesting(&t)) {
-                        Ok(true) => {
-                            counterexample = Some(t);
-                            break;
-                        }
-                        Ok(false) => {
-                            certificate.push(t.clone());
-                            g.add_edge(t);
-                            ckpt.at_safe_point(n, &maximal, &certificate, queries, ctl, fault)?;
-                        }
-                        Err(e) => return Err(ckpt.abort(e, n, &maximal, &certificate, fault)),
+                    if test(&t, &mut certificate)? {
+                        break Some(t);
                     }
+                    g.add_edge(t);
                 }
             }
             TrAlgorithm::Auto
@@ -464,7 +397,7 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
             | TrAlgorithm::LevelwiseLargeEdges
             | TrAlgorithm::MuMmcs
             | TrAlgorithm::Egm => {
-                let tr = match plan::dualize_ctl_report(&complements, algo, threads, ctl).0 {
+                let tr = match plan::dualize_ctl_report(&complements, algo, 1, ctl).0 {
                     Outcome::Complete(tr) => tr,
                     Outcome::BudgetExceeded { reason, .. } => {
                         // The materialized border is incomplete (and for
@@ -486,19 +419,18 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
                 // check they really are the ones the checkpoint recorded —
                 // a mismatch means the checkpoint belongs to a different
                 // input and resuming would corrupt the run.
-                for (i, t) in tr.edges().iter().enumerate() {
-                    if i < certificate.len() {
-                        if *t != certificate[i] {
-                            return Err(Aborted {
-                                error: RunError::Checkpoint(format!(
-                                    "checkpoint cursor mismatch at transversal {i}: \
-                                     the checkpoint does not match this input"
-                                )),
-                                resume: None,
-                            });
-                        }
-                        continue;
-                    }
+                let edges = tr.edges();
+                if let Some(i) = edges.iter().zip(&certificate).position(|(t, c)| t != c) {
+                    return Err(Aborted {
+                        error: RunError::Checkpoint(format!(
+                            "checkpoint cursor mismatch at transversal {i}: \
+                             the checkpoint does not match this input"
+                        )),
+                        resume: None,
+                    });
+                }
+                let mut found = None;
+                for t in edges.iter().skip(certificate.len()) {
                     if let Some(reason) = ctl.meter.exceeded() {
                         return Ok(tripped_round(
                             maximal,
@@ -510,23 +442,14 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
                             ctl,
                         ));
                     }
-                    tested += 1;
-                    queries += 1;
-                    ctl.meter.record_query();
-                    match query_with_retry(t, fault, ctl, || oracle.is_interesting(t)) {
-                        Ok(true) => {
-                            counterexample = Some(t.clone());
-                            break;
-                        }
-                        Ok(false) => {
-                            certificate.push(t.clone());
-                            ckpt.at_safe_point(n, &maximal, &certificate, queries, ctl, fault)?;
-                        }
-                        Err(e) => return Err(ckpt.abort(e, n, &maximal, &certificate, fault)),
+                    if test(t, &mut certificate)? {
+                        found = Some(t.clone());
+                        break;
                     }
                 }
+                found
             }
-        }
+        };
 
         match counterexample {
             None => {
@@ -548,16 +471,15 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
                 }));
             }
             Some(x) => {
-                let (y, ext_q, tripped) =
-                    match greedy_extend(oracle, x.clone(), &ext_order, ctl, fault) {
-                        Ok(v) => v,
-                        Err(e) => {
-                            // Roll back to the last safe point: the
-                            // counterexample query and any extension
-                            // queries are re-issued on resume.
-                            return Err(ckpt.abort(e, n, &maximal, &certificate, fault));
-                        }
-                    };
+                // A fault in the extension rolls back to the last safe
+                // point: the counterexample query and any extension
+                // queries are re-issued on resume.
+                let (y, ext_q, tripped) = greedy_extend(oracle, x.clone(), &ext_order, ctl, fault)
+                    .map_err(|e| {
+                        ckpt.abort(e, |queries| {
+                            Some(da_state(n, &maximal, &certificate, queries))
+                        })
+                    })?;
                 queries += ext_q;
                 if let Some(reason) = tripped {
                     iterations.push(DualizeAdvanceIteration {
@@ -581,8 +503,7 @@ pub fn dualize_advance_ctl<O: InterestOracle>(
                 });
                 ctl.observer.on_iteration(iterations.len(), tested, true);
                 maximal.push(y);
-                ckpt.at_safe_point(n, &maximal, &[], queries, ctl, fault)?;
-                pending_certificate = Vec::new();
+                ckpt.safe_point(queries, ctl, || da_state(n, &maximal, &[], queries))?;
             }
         }
     }
@@ -794,7 +715,6 @@ mod config_tests {
             oracle,
             TrAlgorithm::Berge,
             &config,
-            1,
             &ctl,
             &FaultCtl::none(),
             None,

@@ -19,6 +19,11 @@
 //! each frequent set's dEclat tid structure down to its extensions. Both
 //! therefore share every query, budget trip, event and checkpoint.
 //!
+//! Level boundaries are the walk's safe points: the checkpoint cadence,
+//! the save failure that aborts and the best-effort save of an oracle
+//! abort are [`crate::checkpoint`]'s one policy, shared with Dualize &
+//! Advance; the walk only builds its state there.
+//!
 //! One convention is ours: the lattice bottom `∅` is a sentence (the
 //! paper's Example 11 starts at singletons, leaving ∅ implicit). Level 0
 //! therefore evaluates ∅ — one extra query — and an empty theory is
@@ -31,7 +36,7 @@ use dualminer_bitset::candidates::CandidateBatch;
 use dualminer_bitset::{AttrSet, ImmediateSubsets};
 use dualminer_obs::{BudgetReason, Meter, NoopObserver, OracleError, Outcome, RunCtl, RunError};
 
-use crate::checkpoint::{Aborted, FaultCtl, LevelwiseState, ResumeState, LEVELWISE_KIND};
+use crate::checkpoint::{Aborted, Checkpointer, FaultCtl, LevelwiseState, ResumeState};
 use crate::fallible::query_with_retry;
 use crate::oracle::InterestOracle;
 
@@ -159,107 +164,6 @@ fn restored_marks(theory: &[AttrSet]) -> Vec<bool> {
     marked
 }
 
-/// Checkpoint bookkeeping of the walk: the state at the last level
-/// boundary (the trim point for abort-time checkpoints) plus the save
-/// cadence.
-#[derive(Default)]
-struct LevelwiseCkpt {
-    boundary_theory: usize,
-    boundary_negative: usize,
-    boundary_levels: usize,
-    boundary_queries: u64,
-    last_saved: u64,
-    /// Worker threads of this run, recorded into saved states.
-    threads: u64,
-}
-
-impl LevelwiseCkpt {
-    /// State trimmed to the last completed level boundary.
-    fn state<V>(
-        &self,
-        n: usize,
-        theory: &[(AttrSet, V)],
-        negative: &[AttrSet],
-        candidates_per_level: &[usize],
-    ) -> LevelwiseState {
-        LevelwiseState {
-            n,
-            theory: theory[..self.boundary_theory]
-                .iter()
-                .map(|(t, _)| t.clone())
-                .collect(),
-            negative: negative[..self.boundary_negative].to_vec(),
-            candidates_per_level: candidates_per_level[..self.boundary_levels].to_vec(),
-            queries: self.boundary_queries,
-            threads: self.threads,
-        }
-    }
-
-    /// Marks a level boundary and, if a sink is configured and the
-    /// cadence is due, persists the state. A failed save aborts the run
-    /// (continuing un-checkpointed would silently void the crash-safety
-    /// contract the caller asked for).
-    #[allow(clippy::too_many_arguments)]
-    fn at_boundary<V>(
-        &mut self,
-        n: usize,
-        theory: &[(AttrSet, V)],
-        negative: &[AttrSet],
-        candidates_per_level: &[usize],
-        queries: u64,
-        ctl: &RunCtl<'_>,
-        fault: &FaultCtl<'_>,
-    ) -> Result<(), Aborted> {
-        self.boundary_theory = theory.len();
-        self.boundary_negative = negative.len();
-        self.boundary_levels = candidates_per_level.len();
-        self.boundary_queries = queries;
-        let Some(cfg) = fault.checkpoint else {
-            return Ok(());
-        };
-        if queries.saturating_sub(self.last_saved) < cfg.every {
-            return Ok(());
-        }
-        let state = self.state(n, theory, negative, candidates_per_level);
-        if let Err(e) = cfg.sink.save(LEVELWISE_KIND, &state.to_json()) {
-            return Err(Aborted {
-                error: RunError::Checkpoint(e.to_string()),
-                resume: Some(Box::new(ResumeState::Levelwise(state))),
-            });
-        }
-        ctl.observer.on_checkpoint(queries);
-        self.last_saved = queries;
-        Ok(())
-    }
-
-    /// Builds the abort value for a mid-level oracle failure: persists
-    /// the trimmed boundary state (best effort — the oracle error stays
-    /// primary) and hands it back in memory.
-    fn abort<V>(
-        &self,
-        error: OracleError,
-        n: usize,
-        theory: &[(AttrSet, V)],
-        negative: &[AttrSet],
-        candidates_per_level: &[usize],
-        fault: &FaultCtl<'_>,
-    ) -> Aborted {
-        let state = self.state(n, theory, negative, candidates_per_level);
-        let resume = if state.candidates_per_level.is_empty() {
-            None // aborted before the first boundary: nothing to resume
-        } else {
-            if let Some(cfg) = fault.checkpoint {
-                let _ = cfg.sink.save(LEVELWISE_KIND, &state.to_json());
-            }
-            Some(Box::new(ResumeState::Levelwise(state)))
-        };
-        Aborted {
-            error: RunError::Oracle(error),
-            resume,
-        }
-    }
-}
-
 /// No slab slot: the member's words are not read.
 const NO_SLOT: u32 = u32::MAX;
 
@@ -369,16 +273,18 @@ pub type Node<'a, N> = (&'a N, &'a [u64]);
 /// transient ones per `fault.retry`. A query that still fails raises a
 /// shared [`dualminer_parallel::AbortFlag`] so sibling workers stop
 /// early; the merge then picks the **first error in sequential candidate
-/// order**, and the run aborts with the state trimmed to the last
-/// completed level, persisted through the checkpoint sink when one is
-/// configured and returned in [`Aborted::resume`]. Retries and faults are
+/// order**, and the run aborts with the state of the last completed
+/// level, persisted through the checkpoint sink when one is configured
+/// and returned in [`Aborted::resume`]. Retries and faults are
 /// metered on [`Meter::retries`] / [`Meter::faults`]; `record_query`
 /// still fires exactly once per logical query, keeping the Theorem 10
 /// identity intact.
 ///
 /// **Checkpoints and resume.** With checkpointing on, state is saved at
 /// level boundaries whenever at least `every` logical queries accumulated
-/// since the last save. Passing `resume` continues a prior run (saved at
+/// since the last save, under the policy of [`crate::checkpoint`]; the
+/// walk builds a [`LevelwiseState`] only when a save is due or it aborts.
+/// Passing `resume` continues a prior run (saved at
 /// any thread count): the walk restarts at the first unfinished level and
 /// replays exactly the suffix a from-scratch run would execute, so the
 /// result is bit-identical to an uninterrupted run.
@@ -405,9 +311,19 @@ where
     let mut negative: Vec<AttrSet> = Vec::new();
     let mut candidates_per_level: Vec<usize> = Vec::new();
     let mut queries: u64;
-    let mut ckpt = LevelwiseCkpt {
-        threads: dualminer_parallel::effective_threads(threads) as u64,
-        ..LevelwiseCkpt::default()
+    let mut ckpt = Checkpointer::new(fault, n);
+    let saving_threads = dualminer_parallel::effective_threads(threads) as u64;
+    // The checkpoint state at a level boundary, built only when a save is
+    // due or the run aborts.
+    let boundary = |theory: &[(AttrSet, V)], negative: &[AttrSet], levels: &[usize], queries| {
+        ResumeState::Levelwise(LevelwiseState {
+            n,
+            theory: theory.iter().map(|(t, _)| t.clone()).collect(),
+            negative: negative.to_vec(),
+            candidates_per_level: levels.to_vec(),
+            queries,
+            threads: saving_threads,
+        })
     };
 
     if let Some(reason) = ctl.meter.exceeded() {
@@ -428,18 +344,12 @@ where
     let mut level_start: usize;
     let mut card: usize;
     if let Some(state) = resume {
-        let corrupt = |msg: String| Aborted {
-            error: RunError::Checkpoint(msg),
-            resume: None,
-        };
-        if state.n != n {
-            return Err(corrupt(format!(
-                "checkpoint universe size {} does not match oracle universe size {n}",
-                state.n
-            )));
-        }
+        ckpt.resume(state.n, state.queries)?;
         if state.candidates_per_level.is_empty() {
-            return Err(corrupt("checkpoint has no completed levels".into()));
+            return Err(Aborted {
+                error: RunError::Checkpoint("checkpoint has no completed levels".into()),
+                resume: None,
+            });
         }
         card = state.candidates_per_level.len() - 1;
         let frontier = state.frontier();
@@ -452,11 +362,6 @@ where
         negative = state.negative;
         candidates_per_level = state.candidates_per_level;
         queries = state.queries;
-        ckpt.boundary_theory = theory.len();
-        ckpt.boundary_negative = negative.len();
-        ckpt.boundary_levels = candidates_per_level.len();
-        ckpt.boundary_queries = queries;
-        ckpt.last_saved = queries;
     } else {
         // Level 0: the single most general sentence, ∅.
         let empty = AttrSet::empty(n);
@@ -465,12 +370,8 @@ where
         ctl.meter.record_query();
         let none = N::default();
         let no_pair = ((&none, &[][..]), (&none, &[][..]));
-        let got = query_with_retry(&empty, fault, ctl, || evaluate(&empty, &[], no_pair)).map_err(
-            |e| Aborted {
-                error: RunError::Oracle(e),
-                resume: None,
-            },
-        )?;
+        let got = query_with_retry(&empty, fault, ctl, || evaluate(&empty, &[], no_pair))
+            .map_err(|e| ckpt.abort(e, |_| None))?;
         ctl.observer.on_level(0, 1, usize::from(got.is_some()));
         let Some((value, node)) = got else {
             return Ok(Outcome::Complete(LevelwiseRun {
@@ -487,20 +388,18 @@ where
         level = CandidateBatch::from_members(n, 0, [&[][..]]);
         level_start = 0;
         card = 0;
-        ckpt.at_boundary(
-            n,
-            &theory,
-            &negative,
-            &candidates_per_level,
-            queries,
-            ctl,
-            fault,
-        )?;
     }
 
-    // The candidates of the level after `level`.
+    // The candidates of the level after `level`. Each pass starts at a
+    // level boundary, the walk's one safe point.
     let mut batch = level.join();
-    while !level.is_empty() && card < n {
+    loop {
+        ckpt.safe_point(queries, ctl, || {
+            boundary(&theory, &negative, &candidates_per_level, queries)
+        })?;
+        if level.is_empty() || card >= n {
+            break;
+        }
         card += 1;
         // A member's node: ∅ and a resumed level's members have no words.
         let node = |m: usize| {
@@ -553,9 +452,12 @@ where
 
         // A fault anywhere in the level aborts it wholesale — the first
         // error in sequential order wins, independent of which worker
-        // hit it first on the clock.
+        // hit it first on the clock. No verdict is merged yet, so the
+        // collections still hold the last boundary's state.
         if let Some((_, e)) = first_fault.into_inner().expect("fault slot poisoned") {
-            return Err(ckpt.abort(e, n, &theory, &negative, &candidates_per_level, fault));
+            return Err(ckpt.abort(e, |queries| {
+                Some(boundary(&theory, &negative, &candidates_per_level, queries))
+            }));
         }
 
         let next_start = theory.len();
@@ -634,15 +536,6 @@ where
         nodes = next_nodes;
         level = std::mem::replace(&mut batch, next);
         level_start = next_start;
-        ckpt.at_boundary(
-            n,
-            &theory,
-            &negative,
-            &candidates_per_level,
-            queries,
-            ctl,
-            fault,
-        )?;
     }
 
     Ok(Outcome::Complete(finish_run(

@@ -73,7 +73,6 @@ fn da_scratch(oracle: &FamilyOracle, algo: TrAlgorithm) -> DualizeAdvanceRun {
         oracle,
         algo,
         &DualizeAdvanceConfig::default(),
-        1,
         &ctl,
         &FaultCtl::none(),
         None,
@@ -166,7 +165,6 @@ fn dualize_advance_resume_matches_scratch_from_every_checkpoint() {
                 &oracle,
                 algo,
                 &DualizeAdvanceConfig::default(),
-                1,
                 &ctl,
                 &fault,
                 None,
@@ -191,7 +189,6 @@ fn dualize_advance_resume_matches_scratch_from_every_checkpoint() {
                 &oracle,
                 algo,
                 &DualizeAdvanceConfig::default(),
-                1,
                 &ctl,
                 &FaultCtl::none(),
                 Some(state.clone()),
@@ -259,7 +256,6 @@ fn dualize_advance_killed_at_every_query_resumes_identically() {
             &oracle,
             algo,
             &DualizeAdvanceConfig::default(),
-            1,
             &ctl,
             &fault,
             None,
@@ -276,7 +272,6 @@ fn dualize_advance_killed_at_every_query_resumes_identically() {
             &oracle,
             algo,
             &DualizeAdvanceConfig::default(),
-            1,
             &ctl,
             &FaultCtl::none(),
             resume,
@@ -334,7 +329,6 @@ fn transient_schedule_on_dualize_advance_completes_identically() {
                 &oracle,
                 algo,
                 &DualizeAdvanceConfig::default(),
-                1,
                 &ctl,
                 &FaultCtl::none(),
                 None,
@@ -352,7 +346,6 @@ fn transient_schedule_on_dualize_advance_completes_identically() {
             &oracle,
             algo,
             &DualizeAdvanceConfig::default(),
-            1,
             &ctl,
             &fault,
             None,
@@ -469,6 +462,28 @@ fn failed_checkpoint_save_aborts_the_run() {
     let aborted =
         levelwise_ctl(&oracle, 1, &ctl, &fault, None).expect_err("failed save must abort");
     assert!(matches!(aborted.error, RunError::Checkpoint(_)));
+
+    // The same policy on Dualize & Advance: its first safe point's save
+    // fails, and the abort hands back the state it could not persist.
+    for algo in [TrAlgorithm::Berge, TrAlgorithm::FkJointGeneration] {
+        let aborted = dualize_advance_ctl(
+            &matching(3),
+            algo,
+            &DualizeAdvanceConfig::default(),
+            &ctl,
+            &fault,
+            None,
+        )
+        .expect_err("failed save must abort");
+        assert!(matches!(aborted.error, RunError::Checkpoint(_)), "{algo:?}");
+        assert!(
+            matches!(
+                aborted.resume.as_deref(),
+                Some(ResumeState::DualizeAdvance(_))
+            ),
+            "{algo:?}"
+        );
+    }
 }
 
 #[test]
@@ -489,6 +504,45 @@ fn checkpoint_cadence_batches_saves() {
     let dense = count_saves(1);
     let sparse = count_saves(1_000_000);
     assert!(dense > sparse, "dense {dense} vs sparse {sparse}");
+
+    // The same cadence on Dualize & Advance, both enumerations: each save
+    // lands at least `every` queries after the one before it.
+    for algo in [TrAlgorithm::Berge, TrAlgorithm::FkJointGeneration] {
+        let saved_queries = |every: u64| {
+            let sink = MemoryCheckpoints::new();
+            let meter = Meter::unlimited();
+            let ctl = RunCtl::new(&meter, &NoopObserver);
+            let fault = FaultCtl::checkpointed(RetryPolicy::none(), &sink, every);
+            dualize_advance_ctl(
+                &matching(3),
+                algo,
+                &DualizeAdvanceConfig::default(),
+                &ctl,
+                &fault,
+                None,
+            )
+            .expect("no faults")
+            .expect_complete();
+            sink.all()
+                .iter()
+                .map(|envelope| match ResumeState::from_envelope(envelope) {
+                    Ok(ResumeState::DualizeAdvance(state)) => state.queries,
+                    other => panic!("{algo:?}: not a D&A state: {other:?}"),
+                })
+                .collect::<Vec<u64>>()
+        };
+        let dense = saved_queries(1);
+        let batched = saved_queries(4);
+        let sparse = saved_queries(1_000_000);
+        assert!(
+            dense.len() > batched.len() && batched.len() > sparse.len(),
+            "{algo:?}: {dense:?} / {batched:?} / {sparse:?}"
+        );
+        assert!(
+            batched.windows(2).all(|w| w[1] - w[0] >= 4),
+            "{algo:?}: {batched:?}"
+        );
+    }
 }
 
 /// Canonical text of one joint-generation D&A run under `budget`, saving
@@ -503,7 +557,6 @@ fn fk_run_record(oracle: &FamilyOracle, budget: Budget) -> String {
         oracle,
         TrAlgorithm::FkJointGeneration,
         &DualizeAdvanceConfig::default(),
-        1,
         &ctl,
         &fault,
         None,

@@ -101,7 +101,6 @@ pub fn sample_then_certify<R: Rng + ?Sized>(
         &oracle,
         algo,
         &config,
-        1,
         &ctl,
         &FaultCtl::none(),
         Some(samples),

@@ -474,7 +474,6 @@ pub struct DualizeStats {
 pub struct StatsCollector {
     started: Instant,
     fk_calls: AtomicU64,
-    transversals: AtomicU64,
     nodes: AtomicU64,
     checkpoints: AtomicU64,
     threads: AtomicU64,
@@ -493,7 +492,6 @@ impl StatsCollector {
         StatsCollector {
             started: Instant::now(),
             fk_calls: AtomicU64::new(0),
-            transversals: AtomicU64::new(0),
             nodes: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             threads: AtomicU64::new(1),
@@ -524,11 +522,6 @@ impl StatsCollector {
     pub fn set_dualize(&self, stats: DualizeStats) {
         let mut inner = self.inner.lock().expect("stats mutex poisoned");
         inner.dualize = Some(stats);
-    }
-
-    /// Total transversal events observed.
-    pub fn transversals(&self) -> u64 {
-        self.transversals.load(Ordering::Relaxed)
     }
 
     /// Total FK recursive calls observed.
@@ -670,10 +663,6 @@ impl MiningObserver for StatsCollector {
 
     fn on_fk_calls(&self, count: u64) {
         self.fk_calls.fetch_add(count, Ordering::Relaxed);
-    }
-
-    fn on_transversals(&self, count: u64) {
-        self.transversals.fetch_add(count, Ordering::Relaxed);
     }
 
     fn on_nodes(&self, count: u64) {

@@ -183,10 +183,6 @@ impl MiningObserver for JobObserver<'_> {
         self.stats.on_fk_calls(count);
     }
 
-    fn on_transversals(&self, count: u64) {
-        self.stats.on_transversals(count);
-    }
-
     fn on_nodes(&self, count: u64) {
         self.stats.on_nodes(count);
     }
@@ -684,7 +680,6 @@ pub fn keys(
                 &oracle,
                 TrAlgorithm::Berge,
                 &DualizeAdvanceConfig::default(),
-                1,
                 &cx.ctl(),
                 fault,
                 resume,
@@ -792,7 +787,6 @@ pub fn transversals(
                 &oracle,
                 algo,
                 &DualizeAdvanceConfig::default(),
-                cx.threads,
                 &cx.ctl(),
                 fault,
                 resume,

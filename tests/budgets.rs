@@ -36,7 +36,6 @@ fn example19_dualize_advance_max_transversals_partial_mth() {
         &oracle,
         TrAlgorithm::Berge,
         &config,
-        1,
         &ctl,
         &FaultCtl::none(),
         None,
